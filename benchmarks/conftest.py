@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-Every experiment writes a plain-text report into
-``benchmarks/reports/`` alongside the pytest-benchmark timing table;
-EXPERIMENTS.md quotes those reports.  One report file per experiment
-module, shared by all its tests and flushed at session end.
+Every experiment writes a plain-text report alongside the
+pytest-benchmark timing table: one file per experiment module, shared
+by all its tests and flushed at session end into a git-ignored
+directory next to this file.
 """
 
 from __future__ import annotations

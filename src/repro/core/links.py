@@ -19,7 +19,9 @@ Two layers of state, split since the DBM became multi-session:
   *lifetime* memory: the outgoing side's ``fired`` set (frontier rows
   that ever instantiated the rule head here — what makes null minting
   idempotent across updates *and* across concurrent sessions) and the
-  incoming side's ``pushed`` set (continuous-mode dedup).
+  incoming side's ``pushed`` set plus store ``marks`` — what the link
+  has delivered and how far into its body relations that reaches, so
+  the next activation serves only the difference.
 * **Per update session** — activation state, closure cause, and the
   protocol's sent/received dedup sets (:class:`SessionLinkState`,
   grouped per update in a :class:`LinkSession`).  Every concurrent
@@ -131,8 +133,28 @@ class IncomingLink:
     #: ``fired`` set would drop a re-shipped row anyway, so a later
     #: session skips it at the source (rows taught by a session that
     #: ends in failure are rolled back; see
-    #: :meth:`LinkSession.close_incoming`).
+    #: :meth:`LinkSession.close_incoming`).  A persistent network query
+    #: holds its shipments in its participation and merges them in only
+    #: when it ends cleanly.
     pushed: set = field(default_factory=set)
+    #: The part of ``pushed`` taught by update sessions still in
+    #: flight: their messages may not have arrived yet.  Another
+    #: *update* may skip these keys (it carries every session's rows
+    #: onward anyway), a *query* may not — it would answer without
+    #: rows that are still on the wire — so queries treat them as
+    #: undelivered.  Emptied per session by :meth:`LinkSession.settle`.
+    unsettled: set = field(default_factory=set)
+    #: ``{body relation: store watermark}`` at the last activation that
+    #: ended cleanly: every frontier row derivable from rows at or
+    #: below the marks is in ``pushed``, so the next activation
+    #: evaluates only the tail (:func:`activation_rows`).  Empty = no
+    #: marks, evaluate in full.  Reset whenever ``pushed`` shrinks
+    #: (:meth:`forget_delivered`), never snapshotted.
+    marks: dict = field(default_factory=dict)
+    #: How often ``pushed`` shrank.  A computation activated before a
+    #: shrink skipped rows that were in ``pushed`` then and may not be
+    #: now, so its marks no longer vouch for anything (:meth:`settle`).
+    forgets: int = 0
     #: Whether the importer registered CUP-style invalidation interest:
     #: it serves cached answers derived through this link and wants a
     #: compact ``invalidation`` instead of eager continuous-mode row
@@ -170,11 +192,137 @@ class IncomingLink:
         """The importer the results flow to (rule.target)."""
         return self.rule.target
 
-    def has_pushed(self, row: Row) -> bool:
-        return row_key(row) in self.pushed
+    def settle(self, delivered: set, activated_at: tuple[int, dict] | None) -> None:
+        """A computation that served this link ended cleanly: the keys
+        it taught are delivered for good, and the watermarks it was
+        activated at (*activated_at*, from :func:`activation_rows`) now
+        bound what the next activation must read — later marks win,
+        concurrent computations settle in any order."""
+        self.unsettled -= delivered
+        if activated_at is None or activated_at[0] != self.forgets:
+            return
+        for relation, mark in activated_at[1].items():
+            if mark > self.marks.get(relation, (-1, -1)):
+                self.marks[relation] = mark
 
-    def mark_pushed(self, row: Row) -> None:
-        self.pushed.add(row_key(row))
+    def forget_delivered(self, keys: set | None = None) -> None:
+        """Shrink the sent memory by *keys* (all of it when ``None``):
+        the importer may not hold those rows after all.  The marks
+        vouch for everything below them being in ``pushed``, so they go
+        too and the next activation evaluates in full."""
+        if keys is None:
+            self.pushed.clear()
+            self.unsettled.clear()
+        else:
+            self.pushed -= keys
+            self.unsettled -= keys
+        self.marks = {}
+        self.forgets += 1
+
+
+def undelivered(
+    link: IncomingLink,
+    rows: list[Row],
+    taught: set | None,
+    *,
+    settled_only: bool = False,
+) -> tuple[list[Row], int]:
+    """Drop the *rows* the link already delivered, teach the rest.
+
+    Returns ``(rows to ship, rows the send memory kept off the wire)``.
+    *taught* is the shipping computation's own record of what it
+    taught — what to roll back if it fails, what to settle when it
+    ends; rows already in it were shipped by this very computation and
+    are dropped without counting as suppressed.
+
+    Update sessions and the push engine (``settled_only=False``) skip
+    everything in ``pushed`` and teach it at once, an update's keys
+    staying ``unsettled`` until its session ends (the push engine has
+    no end to wait for and passes ``taught=None``).  A query
+    (``settled_only=True``) skips only settled keys and teaches
+    nothing yet: the query engine merges *taught* into ``pushed`` if
+    the query ends cleanly.
+    """
+    pushed, unsettled = link.pushed, link.unsettled
+    to_ship: list[Row] = []
+    suppressed = 0
+    for row in rows:
+        key = row_key(row)
+        if taught is not None and key in taught:
+            continue
+        if key in pushed and not (settled_only and key in unsettled):
+            suppressed += 1
+            continue
+        to_ship.append(row)
+        if taught is not None:
+            taught.add(key)
+        if not settled_only:
+            pushed.add(key)
+            if taught is not None:
+                unsettled.add(key)
+    return to_ship, suppressed
+
+
+def frontier_rows(
+    wrapper, link: IncomingLink, deltas: dict[str, list[Row]] | None = None
+) -> list[Row]:
+    """Frontier rows of *link*'s body over *wrapper*'s data: all of
+    them, or — given *deltas*, ``{relation: rows}`` — only those
+    derivable from at least one delta row ("substituting R by T'", §3:
+    one semi-naive pass per changed body relation)."""
+    mapping = link.rule.mapping
+    frontier = link.rule.frontier()
+    if deltas is None:
+        bindings = wrapper.evaluate_mapping_bindings(mapping, rule_key=link.rule_id)
+        return [tuple(binding[name] for name in frontier) for binding in bindings]
+    produced: dict[Row, None] = {}
+    for relation in sorted(set(deltas) & set(mapping.body_relations())):
+        for binding in wrapper.evaluate_mapping_bindings(
+            mapping,
+            changed_relation=relation,
+            delta_rows=deltas[relation],
+            rule_key=link.rule_id,
+        ):
+            produced[tuple(binding[name] for name in frontier)] = None
+    return list(produced)
+
+
+def activation_rows(
+    wrapper, link: IncomingLink, *, incremental: bool
+) -> tuple[list[Row], tuple[int, dict], int | None]:
+    """Evaluate *link*'s body for an activation.
+
+    Returns ``(frontier rows, activated_at, skipped)``: *activated_at*
+    holds the body relations' watermarks taken before the evaluation
+    (hand it to :meth:`IncomingLink.settle` on a clean end).  With
+    *incremental* and valid marks on the link, only rows inserted
+    since those marks are read — the tails are the deltas of a
+    semi-naive evaluation — and *skipped* counts the rows left unread
+    behind the mark where one stored row is one frontier row
+    (single-atom bodies; ``0`` otherwise).  Without marks, or after a
+    delete voided one, the body is evaluated in full and *skipped* is
+    ``None``.
+    """
+    relations = link.rule.mapping.body_relations()
+    activated_at = (
+        link.forgets,
+        {relation: wrapper.watermark(relation) for relation in relations},
+    )
+    tails = None
+    if incremental and link.marks:
+        tails = {
+            relation: wrapper.rows_since(relation, link.marks[relation])
+            for relation in relations
+        }
+        if any(tail is None for tail in tails.values()):
+            tails = None
+    if tails is None:
+        return frontier_rows(wrapper, link), activated_at, None
+    skipped = 0
+    if len(link.rule.mapping.body) == 1:
+        (relation,) = relations
+        skipped = wrapper.count(relation) - len(tails[relation])
+    return frontier_rows(wrapper, link, tails), activated_at, skipped
 
 
 class LinkTable:
@@ -266,6 +414,10 @@ class SessionLinkState:
     #: next update must re-ship them (over-resending is safe — the
     #: importer's ``fired`` set dedups; under-resending loses data).
     lifetime_new: set = field(default_factory=set)
+    #: Where this session activated the incoming link (the
+    #: *activated_at* of :func:`activation_rows`); committed to the
+    #: link when the session ends cleanly.
+    activated_at: tuple[int, dict] | None = None
 
     def has_seen(self, row: Row) -> bool:
         return row_key(row) in self.seen
@@ -291,6 +443,11 @@ class LinkSession:
 
     def rebind(self, table: LinkTable) -> None:
         self.table = table
+        # The new table's links start with empty memories: nothing this
+        # session taught the old ones is theirs to roll back or settle.
+        for state in self._incoming.values():
+            state.lifetime_new = set()
+            state.activated_at = None
 
     # -- state access -------------------------------------------------------
 
@@ -346,10 +503,20 @@ class LinkSession:
         a shipment bounces *after* the link already closed cleanly —
         the importer's ``fired`` set makes the re-send harmless."""
         state = self.incoming_state(rule_id)
+        state.activated_at = None
         link = self.table.incoming.get(rule_id)
         if link is not None and state.lifetime_new:
-            link.pushed -= state.lifetime_new
+            link.forget_delivered(state.lifetime_new)
             state.lifetime_new.clear()
+
+    def settle(self) -> None:
+        """The session is over and every message it sent was
+        acknowledged: what it taught (and did not roll back) is
+        delivered for good, and its activation marks stand."""
+        for rule_id, state in self._incoming.items():
+            link = self.table.incoming.get(rule_id)
+            if link is not None:
+                link.settle(state.lifetime_new, state.activated_at)
 
     # -- paired topology/state views ----------------------------------------
 

@@ -95,12 +95,14 @@ class NodeConfig:
         degrades into a pipeline instead of thrashing (see
         :mod:`repro.core.requests`).
     resend_suppression:
-        Teach-forward dedup across *updates*: when evaluating a link,
-        skip rows the link's lifetime ``pushed`` memory says a previous
-        session already delivered — the importer's ``fired`` set would
-        mint nothing for them anyway.  Rows taught during a session
-        that ends in failure are forgotten again (see
-        :meth:`repro.core.links.LinkSession.close_incoming`), so a
+        Serve only what is new: an incoming link remembers what it has
+        delivered (its lifetime ``pushed`` memory) and how far into its
+        body relations that reaches (store watermarks), so a repeat
+        update or persistent network query evaluates just the rows
+        inserted since and ships just the rows the importer lacks —
+        its ``fired`` set would mint nothing for the rest anyway.  Rows
+        taught by a session that ends in failure are forgotten again
+        (see :meth:`repro.core.links.LinkSession.close_incoming`), so a
         healed partition still converges to ``complete``.  Only active
         together with ``sent_dedup`` (the E10 ablation measures
         resends; this must not mask it).
@@ -321,6 +323,12 @@ class CoDBNode:
                 link.cache_interest = False
                 link.notified.clear()
 
+    def suppresses_resends(self) -> bool:
+        """Whether incoming links consult their send memory (``pushed``
+        and watermarks) to serve only what is new.  Needs ``sent_dedup``
+        too: the E10 ablation measures resends and must not be masked."""
+        return self.config.resend_suppression and self.config.sent_dedup
+
     # ------------------------------------------------------------------
     # Termination plumbing shared by both engines
     # ------------------------------------------------------------------
@@ -413,6 +421,8 @@ class CoDBNode:
                 self.termination.on_bounce(computation_id, dead_peer)
         if original_kind in ("update_request", "query_result", "link_closed"):
             self.updates.on_peer_unreachable(computation_id or "", dead_peer)
+        elif original_kind in ("query_request", "query_data"):
+            self.queries.on_bounce(computation_id or "")
 
     def _spend_resend(
         self, kind: str, peer: str, computation_id: str
@@ -457,6 +467,17 @@ class CoDBNode:
             if link.remote == peer:
                 link.cache_interest = False
                 link.notified.clear()
+
+    def store_derived(self, relation: str, rows: list[Row]) -> list[Row]:
+        """Insert head facts a *persistent* computation derived (update
+        session, push, persistent query); returns the new ones.  The
+        link memories now say these rows were delivered for good, so a
+        live non-persistent query that happened to import one of them
+        first must not roll it back."""
+        new_rows = self.wrapper.insert_new(relation, rows)
+        if len(new_rows) < len(rows):
+            self.queries.keep(relation, rows)
+        return new_rows
 
     def bump_epochs(self, relations: Iterable[str]) -> None:
         """Advance the answer-cache epoch of every relation in
@@ -1085,7 +1106,7 @@ class CoDBNode:
             link.lease_remaining = 0
             theirs = digests.get(link.rule_id)
             if theirs is None or tuple(theirs) != memory_digest(link.pushed):
-                link.pushed.clear()
+                link.forget_delivered()
         self.admission.drain()
         if not payload.get("ack"):
             self.endpoint.try_send(

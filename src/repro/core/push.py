@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.links import frontier_rows, undelivered
 from repro.errors import UnknownPeerError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
 from repro.relational.evaluation import apply_head
-from repro.relational.values import MarkedNull, Row, decode_row, encode_row, row_key
+from repro.relational.values import MarkedNull, Row, decode_row, encode_row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import CoDBNode
@@ -77,22 +78,13 @@ class PushEngine:
                 # The lease just expired: the importer has been told to
                 # drop its cached answers — resume pushing rows so it
                 # does not silently fall behind from here on.
-            produced: dict[Row, None] = {}
-            for relation in sorted(
-                changed & set(link.rule.mapping.body_relations())
-            ):
-                frontier = link.rule.frontier()
-                for binding in node.wrapper.evaluate_mapping_bindings(
-                    link.rule.mapping,
-                    changed_relation=relation,
-                    delta_rows=deltas[relation],
-                    rule_key=link.rule_id,
-                ):
-                    produced[tuple(binding[n] for n in frontier)] = None
-            fresh = [row for row in produced if row_key(row) not in link.pushed]
+            # A push has no session to roll back or settle: what it
+            # ships is taught as delivered at once.
+            fresh, _suppressed = undelivered(
+                link, frontier_rows(node.wrapper, link, deltas), None
+            )
             if not fresh:
                 continue
-            link.pushed.update(row_key(row) for row in fresh)
             pipe = node.pipes.pipe_to(link.remote)
             try:
                 pipe.send(
@@ -137,7 +129,7 @@ class PushEngine:
             ):
                 if tuple_subsumed(row, node.wrapper._view().relation(relation)):
                     continue
-            new_rows = node.wrapper.insert_new(relation, [row])
+            new_rows = node.store_derived(relation, [row])
             if new_rows:
                 deltas.setdefault(relation, []).extend(new_rows)
                 self.rows_absorbed += len(new_rows)

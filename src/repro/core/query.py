@@ -30,6 +30,17 @@ design:
   rolls the imported tuples back after the answer is computed, so
   repeated-query experiments (E6) measure steady-state query cost.
 
+Because the data migrates, a link need not serve it twice.  Under
+``NodeConfig.resend_suppression`` an activated incoming link evaluates
+only the rows inserted since its last clean activation and ships only
+rows its importer does not hold — the same lifetime ``pushed`` memory
+and watermarks the global update uses (:mod:`repro.core.links`).  One
+difference matters: a query does not carry another computation's rows
+onward, so it may rely only on *settled* memory.  Keys an in-flight
+update taught are shipped again, and a query's own shipments stay in
+its participation until it ends cleanly — a non-persistent, bounced
+or peer-lost participation teaches nothing.
+
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
 floods ``query_complete`` along the request tree for cleanup.
@@ -40,6 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.links import (
+    IncomingLink,
+    activation_rows,
+    frontier_rows,
+    undelivered,
+)
 from repro.errors import ProtocolError, UnknownPeerError
 from repro.p2p.messages import Message
 from repro.relational.conjunctive import ConjunctiveQuery
@@ -60,12 +77,21 @@ class QueryParticipation:
     origin: str
     persist: bool
     #: Incoming-link rule ids activated for this query, with sent-sets
-    #: (frontier row keys — the engine's type-strict identity).
+    #: (frontier row keys — the engine's type-strict identity).  Merged
+    #: into the links' lifetime ``pushed`` memory on a clean end.
     sent: dict[str, set] = field(default_factory=dict)
+    #: rule id -> (the link activated, where — the *activated_at* of
+    #: ``activation_rows``) for the links served from their send
+    #: memory; committed to the link on a clean end.
+    activated: dict[str, tuple[IncomingLink, tuple]] = field(default_factory=dict)
+    #: No shipment bounced and no peer was lost while this ran: what it
+    #: sent has arrived.
+    clean: bool = True
     #: Outgoing-link rule ids requested, with received-sets (row keys).
     received: dict[str, set] = field(default_factory=dict)
-    #: Rows this query imported here (rollback when not persist).
-    inserted: list[tuple[str, Row]] = field(default_factory=list)
+    #: ``{relation: {row key: row}}`` this query imported here, kept
+    #: only when not persist: what its cleanup rolls back.
+    inserted: dict[str, dict] = field(default_factory=dict)
     #: Neighbours we forwarded requests to (cleanup flood follows them).
     forwarded_to: list[str] = field(default_factory=list)
     done: bool = False
@@ -92,6 +118,9 @@ class QueryEngine:
         self.node = node
         self.participations: dict[str, QueryParticipation] = {}
         self.roots: dict[str, RootQuery] = {}
+        #: The live non-persistent participations (they roll their
+        #: imports back at cleanup; see :meth:`keep`).
+        self._transient: dict[str, QueryParticipation] = {}
 
     # ------------------------------------------------------------------
     # Root side
@@ -152,9 +181,6 @@ class QueryEngine:
             )
         return query_id
 
-    #: Pre-handle-API name, kept for existing callers.
-    start = submit
-
     def cancel(self, query_id: str) -> bool:
         """Withdraw *query_id* if it is still queued behind admission."""
         if not self.node.admission.cancel(query_id):
@@ -167,13 +193,33 @@ class QueryEngine:
     ) -> None:
         node = self.node
         node.termination.start_root(query_id)
-        participation = QueryParticipation(
-            query_id=query_id, origin=node.name, persist=persist
-        )
-        self.participations[query_id] = participation
+        participation = self._participate(query_id, node.name, persist)
         needed = set(query.body_relations())
         self._forward_requests(participation, needed, label=[node.name])
         node.termination.check_quiescence(query_id)
+
+    def _participate(
+        self, query_id: str, origin: str, persist: bool
+    ) -> QueryParticipation:
+        participation = QueryParticipation(
+            query_id=query_id, origin=origin, persist=persist
+        )
+        self.participations[query_id] = participation
+        if not persist:
+            self._transient[query_id] = participation
+        return participation
+
+    def keep(self, relation: str, rows: list[Row]) -> None:
+        """A persistent computation derived *rows* of *relation* and
+        found some already stored: if a live non-persistent query put
+        them there they are no longer its to roll back — the lifetime
+        link memories now say they were delivered for good.  Called
+        from :meth:`CoDBNode.store_derived` only."""
+        for participation in self._transient.values():
+            mine = participation.inserted.get(relation)
+            if mine:
+                for row in rows:
+                    mine.pop(row_key(row), None)
 
     def answer(self, query_id: str) -> list[Row] | None:
         """The answer rows, or ``None`` while the query is in flight."""
@@ -224,18 +270,21 @@ class QueryEngine:
             participation.received[rule_id] = set()
             by_remote.setdefault(link.remote, []).append(rule_id)
         for remote, rule_ids in by_remote.items():
+            payload = {
+                "query_id": participation.query_id,
+                "origin": participation.origin,
+                "label": label,
+                "rule_ids": rule_ids,
+                "persist": participation.persist,
+            }
+            if not node.wrapper.persistent:
+                # A mediator's buffer is dropped at the next update
+                # boundary: the exporter must serve it in full every
+                # time, whatever its send memory says.
+                payload["retains"] = False
             pipe = node.pipes.pipe_to(remote)
             try:
-                pipe.send(
-                    "query_request",
-                    {
-                        "query_id": participation.query_id,
-                        "origin": participation.origin,
-                        "label": label,
-                        "rule_ids": rule_ids,
-                        "persist": participation.persist,
-                    },
-                )
+                pipe.send("query_request", payload)
             except UnknownPeerError:
                 continue  # the acquaintance left; query what remains
             node.termination.note_sent(participation.query_id, remote)
@@ -258,14 +307,18 @@ class QueryEngine:
         tree = node.termination.on_engaging_message(query_id, message.sender)
         participation = self.participations.get(query_id)
         if participation is None:
-            participation = QueryParticipation(
-                query_id=query_id,
-                origin=message.payload["origin"],
-                persist=bool(message.payload.get("persist", True)),
+            participation = self._participate(
+                query_id,
+                message.payload["origin"],
+                bool(message.payload.get("persist", True)),
             )
-            self.participations[query_id] = participation
         label = [str(item) for item in message.payload.get("label", ())]
         activated_bodies: set[str] = set()
+        # Serve from the send memory only an importer that keeps what
+        # it is sent (see ``_forward_requests``).
+        suppressing = node.suppresses_resends() and bool(
+            message.payload.get("retains", True)
+        )
         for rule_id in message.payload["rule_ids"]:
             link = node.links.incoming.get(rule_id)
             if link is None or link.remote != message.sender:
@@ -275,15 +328,21 @@ class QueryEngine:
                 )
             if rule_id in participation.sent:
                 continue  # already activated for this query
-            sent: set = set()
-            participation.sent[rule_id] = sent
-            frontier = link.rule.frontier()
-            bindings = node.wrapper.evaluate_mapping_bindings(
-                link.rule.mapping, rule_key=rule_id
+            participation.sent[rule_id] = set()
+            # Watermarks vouch for rows being in ``pushed``, not for
+            # their being settled: with an update's keys still in
+            # flight the tail alone would miss them.
+            rows, activated_at, skipped = activation_rows(
+                node.wrapper,
+                link,
+                incremental=suppressing
+                and node.config.semi_naive
+                and not link.unsettled,
             )
-            rows = [tuple(b[name] for name in frontier) for b in bindings]
-            fresh = [row for row in rows if row_key(row) not in sent]
-            sent.update(row_key(row) for row in fresh)
+            node.stats.note_activation(incremental=skipped is not None)
+            if suppressing:
+                participation.activated[rule_id] = (link, activated_at)
+            fresh = self._unsent(participation, link, rows, skipped or 0)
             self._send_data(participation, rule_id, link.remote, fresh, path_len=1)
             activated_bodies |= set(link.rule.mapping.body_relations())
         # The label cut: "a node does not propagate a query request, if
@@ -294,6 +353,27 @@ class QueryEngine:
             )
         node.stats.queries_answered += 1
         node.termination.after_processing(query_id, message.sender, tree)
+
+    def _unsent(
+        self,
+        participation: QueryParticipation,
+        link: IncomingLink,
+        rows: list[Row],
+        skipped: int = 0,
+    ) -> list[Row]:
+        """The *rows* this query has not shipped over *link* yet and
+        the importer is not known to hold; they join the link's
+        sent-set.  *skipped* rows were not even read (they sit behind
+        the link's watermark) and count as suppressed with the ones
+        filtered here."""
+        sent = participation.sent[link.rule_id]
+        if link.rule_id in participation.activated:
+            fresh, suppressed = undelivered(link, rows, sent, settled_only=True)
+            self.node.stats.query_rows_suppressed += suppressed + skipped
+            return fresh
+        fresh = [row for row in rows if row_key(row) not in sent]
+        sent.update(row_key(row) for row in fresh)
+        return fresh
 
     def _send_data(
         self,
@@ -355,59 +435,76 @@ class QueryEngine:
         received.update(row_key(row) for row in fresh_frontier)
         path_len = int(message.payload.get("path_len", 1))
 
+        # The link's lifetime fired memory, shared with the update and
+        # push paths: a frontier row mints its nulls once per link
+        # lifetime, whichever computation delivers it.  Only existential
+        # heads need asking — any other head gives the same facts again
+        # and ``insert_new`` drops them.  A non-persistent query
+        # consults the memory but does not mark it: its rows are rolled
+        # back.  A mediator does neither: once its buffer is dropped
+        # "fired" no longer means "stored", and an update that found a
+        # row fired here would not carry it on to the other importers.
+        remembers = node.wrapper.persistent
+        to_fire = fresh_frontier
+        if remembers and link.rule.mapping.has_existentials():
+            to_fire = [row for row in fresh_frontier if not link.has_fired(row)]
+        if remembers and participation.persist:
+            for row in to_fire:
+                link.mark_fired(row)
         frontier_names = link.rule.frontier()
-        bindings = [dict(zip(frontier_names, row)) for row in fresh_frontier]
-        facts = apply_head(link.rule.mapping, bindings, node.nulls)
-        # Re-fire on everything *this query* newly received — not just
-        # rows new to the store.  Concurrent computations share the
-        # store, so a row another query imported a moment ago is old to
-        # the store but new to this query's data flow; the per-query
-        # sent-sets downstream keep this loop bounded.
+        bindings = [dict(zip(frontier_names, row)) for row in to_fire]
+        # One insert_new per relation, as in UpdateEngine.ingest_results.
         deltas: dict[str, list[Row]] = {}
-        stored: set[str] = set()
-        for relation, row in facts:
+        for relation, row in apply_head(link.rule.mapping, bindings, node.nulls):
             deltas.setdefault(relation, []).append(row)
-            new_rows = node.wrapper.insert_new(relation, [row])
+        stored: list[str] = []
+        for relation, pending in deltas.items():
+            if participation.persist:
+                new_rows = node.store_derived(relation, pending)
+            else:
+                new_rows = node.wrapper.insert_new(relation, pending)
+                participation.inserted.setdefault(relation, {}).update(
+                    (row_key(new_row), new_row) for new_row in new_rows
+                )
             if new_rows:
-                stored.add(relation)
-            participation.inserted.extend(
-                (relation, new_row) for new_row in new_rows
-            )
+                stored.append(relation)
         if stored:
             node.bump_epochs(stored)
         root = self.roots.get(query_id)
         if root is not None:
             root.messages_used += 1
 
-        if deltas:
-            changed = set(deltas)
-            for rule_id2, sent in participation.sent.items():
-                serving = node.links.incoming.get(rule_id2)
-                if serving is None:
-                    continue
-                body = set(serving.rule.mapping.body_relations())
-                if not changed & body:
-                    continue
-                produced: dict[Row, None] = {}
-                frontier = serving.rule.frontier()
-                for relation in sorted(changed & body):
-                    for binding in node.wrapper.evaluate_mapping_bindings(
-                        serving.rule.mapping,
-                        changed_relation=relation,
-                        delta_rows=deltas[relation],
-                        rule_key=rule_id2,
-                    ):
-                        produced[tuple(binding[n] for n in frontier)] = None
-                fresh = [row for row in produced if row_key(row) not in sent]
-                sent.update(row_key(row) for row in fresh)
-                self._send_data(
-                    participation,
-                    rule_id2,
-                    serving.remote,
-                    fresh,
-                    path_len=path_len + 1,
-                    always=False,
-                )
+        # Re-fire on everything *this query* newly received — not just
+        # rows new to the store.  Concurrent computations share the
+        # store, so a row another query imported a moment ago is old to
+        # the store but new to this query's data flow; the per-query
+        # sent-sets downstream keep this loop bounded.  The head facts
+        # of existential rows another computation fired are somewhere
+        # in the store under nulls that are not ours to mint again:
+        # links reading those relations are recomputed in full instead.
+        refired: set[str] = set()
+        if len(to_fire) < len(fresh_frontier):
+            refired = set(link.rule.mapping.head_relations())
+        changed = set(deltas)
+        for serving_id in participation.sent:
+            serving = node.links.incoming.get(serving_id)
+            if serving is None:
+                continue
+            body = set(serving.rule.mapping.body_relations())
+            if refired & body:
+                produced = frontier_rows(node.wrapper, serving)
+            elif changed & body:
+                produced = frontier_rows(node.wrapper, serving, deltas)
+            else:
+                continue
+            self._send_data(
+                participation,
+                serving_id,
+                serving.remote,
+                self._unsent(participation, serving, produced),
+                path_len=path_len + 1,
+                always=False,
+            )
         node.termination.after_processing(query_id, message.sender, tree)
 
     # ------------------------------------------------------------------
@@ -429,13 +526,24 @@ class QueryEngine:
             return
         self._cleanup(participation, forwarded_from=message.sender)
 
+    def on_bounce(self, query_id: str) -> None:
+        """A shipment of *query_id* came back undeliverable: whatever
+        this participation sent may not have arrived."""
+        participation = self.participations.get(query_id)
+        if participation is not None:
+            participation.clean = False
+
     def on_peer_down(self, dead_peer: str) -> None:
-        """Failure detector: close out participations rooted at a peer
-        that left — their cleanup flood will never come, and under
+        """Failure detector: no live participation can vouch for its
+        deliveries any more, and those rooted at the peer that left are
+        closed out — their cleanup flood will never come, and under
         admission caps an orphaned participation would pin a session
         slot forever."""
         for participation in list(self.participations.values()):
-            if participation.origin == dead_peer and not participation.done:
+            if participation.done:
+                continue
+            participation.clean = False
+            if participation.origin == dead_peer:
                 self._cleanup(participation, forwarded_from=None)
 
     def _cleanup(
@@ -443,14 +551,22 @@ class QueryEngine:
     ) -> None:
         node = self.node
         participation.done = True
-        if not participation.persist and participation.inserted:
-            by_relation: dict[str, list[Row]] = {}
-            for relation, row in participation.inserted:
-                by_relation.setdefault(relation, []).append(row)
-            for relation, rows in by_relation.items():
-                node.wrapper.delete_rows(relation, rows)
-            participation.inserted.clear()
-            node.bump_epochs(by_relation)
+        self._transient.pop(participation.query_id, None)
+        rolled_back = [
+            relation
+            for relation, rows in participation.inserted.items()
+            if rows and node.wrapper.delete_rows(relation, list(rows.values()))
+        ]
+        participation.inserted.clear()
+        if rolled_back:
+            node.bump_epochs(rolled_back)
+        if participation.persist and participation.clean:
+            # Quiescence was detected with every shipment acknowledged:
+            # the importers hold what this query sent them.
+            for rule_id, (link, activated_at) in participation.activated.items():
+                if node.links.incoming.get(rule_id) is link:
+                    link.pushed |= participation.sent[rule_id]
+                    link.settle(participation.sent[rule_id], activated_at)
         for remote in participation.forwarded_to:
             if remote != forwarded_from:
                 pipe = node.pipes.pipe_to(remote)

@@ -53,7 +53,13 @@ PROMETHEUS_METRICS: dict[str, tuple[str, str, str]] = {
     "rounds": ("codb_node_rounds_total", "counter",
                "Query-result messages processed"),
     "rows_suppressed": ("codb_node_rows_suppressed_total", "counter",
-                        "Rows skipped by teach-forward resend suppression"),
+                        "Rows the link send memory kept off the wire"),
+    "activations_incremental": (
+        "codb_node_activations_incremental_total", "counter",
+        "Link activations served from the rows inserted since the last one"),
+    "activations_full": (
+        "codb_node_activations_full_total", "counter",
+        "Link activations that evaluated the whole rule body"),
     "busy_time": ("codb_node_busy_seconds_total", "counter",
                   "Summed per-update processing time (transport clock)"),
     "queries_answered": ("codb_node_queries_answered_total", "counter",
@@ -179,8 +185,8 @@ class UpdateReport:
     #: severed by a partition), in discovery order.  Non-empty ⇒ the
     #: update is ``partial`` from this node's point of view.
     unreachable_peers: list[str] = field(default_factory=list)
-    #: Rows a previous update's lifetime ``pushed`` memory let this
-    #: node skip re-shipping (teach-forward resend suppression).
+    #: Rows the links' send memory kept off the wire: filtered by the
+    #: lifetime ``pushed`` memory, or left unread behind a watermark.
     rows_suppressed: int = 0
 
     @property
@@ -280,6 +286,13 @@ class NodeStatistics:
         self.reports: dict[str, UpdateReport] = {}
         self.queries_answered = 0
         self.network_queries_started = 0
+        #: Rows the send memory kept off the wire on behalf of network
+        #: queries (update sessions count theirs in their reports).
+        self.query_rows_suppressed = 0
+        #: Incoming-link activations, by which path served them: over
+        #: the store tail behind the link's watermarks, or in full.
+        self.activations_incremental = 0
+        self.activations_full = 0
         # Admission-layer metrics (``NodeConfig.max_active_sessions``):
         # how often work waited in the admission queue, how deep the
         # queue got, and the most live engines (update sessions plus
@@ -307,6 +320,12 @@ class NodeStatistics:
             return
         by_kind = self.tenant_submissions.setdefault(tenant, {})
         by_kind[kind] = by_kind.get(kind, 0) + 1
+
+    def note_activation(self, *, incremental: bool) -> None:
+        if incremental:
+            self.activations_incremental += 1
+        else:
+            self.activations_full += 1
 
     def tenant_totals(self) -> dict[str, dict[str, int]]:
         """Per-tenant submission counts (deep copy, scrape-safe)."""
@@ -357,7 +376,10 @@ class NodeStatistics:
             "rows_imported": sum(r.rows_imported for r in reports),
             "nulls_minted": sum(r.nulls_minted for r in reports),
             "rounds": sum(r.rounds for r in reports),
-            "rows_suppressed": sum(r.rows_suppressed for r in reports),
+            "rows_suppressed": self.query_rows_suppressed
+            + sum(r.rows_suppressed for r in reports),
+            "activations_incremental": self.activations_incremental,
+            "activations_full": self.activations_full,
             "partial_updates": sum(
                 1 for r in reports if r.outcome == "partial"
             ),

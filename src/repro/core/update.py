@@ -79,19 +79,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.links import CLOSED, INACTIVE, OPEN, IncomingLink, LinkSession
+from repro.core.links import (
+    CLOSED,
+    INACTIVE,
+    OPEN,
+    IncomingLink,
+    LinkSession,
+    activation_rows,
+    frontier_rows,
+    undelivered,
+)
 from repro.errors import FixpointGuardError, ProtocolError, UnknownPeerError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
 from repro.relational.evaluation import apply_head
 from repro.relational.storage import Relation
-from repro.relational.values import (
-    MarkedNull,
-    Row,
-    decode_row,
-    encode_row,
-    row_key,
-)
+from repro.relational.values import MarkedNull, Row, decode_row, encode_row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import CoDBNode
@@ -166,10 +169,13 @@ class UpdateEngine:
         return True
 
     def activate_links_for(self, requester: str) -> None:
-        """First request from *requester*: run full evaluations for every
-        incoming link serving it, then check immediate (leaf) closure."""
+        """First request from *requester*: evaluate every incoming link
+        serving it — in full on first contact, over just the rows
+        inserted since the link's last clean activation after that —
+        then check immediate (leaf) closure."""
         node = self.node
         quarantined = self._quarantined()
+        suppressing = node.suppresses_resends()
         for link, state in self.links.incoming_for_target(requester):
             if state.state != INACTIVE:
                 continue
@@ -178,19 +184,26 @@ class UpdateEngine:
             if quarantined:
                 self._send_results(link, [], path_len=1)
                 continue
-            rows = self._frontier_rows(link, changed_relation=None, delta_rows=None)
+            rows, activated_at, skipped = activation_rows(
+                node.wrapper,
+                link,
+                incremental=suppressing and node.config.semi_naive,
+            )
+            node.stats.note_activation(incremental=skipped is not None)
+            if suppressing:
+                state.activated_at = activated_at
             if node.config.sent_dedup:
                 fresh = [row for row in rows if not state.has_seen(row)]
                 for row in fresh:
                     state.mark_seen(row)
             else:
                 fresh = rows
-            fresh = self._suppress_taught(link, state, fresh)
+            fresh = self._suppress_taught(link, state, fresh, skipped or 0)
             self._send_results(link, fresh, path_len=1)
         self.cascade_closures()
 
     def _suppress_taught(
-        self, link: IncomingLink, state, rows: list[Row]
+        self, link: IncomingLink, state, rows: list[Row], skipped: int = 0
     ) -> list[Row]:
         """Teach-forward resend suppression: skip rows the link's
         lifetime ``pushed`` memory says a previous update (or the push
@@ -199,42 +212,19 @@ class UpdateEngine:
         memory, tagged in the session's ``lifetime_new`` so a failure
         closure can forget them again (the healed network's next
         update must re-ship).  Gated on ``sent_dedup`` too: the E10
-        ablation measures resends and must not be masked.
+        ablation measures resends and must not be masked.  *skipped*
+        rows never left the store (they sit behind the link's
+        watermark) and count as suppressed all the same.
         """
         node = self.node
-        if not (node.config.resend_suppression and node.config.sent_dedup):
+        if not node.suppresses_resends():
             return rows
-        to_ship = []
-        for row in rows:
-            key = row_key(row)
-            if key in link.pushed:
-                continue
-            link.pushed.add(key)
-            state.lifetime_new.add(key)
-            to_ship.append(row)
-        suppressed = len(rows) - len(to_ship)
-        if suppressed:
+        to_ship, suppressed = undelivered(link, rows, state.lifetime_new)
+        if suppressed or skipped:
             report = node.stats.report_for(self.update_id)
             if report is not None:
-                report.rows_suppressed += suppressed
+                report.rows_suppressed += suppressed + skipped
         return to_ship
-
-    def _frontier_rows(
-        self,
-        link: IncomingLink,
-        changed_relation: str | None,
-        delta_rows: list[Row] | None,
-    ) -> list[Row]:
-        frontier = link.rule.frontier()
-        # The rule id keys the wrapper's plan cache, so every (rule,
-        # delta occurrence) body is compiled once per cardinality regime.
-        bindings = self.node.wrapper.evaluate_mapping_bindings(
-            link.rule.mapping,
-            changed_relation=changed_relation,
-            delta_rows=delta_rows,
-            rule_key=link.rule_id,
-        )
-        return [tuple(binding[name] for name in frontier) for binding in bindings]
 
     def _send_results(
         self,
@@ -356,7 +346,7 @@ class UpdateEngine:
         for relation, pending in batches.items():
             if not pending:
                 continue
-            new_rows = node.wrapper.insert_new(relation, pending)
+            new_rows = node.store_derived(relation, pending)
             if new_rows:
                 deltas[relation] = new_rows
                 inserted += len(new_rows)
@@ -399,28 +389,18 @@ class UpdateEngine:
         for link, state in self.links.incoming_dependent_on_relations(changed):
             if state.state != OPEN:
                 continue  # inactive: full eval at activation sees this data
-            produced: dict[Row, None] = {}
-            if node.config.semi_naive:
-                for relation in sorted(
-                    changed & set(link.rule.mapping.body_relations())
-                ):
-                    for row in self._frontier_rows(
-                        link, changed_relation=relation, delta_rows=deltas[relation]
-                    ):
-                        produced[row] = None
-            else:
-                # Ablation E10: recompute the link in full on every change.
-                for row in self._frontier_rows(
-                    link, changed_relation=None, delta_rows=None
-                ):
-                    produced[row] = None
+            # Ablation E10 (semi_naive off): recompute the link in full
+            # on every change.
+            produced = frontier_rows(
+                node.wrapper, link, deltas if node.config.semi_naive else None
+            )
             if node.config.sent_dedup:
                 fresh = [row for row in produced if not state.has_seen(row)]
                 for row in fresh:
                     state.mark_seen(row)
             else:
                 # Ablation E10: no sent-set — resend whatever came out.
-                fresh = list(produced)
+                fresh = produced
             fresh = self._suppress_taught(link, state, fresh)
             self._send_results(link, fresh, path_len=path_len + 1, always=False)
 
@@ -615,9 +595,6 @@ class UpdateManager:
                 update_id, "update", lambda: self._start_root(update_id)
             )
         return update_id
-
-    #: Pre-handle-API name, kept for callers that expect an immediate id.
-    initiate = submit
 
     def cancel(self, update_id: str) -> bool:
         """Withdraw *update_id* if it is still queued behind admission."""
@@ -821,6 +798,9 @@ class UpdateManager:
         session = self.sessions.pop(update_id, None)  # GC the session
         if session is not None:
             session.force_close_remaining()
+            # Every message the session sent has been acknowledged (or
+            # bounced and rolled back): what it taught is delivered.
+            session.links.settle()
             node.wrapper.on_update_finished()
         # The update may have completed globally while still queued
         # behind admission here (a failure cut us out of it): drop the

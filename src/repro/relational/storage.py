@@ -13,7 +13,12 @@ straight from the update algorithm in the paper's §3:
   of :mod:`repro.relational.planner`, which probe a fixed set of
   positions over and over;
 * *deterministic iteration* — insertion order is preserved (a ``dict``
-  used as an ordered set), so distributed runs are reproducible.
+  used as an ordered set), so distributed runs are reproducible;
+* *watermarks* — :meth:`Relation.watermark` /
+  :meth:`Relation.rows_since` name a point in that insertion order and
+  return what was inserted after it, so an incoming link can serve
+  "only what is new since my last activation" (§3's "already sent",
+  kept across requests).  A delete voids every outstanding mark.
 
 Cardinality estimation (:meth:`Relation.estimated_matches`,
 :meth:`Relation.ndv_estimate`) is **read-only**: it consults indexes
@@ -89,6 +94,9 @@ class Relation:
         self._ndv_cache: dict[int, tuple[int, int]] = {}
         # ("rows" | ("values", p) | ("keys", p)) -> (version, list)
         self._column_cache: dict[object, tuple[int, list]] = {}
+        # Bumped by every delete: insertion positions shift under a
+        # delete, so marks taken before it no longer name a tail.
+        self._delete_generation = 0
 
     # ------------------------------------------------------------------
     # Basic collection protocol
@@ -181,6 +189,7 @@ class Relation:
             return False
         self._unindex_row(key, present)
         self._version += 1
+        self._delete_generation += 1
         return True
 
     def clear(self) -> None:
@@ -190,6 +199,25 @@ class Relation:
         self._ndv_cache.clear()
         self._column_cache.clear()
         self._version += 1
+        self._delete_generation += 1
+
+    # ------------------------------------------------------------------
+    # Watermarks
+    # ------------------------------------------------------------------
+
+    def watermark(self) -> tuple[int, int]:
+        """The current high-water mark: an opaque, totally ordered token
+        for "everything inserted so far" (see :meth:`rows_since`)."""
+        return (self._delete_generation, len(self._rows))
+
+    def rows_since(self, mark: tuple[int, int]) -> list[Row] | None:
+        """Rows inserted after *mark* was taken, in insertion order —
+        or ``None`` when a delete since then voided the mark (the
+        caller falls back to reading the whole relation)."""
+        generation, position = mark
+        if generation != self._delete_generation:
+            return None
+        return list(islice(self._rows.values(), position, None))
 
     # ------------------------------------------------------------------
     # Lookups

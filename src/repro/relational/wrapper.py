@@ -211,6 +211,21 @@ class Wrapper:
     def clear(self) -> None:
         raise NotImplementedError
 
+    def watermark(self, relation: str) -> tuple[int, int]:
+        """High-water mark of *relation*: an opaque, totally ordered
+        token naming "everything inserted so far".  An incoming link
+        records the marks of its body relations when it is activated
+        and reads only :meth:`rows_since` them the next time."""
+        raise NotImplementedError
+
+    def rows_since(
+        self, relation: str, mark: tuple[int, int]
+    ) -> list[Row] | None:
+        """Rows inserted into *relation* after *mark* was taken, in
+        insertion order; ``None`` when a delete in the relation since
+        then voided the mark (read the whole relation instead)."""
+        raise NotImplementedError
+
     def close(self) -> None:
         """Release backend resources (connections)."""
 
@@ -389,6 +404,14 @@ class MemoryStore(Wrapper):
 
     def clear(self) -> None:
         self.database.clear()
+
+    def watermark(self, relation: str) -> tuple[int, int]:
+        return self.database.relation(relation).watermark()
+
+    def rows_since(
+        self, relation: str, mark: tuple[int, int]
+    ) -> list[Row] | None:
+        return self.database.relation(relation).rows_since(mark)
 
 
 class MediatorStore(MemoryStore):
@@ -648,6 +671,9 @@ class SqliteStore(Wrapper):
                 f'SELECT COUNT(*) FROM "{relation.name}"'
             ).fetchone()
             self._row_counts[relation.name] = count
+        # Bumped per relation by every delete: SQLite hands a deleted
+        # top rowid out again, so marks taken before a delete are void.
+        self._delete_generations = {name: 0 for name in self._row_counts}
 
     def _create_tables(self) -> None:
         for relation in self.schema:
@@ -940,13 +966,35 @@ class SqliteStore(Wrapper):
             deleted += cursor.rowcount
         self._connection.commit()
         self._row_counts[relation] -= deleted
+        if deleted:
+            self._delete_generations[relation] += 1
         return deleted
 
     def clear(self) -> None:
         for relation in self.schema:
             self._connection.execute(f'DELETE FROM "{relation.name}"')
             self._row_counts[relation.name] = 0
+            self._delete_generations[relation.name] += 1
         self._connection.commit()
+
+    def watermark(self, relation: str) -> tuple[int, int]:
+        if relation not in self.schema:
+            raise UnknownRelationError(relation, "sqlite store")
+        (top,) = self._connection.execute(
+            f'SELECT COALESCE(MAX(rowid), 0) FROM "{relation}"'
+        ).fetchone()
+        return (self._delete_generations[relation], top)
+
+    def rows_since(
+        self, relation: str, mark: tuple[int, int]
+    ) -> list[Row] | None:
+        generation, top = mark
+        if generation != self._delete_generations[relation]:
+            return None
+        cursor = self._connection.execute(
+            f'SELECT * FROM "{relation}" WHERE rowid > ? ORDER BY rowid', (top,)
+        )
+        return [tuple(map(decode_sqlite_value, cells)) for cells in cursor]
 
     def close(self) -> None:
         self._connection.close()

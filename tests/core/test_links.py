@@ -167,3 +167,60 @@ class TestClosureConditions:
         assert [
             link.rule_id for link, _ in session.incoming_for_target("A")
         ] == ["r0"]
+
+
+class TestUndelivered:
+    """The one send-memory filter shared by update sessions, the push
+    engine and network queries."""
+
+    def link(self):
+        from repro.core.links import IncomingLink
+
+        return IncomingLink(rules("A:item(x) <- B:item(x)")[0])
+
+    def test_update_skips_everything_pushed_and_teaches_at_once(self):
+        from repro.core.links import undelivered
+
+        link, taught = self.link(), set()
+        link.pushed.add((1,))
+        rows, suppressed = undelivered(link, [(1,), (2,), (3,)], taught)
+        assert rows == [(2,), (3,)] and suppressed == 1
+        assert link.pushed == {(1,), (2,), (3,)}
+        assert taught == link.unsettled == {(2,), (3,)}
+        # Another update sees the in-flight keys as delivered.
+        assert undelivered(link, [(2,), (4,)], set()) == ([(4,)], 1)
+
+    def test_push_teaches_without_anything_to_settle(self):
+        from repro.core.links import undelivered
+
+        link = self.link()
+        assert undelivered(link, [(1,)], None) == ([(1,)], 0)
+        assert link.pushed == {(1,)} and not link.unsettled
+
+    def test_query_skips_only_settled_keys_and_holds_what_it_ships(self):
+        from repro.core.links import undelivered
+
+        link, sent = self.link(), set()
+        link.pushed.update({(1,), (2,)})
+        link.unsettled.add((2,))  # an update still delivering it
+        rows, suppressed = undelivered(
+            link, [(1,), (2,), (3,)], sent, settled_only=True
+        )
+        assert rows == [(2,), (3,)] and suppressed == 1
+        assert sent == {(2,), (3,)}
+        assert link.pushed == {(1,), (2,)} and link.unsettled == {(2,)}
+        # The query's own shipments are not shipped twice, nor counted.
+        assert undelivered(link, [(3,)], sent, settled_only=True) == ([], 0)
+
+    def test_rollback_forgets_and_resets_marks(self):
+        table = LinkTable("B", rules("A:item(x) <- B:item(x)"))
+        session = LinkSession(table)
+        link = table.incoming["r0"]
+        link.marks = {"item": (0, 5)}
+        state = session.incoming_state("r0")
+        state.lifetime_new.update({(1,), (2,)})
+        link.pushed.update({(1,), (2,), (9,)})
+        link.unsettled.update({(1,), (2,)})
+        session.close_incoming("r0", "failure")
+        assert link.pushed == {(9,)} and not link.unsettled
+        assert link.marks == {} and link.forgets == 1

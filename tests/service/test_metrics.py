@@ -239,6 +239,13 @@ class TestLiveGatewayScrape:
             # Dispatch counters (plan/session work).
             assert parsed.value("codb_node_updates_total", node="TN") >= 1
             assert "codb_node_messages_sent_total" in names
+            # Send-memory accounting: rows kept off the wire, and which
+            # path (store tail vs whole body) served each activation.
+            assert "codb_node_rows_suppressed_total" in names
+            assert "codb_node_activations_incremental_total" in names
+            assert (
+                parsed.value("codb_node_activations_full_total", node="BZ") >= 1
+            )
             # Cache counters.
             assert "codb_node_cache_hits_total" in names
             assert "codb_node_cache_misses_total" in names
