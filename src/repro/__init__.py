@@ -44,8 +44,9 @@ only for PR-3-era drivers.  ``NodeConfig.max_active_sessions`` bounds
 concurrent sessions per node (excess requests queue FIFO in global
 seniority order), so update storms degrade gracefully.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-reproduced measurements.
+See README.md for the system inventory and ``benchmarks/spine/`` (the
+benchmark ``BENCHMARK.json`` declares; ``baseline/BENCH_0.json`` is its
+first committed artefact) for the reproduced measurements.
 """
 
 from repro.core.network import CoDBNetwork, UpdateHandle, UpdateOutcome

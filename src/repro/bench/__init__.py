@@ -1,9 +1,10 @@
 """Benchmark support: measurements, sweep runners, report formatting.
 
 The actual experiments live in the repository's ``benchmarks/``
-directory (one pytest-benchmark file per table/figure of
-EXPERIMENTS.md); this package holds the reusable machinery so the
-experiment files stay declarative.
+directory: ``benchmarks/spine/`` is the committed, comparable
+benchmark (``BENCHMARK.json``), the ``bench_*.py`` files are one
+pytest-benchmark experiment each; this package holds the reusable
+machinery so the experiment files stay declarative.
 """
 
 from repro.bench.metrics import UpdateMeasurement, measure_outcome

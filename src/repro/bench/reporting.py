@@ -1,8 +1,9 @@
 """Report output for the benchmark suite.
 
-Each experiment writes its series/table both to stdout (visible with
-``pytest -s``) and to ``benchmarks/reports/<experiment>.txt``, which is
-what EXPERIMENTS.md quotes.
+Each ``bench_*.py`` experiment writes its series/table both to stdout
+(visible with ``pytest -s``) and to ``<directory>/<experiment>.txt`` —
+scratch output for the person running it.  The numbers the repository
+commits and compares across PRs come from ``benchmarks/spine/``.
 """
 
 from __future__ import annotations

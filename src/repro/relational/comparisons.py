@@ -37,26 +37,24 @@ Constants compare per the above; marked nulls need care:
 
 This "certain semantics" keeps the update algorithm sound: a tuple is
 only materialised when the paper's semantics guarantees it.
+
+:func:`compare_values` is the single definition of all of the above.
+Executors do not interpret it per row: :func:`compile_comparison`
+turns a comparison into a :class:`Kernel` once per plan, which runs the
+bare Python operator wherever the operand types make that operator
+coincide with :func:`compare_values` and falls back to it elsewhere.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import operator
+from collections.abc import Callable, Mapping, Sequence
+from itertools import compress, repeat
+from typing import NamedTuple
 
 from repro.errors import QueryError
-from repro.relational.conjunctive import Comparison, Term, Variable
-from repro.relational.values import MarkedNull, Value, same_value
-
-
-def _resolve(term: Term, binding: Mapping[str, Value]) -> Value:
-    if isinstance(term, Variable):
-        try:
-            return binding[term.name]
-        except KeyError:
-            raise QueryError(
-                f"comparison references unbound variable {term.name!r}"
-            ) from None
-    return term
+from repro.relational.conjunctive import Comparison, Variable
+from repro.relational.values import MarkedNull, Value, same_value, value_key
 
 
 def _comparable(left: Value, right: Value) -> bool:
@@ -73,25 +71,14 @@ def _comparable(left: Value, right: Value) -> bool:
     return isinstance(left, str) and isinstance(right, str)
 
 
-def evaluate_comparison(
-    comparison: Comparison, binding: Mapping[str, Value]
-) -> bool:
-    """Evaluate one comparison under *binding* (certain semantics)."""
-    return compare_values(
-        comparison.op,
-        _resolve(comparison.left, binding),
-        _resolve(comparison.right, binding),
-    )
-
-
 def compare_values(op: str, left: Value, right: Value) -> bool:
     """Apply one comparison operator to two resolved values.
 
     This is the single implementation of the certain-answer comparison
-    semantics: :func:`evaluate_comparison` resolves terms and delegates
-    here, and the SQLite pushdown path registers this function on the
+    semantics: the kernels of :func:`compile_comparison` are pinned to
+    it, and the SQLite pushdown path registers this function on the
     connection (see :class:`repro.relational.wrapper.SqliteStore`), so
-    both executors share one definition.
+    every executor shares one definition.
     """
     left_null = isinstance(left, MarkedNull)
     right_null = isinstance(right, MarkedNull)
@@ -133,12 +120,136 @@ def _constants_equal(left: Value, right: Value) -> bool:
     return same_value(left, right)
 
 
-def comparisons_ready(
-    comparisons: tuple[Comparison, ...], bound: frozenset[str] | set[str]
-) -> list[Comparison]:
-    """The comparisons whose variables are all in *bound*.
+_OPERATORS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+#: ``const op var`` is ``var mirrored-op const``.
+_MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_NUMBERS = frozenset((int, float))
 
-    The evaluator checks each comparison as early as possible — as soon
-    as the join has bound all its variables — to prune dead branches.
+
+def _plain_types(op: str, kind: type) -> frozenset[type]:
+    """The types whose values the bare Python operator relates to a
+    value of type *kind* exactly as :func:`compare_values` does: the
+    number line for order operators, the same concrete type otherwise;
+    nothing for a marked null, nor for float identity (``nan`` is the
+    same value as itself, yet not ``==`` to itself)."""
+    if op in ("=", "!="):
+        return frozenset((kind,)) if kind in (int, str, bool) else frozenset()
+    if kind in _NUMBERS:
+        return _NUMBERS
+    return frozenset((kind,)) if kind in (str, bool) else frozenset()
+
+
+class Kernel(NamedTuple):
+    """One comparison, specialised by :func:`compile_comparison`.
+
+    ``row(r)`` tests one row, reading a variable as ``r[slot]`` (a
+    tuple with positional slots, a binding dict with name slots);
+    ``columns(column_of, n)`` returns the ascending indices kept from
+    the ``n``-long columns ``column_of(slot)``; ``key`` is the
+    type-strict identity of (operator, slots, constants) — kernels with
+    equal keys select the same rows, so results can be cached under it.
     """
-    return [c for c in comparisons if c.variables() <= bound]
+
+    row: Callable[[object], bool]
+    columns: Callable[[Callable[[object], Sequence[Value]], int], list[int]]
+    key: tuple
+
+
+def compile_comparison(comparison: Comparison, slots: Mapping[str, object]) -> Kernel:
+    """Specialise *comparison* once, for many rows.
+
+    *slots* says where each variable's value is found; a variable
+    without one raises :class:`QueryError` here, not per row.  The
+    kernel is specialised on the operator, on which sides are
+    constants and on the constant's type class, and agrees with
+    :func:`compare_values` on every input.
+    """
+    op = comparison.op
+    sides = []
+    for term in (comparison.left, comparison.right):
+        if not isinstance(term, Variable):
+            sides.append((False, term, value_key(term)))
+        elif term.name in slots:
+            sides.append((True, slots[term.name], slots[term.name]))
+        else:
+            raise QueryError(
+                f"comparison references unbound variable {term.name!r}"
+            )
+    if not sides[0][0] and sides[1][0]:
+        op = _MIRROR[op]
+        sides.reverse()
+    (left_var, left, left_key), (right_var, right, right_key) = sides
+    key = (op, left_var, left_key, right_var, right_key)
+    if not left_var or (isinstance(right, MarkedNull) and op != "="):
+        # Ground, or against a null constant (only "=" can hold): fold.
+        verdict = not left_var and compare_values(op, left, right)
+        return Kernel(
+            lambda r: verdict,
+            lambda column_of, n: list(range(n)) if verdict else [],
+            key,
+        )
+    plain = _OPERATORS[op]
+    if right_var:
+
+        def row(r):
+            return compare_values(op, r[left], r[right])
+
+    else:
+        family = _plain_types(op, type(right))
+
+        def row(r):
+            value = r[left]
+            if type(value) in family:
+                return plain(value, right)
+            return compare_values(op, value, right)
+
+    def columns(column_of, n):
+        left_column = column_of(left)
+        right_column = column_of(right) if right_var else repeat(right)
+        right_kinds = set(map(type, right_column)) if right_var else {type(right)}
+        if all(
+            right_kinds <= _plain_types(op, kind)
+            for kind in set(map(type, left_column))
+        ):
+            mask = map(plain, left_column, right_column)
+        else:
+            mask = map(compare_values, repeat(op), left_column, right_column)
+        return list(compress(range(n), mask))
+
+    return Kernel(row, columns, key)
+
+
+def conjoin(kernels: Sequence[Kernel]) -> Kernel | None:
+    """Every kernel in *kernels* as one kernel (``None`` for none)."""
+    if len(kernels) < 2:
+        return kernels[0] if kernels else None
+
+    def row(r):
+        return all(kernel.row(r) for kernel in kernels)
+
+    def columns(column_of, n):
+        kept = (set(kernel.columns(column_of, n)) for kernel in kernels)
+        return sorted(set.intersection(*kept))
+
+    return Kernel(row, columns, tuple(kernel.key for kernel in kernels))
+
+
+def compile_for_bindings(comparisons: Sequence[Comparison]) -> tuple[Kernel, ...]:
+    """Kernels whose rows are binding dicts (slot = variable name)."""
+    return tuple(
+        compile_comparison(c, {name: name for name in c.variables()})
+        for c in comparisons
+    )
+
+
+def evaluate_comparison(
+    comparison: Comparison, binding: Mapping[str, Value]
+) -> bool:
+    """Evaluate one comparison under *binding* — the one-off form of
+    :func:`compile_comparison` (slot = variable name)."""
+    return compile_comparison(comparison, {name: name for name in binding}).row(
+        binding
+    )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from repro.relational.comparisons import comparisons_ready, evaluate_comparison
+from repro.relational.comparisons import compile_for_bindings
 from repro.relational.conjunctive import (
     Atom,
     Comparison,
@@ -156,6 +156,14 @@ def evaluate_body(
         set semantics happen at head application).
     """
     comparisons = tuple(comparisons)
+    # (variables, predicate over a binding dict) per comparison,
+    # compiled once for the whole enumeration.
+    checks = [
+        (comparison.variables(), kernel.row)
+        for comparison, kernel in zip(
+            comparisons, compile_for_bindings(comparisons)
+        )
+    ]
     relations = {name: database.relation(name) for name in database.relation_names}
     atoms = list(body)
 
@@ -186,15 +194,14 @@ def evaluate_body(
             if extension is None:
                 continue
             binding.update(extension)
-            bound_names = frozenset(binding)
             ok = True
             newly_checked: list[int] = []
-            for ci, comparison in enumerate(comparisons):
+            for ci, (names, holds) in enumerate(checks):
                 if ci in checked:
                     continue
-                if comparison.variables() <= bound_names:
+                if names <= binding.keys():
                     newly_checked.append(ci)
-                    if not evaluate_comparison(comparison, binding):
+                    if not holds(binding):
                         ok = False
                         break
             if ok:
@@ -207,10 +214,10 @@ def evaluate_body(
     base: Binding = dict(initial_binding or {})
     # Ground comparisons (no variables, or only pre-bound ones) first.
     pre_checked: set[int] = set()
-    for ci, comparison in enumerate(comparisons):
-        if comparison.variables() <= frozenset(base):
+    for ci, (names, holds) in enumerate(checks):
+        if names <= base.keys():
             pre_checked.add(ci)
-            if not evaluate_comparison(comparison, base):
+            if not holds(base):
                 return
     yield from recurse(list(range(len(atoms))), base, pre_checked)
 

@@ -3,9 +3,13 @@
 ``explain`` compiles the query through
 :func:`repro.relational.planner.compile_plan` — the same compiler the
 storage wrappers execute — and renders the chosen atom order, the
-per-step probe templates and estimates, which comparisons become
-checkable at each step, and the SQL join a SQLite-backed store would
-push down for the same plan: the coDB equivalent of ``EXPLAIN``.
+per-step probe templates and estimates, where each comparison runs
+(*scan filter* or *bucket filter* when the step's atom alone binds it —
+applied to the scanned relation or to each probed index bucket before
+anything is joined — else *cross-step filter* on the joined batch),
+the sampled selectivity of those local filters that the estimate
+already includes, and the SQL join a SQLite-backed store would push
+down for the same plan: the coDB equivalent of ``EXPLAIN``.
 There is one source of truth for join ordering — the row-at-a-time
 loop, the columnar batch executor and the SQL pushdown all run this
 same plan — and this module only formats it.
@@ -31,8 +35,12 @@ class PlanStep:
     bound_positions: tuple[int, ...]
     #: The planner's cardinality estimate for the probe.
     estimated_matches: float
-    #: Comparisons that become fully bound after this step.
+    #: Comparisons that become fully bound after this step, each as
+    #: ``"<where it runs>: <comparison>"`` (see the module docstring).
     comparisons_checked: tuple[str, ...] = ()
+    #: Sampled share of the atom's rows passing its scan/bucket
+    #: filters; ``estimated_matches`` is already multiplied by it.
+    selectivity: float = 1.0
 
 
 @dataclass
@@ -62,11 +70,12 @@ class QueryPlan:
                     repr(step.atom),
                     ",".join(map(str, step.bound_positions)) or "-",
                     f"{step.estimated_matches:.1f}",
+                    f"{step.selectivity:.3f}",
                     "; ".join(step.comparisons_checked) or "-",
                 ]
             )
         table = format_table(
-            ["step", "atom", "bound cols", "est. rows", "comparisons"],
+            ["step", "atom", "bound cols", "est. rows", "selectivity", "comparisons"],
             rows,
             title=f"plan for {self.query!r}",
         )
@@ -94,12 +103,15 @@ def explain(database: Database, query: ConjunctiveQuery) -> QueryPlan:
         sql=compile_plan_sql(compiled, database.relation_names),
     )
     for i, step in enumerate(compiled.steps):
+        local = "bucket filter" if step.probe_positions else "scan filter"
+        places = {ci: local for ci in step.local_comparisons}
         checked = [
-            repr(compiled.comparisons[ci]) for ci in step.comparison_indices
+            f"{places.get(ci, 'cross-step filter')}: {compiled.comparisons[ci]!r}"
+            for ci in step.comparison_indices
         ]
         if i == 0:
             checked = [
-                repr(compiled.comparisons[ci])
+                f"ground: {compiled.comparisons[ci]!r}"
                 for ci in compiled.ground_comparisons
             ] + checked
         plan.steps.append(
@@ -108,6 +120,7 @@ def explain(database: Database, query: ConjunctiveQuery) -> QueryPlan:
                 bound_positions=step.probe_positions,
                 estimated_matches=step.estimated_cost,
                 comparisons_checked=tuple(checked),
+                selectivity=step.selectivity,
             )
         )
     return plan

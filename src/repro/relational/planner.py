@@ -32,8 +32,9 @@ Plan shape
 
 A :class:`JoinPlan` is a fixed sequence of :class:`PlanStep`\\ s, one
 per body atom, in an order chosen once from relation statistics
-(``estimated_matches`` — greedy smallest-probe-first, the same cost
-model the interpreter applies per binding).  Each step precompiles:
+(``estimated_matches`` times the sampled selectivity of the comparisons
+the atom alone binds — greedy smallest-probe-first, so a selective
+predicate starts the join from its atom).  Each step precompiles:
 
 * **probe template** — which positions are bound by constants or by
   variables of earlier steps.  At execution these become one hash
@@ -42,9 +43,12 @@ model the interpreter applies per binding).  Each step precompiles:
 * **bind slots** — positions whose (new) variable the step binds.
 * **same-row checks** — repeated new variables within the atom
   (``edge(x, x)``), checked row-locally.
-* **comparison schedule** — each comparison predicate is attached to
-  the earliest step after which all its variables are bound; ground
-  comparisons are hoisted before the first step.
+* **comparison kernels** — each comparison predicate is compiled once
+  (:func:`~repro.relational.comparisons.compile_comparison`) and
+  attached to the earliest step after which all its variables are
+  bound: as a filter on the step's own candidate rows when that atom
+  alone binds them, else on the joined batch; ground comparisons are
+  decided before the first step.
 
 The plan also carries the output projection (the query head's terms,
 or a mapping's sorted frontier variables), so execution yields answer
@@ -115,10 +119,15 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
-from repro.relational.comparisons import evaluate_comparison
+from repro.relational.comparisons import (
+    Kernel,
+    compile_comparison,
+    compile_for_bindings,
+    conjoin,
+)
 from repro.relational.storage import COMPOSITE_INDEX_THRESHOLD
 from repro.relational.conjunctive import (
     Atom,
@@ -142,8 +151,6 @@ SQL_COMPARE_FUNCTION = "codb_cmp"
 #: An executor hook: ``(plan, delta_rows) -> rows or None``.  ``None``
 #: means "cannot push this plan down, run it in memory".
 PlanExecutor = "Callable[[JoinPlan, Sequence[Row] | None], list[tuple] | None]"
-
-_EMPTY_BINDING: Binding = {}
 
 
 def delta_table_name(arity: int) -> str:
@@ -203,6 +210,16 @@ class PlanStep:
     comparison_indices: tuple[int, ...]
     #: The planner's cardinality estimate when this step was placed.
     estimated_cost: float
+    #: The subset of ``comparison_indices`` whose every variable this
+    #: atom alone binds, and their conjunction as one kernel over the
+    #: atom's rows (``None`` without any): it filters the step's
+    #: candidate rows (the scan, or each probe bucket) before anything
+    #: is joined.
+    local_comparisons: tuple[int, ...] = ()
+    local_kernel: Kernel | None = field(default=None, compare=False, repr=False)
+    #: Sampled share of the relation's rows passing the local
+    #: comparisons, already multiplied into ``estimated_cost``.
+    selectivity: float = 1.0
 
 
 class JoinPlan:
@@ -224,6 +241,8 @@ class JoinPlan:
         "source_body",
         "_output_ops",
         "_sql_cache",
+        "_kernels",
+        "_ground_hold",
         "_columnar",
     )
 
@@ -253,6 +272,13 @@ class JoinPlan:
         # dict, not a single slot: a plan shared through a PlanRegistry
         # may serve several stores whose table sets differ.
         self._sql_cache: dict[tuple[str, ...], "SqlPlan | None"] = {}
+        # The comparisons compiled over variable names, aligned with
+        # ``comparisons``: the row loop applies them to its binding
+        # dict, the columnar executor to its named columns.
+        self._kernels = compile_for_bindings(comparisons)
+        self._ground_hold = all(
+            self._kernels[ci].row(None) for ci in ground_comparisons
+        )
         # Lazily derived per-step metadata for execute_columnar.
         self._columnar: tuple | None = None
 
@@ -274,10 +300,9 @@ class JoinPlan:
         *delta_rows* replaces the stored relation at the plan's delta
         step (required iff the plan was compiled with a delta atom).
         """
-        comparisons = self.comparisons
-        for ci in self.ground_comparisons:
-            if not evaluate_comparison(comparisons[ci], _EMPTY_BINDING):
-                return
+        if not self._ground_hold:
+            return
+        kernels = self._kernels
         steps = self.steps
         depth_count = len(steps)
         relations: list = []
@@ -325,7 +350,7 @@ class JoinPlan:
             same_row_checks = step.same_row_checks
             const_checks = step.const_checks
             var_checks = step.var_checks
-            comparison_indices = step.comparison_indices
+            checks = [kernels[ci].row for ci in step.comparison_indices]
             for row in rows:
                 if const_checks and any(
                     not same_value(row[p], v) for p, v in const_checks
@@ -342,12 +367,7 @@ class JoinPlan:
                     continue
                 for position, name in bind_slots:
                     binding[name] = row[position]
-                ok = True
-                for ci in comparison_indices:
-                    if not evaluate_comparison(comparisons[ci], binding):
-                        ok = False
-                        break
-                if ok:
+                if all(check(binding) for check in checks):
                     yield from run(depth + 1)
                 for position, name in bind_slots:
                     del binding[name]
@@ -364,13 +384,12 @@ class JoinPlan:
         For each step: the variables that must survive the step's
         *remap* (needed by its own comparisons or by anything later),
         the variables that must survive its *prune* (needed strictly
-        later), and its comparison schedule with pre-sorted variable
-        lists.  Comparisons whose every variable is bound by **this
-        step's atom alone** are split out as *local* entries with
-        ``(name, row position)`` slots: the executor applies them
-        column-wise to the step's candidate rows *before* the batch
+        later), and its comparison kernels.  The step's *local*
+        comparisons are compiled over row positions: the executor
+        applies them to the step's candidate rows *before* the batch
         cross-product, so a selective predicate filters ``m`` rows
-        once instead of ``m × n`` expanded tuples.
+        once instead of ``m × n`` expanded tuples.  The others
+        (*cross-step*) filter the joined batch's named columns.
         """
         meta = self._columnar
         if meta is None:
@@ -379,28 +398,11 @@ class JoinPlan:
             per_step: list[tuple] = []
             for step in reversed(self.steps):
                 keep_vars = frozenset(needed)
-                bound_here = dict(
-                    (name, position) for position, name in step.bind_slots
-                )
-                local_entries = []
-                comp_entries = []
+                cross_kernels = []
                 for ci in step.comparison_indices:
-                    comparison = comparisons[ci]
-                    names = sorted(comparison.variables())
-                    if all(name in bound_here for name in names):
-                        local_entries.append(
-                            (
-                                comparison,
-                                tuple(
-                                    (name, bound_here[name])
-                                    for name in names
-                                ),
-                            )
-                        )
-                    else:
-                        comp_entries.append((comparison, names))
-                for _comp, names in comp_entries:
-                    needed.update(names)
+                    if ci not in step.local_comparisons:
+                        cross_kernels.append(self._kernels[ci])
+                        needed.update(comparisons[ci].variables())
                 remap_vars = frozenset(needed)
                 for is_var, ref in step.probe_sources:
                     if is_var:
@@ -411,8 +413,8 @@ class JoinPlan:
                     (
                         remap_vars,
                         keep_vars,
-                        tuple(comp_entries),
-                        tuple(local_entries),
+                        tuple(cross_kernels),
+                        step.local_kernel,
                     )
                 )
             per_step.reverse()
@@ -444,10 +446,8 @@ class JoinPlan:
         order the interpreter enumerates, so the two executors are
         exchangeable result-for-result.
         """
-        comparisons = self.comparisons
-        for ci in self.ground_comparisons:
-            if not evaluate_comparison(comparisons[ci], _EMPTY_BINDING):
-                return []
+        if not self._ground_hold:
+            return []
         meta = self._columnar_meta()
         cols: dict[str, list] = {}
         #: Aligned typed-key arrays for columns we happen to know them
@@ -457,25 +457,18 @@ class JoinPlan:
         n = 1
 
         for depth, step in enumerate(self.steps):
-            remap_vars, keep_vars, comp_entries, local_entries = meta[depth]
+            # The step-local kernel (every variable bound by this atom
+            # alone) filters candidate rows BEFORE the batch
+            # cross-product / per-parent expansion.
+            remap_vars, keep_vars, cross_kernels, local = meta[depth]
+            local_ok = local.row if local is not None else None
             parent_idx: list[int] | None  # None => every parent is row 0
             relation = None
-            if local_entries:
-                # Step-local predicates (every variable bound by this
-                # atom alone) filter candidate rows BEFORE the batch
-                # cross-product / per-parent expansion.
-                def local_ok(row, _entries=local_entries):
-                    return all(
-                        evaluate_comparison(
-                            comparison, {nm: row[p] for nm, p in slots}
-                        )
-                        for comparison, slots in _entries
-                    )
-            else:
-                local_ok = None
 
             if step.is_delta or not step.probe_positions:
                 # ---- scan: the delta batch or a whole relation ------
+                filtered = step.is_delta
+                scan_filter = local_ok
                 if step.is_delta:
                     rows_list = (
                         list(delta_rows) if delta_rows is not None else []
@@ -484,11 +477,15 @@ class JoinPlan:
                     relation = _relation_or_none(view, step.relation)
                     if relation is None:
                         return []
-                    if hasattr(relation, "row_list"):
+                    if local is not None and hasattr(relation, "select_rows"):
+                        # Column-wise, once per relation version.
+                        rows_list = relation.select_rows(local)
+                        scan_filter = None
+                        filtered = True
+                    elif hasattr(relation, "row_list"):
                         rows_list = relation.row_list()
                     else:
                         rows_list = list(relation)
-                filtered = step.is_delta
                 if step.const_checks or step.same_row_checks:
                     const_checks = step.const_checks
                     same_row = step.same_row_checks
@@ -503,8 +500,8 @@ class JoinPlan:
                         )
                     ]
                     filtered = True
-                if local_ok is not None:
-                    rows_list = [row for row in rows_list if local_ok(row)]
+                if scan_filter is not None:
+                    rows_list = list(filter(scan_filter, rows_list))
                     filtered = True
                 m = len(rows_list)
                 if m == 0:
@@ -573,9 +570,7 @@ class JoinPlan:
                                 list(bucket.values()) if bucket else None
                             )
                             if match and local_ok is not None:
-                                match = [
-                                    row for row in match if local_ok(row)
-                                ] or None
+                                match = list(filter(local_ok, match)) or None
                             match_cache[typed_key] = match
                         per_parent[i] = match
                 else:
@@ -652,9 +647,7 @@ class JoinPlan:
                                 or None
                             )
                         if match and local_ok is not None:
-                            match = [
-                                row for row in match if local_ok(row)
-                            ] or None
+                            match = list(filter(local_ok, match)) or None
                         if match:
                             for i in indices:
                                 per_parent[i] = match
@@ -721,15 +714,8 @@ class JoinPlan:
             n = new_n
 
             # ---- comparisons scheduled at this step -----------------
-            for comparison, names in comp_entries:
-                columns = [cols[name] for name in names]
-                keep = [
-                    t
-                    for t, values in enumerate(zip(*columns))
-                    if evaluate_comparison(
-                        comparison, dict(zip(names, values))
-                    )
-                ]
+            for kernel in cross_kernels:
+                keep = kernel.columns(cols.__getitem__, n)
                 if len(keep) != n:
                     if not keep:
                         return []
@@ -768,6 +754,28 @@ class JoinPlan:
         return f"<JoinPlan {order}>"
 
 
+def _local_kernel(
+    atom: Atom, comparisons: Sequence[Comparison], bound: set[str]
+) -> tuple[tuple[int, ...], Kernel | None]:
+    """The comparisons *atom* alone binds once *bound* is — non-ground,
+    every variable first bound by this atom — as ``(indices, their
+    conjunction as one kernel over the atom's rows)``."""
+    if not comparisons:
+        return (), None
+    positions: dict[str, int] = {}
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Variable) and term.name not in bound:
+            positions.setdefault(term.name, position)
+    indices = tuple(
+        ci
+        for ci, comparison in enumerate(comparisons)
+        if comparison.variables() and comparison.variables() <= positions.keys()
+    )
+    return indices, conjoin(
+        [compile_comparison(comparisons[ci], positions) for ci in indices]
+    )
+
+
 def compile_plan(
     body: Sequence[Atom],
     comparisons: Sequence[Comparison],
@@ -780,9 +788,10 @@ def compile_plan(
     """Compile *body* (and *comparisons*) into a :class:`JoinPlan`.
 
     The atom order is fixed here, greedily by
-    ``estimated_matches`` over the positions bound so far — the same
-    cost model the interpreter re-runs per partial binding, applied
-    once.  *delta_atom* (a body index) is forced first, matching
+    ``estimated_matches`` over the positions bound so far, scaled by
+    the sampled selectivity of the atom's local comparisons — the cost
+    model the interpreter re-runs per partial binding, applied once
+    and made to see selections.  *delta_atom* (a body index) is forced first, matching
     semi-naive evaluation's start-from-the-change discipline.
     Compilation reads statistics only; it never mutates the store.
     """
@@ -796,15 +805,16 @@ def compile_plan(
         )
 
     # ---- choose the atom order, once --------------------------------
-    order: list[tuple[int, float]] = []
+    #: (atom index, estimate, local comparisons, their kernel, selectivity)
+    order: list[tuple[int, float, tuple[int, ...], Kernel | None, float]] = []
     remaining = list(range(len(atoms)))
     bound: set[str] = set()
     while remaining:
         if delta_atom is not None and delta_atom in remaining:
-            choice, cost = delta_atom, 0.0
+            local, kernel = _local_kernel(atoms[delta_atom], comparisons, bound)
+            choice = (delta_atom, 0.0, local, kernel, 1.0)
         else:
-            choice = remaining[0]
-            cost = float("inf")
+            choice = None
             for index in remaining:
                 atom = atoms[index]
                 bound_positions = [
@@ -812,17 +822,26 @@ def compile_plan(
                     for i, term in enumerate(atom.terms)
                     if not isinstance(term, Variable) or term.name in bound
                 ]
+                local, kernel = _local_kernel(atom, comparisons, bound)
+                selectivity = 1.0
                 relation = _relation_or_none(view, atom.relation)
                 if relation is None:
-                    candidate_cost = 0.0  # fails immediately, cheap to try
+                    cost = 0.0  # fails immediately, cheap to try
                 else:
-                    candidate_cost = relation.estimated_matches(bound_positions)
-                if candidate_cost < cost:
-                    cost = candidate_cost
-                    choice = index
-        remaining.remove(choice)
-        order.append((choice, cost))
-        bound |= atoms[choice].variables()
+                    cost = relation.estimated_matches(bound_positions)
+                    if kernel is not None and hasattr(
+                        relation, "selectivity_estimate"
+                    ):
+                        # A selection shrinks what this atom hands on:
+                        # weigh it, so the join starts from the
+                        # selective atom and probes the others.
+                        selectivity = relation.selectivity_estimate(kernel)
+                        cost *= selectivity
+                if choice is None or cost < choice[1]:
+                    choice = (index, cost, local, kernel, selectivity)
+        remaining.remove(choice[0])
+        order.append(choice)
+        bound |= atoms[choice[0]].variables()
 
     # ---- compile the per-step templates -----------------------------
     ground = tuple(
@@ -831,7 +850,7 @@ def compile_plan(
     scheduled: set[int] = set(ground)
     bound = set()
     steps: list[PlanStep] = []
-    for choice, cost in order:
+    for choice, cost, local, kernel, selectivity in order:
         atom = atoms[choice]
         is_delta = choice == delta_atom
         probe_positions: list[int] = []
@@ -880,6 +899,9 @@ def compile_plan(
                 var_checks=tuple(var_checks),
                 comparison_indices=comparison_indices,
                 estimated_cost=cost,
+                local_comparisons=local,
+                local_kernel=kernel,
+                selectivity=selectivity,
             )
         )
     return JoinPlan(

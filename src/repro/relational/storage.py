@@ -21,9 +21,9 @@ straight from the update algorithm in the paper's §3:
   kept across requests).  A delete voids every outstanding mark.
 
 Cardinality estimation (:meth:`Relation.estimated_matches`,
-:meth:`Relation.ndv_estimate`) is **read-only**: it consults indexes
-that already exist and otherwise falls back to a sampled, cached
-distinct count.  Join *planning* therefore never materialises an index
+:meth:`Relation.ndv_estimate`, :meth:`Relation.selectivity_estimate`)
+is **read-only**: it consults indexes that already exist and otherwise
+falls back to a sampled, cached count.  Join *planning* therefore never materialises an index
 as a side effect — indexes are built only when a lookup actually
 probes a column.
 
@@ -34,7 +34,8 @@ JoinPlan.execute_columnar`): one materialised list per column, plus
 the aligned *typed-cell key* array (:func:`~repro.relational.values.
 value_key` per cell, the identity the hash indexes bucket by), cached
 against the relation's mutation counter so repeated batch executions
-reuse them.  :meth:`Relation.key_index` /
+reuse them; :meth:`Relation.select_rows` caches a comparison's
+surviving rows the same way.  :meth:`Relation.key_index` /
 :meth:`Relation.key_multi_index` expose the hash indexes keyed by
 those same typed keys, letting a batch probe resolve each *distinct*
 key with one dict lookup.
@@ -51,6 +52,11 @@ from repro.relational.values import Row, Value, row_key, row_sort_key, same_valu
 
 #: Rows inspected (in insertion order) by the index-free NDV estimator.
 NDV_SAMPLE_LIMIT = 256
+
+#: Entries the per-version column cache may hold: selections and
+#: selectivities are keyed by predicate, and a long-lived relation can
+#: see unboundedly many distinct ones.  Reaching the limit empties it.
+COLUMN_CACHE_LIMIT = 64
 
 #: Below this many rows a composite index is not worth building; the
 #: single-column probe plus per-row filtering wins on constant factors.
@@ -87,13 +93,12 @@ class Relation:
         # bounded by composite_index_budget — see _multi_index_for.
         self._multi_indexes: dict[tuple[int, ...], dict[tuple, dict[tuple, Row]]] = {}
         self.composite_index_budget = COMPOSITE_INDEX_BUDGET
-        # Monotone mutation counter; invalidates the sampled-NDV cache
-        # and the column-major view.
+        # Monotone mutation counter; invalidates everything cached
+        # below: the column-major view, selections and estimates.
         self._version = 0
-        # position -> (version, estimate)
-        self._ndv_cache: dict[int, tuple[int, int]] = {}
-        # ("rows" | ("values", p) | ("keys", p)) -> (version, list)
-        self._column_cache: dict[object, tuple[int, list]] = {}
+        # "rows" | ("values" | "keys" | "ndv", p) | ("select" |
+        # "selectivity", kernel key) -> (version, cached result)
+        self._column_cache: dict[object, tuple[int, object]] = {}
         # Bumped by every delete: insertion positions shift under a
         # delete, so marks taken before it no longer name a tail.
         self._delete_generation = 0
@@ -196,7 +201,6 @@ class Relation:
         self._rows.clear()
         self._indexes.clear()
         self._multi_indexes.clear()
-        self._ndv_cache.clear()
         self._column_cache.clear()
         self._version += 1
         self._delete_generation += 1
@@ -326,11 +330,13 @@ class Relation:
     # Column-major view (the batch executor's currency)
     # ------------------------------------------------------------------
 
-    def _cached_column(self, cache_key: object, build) -> list:
+    def _cached(self, cache_key: object, build):
         cached = self._column_cache.get(cache_key)
         if cached is not None and cached[0] == self._version:
             return cached[1]
         column = build()
+        if len(self._column_cache) >= COLUMN_CACHE_LIMIT:
+            self._column_cache.clear()
         self._column_cache[cache_key] = (self._version, column)
         return column
 
@@ -340,7 +346,7 @@ class Relation:
         Unlike :meth:`rows` (a fresh list per call), the returned list
         is shared until the next mutation — callers must not modify it.
         """
-        return self._cached_column("rows", lambda: list(self._rows.values()))
+        return self._cached("rows", lambda: list(self._rows.values()))
 
     def column_values(self, position: int) -> list[Value]:
         """Column *position* of every row, aligned with :meth:`row_list`.
@@ -348,7 +354,7 @@ class Relation:
         Cached per version and shared; callers must not modify it.
         """
         self._check_position(position)
-        return self._cached_column(
+        return self._cached(
             ("values", position),
             lambda: [row[position] for row in self._rows.values()],
         )
@@ -357,10 +363,24 @@ class Relation:
         """Typed-cell keys (:func:`value_key`) of column *position*,
         aligned with :meth:`row_list`; cached per version and shared."""
         self._check_position(position)
-        return self._cached_column(
+        return self._cached(
             ("keys", position),
             lambda: [value_key(row[position]) for row in self._rows.values()],
         )
+
+    def select_rows(self, kernel) -> list[Row]:
+        """The rows passing comparison *kernel* (a
+        :class:`repro.relational.comparisons.Kernel` over column
+        positions), filtered column-wise, in insertion order; cached
+        per version and shared, so rule bodies that carry the same
+        selection compute it once."""
+
+        def select() -> list[Row]:
+            rows = self.row_list()
+            kept = kernel.columns(self.column_values, len(rows))
+            return list(map(rows.__getitem__, kept))
+
+        return self._cached(("select", kernel.key), select)
 
     def key_index(self, position: int) -> dict[object, dict[tuple, Row]]:
         """The single-column hash index on *position* (built on first
@@ -397,33 +417,43 @@ class Relation:
         index = self._indexes.get(position)
         if index is not None:
             return len(index)
+
+        def count() -> int:
+            keys = [value_key(row[position]) for row in self._sample_rows()]
+            distinct = len(set(keys))
+            if len(self._rows) > NDV_SAMPLE_LIMIT and distinct == len(keys):
+                return len(self._rows)  # key-like: every sampled value distinct
+            return distinct
+
+        return self._cached(("ndv", position), count)
+
+    def _sample_rows(self) -> Iterable[Row]:
+        """The rows the estimators read: all of a small relation, else
+        every stride-th row in insertion order, so clustered loads (rows
+        grouped by one column's value) cannot bias the whole sample into
+        one bucket.  An odd stride avoids aliasing with even-period
+        layouts (the common alternating/striped case)."""
         total = len(self._rows)
-        if total == 0:
-            return 0
-        cached = self._ndv_cache.get(position)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        if total > NDV_SAMPLE_LIMIT:
-            # Strided sample: every stride-th row in insertion order, so
-            # clustered loads (rows grouped by this column's value)
-            # cannot bias the whole sample into one bucket.  An odd
-            # stride avoids aliasing with even-period layouts (the
-            # common alternating/striped case).
-            stride = total // NDV_SAMPLE_LIMIT
-            if stride % 2 == 0:
-                stride += 1
-            sampled: set = set()
-            picked = 0
-            for row in islice(self._rows.values(), 0, None, stride):
-                picked += 1
-                sampled.add(value_key(row[position]))
-            distinct = len(sampled)
-            if distinct == picked:
-                distinct = total  # key-like: every sampled value distinct
-        else:
-            distinct = len({value_key(row[position]) for row in self._rows.values()})
-        self._ndv_cache[position] = (self._version, distinct)
-        return distinct
+        if total <= NDV_SAMPLE_LIMIT:
+            return self._rows.values()
+        stride = total // NDV_SAMPLE_LIMIT
+        if stride % 2 == 0:
+            stride += 1
+        return islice(self._rows.values(), 0, None, stride)
+
+    def selectivity_estimate(self, kernel) -> float:
+        """Share of rows expected to pass comparison *kernel* (as in
+        :meth:`select_rows`), measured on the sample
+        :meth:`ndv_estimate` takes and cached per version.  Exactly 1.0
+        when the whole sample passes, never 0 (a sample nothing passes
+        reads as one row).  Read-only, like every estimator here."""
+
+        def measure() -> float:
+            sample = list(self._sample_rows())
+            passed = sum(map(kernel.row, sample))
+            return max(passed, 1) / len(sample) if sample else 1.0
+
+        return self._cached(("selectivity", kernel.key), measure)
 
     def estimated_matches(self, bound_positions: Iterable[int]) -> float:
         """Cheap cardinality estimate for join ordering.

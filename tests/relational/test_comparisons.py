@@ -1,10 +1,17 @@
 """Comparison predicates under certain-answer semantics."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import QueryError
-from repro.relational.comparisons import comparisons_ready, evaluate_comparison
-from repro.relational.conjunctive import Comparison, Variable
+from repro.relational.comparisons import (
+    compare_values,
+    compile_comparison,
+    conjoin,
+    evaluate_comparison,
+)
+from repro.relational.conjunctive import COMPARISON_OPS, Comparison, Variable
 from repro.relational.values import MarkedNull
 
 
@@ -106,18 +113,160 @@ class TestVariables:
         assert ev("<", Variable("x"), Variable("y"), {"x": 1, "y": 2}) is True
 
 
-class TestReadiness:
-    def test_ready_when_all_vars_bound(self):
-        comparisons = (
-            Comparison("<", Variable("x"), 3),
-            Comparison("<", Variable("y"), 3),
-        )
-        ready = comparisons_ready(comparisons, frozenset({"x"}))
-        assert ready == [comparisons[0]]
+NAN = float("nan")
+#: Every type class a cell can hold, with the values where Python's
+#: own operators and the certain-answer semantics part ways: bools
+#: (ints to Python), cross-type numeric ties, signed zeros, ``nan``
+#: (the same value as itself, yet not ``==`` to itself), infinities.
+POOL = [
+    0, 1, 3, -7, 10**20,
+    0.0, -0.0, 3.0, 2.5, NAN, float("nan"), float("inf"), float("-inf"),
+    True, False,
+    "", "a", "b", "3",
+    MarkedNull("N1"), MarkedNull("N2"),
+]  # fmt: skip
+X, Y = Variable("x"), Variable("y")
+SHAPES = ("var-const", "const-var", "var-var")
 
-    def test_ground_comparison_always_ready(self):
-        comparisons = (Comparison("<", 1, 2),)
-        assert comparisons_ready(comparisons, frozenset()) == list(comparisons)
+
+def kernel_for(op, shape, left, right, slots):
+    """The kernel of ``left op right`` with the *shape*'s sides made
+    variables (``x`` left, ``y`` right) and the others left constants."""
+    return compile_comparison(
+        Comparison(
+            op,
+            X if shape in ("var-const", "var-var") else left,
+            Y if shape in ("const-var", "var-var") else right,
+        ),
+        slots,
+    )
+
+
+def expected_indices(op, lefts, rights):
+    return [
+        i
+        for i, (left, right) in enumerate(zip(lefts, rights))
+        if compare_values(op, left, right)
+    ]
+
+
+class TestKernelsMatchCompareValues:
+    """``compile_comparison`` never defines semantics: on every operator,
+    shape and value pair its row predicate and its column filter return
+    exactly what ``compare_values`` returns."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("op", COMPARISON_OPS)
+    def test_row_predicate_exhaustive(self, op, shape):
+        for left in POOL:
+            for right in POOL:
+                expected = compare_values(op, left, right)
+                # Positional slots (a tuple row) and name slots (a
+                # binding dict) run the same kernel code.
+                by_position = kernel_for(op, shape, left, right, {"x": 1, "y": 0})
+                by_name = kernel_for(op, shape, left, right, {"x": "x", "y": "y"})
+                assert by_position.row((right, left)) is expected, (left, right)
+                assert by_name.row({"x": left, "y": right}) is expected, (left, right)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("op", COMPARISON_OPS)
+    def test_column_filter_exhaustive(self, op, shape):
+        # Every pool value against the whole (mixed-type) pool column,
+        # and against each single-type slice of it (the typed fast path).
+        columns = [POOL] + [
+            [v for v in POOL if type(v) is kind]
+            for kind in (int, float, bool, str, MarkedNull)
+        ] + [[v for v in POOL if type(v) in (int, float)]]
+        for column in columns:
+            n = len(column)
+            for other in POOL:
+                if shape == "var-const":
+                    lefts, rights = column, [other] * n
+                elif shape == "const-var":
+                    lefts, rights = [other] * n, column
+                else:
+                    lefts, rights = column, column[::-1]
+                kernel = kernel_for(
+                    op, shape, other, other, {"x": "l", "y": "r"}
+                )
+                kept = kernel.columns({"l": lefts, "r": rights}.__getitem__, n)
+                assert kept == expected_indices(op, lefts, rights), (column, other)
+
+    @pytest.mark.parametrize("op", COMPARISON_OPS)
+    def test_ground_comparison_folds(self, op):
+        for left in POOL:
+            for right in POOL:
+                kernel = compile_comparison(Comparison(op, left, right), {})
+                expected = compare_values(op, left, right)
+                assert kernel.row(None) is expected
+                assert kernel.columns(None, 3) == ([0, 1, 2] if expected else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        op=st.sampled_from(COMPARISON_OPS),
+        shape=st.sampled_from(SHAPES),
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(POOL),
+                    st.integers(),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.text(max_size=3),
+                    st.booleans(),
+                ),
+                st.one_of(
+                    st.sampled_from(POOL),
+                    st.integers(),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.text(max_size=3),
+                    st.booleans(),
+                ),
+            ),
+            max_size=12,
+        ),
+        constant=st.sampled_from(POOL),
+    )
+    def test_property_rows_and_columns(self, op, shape, pairs, constant):
+        lefts = [left for left, _ in pairs]
+        rights = [right for _, right in pairs]
+        if shape == "var-const":
+            rights = [constant] * len(pairs)
+        elif shape == "const-var":
+            lefts = [constant] * len(pairs)
+        kernel = kernel_for(op, shape, constant, constant, {"x": 0, "y": 1})
+        expected = expected_indices(op, lefts, rights)
+        rows = list(zip(lefts, rights))
+        assert [i for i, row in enumerate(rows) if kernel.row(row)] == expected
+        columns = [lefts, rights]
+        assert kernel.columns(columns.__getitem__, len(rows)) == expected
+
+    def test_unbound_variable_raises_at_compile_time(self):
+        with pytest.raises(QueryError, match="unbound variable 'x'"):
+            compile_comparison(Comparison("=", X, 3), {"y": 0})
+
+    def test_key_is_type_strict_and_mirror_invariant(self):
+        def key(comparison):
+            return compile_comparison(comparison, {"x": 2}).key
+
+        # 3 and 3.0 hash and compare equal in Python; as coDB values
+        # they differ, and so must anything cached under the key.
+        assert key(Comparison("=", X, 3)) != key(Comparison("=", X, 3.0))
+        assert key(Comparison("=", X, 1)) != key(Comparison("=", X, True))
+        assert key(Comparison("<", 3, X)) == key(Comparison(">", X, 3))
+        assert key(Comparison("<", X, 3)) != key(Comparison(">", X, 3))
+
+    def test_conjoin(self):
+        low = compile_comparison(Comparison(">=", X, 2), {"x": 0})
+        high = compile_comparison(Comparison("<", X, 5), {"x": 0})
+        assert conjoin([]) is None
+        assert conjoin([low]) is low
+        both = conjoin([low, high])
+        column = [1, 2, 4, 5, "4", 3.5]
+        assert both.columns([column].__getitem__, len(column)) == [1, 2, 5]
+        assert [both.row((v,)) for v in column] == [
+            False, True, True, False, False, True
+        ]  # fmt: skip
+        assert both.key == (low.key, high.key)
 
 
 class TestValidation:

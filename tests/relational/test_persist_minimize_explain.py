@@ -161,6 +161,29 @@ class TestExplain:
         big_step = [s for s in plan.steps if s.atom.relation == "big"][0]
         assert any(">" in c for c in big_step.comparisons_checked)
 
+    def test_comparison_placement_and_selectivity_shown(self):
+        db = self.make_db()
+        # b > 495 keeps 4 of big's 500 rows — still more than small's
+        # 2, so small leads and b > 495 filters each probed bucket.
+        plan = explain(
+            db, parse_query("q(b) <- small(a), big(a, b), b > 495, a < b, 1 < 2")
+        )
+        small_step, big_step = plan.steps
+        assert small_step.comparisons_checked == ("ground: 1 < 2",)
+        assert big_step.comparisons_checked == (
+            "bucket filter: ?b > 495",
+            "cross-step filter: ?a < ?b",
+        )
+        assert big_step.selectivity == pytest.approx(4 / 500, rel=0.5)
+        assert small_step.selectivity == 1.0
+        assert "selectivity" in plan.format()
+        # A selective enough predicate moves its atom to the front,
+        # where it runs as a scan filter.
+        plan = explain(db, parse_query("q(b) <- small(a), big(a, b), b >= 499"))
+        assert plan.atom_order() == ["big", "small"]
+        assert plan.steps[0].comparisons_checked == ("scan filter: ?b >= 499",)
+        assert plan.steps[0].estimated_matches == pytest.approx(1.0, rel=0.5)
+
     def test_format_contains_plan(self):
         db = self.make_db()
         plan = explain(db, parse_query("q(b) <- big(a, b), small(a)"))

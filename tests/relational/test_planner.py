@@ -344,13 +344,23 @@ def random_query(rng: random.Random) -> ConjunctiveQuery:
     if not body_vars:  # all-constant body: give it a constant head
         return ConjunctiveQuery(Atom("q", (1,)), tuple(body))
     head_vars = rng.sample(body_vars, rng.randint(1, min(3, len(body_vars))))
+    # 0-2 comparisons: against a constant or within one atom (that
+    # atom's own filter) and across atoms (a filter on the joined
+    # batch) — the same mix as tests/relational/test_pushdown.py.
+    with_vars = [sorted(atom.variables()) for atom in body if atom.variables()]
     comparisons = []
-    if rng.random() < 0.5:
-        left = Variable(rng.choice(body_vars))
-        if rng.random() < 0.6:
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        names = rng.choice(with_vars)
+        left = Variable(rng.choice(names))
+        shape = rng.random()
+        if shape < 0.4:
             right = rng.randrange(DOMAIN)
+        elif shape < 0.6:
+            right = Variable(rng.choice(names))
         else:
-            right = Variable(rng.choice(body_vars))
+            right = Variable(rng.choice(rng.choice(with_vars)))
+        if rng.random() < 0.5:
+            left, right = right, left
         comparisons.append(
             Comparison(rng.choice(("<", "<=", "!=", ">", ">=", "=")), left, right)
         )
@@ -476,6 +486,101 @@ class TestDifferential:
         assert canonical_rows(evaluate_query(db, query)) == canonical_rows(
             evaluate_query_planned(db, query, PlanCache())
         )
+
+
+class TestSelectionAwareOrdering:
+    """Join ordering sees selections: an atom's estimate is scaled by
+    the sampled selectivity of the comparisons it alone binds."""
+
+    def _db(self):
+        schema = parse_schema("orders(o: int, c: int, amt: int)\ncustomer(c: int, r: int)")
+        db = Database(schema)
+        # One order in forty has amt >= 950, at seeded (not periodic:
+        # the estimators' sample is strided) positions.
+        passing = set(random.Random(14).sample(range(1200), 30))
+        db.load(
+            {
+                "orders": [
+                    (i, i % 300, 950 + i % 50 if i in passing else 100 + i % 850)
+                    for i in range(1200)
+                ],
+                "customer": [(c, c % 8) for c in range(300)],
+            }
+        )
+        return db
+
+    def _plan(self, db, text):
+        q = parse_query(text)
+        return compile_plan(q.body, q.comparisons, q.head.terms, view=db)
+
+    def test_selective_local_predicate_puts_its_atom_first(self):
+        db = self._db()
+        plan = self._plan(
+            db, "q(o, r) <- orders(o, c, a), customer(c, r), a >= 950"
+        )
+        # 1200 orders * 1/40 = 30 < 300 customers: start from the
+        # selection and probe customer, instead of scanning customer and
+        # indexing every order.
+        assert plan.atom_order() == (0, 1)
+        first, second = plan.steps
+        assert first.local_comparisons == (0,) and not first.probe_positions
+        assert first.selectivity == pytest.approx(1 / 40, rel=0.5)
+        assert first.estimated_cost == pytest.approx(30, rel=0.5)
+        assert second.probe_positions == (0,) and second.selectivity == 1.0
+        assert len(plan.execute_columnar(db)) == 30
+
+    def test_predicate_passing_the_whole_sample_changes_nothing(self):
+        db = self._db()
+        bare = self._plan(db, "q(o, r) <- orders(o, c, a), customer(c, r)")
+        plan = self._plan(
+            db, "q(o, r) <- orders(o, c, a), customer(c, r), a >= 100"
+        )
+        assert plan.atom_order() == bare.atom_order() == (1, 0)
+        assert [s.estimated_cost for s in plan.steps] == [
+            s.estimated_cost for s in bare.steps
+        ]
+        assert plan.steps[1].local_comparisons == (0,)
+        assert plan.steps[1].selectivity == 1.0
+
+    def test_cross_step_comparison_does_not_move_the_order(self):
+        db = self._db()
+        plan = self._plan(db, "q(o, r) <- orders(o, c, a), customer(c, r), a < r")
+        assert plan.atom_order() == (1, 0)
+        assert all(step.local_comparisons == () for step in plan.steps)
+        assert plan.steps[1].comparison_indices == (0,)
+
+    def test_ordering_is_read_only(self):
+        db = self._db()
+        orders = db.relation("orders")
+        version = orders._version
+        self._plan(db, "q(o, r) <- orders(o, c, a), customer(c, r), a >= 950")
+        assert orders._version == version
+        assert orders._indexes == {} and orders._multi_indexes == {}
+
+    def test_selections_sharing_a_predicate_select_once(self):
+        db = self._db()
+        orders = db.relation("orders")
+        store = MemoryStore(db.schema, db)
+        two = parse_query("q(o, r) <- orders(o, c, a), customer(c, r), a >= 950")
+        one = parse_query("q(o) <- orders(o, c, a), 950 <= a")
+
+        def selection(query):
+            plan = compile_plan(
+                query.body, query.comparisons, query.head.terms, view=db
+            )
+            return orders.select_rows(plan.steps[0].local_kernel)
+
+        assert len(store.evaluate_query(two)) == 30
+        selected = selection(two)
+        assert len(store.evaluate_query(one)) == 30
+        # The same list object: the second body (the same predicate,
+        # spelled mirrored) reused the first one's selection ...
+        assert selection(one) is selected
+        # ... until the relation changes.
+        orders.insert((5000, 1, 999))
+        assert len(store.evaluate_query(one)) == 31
+        assert len(store.evaluate_query(two)) == 31
+        assert selection(one) is not selected
 
 
 class TestKeyAwarePlanning:

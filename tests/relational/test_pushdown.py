@@ -40,10 +40,16 @@ from repro.relational.conjunctive import (
     Variable,
 )
 from repro.relational.database import Database
-from repro.relational.evaluation import evaluate_query, evaluate_query_delta
+from repro.relational.evaluation import (
+    evaluate_body,
+    evaluate_query,
+    evaluate_query_delta,
+    project_head_row,
+)
 from repro.relational.parser import parse_mapping, parse_query, parse_schema
 from repro.relational.planner import (
     PlanCache,
+    compile_plan,
     compile_plan_sql,
     evaluate_mapping_bindings_planned,
     evaluate_query_delta_planned,
@@ -119,9 +125,35 @@ def build_mixed_instance(seed: int) -> SqliteStore:
     return store
 
 
+OPERATORS = ("<", "<=", "!=", ">", ">=", "=")
+
+
+def random_comparisons(rng: random.Random, body) -> list[Comparison]:
+    """0–2 comparisons over *body*'s variables, in the three places a
+    plan can run one: against a constant or within one atom (the
+    atom's own filter, whichever step it lands on) and across two
+    atoms (a filter on the joined batch)."""
+    with_vars = [sorted(atom.variables()) for atom in body if atom.variables()]
+    comparisons = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        names = rng.choice(with_vars)
+        left = Variable(rng.choice(names))
+        shape = rng.random()
+        if shape < 0.4:
+            right = rng.randrange(DOMAIN)
+        elif shape < 0.6:
+            right = Variable(rng.choice(names))
+        else:
+            right = Variable(rng.choice(rng.choice(with_vars)))
+        if rng.random() < 0.5:
+            left, right = right, left
+        comparisons.append(Comparison(rng.choice(OPERATORS), left, right))
+    return comparisons
+
+
 def random_query(rng: random.Random) -> ConjunctiveQuery:
     """A random CQ: 2–4 atoms, repeated relations/variables, constants,
-    and (half the time) one comparison predicate."""
+    and 0–2 comparison predicates (:func:`random_comparisons`)."""
     body = []
     for _ in range(rng.randint(2, 4)):
         relation = rng.choice(sorted(ARITIES))
@@ -136,20 +168,10 @@ def random_query(rng: random.Random) -> ConjunctiveQuery:
     if not body_vars:
         return ConjunctiveQuery(Atom("q", (1,)), tuple(body))
     head_vars = rng.sample(body_vars, rng.randint(1, min(3, len(body_vars))))
-    comparisons = []
-    if rng.random() < 0.5:
-        left = Variable(rng.choice(body_vars))
-        if rng.random() < 0.6:
-            right = rng.randrange(DOMAIN)
-        else:
-            right = Variable(rng.choice(body_vars))
-        comparisons.append(
-            Comparison(rng.choice(("<", "<=", "!=", ">", ">=", "=")), left, right)
-        )
     return ConjunctiveQuery(
         Atom("q", tuple(Variable(name) for name in head_vars)),
         tuple(body),
-        tuple(comparisons),
+        tuple(random_comparisons(rng, body)),
     )
 
 
@@ -169,6 +191,10 @@ def random_delta(rng: random.Random, db: Database, relation: str):
 
 def canonical(rows):
     return sorted(set(rows), key=row_sort_key)
+
+
+def multiset(rows):
+    return sorted(rows, key=row_sort_key)
 
 
 class TestDifferentialFull:
@@ -204,6 +230,56 @@ class TestDifferentialFull:
         finally:
             store.close()
             mixed.close()
+
+
+    @pytest.mark.parametrize("seed", range(FULL_SEEDS))
+    def test_executors_agree_as_multisets(self, seed):
+        """Below set semantics: one compiled plan, run by the row loop,
+        the columnar executor and SQLite, yields the same *multiset* of
+        projected tuples as the interpreter's satisfying assignments —
+        a filter applied twice, or on the wrong side of an expansion,
+        changes multiplicities before it changes the answer set."""
+        db, store = build_instance(seed)
+        rng = random.Random(8000 + seed)
+        try:
+            for _ in range(QUERIES_PER_SEED):
+                query = random_query(rng)
+                plan = compile_plan(
+                    query.body, query.comparisons, query.head.terms, view=db
+                )
+                oracle = multiset(
+                    project_head_row(query.head, binding)
+                    for binding in evaluate_body(db, query.body, query.comparisons)
+                )
+                sql_plan = compile_plan_sql(plan, store.schema.relation_names)
+                assert multiset(plan.execute(db)) == oracle, f"{query!r}"
+                assert multiset(plan.execute_columnar(db)) == oracle, f"{query!r}"
+                assert multiset(store.execute_plan(sql_plan)) == oracle, f"{query!r}"
+        finally:
+            store.close()
+
+    def test_harness_reaches_every_filter_placement(self):
+        """The randomized bodies above are not vacuous: their plans put
+        comparisons in all three places one can run."""
+        placements = set()
+        for seed in range(FULL_SEEDS):
+            db, store = build_instance(seed)
+            store.close()
+            rng = random.Random(8000 + seed)
+            for _ in range(QUERIES_PER_SEED):
+                query = random_query(rng)
+                plan = compile_plan(
+                    query.body, query.comparisons, query.head.terms, view=db
+                )
+                for step in plan.steps:
+                    for ci in step.comparison_indices:
+                        if ci not in step.local_comparisons:
+                            placements.add("cross-step filter")
+                        elif step.probe_positions:
+                            placements.add("bucket filter")
+                        else:
+                            placements.add("scan filter")
+        assert placements == {"scan filter", "bucket filter", "cross-step filter"}
 
 
 class TestDifferentialDelta:

@@ -207,6 +207,76 @@ class TestEstimatesAreReadOnly:
         assert relation.ndv_estimate(1) == 2
 
 
+class TestSelections:
+    """Comparison kernels over a relation: the cached column-wise
+    selection and its sampled selectivity."""
+
+    @staticmethod
+    def kernel(op, constant, position=1):
+        from repro.relational.comparisons import compile_comparison
+        from repro.relational.conjunctive import Comparison, Variable
+
+        return compile_comparison(
+            Comparison(op, Variable("x"), constant), {"x": position}
+        )
+
+    def test_select_rows_keeps_insertion_order_and_semantics(self, relation):
+        null = MarkedNull("n")
+        relation.insert_new([(1, 5), (2, "5"), (3, 7.5), (4, null), (5, True), (6, 9)])
+        assert relation.select_rows(self.kernel(">=", 7)) == [(3, 7.5), (6, 9)]
+        assert relation.select_rows(self.kernel("=", null)) == [(4, null)]
+        assert relation.select_rows(self.kernel("!=", 5)) == [
+            (2, "5"), (3, 7.5), (5, True), (6, 9)
+        ]  # fmt: skip
+
+    def test_select_rows_cached_until_mutation(self, relation):
+        relation.insert_new([(i, i) for i in range(10)])
+        first = relation.select_rows(self.kernel(">=", 8))
+        assert relation.select_rows(self.kernel(">=", 8)) is first
+        relation.insert((10, 10))
+        assert relation.select_rows(self.kernel(">=", 8)) == [(8, 8), (9, 9), (10, 10)]
+        relation.delete((9, 9))
+        assert relation.select_rows(self.kernel(">=", 8)) == [(8, 8), (10, 10)]
+
+    def test_selectivity_estimate_is_read_only(self, relation):
+        relation.insert_new([(i % 3, i) for i in range(30)])
+        version = relation._version
+        assert relation.selectivity_estimate(self.kernel("<", 3)) == pytest.approx(0.1)
+        assert relation._version == version
+        assert relation._indexes == {}
+        assert relation._multi_indexes == {}
+
+    def test_selectivity_estimate_bounds(self, relation):
+        assert relation.selectivity_estimate(self.kernel("<", 3)) == 1.0  # empty
+        relation.insert_new([(i % 3, i) for i in range(30)])
+        # The whole sample passes: exactly 1.0 (join order untouched);
+        # nothing passes: one row's worth, never zero.
+        assert relation.selectivity_estimate(self.kernel(">=", 0)) == 1.0
+        assert relation.selectivity_estimate(self.kernel("<", 0)) == pytest.approx(1 / 30)
+
+    def test_selectivity_estimate_samples_large_relations(self, relation):
+        import random
+
+        from repro.relational.storage import NDV_SAMPLE_LIMIT
+
+        total = NDV_SAMPLE_LIMIT * 20
+        values = list(range(total))
+        random.Random(3).shuffle(values)
+        relation.insert_new([(i, v) for i, v in enumerate(values)])
+        estimate = relation.selectivity_estimate(self.kernel("<", total // 4))
+        assert estimate == pytest.approx(0.25, abs=0.1)
+        relation.insert((total, -1))
+        assert relation.selectivity_estimate(self.kernel("<", 0)) <= 2 / NDV_SAMPLE_LIMIT
+
+    def test_column_cache_is_bounded(self, relation):
+        from repro.relational.storage import COLUMN_CACHE_LIMIT
+
+        relation.insert_new([(i, i) for i in range(20)])
+        for cut in range(3 * COLUMN_CACHE_LIMIT):
+            relation.select_rows(self.kernel(">=", cut))
+        assert len(relation._column_cache) <= COLUMN_CACHE_LIMIT
+
+
 class TestInsertNewBatches:
     def test_large_batch_with_duplicates(self, relation):
         # One running set alongside the ordered list: the whole batch is

@@ -391,7 +391,21 @@ class TestSupervisedRestart:
         from repro.p2p.faults import FaultInjector, ScheduledCrash
 
         seed = 0
-        origins = pick_origins("chain", seed)
+        victim = "N1"
+        # The victim is itself an origin.  Submit to it first, and gate
+        # its crash on an event count (no wall clock) that needs every
+        # submit to have happened: whatever the interleaving, an
+        # update's flood delivers a fixed number of update_requests to
+        # N1 — one from each chain neighbour (N0 imports from N1, so it
+        # always echoes), but only N0's echo for N1's own update.
+        # 1 + 2 + 2: the fifth arrives once all three updates run, so
+        # the SIGKILL can no longer beat a submit to its own victim
+        # (it used to, about one run in four), and it still lands
+        # mid-storm, while the last-started flood passes through N1.
+        origins = sorted(
+            pick_origins("chain", seed), key=lambda name: name != victim
+        )
+        assert origins[0] == victim and len(origins) == 3
 
         reference = build_network(
             "chain", seed, lambda: make_simulator_net(seed)
@@ -409,17 +423,24 @@ class TestSupervisedRestart:
         )
         try:
             net.install_faults(
-                FaultInjector(ScheduledCrash("N1", after=3), seed=seed)
+                FaultInjector(
+                    ScheduledCrash(victim, after=5, kind="update_request"),
+                    seed=seed,
+                )
             )
-            outcomes = net.await_all(net.start_global_updates(origins))
+            handles = net.start_global_updates(origins)
+            # Outcomes are assembled by probing every live worker for
+            # its report; collect them once the victim is back, so the
+            # SIGKILL cannot land in the middle of a probe.
+            wait_for_restart(net, victim)
+            outcomes = net.await_all(handles)
             assert any(
                 outcome.report.outcome == "partial" for outcome in outcomes
             ), "the outage window must surface as partial"
             assert any(
-                "N1" in outcome.report.unreachable_peers
+                victim in outcome.report.unreachable_peers
                 for outcome in outcomes
             )
-            wait_for_restart(net, "N1")
             # Fault models are NOT re-installed on the rejoiner (a
             # fresh ScheduledCrash copy would kill it again), so the
             # next storm runs clean and reconverges.
