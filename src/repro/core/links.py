@@ -36,7 +36,10 @@ authoritative one.
 
 All row-membership sets here hold *row keys*
 (:func:`repro.relational.values.row_key`) rather than raw rows, so set
-membership uses the engine's type-strict value identity.
+membership uses the engine's type-strict value identity.  Batches of
+frontier rows travel between the functions here as ``{row key: row}``
+dicts — the shape the planner's own dedup produces — so a row is keyed
+once per hop however many of these sets it is checked against.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.core.rules import CoordinationRule
-from repro.relational.values import Row, row_key
+from repro.relational.values import Row
 
 #: Link state machine: INACTIVE -(update request)-> OPEN -(closure)-> CLOSED.
 INACTIVE = "inactive"
@@ -110,12 +113,6 @@ class OutgoingLink:
     def remote(self) -> str:
         """The acquaintance that evaluates the body (rule.source)."""
         return self.rule.source
-
-    def has_fired(self, row: Row) -> bool:
-        return row_key(row) in self.fired
-
-    def mark_fired(self, row: Row) -> None:
-        self.fired.add(row_key(row))
 
 
 @dataclass
@@ -222,12 +219,13 @@ class IncomingLink:
 
 def undelivered(
     link: IncomingLink,
-    rows: list[Row],
+    rows: dict[tuple, Row],
     taught: set | None,
     *,
     settled_only: bool = False,
 ) -> tuple[list[Row], int]:
-    """Drop the *rows* the link already delivered, teach the rest.
+    """Drop the *rows* (``{row key: row}``) the link already delivered,
+    teach the rest.
 
     Returns ``(rows to ship, rows the send memory kept off the wire)``.
     *taught* is the shipping computation's own record of what it
@@ -246,8 +244,7 @@ def undelivered(
     pushed, unsettled = link.pushed, link.unsettled
     to_ship: list[Row] = []
     suppressed = 0
-    for row in rows:
-        key = row_key(row)
+    for key, row in rows.items():
         if taught is not None and key in taught:
             continue
         if key in pushed and not (settled_only and key in unsettled):
@@ -265,31 +262,31 @@ def undelivered(
 
 def frontier_rows(
     wrapper, link: IncomingLink, deltas: dict[str, list[Row]] | None = None
-) -> list[Row]:
-    """Frontier rows of *link*'s body over *wrapper*'s data: all of
+) -> dict[tuple, Row]:
+    """Frontier rows of *link*'s body over *wrapper*'s data, as ``{row
+    key: row}`` (values in ``link.rule.frontier()`` order): all of
     them, or — given *deltas*, ``{relation: rows}`` — only those
     derivable from at least one delta row ("substituting R by T'", §3:
     one semi-naive pass per changed body relation)."""
     mapping = link.rule.mapping
-    frontier = link.rule.frontier()
     if deltas is None:
-        bindings = wrapper.evaluate_mapping_bindings(mapping, rule_key=link.rule_id)
-        return [tuple(binding[name] for name in frontier) for binding in bindings]
-    produced: dict[Row, None] = {}
+        return wrapper.evaluate_mapping_bindings(mapping, rule_key=link.rule_id)
+    produced: dict[tuple, Row] = {}
     for relation in sorted(set(deltas) & set(mapping.body_relations())):
-        for binding in wrapper.evaluate_mapping_bindings(
-            mapping,
-            changed_relation=relation,
-            delta_rows=deltas[relation],
-            rule_key=link.rule_id,
-        ):
-            produced[tuple(binding[name] for name in frontier)] = None
-    return list(produced)
+        produced.update(
+            wrapper.evaluate_mapping_bindings(
+                mapping,
+                changed_relation=relation,
+                delta_rows=deltas[relation],
+                rule_key=link.rule_id,
+            )
+        )
+    return produced
 
 
 def activation_rows(
     wrapper, link: IncomingLink, *, incremental: bool
-) -> tuple[list[Row], tuple[int, dict], int | None]:
+) -> tuple[dict[tuple, Row], tuple[int, dict], int | None]:
     """Evaluate *link*'s body for an activation.
 
     Returns ``(frontier rows, activated_at, skipped)``: *activated_at*
@@ -418,12 +415,6 @@ class SessionLinkState:
     #: *activated_at* of :func:`activation_rows`); committed to the
     #: link when the session ends cleanly.
     activated_at: tuple[int, dict] | None = None
-
-    def has_seen(self, row: Row) -> bool:
-        return row_key(row) in self.seen
-
-    def mark_seen(self, row: Row) -> None:
-        self.seen.add(row_key(row))
 
 
 class LinkSession:

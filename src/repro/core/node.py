@@ -202,6 +202,11 @@ class CoDBNode:
                 f"node {name!r}: the store was built for a different schema"
             )
         self.endpoint = Endpoint(name, transport, ids)
+        #: (recipient, computation id) -> acknowledgements owed so far
+        #: in the current delivery; they leave summed when it ends.
+        #: Touched by the delivering thread only.
+        self._owed_acks: dict[tuple[str, str], int] = {}
+        self.endpoint.before_flush = self._flush_acks
         self.pipes = PipeTable(self.endpoint)
         self.discovery = DiscoveryService(self.endpoint, self._advertisement())
         self.nulls = NullFactory(name)
@@ -333,17 +338,43 @@ class CoDBNode:
     # Termination plumbing shared by both engines
     # ------------------------------------------------------------------
 
-    def send_ack(self, recipient: str, computation_id: str) -> None:
+    def send_ack(
+        self, recipient: str, computation_id: str, count: int = 1
+    ) -> None:
+        """Acknowledge *count* of *recipient*'s messages.  During a
+        delivery the debt is only noted: everything owed to one peer
+        for one computation leaves as a single counted ``ack`` when the
+        delivery ends (always safe in Dijkstra–Scholten, and it keeps
+        the number of acks a function of the bursts delivered)."""
+        if self.endpoint.delivering():
+            key = (recipient, computation_id)
+            self._owed_acks[key] = self._owed_acks.get(key, 0) + count
+        else:
+            self._emit_ack(recipient, computation_id, count)
+
+    def _flush_acks(self) -> None:
+        """End of a delivery: pay what it ran up (the acks join the
+        bursts that are about to leave)."""
+        owed, self._owed_acks = self._owed_acks, {}
+        for (recipient, computation_id), count in owed.items():
+            self._emit_ack(recipient, computation_id, count)
+
+    def _emit_ack(self, recipient: str, computation_id: str, count: int) -> None:
+        # ``count`` omitted means 1: a single ack is the frame it
+        # always was.
+        payload: dict = {"computation_id": computation_id}
+        if count > 1:
+            payload["count"] = count
         # try_send: acking a peer that just left must not crash the
         # handler — the departed peer no longer counts deficits anyway.
-        self.endpoint.try_send(
-            recipient, "ack", {"computation_id": computation_id}
-        )
+        self.endpoint.try_send(recipient, "ack", payload)
 
     def _on_ack(self, message: Message) -> None:
         computation_id = message.payload["computation_id"]
         self._note_reachable(message.sender)
-        self.termination.on_ack(computation_id, message.sender)
+        self.termination.on_ack(
+            computation_id, message.sender, int(message.payload.get("count", 1))
+        )
         # An ack can be the event that disengages a failure-touched
         # update session whose links are already closed — the last
         # chance to self-finalize when the origin's completion flood
@@ -387,7 +418,9 @@ class CoDBNode:
             if dead_peer not in self._down_peers and self._spend_resend(
                 "ack", dead_peer, computation_id
             ):
-                self.send_ack(dead_peer, computation_id)
+                self.send_ack(
+                    dead_peer, computation_id, int(payload.get("count", 1))
+                )
             return
         if original_kind == "update_complete":
             # Same retransmission logic for the completion flood: a

@@ -26,8 +26,7 @@ from repro.core.links import frontier_rows, undelivered
 from repro.errors import UnknownPeerError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
-from repro.relational.evaluation import apply_head
-from repro.relational.values import MarkedNull, Row, decode_row, encode_row
+from repro.relational.values import MarkedNull, Row, decode_row, encode_row, row_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import CoDBNode
@@ -116,12 +115,12 @@ class PushEngine:
         # The shared lifetime fired-set dedups against everything that
         # ever instantiated this rule here — earlier pushes AND any
         # update session — so continuous mode never re-mints nulls.
-        fresh_frontier = [row for row in rows if not link.has_fired(row)]
-        for row in fresh_frontier:
-            link.mark_fired(row)
-        frontier_names = link.rule.frontier()
-        bindings = [dict(zip(frontier_names, row)) for row in fresh_frontier]
-        facts = apply_head(link.rule.mapping, bindings, node.nulls)
+        fired = link.fired
+        fresh_frontier = {
+            key: row for row in rows if (key := row_key(row)) not in fired
+        }
+        fired.update(fresh_frontier)
+        facts = link.rule.head_facts(fresh_frontier.values(), node.nulls)
         deltas: dict[str, list[Row]] = {}
         for relation, row in facts:
             if node.config.subsumption_dedup and any(

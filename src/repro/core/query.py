@@ -60,7 +60,6 @@ from repro.core.links import (
 from repro.errors import ProtocolError, UnknownPeerError
 from repro.p2p.messages import Message
 from repro.relational.conjunctive import ConjunctiveQuery
-from repro.relational.evaluation import apply_head
 from repro.relational.values import Row, decode_row, encode_row, row_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -358,21 +357,21 @@ class QueryEngine:
         self,
         participation: QueryParticipation,
         link: IncomingLink,
-        rows: list[Row],
+        rows: dict[tuple, Row],
         skipped: int = 0,
     ) -> list[Row]:
-        """The *rows* this query has not shipped over *link* yet and
-        the importer is not known to hold; they join the link's
-        sent-set.  *skipped* rows were not even read (they sit behind
-        the link's watermark) and count as suppressed with the ones
-        filtered here."""
+        """The *rows* (``{row key: row}``) this query has not shipped
+        over *link* yet and the importer is not known to hold; they
+        join the link's sent-set.  *skipped* rows were not even read
+        (they sit behind the link's watermark) and count as suppressed
+        with the ones filtered here."""
         sent = participation.sent[link.rule_id]
         if link.rule_id in participation.activated:
             fresh, suppressed = undelivered(link, rows, sent, settled_only=True)
             self.node.stats.query_rows_suppressed += suppressed + skipped
             return fresh
-        fresh = [row for row in rows if row_key(row) not in sent]
-        sent.update(row_key(row) for row in fresh)
+        fresh = [row for key, row in rows.items() if key not in sent]
+        sent.update(rows)
         return fresh
 
     def _send_data(
@@ -431,8 +430,10 @@ class QueryEngine:
             )
         received = participation.received.setdefault(rule_id, set())
         rows = [decode_row(encoded) for encoded in message.payload["rows"]]
-        fresh_frontier = [row for row in rows if row_key(row) not in received]
-        received.update(row_key(row) for row in fresh_frontier)
+        fresh_frontier = {
+            key: row for row in rows if (key := row_key(row)) not in received
+        }
+        received.update(fresh_frontier)
         path_len = int(message.payload.get("path_len", 1))
 
         # The link's lifetime fired memory, shared with the update and
@@ -447,15 +448,15 @@ class QueryEngine:
         remembers = node.wrapper.persistent
         to_fire = fresh_frontier
         if remembers and link.rule.mapping.has_existentials():
-            to_fire = [row for row in fresh_frontier if not link.has_fired(row)]
+            fired = link.fired
+            to_fire = {
+                key: row for key, row in fresh_frontier.items() if key not in fired
+            }
         if remembers and participation.persist:
-            for row in to_fire:
-                link.mark_fired(row)
-        frontier_names = link.rule.frontier()
-        bindings = [dict(zip(frontier_names, row)) for row in to_fire]
+            link.fired.update(to_fire)
         # One insert_new per relation, as in UpdateEngine.ingest_results.
         deltas: dict[str, list[Row]] = {}
-        for relation, row in apply_head(link.rule.mapping, bindings, node.nulls):
+        for relation, row in link.rule.head_facts(to_fire.values(), node.nulls):
             deltas.setdefault(relation, []).append(row)
         stored: list[str] = []
         for relation, pending in deltas.items():

@@ -9,13 +9,18 @@ broadcasts whole rule files (§4).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.errors import RuleError
 from repro.relational.analysis import NetworkRule
 from repro.relational.conjunctive import GlavMapping
+from repro.relational.evaluation import compile_head
+from repro.relational.nulls import NullFactory
 from repro.relational.parser import ParsedMapping, parse_mapping
+from repro.relational.values import Row
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,18 @@ class CoordinationRule:
         """The analysis-layer view (weak acyclicity, rule graphs)."""
         return NetworkRule(self.rule_id, self.target, self.source, self.mapping)
 
+    # Derived once per rule (``cached_property`` stores straight into
+    # ``__dict__``, which works on a frozen dataclass): both are asked
+    # for on every message the rule's links carry.
+
+    @cached_property
+    def _frontier(self) -> tuple[str, ...]:
+        return tuple(sorted(self.mapping.frontier_variables()))
+
+    @cached_property
+    def _fire(self):
+        return compile_head(self.mapping, self._frontier)
+
     def frontier(self) -> tuple[str, ...]:
         """Frontier variables in canonical (sorted) order.
 
@@ -66,7 +83,15 @@ class CoordinationRule:
         this order; both end points derive it independently from the
         rule, so nothing order-dependent travels on the wire.
         """
-        return tuple(sorted(self.mapping.frontier_variables()))
+        return self._frontier
+
+    def head_facts(
+        self, rows: Iterable[Row], null_factory: NullFactory
+    ) -> list[tuple[str, Row]]:
+        """``(relation, row)`` head facts of firing the rule once per
+        frontier row in *rows* (values in :meth:`frontier` order),
+        minting fresh nulls for existential head variables."""
+        return self._fire(rows, null_factory)
 
     # -- wire format ----------------------------------------------------------
 

@@ -11,8 +11,16 @@ which this module implements, decoupled from any particular protocol:
   notification, ...) must eventually be acknowledged by its receiver.
 * The first engaging message that reaches a disengaged node makes the
   sender that node's *parent*; the ack for it is deferred.
-* Every other engaging message is acknowledged as soon as its local
-  processing finishes.
+* Every other engaging message is acknowledged once its local
+  processing has finished.  Delaying an acknowledgement is always
+  safe — it only keeps the sender's deficit open a little longer — so
+  the node does not send one ``ack`` per message: what it owes at the
+  end of a delivery leaves as **one counted ack** per (sender,
+  computation), ``{"computation_id": ..., "count": n}`` with ``count``
+  left out when it is 1 (:meth:`CoDBNode.send_ack
+  <repro.core.node.CoDBNode.send_ack>`).  The flush happens when the
+  same delivery ends, so nothing is ever owed across deliveries and
+  detection is exactly as prompt as before.
 * A node's *deficit* counts its own sent-but-unacked messages.  When
   an engaged node is passive (between messages) with deficit zero, it
   acknowledges its parent and disengages (it may be re-engaged later).
@@ -56,7 +64,8 @@ class DiffusingComputation:
     Parameters
     ----------
     send_ack:
-        Callback ``(recipient, computation_id)`` — deliver one ack.
+        Callback ``(recipient, computation_id)`` — one message of
+        *recipient*'s is to be acknowledged.
     on_root_complete:
         Callback ``(computation_id)`` — invoked exactly once, on the
         root node, when global termination is detected.
@@ -123,15 +132,21 @@ class DiffusingComputation:
                 state.deficit_by_peer.get(recipient, 0) + count
             )
 
-    def on_ack(self, computation_id: str, sender: str = "") -> None:
+    def on_ack(
+        self, computation_id: str, sender: str = "", count: int = 1
+    ) -> None:
+        """*sender* acknowledged *count* of our messages."""
         state = self._state(computation_id)
         if sender:
-            # A late ack from a peer whose share was already written
-            # off by the failure detector is a duplicate: ignore it.
-            if state.deficit_by_peer.get(sender, 0) <= 0:
+            # Acks from a peer whose share the failure detector already
+            # wrote off (in full or in part) are duplicates of that
+            # write-off: drain only what the peer still owes.
+            owed = state.deficit_by_peer.get(sender, 0)
+            count = min(count, owed)
+            if count <= 0:
                 return
-            state.deficit_by_peer[sender] -= 1
-        state.deficit -= 1
+            state.deficit_by_peer[sender] = owed - count
+        state.deficit -= count
         if state.deficit < 0:
             raise ProtocolError(
                 f"computation {computation_id!r}: more acks than messages"

@@ -92,9 +92,8 @@ from repro.core.links import (
 from repro.errors import FixpointGuardError, ProtocolError, UnknownPeerError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
-from repro.relational.evaluation import apply_head
 from repro.relational.storage import Relation
-from repro.relational.values import MarkedNull, Row, decode_row, encode_row
+from repro.relational.values import MarkedNull, Row, decode_row, encode_row, row_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import CoDBNode
@@ -192,20 +191,21 @@ class UpdateEngine:
             node.stats.note_activation(incremental=skipped is not None)
             if suppressing:
                 state.activated_at = activated_at
-            if node.config.sent_dedup:
-                fresh = [row for row in rows if not state.has_seen(row)]
-                for row in fresh:
-                    state.mark_seen(row)
-            else:
-                fresh = rows
-            fresh = self._suppress_taught(link, state, fresh, skipped or 0)
-            self._send_results(link, fresh, path_len=1)
+            self._send_results(
+                link, self._unsent(link, state, rows, skipped or 0), path_len=1
+            )
         self.cascade_closures()
 
-    def _suppress_taught(
-        self, link: IncomingLink, state, rows: list[Row], skipped: int = 0
+    def _unsent(
+        self, link: IncomingLink, state, rows: dict[tuple, Row], skipped: int = 0
     ) -> list[Row]:
-        """Teach-forward resend suppression: skip rows the link's
+        """The *rows* (``{row key: row}``) this session still has to
+        ship over *link*, through two filters that share the keys.
+
+        The session's sent-set — "we delete from Ri those tuples which
+        have been already sent" (§3) — which the rows join; ablation
+        E10 (``sent_dedup`` off) resends whatever came out.  Then
+        teach-forward resend suppression: skip rows the link's
         lifetime ``pushed`` memory says a previous update (or the push
         engine) already delivered — the importer's lifetime ``fired``
         set would drop them anyway.  Rows we do ship are taught to the
@@ -217,8 +217,12 @@ class UpdateEngine:
         watermark) and count as suppressed all the same.
         """
         node = self.node
+        if node.config.sent_dedup:
+            seen = state.seen
+            rows = {key: row for key, row in rows.items() if key not in seen}
+            seen.update(rows)
         if not node.suppresses_resends():
-            return rows
+            return list(rows.values())
         to_ship, suppressed = undelivered(link, rows, state.lifetime_new)
         if suppressed or skipped:
             report = node.stats.report_for(self.update_id)
@@ -296,24 +300,27 @@ class UpdateEngine:
         report = node.stats.report_for(update_id)
         rows = [decode_row(encoded) for encoded in message.payload["rows"]]
 
-        # Two dedup layers.  The session's received-set is multi-path
-        # protection within THIS update ("remove from T those tuples
-        # which are already in R" at frontier granularity); the shared
-        # link's lifetime fired-set spans updates and concurrent
-        # sessions, and is what keeps null minting idempotent: a
-        # frontier row instantiates the head at most once per link
-        # lifetime, no matter how many sessions deliver it.
-        fresh_frontier = [row for row in rows if not state.has_seen(row)]
-        for row in fresh_frontier:
-            state.mark_seen(row)
-        to_fire = [row for row in fresh_frontier if not link.has_fired(row)]
-        for row in to_fire:
-            link.mark_fired(row)
+        # Two dedup layers, one key per row.  The session's received-
+        # set is multi-path protection within THIS update ("remove from
+        # T those tuples which are already in R" at frontier
+        # granularity); the shared link's lifetime fired-set spans
+        # updates and concurrent sessions, and is what keeps null
+        # minting idempotent: a frontier row instantiates the head at
+        # most once per link lifetime, no matter how many sessions
+        # deliver it.
+        seen, fired = state.seen, link.fired
+        to_fire = []
+        for row in rows:
+            key = row_key(row)
+            if key in seen:
+                continue
+            seen.add(key)
+            if key not in fired:
+                fired.add(key)
+                to_fire.append(row)
 
-        frontier_names = link.rule.frontier()
-        bindings = [dict(zip(frontier_names, row)) for row in to_fire]
         nulls_before = node.nulls.minted
-        facts = apply_head(link.rule.mapping, bindings, node.nulls)
+        facts = link.rule.head_facts(to_fire, node.nulls)
 
         # Batch ingest: group the message's head facts per relation and
         # insert each group with ONE insert_new call — the paper's
@@ -394,15 +401,12 @@ class UpdateEngine:
             produced = frontier_rows(
                 node.wrapper, link, deltas if node.config.semi_naive else None
             )
-            if node.config.sent_dedup:
-                fresh = [row for row in produced if not state.has_seen(row)]
-                for row in fresh:
-                    state.mark_seen(row)
-            else:
-                # Ablation E10: no sent-set — resend whatever came out.
-                fresh = produced
-            fresh = self._suppress_taught(link, state, fresh)
-            self._send_results(link, fresh, path_len=path_len + 1, always=False)
+            self._send_results(
+                link,
+                self._unsent(link, state, produced),
+                path_len=path_len + 1,
+                always=False,
+            )
 
     # ------------------------------------------------------------------
     # Closure (condition (a): the cascade)

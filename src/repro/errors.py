@@ -95,6 +95,12 @@ class ProtocolError(CoDBError):
     """A coDB protocol message violated the expected state machine."""
 
 
+class FrameRejectedError(ProtocolError):
+    """A frame's length exceeds ``MAX_FRAME_BYTES`` — claimed by an
+    inbound header (the connection is closed: nothing after a bad
+    header on a stream can be trusted) or about to be written."""
+
+
 class RequestTimeoutError(ProtocolError):
     """Waiting on a request handle (or a network predicate) timed out.
 

@@ -5,15 +5,24 @@ The coDB node (§2's DBM + JXTA Layer) reacts to typed messages.  An
 each incoming message to the handler registered for its kind —
 unknown kinds go to an optional default handler (and are counted, so
 protocol bugs surface in tests rather than vanish).
+
+The endpoint is also where *bursts* are made.  The transport handles
+each delivered burst inside :meth:`Endpoint.delivery`; while that
+scope is open, what the delivering thread sends is held in an outbox,
+one list per recipient, and leaves when the scope closes — each list
+as one :meth:`~repro.p2p.transport.Transport.send_burst`.  A relayed
+burst therefore stays a burst hop after hop, and where it begins and
+ends depends only on what was delivered, never on socket timing.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from collections.abc import Callable
 from typing import Any
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, UnknownPeerError
 from repro.p2p.ids import IdAuthority
 from repro.p2p.messages import Message
 from repro.p2p.transport import Transport
@@ -53,7 +62,14 @@ class Endpoint:
         #: counters across processes.
         self._seen_ids: OrderedDict[tuple[str, str], None] = OrderedDict()
         self.duplicates_dropped = 0
-        transport.register(peer_id, self._dispatch)
+        #: recipient -> messages held back while a delivery is open.
+        self._outbox: dict[str, list[Message]] | None = None
+        #: The thread the open delivery runs on: the outbox is its.
+        self._outbox_thread = 0
+        #: Called when a delivery ends, before the outbox leaves: the
+        #: node's last word in the bursts (its summed acknowledgements).
+        self.before_flush: Callable[[], None] | None = None
+        transport.register(peer_id, self._dispatch, self.delivery)
 
     # -- handler registration ----------------------------------------------
 
@@ -90,10 +106,55 @@ class Endpoint:
                 f"peer {self.peer_id!r} has no handler for {message.kind!r}"
             )
 
+    # -- bursts --------------------------------------------------------------
+
+    def delivering(self) -> bool:
+        """Whether the calling thread is inside :meth:`delivery`."""
+        return (
+            self._outbox is not None
+            and self._outbox_thread == threading.get_ident()
+        )
+
+    def delivery(self) -> "_Delivery":
+        """The scope of one delivered burst (see module docstring).
+
+        Only the delivering thread's sends are held: a driver thread
+        sending meanwhile goes straight out.  The flush runs even when
+        a handler raised — what it had sent by then was sent.
+        """
+        return _Delivery(self)
+
+    def _flush(self) -> None:
+        try:
+            if self.before_flush is not None:
+                self.before_flush()
+        finally:
+            outbox, self._outbox = self._outbox, None
+            for messages in outbox.values():
+                self._send_burst(messages)
+
+    def _send_burst(self, messages: list[Message]) -> None:
+        """Hand one recipient's messages to the transport.  They were
+        accepted when the recipient was on the network; if it is gone
+        by now, or the wire refuses, each comes back as a bounce."""
+        transport = self.transport
+        try:
+            if len(messages) == 1:
+                transport.send(messages[0])
+            else:
+                transport.send_burst(messages)
+        except UnknownPeerError:
+            for message in messages:
+                transport.bounce(message)
+
     # -- sending -------------------------------------------------------------
 
     def send(self, recipient: str, kind: str, payload: dict[str, Any]) -> Message:
-        """Build, stamp and send one message; returns it (for stats)."""
+        """Build, stamp and send one message; returns it (for stats).
+
+        Raises :class:`~repro.errors.UnknownPeerError` when *recipient*
+        is not on the network — also during a delivery, where the
+        message itself only leaves with its burst."""
         message = Message(
             kind=kind,
             sender=self.peer_id,
@@ -101,7 +162,14 @@ class Endpoint:
             payload=payload,
             message_id=self.ids.message_id(),
         )
-        self.transport.send(message)
+        if not self.delivering():
+            self.transport.send(message)
+        elif recipient in self._outbox:
+            self._outbox[recipient].append(message)
+        elif self.transport.is_registered(recipient):
+            self._outbox[recipient] = [message]
+        else:
+            raise UnknownPeerError(recipient)
         return message
 
     def try_send(
@@ -109,8 +177,6 @@ class Endpoint:
     ) -> Message | None:
         """Like :meth:`send`, but returns ``None`` when the recipient
         has left the network instead of raising (dynamic topologies)."""
-        from repro.errors import UnknownPeerError
-
         try:
             return self.send(recipient, kind, payload)
         except UnknownPeerError:
@@ -125,7 +191,31 @@ class Endpoint:
         (stale entries are harmless: the old incarnation's senders are
         exactly the peers the rejoin protocol resynchronises with)."""
         if not self.transport.is_registered(self.peer_id):
-            self.transport.register(self.peer_id, self._dispatch)
+            self.transport.register(self.peer_id, self._dispatch, self.delivery)
 
     def now(self) -> float:
         return self.transport.now()
+
+
+class _Delivery:
+    """Context manager behind :meth:`Endpoint.delivery` (a class, not a
+    generator: one is entered for every delivered burst)."""
+
+    __slots__ = ("endpoint", "nested")
+
+    def __init__(self, endpoint: Endpoint) -> None:
+        self.endpoint = endpoint
+
+    def __enter__(self) -> None:
+        endpoint = self.endpoint
+        # A handler that drives the transport itself re-enters: the
+        # outer delivery keeps the outbox.
+        self.nested = endpoint.delivering()
+        if not self.nested:
+            # Owner first: whenever the outbox is open it names this thread.
+            endpoint._outbox_thread = threading.get_ident()
+            endpoint._outbox = {}
+
+    def __exit__(self, *exc_info: object) -> None:
+        if not self.nested:
+            self.endpoint._flush()

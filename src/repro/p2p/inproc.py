@@ -1,23 +1,25 @@
 """Deterministic in-process simulated network.
 
-A discrete-event simulator: ``send`` schedules a delivery event at
-``now + latency``; :meth:`InProcessNetwork.run_until_idle` pops events
-in timestamp order and invokes the recipient's handler, which may send
-further messages.  Per (sender, recipient) pair delivery is FIFO even
-under equal timestamps (a monotone sequence number breaks ties), so
-the protocol's ordering assumptions hold exactly as they would on a
-TCP pipe.
+A discrete-event simulator: ``send_burst`` schedules one delivery
+event at ``now + latency`` for the whole burst;
+:meth:`InProcessNetwork.run_until_idle` pops events in timestamp order
+and invokes the recipient's handler on each message of the burst, in
+one handler scope; the handler may send further messages.  Per
+(sender, recipient) pair delivery is FIFO even under equal timestamps
+(a monotone sequence number breaks ties), so the protocol's ordering
+assumptions hold exactly as they would on a TCP pipe.
 
 The latency model charges ``base + jitter + bytes / bandwidth`` per
-message.  Jitter is drawn from a seeded PRNG, so two runs with the
+burst (one frame train: one latency, the bytes of all its messages).
+Jitter is drawn from a seeded PRNG, so two runs with the
 same seed produce byte-identical traces and timings — this is what
 makes every benchmark reproducible (DESIGN.md §2, substitution of the
 demo's lab testbed).
 
 An optional :class:`~repro.p2p.faults.FaultInjector` makes the
 simulator adversarial: every scheduled message gets a verdict
-(deliver / duplicate / extra delay / bounce) and every completed
-delivery is reported back, which is what drives event-count fault
+(deliver / duplicate / extra delay / bounce) and every handled
+message is reported back, which is what drives event-count fault
 hooks.  Transport-synthesized control notices (``undeliverable``,
 ``peer_down``) are exempt — they *are* the failure detector, not wire
 traffic.
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -35,7 +39,7 @@ from repro.errors import (
     UnknownPeerError,
 )
 from repro.p2p.messages import Message
-from repro.p2p.transport import MessageHandler, Transport
+from repro.p2p.transport import DeliveryScope, MessageHandler, Transport
 
 
 @dataclass
@@ -80,11 +84,6 @@ class InProcessNetwork(Transport):
         installed after construction with :meth:`install_faults`.
     """
 
-    #: Kinds the fault layer never touches: these are synthesized by
-    #: the transport itself (or by a fault model playing failure
-    #: detector) and bouncing a bounce would loop forever.
-    CONTROL_KINDS = frozenset({"undeliverable", "peer_down"})
-
     def __init__(
         self,
         seed: int = 0,
@@ -94,31 +93,38 @@ class InProcessNetwork(Transport):
         super().__init__()
         self.latency = latency if latency is not None else LatencyModel()
         self._rng = random.Random(seed)
-        self._handlers: dict[str, MessageHandler] = {}
-        # Event queue entries: (deliver_at, sequence, message).
-        self._queue: list[tuple[float, int, Message]] = []
+        #: peer id -> (handler, delivery scope).
+        self._handlers: dict[str, tuple[MessageHandler, DeliveryScope]] = {}
+        # Event queue entries: (deliver_at, sequence, burst).
+        self._queue: list[tuple[float, int, Sequence[Message]]] = []
         self._sequence = 0
         self._clock = 0.0
         self._stopped = False
         #: Per-pair last scheduled delivery time, to keep FIFO order
         #: even when jitter would reorder messages on the same pipe.
         self._pair_horizon: dict[tuple[str, str], float] = {}
-        self.faults = None
         if faults is not None:
             self.install_faults(faults)
 
-    def install_faults(self, injector) -> None:
-        """Attach a :class:`~repro.p2p.faults.FaultInjector` (drivers
-        typically build and start the network fault-free first)."""
-        self.faults = injector
-        injector.bind_transport(self)
-
     # -- Transport API ----------------------------------------------------
 
-    def register(self, peer_id: str, handler: MessageHandler) -> None:
+    def register(
+        self,
+        peer_id: str,
+        handler: MessageHandler,
+        scope: DeliveryScope | None = None,
+    ) -> None:
         if peer_id in self._handlers:
             raise UnknownPeerError(f"peer {peer_id!r} already registered")
-        self._handlers[peer_id] = handler
+        self._handlers[peer_id] = (handler, scope or nullcontext)
+
+    def _schedule(self, deliver_at: float, burst: Sequence[Message]) -> None:
+        heapq.heappush(self._queue, (deliver_at, self._sequence, burst))
+        self._sequence += 1
+
+    def _notify(self, notice: Message) -> None:
+        if notice.recipient in self._handlers:
+            self._schedule(self._clock, (notice,))
 
     def unregister(self, peer_id: str) -> None:
         """Remove a peer, announcing ``peer_down`` to every survivor.
@@ -131,129 +137,83 @@ class InProcessNetwork(Transport):
         if self._handlers.pop(peer_id, None) is None:
             return
         for survivor in self._handlers:
-            notice = Message(
-                kind="peer_down",
-                sender=peer_id,
-                recipient=survivor,
-                payload={"peer": peer_id},
-            )
-            heapq.heappush(self._queue, (self._clock, self._sequence, notice))
-            self._sequence += 1
+            self.announce_unreachable(peer_id, survivor)
 
     def peers(self) -> list[str]:
         return list(self._handlers)
 
+    def is_registered(self, peer_id: str) -> bool:
+        return peer_id in self._handlers
+
     def send(self, message: Message) -> None:
+        self.send_burst((message,))
+
+    def send_burst(self, messages: Sequence[Message]) -> None:
         if self._stopped:
             raise TransportStoppedError("network is stopped")
-        if message.recipient not in self._handlers:
-            raise UnknownPeerError(message.recipient)
-        self.stats.record_send(message)
-        copies = 1
-        extra_delay = 0.0
-        if self.faults is not None and message.kind not in self.CONTROL_KINDS:
-            verdict = self.faults.verdict(message)
-            if verdict.bounce:
-                self._bounce(message)
-                return
-            copies = max(1, verdict.copies)
-            extra_delay = max(0.0, verdict.extra_delay)
-        for _ in range(copies):
-            delay = self.latency.delay(message.size_bytes(), self._rng)
+        pair = (messages[0].sender, messages[0].recipient)
+        if pair[1] not in self._handlers:
+            raise UnknownPeerError(pair[1])
+        for extra_delay, burst in self._admit(messages):
+            size = sum(message.size_bytes() for message in burst)
+            delay = self.latency.delay(size, self._rng)
             deliver_at = self._clock + delay + extra_delay
-            pair = (message.sender, message.recipient)
             horizon = self._pair_horizon.get(pair, 0.0)
             if deliver_at < horizon:
                 deliver_at = horizon  # FIFO per pipe
             self._pair_horizon[pair] = deliver_at
-            heapq.heappush(self._queue, (deliver_at, self._sequence, message))
-            self._sequence += 1
-
-    def _bounce(self, message: Message) -> None:
-        """Return *message* to its sender as an ``undeliverable``
-        notification (used both for mail to departed peers and for
-        fault-injected losses that exhausted their retries)."""
-        if message.kind == "undeliverable" or message.sender not in self._handlers:
-            return
-        bounce = Message(
-            kind="undeliverable",
-            sender=message.recipient,
-            recipient=message.sender,
-            payload={
-                "kind": message.kind,
-                "payload": message.payload,
-                "recipient": message.recipient,
-            },
-        )
-        heapq.heappush(self._queue, (self._clock, self._sequence, bounce))
-        self._sequence += 1
-
-    def announce_unreachable(self, peer: str, to: str) -> None:
-        """Deliver a ``peer_down`` notice for *peer* to *to* without
-        unregistering anyone — a partition's failure-detector timeout,
-        compressed to an event (both peers stay alive on their sides)."""
-        if to not in self._handlers:
-            return
-        notice = Message(
-            kind="peer_down",
-            sender=peer,
-            recipient=to,
-            payload={"peer": peer},
-        )
-        heapq.heappush(self._queue, (self._clock, self._sequence, notice))
-        self._sequence += 1
-
-    def severed_pairs(self) -> frozenset:
-        if self.faults is None:
-            return frozenset()
-        return self.faults.severed_pairs()
+            self._schedule(deliver_at, burst)
 
     def now(self) -> float:
         return self._clock
 
     def pending(self) -> int:
         """Messages currently in flight."""
-        return len(self._queue)
+        return sum(len(burst) for _, _, burst in self._queue)
 
-    def step(self) -> bool:
-        """Deliver the single earliest in-flight message.
+    def step(self) -> int:
+        """Deliver the single earliest in-flight burst; returns how
+        many messages that was (``0``: nothing is in flight).
 
-        Returns ``False`` when nothing is in flight.  Mail addressed to
-        a peer that has left the network *bounces*: the sender receives
-        an ``undeliverable`` notification wrapping the original message
-        (kind, payload, intended recipient), which is what lets the
-        coDB protocol terminate under churn (§1: nodes may "appear or
-        disappear during the computation").  Acks and bounces
-        themselves are dropped silently.
+        Mail addressed to a peer that has left the network *bounces*:
+        the sender receives an ``undeliverable`` notification wrapping
+        the original message (kind, payload, intended recipient), which
+        is what lets the coDB protocol terminate under churn (§1: nodes
+        may "appear or disappear during the computation").  Acks and
+        bounces themselves are dropped silently.  The recipient is
+        looked up per message: a fault hook may crash it mid-burst.
         """
         if not self._queue:
-            return False
-        deliver_at, _, message = heapq.heappop(self._queue)
+            return 0
+        deliver_at, _, burst = heapq.heappop(self._queue)
         self._clock = max(self._clock, deliver_at)
-        handler = self._handlers.get(message.recipient)
-        if handler is not None:
-            self.stats.record_delivery()
-            handler(message)
-            if self.faults is not None:
-                self.faults.after_delivery(message)
-        elif message.kind != "ack":
-            self._bounce(message)
-        return True
+        handlers, recipient = self._handlers, burst[0].recipient
+        entry = handlers.get(recipient)
+        with entry[1]() if entry else nullcontext():
+            for message in burst:
+                entry = handlers.get(recipient)
+                if entry is not None:
+                    self.stats.record_delivery()
+                    entry[0](message)
+                    if self.faults is not None:
+                        self.faults.after_delivery(message)
+                elif message.kind != "ack":
+                    self.bounce(message)
+        return len(burst)
 
     def run_until_idle(self, max_messages: int | None = None) -> int:
         delivered = 0
         while self._queue:
             if max_messages is not None and delivered >= max_messages:
                 break
-            if self.step():
-                delivered += 1
+            delivered += self.step()
         return delivered
 
     def wait_for(self, predicate, timeout=None, *, description="operation"):
         """Step the event queue one delivery at a time until *predicate*.
 
         Single-threaded, so "waiting" means driving: each step delivers
-        exactly one message and the predicate is re-checked, which makes
+        exactly one burst and the predicate is re-checked, which makes
         completion *order* observable at virtual-time granularity (what
         ``as_completed`` streams).  If the queue drains first, nothing
         in flight can ever satisfy the predicate — that is the
@@ -270,8 +230,7 @@ class InProcessNetwork(Transport):
         deadline = self._clock + duration
         delivered = 0
         while self._queue and self._queue[0][0] <= deadline:
-            self.step()
-            delivered += 1
+            delivered += self.step()
         self._clock = max(self._clock, deadline)
         return delivered
 

@@ -158,7 +158,13 @@ class Message:
 
     @cached_property
     def _payload_size(self) -> int:
-        return len(stable_json(self.payload).encode("utf-8"))
+        # The frame is the envelope with the payload spliced in, so the
+        # payload's stable size is what the frame has beyond an
+        # envelope around ``{}`` — no second pass over the rows.
+        empty = Message(
+            self.kind, self.sender, self.recipient, {}, self.message_id
+        )
+        return len(self._wire) - len(empty._wire) + 2
 
     def size_bytes(self) -> int:
         """Stable serialised size of the full envelope (cached)."""

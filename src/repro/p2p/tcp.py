@@ -6,18 +6,29 @@ E13).  Design:
 * Every registered peer gets a listening socket on ``127.0.0.1``
   (ephemeral port) and a *delivery thread* that executes its handler
   one message at a time — the same actor discipline as the simulator.
-* ``send`` frames the message (4-byte big-endian length prefix + JSON
-  body) over a cached outbound connection per (sender, recipient)
-  pair, giving per-pair FIFO just like a JXTA pipe.  ``TCP_NODELAY``
-  is set on every socket (accept and connect paths): protocol
-  messages are small and often sent in write-write bursts (a
-  ``query_result`` followed by its ``link_closed``), exactly the
+* ``send_burst`` frames each message (4-byte big-endian length prefix
+  + body) and writes the whole burst with one ``sendall`` over a
+  cached outbound connection per (sender, recipient) pair, giving
+  per-pair FIFO just like a JXTA pipe.  The top bit of the length
+  prefix (:data:`FRAME_CONTINUES`) says "more of this burst follows";
+  the receive loop reads buffered, collects frames until one comes
+  without the bit and queues the burst as **one** inbox item, which
+  the delivery thread handles in one scope with one progress
+  notification.  The bit costs no bytes, a burst of one is the frame
+  it always was, and a receiver that sees a burst cut short (the
+  connection dropped) simply delivers what arrived — a burst may be
+  split anywhere.  The 31 length bits left are capped at
+  :data:`MAX_FRAME_BYTES`: a larger header closes the connection with
+  :class:`~repro.errors.FrameRejectedError` (logged in
+  ``stats.frames_rejected``) instead of being believed.
+  ``TCP_NODELAY`` is set on every socket (accept and connect paths):
+  protocol traffic is small writes in quick succession, exactly the
   pattern Nagle's algorithm would stall on a delayed ACK.
-* a global in-flight counter is incremented at ``send`` and
-  decremented after the recipient's handler returns, so quiescence
+* a global in-flight counter is incremented at ``send_burst`` and
+  decremented after the recipient's handlers return, so quiescence
   means *handled*, not merely delivered.  ``run_until_idle`` and
   ``wait_for`` block on the transport's progress condition, which
-  every delivery loop notifies after handling a message — drivers are
+  every delivery loop notifies after handling a burst — drivers are
   woken event-driven, never by sleep-polling.
 
 The port registry doubles as the rendezvous service: peers address
@@ -59,44 +70,79 @@ import socket
 import struct
 import threading
 import time
+from collections.abc import Sequence
+from contextlib import nullcontext
 from queue import Empty, Queue
 
 from repro._util import stable_json
 from repro.errors import (
+    FrameRejectedError,
     ProtocolError,
     TransportStoppedError,
     UnknownPeerError,
 )
 from repro.p2p.messages import CODECS, FRAME_ACK, FRAME_OFFER, Message
-from repro.p2p.transport import MessageHandler, ThreadSafeTransportStats, Transport
+from repro.p2p.transport import (
+    DeliveryScope,
+    MessageHandler,
+    ThreadSafeTransportStats,
+    Transport,
+)
 
 _LENGTH = struct.Struct(">I")
 
+#: Top bit of the length prefix: another frame of the same burst
+#: follows this one.
+FRAME_CONTINUES = 0x8000_0000
+#: Largest frame body either side accepts.  Far above any message the
+#: protocol builds, far below what the 31 length bits could claim.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-def _frame(body: bytes) -> bytes:
-    return _LENGTH.pack(len(body)) + body
+
+def _frame(body: bytes, continues: bool = False) -> bytes:
+    if len(body) > MAX_FRAME_BYTES:
+        raise FrameRejectedError(
+            f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
+        )
+    return _LENGTH.pack(len(body) | (FRAME_CONTINUES if continues else 0)) + body
 
 
-def _read_exact(connection: socket.socket, count: int) -> bytes | None:
-    chunks = []
-    remaining = count
-    while remaining > 0:
-        chunk = connection.recv(remaining)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _read_frame(reader) -> tuple[bytes, bool] | None:
+    """One ``(body, continues)`` from a buffered reader; ``None`` at end
+    of stream.  Raises :class:`FrameRejectedError` on an oversize
+    header without reading further."""
+    header = reader.read(_LENGTH.size)
+    if len(header) < _LENGTH.size:
+        return None
+    (word,) = _LENGTH.unpack(header)
+    length = word & ~FRAME_CONTINUES
+    if length > MAX_FRAME_BYTES:
+        raise FrameRejectedError(
+            f"frame header claims {length} bytes (MAX_FRAME_BYTES is "
+            f"{MAX_FRAME_BYTES})"
+        )
+    body = reader.read(length)
+    if len(body) < length:
+        return None
+    return body, bool(word & FRAME_CONTINUES)
 
 
 class _PeerServer:
     """Listening socket + delivery worker for one peer."""
 
-    def __init__(self, network: "TcpNetwork", peer_id: str, handler: MessageHandler) -> None:
+    def __init__(
+        self,
+        network: "TcpNetwork",
+        peer_id: str,
+        handler: MessageHandler,
+        scope: DeliveryScope,
+    ) -> None:
         self.network = network
         self.peer_id = peer_id
         self.handler = handler
-        self.inbox: Queue[Message | None] = Queue()
+        self.scope = scope
+        #: One item per delivered burst.
+        self.inbox: Queue[Sequence[Message] | None] = Queue()
         self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.socket.bind(("127.0.0.1", 0))
@@ -134,36 +180,53 @@ class _PeerServer:
             thread.start()
 
     def _receive_loop(self, connection: socket.socket) -> None:
-        with connection:
-            while self._running:
-                try:
-                    header = _read_exact(connection, _LENGTH.size)
-                    if header is None:
-                        return
-                    (length,) = _LENGTH.unpack(header)
-                    body = _read_exact(connection, length)
-                    if body is None:
-                        return
-                except OSError:
-                    return
-                tag = body[:1]
-                if tag == FRAME_OFFER:
-                    # Codec negotiation: answer on the same connection
-                    # (the only bytes ever sent backwards here) and
-                    # keep these frames out of the protocol statistics.
-                    self._answer_offer(connection, body)
-                    continue
-                if tag == FRAME_ACK:  # stray ack: not a protocol frame
-                    continue
-                message = Message.from_frame(body)
-                # A message from a peer this transport does not host
-                # was counted in flight by ANOTHER process's send;
-                # enter it into the local window here so quiescence
-                # still means "every delivered message handled".
-                if message.sender not in self.network._servers:
-                    with self.network._inflight_lock:
-                        self.network._inflight += 1
-                self.inbox.put(message)
+        burst: list[Message] = []
+        with connection, connection.makefile("rb") as reader:
+            try:
+                while self._running:
+                    frame = _read_frame(reader)
+                    if frame is None:
+                        break
+                    body, continues = frame
+                    tag = body[:1]
+                    if tag == FRAME_OFFER:
+                        # Codec negotiation: answer on the same
+                        # connection (the only bytes ever sent
+                        # backwards here) and keep these frames out of
+                        # the protocol statistics.
+                        self._answer_offer(connection, body)
+                        continue
+                    if tag == FRAME_ACK:  # stray ack: not a protocol frame
+                        continue
+                    burst.append(Message.from_frame(body))
+                    if not continues:
+                        self._accept(burst)
+                        burst = []
+            except OSError:
+                pass
+            except ProtocolError:
+                # Oversize header or undecodable body: nothing after it
+                # on this stream can be trusted — drop the connection,
+                # keep serving the others.
+                self.network.stats.record_rejected_frame()
+            finally:
+                if burst:  # cut short: what arrived whole is still mail
+                    self._accept(burst)
+
+    def _accept(self, burst: Sequence[Message]) -> None:
+        """Queue a burst that came off the wire.  Messages from a peer
+        this transport does not host were counted in flight by ANOTHER
+        process's send; enter them into the local window here so
+        quiescence still means "every delivered message handled"."""
+        self.enqueue(burst, counted=burst[0].sender in self.network._servers)
+
+    def enqueue(self, burst: Sequence[Message], *, counted: bool = False) -> None:
+        """Put *burst* in the inbox, entering it into the in-flight
+        window unless the sender's ``send_burst`` already *counted* it."""
+        if not counted:
+            with self.network._inflight_lock:
+                self.network._inflight += len(burst)
+        self.inbox.put(burst)
 
     def _answer_offer(self, connection: socket.socket, body: bytes) -> None:
         try:
@@ -182,27 +245,29 @@ class _PeerServer:
             pass
 
     def _delivery_loop(self) -> None:
+        network = self.network
         while True:
             try:
-                message = self.inbox.get(timeout=0.2)
+                burst = self.inbox.get(timeout=0.2)
             except Empty:
                 if not self._running:
                     return
                 continue
-            if message is None:
+            if burst is None:
                 return
             try:
-                self.network.stats.record_delivery()
-                self.handler(message)
-                faults = self.network.faults
-                if faults is not None:
-                    faults.after_delivery(message)
+                with self.scope():
+                    for message in burst:
+                        network.stats.record_delivery()
+                        self.handler(message)
+                        if network.faults is not None:
+                            network.faults.after_delivery(message)
             finally:
-                with self.network._inflight_lock:
-                    self.network._inflight -= 1
+                with network._inflight_lock:
+                    network._inflight -= len(burst)
                 # Wake drivers blocked in wait_for/run_until_idle: the
-                # handled message may have completed what they await.
-                self.network.notify_progress()
+                # handled burst may have completed what they await.
+                network.notify_progress()
 
     def stop(self) -> None:
         self._running = False
@@ -236,11 +301,6 @@ class TcpNetwork(Transport):
     to JSON against any peer that does not also offer binary).
     """
 
-    #: Transport-level notifications, exempt from fault verdicts on
-    #: every transport (losing the failure notification itself would
-    #: make faults unobservable).
-    CONTROL_KINDS = frozenset({"undeliverable", "peer_down"})
-
     def __init__(
         self,
         *,
@@ -261,7 +321,6 @@ class TcpNetwork(Transport):
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
         self.connect_backoff_cap = connect_backoff_cap
-        self.faults = None
         #: Negotiated codec per outbound (sender, recipient) connection.
         self._codecs: dict[tuple[str, str], str] = {}
         self._servers: dict[str, _PeerServer] = {}
@@ -277,12 +336,19 @@ class TcpNetwork(Transport):
 
     # -- Transport API ----------------------------------------------------
 
-    def register(self, peer_id: str, handler: MessageHandler) -> None:
+    def register(
+        self,
+        peer_id: str,
+        handler: MessageHandler,
+        scope: DeliveryScope | None = None,
+    ) -> None:
         if self._stopped:
             raise TransportStoppedError("network is stopped")
         if peer_id in self._servers:
             raise UnknownPeerError(f"peer {peer_id!r} already registered")
-        self._servers[peer_id] = _PeerServer(self, peer_id, handler)
+        self._servers[peer_id] = _PeerServer(
+            self, peer_id, handler, scope or nullcontext
+        )
 
     def unregister(self, peer_id: str) -> None:
         server = self._servers.pop(peer_id, None)
@@ -291,75 +357,13 @@ class TcpNetwork(Transport):
         server.stop()
         # Failure-detector announcement to every survivor (delivered
         # through their normal inbox so handler serialisation holds).
-        for survivor in self._servers.values():
-            with self._inflight_lock:
-                self._inflight += 1
-            survivor.inbox.put(
-                Message(
-                    kind="peer_down",
-                    sender=peer_id,
-                    recipient=survivor.peer_id,
-                    payload={"peer": peer_id},
-                )
-            )
+        for survivor in list(self._servers):
+            self.announce_unreachable(peer_id, survivor)
 
-    # -- fault injection ---------------------------------------------------
-
-    def install_faults(self, injector) -> None:
-        """Install a :class:`~repro.p2p.faults.FaultInjector`: sends
-        consult its verdict (loss retries as delay, exhaustion bounces
-        an ``undeliverable`` to the sender, duplicates write extra
-        frames) and every handled delivery feeds its models and
-        event-count hooks — the same seam the simulator exposes, over
-        real sockets."""
-        self.faults = injector
-        injector.bind_transport(self)
-
-    def severed_pairs(self) -> frozenset:
-        return self.faults.severed_pairs() if self.faults else frozenset()
-
-    def announce_unreachable(self, peer: str, to: str) -> None:
-        """Failure-detector notice: tell locally hosted peer *to* that
-        *peer* is unreachable.  Silently skipped when *to* lives in
-        another process — that process's own injector copy announces
-        its side of the cut."""
-        server = self._servers.get(to)
-        if server is None:
-            return
-        with self._inflight_lock:
-            self._inflight += 1
-        server.inbox.put(
-            Message(
-                kind="peer_down",
-                sender=peer,
-                recipient=to,
-                payload={"peer": peer},
-            )
-        )
-
-    def _bounce(self, message: Message) -> None:
-        """Return an ``undeliverable`` notice for *message* to its
-        sender's local inbox (mirrors the simulator's bounce path;
-        never bounces a bounce)."""
-        if message.kind == "undeliverable":
-            return
-        server = self._servers.get(message.sender)
-        if server is None:
-            return
-        with self._inflight_lock:
-            self._inflight += 1
-        server.inbox.put(
-            Message(
-                kind="undeliverable",
-                sender=message.recipient,
-                recipient=message.sender,
-                payload={
-                    "kind": message.kind,
-                    "payload": message.payload,
-                    "recipient": message.recipient,
-                },
-            )
-        )
+    def _notify(self, notice: Message) -> None:
+        server = self._servers.get(notice.recipient)
+        if server is not None:
+            server.enqueue((notice,))
 
     # -- multi-process wiring ---------------------------------------------
 
@@ -418,20 +422,14 @@ class TcpNetwork(Transport):
         every locally hosted peer, through their normal inboxes (the
         cross-process twin of :meth:`unregister`'s survivor fan-out)."""
         self.remove_remote_peer(peer_id)
-        for survivor in self._servers.values():
-            with self._inflight_lock:
-                self._inflight += 1
-            survivor.inbox.put(
-                Message(
-                    kind="peer_down",
-                    sender=peer_id,
-                    recipient=survivor.peer_id,
-                    payload={"peer": peer_id},
-                )
-            )
+        for survivor in list(self._servers):
+            self.announce_unreachable(peer_id, survivor)
 
     def peers(self) -> list[str]:
         return list(self._servers) + list(self._remote_ports)
+
+    def is_registered(self, peer_id: str) -> bool:
+        return peer_id in self._servers or peer_id in self._remote_ports
 
     def port_of(self, peer_id: str) -> int:
         """The rendezvous lookup (peer id -> TCP port)."""
@@ -444,72 +442,82 @@ class TcpNetwork(Transport):
             raise UnknownPeerError(peer_id) from None
 
     def send(self, message: Message) -> None:
+        self.send_burst((message,))
+
+    def send_burst(self, messages: Sequence[Message]) -> None:
         if self._stopped:
             raise TransportStoppedError("network is stopped")
-        local = message.recipient in self._servers
-        if not local and message.recipient not in self._remote_ports:
-            raise UnknownPeerError(message.recipient)
-        self.stats.record_send(message)
-        copies = 1
-        extra_delay = 0.0
-        if self.faults is not None and message.kind not in self.CONTROL_KINDS:
-            verdict = self.faults.verdict(message)
-            if verdict.bounce:
-                self._bounce(message)
-                return
-            copies = max(1, verdict.copies)
-            extra_delay = max(0.0, verdict.extra_delay)
+        recipient = messages[0].recipient
+        key = (messages[0].sender, recipient)
+        local = recipient in self._servers
+        if not local and recipient not in self._remote_ports:
+            raise UnknownPeerError(recipient)
+        segments = self._admit(messages)
+        total = sum(len(burst) for _, burst in segments)
         if local:
             # In-flight accounting is per process: a local recipient's
             # handling decrements here (once per injected copy); a
             # remote recipient's transport counts arrivals instead.
             with self._inflight_lock:
-                self._inflight += copies
-        key = (message.sender, message.recipient)
+                self._inflight += total
         with self._connections_lock:
             send_lock = self._send_locks.setdefault(key, threading.Lock())
-        # The per-pair lock keeps frames atomic when the main thread and
+        # The per-pair lock keeps bursts atomic when the main thread and
         # a handler thread send under the same (sender, recipient) pair.
-        # The body is framed only once the connection (and with it the
-        # negotiated codec) is known.  An injected extra delay sleeps
-        # INSIDE the pair lock: later messages on the same pair cannot
-        # overtake the delayed one, mirroring the simulator's pair-
-        # horizon FIFO clamp.
+        # An injected extra delay sleeps INSIDE the pair lock: later
+        # messages on the same pair cannot overtake the delayed one,
+        # mirroring the simulator's pair-horizon FIFO clamp.
+        written = 0
         try:
             with send_lock:
-                if extra_delay > 0.0:
-                    time.sleep(extra_delay)
-                connection = self._connection_for(message.sender, message.recipient)
-                body = self._frame_body(key, message)
-                try:
-                    for _ in range(copies):
-                        connection.sendall(_frame(body))
-                except OSError:
-                    # One reconnect attempt (the receiver may have
-                    # restarted).  Re-sending every copy is at-least-
-                    # once: endpoints dedup by message id.
-                    with self._connections_lock:
-                        self._connections.pop(key, None)
-                        self._codecs.pop(key, None)
-                    connection = self._connection_for(message.sender, message.recipient)
-                    body = self._frame_body(key, message)
-                    for _ in range(copies):
-                        connection.sendall(_frame(body))
-                self.stats.record_wire((len(body) + _LENGTH.size) * copies)
+                for extra_delay, burst in segments:
+                    if extra_delay > 0.0:
+                        time.sleep(extra_delay)
+                    self._write_burst(key, burst)
+                    written += len(burst)
         except OSError as exc:
             # A remote worker died between the port lookup and the
-            # write: undo the local-recipient accounting (never taken
-            # here — remote sends don't increment) and surface the
-            # failure as an unknown peer, the engines' failure path.
-            if local:
+            # write: surface the failure as an unknown peer, the
+            # engines' failure path.
+            raise UnknownPeerError(recipient) from exc
+        finally:
+            if local and written < total:
                 with self._inflight_lock:
-                    self._inflight -= copies
-            raise UnknownPeerError(message.recipient) from exc
+                    self._inflight -= total - written
 
-    def _frame_body(self, key: tuple[str, str], message: Message) -> bytes:
-        if self._codecs.get(key) == "binary":
-            return message.to_binary()
-        return message.to_wire()
+    def _write_burst(self, key: tuple[str, str], burst: Sequence[Message]) -> None:
+        """One ``sendall`` for the whole burst.  The bodies are framed
+        only once the connection (and with it the negotiated codec) is
+        known."""
+        connection = self._connection_for(*key)
+        try:
+            train = self._frame_burst(key, burst)
+            connection.sendall(train)
+        except OSError:
+            # One reconnect attempt (the receiver may have restarted).
+            # Re-sending the burst is at-least-once: endpoints dedup by
+            # message id.
+            with self._connections_lock:
+                self._connections.pop(key, None)
+                self._codecs.pop(key, None)
+            connection = self._connection_for(*key)
+            train = self._frame_burst(key, burst)
+            connection.sendall(train)
+        self.stats.record_wire(len(train))
+
+    def _frame_burst(self, key: tuple[str, str], burst: Sequence[Message]) -> bytes:
+        """The burst as one frame train in the connection's codec:
+        every frame but the last carries :data:`FRAME_CONTINUES`."""
+        encode = (
+            Message.to_binary
+            if self._codecs.get(key) == "binary"
+            else Message.to_wire
+        )
+        last = len(burst) - 1
+        return b"".join(
+            _frame(encode(message), continues=index < last)
+            for index, message in enumerate(burst)
+        )
 
     def _connect_with_retry(self, recipient: str) -> socket.socket:
         """Connect to *recipient*, retrying refused/reset connects with
@@ -567,15 +575,14 @@ class TcpNetwork(Transport):
         )
         try:
             connection.sendall(_frame(offer))
-            header = _read_exact(connection, _LENGTH.size)
-            if header is None:
+            # The ack is all that ever comes back on this socket, so
+            # a throw-away buffered reader cannot swallow anything.
+            with connection.makefile("rb") as reader:
+                frame = _read_frame(reader)
+            if frame is None or frame[0][:1] != FRAME_ACK:
                 return "json"
-            (length,) = _LENGTH.unpack(header)
-            body = _read_exact(connection, length)
-            if body is None or body[:1] != FRAME_ACK:
-                return "json"
-            codec = json.loads(body[1:].decode("utf-8")).get("codec")
-        except (OSError, ValueError, AttributeError):
+            codec = json.loads(frame[0][1:].decode("utf-8")).get("codec")
+        except (OSError, ValueError, AttributeError, ProtocolError):
             return "json"
         return codec if codec in CODECS else "json"
 

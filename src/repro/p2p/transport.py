@@ -4,12 +4,26 @@ Two implementations ship: the deterministic simulated network
 (:class:`repro.p2p.inproc.InProcessNetwork`) and the real TCP one
 (:class:`repro.p2p.tcp.TcpNetwork`).  The contract:
 
-* ``register(peer_id, handler)`` — attach a peer; *handler* is called
-  with each delivered :class:`~repro.p2p.messages.Message`, one at a
-  time per peer (actor-style serialisation, like coDB's DBM).
-* ``send(message)`` — asynchronous, FIFO per (sender, recipient) pair
-  (pipes preserve order; the update protocol relies on a close marker
-  not overtaking the results sent before it).
+* ``register(peer_id, handler, scope=None)`` — attach a peer;
+  *handler* is called with each delivered
+  :class:`~repro.p2p.messages.Message`, one at a time per peer
+  (actor-style serialisation, like coDB's DBM).  The messages of one
+  delivered burst are handled inside one ``with scope():`` block —
+  that is how an :class:`~repro.p2p.endpoint.Endpoint` holds back what
+  the handlers send until the burst is done.
+* ``send_burst(messages)`` — the unit of sending: everything one
+  delivery makes a peer send to one recipient, in order.  Asynchronous
+  and FIFO per (sender, recipient) pair (pipes preserve order; the
+  update protocol relies on a close marker not overtaking the results
+  sent before it).  A transport delivers a burst whole when it can —
+  one frame train, one handler scope, one progress notification — but
+  **may split it anywhere**: a fault verdict is per message (a bounced
+  message leaves the burst, a duplicated one repeats in place, a
+  delayed one cuts the burst in front of it), and the base
+  implementation sends the messages one by one.  Splitting never changes what is computed,
+  only how many acknowledgements it takes (an importer acknowledges
+  once per delivery, see :mod:`repro.core.termination`).
+  ``send(message)`` is a burst of one.
 * ``now()`` — the transport clock (virtual seconds for the simulator,
   monotonic seconds for TCP); all statistics timestamps use it.
 * ``run_until_idle()`` — drive the network until no messages are in
@@ -29,13 +43,16 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.errors import RequestTimeoutError
 from repro.p2p.messages import Message
 
 MessageHandler = Callable[[Message], None]
+#: Entered around the handling of one delivered burst.
+DeliveryScope = Callable[[], AbstractContextManager]
 
 
 @dataclass
@@ -58,6 +75,9 @@ class TransportStats:
     #: (§4 statistics are identical across transports and codecs).
     wire_bytes_sent: int = 0
     messages_delivered: int = 0
+    #: Inbound frames a byte transport refused (oversize length header,
+    #: undecodable body); the connection that carried one is closed.
+    frames_rejected: int = 0
     by_kind: dict[str, int] = field(default_factory=dict)
 
     def record_send(self, message: Message) -> None:
@@ -70,6 +90,9 @@ class TransportStats:
 
     def record_delivery(self) -> None:
         self.messages_delivered += 1
+
+    def record_rejected_frame(self) -> None:
+        self.frames_rejected += 1
 
 
 class ThreadSafeTransportStats(TransportStats):
@@ -93,12 +116,24 @@ class ThreadSafeTransportStats(TransportStats):
         with self._lock:
             super().record_delivery()
 
+    def record_rejected_frame(self) -> None:
+        with self._lock:
+            super().record_rejected_frame()
+
 
 class Transport:
     """Abstract base; see module docstring for the contract."""
 
+    #: Kinds the fault layer never touches: these are synthesized by
+    #: the transport itself (or by a fault model playing failure
+    #: detector) — losing the failure notification would make faults
+    #: unobservable, and bouncing a bounce would loop forever.
+    CONTROL_KINDS = frozenset({"undeliverable", "peer_down"})
+
     def __init__(self) -> None:
         self.stats = TransportStats()
+        #: Optional :class:`~repro.p2p.faults.FaultInjector`.
+        self.faults = None
         #: Progress condition: notified (via :meth:`notify_progress`)
         #: after every handled message and on every request completion,
         #: so waiters re-check their predicates event-driven instead of
@@ -157,7 +192,12 @@ class Transport:
 
     # -- peer management -------------------------------------------------
 
-    def register(self, peer_id: str, handler: MessageHandler) -> None:
+    def register(
+        self,
+        peer_id: str,
+        handler: MessageHandler,
+        scope: DeliveryScope | None = None,
+    ) -> None:
         raise NotImplementedError
 
     def unregister(self, peer_id: str) -> None:
@@ -169,17 +209,104 @@ class Transport:
     def is_registered(self, peer_id: str) -> bool:
         return peer_id in self.peers()
 
+    def install_faults(self, injector) -> None:
+        """Install a :class:`~repro.p2p.faults.FaultInjector` (drivers
+        typically build and start the network fault-free first): every
+        send consults its verdict — loss retries as delay, exhaustion
+        bounces an ``undeliverable`` to the sender, duplicates deliver
+        extra copies — and every handled message feeds its models and
+        event-count hooks.  The same seam on every transport."""
+        self.faults = injector
+        injector.bind_transport(self)
+
     def severed_pairs(self) -> frozenset:
         """Peer pairs currently cut by an active partition, as
-        ``frozenset({a, b})`` entries.  Non-empty only on transports
-        with a fault layer installed; drivers use it to compute
-        reachability for ``outcome="partial"`` reporting."""
-        return frozenset()
+        ``frozenset({a, b})`` entries.  Non-empty only with a fault
+        layer installed; drivers use it to compute reachability for
+        ``outcome="partial"`` reporting."""
+        return self.faults.severed_pairs() if self.faults else frozenset()
 
     # -- messaging --------------------------------------------------------
 
     def send(self, message: Message) -> None:
+        """Send one message: a burst of one."""
         raise NotImplementedError
+
+    def send_burst(self, messages: Sequence[Message]) -> None:
+        """Send *messages* — same sender, same recipient, in order — as
+        one burst.  Raises :class:`~repro.errors.UnknownPeerError`
+        before anything is sent when the recipient is not on the
+        network.  The default splits the burst into single sends."""
+        for message in messages:
+            self.send(message)
+
+    def _notify(self, notice: Message) -> None:
+        """Put a transport-made control notice straight into its
+        recipient's inbox, as if it had just arrived (no send counters,
+        no fault verdict); nothing happens when this transport does not
+        host the recipient."""
+        raise NotImplementedError
+
+    def bounce(self, message: Message) -> None:
+        """Return *message* to its sender as an ``undeliverable``
+        notice: mail for a departed peer, a fault-injected loss that
+        exhausted its retries, a burst the wire refused.  Bounces are
+        never bounced."""
+        if message.kind != "undeliverable":
+            self._notify(
+                Message(
+                    kind="undeliverable",
+                    sender=message.recipient,
+                    recipient=message.sender,
+                    payload={
+                        "kind": message.kind,
+                        "payload": message.payload,
+                        "recipient": message.recipient,
+                    },
+                )
+            )
+
+    def announce_unreachable(self, peer: str, to: str) -> None:
+        """Failure-detector notice: tell locally hosted peer *to* that
+        *peer* is unreachable, without unregistering anyone — a
+        partition's timeout compressed to an event (both peers stay
+        alive on their sides).  Skipped when *to* lives in another
+        process: that process's own injector copy announces its side
+        of the cut."""
+        self._notify(
+            Message(kind="peer_down", sender=peer, recipient=to, payload={"peer": peer})
+        )
+
+    def _admit(
+        self, messages: Sequence[Message]
+    ) -> list[tuple[float, Sequence[Message]]]:
+        """Count a burst as sent and put it to the fault layer, message
+        by message.  Returns what is left to deliver as ``(extra delay,
+        messages)`` segments, each to be delivered as a burst of its
+        own: a bounced message leaves the burst (and bounces), a
+        duplicated one repeats in place, and a delayed one cuts the
+        burst — it and what follows it wait, what precedes it need
+        not.  No faults, one segment."""
+        record = self.stats.record_send
+        for message in messages:
+            record(message)
+        faults = self.faults
+        if faults is None:
+            return [(0.0, messages)]
+        segments: list[tuple[float, list[Message]]] = []
+        for message in messages:
+            copies, extra_delay = 1, 0.0
+            if message.kind not in self.CONTROL_KINDS:
+                verdict = faults.verdict(message)
+                if verdict.bounce:
+                    self.bounce(message)
+                    continue
+                copies = max(1, verdict.copies)
+                extra_delay = max(0.0, verdict.extra_delay)
+            if extra_delay > 0.0 or not segments:
+                segments.append((extra_delay, []))
+            segments[-1][1].extend([message] * copies)
+        return segments
 
     def broadcast(self, sender: str, kind: str, payload: dict) -> int:
         """Send to every other registered peer; returns the fan-out.

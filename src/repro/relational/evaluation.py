@@ -12,7 +12,9 @@ Three entry points, all used by the coDB protocol layers:
   relation ranges over the delta only, every other atom over the full
   relation, unioned over all occurrences.
 * :func:`apply_head` — turn body bindings into head facts, minting one
-  fresh marked null per existential head variable per firing.
+  fresh marked null per existential head variable per firing;
+  :func:`compile_head` is the same step compiled once per rule for
+  positional frontier rows (what the protocol layers ship).
 
 This module is the *interpreter*: join order is re-chosen greedily at
 every recursion level.  The hot protocol paths run the compiled plans
@@ -26,7 +28,8 @@ equal).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
 
 from repro.relational.comparisons import compile_for_bindings
 from repro.relational.conjunctive import (
@@ -344,3 +347,55 @@ def apply_head(
         for atom in mapping.head:
             facts.append((atom.relation, project_head_row(atom, full_binding)))
     return facts
+
+
+def _picker(picks: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``values -> tuple of values[i] for i in picks``; ``itemgetter``
+    where it returns a tuple (it hands back a bare value for one pick
+    and refuses none)."""
+    if len(picks) > 1:
+        return itemgetter(*picks)
+    return lambda values: tuple(values[i] for i in picks)
+
+
+def compile_head(
+    mapping: GlavMapping, frontier: Sequence[str]
+) -> Callable[[Iterable[Row], NullFactory], list[tuple[str, Row]]]:
+    """:func:`apply_head` for rows of *frontier* values, compiled once.
+
+    The returned ``fire(rows, null_factory)`` instantiates the head for
+    every frontier row — the same facts, in the same order, minting the
+    same nulls as :func:`apply_head` over the equivalent binding dicts —
+    but each head atom is one positional pick out of ``row + fresh
+    nulls + head constants``, with no per-row dictionary.
+    """
+    existentials = sorted(mapping.existential_head_variables())
+    slots = {name: i for i, name in enumerate((*frontier, *existentials))}
+    constants: list[Value] = []
+    atoms = []
+    for atom in mapping.head:
+        picks = []
+        for term in atom.terms:
+            if isinstance(term, Variable):
+                picks.append(slots[term.name])
+            else:
+                picks.append(len(slots) + len(constants))
+                constants.append(term)
+        atoms.append((atom.relation, _picker(picks)))
+    tail = tuple(constants)
+
+    def fire(
+        rows: Iterable[Row], null_factory: NullFactory
+    ) -> list[tuple[str, Row]]:
+        facts: list[tuple[str, Row]] = []
+        for row in rows:
+            values = row
+            if existentials:
+                values += tuple(null_factory.fresh() for _ in existentials)
+            if tail:
+                values += tail
+            for relation, project in atoms:
+                facts.append((relation, project(values)))
+        return facts
+
+    return fire

@@ -1272,17 +1272,19 @@ def evaluate_mapping_bindings_planned(
     delta_rows: Sequence[Row] | None = None,
     rule_key: object | None = None,
     executor=None,
-) -> list[Binding]:
+) -> dict[tuple, Row]:
     """Frontier bindings of a GLAV mapping, full or semi-naive, planned.
 
-    The plan projects straight onto the sorted frontier, so dedup (one
-    rule firing per distinct frontier assignment) happens on bare
-    tuples; binding dicts are only built for the survivors.
+    The plan projects straight onto the sorted frontier, so a binding
+    is a bare tuple of frontier values in that order, and dedup (one
+    rule firing per distinct frontier assignment) happens on those.
+    Returns ``{row key: frontier row}`` in first-derivation order: the
+    keys the dedup computed are the keys every set downstream (sent,
+    delivered, fired) holds, so a row is keyed once per hop.
     """
-    frontier = tuple(sorted(mapping.frontier_variables()))
-    output = tuple(Variable(name) for name in frontier)
+    output = tuple(Variable(name) for name in sorted(mapping.frontier_variables()))
     base = rule_key if rule_key is not None else mapping
-    seen: dict[tuple, Binding] = {}
+    seen: dict[tuple, Row] = {}
     if changed_relation is None:
         plans = [
             (
@@ -1294,7 +1296,7 @@ def evaluate_mapping_bindings_planned(
         ]
     else:
         if not delta_rows:
-            return []
+            return seen
         plans = [
             (
                 cache.plan(
@@ -1312,7 +1314,5 @@ def evaluate_mapping_bindings_planned(
         ]
     for plan, rows in plans:
         for projected in _plan_rows(plan, view, executor, rows):
-            key = row_key(projected)
-            if key not in seen:
-                seen[key] = dict(zip(frontier, projected))
-    return list(seen.values())
+            seen.setdefault(row_key(projected), projected)
+    return seen

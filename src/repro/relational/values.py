@@ -131,9 +131,21 @@ def value_key(value: Value) -> object:
     return value
 
 
+#: The value types that key as themselves (see :func:`value_key`).
+_SELF_KEYED = frozenset({int, str, MarkedNull})
+
+
 def row_key(row: Row) -> tuple:
-    """Componentwise :func:`value_key` — row identity for dicts/sets."""
-    return tuple(value_key(v) for v in row)
+    """Componentwise :func:`value_key` — row identity for dicts/sets.
+
+    A row without bools and floats *is* its own key (every component
+    keys as itself), and is handed back as is: the common case builds
+    nothing.  Wrapped components are tuples, which no row contains, so
+    a self-keyed row can never collide with a wrapped one.
+    """
+    if type(row) is tuple and _SELF_KEYED.issuperset(map(type, row)):
+        return row
+    return tuple(map(value_key, row))
 
 
 def is_constant(value: object) -> bool:

@@ -109,7 +109,6 @@ from repro.errors import UnknownRelationError, WrapperError
 from repro.relational.comparisons import compare_values
 from repro.relational.conjunctive import ConjunctiveQuery, GlavMapping
 from repro.relational.database import Database
-from repro.relational.evaluation import Binding
 from repro.relational.planner import (
     SQL_COMPARE_FUNCTION,
     JoinPlan,
@@ -287,8 +286,9 @@ class Wrapper:
         changed_relation: str | None = None,
         delta_rows: Sequence[Row] | None = None,
         rule_key: object | None = None,
-    ) -> list[Binding]:
-        """Frontier bindings of *mapping*'s body over the local data."""
+    ) -> dict[tuple, Row]:
+        """Frontier bindings of *mapping*'s body over the local data:
+        ``{row key: tuple of frontier values, sorted by variable}``."""
         return evaluate_mapping_bindings_planned(
             self._view(),
             mapping,

@@ -2,6 +2,7 @@
 
 from repro.core.links import CLOSED, INACTIVE, OPEN, LinkSession, LinkTable
 from repro.core.rules import CoordinationRule
+from repro.relational.values import row_key
 
 
 def rules(*texts):
@@ -119,27 +120,29 @@ class TestClosureConditions:
     def test_session_dedup_sets_are_per_session(self):
         table, first = self.make()
         second = LinkSession(table)
-        first.incoming_state("r0").mark_seen((1,))
-        assert first.incoming_state("r0").has_seen((1,))
-        assert not second.incoming_state("r0").has_seen((1,))
+        first.incoming_state("r0").seen.add(row_key((1,)))
+        assert row_key((1,)) in first.incoming_state("r0").seen
+        assert row_key((1,)) not in second.incoming_state("r0").seen
 
     def test_seen_sets_use_type_strict_identity(self):
+        # The sets hold row keys, never raw rows: 1, 1.0 and True are
+        # equal and hash alike in Python, their keys do not.
         _table, session = self.make()
-        state = session.incoming_state("r0")
-        state.mark_seen((1,))
-        assert state.has_seen((1,))
-        assert not state.has_seen((1.0,))
-        assert not state.has_seen((True,))
+        seen = session.incoming_state("r0").seen
+        seen.add(row_key((1,)))
+        assert row_key((1,)) in seen
+        assert row_key((1.0,)) not in seen
+        assert row_key((True,)) not in seen
 
     def test_fired_set_is_lifetime_and_shared(self):
         # The outgoing link's fired-set lives on the shared topology:
         # every session (and the push engine) dedups minting against it.
         table, _session = self.make()
-        link = table.outgoing["r1"]
-        assert not link.has_fired((2,))
-        link.mark_fired((2,))
-        assert link.has_fired((2,))
-        assert not link.has_fired((2.0,))
+        fired = table.outgoing["r1"].fired
+        assert row_key((2,)) not in fired
+        fired.add(row_key((2,)))
+        assert row_key((2,)) in LinkSession(table).table.outgoing["r1"].fired
+        assert row_key((2.0,)) not in fired
 
     def test_closing_stamps_diagnostic_mirror(self):
         table, session = self.make()
@@ -169,6 +172,11 @@ class TestClosureConditions:
         ] == ["r0"]
 
 
+def keyed(rows):
+    """The batch shape the link functions exchange: ``{row key: row}``."""
+    return {row_key(row): row for row in rows}
+
+
 class TestUndelivered:
     """The one send-memory filter shared by update sessions, the push
     engine and network queries."""
@@ -183,18 +191,18 @@ class TestUndelivered:
 
         link, taught = self.link(), set()
         link.pushed.add((1,))
-        rows, suppressed = undelivered(link, [(1,), (2,), (3,)], taught)
+        rows, suppressed = undelivered(link, keyed([(1,), (2,), (3,)]), taught)
         assert rows == [(2,), (3,)] and suppressed == 1
         assert link.pushed == {(1,), (2,), (3,)}
         assert taught == link.unsettled == {(2,), (3,)}
         # Another update sees the in-flight keys as delivered.
-        assert undelivered(link, [(2,), (4,)], set()) == ([(4,)], 1)
+        assert undelivered(link, keyed([(2,), (4,)]), set()) == ([(4,)], 1)
 
     def test_push_teaches_without_anything_to_settle(self):
         from repro.core.links import undelivered
 
         link = self.link()
-        assert undelivered(link, [(1,)], None) == ([(1,)], 0)
+        assert undelivered(link, keyed([(1,)]), None) == ([(1,)], 0)
         assert link.pushed == {(1,)} and not link.unsettled
 
     def test_query_skips_only_settled_keys_and_holds_what_it_ships(self):
@@ -204,13 +212,13 @@ class TestUndelivered:
         link.pushed.update({(1,), (2,)})
         link.unsettled.add((2,))  # an update still delivering it
         rows, suppressed = undelivered(
-            link, [(1,), (2,), (3,)], sent, settled_only=True
+            link, keyed([(1,), (2,), (3,)]), sent, settled_only=True
         )
         assert rows == [(2,), (3,)] and suppressed == 1
         assert sent == {(2,), (3,)}
         assert link.pushed == {(1,), (2,)} and link.unsettled == {(2,)}
         # The query's own shipments are not shipped twice, nor counted.
-        assert undelivered(link, [(3,)], sent, settled_only=True) == ([], 0)
+        assert undelivered(link, keyed([(3,)]), sent, settled_only=True) == ([], 0)
 
     def test_rollback_forgets_and_resets_marks(self):
         table = LinkTable("B", rules("A:item(x) <- B:item(x)"))

@@ -1,0 +1,364 @@
+"""Bursts: what one delivery makes a peer send to one recipient.
+
+The endpoint holds a delivery's sends in an outbox and hands each
+recipient's share to ``Transport.send_burst``; the simulator delivers
+a burst as one event, TCP as one frame train (continuation bit in the
+length prefix) handled in one scope.  A transport may split a burst
+anywhere — these tests pin both the whole and the split behaviour, and
+the frame boundary's fail-closed handling of hostile headers.
+"""
+
+import socket
+import struct
+import sys
+import threading
+from contextlib import contextmanager
+
+import pytest
+
+from repro.errors import FrameRejectedError, UnknownPeerError
+from repro.p2p import tcp
+from repro.p2p.endpoint import Endpoint
+from repro.p2p.faults import FaultInjector, FaultModel
+from repro.p2p.ids import IdAuthority
+from repro.p2p.inproc import InProcessNetwork
+from repro.p2p.messages import Message
+from repro.p2p.pipes import PipeTable
+from repro.p2p.tcp import FRAME_CONTINUES, MAX_FRAME_BYTES, TcpNetwork
+
+
+def msg(sender, recipient, n=0, kind="k"):
+    return Message(kind, sender, recipient, {"n": n}, message_id=f"{sender}-{n}")
+
+
+class Recorder:
+    """A peer that logs its deliveries with their scope boundaries."""
+
+    def __init__(self, transport, name):
+        self.log = []
+        transport.register(name, lambda m: self.log.append(m.payload["n"]), self.scope)
+
+    @contextmanager
+    def scope(self):
+        self.log.append("[")
+        try:
+            yield
+        finally:
+            self.log.append("]")
+
+
+@pytest.fixture
+def tcp_net():
+    network = TcpNetwork()
+    yield network
+    network.stop()
+
+
+class TestSimulatorBursts:
+    def test_a_burst_is_one_event_in_one_scope(self):
+        net = InProcessNetwork()
+        sink = Recorder(net, "A")
+        net.register("B", lambda m: None)
+        net.send_burst([msg("B", "A", n) for n in range(3)])
+        assert net.pending() == 3
+        assert net.step() == 3 and net.step() == 0
+        assert sink.log == ["[", 0, 1, 2, "]"]
+        assert net.stats.messages_sent == net.stats.messages_delivered == 3
+
+    def test_send_is_a_burst_of_one(self):
+        net = InProcessNetwork()
+        sink = Recorder(net, "A")
+        net.send(msg("B", "A", 7))
+        assert net.run_until_idle() == 1
+        assert sink.log == ["[", 7, "]"]
+
+    def test_unknown_recipient_raises_before_anything_is_counted(self):
+        net = InProcessNetwork()
+        with pytest.raises(UnknownPeerError):
+            net.send_burst([msg("B", "ghost", n) for n in range(2)])
+        assert net.stats.messages_sent == 0
+
+    def test_fault_verdicts_stay_per_message(self):
+        """A bounced message leaves the burst, a duplicated one repeats
+        in place, a delayed one cuts the burst in front of it."""
+
+        class Scripted(FaultModel):
+            name = "scripted"
+
+            def on_send(self, message, verdict):
+                n = message.payload["n"]
+                verdict.bounce = n == 1
+                verdict.copies = 2 if n == 2 else 1
+                verdict.extra_delay = 0.5 if n == 3 else 0.0
+
+        net = InProcessNetwork(faults=FaultInjector(Scripted()))
+        sink = Recorder(net, "A")
+        bounced = []
+        net.register("B", bounced.append)
+        net.send_burst([msg("B", "A", n) for n in range(5)])
+        net.run_until_idle()
+        assert sink.log == ["[", 0, 2, 2, "]", "[", 3, 4, "]"]
+        assert [m.kind for m in bounced] == ["undeliverable"]
+        assert bounced[0].payload["payload"] == {"n": 1}
+
+
+class TestEndpointOutbox:
+    def pair(self, transport):
+        ids = IdAuthority()
+        return Endpoint("A", transport, ids), Endpoint("B", transport, ids)
+
+    def test_a_deliverys_sends_leave_as_one_burst_per_recipient(self):
+        net = InProcessNetwork()
+        a, _b = self.pair(net)
+        c = Recorder(net, "C")
+        d = Recorder(net, "D")
+
+        def relay(message):
+            for n in range(3):
+                a.send("C", "k", {"n": n})
+            a.send("D", "k", {"n": 9})
+            assert net.pending() == 0  # nothing has left yet
+
+        a.on("go", relay)
+        net.send(msg("B", "A", kind="go"))
+        net.step()
+        assert net.pending() == 4
+        net.run_until_idle()
+        assert c.log == ["[", 0, 1, 2, "]"] and d.log == ["[", 9, "]"]
+
+    def test_sends_outside_a_delivery_go_straight_out(self):
+        net = InProcessNetwork()
+        a, _b = self.pair(net)
+        assert not a.delivering()
+        a.send("B", "k", {"n": 1})
+        assert net.pending() == 1
+
+    def test_unknown_recipient_surfaces_synchronously_from_pipe_send(self):
+        net = InProcessNetwork()
+        a, _b = self.pair(net)
+        raised = []
+
+        def handler(message):
+            pipe = PipeTable(a).pipe_to("ghost")
+            try:
+                pipe.send("k", {"n": 0})
+            except UnknownPeerError as exc:
+                raised.append(exc.peer_id)
+
+        a.on("go", handler)
+        net.send(msg("B", "A", kind="go"))
+        net.run_until_idle()
+        assert raised == ["ghost"]
+
+    def test_recipient_gone_at_flush_bounces_every_message(self):
+        net = InProcessNetwork()
+        a, b = self.pair(net)
+        bounces = []
+        a.on("undeliverable", bounces.append)
+        a.on_default(lambda m: None)  # B's departure notice
+
+        def handler(message):
+            a.send("B", "k", {"n": 0})
+            a.send("B", "k", {"n": 1})
+            b.detach()  # accepted at enqueue, gone before the flush
+
+        a.on("go", handler)
+        net.send(msg("C", "A", kind="go"))
+        net.run_until_idle()
+        assert [m.payload["payload"] for m in bounces] == [{"n": 0}, {"n": 1}]
+        assert all(m.payload["recipient"] == "B" for m in bounces)
+
+    def test_the_flush_runs_even_when_a_handler_raises(self):
+        net = InProcessNetwork()
+        a, b = self.pair(net)
+        got = []
+        b.on("k", got.append)
+
+        def handler(message):
+            a.send("B", "k", {"n": 0})
+            raise RuntimeError("boom")
+
+        a.on("go", handler)
+        net.send(msg("C", "A", kind="go"))
+        with pytest.raises(RuntimeError):
+            net.run_until_idle()
+        net.run_until_idle()
+        assert len(got) == 1
+
+    def test_the_outbox_belongs_to_the_delivering_thread(self, tcp_net):
+        a, b = self.pair(tcp_net)
+        got = []
+        arrived = threading.Event()
+        entered, release = threading.Event(), threading.Event()
+
+        def collect(message):
+            got.append(message.payload["n"])
+            arrived.set()
+
+        def handler(message):
+            a.send("B", "k", {"n": "held"})
+            entered.set()
+            assert release.wait(5.0)
+
+        b.on("k", collect)
+        a.on("go", handler)
+        tcp_net.send(msg("B", "A", kind="go"))
+        assert entered.wait(5.0)
+        assert not a.delivering()  # true on A's delivery thread only
+        a.send("B", "k", {"n": "driver"})
+        assert arrived.wait(5.0)
+        assert got == ["driver"]  # overtook what the delivery still holds
+        release.set()
+        tcp_net.run_until_idle()
+        assert got == ["driver", "held"]
+
+    def test_driver_sends_and_deliveries_interleave_without_loss(self, tcp_net):
+        """Stress: driver threads send through the endpoint while its
+        delivery thread keeps opening and flushing outboxes.  Every
+        message arrives exactly once, each sender's in its own order."""
+        a, b = self.pair(tcp_net)
+        got = []
+        b.on("k", lambda m: got.append(tuple(m.payload["n"])))
+
+        def relay(message):
+            for i in range(3):
+                a.send("B", "k", {"n": ["held", message.payload["n"], i]})
+
+        a.on("go", relay)
+        drivers, per_driver, deliveries = 4, 60, 80
+        expected = drivers * per_driver + 3 * deliveries
+
+        def drive(index):
+            for n in range(per_driver):
+                a.send("B", "k", {"n": ["driver", index, n]})
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(drivers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for n in range(deliveries):
+                tcp_net.send(msg("B", "A", n, kind="go"))
+            for thread in threads:
+                thread.join(20.0)
+                assert not thread.is_alive()
+            tcp_net.wait_for(lambda: len(got) >= expected, 20.0)
+            tcp_net.run_until_idle()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(got)) == len(got) == expected
+        for index in range(drivers):
+            mine = [n for kind, who, n in got if kind == "driver" and who == index]
+            assert mine == list(range(per_driver))
+        held = [(who, n) for kind, who, n in got if kind == "held"]
+        assert held == [(d, i) for d in range(deliveries) for i in range(3)]
+
+
+def frame(body: bytes, continues: bool = False) -> bytes:
+    return struct.pack(">I", len(body) | (FRAME_CONTINUES if continues else 0)) + body
+
+
+class TestTcpFrameTrains:
+    def test_a_burst_arrives_whole_in_one_scope_and_costs_no_extra_bytes(self, tcp_net):
+        sink = Recorder(tcp_net, "A")
+        tcp_net.register("B", lambda m: None)
+        burst = [msg("B", "A", n) for n in range(3)]
+        tcp_net.send_burst(burst)
+        tcp_net.run_until_idle()
+        assert sink.log == ["[", 0, 1, 2, "]"]
+        assert tcp_net.stats.wire_bytes_sent == sum(
+            4 + len(m.to_wire()) for m in burst
+        )
+
+    def test_single_messages_are_the_frames_they_always_were(self, tcp_net):
+        sink = Recorder(tcp_net, "A")
+        tcp_net.register("B", lambda m: None)
+        for n in range(2):
+            tcp_net.send(msg("B", "A", n))
+        tcp_net.run_until_idle()
+        assert sink.log == ["[", 0, "]", "[", 1, "]"]
+
+    def test_binary_connections_carry_bursts_too(self):
+        left, right = TcpNetwork(wire_codec="binary"), TcpNetwork(wire_codec="binary")
+        try:
+            sink = Recorder(right, "B")
+            left.register("A", lambda m: None)
+            left.add_remote_peer("B", right.port_of("B"))
+            left.send_burst([msg("A", "B", n) for n in range(3)])
+            right.wait_for(lambda: len(sink.log) == 5, 5.0)
+            assert sink.log == ["[", 0, 1, 2, "]"]
+            assert left._codecs[("A", "B")] == "binary"
+        finally:
+            left.stop()
+            right.stop()
+
+    def test_a_train_split_across_writes_is_still_one_burst(self, tcp_net):
+        sink = Recorder(tcp_net, "A")
+        bodies = [msg("B", "A", n).to_wire() for n in range(3)]
+        with socket.create_connection(("127.0.0.1", tcp_net.port_of("A"))) as raw:
+            raw.sendall(frame(bodies[0], True) + frame(bodies[1], True)[:7])
+            raw.sendall(frame(bodies[1], True)[7:] + frame(bodies[2]))
+            tcp_net.wait_for(lambda: len(sink.log) == 5, 5.0)
+        assert sink.log == ["[", 0, 1, 2, "]"]
+
+    def test_a_train_cut_short_delivers_what_arrived(self, tcp_net):
+        sink = Recorder(tcp_net, "A")
+        bodies = [msg("B", "A", n).to_wire() for n in range(2)]
+        with socket.create_connection(("127.0.0.1", tcp_net.port_of("A"))) as raw:
+            raw.sendall(frame(bodies[0], True) + frame(bodies[1], True))
+        tcp_net.wait_for(lambda: len(sink.log) == 4, 5.0)
+        assert sink.log == ["[", 0, 1, "]"]
+
+
+class TestFrameBoundary:
+    def assert_closed_by_peer(self, raw: socket.socket) -> None:
+        raw.settimeout(5.0)
+        assert raw.recv(1) == b""  # orderly close, not a hang
+
+    def test_oversize_header_closes_the_connection_and_the_server_survives(
+        self, tcp_net
+    ):
+        got = []
+        tcp_net.register("A", got.append)
+        tcp_net.register("B", lambda m: None)
+        port = tcp_net.port_of("A")
+        bystander = socket.create_connection(("127.0.0.1", port))
+        with socket.create_connection(("127.0.0.1", port)) as hostile:
+            # 2 GiB - 1 claimed; not a byte of it will ever be read.
+            hostile.sendall(struct.pack(">I", 0x7FFF_FFFF) + b"x" * 16)
+            self.assert_closed_by_peer(hostile)
+        assert tcp_net.stats.frames_rejected == 1
+        # An established connection and a fresh one both still deliver.
+        with bystander:
+            bystander.sendall(frame(msg("X", "A", 1).to_wire()))
+            tcp_net.send(msg("B", "A", 2))
+            tcp_net.wait_for(lambda: len(got) == 2, 5.0)
+        assert sorted(m.payload["n"] for m in got) == [1, 2]
+
+    def test_the_continuation_bit_is_not_a_length_bit(self, tcp_net):
+        tcp_net.register("A", lambda m: None)
+        with socket.create_connection(("127.0.0.1", tcp_net.port_of("A"))) as hostile:
+            hostile.sendall(struct.pack(">I", FRAME_CONTINUES | (MAX_FRAME_BYTES + 1)))
+            self.assert_closed_by_peer(hostile)
+        assert tcp_net.stats.frames_rejected == 1
+
+    def test_undecodable_body_is_rejected_the_same_way(self, tcp_net):
+        got = []
+        tcp_net.register("A", got.append)
+        with socket.create_connection(("127.0.0.1", tcp_net.port_of("A"))) as hostile:
+            hostile.sendall(
+                frame(msg("B", "A", 0).to_wire(), True) + frame(b'{"kind": 1')
+            )
+            self.assert_closed_by_peer(hostile)
+        assert tcp_net.stats.frames_rejected == 1
+        tcp_net.wait_for(lambda: len(got) == 1, 5.0)  # what decoded is mail
+        assert got[0].payload["n"] == 0
+
+    def test_oversize_body_is_refused_at_the_sender(self, tcp_net, monkeypatch):
+        monkeypatch.setattr(tcp, "MAX_FRAME_BYTES", 64)
+        tcp_net.register("A", lambda m: None)
+        tcp_net.register("B", lambda m: None)
+        with pytest.raises(FrameRejectedError):
+            tcp_net.send(Message("k", "B", "A", {"blob": "x" * 100}))
+        tcp_net.run_until_idle()  # the in-flight window was given back

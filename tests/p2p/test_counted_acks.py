@@ -1,0 +1,198 @@
+"""Counted acknowledgements: one ``ack`` per delivery, also under faults.
+
+A node sums what it owes during a delivery and pays it as one ``ack``
+carrying ``count`` (left out when it is 1).  These tests pin the paths
+where a count could get lost or be applied twice: a bounced ack's
+retransmission, acks from a peer the failure detector (partly) wrote
+off, and the stray-ack paths of the update and query engines.
+"""
+
+import itertools
+
+import pytest
+
+from repro.core.node import CoDBNode, NodeConfig
+from repro.core.rules import CoordinationRule
+from repro.core.termination import DiffusingComputation
+from repro.errors import ProtocolError
+from repro.p2p.ids import IdAuthority
+from repro.p2p.inproc import InProcessNetwork
+from repro.p2p.messages import Message
+from repro.relational.parser import parse_schema
+
+
+def detector():
+    completed = []
+    return DiffusingComputation(lambda to, cid: None, completed.append), completed
+
+
+class TestCountedOnAck:
+    def test_one_ack_drains_its_whole_count(self):
+        d, completed = detector()
+        d.start_root("c")
+        d.note_sent("c", "P", count=3)
+        d.on_ack("c", "P", 3)
+        assert d.deficit("c") == 0 and completed == ["c"]
+
+    def test_count_defaults_to_one(self):
+        d, completed = detector()
+        d.start_root("c")
+        d.note_sent("c", "P", count=2)
+        d.on_ack("c", "P")
+        assert d.deficit("c") == 1 and completed == []
+
+    def test_partly_written_off_peer_drains_only_what_is_left(self):
+        """Two of P's five messages bounced; its ack for all five must
+        not raise "more acks than messages", nor touch Q's share."""
+        d, completed = detector()
+        d.start_root("c")
+        d.note_sent("c", "P", count=5)
+        d.note_sent("c", "Q")
+        d.on_bounce("c", "P")
+        d.on_bounce("c", "P")
+        d.on_ack("c", "P", 5)
+        assert d.deficit("c") == 1 and completed == []
+        d.on_ack("c", "Q")
+        assert completed == ["c"]
+
+    def test_fully_written_off_peer_is_ignored(self):
+        d, completed = detector()
+        d.start_root("c")
+        d.note_sent("c", "P", count=3)
+        d.note_sent("c", "Q")
+        d.on_peer_down("P")
+        d.on_ack("c", "P", 3)  # late: the failure detector was first
+        assert d.deficit("c") == 1 and completed == []
+
+    def test_anonymous_over_ack_is_still_a_protocol_error(self):
+        d, _ = detector()
+        d.start_root("c")
+        d.note_sent("c", count=1)
+        with pytest.raises(ProtocolError):
+            d.on_ack("c", count=2)
+
+
+class Fabric:
+    """One real node ``A`` importing from a scripted peer ``B``."""
+
+    def __init__(self, config: NodeConfig | None = None) -> None:
+        self.net = InProcessNetwork()
+        self.heard: list[Message] = []
+        self.ids = (f"b-{n}" for n in itertools.count())
+        self.net.register("B", self.heard.append)
+        self.node = CoDBNode(
+            "A",
+            parse_schema("item(k: int)"),
+            self.net,
+            IdAuthority(),
+            config=config,
+        )
+        self.node.set_rules(
+            [CoordinationRule.from_text("r", "A:item(k) <- B:item(k)")]
+        )
+
+    def from_b(self, *messages: tuple[str, dict]) -> None:
+        """Deliver *messages* from ``B`` to ``A`` as one burst."""
+        self.net.send_burst(
+            [
+                Message(kind, "B", "A", payload, message_id=next(self.ids))
+                for kind, payload in messages
+            ]
+        )
+        self.net.run_until_idle()
+
+    def acks(self) -> list[dict]:
+        return [m.payload for m in self.heard if m.kind == "ack"]
+
+
+def result(update_id: str, *keys: int) -> tuple[str, dict]:
+    return (
+        "query_result",
+        {"update_id": update_id, "rule_id": "r", "rows": [[k] for k in keys]},
+    )
+
+
+class TestBouncedAck:
+    def bounce(self, payload: dict) -> tuple[str, dict]:
+        return ("undeliverable", {"kind": "ack", "payload": payload, "recipient": "B"})
+
+    def test_retransmission_keeps_the_count(self):
+        fabric = Fabric()
+        fabric.from_b(self.bounce({"computation_id": "update-x", "count": 3}))
+        assert fabric.acks() == [{"computation_id": "update-x", "count": 3}]
+
+    def test_a_single_ack_is_retransmitted_bare(self):
+        fabric = Fabric()
+        fabric.from_b(self.bounce({"computation_id": "update-x"}))
+        assert fabric.acks() == [{"computation_id": "update-x"}]
+
+    def test_no_retransmission_toward_a_peer_reported_down(self):
+        fabric = Fabric()
+        fabric.from_b(("peer_down", {"peer": "B"}))
+        fabric.from_b(self.bounce({"computation_id": "update-x", "count": 3}))
+        assert fabric.acks() == []
+
+
+class TestStrayAcks:
+    def test_burst_for_a_completed_update_gets_one_counted_ack(self):
+        fabric = Fabric()
+        fabric.node.updates.completed_updates.add("update-done")
+        fabric.from_b(
+            result("update-done", 1),
+            result("update-done", 2),
+            ("link_closed", {"update_id": "update-done", "rule_id": "r"}),
+        )
+        assert fabric.acks() == [{"computation_id": "update-done", "count": 3}]
+        assert fabric.node.rows("item") == []  # dropped, not ingested
+
+    def test_single_stray_is_acked_bare(self):
+        fabric = Fabric()
+        fabric.node.updates.completed_updates.add("update-done")
+        fabric.from_b(result("update-done", 1))
+        assert fabric.acks() == [{"computation_id": "update-done"}]
+
+    def test_update_dropped_from_admission_acks_its_deferred_messages_once(self):
+        fabric = Fabric(NodeConfig(max_active_sessions=1))
+        node = fabric.node
+        node.admission.try_enter("update-live-0001", "update")  # the only slot
+        request = (
+            "update_request",
+            {"update_id": "update-late-0002", "origin": "B", "path": ["B"]},
+        )
+        fabric.from_b(request, result("update-late-0002", 1))
+        assert node.admission.is_deferred("update-late-0002")
+        assert fabric.acks() == []  # deferred un-acked: B's deficit stays open
+        fabric.from_b(("update_complete", {"update_id": "update-late-0002"}))
+        assert fabric.acks() == [{"computation_id": "update-late-0002", "count": 2}]
+
+    def test_query_dropped_from_admission_acks_its_deferred_messages_once(self):
+        fabric = Fabric(NodeConfig(max_active_sessions=1))
+        node = fabric.node
+        node.admission.try_enter("update-live-0001", "update")
+        request = {
+            "query_id": "query-late-0002",
+            "origin": "B",
+            "label": ["B"],
+            "rule_ids": [],
+        }
+        fabric.from_b(("query_request", request), ("query_request", request))
+        assert fabric.acks() == []
+        fabric.from_b(("query_complete", {"query_id": "query-late-0002"}))
+        assert fabric.acks() == [{"computation_id": "query-late-0002", "count": 2}]
+
+
+class TestOneAckPerDelivery:
+    def test_a_burst_is_acknowledged_once_a_split_burst_per_part(self):
+        def acks_for(*bursts):
+            fabric = Fabric()
+            node = fabric.node
+            update_id = node.submit_update_id()  # A is the root: nothing deferred
+            fabric.net.run_until_idle()
+            for burst in bursts:
+                fabric.from_b(*(result(update_id, key) for key in burst))
+            assert sorted(node.rows("item")) == [(1,), (2,), (3,)]
+            return [ack.get("count", 1) for ack in fabric.acks()]
+
+        assert acks_for([1, 2, 3]) == [3]
+        assert acks_for([1], [2, 3]) == [1, 2]
+        assert acks_for([1], [2], [3]) == [1, 1, 1]

@@ -1,0 +1,96 @@
+"""Message budget of one global update on the benchmark's chatty chain.
+
+``benchmarks/spine``'s ``update_chatty_tcp`` fails a whole run when
+its message or byte counts differ between repetitions.  This is the
+same network — an 8-node copy chain, ``batch_rows=8``, 20 fresh rows
+at every non-origin node, one update from ``N0`` — checked in a second:
+the counts must not depend on the transport or on socket timing, the
+acknowledgements stay within their burst budget, and the paper's §4
+statistics are what they were before bursts existed.
+"""
+
+import random
+
+import pytest
+
+from repro import CoDBNetwork, NodeConfig, TcpNetwork
+
+NODES = 8
+ROWS_PER_NODE = 20
+
+
+def run_update(transport=None) -> dict:
+    net = CoDBNetwork(
+        seed=0,
+        transport=transport,
+        with_superpeer=False,
+        config=NodeConfig(batch_rows=8),
+    )
+    try:
+        for i in range(NODES):
+            net.add_node(f"N{i}", "item(k: int, v: int)")
+        for i in range(NODES - 1):
+            net.add_rule(f"N{i}:item(k, v) <- N{i + 1}:item(k, v)")
+        net.start()
+        rng = random.Random(16)
+        for node in range(1, NODES):
+            # Fixed-width values: message bytes do not depend on the draw.
+            base = 100_000_000 + node * 10_000_000
+            rows = [
+                (key, 100 + rng.randrange(900))
+                for key in rng.sample(range(base, base + 100_000), ROWS_PER_NODE)
+            ]
+            net.node(f"N{node}").load_facts({"item": rows})
+        net.run()
+        stats = net.transport.stats
+        kinds_before, bytes_before = dict(stats.by_kind), stats.bytes_sent
+        outcome = net.global_update("N0")
+        net.run()  # the last acks trail the handle's completion
+        assert outcome.report.outcome == "complete"
+        assert len(net.node("N0").rows("item")) == (NODES - 1) * ROWS_PER_NODE
+        report = outcome.report
+        return {
+            "by_kind": {
+                kind: count - kinds_before.get(kind, 0)
+                for kind, count in stats.by_kind.items()
+                if count != kinds_before.get(kind, 0)
+            },
+            "bytes_sent": stats.bytes_sent - bytes_before,
+            "result_msgs": report.total_messages,
+            "rules": len(report.messages_per_rule()),
+            "volume": sum(report.message_volumes()),
+            "longest_path": report.longest_path,
+        }
+    finally:
+        net.stop()
+
+
+@pytest.fixture(scope="module")
+def simulated():
+    return run_update()
+
+
+def test_counts_do_not_depend_on_transport_or_timing(simulated):
+    for _ in range(3):
+        assert run_update(TcpNetwork()) == simulated
+
+
+def test_acks_and_total_stay_within_the_burst_budget(simulated):
+    by_kind = simulated["by_kind"]
+    # One ack per data burst (1 + 2 + ... + 7) and one per tree edge.
+    assert by_kind["ack"] <= 35
+    assert sum(by_kind.values()) <= 140
+    assert by_kind == {
+        "update_request": 7,
+        "query_result": 84,
+        "link_closed": 7,
+        "update_complete": 7,
+        "ack": by_kind["ack"],
+    }
+
+
+def test_section_4_statistics_are_unmoved(simulated):
+    assert simulated["rules"] == 7
+    assert simulated["result_msgs"] / simulated["rules"] == 12
+    assert round(simulated["volume"] / simulated["result_msgs"], 2) == 177.67
+    assert simulated["longest_path"] == 7

@@ -283,7 +283,8 @@ class TestWrapperIntegration:
         mapping = parse_mapping("X:flag('on') <- Y:r(x)").mapping
         view = store._view()
         assert evaluate_mapping_bindings(view, mapping) == [{}]
-        assert evaluate_mapping_bindings_planned(view, mapping, PlanCache()) == [{}]
+        # Planned bindings are positional: one empty tuple, keyed as itself.
+        assert evaluate_mapping_bindings_planned(view, mapping, PlanCache()) == {(): ()}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +390,13 @@ def canonical_bindings(bindings):
     return {tuple(sorted(b.items(), key=lambda kv: kv[0])) for b in bindings}
 
 
+def named(mapping, keyed):
+    """Planned bindings (``{row key: frontier values}``) as the
+    interpreter's binding dicts."""
+    frontier = sorted(mapping.frontier_variables())
+    return [dict(zip(frontier, row)) for row in keyed.values()]
+
+
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(20))
     def test_full_evaluation_matches_interpreter(self, seed):
@@ -455,7 +463,7 @@ class TestDifferential:
         )
         expected = canonical_bindings(evaluate_mapping_bindings(db, mapping))
         actual = canonical_bindings(
-            evaluate_mapping_bindings_planned(db, mapping, cache)
+            named(mapping, evaluate_mapping_bindings_planned(db, mapping, cache))
         )
         assert actual == expected
         for _ in range(3):
@@ -467,12 +475,15 @@ class TestDifferential:
                 )
             )
             actual = canonical_bindings(
-                evaluate_mapping_bindings_planned(
-                    db,
+                named(
                     mapping,
-                    cache,
-                    changed_relation=changed,
-                    delta_rows=delta,
+                    evaluate_mapping_bindings_planned(
+                        db,
+                        mapping,
+                        cache,
+                        changed_relation=changed,
+                        delta_rows=delta,
+                    ),
                 )
             )
             assert actual == expected, f"seed={seed} changed={changed}"

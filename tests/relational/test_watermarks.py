@@ -8,7 +8,8 @@ and the evaluation over a tail, self-joins included.
 
 import pytest
 
-from repro.core.links import IncomingLink, activation_rows
+from repro.core import links
+from repro.core.links import IncomingLink
 from repro.core.rules import CoordinationRule
 from repro.relational.parser import parse_schema
 from repro.relational.wrapper import MediatorStore, MemoryStore, SqliteStore
@@ -81,6 +82,15 @@ class TestStoreWatermarks:
         store.clear()
         store.insert_new("node", [(1,)])
         assert store.rows_since("node", mark) is None
+
+
+def activation_rows(store, link, *, incremental):
+    """``links.activation_rows`` with the keyed batch flattened to the
+    rows it carries (row keys are pinned in ``test_values``)."""
+    rows, activated_at, skipped = links.activation_rows(
+        store, link, incremental=incremental
+    )
+    return list(rows.values()), activated_at, skipped
 
 
 def link_for(text: str) -> IncomingLink:

@@ -79,7 +79,8 @@ class TestStoreContract:
     def test_evaluate_mapping_bindings(self, store):
         store.insert_new("person", [("anna", 24), ("bob", 17)])
         mapping = parse_mapping("X:r(n) <- Y:person(n, a), a >= 18").mapping
-        assert store.evaluate_mapping_bindings(mapping) == [{"n": "anna"}]
+        # Positional over the sorted frontier (here just ``n``), keyed.
+        assert store.evaluate_mapping_bindings(mapping) == {("anna",): ("anna",)}
 
     def test_delete_rows(self, store):
         store.insert_new("person", [("anna", 24), ("bob", 30)])
