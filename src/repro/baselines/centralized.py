@@ -124,6 +124,10 @@ class CentralizedExchange:
         database = self._build_database(node_data)
         nulls = NullFactory("central")
         fired: dict[str, set[tuple]] = {rule.rule_id: set() for rule in self.rules}
+        # rule id -> sizes of its body relations when it last ran.  The
+        # chase only ever inserts, so unchanged sizes mean unchanged
+        # relations, and the rule has nothing new to fire.
+        evaluated_on: dict[str, tuple[int, ...]] = {}
         rounds = 0
         rule_firings = 0
         tuples_added = 0
@@ -134,6 +138,10 @@ class CentralizedExchange:
             changed = False
             for rule in self.rules:
                 mapping = self._qualified[rule.rule_id]
+                sizes = tuple(len(database.relation(atom.relation)) for atom in mapping.body)
+                if evaluated_on.get(rule.rule_id) == sizes:
+                    continue
+                evaluated_on[rule.rule_id] = sizes
                 frontier = tuple(sorted(mapping.frontier_variables()))
                 bindings = evaluate_mapping_bindings(database, mapping)
                 new_bindings = []

@@ -227,23 +227,29 @@ def rows_equal_up_to_nulls(
     """
     from collections import Counter
 
-    from repro.relational.values import row_key
+    from repro.relational.values import row_keys
 
     left_rows = list(left)
     right_rows = list(right)
     if len(left_rows) != len(right_rows):
         return False
 
-    def has_null(row: Row) -> bool:
-        return any(isinstance(v, MarkedNull) for v in row)
+    def split(rows: list[Row]) -> tuple[list[Row], list[Row]]:
+        """(rows carrying a null, null-free rows), each side once."""
+        with_nulls: list[Row] = []
+        ground: list[Row] = []
+        for row in rows:
+            if any(isinstance(v, MarkedNull) for v in row):
+                with_nulls.append(row)
+            else:
+                ground.append(row)
+        return with_nulls, ground
 
-    left_nulls = [row for row in left_rows if has_null(row)]
-    right_nulls = [row for row in right_rows if has_null(row)]
+    left_nulls, left_ground = split(left_rows)
+    right_nulls, right_ground = split(right_rows)
     if len(left_nulls) != len(right_nulls):
         return False
-    left_ground = Counter(row_key(row) for row in left_rows if not has_null(row))
-    right_ground = Counter(row_key(row) for row in right_rows if not has_null(row))
-    if left_ground != right_ground:
+    if Counter(row_keys(left_ground)) != Counter(row_keys(right_ground)):
         return False
     if not left_nulls:
         return True

@@ -9,10 +9,11 @@ bodies may only reference exported relations of the acquaintance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
 
 from repro.errors import ArityError, SchemaError, TypeMismatchError, UnknownRelationError
-from repro.relational.values import MarkedNull, Row, check_value
+from repro.relational.values import MarkedNull, Row, Value, check_value
 
 #: Attribute type names accepted by the textual syntax.
 ATTRIBUTE_TYPES: dict[str, type | tuple[type, ...]] = {
@@ -21,6 +22,19 @@ ATTRIBUTE_TYPES: dict[str, type | tuple[type, ...]] = {
     "float": (int, float),
     "str": str,
     "bool": bool,
+}
+
+#: The concrete classes a column of each type admits without a closer
+#: look (bool is an int to ``isinstance``, so an ``int`` or ``float``
+#: column names its classes one by one; marked nulls go anywhere).
+#: A value of any other class — a subclass of one of these, or rubbish —
+#: is judged by :meth:`AttributeDef.admits`.
+_ADMITTED_CLASSES: dict[str, frozenset[type]] = {
+    "any": frozenset({int, float, str, bool, MarkedNull}),
+    "int": frozenset({int, MarkedNull}),
+    "float": frozenset({int, float, MarkedNull}),
+    "str": frozenset({str, MarkedNull}),
+    "bool": frozenset({bool, MarkedNull}),
 }
 
 
@@ -154,6 +168,32 @@ class RelationSchema:
                     f"(relation {self.name!r}, attribute {attr.name!r})"
                 )
         return tuple(row)
+
+    @cached_property
+    def _admitted_classes(self) -> tuple[frozenset[type], ...]:
+        return tuple(_ADMITTED_CLASSES[a.type_name] for a in self.attributes)
+
+    def validate_rows(self, rows: Iterable[Sequence[Value]]) -> list[Row]:
+        """:meth:`validate_row` for a batch: the rows as tuples, or the
+        error of the first row that does not fit.
+
+        Whether a value fits depends on its class alone, so a batch is
+        checked column by column — the set of classes in the column
+        against the classes the attribute admits — instead of value by
+        value; only a batch holding something out of the ordinary is
+        walked row by row.
+        """
+        rows = list(rows)
+        if not rows:
+            return rows
+        if set(map(type, rows)) != {tuple}:
+            rows = list(map(tuple, rows))
+        if set(map(len, rows)) == {self.arity} and all(
+            admitted.issuperset(map(type, column))
+            for admitted, column in zip(self._admitted_classes, zip(*rows))
+        ):
+            return rows
+        return [self.validate_row(row) for row in rows]
 
     def __str__(self) -> str:
         parts = []

@@ -48,7 +48,15 @@ from itertools import islice
 
 from repro.errors import SchemaError
 from repro.relational.schema import RelationSchema
-from repro.relational.values import Row, Value, row_key, row_sort_key, same_value, value_key
+from repro.relational.values import (
+    Row,
+    Value,
+    row_key,
+    row_keys,
+    same_value,
+    sort_rows,
+    value_key,
+)
 
 #: Rows inspected (in insertion order) by the index-free NDV estimator.
 NDV_SAMPLE_LIMIT = 256
@@ -122,7 +130,7 @@ class Relation:
 
     def sorted_rows(self) -> list[Row]:
         """All rows in a canonical total order (for reports and tests)."""
-        return sorted(self._rows.values(), key=row_sort_key)
+        return sort_rows(self._rows.values())
 
     # ------------------------------------------------------------------
     # Mutation
@@ -153,38 +161,30 @@ class Relation:
 
     def insert(self, row: Sequence[Value]) -> bool:
         """Insert one row; return ``True`` iff it was not present."""
-        validated = self.schema.validate_row(tuple(row))
-        key = row_key(validated)
-        if key in self._rows:
-            return False
-        self._rows[key] = validated
-        self._index_row(key, validated)
-        self._version += 1
-        return True
+        return bool(self.insert_new([row]))
 
     def insert_new(self, rows: Iterable[Sequence[Value]]) -> list[Row]:
         """Insert many rows; return the ones that were actually new.
 
         This is the paper's ``T' = T \\ R`` step followed by
         ``R := R ∪ T'``: the returned list is the delta used to
-        recompute dependent incoming links.  One running set tracks the
-        batch's own duplicates, so a batch of *n* rows costs O(n), not
-        O(n²).
+        recompute dependent incoming links.  The batch's own duplicates
+        are caught as it is walked, so *n* rows cost O(n), not O(n²).
         """
-        fresh: list[tuple[tuple, Row]] = []
-        fresh_seen: set[tuple] = set()
-        for row in rows:
-            validated = self.schema.validate_row(tuple(row))
-            key = row_key(validated)
-            if key not in self._rows and key not in fresh_seen:
-                fresh.append((key, validated))
-                fresh_seen.add(key)
-        for key, row in fresh:
-            self._rows[key] = row
-            self._index_row(key, row)
-        if fresh:
-            self._version += 1
-        return [row for _, row in fresh]
+        validated = self.schema.validate_rows(rows)
+        stored = self._rows
+        fresh: dict[tuple, Row] = {}
+        for key, row in zip(row_keys(validated), validated):
+            if key not in stored and key not in fresh:
+                fresh[key] = row
+        if not fresh:
+            return []
+        stored.update(fresh)
+        if self._indexes or self._multi_indexes:
+            for key, row in fresh.items():
+                self._index_row(key, row)
+        self._version += 1
+        return list(fresh.values())
 
     def delete(self, row: Sequence[Value]) -> bool:
         """Delete one row; return ``True`` iff it was present."""

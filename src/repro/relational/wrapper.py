@@ -122,7 +122,7 @@ from repro.relational.planner import (
 )
 from repro.relational.schema import DatabaseSchema
 from repro.relational.storage import Relation
-from repro.relational.values import MarkedNull, Row, Value, row_sort_key
+from repro.relational.values import MarkedNull, Row, Value, sort_rows
 
 
 class Wrapper:
@@ -305,7 +305,7 @@ class Wrapper:
     def snapshot(self) -> dict[str, list[Row]]:
         """``{relation: sorted rows}``, canonical across back ends."""
         return {
-            name: sorted(self.rows(name), key=row_sort_key)
+            name: sort_rows(self.rows(name))
             for name in self.schema.relation_names
         }
 
@@ -883,7 +883,7 @@ class SqliteStore(Wrapper):
 
     def insert_new(self, relation: str, rows: Iterable[Sequence[Value]]) -> list[Row]:
         schema = self.schema[relation]
-        validated = [schema.validate_row(tuple(row)) for row in rows]
+        validated = schema.validate_rows(rows)
         if not validated:
             return []
         if not self.BATCH_RETURNING or schema.arity == 0:

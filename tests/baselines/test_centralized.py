@@ -50,6 +50,28 @@ class TestChase:
         assert nulls[0] != nulls[1]
         assert result.nulls_minted == 2
 
+    def test_rule_over_unchanged_relations_is_not_evaluated_again(self, monkeypatch):
+        from repro.baselines import centralized
+
+        evaluated = []
+        evaluate = centralized.evaluate_mapping_bindings
+
+        def counting(database, mapping, **kwargs):
+            evaluated.append(mapping.body[0].relation)
+            return evaluate(database, mapping, **kwargs)
+
+        monkeypatch.setattr(centralized, "evaluate_mapping_bindings", counting)
+        exchange = CentralizedExchange(
+            schemas(A="p(x)", B="q(x)", C="r(x)"),
+            rules("B:q(x) <- A:p(x)", "C:r(x) <- B:q(x)", "A:p(x) <- C:r(x)"),
+        )
+        result = exchange.run({"A": {"p": [(1,)]}, "B": {"q": [(2,)]}, "C": {"r": []}})
+        # Round 1 moves 1 to q, then 1 and 2 to r, then 2 to p.  Round 2
+        # re-runs only the rule reading p — the one relation that grew
+        # after its reader ran — and that adds nothing (2 is in q).
+        assert evaluated == ["A__p", "B__q", "C__r", "A__p"]
+        assert (result.rounds, result.rule_firings, result.tuples_added) == (2, 6, 4)
+
     def test_divergent_chase_guard(self):
         exchange = CentralizedExchange(
             schemas(A="seed(x)", B="pair(x, w)"),
