@@ -26,6 +26,11 @@ dependencies:
     §4 lifetime statistics + gateway counters in Prometheus text
     format (:mod:`repro.service.metrics`).
 
+Connections are kept alive.  A handler closes — saying ``Connection:
+close`` in its last reply — when the client asked for that, after a
+``500`` or a request it could not frame (``400`` / ``413`` / ``431``),
+once shutdown has begun, or after ``KEEPALIVE_IDLE_S`` without a request.
+
 Threading model — the part that keeps the no-sleep-polling invariant:
 
 * the asyncio event loop never touches the network.  Submissions,
@@ -33,10 +38,13 @@ Threading model — the part that keeps the no-sleep-polling invariant:
   dedicated network executor thread, so a single-threaded simulator
   transport sees strictly serialized access, exactly like a driver
   script;
-* on a simulator transport the gateway *pumps* (``network.run()``)
-  on that executor after every submission — the event queue drains,
-  sessions complete, and completion listeners fire;
-* completion crosses back via
+* a submission is ONE job on that executor: submit, *pump* a simulator
+  transport (``network.run()`` — the event queue drains, sessions
+  complete, completion listeners fire) and, if the handle is done by
+  then, assemble its result.  The record settles from that one return;
+  its outcome is JSON-encoded once and polls splice the stored text;
+* a handle still pending after its job (real transports, requests
+  queued behind admission) crosses back via
   :meth:`~repro.core.requests.RequestHandle.asyncio_future` —
   done-callbacks marshalled onto the loop with
   ``call_soon_threadsafe`` — so the loop awaits futures, never polls.
@@ -50,8 +58,9 @@ gateway-side, so one tenant's burst can never head-of-line-block
 another's.
 
 Shutdown (``SIGTERM`` under ``repro serve``, or
-:meth:`ServiceGateway.shutdown`): stop accepting, drain in-flight
-requests (``network.drain``), retract what is still queued, and
+:meth:`ServiceGateway.shutdown`): stop accepting, close the connections
+parked between requests (busy ones close behind their reply), drain
+in-flight requests (``network.drain``), retract what is still queued, and
 force-fail whatever remains — every handle the gateway ever accepted
 settles as done / cancelled / failed before the loop exits.
 """
@@ -66,7 +75,7 @@ import json
 import signal
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
@@ -84,6 +93,8 @@ DEFAULT_TENANT = "default"
 MAX_BODY_BYTES = 1 << 20
 #: Settled request records kept for ``GET /v1/result`` (FIFO trim).
 RESULT_RETENTION = 4096
+#: Seconds a connection may sit between requests before it is dropped.
+KEEPALIVE_IDLE_S = 75.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -93,6 +104,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -189,43 +201,55 @@ class _HttpRequest:
         return payload
 
 
+class _BadRequest(Exception):
+    """A request that cannot be framed: answered with ``args[0]``, then
+    the connection closes (where the next one starts is unknowable)."""
+
+
+def parse_header_lines(lines: list[str]) -> dict[str, str]:
+    """``Name: value`` lines as a dict keyed by lower-cased name."""
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return headers
+
+
 async def _read_http_request(
     reader: asyncio.StreamReader,
 ) -> _HttpRequest | None:
     try:
         head = await reader.readuntil(b"\r\n\r\n")
-    except (
-        asyncio.IncompleteReadError,
-        asyncio.LimitOverrunError,
-        ConnectionError,
-    ):
+    except asyncio.LimitOverrunError:
+        raise _BadRequest(431, "request header block is too large") from None
+    except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    lines = head.decode("latin-1").split("\r\n")
+    lines = head[:-4].decode("latin-1").split("\r\n")
     try:
         method, target, _version = lines[0].split(" ", 2)
     except ValueError:
-        return None
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+        raise _BadRequest(400, "malformed request line") from None
+    headers = parse_header_lines(lines[1:])
+    declared = headers.get("content-length", "0") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _BadRequest(400, f"invalid Content-Length {declared!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
-        raise CoDBError(f"request body of {length} bytes exceeds the cap")
+        raise _BadRequest(413, f"a {length}-byte request body exceeds the cap")
     body = await reader.readexactly(length) if length else b""
     return _HttpRequest(method.upper(), target, headers, body)
 
 
 def _http_response(
     status: int,
-    payload: dict[str, Any] | str,
+    payload: dict[str, Any] | str | bytes,
     *,
     content_type: str = "application/json",
     extra_headers: dict[str, str] | None = None,
 ) -> bytes:
-    if isinstance(payload, str):
+    if isinstance(payload, bytes):
+        body = payload
+    elif isinstance(payload, str):
         body = payload.encode("utf-8")
     else:
         body = (json.dumps(payload) + "\n").encode("utf-8")
@@ -237,6 +261,11 @@ def _http_response(
     for name, value in (extra_headers or {}).items():
         headers.append(f"{name}: {value}")
     return ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _closing(response: bytes) -> bytes:
+    """*response*, announcing that the connection closes behind it."""
+    return response.replace(b"\r\n", b"\r\nConnection: close\r\n", 1)
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +297,9 @@ class _GatewayRequest:
         "settled",
     )
 
-    def __init__(self, handle, kind: str, tenant: str, target: str) -> None:
+    def __init__(
+        self, handle, kind: str, tenant: str, target: str, submitted_at: float
+    ) -> None:
         self.request_id = handle.request_id
         self.kind = kind
         self.tenant = tenant
@@ -276,9 +307,10 @@ class _GatewayRequest:
         self.handle = handle
         self.status = "pending"
         self.ok: bool | None = None
-        self.result: Any = None
+        #: The outcome as JSON text, encoded once when the record settles.
+        self.result = ""
         self.error = ""
-        self.submitted_at = time.monotonic()
+        self.submitted_at = submitted_at
         self.latency = 0.0
         self.done_event = asyncio.Event()
         self.settled = False
@@ -347,8 +379,11 @@ class ServiceGateway:
             max_workers=1, thread_name_prefix="codb-gateway-net"
         )
         self._requests: "OrderedDict[str, _GatewayRequest]" = OrderedDict()
+        #: Connections parked between requests -> their handler tasks.
+        self._idle: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._subscribers: set[asyncio.Queue] = set()
         self._finishers: set[asyncio.Task] = set()
+        self._shutdown_task: asyncio.Task | None = None
         self._accepting = False
         self._shutdown_started = False
         self._closed = asyncio.Event()
@@ -362,6 +397,7 @@ class ServiceGateway:
         self._requests_total: dict[tuple[str, str], int] = {}
         self._completed_total: dict[str, int] = {}
         self._rejected_total = 0
+        self._bad_requests_total: dict[int, int] = defaultdict(int)
         self._retractions_total = 0
         self._stream_clients = 0
         self._latency_sum = 0.0
@@ -403,11 +439,17 @@ class ServiceGateway:
     def request_shutdown(self) -> None:
         """Begin shutdown from a signal handler or another thread."""
         loop = self._loop
-        if loop is None or loop.is_closed():
+        if loop is None:
             return
-        loop.call_soon_threadsafe(
-            lambda: loop.create_task(self.shutdown())
-        )
+
+        def begin() -> None:
+            if not self._shutdown_started:
+                self._shutdown_task = loop.create_task(self.shutdown())
+
+        # A loop that has closed, or is past running callbacks, has
+        # finished (or is finishing) the shutdown already.
+        with contextlib.suppress(RuntimeError):
+            loop.call_soon_threadsafe(begin)
 
     async def shutdown(self) -> None:
         """Stop accepting, drain the storm, settle every record.
@@ -424,6 +466,13 @@ class ServiceGateway:
         self._accepting = False
         if self._server is not None:
             self._server.close()
+            # Parked connections would hold the server open (3.12+) or
+            # end as cancelled tasks; busy ones close behind their reply.
+            parked = list(self._idle.values())
+            for writer in self._idle:
+                writer.close()
+            if parked:
+                await asyncio.wait(parked)
             await self._server.wait_closed()
         pending = [r for r in self._requests.values() if not r.settled]
         if pending:
@@ -462,7 +511,6 @@ class ServiceGateway:
                     self._settle(
                         record,
                         "failed",
-                        ok=False,
                         error="gateway shut down before completion",
                     )
         self._broadcast({"event": "shutdown"})
@@ -484,20 +532,29 @@ class ServiceGateway:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            while True:
+            while self._accepting:
+                self._idle[writer] = asyncio.current_task()
+                timer = self._loop.call_later(KEEPALIVE_IDLE_S, writer.close)
                 try:
                     request = await _read_http_request(reader)
-                except CoDBError as exc:
-                    writer.write(_http_response(413, {"error": str(exc)}))
+                except _BadRequest as exc:
+                    status, message = exc.args
+                    self._bad_requests_total[status] += 1
+                    response = _http_response(status, {"error": message})
+                    writer.write(_closing(response))
                     await writer.drain()
                     return
-                if request is None:
-                    return
+                finally:
+                    timer.cancel()
+                    del self._idle[writer]
+                if request is None or writer.is_closing():
+                    return  # EOF — or closed while parked: cannot reply
                 if request.path == "/v1/stream" and request.method == "GET":
                     await self._serve_stream(request, reader, writer)
                     return
                 response, keep_alive = await self._dispatch(request)
-                writer.write(response)
+                keep_alive = keep_alive and self._accepting
+                writer.write(response if keep_alive else _closing(response))
                 await writer.drain()
                 if not keep_alive:
                     return
@@ -610,22 +667,29 @@ class ServiceGateway:
                 extra_headers={"Retry-After": f"{exc.retry_after:g}"},
             )
         loop = asyncio.get_running_loop()
+        submitted_at = time.monotonic()
         try:
-            handle = await loop.run_in_executor(self._net_exec, submit)
+            handle, outcome = await loop.run_in_executor(
+                self._net_exec, self._run_submission, submit
+            )
         except Exception as exc:
             self.quotas.release(tenant)
             status = 400 if isinstance(exc, CoDBError) else 500
             return _http_response(status, {"error": str(exc)})
-        record = _GatewayRequest(handle, kind, tenant, target)
+        record = _GatewayRequest(handle, kind, tenant, target, submitted_at)
         self._requests[record.request_id] = record
         self._trim_records()
         key = (kind, tenant)
         self._requests_total[key] = self._requests_total.get(key, 0) + 1
-        future = handle.asyncio_future(loop)
-        task = loop.create_task(self._finish(record, future))
-        self._finishers.add(task)
-        task.add_done_callback(self._finishers.discard)
-        self._kick_pump()
+        if outcome is not None:
+            self._settle(record, *outcome)
+        else:
+            # Still pending (a real transport, or queued behind
+            # admission): completion comes back through the future.
+            future = handle.asyncio_future(loop)
+            task = loop.create_task(self._finish(record, future))
+            self._finishers.add(task)
+            task.add_done_callback(self._finishers.discard)
         return _http_response(
             202,
             {
@@ -638,74 +702,69 @@ class ServiceGateway:
         )
 
     def _trim_records(self) -> None:
-        settled = [
-            request_id
-            for request_id, record in self._requests.items()
-            if record.settled
-        ]
+        """Forget the oldest settled records beyond ``retention``."""
         excess = len(self._requests) - self.retention
-        for request_id in settled[: max(0, excess)]:
-            del self._requests[request_id]
+        if excess > 0:
+            settled = (i for i, r in self._requests.items() if r.settled)
+            for request_id in [i for _, i in zip(range(excess), settled)]:
+                del self._requests[request_id]
 
-    def _kick_pump(self) -> None:
-        """Schedule one simulator pump on the network thread."""
-        if not self._pump_needed or self._loop is None:
-            return
+    def _run_submission(
+        self, submit: Callable[[], Any]
+    ) -> tuple[Any, tuple[str, Any, str] | None]:
+        """Network thread, one job per submission: submit, pump, and
+        assemble the outcome if that already completed the request."""
+        handle = submit()
+        self._pump()
+        return handle, self._outcome(handle) if handle.done() else None
 
-        def pump() -> None:
+    def _pump(self) -> None:
+        """Network thread: run a simulator transport to quiescence."""
+        if self._pump_needed:
             try:
                 self.network.run()
             except CoDBError:
                 pass  # transport stopped mid-shutdown
 
-        self._loop.run_in_executor(self._net_exec, pump)
+    def _kick_pump(self) -> None:
+        """Schedule one simulator pump on the network thread."""
+        if self._pump_needed and self._loop is not None:
+            self._loop.run_in_executor(self._net_exec, self._pump)
+
+    def _outcome(self, handle) -> tuple[str, Any, str]:
+        """Network thread: a completed handle's ``(status, result,
+        error)`` — assembly may block on the network."""
+        if handle.cancelled():
+            return "cancelled", None, "retracted before admission"
+        try:
+            raw = handle.result(self.network.poll_timeout)
+        except Exception as exc:
+            return "failed", None, str(exc)
+        return "done", self._encode_result(handle.kind, raw), ""
 
     async def _finish(self, record: _GatewayRequest, future) -> None:
         handle = await future
         if record.settled:
             return  # shutdown force-failed it while we waited
-        if handle.cancelled():
-            self._settle(
-                record,
-                "cancelled",
-                ok=False,
-                error="retracted before admission",
-            )
-            return
-        loop = asyncio.get_running_loop()
-
-        def assemble() -> Any:
-            return handle.result(self.network.poll_timeout)
-
-        try:
-            raw = await loop.run_in_executor(self._net_exec, assemble)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            if not record.settled:
-                self._settle(record, "failed", ok=False, error=str(exc))
-            return
+        outcome = await asyncio.get_running_loop().run_in_executor(
+            self._net_exec, self._outcome, handle
+        )
         if not record.settled:
-            self._settle(
-                record,
-                "done",
-                ok=True,
-                result=self._encode_result(record.kind, raw),
-            )
+            self._settle(record, *outcome)
 
     def _settle(
         self,
         record: _GatewayRequest,
         status: str,
-        *,
-        ok: bool,
         result: Any = None,
         error: str = "",
     ) -> None:
         """Single settle point (event loop only): state, quota, events."""
+        ok = status == "done"
         record.status = status
         record.ok = ok
-        record.result = result
+        if ok:
+            record.result = json.dumps(result)
         record.error = error
         record.latency = time.monotonic() - record.submitted_at
         record.settled = True
@@ -759,17 +818,21 @@ class ServiceGateway:
             return _http_response(
                 404, {"error": f"unknown request {request_id!r}"}
             )
-        wait = float(request.params.get("wait", "0") or "0")
+        try:
+            wait = float(request.params.get("wait", "0") or "0")
+        except ValueError:
+            return _http_response(400, {"error": "wait must be a number"})
         if wait > 0 and not record.settled:
             self._kick_pump()
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(record.done_event.wait(), wait)
         if not record.settled:
             return _http_response(202, record.summary())
-        payload = record.summary()
+        body = json.dumps(record.summary())
         if record.ok:
-            payload["result"] = record.result
-        return _http_response(200, payload)
+            # The summary's closing brace gives way to the stored text.
+            body = f'{body[:-1]}, "result": {record.result}}}'
+        return _http_response(200, (body + "\n").encode("utf-8"))
 
     async def _retract(self, request_id: str) -> bytes:
         record = self._requests.get(request_id)
@@ -982,6 +1045,14 @@ class ServiceGateway:
                 "Submissions yielded back with 429 (quota exhausted)",
             ).add({}, self._rejected_total)
         )
+        bad_requests = MetricFamily(
+            "codb_gateway_bad_requests_total",
+            "counter",
+            "Requests that could not be framed (answered, then closed)",
+        )
+        for status, count in sorted(self._bad_requests_total.items()):
+            bad_requests.add({"status": str(status)}, count)
+        families.append(bad_requests)
         families.append(
             MetricFamily(
                 "codb_gateway_retractions_total",
@@ -1061,7 +1132,6 @@ class GatewayThread:
     def __init__(self, gateway: ServiceGateway) -> None:
         self.gateway = gateway
         self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._started = threading.Event()
         self._error: BaseException | None = None
         self._previous_sigterm: Any = None
@@ -1089,7 +1159,6 @@ class GatewayThread:
         asyncio.run(self._main())
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
         try:
             await self.gateway.start()
         except BaseException as exc:  # surface bind errors to start()
@@ -1113,17 +1182,15 @@ class GatewayThread:
         if self._previous_sigterm is not None:
             signal.signal(signal.SIGTERM, self._previous_sigterm)
             self._previous_sigterm = None
-        if (
-            self._loop is not None
-            and self._thread is not None
-            and self._thread.is_alive()
-        ):
-            future = asyncio.run_coroutine_threadsafe(
-                self.gateway.shutdown(), self._loop
-            )
-            future.result(timeout)
         if self._thread is not None:
+            # The thread ends when the shutdown does — whoever began it
+            # (SIGTERM may have, and the loop may be winding down now).
+            self.gateway.request_shutdown()
             self._thread.join(timeout)
+            if self._thread.is_alive():
+                raise CoDBError(
+                    f"gateway did not shut down within {timeout:g} s"
+                )
 
     def __enter__(self) -> "GatewayThread":
         return self.start()

@@ -9,9 +9,12 @@ adversarial-skew workload the gateway's quotas are built for: a greedy
 tenant's arrivals keep coming, its 429s pile up, everyone else keeps
 their slots.
 
-Stdlib only: a minimal asyncio HTTP/1.1 client (one connection per
-request — the gateway keeps per-request state, not per-connection) and
-a WebSocket client reusing the gateway's own frame codec.  Used by
+Stdlib only: a minimal asyncio HTTP/1.1 client and a WebSocket client
+reusing the gateway's own frame codec.  ``http_json`` keeps connections
+alive: a running event loop parks the ones it opened, per ``(host,
+port)``, reuses them for later requests (the gateway keeps per-request
+state, not per-connection) and closes them when it winds down, so at
+most as many are open as requests were ever in flight at once.  Used by
 ``benchmarks/bench_gateway.py``, the service tests and
 ``repro serve --selftest``.
 """
@@ -25,13 +28,50 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable
 
 from repro.errors import CoDBError
-from repro.service.gateway import encode_ws_frame, read_ws_frame
+from repro.service.gateway import (
+    encode_ws_frame,
+    parse_header_lines,
+    read_ws_frame,
+)
 from repro.service.metrics import quantile
 
 
 # ----------------------------------------------------------------------
 # Minimal HTTP client
 # ----------------------------------------------------------------------
+
+#: Idle keep-alive connections: running loop -> (the task that closes
+#: them when the loop winds down, ``(host, port)`` -> parked streams).
+#: The loop holds tasks weakly: this entry is what keeps the closer alive.
+_POOLS: dict[Any, tuple[asyncio.Task, dict[tuple[str, int], list]]] = {}
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):  # pragma: no cover - teardown race
+        pass
+
+
+async def _close_pool_with_loop(loop, idle: dict) -> None:
+    try:
+        # Never resolved: ``asyncio.run`` cancels what is still pending.
+        await loop.create_future()
+    finally:
+        del _POOLS[loop]
+        for connections in idle.values():
+            for _reader, writer in connections:
+                await _close(writer)
+
+
+def _idle_connections(host: str, port: int) -> list:
+    loop = asyncio.get_running_loop()
+    if loop not in _POOLS:
+        idle: dict[tuple[str, int], list] = {}
+        closer = loop.create_task(_close_pool_with_loop(loop, idle))
+        _POOLS[loop] = (closer, idle)
+    return _POOLS[loop][1].setdefault((host, port), [])
 
 
 async def http_json(
@@ -44,40 +84,57 @@ async def http_json(
     headers: dict[str, str] | None = None,
     timeout: float = 30.0,
 ) -> tuple[int, dict[str, Any], dict[str, str]]:
-    """One request; returns ``(status, decoded body, headers)``."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
-    try:
-        payload = b""
-        if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-        lines = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Connection: close",
-            f"Content-Length: {len(payload)}",
-        ]
-        for name, value in (headers or {}).items():
-            lines.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
-        )
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout)
-    finally:
-        writer.close()
+    """One request; returns ``(status, decoded body, headers)``.
+
+    Reuses an idle connection of the running loop when there is one; if
+    the server closed it meanwhile (no byte of a reply arrived, so the
+    request was not served) the request goes again on a fresh one."""
+    payload = b""
+    if body is not None:
+        payload = json.dumps(body).encode("utf-8")
+    lines = [
+        f"{method} {path} HTTP/1.1",
+        f"Host: {host}:{port}",
+        f"Content-Length: {len(payload)}",
+    ]
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
+    idle = _idle_connections(host, port)
+    while True:
+        reused = bool(idle)
+        if reused:
+            reader, writer = idle.pop()
+        else:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, port), timeout
+            )
+        head, keep = b"", False
         try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
-    head, _, rest = raw.partition(b"\r\n\r\n")
-    head_lines = head.decode("latin-1").split("\r\n")
-    status = int(head_lines[0].split(" ", 2)[1])
-    response_headers: dict[str, str] = {}
-    for line in head_lines[1:]:
-        name, _, value = line.partition(":")
-        response_headers[name.strip().lower()] = value.strip()
+            async with asyncio.timeout(timeout):
+                writer.write(request)
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                head_lines = head[:-4].decode("latin-1").split("\r\n")
+                status = int(head_lines[0].split(" ", 2)[1])
+                response_headers = parse_header_lines(head_lines[1:])
+                length = response_headers.get("content-length")
+                if length is None:  # framed by EOF: the connection is spent
+                    rest = await reader.read()
+                else:
+                    rest = await reader.readexactly(int(length))
+                    connection = response_headers.get("connection", "")
+                    keep = connection.lower() != "close"
+        except (asyncio.IncompleteReadError, ConnectionError) as exc:
+            if reused and not head and not getattr(exc, "partial", b""):
+                continue  # the server closed it while it was parked
+            raise ConnectionResetError("connection closed mid-reply") from exc
+        finally:
+            if keep:
+                idle.append((reader, writer))
+            else:
+                await _close(writer)
+        break
     decoded: dict[str, Any] = {}
     if rest:
         try:
@@ -156,11 +213,7 @@ async def stream_events(
     except asyncio.IncompleteReadError:
         return
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+        await _close(writer)
 
 
 # ----------------------------------------------------------------------
