@@ -66,7 +66,7 @@ def main() -> None:
               f"{', '.join(net.node_names)}\n")
 
         started = time.monotonic()
-        handles = net.start_global_updates(origins)
+        handles = [net.submit_global_update(origin) for origin in origins]
         print("storm submitted; outcomes stream in completion order:")
         for handle in as_completed(handles, timeout=120):
             outcome = handle.result()

@@ -40,11 +40,11 @@ def build_network() -> CoDBNetwork:
 
 
 async def drive(host: str, port: int) -> None:
-    # A streaming subscriber sees completions in real time (WebSocket).
+    # A streaming subscriber sees completions in real time (NDJSON).
     events: list[dict] = []
 
     async def subscribe() -> None:
-        async for event in stream_events(host, port, websocket=True):
+        async for event in stream_events(host, port):
             events.append(event)
             if sum(1 for e in events if e.get("event") == "completed") >= 3:
                 return

@@ -36,11 +36,9 @@ Quickstart — every request is a session with a handle::
         print(done.kind, done.request_id, done.result())
 
 Blocking one-liners (``net.global_update(...)``, ``net.query(...)``)
-remain as thin wrappers over handles.  ``net.await_all(...)`` is
-deprecated: it waits for *every* handle before returning anything —
-use :func:`repro.core.requests.wait` for partitioned waits or
-:func:`repro.core.requests.as_completed` for streaming; it is kept
-only for PR-3-era drivers.  ``NodeConfig.max_active_sessions`` bounds
+remain as thin wrappers over handles.
+:func:`repro.core.requests.wait` partitions a set of handles into done
+and pending.  ``NodeConfig.max_active_sessions`` bounds
 concurrent sessions per node (excess requests queue FIFO in global
 seniority order), so update storms degrade gracefully.
 
@@ -49,7 +47,7 @@ benchmark ``BENCHMARK.json`` declares; ``baseline/BENCH_0.json`` is its
 first committed artefact) for the reproduced measurements.
 """
 
-from repro.core.network import CoDBNetwork, UpdateHandle, UpdateOutcome
+from repro.core.network import CoDBNetwork, UpdateOutcome
 from repro.core.node import CoDBNode, NodeConfig
 from repro.core.requests import (
     ALL_COMPLETED,
@@ -119,7 +117,6 @@ __all__ = [
     "CoDBNode",
     "NodeConfig",
     "UpdateOutcome",
-    "UpdateHandle",
     "RequestHandle",
     "as_completed",
     "wait",

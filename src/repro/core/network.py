@@ -19,9 +19,7 @@ no sleep-polling anywhere.
 
 The pre-handle blocking surface survives as thin wrappers:
 :meth:`~CoDBNetwork.global_update` and :meth:`~CoDBNetwork.query`
-submit and immediately await; :meth:`~CoDBNetwork.await_all` is
-**deprecated** in favour of ``requests.wait`` / ``as_completed`` and
-is kept only so PR-3-era drivers keep working.
+submit and immediately await.
 
 The network also owns the shared
 :class:`~repro.relational.planner.PlanRegistry`: super-peer broadcast
@@ -50,12 +48,6 @@ from repro.relational.schema import DatabaseSchema
 from repro.relational.parser import parse_schema
 from repro.relational.values import Row
 from repro.relational.wrapper import Wrapper
-
-#: Deprecated alias: PR 3's ``UpdateHandle`` is now the unified
-#: :class:`~repro.core.requests.RequestHandle` (same ``update_id`` /
-#: ``origin`` / ``started_at`` surface, plus ``result()`` / ``done()``
-#: / ``cancel()`` / ``add_done_callback()``).
-UpdateHandle = RequestHandle
 
 
 @dataclass
@@ -296,7 +288,7 @@ class CoDBNetwork:
     def _update_done_everywhere(self, update_id: str, origin: str) -> bool:
         """The network-wide completion predicate for one update."""
         alive = [n for n in self.nodes.values() if not n.detached]
-        if origin and origin in self.nodes:
+        if origin in self.nodes:
             origin_node = self.nodes[origin]
             if not origin_node.detached and not origin_node.update_done(
                 update_id
@@ -316,7 +308,7 @@ class CoDBNetwork:
             for n in self.nodes.values()
             if (report := n.stats.report_for(update_id)) is not None
         ]
-        origin = handle.origin or (reports[0].origin if reports else "")
+        origin = handle.origin
         # Assembly only ever runs on a completed handle, so the stamps
         # taken at completion observation are authoritative — 0.0 / 0
         # are legitimate values (an acquaintance-less origin completes
@@ -351,7 +343,7 @@ class CoDBNetwork:
         ``None`` (let per-node local views stand in) when the origin is
         unknown.
         """
-        if not origin or origin not in self.nodes:
+        if origin not in self.nodes:
             return None
         severed = self.transport.severed_pairs()
         neighbours: dict[str, set[str]] = {name: set() for name in self.nodes}
@@ -424,21 +416,6 @@ class CoDBNetwork:
         )
         return self._track(handle)
 
-    def start_global_updates(
-        self, origins: Sequence[str]
-    ) -> list[RequestHandle]:
-        """Submit one global update per origin, WITHOUT waiting.
-
-        All updates are initiated back-to-back before any network
-        progress is made, so on the simulator the event queue holds
-        every origin's flood and the awaits pump them fairly
-        interleaved (events pop in timestamp order); over TCP the
-        per-peer delivery threads run the sessions truly in parallel.
-        The same origin may appear several times — each occurrence
-        starts an independent update session.
-        """
-        return [self.submit_global_update(origin) for origin in origins]
-
     def global_update(self, origin: str) -> UpdateOutcome:
         """Run one global update from *origin* to completion
         (blocking wrapper over :meth:`submit_global_update`)."""
@@ -446,49 +423,6 @@ class CoDBNetwork:
         outcome = handle.result(self.poll_timeout)
         self._settle()
         return outcome
-
-    def _adopt_update(self, update_id: str) -> RequestHandle:
-        """A handle for an update started outside the network API
-        (direct node calls); windows start at adoption time."""
-        handle = RequestHandle(
-            request_id=update_id,
-            kind="update",
-            origin="",
-            transport=self.transport,
-            is_done=lambda: self._update_done_everywhere(update_id, ""),
-            assemble=self._update_outcome,
-            started_at=self.transport.now(),
-            messages_before=self.transport.stats.messages_sent,
-            bytes_before=self.transport.stats.bytes_sent,
-        )
-        return self._track(handle)
-
-    def await_all(
-        self, handles: Sequence[RequestHandle] | None = None
-    ) -> list[UpdateOutcome]:
-        """Drive the network until every handle's update completed.
-
-        .. deprecated:: PR 4
-            ``await_all`` predates the request-handle API; prefer
-            ``handle.result()``, :func:`repro.core.requests.wait` (the
-            partitioned wait it is now a wrapper over) or
-            :func:`repro.core.requests.as_completed` (streaming, which
-            ``await_all`` cannot do).  Kept as a blocking wrapper so
-            PR-3 drivers keep working; it will not grow new features.
-
-        With ``handles=None``, waits for every update currently active
-        anywhere in the network.  Returns one :class:`UpdateOutcome`
-        per handle, in handle order.
-        """
-        if handles is None:
-            handles = [
-                self._adopt_update(update_id)
-                for node in self.nodes.values()
-                for update_id in node.updates.active_ids()
-            ]
-        handles = list(handles)
-        self._wait(lambda: all(handle.done() for handle in handles))
-        return [handle.result() for handle in handles]
 
     def lifetime_totals(self) -> dict[str, dict]:
         """Per-node lifetime aggregates (see

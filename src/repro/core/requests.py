@@ -7,8 +7,7 @@ back a :class:`RequestHandle` that can be awaited (``result``),
 streamed (:func:`as_completed`), partitioned (:func:`wait`), observed
 (``add_done_callback``) or withdrawn before admission (``cancel``).
 The blocking entry points (``CoDBNetwork.global_update``,
-``CoDBNetwork.query``, ``await_all``) survive as thin wrappers over
-handles.
+``CoDBNetwork.query``) survive as thin wrappers over handles.
 
 Completion is event-driven end to end: update/query engines signal
 their node on root completion and session finalization, nodes notify
@@ -96,8 +95,7 @@ class RequestHandle:
     Attributes
     ----------
     request_id:
-        The update/query id (also available as :attr:`update_id` for
-        update handles, matching the PR-3 ``UpdateHandle`` surface).
+        The update/query id.
     kind:
         ``"update"`` or ``"query"``.
     origin:
@@ -147,13 +145,6 @@ class RequestHandle:
         self._result: Any = _UNSET
         self._callbacks: list[Callable[["RequestHandle"], None]] = []
         self._lock = threading.Lock()
-
-    # -- PR-3 compatibility ------------------------------------------------
-
-    @property
-    def update_id(self) -> str:
-        """Alias of :attr:`request_id` (the PR-3 ``UpdateHandle`` field)."""
-        return self.request_id
 
     # -- state -------------------------------------------------------------
 

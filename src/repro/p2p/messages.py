@@ -13,7 +13,8 @@ byte, so a receiver needs no per-connection decode state:
   cross-version fallback.  ``to_wire``/``from_wire``.
 * **binary** (first byte :data:`FRAME_BINARY`) — a length-delimited
   restricted-pickle frame, smaller and markedly faster to encode and
-  decode than JSON (``benchmarks/bench_messages.py`` measures both).
+  decode than JSON (the spine's ``p2p.probe.binary_over_json_*``
+  metrics measure both).
   ``to_binary``/``from_binary``.  Decoding uses an
   :class:`pickle.Unpickler` whose ``find_class`` always raises, so a
   frame can only ever reconstruct plain data (dicts, lists, scalars —
@@ -97,7 +98,6 @@ KINDS = (
     "ack",                  # diffusing-computation acknowledgement
     "query_request",        # query-time answering request (§3)
     "query_data",           # query-time answering results
-    "query_answer",         # query-time answering results (legacy name)
     "query_complete",       # query-time answering end-of-stream
     "push_delta",           # continuous-mode delta push (subscriptions)
     "invalidation",         # CUP-style cache interest + invalidation

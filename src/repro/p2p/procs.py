@@ -985,22 +985,9 @@ class ProcessNetwork:
         self._track(handle)
         return handle
 
-    def start_global_updates(
-        self, origins: Sequence[str]
-    ) -> list[RequestHandle]:
-        """Submit one update per origin back-to-back, without waiting —
-        over separate processes the sessions run truly in parallel."""
-        return [self.submit_global_update(origin) for origin in origins]
-
     def global_update(self, origin: str) -> UpdateOutcome:
         """Blocking wrapper over :meth:`submit_global_update`."""
         return self.submit_global_update(origin).result(self.poll_timeout)
-
-    def await_all(
-        self, handles: Sequence[RequestHandle]
-    ) -> list[UpdateOutcome]:
-        """Await every handle; returns outcomes in handle order."""
-        return [handle.result(self.poll_timeout) for handle in handles]
 
     def _track(self, handle: RequestHandle) -> None:
         tracked = _TrackedRequest(
@@ -1047,7 +1034,7 @@ class ProcessNetwork:
             payload = frame.get("report")
             if payload is not None:
                 reports.append(UpdateReport.from_payload(payload))
-        origin = handle.origin or (reports[0].origin if reports else "")
+        origin = handle.origin
         # Crashed workers can no longer answer the control channel:
         # every dead participant is, by construction, a peer this
         # update could not have covered in full — merged with the

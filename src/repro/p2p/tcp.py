@@ -164,13 +164,7 @@ class _PeerServer:
                 connection, _ = self.socket.accept()
             except OSError:
                 return
-            if self.network.nodelay:
-                try:
-                    connection.setsockopt(
-                        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                    )
-                except OSError:  # pragma: no cover - platform quirk
-                    pass
+            _set_nodelay(connection)
             thread = threading.Thread(
                 target=self._receive_loop,
                 args=(connection,),
@@ -287,12 +281,15 @@ class _PeerServer:
             pass
 
 
+def _set_nodelay(connection: socket.socket) -> None:
+    try:
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:  # pragma: no cover - platform quirk
+        pass
+
+
 class TcpNetwork(Transport):
     """TCP/localhost transport; see module docstring.
-
-    ``nodelay=False`` re-enables Nagle's algorithm on every socket —
-    only useful for measuring what ``TCP_NODELAY`` (the default) buys
-    on small-message bursts (``benchmarks/bench_tcp.py``).
 
     ``wire_codec`` selects the frame codec this transport *offers* on
     outbound connections and *accepts* on inbound ones: ``"json"``
@@ -304,7 +301,6 @@ class TcpNetwork(Transport):
     def __init__(
         self,
         *,
-        nodelay: bool = True,
         wire_codec: str = "json",
         connect_retries: int = 3,
         connect_backoff: float = 0.05,
@@ -316,7 +312,6 @@ class TcpNetwork(Transport):
         # The driver thread and every delivery thread send concurrently:
         # the traffic counters need the guarded variant.
         self.stats = ThreadSafeTransportStats()
-        self.nodelay = nodelay
         self.wire_codec = wire_codec
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
@@ -548,13 +543,7 @@ class TcpNetwork(Transport):
             connection = self._connections.get(key)
             if connection is None:
                 connection = self._connect_with_retry(recipient)
-                if self.nodelay:
-                    try:
-                        connection.setsockopt(
-                            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                        )
-                    except OSError:  # pragma: no cover - platform quirk
-                        pass
+                _set_nodelay(connection)
                 self._codecs[key] = (
                     self._negotiate(connection)
                     if self.wire_codec == "binary"

@@ -55,33 +55,22 @@ three executor cases:
    compile_plan_sql` and executes it inside SQLite — when every
    stored body relation has a table in this store (one node's body
    always references one acquaintance's schema, so in practice every
-   rule body a node evaluates qualifies).
-3. A body naming relations this store does not hold is a
-   **mixed-backend join**.  When the missing relations are resolvable
-   from an attached in-memory view (:meth:`SqliteStore.attach_memory`)
-   and the memory side is no larger than the stored side, the memory
-   relations are shipped into TEMP tables named exactly as the
-   relation and the whole join still runs as one SQL statement; when
-   the memory side is larger, the plan runs in memory over the
-   combined view instead.  A body resolvable from neither backend
-   falls back to the in-memory row loop over per-atom SQL probes —
-   the paper's original compensation path, kept as the correctness
-   oracle.
-4. Delta plans push down too: the delta occurrence reads a per-arity
+   rule body a node evaluates qualifies).  A body naming a relation
+   this store does not hold falls back to the in-memory row loop over
+   per-atom SQL probes — the paper's original compensation path, kept
+   as the correctness oracle.
+3. Delta plans push down too: the delta occurrence reads a per-arity
    TEMP table the store refills per execution, every other occurrence
    reads its stored table.
-5. ``pushdown=False`` at construction disables rules 2–3 entirely
-   (benchmarks and differential tests use this to time/verify the
-   fallback path).
+4. ``pushdown=False`` at construction disables rule 2 entirely
+   (differential tests use this to verify the fallback path).
 
 Every dispatch decision is counted — one stat per case:
-``plans_pushdown`` (SQL pushdown, mixed-backend shipping included),
-``plans_columnar`` (batch-at-a-time in memory) and ``plans_row_loop``
-(row-at-a-time in memory, including every pushdown fallback) — and
-:meth:`Wrapper.dispatch_counts` exposes them uniformly; the node layer
-folds them into ``NodeStatistics.lifetime_totals()``.
-``pushdown_queries`` / ``pushdown_fallbacks`` remain as the
-SQLite-specific aliases.
+``plans_pushdown`` (SQL pushdown), ``plans_columnar`` (batch-at-a-time
+in memory) and ``plans_row_loop`` (row-at-a-time in memory, including
+every pushdown fallback, which ``pushdown_fallbacks`` counts on its
+own) — and :meth:`Wrapper.dispatch_counts` exposes them uniformly; the
+node layer folds them into ``NodeStatistics.lifetime_totals()``.
 
 Either way the answers must be identical — the differential harness in
 ``tests/relational/test_pushdown.py`` holds all executors to the
@@ -578,35 +567,6 @@ class _SqliteView:
         return _SqliteRelation(self._store, name)
 
 
-class _MixedView:
-    """Combined view: SQLite tables plus attached memory relations.
-
-    Stored names resolve to the store's tables; everything else
-    resolves from the attached in-memory view, so the in-memory
-    executors (columnar and row loop) can evaluate bodies spanning
-    both backends.
-    """
-
-    def __init__(self, store: "SqliteStore") -> None:
-        self._store = store
-        self._sqlite = _SqliteView(store)
-        self._memory = store._memory
-
-    @property
-    def relation_names(self) -> tuple[str, ...]:
-        stored = self._sqlite.relation_names
-        return stored + tuple(
-            name
-            for name in self._memory.relation_names
-            if name not in self._store.schema
-        )
-
-    def relation(self, name: str):
-        if name in self._store.schema:
-            return self._sqlite.relation(name)
-        return self._memory.relation(name)
-
-
 def _sql_compare(op: str, left_cell: str, right_cell: str) -> int:
     """The registered comparison function: decode cells, apply the
     certain-answer semantics of :func:`compare_values`."""
@@ -656,12 +616,6 @@ class SqliteStore(Wrapper):
         #: Plans that could not be pushed down and fell back to the
         #: in-memory row loop (also counted in ``plans_row_loop``).
         self.pushdown_fallbacks = 0
-        #: Attached in-memory view for mixed-backend joins (see
-        #: :meth:`attach_memory`); ``None`` = pure-SQLite store.
-        self._memory = None
-        #: Relation-named TEMP tables already created for shipped
-        #: memory relations (created lazily, refilled per execution).
-        self._overlay_tables: set[str] = set()
         self._delta_tables: set[int] = set()
         # Row counts maintained alongside mutations (this store owns the
         # connection), so cardinality checks are O(1), not COUNT(*).
@@ -691,95 +645,9 @@ class SqliteStore(Wrapper):
         self._connection.commit()
 
     def _view(self):
-        if self._memory is not None:
-            return _MixedView(self)
         return _SqliteView(self)
 
     # -- plan pushdown -------------------------------------------------
-
-    @property
-    def pushdown_queries(self) -> int:
-        """Historical alias of :attr:`plans_pushdown`."""
-        return self.plans_pushdown
-
-    def attach_memory(self, view) -> None:
-        """Attach memory-resident relations for mixed-backend joins.
-
-        *view* is anything with ``relation_names`` / ``relation(name)``
-        (typically a :class:`~repro.relational.database.Database`)
-        holding relations **not** stored in this SQLite database.  Rule
-        bodies mixing stored and attached relations become
-        mixed-backend joins, dispatched per rule 3 of the module
-        docstring: shipped into relation-named TEMP tables when the
-        memory side is no larger than the stored side, run in memory
-        over the combined view otherwise.
-        """
-        for name in view.relation_names:
-            if name in self.schema:
-                raise WrapperError(
-                    f"attached relation {name!r} shadows a stored table"
-                )
-        self._memory = view
-
-    def _mixed_split(
-        self, plan: JoinPlan
-    ) -> tuple[tuple[str, ...], int, int] | None:
-        """Split *plan*'s body across the two backends.
-
-        Returns ``(memory_names, memory_rows, stored_rows)`` when every
-        body relation resolves from one of them, ``None`` when some
-        relation resolves from neither (nothing to push down).
-        """
-        memory_names: list[str] = []
-        memory_rows = 0
-        stored_rows = 0
-        for relation in {atom.relation for atom in plan.source_body}:
-            if relation in self.schema:
-                stored_rows += self._row_counts[relation]
-            elif (
-                self._memory is not None
-                and relation in self._memory.relation_names
-            ):
-                memory_names.append(relation)
-                memory_rows += len(self._memory.relation(relation))
-            else:
-                return None
-        return tuple(sorted(memory_names)), memory_rows, stored_rows
-
-    def _ship_overlay(self, plan: JoinPlan, names: Sequence[str]) -> None:
-        """Refill one relation-named TEMP table per shipped relation.
-
-        TEMP names never shadow stored tables (:meth:`attach_memory`
-        rejects overlapping names), so ``compile_plan_sql`` output
-        referencing a shipped relation resolves to the TEMP copy.
-        """
-        arities = {
-            atom.relation: len(atom.terms) for atom in plan.source_body
-        }
-        for name in names:
-            arity = arities[name]
-            if name not in self._overlay_tables:
-                columns = ", ".join(
-                    f"c{i} TEXT NOT NULL" for i in range(arity)
-                )
-                self._connection.execute(
-                    f'CREATE TEMP TABLE IF NOT EXISTS "{name}" ({columns})'
-                )
-                for i in range(arity):
-                    self._connection.execute(
-                        f'CREATE INDEX IF NOT EXISTS "temp_idx_{name}_{i}" '
-                        f'ON "{name}" (c{i})'
-                    )
-                self._overlay_tables.add(name)
-            self._connection.execute(f'DELETE FROM "{name}"')
-            placeholders = ", ".join("?" for _ in range(arity))
-            self._connection.executemany(
-                f'INSERT INTO "{name}" VALUES ({placeholders})',
-                [
-                    [encode_sqlite_value(v) for v in row]
-                    for row in self._memory.relation(name).rows()
-                ],
-            )
 
     def _plan_executor(self):
         if not self.pushdown:
@@ -787,36 +655,17 @@ class SqliteStore(Wrapper):
         # One executor per evaluation entry-point call.  All the delta
         # plans of one semi-naive evaluation (one per body occurrence
         # of the changed relation) receive the *same* delta rows, so
-        # the TEMP table is filled once per call, not once per plan;
-        # shipped memory relations likewise fill once per call.
+        # the TEMP table is filled once per call, not once per plan.
         filled_arities: set[int] = set()
-        shipped_names: set[str] = set()
 
         def executor(
             plan: JoinPlan, delta_rows: Sequence[Row] | None
         ) -> list[tuple] | None:
-            split = self._mixed_split(plan)
-            if split is None:
-                self.pushdown_fallbacks += 1
-                self.plans_row_loop += 1
-                return None
-            memory_names, memory_rows, stored_rows = split
-            if memory_names and memory_rows > stored_rows:
-                # The memory side dominates: moving it into SQLite
-                # would copy the bulk of the join's input.  Run in
-                # memory over the combined view instead.
-                self.plans_row_loop += 1
-                return None
-            table_names = self.schema.relation_names + memory_names
-            sql_plan = compile_plan_sql(plan, table_names)
+            sql_plan = compile_plan_sql(plan, self.schema.relation_names)
             if sql_plan is None:
                 self.pushdown_fallbacks += 1
                 self.plans_row_loop += 1
                 return None
-            fresh = [n for n in memory_names if n not in shipped_names]
-            if fresh:
-                self._ship_overlay(plan, fresh)
-                shipped_names.update(fresh)
             self.plans_pushdown += 1
             arity = sql_plan.delta_arity
             if arity is not None and arity in filled_arities:

@@ -5,7 +5,7 @@ boots, a script submits a storm, the process exits.  This package
 turns the reproduction into something a load generator (and eventually
 real traffic) can hit:
 
-* :mod:`repro.service.gateway` — an asyncio HTTP/WebSocket gateway
+* :mod:`repro.service.gateway` — an asyncio HTTP gateway
   (stdlib streams, no new runtime deps) over a persistent
   :class:`~repro.core.network.CoDBNetwork` or
   :class:`~repro.p2p.procs.ProcessNetwork`;

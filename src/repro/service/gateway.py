@@ -19,9 +19,8 @@ dependencies:
     Retract: withdraw the request from its origin's admission queue if
     it has not gone live (``RequestHandle.cancel``).
 ``GET /v1/stream``
-    Completion events in real time, in ``as_completed`` order: a
-    WebSocket (RFC 6455, text frames of JSON) when the client sends an
-    ``Upgrade`` handshake, newline-delimited JSON otherwise.
+    Completion events in real time, in ``as_completed`` order, as
+    newline-delimited JSON.
 ``GET /metrics``
     §4 lifetime statistics + gateway counters in Prometheus text
     format (:mod:`repro.service.metrics`).
@@ -68,9 +67,7 @@ settles as done / cancelled / failed before the loop exits.
 from __future__ import annotations
 
 import asyncio
-import base64
 import contextlib
-import hashlib
 import json
 import signal
 import threading
@@ -86,8 +83,6 @@ from repro.relational.values import encode_row
 from repro.service.metrics import MetricFamily, quantile, render_metrics
 from repro.service.quotas import QuotaExceededError, TenantQuotas
 
-#: RFC 6455 §1.3 handshake GUID.
-WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 DEFAULT_TENANT = "default"
 #: Largest accepted request body (a query text, not a bulk load).
 MAX_BODY_BYTES = 1 << 20
@@ -108,64 +103,6 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-
-# ----------------------------------------------------------------------
-# WebSocket framing (shared with the loadgen client)
-# ----------------------------------------------------------------------
-
-
-def ws_accept_key(client_key: str) -> str:
-    """The ``Sec-WebSocket-Accept`` value for a client's key."""
-    digest = hashlib.sha1((client_key + WS_GUID).encode("ascii")).digest()
-    return base64.b64encode(digest).decode("ascii")
-
-
-def encode_ws_frame(
-    payload: bytes, *, opcode: int = 0x1, mask: bool = False
-) -> bytes:
-    """One FIN frame.  Clients must set ``mask=True`` (RFC 6455 §5.3);
-    the masking key is fixed — the mask exists for proxy safety, not
-    secrecy, and a deterministic key keeps the simulator tests stable."""
-    header = bytearray([0x80 | opcode])
-    length = len(payload)
-    mask_bit = 0x80 if mask else 0
-    if length < 126:
-        header.append(mask_bit | length)
-    elif length < 1 << 16:
-        header.append(mask_bit | 126)
-        header += length.to_bytes(2, "big")
-    else:
-        header.append(mask_bit | 127)
-        header += length.to_bytes(8, "big")
-    if mask:
-        key = b"\x37\xfa\x21\x3d"
-        header += key
-        payload = bytes(
-            byte ^ key[i % 4] for i, byte in enumerate(payload)
-        )
-    return bytes(header) + payload
-
-
-async def read_ws_frame(
-    reader: asyncio.StreamReader,
-) -> tuple[int, bytes]:
-    """Read one frame; returns ``(opcode, unmasked payload)``."""
-    first = await reader.readexactly(2)
-    opcode = first[0] & 0x0F
-    masked = bool(first[1] & 0x80)
-    length = first[1] & 0x7F
-    if length == 126:
-        length = int.from_bytes(await reader.readexactly(2), "big")
-    elif length == 127:
-        length = int.from_bytes(await reader.readexactly(8), "big")
-    key = await reader.readexactly(4) if masked else b""
-    payload = await reader.readexactly(length)
-    if masked:
-        payload = bytes(
-            byte ^ key[i % 4] for i, byte in enumerate(payload)
-        )
-    return opcode, payload
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +274,7 @@ class _GatewayRequest:
 
 
 class ServiceGateway:
-    """HTTP/WebSocket front door over one persistent network.
+    """HTTP front door over one persistent network.
 
     Parameters
     ----------
@@ -550,7 +487,7 @@ class ServiceGateway:
                 if request is None or writer.is_closing():
                     return  # EOF — or closed while parked: cannot reply
                 if request.path == "/v1/stream" and request.method == "GET":
-                    await self._serve_stream(request, reader, writer)
+                    await self._serve_stream(writer)
                     return
                 response, keep_alive = await self._dispatch(request)
                 keep_alive = keep_alive and self._accepting
@@ -867,117 +804,30 @@ class ServiceGateway:
                 with contextlib.suppress(asyncio.QueueFull):
                     queue.put_nowait(None)
 
-    async def _serve_stream(
-        self,
-        request: _HttpRequest,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        websocket = (
-            "websocket" in request.headers.get("upgrade", "").lower()
-            and "sec-websocket-key" in request.headers
-        )
+    async def _serve_stream(self, writer: asyncio.StreamWriter) -> None:
+        """Write completion events until shutdown, a stalled queue or
+        the client going away (the caller closes the connection)."""
         queue: asyncio.Queue = asyncio.Queue(maxsize=1024)
         self._subscribers.add(queue)
         self._stream_clients += 1
-        closed = asyncio.Event()
-        reader_task: asyncio.Task | None = None
         try:
-            if websocket:
-                accept = ws_accept_key(
-                    request.headers["sec-websocket-key"]
-                )
-                writer.write(
-                    (
-                        "HTTP/1.1 101 Switching Protocols\r\n"
-                        "Upgrade: websocket\r\n"
-                        "Connection: Upgrade\r\n"
-                        f"Sec-WebSocket-Accept: {accept}\r\n\r\n"
-                    ).encode("latin-1")
-                )
-                reader_task = asyncio.get_running_loop().create_task(
-                    self._ws_reader(reader, writer, closed)
-                )
-            else:
-                writer.write(
-                    (
-                        "HTTP/1.1 200 OK\r\n"
-                        "Content-Type: application/x-ndjson\r\n"
-                        "Connection: close\r\n\r\n"
-                    ).encode("latin-1")
-                )
-            await writer.drain()
-            await self._send_event(
-                writer,
-                {"event": "hello", "streaming": "ws" if websocket else "ndjson"},
-                websocket,
+            writer.write(
+                (
+                    "HTTP/1.1 200 OK\r\n"
+                    "Content-Type: application/x-ndjson\r\n"
+                    "Connection: close\r\n\r\n"
+                ).encode("latin-1")
             )
-            while not closed.is_set():
-                getter = asyncio.get_running_loop().create_task(queue.get())
-                closer = asyncio.get_running_loop().create_task(closed.wait())
-                done, pending_tasks = await asyncio.wait(
-                    {getter, closer}, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in pending_tasks:
-                    task.cancel()
-                if getter not in done:
-                    break
-                event = getter.result()
-                if event is None:
-                    break
-                await self._send_event(writer, event, websocket)
+            event = {"event": "hello", "streaming": "ndjson"}
+            while event is not None:
+                writer.write(json.dumps(event).encode("utf-8") + b"\n")
+                await writer.drain()
                 if event.get("event") == "shutdown":
                     break
-            if websocket:
-                writer.write(encode_ws_frame(b"", opcode=0x8))
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+                event = await queue.get()
         finally:
             self._subscribers.discard(queue)
             self._stream_clients -= 1
-            if reader_task is not None:
-                reader_task.cancel()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _send_event(
-        self,
-        writer: asyncio.StreamWriter,
-        event: dict[str, Any],
-        websocket: bool,
-    ) -> None:
-        payload = json.dumps(event).encode("utf-8")
-        if websocket:
-            writer.write(encode_ws_frame(payload, opcode=0x1))
-        else:
-            writer.write(payload + b"\n")
-        await writer.drain()
-
-    async def _ws_reader(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        closed: asyncio.Event,
-    ) -> None:
-        """Consume client frames: answer pings, honour close."""
-        try:
-            while True:
-                opcode, payload = await read_ws_frame(reader)
-                if opcode == 0x8:  # close
-                    break
-                if opcode == 0x9:  # ping -> pong
-                    writer.write(encode_ws_frame(payload, opcode=0xA))
-                    await writer.drain()
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            closed.set()
 
     # ------------------------------------------------------------------
     # Metrics

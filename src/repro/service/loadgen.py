@@ -9,13 +9,13 @@ adversarial-skew workload the gateway's quotas are built for: a greedy
 tenant's arrivals keep coming, its 429s pile up, everyone else keeps
 their slots.
 
-Stdlib only: a minimal asyncio HTTP/1.1 client and a WebSocket client
-reusing the gateway's own frame codec.  ``http_json`` keeps connections
-alive: a running event loop parks the ones it opened, per ``(host,
-port)``, reuses them for later requests (the gateway keeps per-request
-state, not per-connection) and closes them when it winds down, so at
-most as many are open as requests were ever in flight at once.  Used by
-``benchmarks/bench_gateway.py``, the service tests and
+Stdlib only: a minimal asyncio HTTP/1.1 client and an NDJSON stream
+reader.  ``http_json`` keeps connections alive: a running event loop
+parks the ones it opened, per ``(host, port)``, reuses them for later
+requests (the gateway keeps per-request state, not per-connection) and
+closes them when it winds down, so at most as many are open as requests
+were ever in flight at once.  Used by
+``benchmarks/spine/gateway_open_loop.py``, the service tests and
 ``repro serve --selftest``.
 """
 
@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable
 
 from repro.errors import CoDBError
-from repro.service.gateway import (
-    encode_ws_frame,
-    parse_header_lines,
-    read_ws_frame,
-)
+from repro.service.gateway import parse_header_lines
 from repro.service.metrics import quantile
 
 
@@ -148,68 +144,32 @@ async def stream_events(
     host: str,
     port: int,
     *,
-    websocket: bool = True,
     timeout: float = 30.0,
 ) -> AsyncIterator[dict[str, Any]]:
     """Subscribe to ``GET /v1/stream``; yields decoded events.
 
-    With *websocket* the RFC 6455 client handshake is performed and
-    events arrive as text frames; otherwise the NDJSON fallback is
-    read line by line.  Terminates on the gateway's ``shutdown`` event,
-    a close frame, or EOF."""
+    The NDJSON stream is read line by line.  Terminates on the
+    gateway's ``shutdown`` event or EOF."""
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout
     )
     try:
-        if websocket:
-            key = "Y29kYi1sb2FkZ2VuLXdzLWtleQ=="  # static 16-byte nonce
-            writer.write(
-                (
-                    "GET /v1/stream HTTP/1.1\r\n"
-                    f"Host: {host}:{port}\r\n"
-                    "Upgrade: websocket\r\n"
-                    "Connection: Upgrade\r\n"
-                    f"Sec-WebSocket-Key: {key}\r\n"
-                    "Sec-WebSocket-Version: 13\r\n\r\n"
-                ).encode("latin-1")
-            )
-            await writer.drain()
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout
-            )
-            if b" 101 " not in head.split(b"\r\n", 1)[0]:
-                raise CoDBError("gateway refused the WebSocket upgrade")
-            while True:
-                opcode, payload = await asyncio.wait_for(
-                    read_ws_frame(reader), timeout
-                )
-                if opcode == 0x8:  # close
-                    writer.write(encode_ws_frame(b"", opcode=0x8, mask=True))
-                    await writer.drain()
-                    return
-                if opcode != 0x1:
-                    continue
-                event = json.loads(payload.decode("utf-8"))
-                yield event
-                if event.get("event") == "shutdown":
-                    return
-        else:
-            writer.write(
-                (
-                    "GET /v1/stream HTTP/1.1\r\n"
-                    f"Host: {host}:{port}\r\n\r\n"
-                ).encode("latin-1")
-            )
-            await writer.drain()
-            await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout)
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout)
-                if not line:
-                    return
-                event = json.loads(line.decode("utf-8"))
-                yield event
-                if event.get("event") == "shutdown":
-                    return
+        writer.write(
+            (
+                "GET /v1/stream HTTP/1.1\r\n"
+                f"Host: {host}:{port}\r\n\r\n"
+            ).encode("latin-1")
+        )
+        await writer.drain()
+        await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout)
+        while True:
+            line = await asyncio.wait_for(reader.readline(), timeout)
+            if not line:
+                return
+            event = json.loads(line.decode("utf-8"))
+            yield event
+            if event.get("event") == "shutdown":
+                return
     except asyncio.IncompleteReadError:
         return
     finally:

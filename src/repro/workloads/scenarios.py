@@ -158,9 +158,9 @@ def read_heavy_mix(
 # ---------------------------------------------------------------------------
 
 #: Scenario name -> builder; shared by the randomized differential
-#: tests and the ``bench_churn`` fault matrix so both exercise exactly
-#: the same weather.  ``peers`` is the network's node list in driver
-#: order: flap picks the first edge, a partition cuts the tail half.
+#: tests so all of them exercise exactly the same weather.  ``peers``
+#: is the network's node list in driver order: flap picks the first
+#: edge, a partition cuts the tail half.
 FAULT_SCENARIO_NAMES = (
     "duplicate",
     "reorder",

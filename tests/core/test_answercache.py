@@ -252,3 +252,8 @@ class TestFaultFallbacks:
             assert cached == fresh
             tail.insert("item", (value,))
             net.run()
+        # Never stale because the cascade ran, not by luck: each write
+        # at the tail reached the root's cache as an invalidation.
+        totals = net.lifetime_totals()
+        assert totals["N0"]["cache_invalidations"] > 0
+        assert totals[f"N{length - 1}"]["invalidations_sent"] > 0

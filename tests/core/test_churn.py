@@ -96,6 +96,36 @@ class TestCrashMidUpdate:
         assert node.update_done(update_id)
 
 
+    @pytest.mark.parametrize("victim", [None, 1, 2, 3])
+    def test_a_crash_loses_at_most_the_dead_suffix(self, victim):
+        """``N0 <- N1 <- N2 <- N3``, six rows each; node *victim* dies
+        the instant the flood's request lands on it.  The update still
+        terminates, and the origin misses at most what the dead suffix
+        ``victim..N3`` would have contributed — nothing more."""
+        length, tuples = 4, 6
+        net = CoDBNetwork(seed=140)
+        for i in range(length):
+            net.add_node(
+                f"N{i}", "item(k: int)",
+                facts={"item": [(i * 100 + j,) for j in range(tuples)]},
+            )
+        for i in range(length - 1):
+            net.add_rule(f"N{i}:item(k) <- N{i + 1}:item(k)")
+        net.start()
+        if victim is not None:
+            hooks(net).at_delivery(
+                lambda: net.node(f"N{victim}").detach(),
+                kind="update_request",
+                recipient=f"N{victim}",
+            )
+        origin = net.node("N0")
+        update_id = origin.start_global_update()
+        net.run()
+        assert origin.update_done(update_id)
+        lost = tuples * length - origin.wrapper.count("item")
+        assert 0 <= lost <= (0 if victim is None else tuples * (length - victim))
+
+
 class TestChurnAndQueries:
     def test_network_query_with_dead_source_terminates(self):
         net = build_chain()

@@ -66,6 +66,14 @@ def build_network(topology: str, seed: int, *, transport=None, items=12):
     return net
 
 
+def run_storm(net, origins: list[str]) -> list:
+    """One update per origin, submitted back to back (on the simulator
+    the event queue then holds every flood and pumps them interleaved;
+    over TCP they run in parallel), then every outcome in origin order."""
+    handles = [net.submit_global_update(origin) for origin in origins]
+    return [handle.result(net.poll_timeout) for handle in handles]
+
+
 def pick_origins(topology: str, seed: int, count: int = 3) -> list[str]:
     names, _ = topology_edges(topology)
     rng = random.Random(seed * 31 + 5)
@@ -95,8 +103,7 @@ class TestConcurrentEqualsSequentialSimulated:
         origins = pick_origins(topology, seed)
 
         concurrent_net = build_network(topology, seed)
-        handles = concurrent_net.start_global_updates(origins)
-        outcomes = concurrent_net.await_all(handles)
+        outcomes = run_storm(concurrent_net, origins)
         concurrent_state = concurrent_net.snapshot()
 
         sequential_net = build_network(topology, seed)
@@ -117,12 +124,15 @@ class TestConcurrentEqualsSequentialSimulated:
             for node in concurrent_net.nodes.values()
         )
         assert peak >= 2
+        # ... so the floods shared the virtual clock: together they
+        # took less simulated time than one after another.
+        assert concurrent_net.transport.now() < sequential_net.transport.now()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cycle_closes_by_quiescence_under_concurrency(self, seed):
         net = build_network("cycle", seed)
         origins = pick_origins("cycle", seed)
-        net.await_all(net.start_global_updates(origins))
+        run_storm(net, origins)
         by_quiescence = sum(
             report.links_closed_by_quiescence
             for node in net.nodes.values()
@@ -135,7 +145,7 @@ class TestConcurrentEqualsSequentialSimulated:
     def test_five_concurrent_updates_including_repeated_origin(self, seed=11):
         net = build_network("chain", seed)
         origins = ["N0", "N4", "N2", "N0", "N3"]  # N0 twice, concurrently
-        outcomes = net.await_all(net.start_global_updates(origins))
+        outcomes = run_storm(net, origins)
         assert len({o.update_id for o in outcomes}) == 5
 
         twin = build_network("chain", seed)
@@ -155,7 +165,7 @@ class TestConcurrentEqualsSequentialTcp:
         origins = pick_origins(topology, seed)
         tcp_net = build_network(topology, seed, transport=TcpNetwork(), items=6)
         try:
-            tcp_net.await_all(tcp_net.start_global_updates(origins))
+            run_storm(tcp_net, origins)
             tcp_state = tcp_net.snapshot()
         finally:
             tcp_net.stop()

@@ -206,6 +206,29 @@ class TestPersistentQueryTeachesOnCleanEnd:
         assert totals(net, "activations_incremental") == 0
 
 
+class TestRepeatUpdate:
+    def test_repeat_keeps_off_the_wire_exactly_what_the_first_shipped(self):
+        """The second update over unchanged data re-ships nothing the
+        first one delivered; the ablation pays for all of it again."""
+
+        def two_updates(config):
+            net = build_chain(config, per_node=6)
+            return net, net.global_update("N0"), net.global_update("N0")
+
+        net, first, second = two_updates(UNCACHED)
+        ablated, _, ablated_second = two_updates(ABLATED)
+        assert second.transport_bytes < first.transport_bytes
+        assert second.transport_bytes < ablated_second.transport_bytes
+        # These are single-atom bodies, so the count is known: every
+        # row the first update delivered is one the repeat skipped
+        # unread behind a watermark or filtered by ``pushed`` — and
+        # each of the three links served the repeat from its store tail.
+        assert totals(net, "rows_suppressed") == first.rows_imported == 36
+        assert totals(net, "activations_incremental") == 3
+        assert totals(ablated, "rows_suppressed") == 0
+        assert totals(ablated, "activations_incremental") == 0
+
+
 class TestNonPersistentQueriesTeachNothing:
     def test_no_memory_no_marks_no_rows(self):
         net = build_chain()

@@ -20,7 +20,7 @@ class TestDynamicTopology:
 
     def test_rewire_star_to_chain_and_update(self):
         net = self.build()
-        net.global_update("H")
+        assert net.global_update("H").longest_path == 1  # a star
         assert len(net.node("H").rows("hub")) == 6
         net.rewire(
             """
@@ -30,8 +30,9 @@ class TestDynamicTopology:
             """
         )
         outcome = net.global_update("H")
-        assert outcome.longest_path == 3
+        assert outcome.longest_path == 3  # now a chain
         assert len(net.node("S2").rows("spoke")) == 6
+        assert len(net.node("H").rows("hub")) == 6  # no row lost on the way
 
     def test_rewire_resets_lifetime_dedup(self):
         # New rules = new links = fresh sent/received memories; data

@@ -172,6 +172,69 @@ class TestHeterogeneousStores:
         assert sorted(net.node("SINK").rows("item")) == [(1,), (2,)]
 
 
+    @staticmethod
+    def chain_with_interiors(length, tuples, interior_store):
+        """``N0 <- N1 <- ... <- N{length-1}`` with the data at the far
+        end; ``interior_store(i, schema)`` picks each interior node's
+        store (``None`` = the default in-memory one)."""
+        net = CoDBNetwork(seed=160)
+        for i in range(length):
+            schema = parse_schema("item(k: int, v: int)")
+            store = interior_store(i, schema) if 0 < i < length - 1 else None
+            net.add_node(f"N{i}", schema, store=store)
+        net.node(f"N{length - 1}").load_facts(
+            {"item": [(j, j * 2) for j in range(tuples)]}
+        )
+        for i in range(length - 1):
+            net.add_rule(f"N{i}:item(k, v) <- N{i + 1}:item(k, v)")
+        net.start()
+        return net
+
+    def test_protocol_traffic_does_not_depend_on_the_backend(self, tmp_path):
+        """§2: the Wrapper "is adjusted depending on the underlying
+        database" — the protocol above it cannot tell: same result
+        messages, same bytes, same origin state whatever the interiors
+        store their rows in."""
+        backends = {
+            "memory": lambda i, schema: None,
+            "sqlite": lambda i, schema: SqliteStore(schema),
+            "sqlite-file": lambda i, schema: SqliteStore(
+                schema, str(tmp_path / f"n{i}.db")
+            ),
+            "mediator": lambda i, schema: MediatorStore(schema),
+        }
+        seen = {}
+        for backend, interior_store in backends.items():
+            net = self.chain_with_interiors(4, 20, interior_store)
+            outcome = net.global_update("N0")
+            seen[backend] = (
+                outcome.report.total_messages,
+                outcome.report.total_bytes,
+                net.node("N0").snapshot(),
+            )
+        assert len(seen["memory"][2]["item"]) == 20
+        for backend, observed in seen.items():
+            assert observed == seen["memory"], backend
+
+    @pytest.mark.parametrize("mediators", [3, 6])
+    def test_chain_of_mediators_relays_everything_and_keeps_nothing(
+        self, mediators
+    ):
+        """§2: a node without a local database "acts as a mediator for
+        propagating of requests and data" — also through other
+        mediators: the far end gets every row, the mediators hold none
+        once the update is over, the storing interiors hold all."""
+        net = self.chain_with_interiors(
+            8, 10,
+            lambda i, schema: MediatorStore(schema) if i <= mediators else None,
+        )
+        net.global_update("N0")
+        assert net.node("N0").wrapper.count("item") == 10
+        for i in range(1, 7):
+            kept = net.node(f"N{i}").wrapper.total_rows()
+            assert kept == (0 if i <= mediators else 10), f"N{i}"
+
+
 class TestMultiUpdateApi:
     def build(self):
         net = CoDBNetwork(seed=77)
@@ -185,23 +248,15 @@ class TestMultiUpdateApi:
 
     def test_start_then_await_returns_outcomes_in_handle_order(self):
         net = self.build()
-        handles = net.start_global_updates(["A", "C", "B"])
+        handles = [net.submit_global_update(o) for o in ["A", "C", "B"]]
         assert [h.origin for h in handles] == ["A", "C", "B"]
-        assert len({h.update_id for h in handles}) == 3
-        outcomes = net.await_all(handles)
-        assert [o.update_id for o in outcomes] == [h.update_id for h in handles]
+        assert len({h.request_id for h in handles}) == 3
+        outcomes = [h.result() for h in handles]
+        assert [o.update_id for o in outcomes] == [h.request_id for h in handles]
         assert [o.origin for o in outcomes] == ["A", "C", "B"]
         for outcome in outcomes:
             assert outcome.wall_time >= 0
             assert outcome.report.node_reports
-
-    def test_await_all_none_waits_for_every_active_update(self):
-        net = self.build()
-        first = net.node("A").start_global_update()
-        second = net.node("C").start_global_update()
-        outcomes = net.await_all(None)
-        assert {o.update_id for o in outcomes} == {first, second}
-        assert sorted(net.node("A").rows("item")) == [(1,), (2,), (3,)]
 
     def test_global_update_is_the_singleton_case(self):
         net = self.build()
@@ -212,7 +267,8 @@ class TestMultiUpdateApi:
 
     def test_lifetime_totals_across_updates(self):
         net = self.build()
-        net.await_all(net.start_global_updates(["A", "C"]))
+        for handle in [net.submit_global_update(o) for o in ["A", "C"]]:
+            handle.result()
         totals = net.lifetime_totals()
         assert set(totals) == {"A", "B", "C"}
         assert totals["A"]["updates"] == 2
@@ -229,6 +285,7 @@ class TestMultiUpdateApi:
         net.add_rule("MED:item(k) <- SRC:item(k)")
         net.add_rule("SINK:item(k) <- MED:item(k)")
         net.start()
-        net.await_all(net.start_global_updates(["SINK", "SINK"]))
+        for handle in [net.submit_global_update("SINK") for _ in range(2)]:
+            handle.result()
         assert sorted(net.node("SINK").rows("item")) == [(1,)]
         assert net.node("MED").wrapper.total_rows() == 0  # dropped at last finish

@@ -72,7 +72,6 @@ class TestHandleBasics:
         handle = net.submit_global_update("A")
         assert handle.kind == "update"
         assert handle.origin == "A"
-        assert handle.update_id == handle.request_id  # PR-3 surface
         assert not handle.done()
         outcome = handle.result()
         assert handle.done()
@@ -101,15 +100,6 @@ class TestHandleBasics:
         assert sorted(
             net.query("A", "q(k) <- item(k)", mode="network")
         ) == ALL_ITEMS
-
-    def test_await_all_deprecated_wrapper_matches_handles(self):
-        net = build_chain()
-        handles = net.start_global_updates(["A", "C"])
-        outcomes = net.await_all(handles)
-        assert [o.update_id for o in outcomes] == [
-            h.request_id for h in handles
-        ]
-        assert all(h.done() for h in handles)
 
     def test_add_done_callback_fires_on_completion(self):
         net = build_chain()
@@ -358,7 +348,7 @@ class TestAdmissionControl:
 
     def test_admission_metrics_surface_in_lifetime_totals(self):
         net, origins = storm_network(cap=2, seed=161)
-        for handle in net.start_global_updates(origins[:4]):
+        for handle in [net.submit_global_update(o) for o in origins[:4]]:
             handle.result()
         totals = net.lifetime_totals()
         for name, node_totals in totals.items():
@@ -368,7 +358,8 @@ class TestAdmissionControl:
 
     def test_uncapped_default_never_defers(self):
         net, origins = storm_network(cap=0, seed=162)
-        net.await_all(net.start_global_updates(origins[:4]))
+        for handle in [net.submit_global_update(o) for o in origins[:4]]:
+            handle.result()
         assert all(
             node.stats.sessions_deferred == 0 for node in net.nodes.values()
         )

@@ -50,7 +50,7 @@ def test_sqlite_topology_matches_memory_backend(name):
             sqlite_net.node(spec.name).snapshot()
             == memory_net.node(spec.name).snapshot()
         ), f"{name}: node {spec.name} diverged between backends"
-        pushdowns += sqlite_net.node(spec.name).wrapper.pushdown_queries
+        pushdowns += sqlite_net.node(spec.name).wrapper.plans_pushdown
     # The SQLite run must actually have pushed plans down — otherwise
     # this test silently degrades to the fallback path.
     assert pushdowns > 0, f"{name}: no plan was pushed down"

@@ -80,8 +80,8 @@ class TestRings:
             assert sorted(net.node(f"N{i}").rows("r")) == everything
         assert_matches_ground_truth(net, initial)
 
-    def test_ring_longest_path_scales_with_size(self):
-        paths = {}
+    def test_ring_cost_scales_with_size(self):
+        paths, messages = {}, {}
         for size in (3, 6):
             net = CoDBNetwork(seed=size)
             for i in range(size):
@@ -89,8 +89,26 @@ class TestRings:
             for i in range(size):
                 net.add_rule(f"N{i}:r(x) <- N{(i + 1) % size}:r(x)")
             net.start()
-            paths[size] = net.global_update("N0").longest_path
+            outcome = net.global_update("N0")
+            paths[size] = outcome.longest_path
+            messages[size] = outcome.report.total_messages
         assert paths[6] > paths[3]
+        assert messages[6] > messages[3]
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_existential_ring_mints_one_null_per_rule_and_key(self, size):
+        # Every node copies its neighbour's keys and mints a local tag
+        # for each.  The keys stabilise, so despite the cycle minting
+        # is idempotent: (nodes x keys) nulls, however many rounds the
+        # fix-point takes.
+        net = CoDBNetwork(seed=7)
+        for i in range(size):
+            net.add_node(f"N{i}", "item(k: int, tag)", facts=f"item({i}, 'own')")
+        for i in range(size):
+            net.add_rule(f"N{i}:item(k, w) <- N{(i + 1) % size}:item(k, t)")
+        net.start()
+        outcome = net.global_update("N0")
+        assert outcome.report.total_nulls_minted == size * size
 
 
 class TestSelfFeedingJoin:

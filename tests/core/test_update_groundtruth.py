@@ -13,7 +13,10 @@ def run_both(blueprint, seed, tuples_per_node=10, overlap=0.0):
     )
     initial = {name: node.snapshot() for name, node in net.nodes.items()}
     truth = CentralizedExchange.for_network(net).run(initial)
-    net.global_update(blueprint.origin)
+    outcome = net.global_update(blueprint.origin)
+    # Same start, same fixpoint: the update imported as many rows as
+    # the single-site chase added.
+    assert outcome.report.total_rows_imported == truth.tuples_added
     return net, truth
 
 

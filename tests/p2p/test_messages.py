@@ -56,7 +56,6 @@ KIND_PAYLOADS = {
         "rule_id": "r0",
         "rows": ROWS,
     },
-    "query_answer": {"query_id": "query-ab12cd-0000", "rows": ROWS},
     "query_complete": {"query_id": "query-ab12cd-0000"},
     "push_delta": {"rule_id": "r0", "rows": ROWS},
     "invalidation": {"rule_id": "r0", "relations": ["resident"]},
@@ -228,6 +227,8 @@ class TestBinaryCodec:
         assert from_binary == from_json
         assert from_binary.size_bytes() == message.size_bytes()
         assert from_binary.payload_bytes() == message.payload_bytes()
+        # A binary frame is never the larger one.
+        assert len(message.to_binary()) <= len(message.to_wire())
 
     def test_frames_are_self_describing(self):
         message = Message("k", "A", "B", {"x": 1})

@@ -114,22 +114,6 @@ class TestNodelay:
             socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY
         )
 
-    def test_nagle_can_be_reenabled_for_benchmarks(self):
-        import socket as socket_module
-
-        network = TcpNetwork(nodelay=False)
-        try:
-            network.register("A", lambda m: None)
-            network.register("B", lambda m: None)
-            network.send(msg("B", "A"))
-            network.run_until_idle()
-            connection = network._connections[("B", "A")]
-            assert not connection.getsockopt(
-                socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY
-            )
-        finally:
-            network.stop()
-
 
 class TestRemotePeers:
     """Two TcpNetwork instances in one process stand in for two worker

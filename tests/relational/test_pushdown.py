@@ -1,9 +1,9 @@
-"""Interpreter ≡ row JoinPlan ≡ columnar ≡ pushdown ≡ mixed-backend.
+"""Interpreter ≡ row JoinPlan ≡ columnar ≡ pushdown.
 
 The randomized differential harness for every executor of the shared
 :class:`~repro.relational.planner.JoinPlan` IR: rule bodies with
 repeated relations, repeated variables, constants, comparison
-predicates and marked nulls are evaluated four ways against the
+predicates and marked nulls are evaluated three ways against the
 interpreter —
 
 * the interpreter (:mod:`repro.relational.evaluation`, the semantics
@@ -14,10 +14,6 @@ interpreter —
   default-configured :class:`MemoryStore`),
 * the SQLite **pushdown** (the plan translated by ``compile_plan_sql``
   and run as one SQL join inside :class:`SqliteStore`),
-* the **mixed-backend** store (``r``/``s`` as SQLite tables, ``t``
-  memory-resident via :meth:`SqliteStore.attach_memory`, so bodies
-  touching ``t`` ship it into a TEMP table or run over the combined
-  view),
 
 in both full and semi-naive (delta) mode, and the answer sets must be
 identical.  The randomized pool is ints plus marked nulls;
@@ -110,21 +106,6 @@ def build_instance(seed: int):
     return db, store
 
 
-def build_mixed_instance(seed: int) -> SqliteStore:
-    """The same instance split across backends: ``r``/``s`` stored as
-    SQLite tables, ``t`` memory-resident and attached — so every query
-    touching ``t`` exercises the mixed-backend dispatch (TEMP-table
-    shipping or combined-view execution)."""
-    facts = instance_facts(seed)
-    store = SqliteStore(parse_schema("r(a, b)\ns(a, b)"))
-    store.insert_new("r", facts["r"])
-    store.insert_new("s", facts["s"])
-    memory = Database(parse_schema("t(a, b, c)"))
-    memory.load({"t": facts["t"]})
-    store.attach_memory(memory)
-    return store
-
-
 OPERATORS = ("<", "<=", "!=", ">", ">=", "=")
 
 
@@ -202,7 +183,6 @@ class TestDifferentialFull:
     def test_four_way_equality(self, seed):
         db, store = build_instance(seed)
         columnar = MemoryStore(parse_schema(SCHEMA_TEXT), db)
-        mixed = build_mixed_instance(seed)
         rng = random.Random(5000 + seed)
         cache = PlanCache()
         try:
@@ -212,25 +192,16 @@ class TestDifferentialFull:
                 planned = canonical(evaluate_query_planned(db, query, cache))
                 batched = canonical(columnar.evaluate_query(query))
                 pushed = canonical(store.evaluate_query(query))
-                shipped = canonical(mixed.evaluate_query(query))
                 assert planned == oracle, f"seed={seed} query={query!r}"
                 assert batched == oracle, f"seed={seed} query={query!r}"
                 assert pushed == oracle, f"seed={seed} query={query!r}"
-                assert shipped == oracle, f"seed={seed} query={query!r}"
             # Each dispatch case must actually have run — a silently
             # falling-back store would make this file vacuous.
-            assert store.pushdown_queries >= QUERIES_PER_SEED
+            assert store.plans_pushdown >= QUERIES_PER_SEED
             assert store.pushdown_fallbacks == 0
             assert columnar.plans_columnar >= QUERIES_PER_SEED
-            assert mixed.pushdown_fallbacks == 0
-            assert (
-                mixed.plans_pushdown + mixed.plans_row_loop
-                >= QUERIES_PER_SEED
-            )
         finally:
             store.close()
-            mixed.close()
-
 
     @pytest.mark.parametrize("seed", range(FULL_SEEDS))
     def test_executors_agree_as_multisets(self, seed):
@@ -255,6 +226,18 @@ class TestDifferentialFull:
                 assert multiset(plan.execute(db)) == oracle, f"{query!r}"
                 assert multiset(plan.execute_columnar(db)) == oracle, f"{query!r}"
                 assert multiset(store.execute_plan(sql_plan)) == oracle, f"{query!r}"
+                # The two in-memory executors are exchangeable result
+                # for result — same order, not merely the same multiset
+                # — on full plans and on delta plans.
+                assert plan.execute_columnar(db) == list(plan.execute(db))
+                delta = random_delta(rng, db, query.body[0].relation)
+                delta_plan = compile_plan(
+                    query.body, query.comparisons, query.head.terms,
+                    view=db, delta_atom=0,
+                )
+                assert delta_plan.execute_columnar(db, delta) == list(
+                    delta_plan.execute(db, delta)
+                ), f"{query!r}"
         finally:
             store.close()
 
@@ -287,7 +270,6 @@ class TestDifferentialDelta:
     def test_four_way_equality_semi_naive(self, seed):
         db, store = build_instance(seed)
         columnar = MemoryStore(parse_schema(SCHEMA_TEXT), db)
-        mixed = build_mixed_instance(seed)
         rng = random.Random(6000 + seed)
         cache = PlanCache()
         try:
@@ -307,9 +289,6 @@ class TestDifferentialDelta:
                 pushed = canonical(
                     store.evaluate_query_delta(query, changed, delta)
                 )
-                shipped = canonical(
-                    mixed.evaluate_query_delta(query, changed, delta)
-                )
                 assert planned == oracle, (
                     f"seed={seed} changed={changed} query={query!r}"
                 )
@@ -319,16 +298,11 @@ class TestDifferentialDelta:
                 assert pushed == oracle, (
                     f"seed={seed} changed={changed} query={query!r}"
                 )
-                assert shipped == oracle, (
-                    f"seed={seed} changed={changed} query={query!r}"
-                )
-            assert store.pushdown_queries > 0
+            assert store.plans_pushdown > 0
             assert store.pushdown_fallbacks == 0
             assert columnar.plans_columnar > 0
-            assert mixed.pushdown_fallbacks == 0
         finally:
             store.close()
-            mixed.close()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_repeated_occurrence_delta(self, seed):
@@ -364,7 +338,7 @@ class TestMappingsAndDispatch:
         expected = evaluate_mapping_bindings_planned(db, mapping, PlanCache())
         actual = store.evaluate_mapping_bindings(mapping)
         assert expected and set(actual.values()) == set(expected.values())
-        assert store.pushdown_queries > 0
+        assert store.plans_pushdown > 0
         store.close()
 
     def test_empty_frontier_mapping_pushes_down(self):
@@ -372,7 +346,7 @@ class TestMappingsAndDispatch:
         store.insert_new("r", [(1, 2)])
         mapping = parse_mapping("X:flag('on') <- Y:r(x, y)").mapping
         assert store.evaluate_mapping_bindings(mapping) == {(): ()}
-        assert store.pushdown_queries == 1
+        assert store.plans_pushdown == 1
         store.close()
 
     def test_unknown_relation_falls_back_to_memory_executor(self):
@@ -381,7 +355,7 @@ class TestMappingsAndDispatch:
         query = parse_query("q(x) <- r(x, y), ghost(y)")
         assert store.evaluate_query(query) == []
         assert store.pushdown_fallbacks == 1
-        assert store.pushdown_queries == 0
+        assert store.plans_pushdown == 0
         store.close()
 
     def test_pushdown_disabled_store_agrees(self):
@@ -396,7 +370,7 @@ class TestMappingsAndDispatch:
                 assert canonical(plain.evaluate_query(query)) == canonical(
                     pushed_store.evaluate_query(query)
                 )
-            assert plain.pushdown_queries == 0
+            assert plain.plans_pushdown == 0
         finally:
             plain.close()
             pushed_store.close()
@@ -409,7 +383,7 @@ class TestMappingsAndDispatch:
         store.insert_new("s", [(0.0,)])
         query = parse_query("q(x) <- r(x), s(x)")
         assert store.evaluate_query(query) == [(0.0,)]
-        assert store.pushdown_queries == 1
+        assert store.plans_pushdown == 1
         store.close()
 
     def test_delta_with_no_rows_short_circuits(self):
@@ -430,7 +404,7 @@ class TestMappingsAndDispatch:
         again = compile_plan_sql(plan, store.schema.relation_names)
         assert first is again
         store.evaluate_query(query, rule_key="k")
-        assert store.pushdown_queries == 2
+        assert store.plans_pushdown == 2
         store.close()
 
 

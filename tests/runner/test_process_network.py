@@ -91,6 +91,18 @@ def make_tcp_net(seed: int):
     )
 
 
+def submit_storm(net, origins: list[str]) -> list:
+    """One update per origin, submitted back to back without waiting."""
+    return [net.submit_global_update(origin) for origin in origins]
+
+
+def run_storm(net, origins: list[str]) -> list:
+    """Submit the storm and await every outcome, in origin order."""
+    return [
+        handle.result(net.poll_timeout) for handle in submit_storm(net, origins)
+    ]
+
+
 def pick_origins(topology: str, seed: int, count: int = 3) -> list[str]:
     names, _ = topology_edges(topology)
     rng = random.Random(seed * 31 + 5)
@@ -117,8 +129,7 @@ class TestDifferentialAgainstOtherDeployments:
             topology, seed, lambda: make_process_net(seed)
         )
         try:
-            handles = proc_net.start_global_updates(origins)
-            outcomes = proc_net.await_all(handles)
+            outcomes = run_storm(proc_net, origins)
             proc_state = proc_net.snapshot()
         finally:
             proc_net.stop()
@@ -132,7 +143,7 @@ class TestDifferentialAgainstOtherDeployments:
 
         tcp_net = build_network(topology, seed, lambda: make_tcp_net(seed))
         try:
-            tcp_net.await_all(tcp_net.start_global_updates(origins))
+            run_storm(tcp_net, origins)
             tcp_state = tcp_net.snapshot()
         finally:
             tcp_net.stop()
@@ -148,7 +159,7 @@ class TestDifferentialAgainstOtherDeployments:
             topology, seed, lambda: make_process_net(seed, store="sqlite")
         )
         try:
-            sqlite_net.await_all(sqlite_net.start_global_updates(origins))
+            run_storm(sqlite_net, origins)
             sqlite_state = sqlite_net.snapshot()
         finally:
             sqlite_net.stop()
@@ -168,7 +179,7 @@ class TestDifferentialAgainstOtherDeployments:
             topology, seed, lambda: make_process_net(seed, wire_codec="binary")
         )
         try:
-            binary_net.await_all(binary_net.start_global_updates(origins))
+            run_storm(binary_net, origins)
             binary_state = binary_net.snapshot()
         finally:
             binary_net.stop()
@@ -184,7 +195,7 @@ class TestMixedHandleStreams:
         seed, topology = 3, "chain"
         net = build_network(topology, seed, lambda: make_process_net(seed))
         try:
-            update_handles = net.start_global_updates(["N0", "N1", "N2"])
+            update_handles = submit_storm(net, ["N0", "N1", "N2"])
             query_handles = [
                 net.submit_query("N3", "q(k) <- item(k)"),
                 net.submit_query("N0", "q(k) <- item(k)"),
@@ -246,8 +257,7 @@ class TestMixedHandleStreams:
             ),
         )
         try:
-            handles = capped.start_global_updates(["N0", "N1", "N2"])
-            capped.await_all(handles)
+            run_storm(capped, ["N0", "N1", "N2"])
             capped_state = capped.snapshot()
             totals = capped.lifetime_totals()
         finally:
@@ -271,7 +281,7 @@ class TestWorkerFailure:
             "chain", seed, lambda: make_process_net(seed), items=120
         )
         try:
-            handles = net.start_global_updates(["N0", "N2", "N0"])
+            handles = submit_storm(net, ["N0", "N2", "N0"])
             net.crash_worker("N1")
             outcomes = [handle.result(60) for handle in handles]
             assert len(outcomes) == 3
@@ -300,7 +310,7 @@ class TestWorkerFailure:
             "chain", seed, lambda: make_process_net(seed), items=120
         )
         try:
-            handles = net.start_global_updates(["N1", "N3"])
+            handles = submit_storm(net, ["N1", "N3"])
             net.crash_worker("N1")
             for handle in handles:
                 outcome = handle.result(60)  # completes; no hang
@@ -367,11 +377,11 @@ class TestSupervisedRestart:
             ),
         )
         try:
-            net.await_all(net.start_global_updates(origins))
+            run_storm(net, origins)
             net.crash_worker("N2")
             wait_for_restart(net, "N2")
             assert net.outages[0]["attempt"] == 1
-            net.await_all(net.start_global_updates(origins))
+            run_storm(net, origins)
             snapshot = net.snapshot()
             assert set(snapshot) == {"N0", "N1", "N2", "N3"}
             assert_snapshots_equal_up_to_nulls(
@@ -428,12 +438,12 @@ class TestSupervisedRestart:
                     seed=seed,
                 )
             )
-            handles = net.start_global_updates(origins)
+            handles = submit_storm(net, origins)
             # Outcomes are assembled by probing every live worker for
             # its report; collect them once the victim is back, so the
             # SIGKILL cannot land in the middle of a probe.
             wait_for_restart(net, victim)
-            outcomes = net.await_all(handles)
+            outcomes = [handle.result(net.poll_timeout) for handle in handles]
             assert any(
                 outcome.report.outcome == "partial" for outcome in outcomes
             ), "the outage window must surface as partial"
@@ -444,7 +454,7 @@ class TestSupervisedRestart:
             # Fault models are NOT re-installed on the rejoiner (a
             # fresh ScheduledCrash copy would kill it again), so the
             # next storm runs clean and reconverges.
-            outcomes = net.await_all(net.start_global_updates(origins))
+            outcomes = run_storm(net, origins)
             for outcome in outcomes:
                 assert outcome.report.outcome == "complete"
             assert_snapshots_equal_up_to_nulls(
@@ -453,6 +463,66 @@ class TestSupervisedRestart:
         finally:
             net.stop()
         assert all(not p.is_alive() for p in net.worker_processes())
+
+    def test_warm_rejoin_reships_less_than_a_cold_restart(self):
+        """``N0 <- N1 <- N2 <- N3``, six rows each; N2 is SIGKILLed
+        after a full update and restarted by the supervisor.  *Warm*
+        (snapshot intact): the memory digests match, N2 comes back in
+        full and the next update re-ships next to nothing.  *Cold*
+        (snapshot deleted before the kill): N2 comes back empty, its
+        own base facts — which only ever flowed upstream — are gone,
+        and N3's rows are shipped to it again.  Either way the origin
+        keeps everything the first update materialised."""
+        import os
+        import time
+
+        from repro.runner.snapshot import read_snapshot
+
+        length, tuples, victim = 4, 6, "N2"
+
+        def cycle(cold):
+            net = ProcessNetwork(
+                seed=140, restart_limit=2, checkpoint_interval=1
+            )
+            for i in range(length):
+                net.add_node(
+                    f"N{i}", "item(k: int)",
+                    facts={"item": [(i * 100 + j,) for j in range(tuples)]},
+                )
+            for i in range(length - 1):
+                net.add_rule(f"N{i}:item(k) <- N{i + 1}:item(k)")
+            net.start()
+            try:
+                assert net.global_update("N0").report.outcome == "complete"
+                if cold:
+                    # The victim checkpoints once more when its session
+                    # completes — its last write; lose that one.
+                    path = net._snapshot_path(victim)
+                    deadline = time.monotonic() + 30
+                    while len(read_snapshot(path)["facts"]["item"]) < 2 * tuples:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.02)
+                    os.remove(path)
+                net.crash_worker(victim)
+                wait_for_restart(net, victim)
+                second = net.global_update("N0")
+                assert second.report.outcome == "complete"
+                assert all(outage["downtime"] > 0 for outage in net.outages)
+                state = net.snapshot()
+                return (
+                    second.transport_bytes,
+                    len(state["N0"]["item"]),
+                    len(state[victim]["item"]),
+                )
+            finally:
+                net.stop()
+
+        warm_bytes, warm_origin, warm_victim = cycle(cold=False)
+        cold_bytes, cold_origin, cold_victim = cycle(cold=True)
+        assert warm_origin == cold_origin == tuples * length
+        assert warm_victim == 2 * tuples  # its own rows and N3's
+        assert cold_victim == tuples  # N3's, shipped again
+        assert warm_bytes < cold_bytes
 
     def test_restart_limit_zero_keeps_dead_dead(self):
         seed = 3

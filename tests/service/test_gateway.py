@@ -12,6 +12,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import threading
 
 from repro import CoDBNetwork, NodeConfig, TenantQuotas
@@ -340,13 +341,12 @@ class TestSigtermDrain:
 
 
 class TestStreaming:
-    def test_websocket_stream_sees_completions(self):
+    def test_stream_sees_completions(self):
         net = build_network()
         thread = serve_in_thread(net)
         try:
-            events = asyncio.run(self._subscribe_and_submit(thread, True))
-            assert events[0]["event"] == "hello"
-            assert events[0]["streaming"] == "ws"
+            events = asyncio.run(self._subscribe_and_submit(thread))
+            assert events[0] == {"event": "hello", "streaming": "ndjson"}
             completed = [e for e in events if e["event"] == "completed"]
             assert len(completed) == 1
             assert completed[0]["status"] == "done"
@@ -356,26 +356,51 @@ class TestStreaming:
             thread.stop()
             net.stop()
 
-    def test_ndjson_fallback(self):
+    def test_upgrade_request_gets_the_ndjson_reply(self):
+        """There is one stream format: a WebSocket handshake is answered
+        byte for byte like a plain ``GET /v1/stream``."""
+
+        def opening(extra_headers):
+            with socket.create_connection(
+                (thread.host, thread.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    (
+                        "GET /v1/stream HTTP/1.1\r\n"
+                        f"Host: {thread.host}\r\n{extra_headers}\r\n"
+                    ).encode("latin-1")
+                )
+                with sock.makefile("rb") as stream:
+                    head = b""
+                    while not head.endswith(b"\r\n\r\n"):
+                        head += stream.readline()
+                    return head, json.loads(stream.readline())
+
         net = build_network()
         thread = serve_in_thread(net)
         try:
-            events = asyncio.run(self._subscribe_and_submit(thread, False))
-            assert events[0]["streaming"] == "ndjson"
-            assert any(e["event"] == "completed" for e in events)
+            plain = opening("")
+            upgraded = opening(
+                "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                "Sec-WebSocket-Key: Y29kYi1sb2FkZ2VuLXdzLWtleQ==\r\n"
+                "Sec-WebSocket-Version: 13\r\n"
+            )
+            assert upgraded == plain
+            head, hello = upgraded
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert b"application/x-ndjson" in head
+            assert hello == {"event": "hello", "streaming": "ndjson"}
         finally:
             thread.stop()
             net.stop()
 
     @staticmethod
-    async def _subscribe_and_submit(thread, websocket):
+    async def _subscribe_and_submit(thread):
         events = []
         ready = asyncio.Event()
 
         async def subscribe():
-            async for event in stream_events(
-                thread.host, thread.port, websocket=websocket
-            ):
+            async for event in stream_events(thread.host, thread.port):
                 events.append(event)
                 if event.get("event") == "hello":
                     ready.set()

@@ -73,6 +73,74 @@ class TestBlueprintShapes:
         # the origin must have pulled at least its neighbours' data
         if blueprint.edge_count:
             assert net.node(blueprint.origin).wrapper.count("item") >= 5
+        # every rule carried at least its activation message
+        per_rule = outcome.report.messages_per_rule()
+        assert len(per_rule) == blueprint.edge_count
+        assert all(count >= 1 for count in per_rule.values())
+
+
+class TestSection4Shapes:
+    """§4 has the super-peer measure "various networks arranged in
+    different topologies"; these are the qualitative claims its four
+    statistics support, on the blueprints the CLI demo runs."""
+
+    @staticmethod
+    def update(blueprint, **build):
+        build.setdefault("tuples_per_node", 10)
+        net = blueprint.build(seed=1, **build)
+        return net.global_update(blueprint.origin)
+
+    @pytest.mark.parametrize(
+        "blueprint, expected",
+        [
+            (star(7), 1),
+            (tree(2, 3), 3),  # its depth
+            (chain(8), 7),
+            (ring(8), 8),  # the origin's own data circles back
+            (grid(3, 3), 4),  # the Manhattan diameter
+        ],
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_longest_path_is_structural(self, blueprint, expected):
+        assert self.update(blueprint).report.longest_path == expected
+
+    def test_messages_and_time_follow_the_propagation_structure(self):
+        outcomes = {
+            blueprint.name: self.update(blueprint)
+            for blueprint in (star(7), chain(2), chain(4), chain(8), ring(8), complete(8))
+        }
+        messages = {name: o.report.total_messages for name, o in outcomes.items()}
+        assert messages["complete-8"] > messages["chain-8"] > messages["star-7"]
+        # Virtual time (one latency model for all): a chain pays per
+        # hop, a star finishes in one round whatever its size.
+        walls = {name: o.wall_time for name, o in outcomes.items()}
+        assert walls["chain-8"] > walls["chain-4"] > walls["chain-2"]
+        assert walls["star-7"] < walls["chain-8"] / 3
+
+        def mean_per_rule(name):
+            per_rule = outcomes[name].report.messages_per_rule()
+            return sum(per_rule.values()) / len(per_rule)
+
+        # A cycle needs strictly more messages per rule than a chain.
+        assert mean_per_rule("ring-8") > mean_per_rule("chain-8")
+
+    def test_volume_grows_with_data_and_shrinks_with_overlap(self):
+        def volume(tuples, overlap=0.0):
+            outcome = self.update(
+                chain(6), tuples_per_node=tuples, overlap=overlap
+            )
+            return (
+                sum(outcome.report.message_volumes()),
+                outcome.report.total_rows_imported,
+            )
+
+        assert volume(40)[0] > volume(20)[0] > volume(10)[0]
+        # Full overlap: every import is a duplicate, so nothing is new
+        # and the dedup machinery keeps most of it off the wire.
+        overlapping_bytes, overlapping_rows = volume(20, overlap=1.0)
+        disjoint_bytes, disjoint_rows = volume(20)
+        assert overlapping_rows < disjoint_rows
+        assert overlapping_bytes < disjoint_bytes
 
 
 class TestDataGenerator:
