@@ -564,12 +564,35 @@ class ProcessNetwork:
         """Pipelined request/reply fan-out: issue *op* to every worker
         before collecting any reply, so a network-wide probe costs one
         worker round-trip instead of N sequential ones (the workers
-        process their commands concurrently while the driver waits)."""
+        process their commands concurrently while the driver waits).
+        A worker that cannot be reached or dies before replying raises
+        :class:`ProtocolError` (see :meth:`_fan_out` for the tolerant
+        form)."""
+        replies, lost = self._fan_out(workers, op, timeout, **arguments)
+        if lost:
+            raise ProtocolError(
+                f"worker {sorted(lost)[0]!r} unreachable or died during {op!r}"
+            )
+        return replies
+
+    def _fan_out(
+        self,
+        workers: list[_WorkerProxy],
+        op: str,
+        timeout: float | None = None,
+        **arguments: Any,
+    ) -> tuple[dict[str, dict[str, Any]], set[str]]:
+        """:meth:`_call_many` that survives worker deaths: returns the
+        replies and the names of the workers lost on the way — a send
+        that failed or a ``WorkerDied`` answer.  Any other error reply
+        still raises :class:`ProtocolError`, a silent worker
+        :class:`RequestTimeoutError`."""
         if threading.current_thread() is self._pump_thread:
             raise ProtocolError(
                 "synchronous control calls are not allowed on the pump thread"
             )
         pending: list[tuple[_WorkerProxy, int, queue.Queue]] = []
+        lost: set[str] = set()
         for worker in workers:
             if not worker.alive:
                 continue
@@ -579,12 +602,11 @@ class ProcessNetwork:
                 worker.pending[cmd_id] = answer
             try:
                 worker.send_frame(protocol.command(op, cmd_id, **arguments))
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError):
                 with self._lock:
                     worker.pending.pop(cmd_id, None)
-                raise ProtocolError(
-                    f"worker {worker.name!r} unreachable"
-                ) from exc
+                lost.add(worker.name)
+                continue
             pending.append((worker, cmd_id, answer))
         wait = timeout if timeout is not None else self.poll_timeout
         deadline = time.monotonic() + wait
@@ -602,12 +624,15 @@ class ProcessNetwork:
                     f"within {wait}s"
                 ) from None
             if frame["op"] == "error":
+                if frame.get("error_kind") == "WorkerDied":
+                    lost.add(worker.name)
+                    continue
                 raise ProtocolError(
                     f"worker {worker.name!r} failed {op!r}: "
                     f"{frame.get('error_kind', '')} {frame.get('error', '')}"
                 )
             replies[worker.name] = frame
-        return replies
+        return replies, lost
 
     def _cast(
         self,
@@ -1026,7 +1051,7 @@ class ProcessNetwork:
         """Aggregate the per-worker §4 reports into the caller-facing
         outcome (the super-peer aggregation, over the control channel)."""
         update_id = handle.request_id
-        replies = self._call_many(
+        replies, lost = self._fan_out(
             list(self._workers.values()), "report", request_id=update_id
         )
         reports: list[UpdateReport] = []
@@ -1038,9 +1063,12 @@ class ProcessNetwork:
         # Crashed workers can no longer answer the control channel:
         # every dead participant is, by construction, a peer this
         # update could not have covered in full — merged with the
-        # survivors' own local views by aggregate_reports.
+        # survivors' own local views by aggregate_reports.  That
+        # includes a worker lost during this very probe (it may be
+        # back already if the supervisor restarted it).
         dead = sorted(
             set(name for name, w in self._workers.items() if not w.alive)
+            | lost
             | {p for report in reports for p in report.unreachable_peers}
             | self._outage_peers.get(update_id, set())
         )

@@ -3,7 +3,11 @@
 ``explain`` compiles the query through
 :func:`repro.relational.planner.compile_plan` — the same compiler the
 storage wrappers execute — and renders the chosen atom order, the
-per-step probe templates and estimates, where each comparison runs
+per-step probe templates, the two estimates behind the order (rows an
+atom yields per incoming row, and intermediate rows after the step),
+the plan's estimated cost C_out (the sum of the latter, the quantity
+the planner minimised over every order of the body), where each
+comparison runs
 (*scan filter* or *bucket filter* when the step's atom alone binds it —
 applied to the scanned relation or to each probed index bucket before
 anything is joined — else *cross-step filter* on the joined batch),
@@ -33,8 +37,11 @@ class PlanStep:
     #: Column positions bound (by constants or earlier steps) when this
     #: atom is reached — exactly the plan's index-probe template.
     bound_positions: tuple[int, ...]
-    #: The planner's cardinality estimate for the probe.
+    #: The planner's estimate of the rows this atom yields per incoming
+    #: row (the scan's rows at the first step).
     estimated_matches: float
+    #: Estimated intermediate rows after this step.
+    estimated_rows: float
     #: Comparisons that become fully bound after this step, each as
     #: ``"<where it runs>: <comparison>"`` (see the module docstring).
     comparisons_checked: tuple[str, ...] = ()
@@ -58,8 +65,9 @@ class QueryPlan:
         return [step.atom.relation for step in self.steps]
 
     def estimated_cost(self) -> float:
-        """Sum of intermediate estimates (a coarse work proxy)."""
-        return sum(step.estimated_matches for step in self.steps)
+        """C_out: the estimated intermediate rows summed over the steps
+        — the quantity the planner minimised."""
+        return sum(step.estimated_rows for step in self.steps)
 
     def format(self) -> str:
         rows = []
@@ -70,18 +78,29 @@ class QueryPlan:
                     repr(step.atom),
                     ",".join(map(str, step.bound_positions)) or "-",
                     f"{step.estimated_matches:.1f}",
+                    f"{step.estimated_rows:.1f}",
                     f"{step.selectivity:.3f}",
                     "; ".join(step.comparisons_checked) or "-",
                 ]
             )
         table = format_table(
-            ["step", "atom", "bound cols", "est. rows", "selectivity", "comparisons"],
+            [
+                "step",
+                "atom",
+                "bound cols",
+                "est. matches",
+                "est. rows out",
+                "selectivity",
+                "comparisons",
+            ],
             rows,
             title=f"plan for {self.query!r}",
         )
+        lines = [table, f"estimated cost (C_out): {self.estimated_cost():.1f}"]
         if self.sql is None:
-            return f"{table}\npushdown: in-memory only (relation not in store)"
-        lines = [table, f"pushdown SQL: {self.sql.sql}"]
+            lines.append("pushdown: in-memory only (relation not in store)")
+            return "\n".join(lines)
+        lines.append(f"pushdown SQL: {self.sql.sql}")
         if self.sql.params:
             lines.append(f"pushdown params: {self.sql.params!r}")
         return "\n".join(lines)
@@ -119,6 +138,7 @@ def explain(database: Database, query: ConjunctiveQuery) -> QueryPlan:
                 atom=query.body[step.atom_index],
                 bound_positions=step.probe_positions,
                 estimated_matches=step.estimated_cost,
+                estimated_rows=step.estimated_rows,
                 comparisons_checked=tuple(checked),
                 selectivity=step.selectivity,
             )

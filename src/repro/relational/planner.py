@@ -31,10 +31,19 @@ Plan shape
 ----------
 
 A :class:`JoinPlan` is a fixed sequence of :class:`PlanStep`\\ s, one
-per body atom, in an order chosen once from relation statistics
-(``estimated_matches`` times the sampled selectivity of the comparisons
-the atom alone binds — greedy smallest-probe-first, so a selective
-predicate starts the join from its atom).  Each step precompiles:
+per body atom, in an order chosen once from relation statistics.  The
+cost model prices a whole left-deep order, not the next atom: C_out,
+the sum of the estimated intermediate row counts.  Each step multiplies
+the rows before it by the atom's *fan-out* — System R's containment
+estimate ``|R| / Π max(ndv_R(col), ndv(var))`` over the columns earlier
+variables bind (``ndv_R(col)`` for a constant), capped at one row when
+a declared key is fully bound, times the sampled selectivity of the
+comparisons the atom alone binds.  Every admissible order of the body
+is costed and the cheapest kept (:func:`compile_plan`); a cross product
+is admissible only when no atom sharing a variable remains.  So a
+selective predicate starts the join from its atom, and a tiny relation
+that shares nothing with the selection is probed last rather than
+crossed with it first.  Each step precompiles:
 
 * **probe template** — which positions are bound by constants or by
   variables of earlier steps.  At execution these become one hash
@@ -56,7 +65,8 @@ tuples directly without materialising full binding dicts per result.
 
 Delta variants (semi-naive mode) are separate plans: the occurrence of
 the changed relation ranges over the delta rows and is forced first,
-exactly as the interpreter forces ``delta_atom`` first.
+costed as one row, exactly as the interpreter forces ``delta_atom``
+first.
 
 Cache key and invalidation
 --------------------------
@@ -73,10 +83,14 @@ fingerprint** — the order of magnitude (``int(log10(n))``) of every
 body relation's row count at compile time.  On every cache hit the
 fingerprint is recomputed (a ``len`` per relation); when any relation
 has shifted by an order of magnitude the plan is recompiled, so join
-orders track data growth without re-planning on every insert.
+orders track data growth without re-planning on every insert.  A plan
+whose order is forced (one atom, or a delta and one more) has no
+fingerprint and is never recompiled.
 
-Compilation is read-only: cost probes use
-:meth:`Relation.estimated_matches`, which never builds indexes.
+Compilation is read-only: the statistics come from
+:meth:`Relation.ndv_estimate` and :meth:`Relation.selectivity_estimate`
+(on SQLite, one ``COUNT(DISTINCT)`` per column), read at most once per
+compile and never building an index.
 
 Networks additionally share one :class:`PlanRegistry` across all their
 nodes' caches: the super-peer broadcast installs identical rule bodies
@@ -173,13 +187,13 @@ def cardinality_fingerprint(view, relation_names: Sequence[str]) -> tuple[int, .
     tuple changes — the "cardinalities shifted by an order of
     magnitude" trigger.
     """
+    known = view.relation_names
     magnitudes: list[int] = []
     for name in relation_names:
-        relation = _relation_or_none(view, name)
-        if relation is None:
+        if name not in known:
             magnitudes.append(-2)
             continue
-        count = len(relation)
+        count = len(view.relation(name))
         magnitudes.append(-1 if count == 0 else int(math.log10(count)))
     return tuple(magnitudes)
 
@@ -208,8 +222,12 @@ class PlanStep:
     var_checks: tuple[tuple[int, str], ...]
     #: Comparison indices checkable once this step's variables bind.
     comparison_indices: tuple[int, ...]
-    #: The planner's cardinality estimate when this step was placed.
+    #: The planner's fan-out estimate: rows this atom yields per
+    #: incoming row (the scan's rows for the first step).
     estimated_cost: float
+    #: Estimated intermediate rows after this step; their sum over the
+    #: plan is the C_out the planner minimised.
+    estimated_rows: float
     #: The subset of ``comparison_indices`` whose every variable this
     #: atom alone binds, and their conjunction as one kernel over the
     #: atom's rows (``None`` without any): it filters the step's
@@ -287,8 +305,9 @@ class JoinPlan:
         return tuple(step.atom_index for step in self.steps)
 
     def estimated_cost(self) -> float:
-        """Sum of per-step estimates (coarse work proxy, for explain)."""
-        return sum(step.estimated_cost for step in self.steps)
+        """C_out: the estimated intermediate rows summed over the steps
+        — the quantity :func:`compile_plan` minimised."""
+        return sum(step.estimated_rows for step in self.steps)
 
     def execute(
         self,
@@ -755,25 +774,194 @@ class JoinPlan:
 
 
 def _local_kernel(
-    atom: Atom, comparisons: Sequence[Comparison], bound: set[str]
-) -> tuple[tuple[int, ...], Kernel | None]:
-    """The comparisons *atom* alone binds once *bound* is — non-ground,
-    every variable first bound by this atom — as ``(indices, their
-    conjunction as one kernel over the atom's rows)``."""
-    if not comparisons:
-        return (), None
+    atom: Atom, comparisons: Sequence[Comparison], indices: tuple[int, ...]
+) -> Kernel | None:
+    """The comparisons at *indices* — every variable of each bound by
+    *atom* and by no earlier step — as one kernel over the atom's rows."""
+    if not indices:
+        return None
     positions: dict[str, int] = {}
     for position, term in enumerate(atom.terms):
-        if isinstance(term, Variable) and term.name not in bound:
+        if isinstance(term, Variable):
             positions.setdefault(term.name, position)
-    indices = tuple(
-        ci
-        for ci, comparison in enumerate(comparisons)
-        if comparison.variables() and comparison.variables() <= positions.keys()
-    )
-    return indices, conjoin(
-        [compile_comparison(comparisons[ci], positions) for ci in indices]
-    )
+    return conjoin([compile_comparison(comparisons[ci], positions) for ci in indices])
+
+
+#: One placed atom of a costed order: (body index, estimated rows per
+#: incoming row, estimated rows after the step, local comparison
+#: indices, their kernel, their sampled selectivity).
+_Placed = tuple[int, float, float, tuple[int, ...], Kernel | None, float]
+
+
+def _cheapest_order(
+    atoms: Sequence[Atom],
+    atom_vars: Sequence[frozenset[str]],
+    comparisons: Sequence[Comparison],
+    comparison_vars: Sequence[frozenset[str]],
+    view,
+    delta_atom: int | None,
+) -> list[_Placed]:
+    """The left-deep order of *atoms* with the smallest C_out — the sum
+    of its estimated intermediate row counts.
+
+    A step's rows are the rows before it times the atom's *fan-out*,
+    System R's containment estimate: ``|R|``, divided by
+    ``max(ndv_R(col), ndv(var))`` for each column an earlier variable
+    binds and by ``ndv_R(col)`` for each constant, capped at 1 when a
+    declared key is fully bound, times the sampled selectivity of the
+    comparisons the atom alone binds.  A variable's ``ndv`` is the
+    smallest of the columns that bound it so far (1 for the delta
+    atom, which is forced first at cardinality 1).  An atom sharing no
+    variable with the steps before it is a cross product, taken only
+    when no connected atom remains.
+
+    Every admissible order is costed (depth-first; a prefix already as
+    dear as the best full order is abandoned; rule bodies are a handful
+    of atoms).  Each statistic is read once per compile:
+    ``ndv_estimate`` per (relation, column) and only for the columns a
+    probe compares, ``selectivity_estimate`` per (relation, kernel) —
+    on SQLite each ``ndv_estimate`` is a ``COUNT(DISTINCT)``.
+    """
+    known = view.relation_names
+    relations = [
+        view.relation(atom.relation) if atom.relation in known else None
+        for atom in atoms
+    ]
+    # Per atom: ((relation, position), variable name or None for a
+    # constant) per column, and the comparisons it could filter alone
+    # (non-ground, all of their variables its own) — local wherever
+    # none of those variables is bound yet.
+    columns = [
+        [
+            (
+                (atom.relation, position),
+                term.name if isinstance(term, Variable) else None,
+            )
+            for position, term in enumerate(atom.terms)
+        ]
+        for atom in atoms
+    ]
+    candidates = [
+        [
+            (ci, used)
+            for ci, used in enumerate(comparison_vars)
+            if used and used <= names
+        ]
+        for names in atom_vars
+    ]
+    #: variable -> (atom, column) for every column holding it
+    occurrences: dict[str, list[tuple[int, tuple[str, int]]]] = {}
+    for index, atom_columns in enumerate(columns):
+        for column, name in atom_columns:
+            if name is not None:
+                occurrences.setdefault(name, []).append((index, column))
+    #: (relation, position) -> ndv; the one-row delta's columns hold 1
+    #: (as do an unknown relation's, which yields nothing)
+    ndvs: dict[tuple[str, int], int] = {}
+    selections: dict[tuple[int, tuple[int, ...]], tuple[Kernel | None, float]] = {}
+    selectivities: dict[tuple[str, tuple], float] = {}
+
+    def ndv(index: int, column: tuple[str, int]) -> int:
+        if index == delta_atom or relations[index] is None:
+            return 1
+        value = ndvs.get(column)
+        if value is None:
+            value = ndvs[column] = max(relations[index].ndv_estimate(column[1]), 1)
+        return value
+
+    def selection(index: int, local: tuple[int, ...]) -> tuple[Kernel | None, float]:
+        found = selections.get((index, local))
+        if found is None:
+            kernel = _local_kernel(atoms[index], comparisons, local)
+            relation = relations[index]
+            selectivity = 1.0
+            if index != delta_atom and hasattr(relation, "selectivity_estimate"):
+                # A selection shrinks what this atom hands on: weigh it,
+                # so the join starts from the selective atom.
+                key = (atoms[index].relation, kernel.key)
+                selectivity = selectivities.get(key)
+                if selectivity is None:
+                    selectivity = relation.selectivity_estimate(kernel)
+                    selectivities[key] = selectivity
+            found = selections[index, local] = (kernel, selectivity)
+        return found
+
+    def estimate(index: int, placed: int, bound: frozenset) -> tuple:
+        """(fan-out, local comparisons, their kernel, selectivity) of
+        atom *index* after the atoms in *placed*, which bind *bound*."""
+        local = ()
+        kernel, selectivity = None, 1.0
+        if candidates[index]:
+            local = tuple(
+                ci for ci, used in candidates[index] if used.isdisjoint(bound)
+            )
+            if local:
+                kernel, selectivity = selection(index, local)
+        relation = relations[index]
+        if index == delta_atom or relation is None:
+            # The delta is one row; an unknown relation fails at once.
+            return (1.0 if index == delta_atom else 0.0), local, kernel, selectivity
+        fan_out = float(len(relation))
+        probed = []
+        for column, name in columns[index]:
+            if name is None:
+                fan_out /= ndv(index, column)
+            elif name in bound:
+                # The variable's ndv: the smallest over the columns of
+                # the placed atoms holding it.
+                held = math.inf
+                for other, at in occurrences[name]:
+                    if placed >> other & 1:
+                        held = min(held, ndv(other, at))
+                fan_out /= max(ndv(index, column), held)
+            else:
+                continue
+            probed.append(column[1])
+        if relation.schema.key and set(relation.schema.key_positions()).issubset(
+            probed
+        ):
+            fan_out = min(fan_out, 1.0)
+        return fan_out * selectivity, local, kernel, selectivity
+
+    best_cost = math.inf
+    best: list[_Placed] = []
+
+    def extend(
+        remaining: tuple[int, ...],
+        order: list[_Placed],
+        rows: float,
+        cost: float,
+        placed: int,
+        bound: frozenset,
+    ) -> None:
+        """Try every admissible next atom of *remaining* after *order*,
+        whose atoms are the bits of *placed* and bind *bound*."""
+        nonlocal best_cost, best
+        if cost >= best_cost:
+            return
+        if not remaining:
+            best_cost, best = cost, order
+            return
+        if not order and delta_atom is not None:
+            choices = [delta_atom]
+        else:
+            choices = [
+                i for i in remaining if not atom_vars[i].isdisjoint(bound)
+            ] or remaining
+        for index in choices:
+            fan_out, local, kernel, selectivity = estimate(index, placed, bound)
+            out = rows * fan_out
+            extend(
+                tuple(i for i in remaining if i != index),
+                order + [(index, fan_out, out, local, kernel, selectivity)],
+                out,
+                cost + out,
+                placed | 1 << index,
+                bound | atom_vars[index],
+            )
+
+    extend(tuple(range(len(atoms))), [], 1.0, 0.0, 0, frozenset())
+    return best
 
 
 def compile_plan(
@@ -787,13 +975,12 @@ def compile_plan(
 ) -> JoinPlan:
     """Compile *body* (and *comparisons*) into a :class:`JoinPlan`.
 
-    The atom order is fixed here, greedily by
-    ``estimated_matches`` over the positions bound so far, scaled by
-    the sampled selectivity of the atom's local comparisons — the cost
-    model the interpreter re-runs per partial binding, applied once
-    and made to see selections.  *delta_atom* (a body index) is forced first, matching
-    semi-naive evaluation's start-from-the-change discipline.
-    Compilation reads statistics only; it never mutates the store.
+    The atom order is fixed here: the left-deep order with the
+    smallest estimated C_out, costed over every order of the body
+    (:func:`_cheapest_order`).  *delta_atom* (a body index) is forced
+    first, matching semi-naive evaluation's start-from-the-change
+    discipline.  Compilation reads statistics only; it never mutates
+    the store.
     """
     atoms = list(body)
     comparisons = tuple(comparisons)
@@ -803,54 +990,18 @@ def compile_plan(
         fingerprint = cardinality_fingerprint(
             view, sorted({atom.relation for atom in atoms})
         )
-
-    # ---- choose the atom order, once --------------------------------
-    #: (atom index, estimate, local comparisons, their kernel, selectivity)
-    order: list[tuple[int, float, tuple[int, ...], Kernel | None, float]] = []
-    remaining = list(range(len(atoms)))
-    bound: set[str] = set()
-    while remaining:
-        if delta_atom is not None and delta_atom in remaining:
-            local, kernel = _local_kernel(atoms[delta_atom], comparisons, bound)
-            choice = (delta_atom, 0.0, local, kernel, 1.0)
-        else:
-            choice = None
-            for index in remaining:
-                atom = atoms[index]
-                bound_positions = [
-                    i
-                    for i, term in enumerate(atom.terms)
-                    if not isinstance(term, Variable) or term.name in bound
-                ]
-                local, kernel = _local_kernel(atom, comparisons, bound)
-                selectivity = 1.0
-                relation = _relation_or_none(view, atom.relation)
-                if relation is None:
-                    cost = 0.0  # fails immediately, cheap to try
-                else:
-                    cost = relation.estimated_matches(bound_positions)
-                    if kernel is not None and hasattr(
-                        relation, "selectivity_estimate"
-                    ):
-                        # A selection shrinks what this atom hands on:
-                        # weigh it, so the join starts from the
-                        # selective atom and probes the others.
-                        selectivity = relation.selectivity_estimate(kernel)
-                        cost *= selectivity
-                if choice is None or cost < choice[1]:
-                    choice = (index, cost, local, kernel, selectivity)
-        remaining.remove(choice[0])
-        order.append(choice)
-        bound |= atoms[choice[0]].variables()
+    atom_vars = [atom.variables() for atom in atoms]
+    comparison_vars = [comparison.variables() for comparison in comparisons]
+    order = _cheapest_order(
+        atoms, atom_vars, comparisons, comparison_vars, view, delta_atom
+    )
 
     # ---- compile the per-step templates -----------------------------
-    ground = tuple(
-        ci for ci, comparison in enumerate(comparisons) if not comparison.variables()
-    )
+    ground = tuple(ci for ci, used in enumerate(comparison_vars) if not used)
     scheduled: set[int] = set(ground)
-    bound = set()
+    bound: set[str] = set()
     steps: list[PlanStep] = []
-    for choice, cost, local, kernel, selectivity in order:
+    for choice, fan_out, rows, local, kernel, selectivity in order:
         atom = atoms[choice]
         is_delta = choice == delta_atom
         probe_positions: list[int] = []
@@ -879,11 +1030,11 @@ def compile_plan(
             else:
                 probe_positions.append(position)
                 probe_sources.append((False, term))
-        bound |= atom.variables()
+        bound |= atom_vars[choice]
         comparison_indices = tuple(
             ci
-            for ci, comparison in enumerate(comparisons)
-            if ci not in scheduled and comparison.variables() <= bound
+            for ci, used in enumerate(comparison_vars)
+            if ci not in scheduled and used <= bound
         )
         scheduled.update(comparison_indices)
         steps.append(
@@ -898,7 +1049,8 @@ def compile_plan(
                 const_checks=tuple(const_checks),
                 var_checks=tuple(var_checks),
                 comparison_indices=comparison_indices,
-                estimated_cost=cost,
+                estimated_cost=fan_out,
+                estimated_rows=rows,
                 local_comparisons=local,
                 local_kernel=kernel,
                 selectivity=selectivity,
@@ -1079,13 +1231,13 @@ class PlanRegistry:
             return plan
 
     def publish(self, key: tuple, plan: JoinPlan) -> None:
+        # One lookup of the (deeply hashed) key: first publish wins.
         with self._lock:
-            if key in self._plans:
+            if self._plans.setdefault(key, plan) is not plan:
                 return
-            if len(self._plans) >= self.max_plans:
-                self._plans.pop(next(iter(self._plans)))
-            self._plans[key] = plan
             self.publishes += 1
+            if len(self._plans) > self.max_plans:
+                self._plans.pop(next(iter(self._plans)))
 
 
 class PlanCache:
@@ -1136,9 +1288,17 @@ class PlanCache:
         compiled from the *same* body/comparisons/output — a caller
         reusing a rule key for a different query must get a fresh
         plan, never another rule's answers.
+
+        A forced join order — one atom, or a delta occurrence and one
+        more — has nothing to re-cost when cardinalities drift: such a
+        plan is keyed without a fingerprint and never replanned (its
+        estimates describe the data it was first compiled on).
         """
-        relation_names = sorted({atom.relation for atom in body})
-        fingerprint = cardinality_fingerprint(view, relation_names)
+        if len(body) - (delta_atom is not None) <= 1:
+            fingerprint: tuple[int, ...] = ()
+        else:
+            relation_names = sorted({atom.relation for atom in body})
+            fingerprint = cardinality_fingerprint(view, relation_names)
         cached = self._plans.get(key)
         if cached is not None:
             if (

@@ -43,8 +43,11 @@ key with one dict lookup.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+import random
+from collections.abc import Collection, Iterable, Iterator, Sequence
+from functools import lru_cache
 from itertools import islice
+from operator import itemgetter
 
 from repro.errors import SchemaError
 from repro.relational.schema import RelationSchema
@@ -56,9 +59,12 @@ from repro.relational.values import (
     same_value,
     sort_rows,
     value_key,
+    value_keys,
 )
 
-#: Rows inspected (in insertion order) by the index-free NDV estimator.
+#: Sample size floor of the index-free estimators: a relation below
+#: twice this many rows is read whole, a larger one through a stratified
+#: sample of between this many and twice this many rows.
 NDV_SAMPLE_LIMIT = 256
 
 #: Entries the per-version column cache may hold: selections and
@@ -75,6 +81,20 @@ COMPOSITE_INDEX_THRESHOLD = 32
 #: holds a bucket entry per row, so an unbounded cache of them (one per
 #: position set ever probed) can multiply the relation's footprint.
 COMPOSITE_INDEX_BUDGET = 8
+
+
+@lru_cache(maxsize=64)
+def _sample_picker(total: int) -> itemgetter:
+    """Picks one seeded random position in each of the ``total //
+    stride`` consecutive blocks (``stride = total // NDV_SAMPLE_LIMIT``)
+    that tile ``range(total)`` — a stratified sample: every row is
+    equally likely, every stretch of the insertion order is
+    represented, and no period in the data lines up with the picks.
+    Depends on *total* alone, so it is drawn once per relation size."""
+    blocks = total // (total // NDV_SAMPLE_LIMIT)
+    rng = random.Random(0)
+    bounds = [k * total // blocks for k in range(blocks + 1)]
+    return itemgetter(*(rng.randrange(lo, hi) for lo, hi in zip(bounds, bounds[1:])))
 
 
 class Relation:
@@ -104,7 +124,7 @@ class Relation:
         # Monotone mutation counter; invalidates everything cached
         # below: the column-major view, selections and estimates.
         self._version = 0
-        # "rows" | ("values" | "keys" | "ndv", p) | ("select" |
+        # "rows" | "sample" | ("values" | "keys" | "ndv", p) | ("select" |
         # "selectivity", kernel key) -> (version, cached result)
         self._column_cache: dict[object, tuple[int, object]] = {}
         # Bumped by every delete: insertion positions shift under a
@@ -404,12 +424,11 @@ class Relation:
     def ndv_estimate(self, position: int) -> int:
         """Number of distinct values in *position*, without side effects.
 
-        An already-built index answers exactly.  Otherwise a bounded
-        sample (the first :data:`NDV_SAMPLE_LIMIT` rows, insertion
-        order, so the answer is deterministic) is counted and cached
-        against the relation's mutation counter; a sample that is all
-        distinct reads as a key-like column and reports the full row
-        count.  No index is ever built here — estimation must not
+        An already-built index answers exactly.  Otherwise the
+        deterministic sample of :meth:`_sample_rows` is counted and
+        cached against the relation's mutation counter; a sample that
+        is all distinct reads as a key-like column and reports the full
+        row count.  No index is ever built here — estimation must not
         mutate storage (join planning probes many candidate atoms it
         never selects).
         """
@@ -419,7 +438,7 @@ class Relation:
             return len(index)
 
         def count() -> int:
-            keys = [value_key(row[position]) for row in self._sample_rows()]
+            keys = value_keys(list(map(itemgetter(position), self._sample_rows())))
             distinct = len(set(keys))
             if len(self._rows) > NDV_SAMPLE_LIMIT and distinct == len(keys):
                 return len(self._rows)  # key-like: every sampled value distinct
@@ -427,31 +446,41 @@ class Relation:
 
         return self._cached(("ndv", position), count)
 
-    def _sample_rows(self) -> Iterable[Row]:
-        """The rows the estimators read: all of a small relation, else
-        every stride-th row in insertion order, so clustered loads (rows
-        grouped by one column's value) cannot bias the whole sample into
-        one bucket.  An odd stride avoids aliasing with even-period
-        layouts (the common alternating/striped case)."""
+    def _sample_rows(self) -> Collection[Row]:
+        """The rows the estimators read: all of a relation under twice
+        :data:`NDV_SAMPLE_LIMIT` rows, else one row drawn from each of
+        ``len // NDV_SAMPLE_LIMIT``-row blocks of :meth:`row_list`
+        (:func:`_sample_picker`), cached per version.  The blocks
+        tile the insertion order, so clustered loads (rows grouped by
+        one column's value) cannot bias the sample into one bucket; the
+        draw inside each block is random, so no periodic layout can
+        alias with it (a fixed stride of 5 read ``i % 300`` as 60
+        values).  Deterministic (fixed seed) and read-only."""
         total = len(self._rows)
-        if total <= NDV_SAMPLE_LIMIT:
+        if total < 2 * NDV_SAMPLE_LIMIT:
             return self._rows.values()
-        stride = total // NDV_SAMPLE_LIMIT
-        if stride % 2 == 0:
-            stride += 1
-        return islice(self._rows.values(), 0, None, stride)
+
+        def sample() -> tuple[Row, ...]:
+            return _sample_picker(total)(self.row_list())
+
+        return self._cached("sample", sample)
 
     def selectivity_estimate(self, kernel) -> float:
         """Share of rows expected to pass comparison *kernel* (as in
-        :meth:`select_rows`), measured on the sample
+        :meth:`select_rows`), measured column-wise on the sample
         :meth:`ndv_estimate` takes and cached per version.  Exactly 1.0
         when the whole sample passes, never 0 (a sample nothing passes
         reads as one row).  Read-only, like every estimator here."""
 
         def measure() -> float:
-            sample = list(self._sample_rows())
-            passed = sum(map(kernel.row, sample))
-            return max(passed, 1) / len(sample) if sample else 1.0
+            sample = self._sample_rows()
+            if not sample:
+                return 1.0
+            passed = kernel.columns(
+                lambda position: list(map(itemgetter(position), sample)),
+                len(sample),
+            )
+            return max(len(passed), 1) / len(sample)
 
         return self._cached(("selectivity", kernel.key), measure)
 

@@ -149,6 +149,14 @@ def row_key(row: Row) -> tuple:
     return tuple(map(value_key, row))
 
 
+def value_keys(values: list[Value]) -> list:
+    """:func:`value_key` of every value of a column, in order.  A column
+    without bools and floats is its own list of keys."""
+    if _SELF_KEYED.issuperset(map(type, values)):
+        return values
+    return list(map(value_key, values))
+
+
 def row_keys(rows: list[Row]) -> list[tuple]:
     """:func:`row_key` of every row of a batch, in order.  A batch of
     plain tuples without bools and floats is its own list of keys, and

@@ -26,9 +26,10 @@ Three wrappers:
 
 All three expose the same narrow interface the node layer needs, and
 all three plug into the compiled-plan CQ executor (which only requires
-``relation_names`` / ``relation(name)`` with ``lookup`` /
-``estimated_matches``, using the faster ``probe`` when a backend
-offers it).  Each wrapper owns a :class:`~repro.relational.planner.
+``relation_names`` / ``relation(name)`` with ``lookup`` and, for the
+planner's cost model, ``len`` / ``ndv_estimate``, using the faster
+``probe`` and the sampled ``selectivity_estimate`` when a backend
+offers them).  Each wrapper owns a :class:`~repro.relational.planner.
 PlanCache`, so every coordination rule's body — including the
 compensation joins the Wrapper runs on behalf of SQLite — is compiled
 once and re-executed from the cache until its relations' cardinalities
@@ -534,6 +535,15 @@ class _SqliteRelation:
         for cells in cursor:
             yield tuple(decode_sqlite_value(cell) for cell in cells)
 
+    def ndv_estimate(self, position: int) -> int:
+        """Distinct values in column *position* — exact, one
+        ``COUNT(DISTINCT)`` (served by the column's index); the planner
+        asks once per column per compile."""
+        (distinct,) = self._store._connection.execute(
+            f'SELECT COUNT(DISTINCT c{position}) FROM "{self.name}"'
+        ).fetchone()
+        return distinct
+
     def estimated_matches(self, bound_positions: Iterable[int]) -> float:
         # A fully bound declared key answers exactly (≤ 1 row) without
         # issuing any COUNT(DISTINCT) planning queries.
@@ -543,9 +553,7 @@ class _SqliteRelation:
             return float(min(1, len(self)))
         estimate = float(len(self))
         for position in bound:
-            (distinct,) = self._store._connection.execute(
-                f'SELECT COUNT(DISTINCT c{position}) FROM "{self.name}"'
-            ).fetchone()
+            distinct = self.ndv_estimate(position)
             if distinct:
                 estimate /= distinct
         return estimate

@@ -196,6 +196,26 @@ class TestExplain:
         plan = explain(db, parse_query("q(a) <- big(a, b)"))
         assert plan.estimated_cost() == pytest.approx(500.0)
 
+    def test_steps_show_rows_after_them_and_the_plan_its_c_out(self):
+        from repro.relational.planner import compile_plan
+
+        db = self.make_db()
+        query = parse_query("q(b) <- big(a, b), small(a)")
+        plan = explain(db, query)
+        small_step, big_step = plan.steps
+        # small: 2 rows; big probed on a: 500 / max(50 distinct a in
+        # big, 2 in small) = 10 per small row, 20 rows after it.
+        assert small_step.estimated_matches == small_step.estimated_rows == 2.0
+        assert big_step.estimated_matches == pytest.approx(10.0)
+        assert big_step.estimated_rows == pytest.approx(20.0)
+        # C_out, the quantity the planner minimised (big first: 520).
+        assert plan.estimated_cost() == pytest.approx(22.0)
+        compiled = compile_plan(query.body, (), query.head.terms, view=db)
+        assert compiled.estimated_cost() == plan.estimated_cost()
+        text = plan.format()
+        assert "est. rows out" in text
+        assert "estimated cost (C_out): 22.0" in text
+
     def test_plan_matches_execution_reality(self):
         # the plan's first atom really is the cheaper side: verify by
         # checking estimates are non-decreasing at selection time

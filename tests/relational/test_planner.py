@@ -506,8 +506,8 @@ class TestSelectionAwareOrdering:
     def _db(self):
         schema = parse_schema("orders(o: int, c: int, amt: int)\ncustomer(c: int, r: int)")
         db = Database(schema)
-        # One order in forty has amt >= 950, at seeded (not periodic:
-        # the estimators' sample is strided) positions.
+        # One order in forty has amt >= 950, at seeded positions; the
+        # customer column is periodic (i % 300).
         passing = set(random.Random(14).sample(range(1200), 30))
         db.load(
             {
@@ -562,11 +562,23 @@ class TestSelectionAwareOrdering:
 
     def test_ordering_is_read_only(self):
         db = self._db()
-        orders = db.relation("orders")
-        version = orders._version
+        orders, customer = db.relation("orders"), db.relation("customer")
+        versions = (orders._version, customer._version)
         self._plan(db, "q(o, r) <- orders(o, c, a), customer(c, r), a >= 950")
-        assert orders._version == version
-        assert orders._indexes == {} and orders._multi_indexes == {}
+        # The cost model read the distinct counts on both sides of the
+        # join column and the selection's sampled selectivity ...
+        assert ("ndv", 1) in orders._column_cache
+        assert ("ndv", 0) in customer._column_cache
+        assert any(key[0] == "selectivity" for key in orders._column_cache)
+        # ... and wrote nothing: no mutation, no index.
+        assert (orders._version, customer._version) == versions
+        for relation in (orders, customer):
+            assert relation._indexes == {} and relation._multi_indexes == {}
+
+    def test_sampled_ndv_does_not_alias_with_a_periodic_column(self):
+        # orders.c is i % 300 over 1 200 rows: a fixed stride of 5
+        # divides the period and read it as 60 distinct values.
+        assert 150 <= self._db().relation("orders").ndv_estimate(1) <= 600
 
     def test_selections_sharing_a_predicate_select_once(self):
         db = self._db()

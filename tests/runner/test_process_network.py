@@ -439,10 +439,8 @@ class TestSupervisedRestart:
                 )
             )
             handles = submit_storm(net, origins)
-            # Outcomes are assembled by probing every live worker for
-            # its report; collect them once the victim is back, so the
-            # SIGKILL cannot land in the middle of a probe.
-            wait_for_restart(net, victim)
+            # Collected at once: the SIGKILL may land while an outcome
+            # is probing the workers for their reports.
             outcomes = [handle.result(net.poll_timeout) for handle in handles]
             assert any(
                 outcome.report.outcome == "partial" for outcome in outcomes
@@ -453,13 +451,52 @@ class TestSupervisedRestart:
             )
             # Fault models are NOT re-installed on the rejoiner (a
             # fresh ScheduledCrash copy would kill it again), so the
-            # next storm runs clean and reconverges.
+            # next storm, once the victim is back, runs clean and
+            # reconverges.
+            wait_for_restart(net, victim)
             outcomes = run_storm(net, origins)
             for outcome in outcomes:
                 assert outcome.report.outcome == "complete"
             assert_snapshots_equal_up_to_nulls(
                 net.snapshot(), reference.snapshot()
             )
+        finally:
+            net.stop()
+        assert all(not p.is_alive() for p in net.worker_processes())
+
+    def test_worker_dying_during_the_report_probe_is_named(self):
+        """A settled update's outcome is assembled by probing every
+        worker for its report.  A worker SIGKILLed right after it was
+        sent ``report`` cannot answer: the outcome names it as
+        ``partial``, it does not raise ``ProtocolError(WorkerDied)``."""
+        import time
+
+        seed, victim = 12, "N2"
+        net = build_network("chain", seed, lambda: make_process_net(seed))
+        try:
+            handle = net.submit_global_update("N0")
+            net.transport.wait_for(
+                handle.done, net.poll_timeout, description="update N0"
+            )
+            proxy = net._workers[victim]
+            send = proxy.send_frame
+
+            def send_then_kill(frame):
+                send(frame)
+                if frame["op"] == "report":
+                    proxy.process.kill()
+                    # Until the pump has seen the EOF, so whether the
+                    # victim answered first or not, it is dead by the
+                    # time the outcome is assembled.
+                    deadline = time.monotonic() + net.poll_timeout
+                    while proxy.alive and time.monotonic() < deadline:
+                        time.sleep(0.01)
+
+            proxy.send_frame = send_then_kill
+            outcome = handle.result(net.poll_timeout)
+            assert outcome.report.outcome == "partial"
+            assert victim in outcome.report.unreachable_peers
+            assert victim not in net.alive_workers()
         finally:
             net.stop()
         assert all(not p.is_alive() for p in net.worker_processes())
