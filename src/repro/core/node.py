@@ -270,16 +270,20 @@ class CoDBNode:
     def _wire_handlers(self) -> None:
         engine_handlers = {
             "update_request": self.updates.on_update_request,
-            "query_result": self.updates.on_query_result,
             "link_closed": self.updates.on_link_closed,
             "update_complete": self.updates.on_update_complete,
             "query_request": self.queries.on_query_request,
             "query_data": self.queries.on_query_data,
             "query_complete": self.queries.on_query_complete,
         }
-        assert set(engine_handlers) == set(UPDATE_KINDS) | set(QUERY_KINDS)
+        assert {*engine_handlers, "query_result"} == {*UPDATE_KINDS, *QUERY_KINDS}
         for kind, handler in engine_handlers.items():
             self.endpoint.on(kind, self._with_pipe_accounting(handler))
+        # Results are ingested a run at a time: one T per delivery (§3).
+        self.endpoint.on_run(
+            "query_result",
+            self._run_with_pipe_accounting(self.updates.on_query_result),
+        )
         self.endpoint.on(
             PUSH_KIND, self._with_pipe_accounting(self.push.on_push_delta)
         )
@@ -301,14 +305,26 @@ class CoDBNode:
     def _with_pipe_accounting(self, handler):
         def wrapped(message: Message) -> None:
             with self._lock:
-                # Hearing from a peer proves it reachable again (a
-                # healed partition): ack retransmission toward it must
-                # resume, and the answer cache floods conservatively.
-                self._note_reachable(message.sender)
-                self.pipes.note_received(message)
+                self._note_arrival(message)
                 handler(message)
 
         return wrapped
+
+    def _run_with_pipe_accounting(self, handler):
+        def wrapped(messages: list[Message]) -> None:
+            with self._lock:
+                for message in messages:
+                    self._note_arrival(message)
+                handler(messages)
+
+        return wrapped
+
+    def _note_arrival(self, message: Message) -> None:
+        # Hearing from a peer proves it reachable again (a healed
+        # partition): ack retransmission toward it must resume, and the
+        # answer cache floods conservatively.
+        self._note_reachable(message.sender)
+        self.pipes.note_received(message)
 
     def _note_reachable(self, peer: str) -> None:
         """First contact from a peer the failure detector had written

@@ -51,6 +51,20 @@ update id, i.e. per session):
   every node force-closes that session's remaining links (recorded as
   ``closed_by="quiescence"``) and garbage-collects the session.
 
+Runs: one delivered burst often carries several ``query_result``
+messages of one update — a source cuts its results into ``batch_rows``
+messages, and a relay forwards in one burst what one delivery made it
+derive.  The node's endpoint hands such consecutive messages over
+together (:meth:`~repro.p2p.endpoint.Endpoint.on_run`), and the
+consecutive ones of one update and one path length are ingested as
+ONE T: one dedup pass, one insert per relation, one re-evaluation of
+the dependent links, whose output leaves re-cut into full
+``batch_rows`` messages.  Any other kind is a barrier, handled
+only after the run in front of it — a ``link_closed`` never overtakes
+the results sent before it.  The fix-point does not depend on how T
+is cut, so runs change what a delivery costs, not what is computed;
+Dijkstra–Scholten and the §4 statistics still count messages.
+
 Correctness under concurrency: the local databases are shared and grow
 monotonically; each session is an independent propagation wave whose
 deltas it carries to quiescence itself, and the lifetime ``fired`` set
@@ -77,6 +91,8 @@ global update-id seniority order as sessions finish.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 from repro.core.links import (
@@ -93,13 +109,43 @@ from repro.errors import FixpointGuardError, ProtocolError, UnknownPeerError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
 from repro.relational.storage import Relation
-from repro.relational.values import MarkedNull, Row, decode_row, encode_row, row_key
+from repro.relational.values import MarkedNull, Row, decode_rows, encode_row, row_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import CoDBNode
 
 #: Message kinds owned by the update manager.
 UPDATE_KINDS = ("update_request", "query_result", "link_closed", "update_complete")
+
+
+def _credit_new_rows(
+    new_rows: list[Row],
+    pending: list[Row],
+    owners: list[tuple[str, int]],
+    credit: dict[str, int],
+) -> None:
+    """Credit each of a batch's *new_rows* to the rule whose fact
+    brought it: *owners* cut *pending* into ``(rule, end)`` spans.
+    ``insert_new`` keeps the first occurrence of each new key, so a
+    row that two rules of one run derive counts for the first."""
+    if len(owners) == 1:
+        credit[owners[0][0]] += len(new_rows)
+        return
+    unclaimed = set(row_keys(new_rows))
+    keys = row_keys(pending)
+    start = 0
+    for rule_id, end in owners:
+        for key in keys[start:end]:
+            if key in unclaimed:
+                unclaimed.discard(key)
+                credit[rule_id] += 1
+        start = end
+
+
+def _run_key(message: Message) -> tuple:
+    """What the messages of one ingested run share."""
+    payload = message.payload
+    return payload["update_id"], int(payload.get("path_len", 1))
 
 
 class UpdateEngine:
@@ -286,90 +332,113 @@ class UpdateEngine:
     # Ingesting results (the heart of §3)
     # ------------------------------------------------------------------
 
-    def ingest_results(self, message: Message) -> None:
+    def ingest_results(self, messages: list[Message]) -> None:
+        """Ingest one run of ``query_result`` messages as one T (§3).
+
+        *messages* are consecutive results of this update with one path
+        length, out of one delivery (see
+        :meth:`UpdateManager.on_query_result`); ``[message]`` is a run
+        of one.  The fix-point does not depend on how T was cut into
+        messages, so the run pays once for what each message used to:
+        one dedup pass, one ``head_facts`` per rule, one ``insert_new``
+        per relation, one ``bump_epochs`` and one re-evaluation of the
+        dependent links, whose output :meth:`_send_results` cuts into
+        full ``batch_rows`` messages again.  The §4 statistics still
+        count messages: each is a round and has its own volume.
+        """
         node = self.node
-        update_id = self.update_id
-        rule_id = message.payload["rule_id"]
-        path_len = int(message.payload.get("path_len", 1))
-        link = node.links.outgoing.get(rule_id)
-        if link is None:
-            raise ProtocolError(
-                f"{node.name}: query_result for unknown outgoing rule {rule_id!r}"
+        outgoing = node.links.outgoing
+        # Decode the whole run before any memory is touched: a bad
+        # message must not leave rows marked fired but never inserted.
+        received: dict[str, list[Row]] = {}
+        for message in messages:
+            rule_id = message.payload["rule_id"]
+            if rule_id not in outgoing:
+                raise ProtocolError(
+                    f"{node.name}: query_result for unknown outgoing "
+                    f"rule {rule_id!r}"
+                )
+            received.setdefault(rule_id, []).extend(
+                decode_rows(message.payload["rows"])
             )
-        state = self.links.outgoing_state(rule_id)
-        report = node.stats.report_for(update_id)
-        rows = [decode_row(encoded) for encoded in message.payload["rows"]]
+        path_len = int(messages[0].payload.get("path_len", 1))
+        report = node.stats.report_for(self.update_id)
 
-        # Two dedup layers, one key per row.  The session's received-
-        # set is multi-path protection within THIS update ("remove from
-        # T those tuples which are already in R" at frontier
-        # granularity); the shared link's lifetime fired-set spans
-        # updates and concurrent sessions, and is what keeps null
-        # minting idempotent: a frontier row instantiates the head at
-        # most once per link lifetime, no matter how many sessions
-        # deliver it.
-        seen, fired = state.seen, link.fired
-        to_fire = []
-        for row in rows:
-            key = row_key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            if key not in fired:
-                fired.add(key)
-                to_fire.append(row)
-
-        nulls_before = node.nulls.minted
-        facts = link.rule.head_facts(to_fire, node.nulls)
-
-        # Batch ingest: group the message's head facts per relation and
+        # Batch ingest: group the run's head facts per relation and
         # insert each group with ONE insert_new call — the paper's
-        # ``T' = T \ R`` at query_result-message granularity instead of
-        # row-at-a-time.  Subsumption dedup must still see rows accepted
-        # earlier in this batch (the old loop had inserted them by then):
-        # a per-relation shadow Relation mirrors the accepted rows, so
-        # those probes stay hash-indexed instead of scanning the batch.
-        batches: dict[str, list[Row]] = {}
+        # ``T' = T \ R`` for the whole T.  Subsumption dedup must still
+        # see rows accepted earlier in this batch (row-at-a-time
+        # insertion would have stored them by then): a per-relation
+        # shadow Relation mirrors the accepted rows, so those probes
+        # stay hash-indexed instead of scanning the batch.
+        nulls_before = node.nulls.minted
+        batches: defaultdict[str, list[Row]] = defaultdict(list)
+        #: relation -> [(rule, batch length once that rule's facts are in)]
+        owners: dict[str, list[tuple[str, int]]] = {}
         subsumption = node.config.subsumption_dedup
         view = node.wrapper._view() if subsumption else None
         shadows: dict[str, Relation] = {}
-        for relation, row in facts:
-            pending = batches.setdefault(relation, [])
-            if subsumption:
-                shadow = shadows.get(relation)
-                if shadow is None:
-                    shadow = Relation(node.wrapper.schema[relation])
-                    shadows[relation] = shadow
-                if any(isinstance(value, MarkedNull) for value in row) and (
-                    tuple_subsumed(row, view.relation(relation))
-                    or tuple_subsumed(row, shadow)
-                ):
+        for rule_id, rows in received.items():
+            link = outgoing[rule_id]
+            state = self.links.outgoing_state(rule_id)
+            state.longest_path = max(state.longest_path, path_len)
+            link.longest_path = max(link.longest_path, path_len)
+            # Two dedup layers, one key per row.  The session's
+            # received-set is multi-path protection within THIS update
+            # ("remove from T those tuples which are already in R" at
+            # frontier granularity); the shared link's lifetime
+            # fired-set spans updates and concurrent sessions, and is
+            # what keeps null minting idempotent: a frontier row
+            # instantiates the head at most once per link lifetime, no
+            # matter how many sessions deliver it.
+            seen, fired = state.seen, link.fired
+            to_fire = []
+            for key, row in zip(row_keys(rows), rows):
+                if key in seen:
                     continue
-                shadow.insert(row)
-            pending.append(row)
+                seen.add(key)
+                if key not in fired:
+                    fired.add(key)
+                    to_fire.append(row)
+            for relation, row in link.rule.head_facts(to_fire, node.nulls):
+                if subsumption:
+                    shadow = shadows.get(relation)
+                    if shadow is None:
+                        shadow = Relation(node.wrapper.schema[relation])
+                        shadows[relation] = shadow
+                    if any(isinstance(value, MarkedNull) for value in row) and (
+                        tuple_subsumed(row, view.relation(relation))
+                        or tuple_subsumed(row, shadow)
+                    ):
+                        continue
+                    shadow.insert(row)
+                batches[relation].append(row)
+            for relation, pending in batches.items():
+                spans = owners.setdefault(relation, [])
+                if len(pending) > (spans[-1][1] if spans else 0):
+                    spans.append((rule_id, len(pending)))
 
         deltas: dict[str, list[Row]] = {}
-        inserted = 0
+        rows_new = dict.fromkeys(received, 0)
         for relation, pending in batches.items():
-            if not pending:
-                continue
             new_rows = node.store_derived(relation, pending)
             if new_rows:
                 deltas[relation] = new_rows
-                inserted += len(new_rows)
+                _credit_new_rows(new_rows, pending, owners[relation], rows_new)
 
-        state.longest_path = max(state.longest_path, path_len)
-        link.longest_path = max(link.longest_path, path_len)
         if report is not None:
-            report.rounds += 1
-            report.rows_imported += inserted
+            report.rounds += len(messages)
+            report.rows_imported += sum(rows_new.values())
             report.nulls_minted += node.nulls.minted - nulls_before
             report.longest_path = max(report.longest_path, path_len)
-            report.rule_traffic(rule_id).record(
-                volume=message.payload_bytes(),
-                rows=len(rows),
-                new_rows=inserted,
-            )
+            for message in messages:
+                report.rule_traffic(message.payload["rule_id"]).record(
+                    volume=message.payload_bytes(),
+                    rows=len(message.payload["rows"]),
+                    new_rows=0,
+                )
+            for rule_id, count in rows_new.items():
+                report.rule_traffic(rule_id).rows_new += count
             if report.rounds > node.config.fixpoint_guard:
                 raise FixpointGuardError(node.config.fixpoint_guard)
 
@@ -680,26 +749,51 @@ class UpdateManager:
         # re-check) — this is the session's last chance to self-close.
         self.maybe_finalize_after_failure(update_id)
 
-    def on_query_result(self, message: Message) -> None:
-        update_id = message.payload["update_id"]
-        session = self.sessions.get(update_id)
-        if session is None:
-            if self.node.admission.is_deferred(update_id):
+    def on_query_result(self, messages: list[Message]) -> None:
+        """The ``query_result`` messages of one delivery, in order (see
+        :meth:`~repro.p2p.endpoint.Endpoint.on_run`), cut into the runs
+        ingested as one T each: consecutive messages of one update and
+        one path length.
+
+        Dijkstra–Scholten still sees every message: each engages before
+        the run is ingested, and each is processed — acked unless it was
+        the tree edge — once the run's sends are noted.
+        """
+        for _key, run in groupby(messages, key=_run_key):
+            self._on_run(list(run))
+
+    def _on_run(self, run: list[Message]) -> None:
+        node = self.node
+        update_id = run[0].payload["update_id"]
+        # Without a session the messages go one at a time: replaying a
+        # deferred one may admit the session for the rest.
+        while run and update_id not in self.sessions:
+            message, run = run[0], run[1:]
+            if node.admission.is_deferred(update_id):
                 # Session not admitted yet: queue the data behind the
                 # deferred request so replay preserves arrival order.
-                self.node.admission.defer_message(
-                    update_id, "update", message, self.on_query_result
+                node.admission.defer_message(
+                    update_id, "update", message, self._replay_result
                 )
-                return
-            # Completed here (or arrived after a failure-finalize):
-            # the data flowed under another still-open session or is
-            # already stored; ack so the sender's deficit drains.
-            self.node.send_ack(message.sender, update_id)
+            else:
+                # Completed here (or arrived after a failure-finalize):
+                # the data flowed under another still-open session or
+                # is already stored; ack so the sender's deficit drains.
+                node.send_ack(message.sender, update_id)
+        if not run:
             return
-        tree = self.node.termination.on_engaging_message(update_id, message.sender)
-        session.ingest_results(message)
-        self.node.termination.after_processing(update_id, message.sender, tree)
+        termination = node.termination
+        trees = [
+            termination.on_engaging_message(update_id, message.sender)
+            for message in run
+        ]
+        self.sessions[update_id].ingest_results(run)
+        for message, tree in zip(run, trees):
+            termination.after_processing(update_id, message.sender, tree)
         self.maybe_finalize_after_failure(update_id)
+
+    def _replay_result(self, message: Message) -> None:
+        self.on_query_result([message])
 
     def on_link_closed(self, message: Message) -> None:
         update_id = message.payload["update_id"]

@@ -101,6 +101,13 @@ class FrameRejectedError(ProtocolError):
     header on a stream can be trusted) or about to be written."""
 
 
+class SnapshotError(ProtocolError):
+    """A node snapshot this build cannot trust: unparsable, a missing or
+    unknown format tag or version, or a section that does not decode
+    against the node it is restored into.  Raised before the node is
+    touched."""
+
+
 class RequestTimeoutError(ProtocolError):
     """Waiting on a request handle (or a network predicate) timed out.
 

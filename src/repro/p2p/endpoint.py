@@ -13,6 +13,15 @@ one list per recipient, and leaves when the scope closes — each list
 as one :meth:`~repro.p2p.transport.Transport.send_burst`.  A relayed
 burst therefore stays a burst hop after hop, and where it begins and
 ends depends only on what was delivered, never on socket timing.
+
+And it is where *runs* are cut.  A kind registered with
+:meth:`Endpoint.on_run` is handled a run at a time: inside a delivery,
+consecutive messages of that kind are buffered and handed over
+together — at the first message of another kind, which is a barrier
+handled only after the run before it, and when the scope closes,
+before the outbox leaves.  Outside a delivery a message is a run of
+one.  A run is therefore at most what one delivery carried, and how a
+transport splits bursts changes only how many runs there are.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from repro.p2p.messages import Message
 from repro.p2p.transport import Transport
 
 Handler = Callable[[Message], None]
+RunHandler = Callable[[list[Message]], None]
 
 
 class Endpoint:
@@ -52,6 +62,7 @@ class Endpoint:
         self.ids = ids
         self.strict = strict
         self._handlers: dict[str, Handler] = {}
+        self._run_handlers: dict[str, RunHandler] = {}
         self._default_handler: Handler | None = None
         self.unhandled_count = 0
         #: At-most-once processing over an at-least-once wire: a fault
@@ -66,6 +77,9 @@ class Endpoint:
         self._outbox: dict[str, list[Message]] | None = None
         #: The thread the open delivery runs on: the outbox is its.
         self._outbox_thread = 0
+        #: The run the open delivery is collecting (the messages
+        #: themselves, not copies of their payloads).
+        self._run: list[Message] = []
         #: Called when a delivery ends, before the outbox leaves: the
         #: node's last word in the bursts (its summed acknowledgements).
         self.before_flush: Callable[[], None] | None = None
@@ -75,11 +89,21 @@ class Endpoint:
 
     def on(self, kind: str, handler: Handler) -> None:
         """Register *handler* for message kind *kind* (one per kind)."""
-        if kind in self._handlers:
+        self._claim(kind)
+        self._handlers[kind] = handler
+
+    def on_run(self, kind: str, handler: RunHandler) -> None:
+        """Register *handler* for runs of *kind*: it is called with the
+        consecutive messages of that kind one delivery carried (see
+        module docstring)."""
+        self._claim(kind)
+        self._run_handlers[kind] = handler
+
+    def _claim(self, kind: str) -> None:
+        if kind in self._handlers or kind in self._run_handlers:
             raise ProtocolError(
                 f"peer {self.peer_id!r} already handles {kind!r}"
             )
-        self._handlers[kind] = handler
 
     def on_default(self, handler: Handler) -> None:
         self._default_handler = handler
@@ -93,6 +117,18 @@ class Endpoint:
             self._seen_ids[key] = None
             if len(self._seen_ids) > self.DEDUP_LIMIT:
                 self._seen_ids.popitem(last=False)
+        run_handler = self._run_handlers.get(message.kind)
+        if self.delivering():
+            if self._run and (
+                run_handler is None or self._run[0].kind != message.kind
+            ):
+                self._end_run()  # a barrier: the run before it goes first
+            if run_handler is not None:
+                self._run.append(message)
+                return
+        elif run_handler is not None:
+            run_handler([message])
+            return
         handler = self._handlers.get(message.kind)
         if handler is not None:
             handler(message)
@@ -124,10 +160,20 @@ class Endpoint:
         """
         return _Delivery(self)
 
+    def _end_run(self) -> None:
+        """Hand the buffered run to its handler.  The buffer is emptied
+        first: the handler may itself drive a delivery."""
+        run, self._run = self._run, []
+        if run:
+            self._run_handlers[run[0].kind](run)
+
     def _flush(self) -> None:
         try:
-            if self.before_flush is not None:
-                self.before_flush()
+            try:
+                self._end_run()
+            finally:
+                if self.before_flush is not None:
+                    self.before_flush()
         finally:
             outbox, self._outbox = self._outbox, None
             for messages in outbox.values():

@@ -882,7 +882,10 @@ class FaultInjector:
         """Run *action* right after the *count*-th delivery matching
         the filters — the deterministic, latency-model-independent
         replacement for ``run_for``-based fault timing.  Returns the
-        hook (``hook.cancel()`` disarms it)."""
+        hook (``hook.cancel()`` disarms it).  A message an endpoint
+        handles in runs (``query_result``) is delivered when it joins
+        its run and ingested with the run, later in the same delivery:
+        the action runs in between."""
         hook = _DeliveryHook(
             action=action,
             kind=kind,

@@ -37,6 +37,7 @@ import json
 import pickle
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring as _quote
 from typing import Any
 
 from repro._util import stable_json
@@ -144,27 +145,42 @@ class Message:
     # hot-path waste.  ``cached_property`` stores straight into
     # ``__dict__``, which works on a frozen dataclass.
 
+    def _envelope(self) -> tuple[bytes, bytes]:
+        """The stable-JSON frame is ``head + stable_json(payload) +
+        tail``: the envelope's keys in sorted order, ``payload`` third."""
+        head = (
+            f'{{"kind":{_quote(self.kind)},'
+            f'"message_id":{_quote(self.message_id)},"payload":'
+        )
+        tail = (
+            f',"recipient":{_quote(self.recipient)},'
+            f'"sender":{_quote(self.sender)}}}'
+        )
+        return head.encode("utf-8"), tail.encode("utf-8")
+
     @cached_property
     def _wire(self) -> bytes:
-        return stable_json(
-            {
-                "kind": self.kind,
-                "sender": self.sender,
-                "recipient": self.recipient,
-                "payload": self.payload,
-                "message_id": self.message_id,
-            }
-        ).encode("utf-8")
+        head, tail = self._envelope()
+        return head + stable_json(self.payload).encode("utf-8") + tail
 
     @cached_property
     def _payload_size(self) -> int:
-        # The frame is the envelope with the payload spliced in, so the
-        # payload's stable size is what the frame has beyond an
-        # envelope around ``{}`` — no second pass over the rows.
-        empty = Message(
-            self.kind, self.sender, self.recipient, {}, self.message_id
-        )
-        return len(self._wire) - len(empty._wire) + 2
+        # What the frame has beyond its envelope — for a received frame
+        # too, whose bytes are the sender's stable form: no second pass
+        # over the rows.
+        head, tail = self._envelope()
+        return len(self._wire) - len(head) - len(tail)
+
+    def _check_fields(self) -> None:
+        """A decoded frame must carry four strings and a dict."""
+        if not (
+            isinstance(self.kind, str)
+            and isinstance(self.sender, str)
+            and isinstance(self.recipient, str)
+            and isinstance(self.payload, dict)
+            and isinstance(self.message_id, str)
+        ):
+            raise ProtocolError("message fields have wrong types")
 
     def size_bytes(self) -> int:
         """Stable serialised size of the full envelope (cached)."""
@@ -189,8 +205,9 @@ class Message:
                 payload=decoded["payload"],
                 message_id=decoded.get("message_id", ""),
             )
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise ProtocolError(f"malformed wire message: {exc}") from exc
+        message._check_fields()
         # Seed the wire cache with the received bytes: every coDB
         # sender serialises with ``stable_json``, so the bytes ARE the
         # stable form — the receive path never re-serialises just to
@@ -216,14 +233,6 @@ class Message:
             kind, sender, recipient, payload, message_id = fields
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed binary message: {exc}") from exc
-        if not (
-            isinstance(kind, str)
-            and isinstance(sender, str)
-            and isinstance(recipient, str)
-            and isinstance(payload, dict)
-            and isinstance(message_id, str)
-        ):
-            raise ProtocolError("binary message fields have wrong types")
         message = cls(
             kind=kind,
             sender=sender,
@@ -231,6 +240,7 @@ class Message:
             payload=payload,
             message_id=message_id,
         )
+        message._check_fields()
         # Mirror ``from_wire``: the received bytes seed the *binary*
         # cache.  ``size_bytes`` still reports the stable-JSON volume
         # (computed lazily if a statistics reader asks).

@@ -18,10 +18,12 @@ tuple *subsume* another up to a renaming of nulls?) live in
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 from typing import Any, Union
 
 #: The Python types admitted as constants in tuples.
 CONSTANT_TYPES = (int, float, str, bool)
+_CONSTANT_KINDS = frozenset(CONSTANT_TYPES)
 
 #: JSON key marking an encoded null.  Constants are never dicts, so a
 #: one-entry dict with this key is unambiguous on the wire.
@@ -254,7 +256,7 @@ def decode_value(payload: Any) -> Value:
     """Inverse of :func:`encode_value`."""
     if isinstance(payload, dict):
         label = payload.get(NULL_KEY)
-        if label is None:
+        if not isinstance(label, str):
             raise ValueError(f"malformed encoded value: {payload!r}")
         return MarkedNull(label)
     return check_value(payload)
@@ -268,3 +270,13 @@ def encode_row(row: Row) -> list:
 def decode_row(payload: list) -> Row:
     """Inverse of :func:`encode_row`."""
     return tuple(decode_value(v) for v in payload)
+
+
+def decode_rows(payloads: list[list]) -> list[Row]:
+    """:func:`decode_row` of every row of a batch.  A batch of
+    constants only — no encoded nulls, nothing invalid — is its own
+    decoding, and finding that out costs one type per cell, not one
+    function call."""
+    if _CONSTANT_KINDS.issuperset(map(type, chain.from_iterable(payloads))):
+        return list(map(tuple, payloads))
+    return list(map(decode_row, payloads))

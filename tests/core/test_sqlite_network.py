@@ -9,10 +9,12 @@ received-set interaction, delta plans fed by real ``query_result``
 messages, and closure ordering.
 
 Also pinned here: the batched-ingest contract — one ``insert_new``
-call per ``query_result`` message, not one per row.
+call per delivered run of ``query_result`` messages, not one per
+message or per row.
 """
 
 import pytest
+from test_burst_invariant import SplittingNetwork
 
 from repro.core.node import NodeConfig
 from repro.relational.wrapper import SqliteStore
@@ -72,7 +74,7 @@ def test_sqlite_topology_matches_memory_with_message_batching():
 
 
 class TestIngestBatching:
-    """_ingest_results makes one insert_new call per message."""
+    """ingest_results makes one insert_new call per delivered run."""
 
     def _spy(self, node):
         calls = []
@@ -95,13 +97,27 @@ class TestIngestBatching:
         # frontier rows -> exactly one insert_new call with 40 rows.
         assert calls == [("item", 40)]
 
-    def test_batched_messages_get_one_call_each(self):
+    def test_batched_messages_of_one_delivery_get_one_call(self):
         blueprint = chain(2)
         network = blueprint.build(
             seed=5, tuples_per_node=40, config=NodeConfig(batch_rows=15)
         )
         calls = self._spy(network.node("N0"))
         network.global_update("N0")
-        # 40 rows split 15/15/10: one insert_new per message.
-        assert calls == [("item", 15), ("item", 15), ("item", 10)]
+        # 40 rows split 15/15/10 arrive in one burst: one run, one T.
+        assert calls == [("item", 40)]
         assert network.node("N0").wrapper.count("item") == 40 + 40  # own + imported
+
+    def test_messages_delivered_alone_get_one_call_each(self):
+        blueprint = chain(2)
+        network = blueprint.build(
+            seed=5,
+            tuples_per_node=40,
+            config=NodeConfig(batch_rows=15),
+            transport=SplittingNetwork(5, 1.0),
+        )
+        calls = self._spy(network.node("N0"))
+        network.global_update("N0")
+        # Every message its own delivery: every message its own run.
+        assert calls == [("item", 15), ("item", 15), ("item", 10)]
+        assert network.node("N0").wrapper.count("item") == 40 + 40

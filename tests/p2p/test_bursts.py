@@ -4,8 +4,9 @@ The endpoint holds a delivery's sends in an outbox and hands each
 recipient's share to ``Transport.send_burst``; the simulator delivers
 a burst as one event, TCP as one frame train (continuation bit in the
 length prefix) handled in one scope.  A transport may split a burst
-anywhere — these tests pin both the whole and the split behaviour, and
-the frame boundary's fail-closed handling of hostile headers.
+anywhere — these tests pin both the whole and the split behaviour, the
+runs the endpoint cuts out of a delivery, and the frame boundary's
+fail-closed handling of hostile headers.
 """
 
 import socket
@@ -16,7 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.errors import FrameRejectedError, UnknownPeerError
+from repro.errors import FrameRejectedError, ProtocolError, UnknownPeerError
 from repro.p2p import tcp
 from repro.p2p.endpoint import Endpoint
 from repro.p2p.faults import FaultInjector, FaultModel
@@ -253,6 +254,54 @@ class TestEndpointOutbox:
             assert mine == list(range(per_driver))
         held = [(who, n) for kind, who, n in got if kind == "held"]
         assert held == [(d, i) for d in range(deliveries) for i in range(3)]
+
+
+class TestEndpointRuns:
+    """A kind registered with ``on_run`` is handed over a run at a time:
+    the consecutive messages of that kind in one delivery."""
+
+    def endpoint(self, transport, log):
+        a = Endpoint("A", transport, IdAuthority())
+        a.on_run("r", lambda run: log.append([m.payload["n"] for m in run]))
+        a.on("x", lambda m: log.append(m.payload["n"]))
+        a.before_flush = lambda: log.append("flush")
+        return a
+
+    def test_any_other_kind_is_a_barrier_and_the_run_ends_before_the_flush(self):
+        net, log = InProcessNetwork(), []
+        self.endpoint(net, log)
+        kinds = ["r", "r", "x", "r", "r"]
+        net.send_burst([msg("B", "A", n, kind) for n, kind in enumerate(kinds)])
+        net.run_until_idle()
+        assert log == [[0, 1], 2, [3, 4], "flush"]
+
+    def test_a_split_burst_is_several_runs(self):
+        net, log = InProcessNetwork(), []
+        self.endpoint(net, log)
+        net.send_burst([msg("B", "A", 0, "r")])
+        net.send_burst([msg("B", "A", 1, "r")])
+        net.run_until_idle()
+        assert log == [[0], "flush", [1], "flush"]
+
+    def test_outside_a_delivery_a_message_is_a_run_of_one(self):
+        log = []
+        a = self.endpoint(InProcessNetwork(), log)
+        a._dispatch(msg("B", "A", 0, "r"))
+        assert log == [[0]]
+
+    def test_a_duplicate_never_joins_a_run(self):
+        net, log = InProcessNetwork(), []
+        self.endpoint(net, log)
+        net.send_burst([msg("B", "A", n, "r") for n in (0, 0, 1)])
+        net.run_until_idle()
+        assert log == [[0, 1], "flush"]
+
+    def test_a_kind_has_one_handler(self):
+        a = self.endpoint(InProcessNetwork(), [])
+        with pytest.raises(ProtocolError):
+            a.on("r", lambda m: None)
+        with pytest.raises(ProtocolError):
+            a.on_run("x", lambda run: None)
 
 
 def frame(body: bytes, continues: bool = False) -> bytes:

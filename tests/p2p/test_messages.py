@@ -1,7 +1,10 @@
 """Message envelopes and their wire format."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro._util import stable_json
 from repro.errors import ProtocolError
 from repro.p2p.messages import (
     FRAME_BINARY,
@@ -178,6 +181,61 @@ class TestSizeCaching:
         assert a == b
         with pytest.raises(AttributeError):
             a.kind = "other"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestStableEnvelope:
+    """The frame is built as envelope head + payload + envelope tail, so
+    the payload's size is known without serialising anything twice.
+    Both must agree with serialising the whole envelope at once."""
+
+    @given(
+        kind=st.sampled_from(KINDS) | st.text(),
+        sender=st.text(),
+        recipient=st.text(),
+        message_id=st.text(),
+        payload=st.dictionaries(st.text(), JSON_VALUES, max_size=5),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_frame_and_payload_size_match_one_whole_serialisation(
+        self, kind, sender, recipient, message_id, payload
+    ):
+        def whole(body):
+            return stable_json(
+                {
+                    "kind": kind,
+                    "sender": sender,
+                    "recipient": recipient,
+                    "payload": body,
+                    "message_id": message_id,
+                }
+            ).encode("utf-8")
+
+        wire = whole(payload)
+        payload_size = len(wire) - len(whole({})) + 2
+        message = Message(kind, sender, recipient, payload, message_id)
+        assert message.to_wire() == wire
+        assert message.payload_bytes() == payload_size
+        received = Message.from_wire(wire)
+        assert received.payload_bytes() == payload_size
+        assert received.to_wire() is wire
+
+    def test_a_frame_with_a_non_string_field_is_refused(self):
+        with pytest.raises(ProtocolError):
+            Message.from_wire(
+                b'{"kind":1,"message_id":"m","payload":{},"recipient":"B","sender":"A"}'
+            )
+        with pytest.raises(ProtocolError):
+            Message.from_wire(
+                b'{"kind":"k","message_id":"m","payload":[],"recipient":"B","sender":"A"}'
+            )
 
 
 class TestIdAuthority:

@@ -6,6 +6,7 @@ from repro.relational.values import (
     MarkedNull,
     check_value,
     decode_row,
+    decode_rows,
     decode_value,
     encode_row,
     encode_value,
@@ -97,6 +98,32 @@ class TestWireCodec:
     def test_malformed_dict_rejected(self):
         with pytest.raises(ValueError):
             decode_value({"not-null-key": "x"})
+
+    def test_a_null_label_is_a_string(self):
+        with pytest.raises(ValueError):
+            decode_value({"$null": 7})
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(1, "a"), (2, "b")],
+            [(True, 2.5), (0, -0.0)],
+            [("a", MarkedNull("n")), (1, 2)],
+        ],
+        ids=["empty", "plain", "bools-floats", "with-null"],
+    )
+    def test_a_batch_decodes_as_its_rows_do(self, rows):
+        encoded = [encode_row(row) for row in rows]
+        decoded = decode_rows(encoded)
+        assert decoded == [decode_row(row) for row in encoded]
+        assert [list(map(type, row)) for row in decoded] == [
+            list(map(type, row)) for row in rows
+        ]
+
+    def test_a_batch_with_an_invalid_value_is_rejected(self):
+        with pytest.raises(TypeError):
+            decode_rows([[1], [None]])
 
     def test_encoded_null_is_json_safe(self):
         import json
