@@ -19,9 +19,9 @@ def main() -> None:
     print("Supplier S0's schema (note the non-exported relation):")
     print("  " + "\n  ".join(str(r) for r in net.node("S0").wrapper.schema))
 
-    print("\nWhat S0 advertises to the network (its DBS):")
-    for name, arity in net.node("S0").discovery.advertisement.exported_relations:
-        print(f"  {name}/{arity}")
+    print("\nWhat S0 exports to the network (its DBS):")
+    for relation in net.node("S0").wrapper.schema.exported_view():
+        print(f"  {relation.name}/{relation.arity}")
 
     outcome = net.global_update("SHOP")
 

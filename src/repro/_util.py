@@ -30,7 +30,7 @@ class IdGenerator:
         self._counters: dict[str, itertools.count[int]] = {}
 
     def next_id(self, kind: str) -> str:
-        """Return the next id for *kind* (``"peer"``, ``"pipe"``, ...)."""
+        """Return the next id for *kind* (``"peer"``, ``"msg"``, ...)."""
         counter = self._counters.setdefault(kind, itertools.count())
         n = next(counter)
         digest = hashlib.sha1(

@@ -3,15 +3,17 @@
 A node owns:
 
 * a **Wrapper** over its local database (memory, sqlite, or mediator);
-* an **endpoint** on the transport (the JXTA Layer), with pipes to its
-  acquaintances and a discovery service;
-* a **link table** derived from its coordination rules;
+* an **endpoint** on the transport (the JXTA Layer): every protocol
+  message leaves through :meth:`~repro.p2p.endpoint.Endpoint.send`;
+* a **link table** derived from its coordination rules — its
+  acquaintances, the peers it has pipes with (§2-3), are exactly the
+  remotes of those rules;
 * the **DBM** role: the update and query engines, driven purely by
   message handlers, plus the termination detector they share;
 * the **statistics module** of §4.
 
 The "UI" operations of §2 — pose queries, start updates, change rules,
-trigger discovery, read reports — are the public methods.
+discover the topology, read reports — are the public methods.
 """
 
 from __future__ import annotations
@@ -32,12 +34,9 @@ from repro.core.termination import DiffusingComputation
 from repro.core.topology import TopologyDiscovery
 from repro.core.update import UPDATE_KINDS, UpdateManager
 from repro.errors import ProtocolError, RuleError
-from repro.p2p.advertisements import PeerAdvertisement
-from repro.p2p.discovery import DiscoveryService
 from repro.p2p.endpoint import Endpoint
 from repro.p2p.ids import IdAuthority
 from repro.p2p.messages import Message
-from repro.p2p.pipes import PipeTable
 from repro.p2p.transport import Transport
 from repro.relational.conjunctive import ConjunctiveQuery
 from repro.relational.database import Database
@@ -207,8 +206,6 @@ class CoDBNode:
         #: Touched by the delivering thread only.
         self._owed_acks: dict[tuple[str, str], int] = {}
         self.endpoint.before_flush = self._flush_acks
-        self.pipes = PipeTable(self.endpoint)
-        self.discovery = DiscoveryService(self.endpoint, self._advertisement())
         self.nulls = NullFactory(name)
         self.stats = NodeStatistics(name)
         # lifetime_totals() shows where this node's compiled plans ran.
@@ -250,23 +247,6 @@ class CoDBNode:
     # Wiring
     # ------------------------------------------------------------------
 
-    def _advertisement(self) -> PeerAdvertisement:
-        exported = tuple(
-            (relation.name, relation.arity)
-            for relation in self.wrapper.schema.exported_view()
-        )
-        return PeerAdvertisement(
-            peer_id=self.name,
-            name=self.name,
-            exported_relations=exported,
-            properties=(
-                (
-                    "answer_cache",
-                    "on" if self.config.answer_cache else "off",
-                ),
-            ),
-        )
-
     def _wire_handlers(self) -> None:
         engine_handlers = {
             "update_request": self.updates.on_update_request,
@@ -278,14 +258,14 @@ class CoDBNode:
         }
         assert {*engine_handlers, "query_result"} == {*UPDATE_KINDS, *QUERY_KINDS}
         for kind, handler in engine_handlers.items():
-            self.endpoint.on(kind, self._with_pipe_accounting(handler))
+            self.endpoint.on(kind, self._locked_noting_sender(handler))
         # Results are ingested a run at a time: one T per delivery (§3).
         self.endpoint.on_run(
             "query_result",
-            self._run_with_pipe_accounting(self.updates.on_query_result),
+            self._locked_noting_run(self.updates.on_query_result),
         )
         self.endpoint.on(
-            PUSH_KIND, self._with_pipe_accounting(self.push.on_push_delta)
+            PUSH_KIND, self._locked_noting_sender(self.push.on_push_delta)
         )
         self.endpoint.on("ack", self._locked(self._on_ack))
         self.endpoint.on("rules_file", self._locked(self._on_rules_file))
@@ -302,29 +282,28 @@ class CoDBNode:
 
         return wrapped
 
-    def _with_pipe_accounting(self, handler):
+    def _locked_noting_sender(self, handler):
+        """:meth:`_locked`, and hearing from a peer proves it reachable
+        again (a healed partition): ack retransmission toward it must
+        resume, and the answer cache floods conservatively."""
+
         def wrapped(message: Message) -> None:
             with self._lock:
-                self._note_arrival(message)
+                self._note_reachable(message.sender)
                 handler(message)
 
         return wrapped
 
-    def _run_with_pipe_accounting(self, handler):
+    def _locked_noting_run(self, handler):
+        """:meth:`_locked_noting_sender` for a run handler."""
+
         def wrapped(messages: list[Message]) -> None:
             with self._lock:
                 for message in messages:
-                    self._note_arrival(message)
+                    self._note_reachable(message.sender)
                 handler(messages)
 
         return wrapped
-
-    def _note_arrival(self, message: Message) -> None:
-        # Hearing from a peer proves it reachable again (a healed
-        # partition): ack retransmission toward it must resume, and the
-        # answer cache floods conservatively.
-        self._note_reachable(message.sender)
-        self.pipes.note_received(message)
 
     def _note_reachable(self, peer: str) -> None:
         """First contact from a peer the failure detector had written
@@ -753,7 +732,9 @@ class CoDBNode:
         §4: on receiving a rules file "each peer looks for relevant
         coordination rules and creates necessary pipe connections ...
         it drops 'old' rules and pipes, and creates new ones, where
-        necessary".
+        necessary".  The new link table is that re-wiring: the peers
+        this node floods to are its acquaintances, the remotes of the
+        rules just installed.
         """
         relevant = [r for r in rules if self.name in (r.target, r.source)]
         if self.config.minimize_rule_bodies:
@@ -771,12 +752,7 @@ class CoDBNode:
         for rule in relevant:
             self._validate_rule(rule)
         with self._lock:
-            self.pipes.drop_all()
             self.links = LinkTable(self.name, relevant)
-            for rule_id, link in self.links.outgoing.items():
-                self.pipes.pipe_to(link.remote, rule_id=rule_id)
-            for rule_id, link in self.links.incoming.items():
-                self.pipes.pipe_to(link.remote, rule_id=rule_id)
             # Live update sessions keep running across a rewire: rebind
             # their link views to the new table (§4 dynamic topology).
             self.updates.on_rules_changed()
@@ -987,14 +963,6 @@ class CoDBNode:
         self._register_handle(handle)
         return handle
 
-    def start_network_query(
-        self, query: str | ConjunctiveQuery, *, persist: bool = True
-    ) -> str:
-        """Pose a network query; returns the query id (poll via
-        :meth:`network_query_answer`).  Thin wrapper over
-        :meth:`submit_query_id`."""
-        return self.submit_query_id(query, persist=persist)
-
     def network_query_answer(self, query_id: str) -> list[Row] | None:
         with self._lock:
             return self.queries.answer(query_id)
@@ -1051,13 +1019,6 @@ class CoDBNode:
         )
         self._register_handle(handle)
         return handle
-
-    def start_global_update(self) -> str:
-        """Begin a global update here; returns its id.  Thin wrapper
-        over :meth:`submit_update_id`, so direct node-API callers go
-        through the same session registry, admission queue and
-        statistics as handle holders."""
-        return self.submit_update_id()
 
     def cancel_update(self, update_id: str) -> bool:
         """Withdraw an update still queued behind admission."""

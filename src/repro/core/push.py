@@ -84,9 +84,9 @@ class PushEngine:
             )
             if not fresh:
                 continue
-            pipe = node.pipes.pipe_to(link.remote)
             try:
-                pipe.send(
+                node.endpoint.send(
+                    link.remote,
                     PUSH_KIND,
                     {
                         "rule_id": link.rule_id,

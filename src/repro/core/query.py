@@ -281,9 +281,8 @@ class QueryEngine:
                 # boundary: the exporter must serve it in full every
                 # time, whatever its send memory says.
                 payload["retains"] = False
-            pipe = node.pipes.pipe_to(remote)
             try:
-                pipe.send("query_request", payload)
+                node.endpoint.send(remote, "query_request", payload)
             except UnknownPeerError:
                 continue  # the acquaintance left; query what remains
             node.termination.note_sent(participation.query_id, remote)
@@ -387,9 +386,9 @@ class QueryEngine:
         if not rows and not always:
             return
         node = self.node
-        pipe = node.pipes.pipe_to(remote)
         try:
-            pipe.send(
+            node.endpoint.send(
+                remote,
                 "query_data",
                 {
                     "query_id": participation.query_id,
@@ -570,10 +569,11 @@ class QueryEngine:
                     link.settle(participation.sent[rule_id], activated_at)
         for remote in participation.forwarded_to:
             if remote != forwarded_from:
-                pipe = node.pipes.pipe_to(remote)
                 try:
-                    pipe.send(
-                        "query_complete", {"query_id": participation.query_id}
+                    node.endpoint.send(
+                        remote,
+                        "query_complete",
+                        {"query_id": participation.query_id},
                     )
                 except UnknownPeerError:
                     continue

@@ -53,8 +53,8 @@ class SuperPeer:
     def broadcast_rules(self, rule_file: RuleFile | str) -> int:
         """Broadcast *rule_file* to every peer; returns the fan-out.
 
-        Each receiving node keeps only its relevant rules and re-wires
-        its pipes, so successive broadcasts change the live topology.
+        Each receiving node keeps only its relevant rules, which are
+        its links, so successive broadcasts change the live topology.
         """
         if isinstance(rule_file, str):
             rule_file = RuleFile.from_text(rule_file)

@@ -3,13 +3,16 @@
 "In addition to global updates handling and query answering at a node,
 coDB supports a topology discovery algorithm" (§3), and the UI shows
 "the other nodes it has pipes with, and w.r.t. which nodes it has
-incoming and outgoing links" (§4).
+incoming and outgoing links" (§4).  A node has a pipe with exactly the
+peers it shares a coordination rule with (§2-3: a pipe no rule is
+assigned to is closed), so its pipe neighbours are its link table's
+acquaintances.
 
-Protocol: the initiator floods ``topology_request`` over pipes (dedup
-by discovery id); every reached node replies *directly* to the
-initiator with its local view — pipe neighbours plus its incoming and
-outgoing rule edges.  The initiator aggregates replies into a
-:class:`TopologyView`.
+Protocol: the initiator floods ``topology_request`` to its
+acquaintances (dedup by discovery id); every reached node replies
+*directly* to the initiator with its local view — its acquaintances
+(the ``"pipes"`` key of the reply) plus its incoming and outgoing rule
+edges.  The initiator aggregates replies into a :class:`TopologyView`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class TopologyView:
 
     discovery_id: str
     initiator: str
-    #: Node name -> pipe neighbours.
+    #: Node name -> pipe neighbours (its acquaintances).
     pipes: dict[str, list[str]] = field(default_factory=dict)
     #: Rule edges (rule_id, source, target) — data flows source→target.
     rule_edges: list[tuple[str, str, str]] = field(default_factory=list)
@@ -83,8 +86,9 @@ class TopologyDiscovery:
             discovery_id=discovery_id, initiator=node.name
         )
         self._absorb(discovery_id, self._local_view())
-        for remote in node.pipes.remotes():
-            node.pipes.pipe_to(remote).send(
+        for remote in node.links.acquaintances():
+            node.endpoint.send(
+                remote,
                 "topology_request",
                 {"discovery_id": discovery_id, "initiator": node.name},
             )
@@ -99,7 +103,7 @@ class TopologyDiscovery:
         node = self.node
         return {
             "node": node.name,
-            "pipes": node.pipes.remotes(),
+            "pipes": node.links.acquaintances(),
             "outgoing": [
                 [link.rule_id, link.remote, node.name]
                 for link in node.links.outgoing.values()
@@ -120,9 +124,10 @@ class TopologyDiscovery:
             initiator, "topology_response",
             {"discovery_id": discovery_id, **self._local_view()},
         )
-        for remote in self.node.pipes.remotes():
+        for remote in self.node.links.acquaintances():
             if remote != message.sender:
-                self.node.pipes.pipe_to(remote).send(
+                self.node.endpoint.send(
+                    remote,
                     "topology_request",
                     {"discovery_id": discovery_id, "initiator": initiator},
                 )

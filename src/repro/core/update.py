@@ -11,7 +11,8 @@ dispatches the :data:`UPDATE_KINDS` messages to them.
 Protocol recap, with the paper's vocabulary (everything below is per
 update id, i.e. per session):
 
-* The origin node floods ``update_request`` messages over its pipes;
+* The origin node floods ``update_request`` messages to its
+  acquaintances (the remotes of its coordination rules);
   every node, on first contact with that update id, opens a session,
   forwards the request to all its acquaintances ("propagate the global
   update to their acquaintances") and dedups re-receipts by the update
@@ -179,9 +180,9 @@ class UpdateEngine:
         node = self.node
         update_id = self.update_id
         report = node.stats.report_for(update_id)
-        pipe = node.pipes.pipe_to(remote)
         try:
-            message = pipe.send(
+            message = node.endpoint.send(
+                remote,
                 "update_request",
                 {"update_id": update_id, "origin": self.origin, "path": path},
             )
@@ -298,7 +299,6 @@ class UpdateEngine:
         node = self.node
         update_id = self.update_id
         report = node.stats.report_for(update_id)
-        pipe = node.pipes.pipe_to(link.remote)
         batch_size = node.config.batch_rows
         if batch_size <= 0 or not rows:
             batches: list[list[Row]] = [rows]
@@ -309,7 +309,8 @@ class UpdateEngine:
             ]
         for batch in batches:
             try:
-                message = pipe.send(
+                message = node.endpoint.send(
+                    link.remote,
                     "query_result",
                     {
                         "update_id": update_id,
@@ -497,9 +498,9 @@ class UpdateEngine:
                 self.links.close_incoming(link.rule_id, "cascade")
                 if report is not None:
                     report.links_closed_by_cascade += 1
-                pipe = node.pipes.pipe_to(link.remote)
                 try:
-                    message = pipe.send(
+                    message = node.endpoint.send(
+                        link.remote,
                         "link_closed",
                         {"update_id": update_id, "rule_id": link.rule_id},
                     )
@@ -677,7 +678,7 @@ class UpdateManager:
         node = self.node
         node.termination.start_root(update_id)
         session = self._begin_session(update_id, origin=node.name)
-        for remote in node.pipes.remotes():
+        for remote in node.links.acquaintances():
             session.send_request(remote, path=[node.name])
         node.termination.check_quiescence(update_id)
 
@@ -726,7 +727,7 @@ class UpdateManager:
             forward_path = path + [node.name]
             targets = [
                 remote
-                for remote in node.pipes.remotes()
+                for remote in node.links.acquaintances()
                 if remote != message.sender
             ]
             # The flood proper excludes the sender, but if we *import*
@@ -910,11 +911,11 @@ class UpdateManager:
         # Flood the completion (non-engaging; dedup via completed_updates).
         # The cause travels with it: failure-triggered floods must not
         # finalize still-active sessions downstream (they arm instead).
-        for remote in node.pipes.remotes():
+        for remote in node.links.acquaintances():
             if remote != forwarded_from:
-                pipe = node.pipes.pipe_to(remote)
                 try:
-                    pipe.send(
+                    node.endpoint.send(
+                        remote,
                         "update_complete",
                         {"update_id": update_id, "cause": cause},
                     )

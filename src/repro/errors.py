@@ -83,10 +83,6 @@ class UnknownPeerError(NetworkError):
         self.peer_id = peer_id
 
 
-class PipeClosedError(NetworkError):
-    """A send was attempted on a pipe that has been closed."""
-
-
 class TransportStoppedError(NetworkError):
     """An operation was attempted on a transport that is not running."""
 

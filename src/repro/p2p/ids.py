@@ -1,10 +1,13 @@
-"""Identifier authority: peer, pipe, message and update ids.
+"""Identifier authority: peer, message, update and query ids.
 
 JXTA gives every resource an opaque, globally unique id in an
 IP-independent name space; coDB additionally "use[s] JXTA to generate
 global updates identifiers" (§2).  We reproduce that with a seeded
 :class:`IdAuthority` per network so ids are unique *and* runs are
-reproducible.
+reproducible.  Pipes need no ids: a peer's pipe to an acquaintance is
+the endpoint's connection to it, named by the acquaintance's peer id.
+Each kind of id has its own counter, so minting one kind never shifts
+another kind's sequence.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ class IdAuthority:
 
     def peer_id(self) -> str:
         return self._generator.next_id("peer")
-
-    def pipe_id(self) -> str:
-        return self._generator.next_id("pipe")
 
     def message_id(self) -> str:
         return self._generator.next_id("msg")

@@ -90,7 +90,6 @@ def decode_binary(data: bytes) -> Any:
 #: wire vocabulary is in one place; the p2p layer itself treats kinds
 #: as opaque strings).
 KINDS = (
-    "hello",                # pipe establishment handshake
     "rules_file",           # super-peer broadcast of coordination rules
     "update_request",       # global update propagation (§2)
     "query_result",         # tuples flowing back along a link (§3)
@@ -104,8 +103,6 @@ KINDS = (
     "invalidation",         # CUP-style cache interest + invalidation
     "stats_request",        # super-peer statistics collection (§4)
     "stats_response",
-    "discovery_request",    # peer discovery (§2, Figure 3)
-    "discovery_response",
     "topology_request",     # topology discovery procedure (§2 UI)
     "topology_response",
     "peer_down",            # failure-detector announcement
@@ -138,9 +135,9 @@ class Message:
     message_id: str = ""
 
     # Serialisation is cached: a message's bytes are asked for many
-    # times per hop (the transport counters, the §4 per-rule statistics
-    # and the per-pipe counters each call ``size_bytes``, and TCP sends
-    # the wire form itself), while messages are treated as immutable
+    # times per hop (the transport counters and the §4 per-rule
+    # statistics each call ``size_bytes``, and TCP sends the wire form
+    # itself), while messages are treated as immutable
     # once built — recomputing ``stable_json`` every time was a
     # hot-path waste.  ``cached_property`` stores straight into
     # ``__dict__``, which works on a frozen dataclass.
@@ -205,7 +202,11 @@ class Message:
                 payload=decoded["payload"],
                 message_id=decoded.get("message_id", ""),
             )
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, UnicodeDecodeError, RecursionError
+        ) as exc:
+            # RecursionError: a body nested deeper than the decoder
+            # recurses (a frame of ``[``s) is malformed too.
             raise ProtocolError(f"malformed wire message: {exc}") from exc
         message._check_fields()
         # Seed the wire cache with the received bytes: every coDB

@@ -311,9 +311,10 @@ class Transport:
     def broadcast(self, sender: str, kind: str, payload: dict) -> int:
         """Send to every other registered peer; returns the fan-out.
 
-        JXTA propagates discovery queries through the group; both our
-        transports implement broadcast as unicast fan-out, which has
-        the same observable behaviour on a connected group.
+        JXTA propagates a message through the group (the super-peer's
+        rules file and statistics requests); both our transports
+        implement broadcast as unicast fan-out, which has the same
+        observable behaviour on a connected group.
         """
         count = 0
         for peer in self.peers():

@@ -132,7 +132,10 @@ class _HttpRequest:
     def json(self) -> dict[str, Any]:
         if not self.body:
             return {}
-        payload = json.loads(self.body.decode("utf-8"))
+        try:
+            payload = json.loads(self.body.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("request body nests too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload

@@ -200,12 +200,6 @@ class TestCountersSurfacing:
         totals = net.superpeer.network_cache_totals(collection_id)
         assert totals["cache_hits"] == 1
 
-    def test_advertisement_carries_cache_property(self):
-        on = build_chain(2)
-        assert on.node("N0")._advertisement().supports_answer_cache()
-        off = build_chain(2, config=NodeConfig(answer_cache=False))
-        assert not off.node("N0")._advertisement().supports_answer_cache()
-
 
 class TestSqliteBackend:
     def test_cached_matches_uncached_on_sqlite_stores(self):

@@ -66,7 +66,7 @@ class TestCrashMidUpdate:
             kind="update_request",
             recipient="B",
         )
-        update_id = node.start_global_update()
+        update_id = node.submit_update_id()
         net.run()
         assert node.update_done(update_id)
         # B's own row made it; C died before or during serving.
@@ -80,7 +80,7 @@ class TestCrashMidUpdate:
             kind="update_request",
             recipient="B",
         )
-        update_id = node.start_global_update()
+        update_id = node.submit_update_id()
         net.run()
         assert node.update_done(update_id)
 
@@ -91,7 +91,7 @@ class TestCrashMidUpdate:
         hooks(net).at_delivery(
             lambda: net.node(victim).detach(), kind="update_request"
         )
-        update_id = node.start_global_update()
+        update_id = node.submit_update_id()
         net.run()
         assert node.update_done(update_id)
 
@@ -119,7 +119,7 @@ class TestCrashMidUpdate:
                 recipient=f"N{victim}",
             )
         origin = net.node("N0")
-        update_id = origin.start_global_update()
+        update_id = origin.submit_update_id()
         net.run()
         assert origin.update_done(update_id)
         lost = tuples * length - origin.wrapper.count("item")
@@ -191,7 +191,7 @@ class TestFailureFinalizeScope:
         net.add_rule("B:item(k) <- C:item(k)")
         net.start()
         node_a = net.node("A")
-        update_id = node_a.start_global_update()
+        update_id = node_a.submit_update_id()
         net.transport.run_until_idle(max_messages=2)  # flood reaches B/C
         net.node("B").detach()
         net.run()
@@ -220,7 +220,7 @@ class TestFailureFinalizeScope:
         net.add_rule("B:item(k) <- X:item(k)")
         net.start()
         node_a = net.node("A")
-        update_id = node_a.start_global_update()
+        update_id = node_a.submit_update_id()
         net.transport.run_until_idle(max_messages=2)
         assert not node_a.update_done(update_id)
         # Inject B's premature failure-triggered completion flood while

@@ -42,8 +42,8 @@ ALL_ITEMS = [(1,), (2,), (3,)]
 class TestConcurrentUpdates:
     def test_two_overlapping_updates_on_a_chain(self):
         net = build_chain()
-        first = net.node("A").start_global_update()
-        second = net.node("C").start_global_update()
+        first = net.node("A").submit_update_id()
+        second = net.node("C").submit_update_id()
         net.run()
         assert net.node("A").update_done(first)
         assert net.node("C").update_done(second)
@@ -57,8 +57,8 @@ class TestConcurrentUpdates:
 
     def test_two_overlapping_updates_on_a_cycle(self):
         net = build_cycle()
-        first = net.node("A").start_global_update()
-        second = net.node("B").start_global_update()
+        first = net.node("A").submit_update_id()
+        second = net.node("B").submit_update_id()
         net.run()
         assert net.node("A").update_done(first)
         assert net.node("B").update_done(second)
@@ -67,8 +67,8 @@ class TestConcurrentUpdates:
 
     def test_same_origin_twice_concurrently(self):
         net = build_chain()
-        first = net.node("A").start_global_update()
-        second = net.node("A").start_global_update()
+        first = net.node("A").submit_update_id()
+        second = net.node("A").submit_update_id()
         assert first != second
         net.run()
         assert net.node("A").update_done(first)
@@ -77,7 +77,7 @@ class TestConcurrentUpdates:
 
     def test_three_origins_at_once(self):
         net = build_cycle()
-        ids = [net.node(name).start_global_update() for name in "ABC"]
+        ids = [net.node(name).submit_update_id() for name in "ABC"]
         net.run()
         for name, update_id in zip("ABC", ids):
             assert net.node(name).update_done(update_id)
@@ -86,8 +86,8 @@ class TestConcurrentUpdates:
 
     def test_sessions_are_garbage_collected(self):
         net = build_chain()
-        first = net.node("A").start_global_update()
-        second = net.node("C").start_global_update()
+        first = net.node("A").submit_update_id()
+        second = net.node("C").submit_update_id()
         net.run()
         for name in "ABC":
             manager = net.node(name).updates
@@ -116,7 +116,7 @@ class TestChurnDuringConcurrentUpdates:
         def start_second_and_kill_source() -> None:
             # The first update's requests reached B: start a second
             # update there, then kill the source with both live.
-            second.append(net.node("B").start_global_update())
+            second.append(net.node("B").submit_update_id())
             net.node("C").detach()
 
         injector.at_delivery(
@@ -124,7 +124,7 @@ class TestChurnDuringConcurrentUpdates:
             kind="update_request",
             recipient="B",
         )
-        first = net.node("A").start_global_update()
+        first = net.node("A").submit_update_id()
         net.run()
         assert net.node("A").update_done(first)
         assert net.node("B").update_done(second[0])
@@ -140,7 +140,7 @@ class TestChurnDuringConcurrentUpdates:
         net.transport.install_faults(injector)
         second = []
         injector.at_delivery(
-            lambda: second.append(net.node("C").start_global_update()),
+            lambda: second.append(net.node("C").submit_update_id()),
             kind="update_request",
             count=1,
         )
@@ -150,7 +150,7 @@ class TestChurnDuringConcurrentUpdates:
             kind="update_request",
             count=3,
         )
-        first = net.node("A").start_global_update()
+        first = net.node("A").submit_update_id()
         net.run()
         assert net.node("A").update_done(first)
         if victim != "C":
@@ -161,8 +161,8 @@ class TestQueriesDuringUpdates:
     def test_query_and_update_coexist(self):
         net = build_chain()
         node = net.node("A")
-        update_id = node.start_global_update()
-        query_id = node.start_network_query("q(k) <- item(k)")
+        update_id = node.submit_update_id()
+        query_id = node.submit_query_id("q(k) <- item(k)")
         net.run()
         assert node.update_done(update_id)
         answer = node.network_query_answer(query_id)
@@ -171,9 +171,9 @@ class TestQueriesDuringUpdates:
 
     def test_query_during_two_concurrent_updates(self):
         net = build_chain()
-        first = net.node("A").start_global_update()
-        second = net.node("C").start_global_update()
-        query_id = net.node("A").start_network_query("q(k) <- item(k)")
+        first = net.node("A").submit_update_id()
+        second = net.node("C").submit_update_id()
+        query_id = net.node("A").submit_query_id("q(k) <- item(k)")
         net.run()
         assert net.node("A").update_done(first)
         assert net.node("C").update_done(second)
@@ -185,8 +185,8 @@ class TestQueriesDuringUpdates:
 
     def test_multiple_roots_query_simultaneously(self):
         net = build_chain()
-        qa = net.node("A").start_network_query("q(k) <- item(k)")
-        qb = net.node("B").start_network_query("q(k) <- item(k)")
+        qa = net.node("A").submit_query_id("q(k) <- item(k)")
+        qb = net.node("B").submit_query_id("q(k) <- item(k)")
         net.run()
         assert sorted(net.node("A").network_query_answer(qa)) == ALL_ITEMS
         assert sorted(net.node("B").network_query_answer(qb)) == ALL_ITEMS
@@ -194,7 +194,7 @@ class TestQueriesDuringUpdates:
     def test_push_during_query(self):
         net = build_chain(NodeConfig(push_on_insert=True))
         net.global_update("A")
-        query_id = net.node("A").start_network_query("q(k) <- item(k)")
+        query_id = net.node("A").submit_query_id("q(k) <- item(k)")
         net.node("C").insert("item", (9,))
         net.run()
         assert net.node("A").network_query_answer(query_id) is not None
@@ -205,7 +205,7 @@ class TestLocalQueriesAlwaysAvailable:
     def test_local_query_mid_update(self):
         net = build_chain()
         node = net.node("A")
-        node.start_global_update()
+        node.submit_update_id()
         # local reads never block on network activity
         assert node.query("q(k) <- item(k)") == []
         net.run()

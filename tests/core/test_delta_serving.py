@@ -265,10 +265,10 @@ class TestNonPersistentQueriesTeachNothing:
         them stored.  They are persistent — the link memories now say
         so — and must not disappear with the other query's rollback."""
         net = build_chain()
-        transient = net.node("N0").start_network_query(
+        transient = net.node("N0").submit_query_id(
             "q(k) <- item(k)", persist=False
         )
-        kept = net.node("N0").start_network_query("q(k) <- item(k)")
+        kept = net.node("N0").submit_query_id("q(k) <- item(k)")
         net.run()
         assert sorted(net.node("N0").network_query_answer(transient)) == all_items()
         assert sorted(net.node("N0").network_query_answer(kept)) == all_items()
@@ -310,7 +310,7 @@ class TestQueryRacingAnUpdate:
         s_link = incoming(net, "S")
         injector.at_delivery(
             lambda: posed.append(
-                net.node("W").start_network_query("q(k) <- item(k)")
+                net.node("W").submit_query_id("q(k) <- item(k)")
             ),
             kind="update_request",
             recipient="X",
@@ -320,7 +320,7 @@ class TestQueryRacingAnUpdate:
             kind="query_request",
             recipient="S",
         )
-        update_id = net.node("S").start_global_update()
+        update_id = net.node("S").submit_update_id()
         net.run()
         (query_id,) = posed
         # The race happened as described, S shipped the unsettled keys

@@ -235,9 +235,9 @@ class TestSuppressionIsInvisible:
                         node.insert("item", (op[2],))
                         base[op[1]].add(op[2])
                     elif op[0] == "update":
-                        node.start_global_update()
+                        node.submit_update_id()
                     else:
-                        node.start_network_query(op[2], persist=op[3])
+                        node.submit_query_id(op[2], persist=op[3])
                 net.run()
             for node in net.nodes.values():
                 for link in node.links.incoming.values():

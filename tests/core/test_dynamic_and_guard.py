@@ -57,11 +57,11 @@ class TestDynamicTopology:
 
     def test_pipe_lifecycle_follows_rules(self):
         net = self.build()
-        hub_pipes_before = set(net.node("H").pipes.remotes())
+        hub_pipes_before = set(net.node("H").links.acquaintances())
         assert hub_pipes_before == {"S0", "S1", "S2"}
         net.rewire("H:hub(x) <- S0:spoke(x)")
-        assert set(net.node("H").pipes.remotes()) == {"S0"}
-        assert net.node("S1").pipes.remotes() == []
+        assert set(net.node("H").links.acquaintances()) == {"S0"}
+        assert net.node("S1").links.acquaintances() == []
 
 
 class TestFixpointGuard:

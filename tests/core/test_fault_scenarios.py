@@ -276,7 +276,7 @@ class TestCrashUnderWeather:
             kind="update_request",
             sender="N1",
         )
-        update_id = net.node("N1").start_global_update()
+        update_id = net.node("N1").submit_update_id()
         net.run()
         for name in ("N0", "N2", "N3"):
             node = net.node(name)

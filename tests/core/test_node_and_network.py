@@ -12,6 +12,8 @@ from repro import (
 from repro.errors import ArityError, CoDBError, ProtocolError, RuleError
 from repro.p2p.ids import IdAuthority
 from repro.p2p.inproc import InProcessNetwork
+from repro.p2p.messages import KINDS
+from repro.p2p.transport import Transport
 
 
 class TestNodeConstruction:
@@ -134,6 +136,18 @@ class TestNetworkBuilder:
             pass
         else:  # pragma: no cover
             pytest.fail("ProtocolError must subclass CoDBError")
+
+    def test_every_wire_kind_has_a_handler(self):
+        """The wire vocabulary is exactly what some peer handles (or the
+        transport itself emits): a kind nobody handles is dead."""
+        net = CoDBNetwork(seed=10)
+        net.add_node("A", "r(a)")
+        endpoints = [node.endpoint for node in net.nodes.values()]
+        endpoints.append(net.superpeer.endpoint)
+        handled = set(Transport.CONTROL_KINDS)
+        for endpoint in endpoints:
+            handled |= {*endpoint._handlers, *endpoint._run_handlers}
+        assert handled == set(KINDS)
 
 
 class TestHeterogeneousStores:

@@ -159,8 +159,8 @@ class TestQueryValidation:
 
     def test_concurrent_queries_do_not_interfere(self, chain_net):
         node = chain_net.node("A")
-        q1 = node.start_network_query("q(x) <- top(x)")
-        q2 = node.start_network_query("q(x) <- top(x)")
+        q1 = node.submit_query_id("q(x) <- top(x)")
+        q2 = node.submit_query_id("q(x) <- top(x)")
         chain_net.run()
         assert sorted(node.network_query_answer(q1)) == [(2,), (3,)]
         assert sorted(node.network_query_answer(q2)) == [(2,), (3,)]

@@ -20,15 +20,15 @@ def net():
 
 class TestRuleBroadcast:
     def test_start_broadcasts_and_wires_pipes(self, net):
-        assert net.node("B").pipes.remotes() == ["C", "A"]
-        assert net.node("A").pipes.remotes() == ["B"]
+        assert net.node("B").links.acquaintances() == ["C", "A"]
+        assert net.node("A").links.acquaintances() == ["B"]
         assert list(net.node("A").links.outgoing) == ["r1"]
         assert list(net.node("C").links.incoming) == ["r0"]
 
     def test_rebroadcast_replaces_rules(self, net):
         net.rewire("A:item(k) <- C:item(k)")
-        assert net.node("B").pipes.remotes() == []
-        assert net.node("A").pipes.remotes() == ["C"]
+        assert net.node("B").links.acquaintances() == []
+        assert net.node("A").links.acquaintances() == ["C"]
         assert list(net.node("A").links.outgoing) == ["r0"]
 
     def test_update_works_after_rewire(self, net):
@@ -36,6 +36,25 @@ class TestRuleBroadcast:
         net.global_update("A")
         assert sorted(net.node("A").rows("item")) == [(1,), (2,)]
         assert net.node("B").rows("item") == []  # now out of the loop
+
+    def test_update_after_rewire_floods_only_acquaintances(self, net):
+        net.rewire("A:item(k) <- C:item(k)")
+        requests = []
+        for name in "ABC":
+            endpoint = net.node(name).endpoint
+
+            def send(recipient, kind, payload, _send=endpoint.send, _name=name):
+                if kind == "update_request":
+                    requests.append((_name, recipient))
+                return _send(recipient, kind, payload)
+
+            endpoint.send = send
+        net.global_update("A")
+        assert requests == [("A", "C")]
+        assert all(
+            recipient in net.node(sender).links.acquaintances()
+            for sender, recipient in requests
+        )
 
     def test_superpeer_counts_broadcasts(self, net):
         assert net.superpeer.rules_broadcasts == 1
@@ -108,14 +127,8 @@ class TestTopologyDiscovery:
         edges = {(s, t) for _, s, t in view.rule_edges}
         assert edges == {("C", "A")}
 
-    def test_peer_discovery_service(self, net):
-        net.node("A").discovery.discover()
+    def test_pipe_neighbours_are_acquaintances(self, net):
+        discovery_id = net.node("A").topology.start()
         net.run()
-        known = net.node("A").discovery.known_peer_ids()
-        assert {"A", "B", "C"} <= set(known)
-
-    def test_exported_relations_advertised(self, net):
-        net.node("A").discovery.discover()
-        net.run()
-        adv = net.node("A").discovery.lookup("C")
-        assert adv.exported_relations == (("item", 1),)
+        view = net.node("A").topology.view(discovery_id)
+        assert view.pipes == {"A": ["B"], "B": ["C", "A"], "C": ["B"]}

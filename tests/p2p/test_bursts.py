@@ -24,7 +24,6 @@ from repro.p2p.faults import FaultInjector, FaultModel
 from repro.p2p.ids import IdAuthority
 from repro.p2p.inproc import InProcessNetwork
 from repro.p2p.messages import Message
-from repro.p2p.pipes import PipeTable
 from repro.p2p.tcp import FRAME_CONTINUES, MAX_FRAME_BYTES, TcpNetwork
 
 
@@ -134,15 +133,14 @@ class TestEndpointOutbox:
         a.send("B", "k", {"n": 1})
         assert net.pending() == 1
 
-    def test_unknown_recipient_surfaces_synchronously_from_pipe_send(self):
+    def test_unknown_recipient_surfaces_synchronously_from_send(self):
         net = InProcessNetwork()
         a, _b = self.pair(net)
         raised = []
 
         def handler(message):
-            pipe = PipeTable(a).pipe_to("ghost")
             try:
-                pipe.send("k", {"n": 0})
+                a.send("ghost", "k", {"n": 0})
             except UnknownPeerError as exc:
                 raised.append(exc.peer_id)
 
@@ -403,6 +401,24 @@ class TestFrameBoundary:
         assert tcp_net.stats.frames_rejected == 1
         tcp_net.wait_for(lambda: len(got) == 1, 5.0)  # what decoded is mail
         assert got[0].payload["n"] == 0
+
+    def test_a_deeply_nested_body_is_rejected_and_the_server_survives(
+        self, tcp_net, monkeypatch
+    ):
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        got = []
+        tcp_net.register("A", got.append)
+        port = tcp_net.port_of("A")
+        with socket.create_connection(("127.0.0.1", port)) as hostile:
+            hostile.sendall(frame(b"[" * 100_000))
+            self.assert_closed_by_peer(hostile)
+        assert tcp_net.stats.frames_rejected == 1
+        assert crashed == []  # the receive thread ended, it did not die
+        with socket.create_connection(("127.0.0.1", port)) as honest:
+            honest.sendall(frame(msg("X", "A", 1).to_wire()))
+            tcp_net.wait_for(lambda: len(got) == 1, 5.0)
+        assert got[0].payload["n"] == 1
 
     def test_oversize_body_is_refused_at_the_sender(self, tcp_net, monkeypatch):
         monkeypatch.setattr(tcp, "MAX_FRAME_BYTES", 64)

@@ -24,7 +24,6 @@ ROWS = [
     encode_row((MarkedNull("N7@BZ"), "Bolzano/Bozen — Südtirol")),
 ]
 KIND_PAYLOADS = {
-    "hello": {"pipe_id": "pipe-ab12cd-0001"},
     "rules_file": {
         "rules": [
             {
@@ -69,8 +68,6 @@ KIND_PAYLOADS = {
         "reports": [],
         "queries_answered": 3,
     },
-    "discovery_request": {"query": {"relation": "person"}},
-    "discovery_response": {"advertisements": []},
     "topology_request": {"probe_id": "msg-ab12cd-0010", "path": ["TN"]},
     "topology_response": {"probe_id": "msg-ab12cd-0010", "edges": []},
     "peer_down": {"peer": "BZ"},
@@ -114,6 +111,8 @@ class TestWireFormat:
             Message.from_wire(b"not json at all")
         with pytest.raises(ProtocolError):
             Message.from_wire(b'{"kind": "x"}')  # missing fields
+        with pytest.raises(ProtocolError):
+            Message.from_frame(b"[" * 100_000)  # nested past the decoder
 
     def test_unicode_payload(self):
         message = Message("k", "A", "B", {"s": "Trento⟪è⟫"})

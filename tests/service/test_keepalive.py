@@ -219,6 +219,25 @@ class TestMalformedRequests:
         assert status == 200
         assert 'codb_gateway_bad_requests_total{status="400"} 2' in body["raw"]
 
+    def test_a_deeply_nested_body_is_a_400_and_the_connection_lives(
+        self, served
+    ):
+        nested = b"[" * 200_000
+        head = (
+            "POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(nested)}\r\n\r\n"
+        )
+        with socket.create_connection((served.host, served.port)) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(head.encode() + nested)
+            status, headers, body = read_reply(stream)
+            assert status == 400
+            assert "connection" not in headers
+            assert "nests too deeply" in json.loads(body)["error"]
+            sock.sendall(encode_request("GET", "/healthz"))
+            assert read_reply(stream)[0] == 200
+        assert served.gateway.accepted == 1
+
 
 # ----------------------------------------------------------------------
 # The pooled client

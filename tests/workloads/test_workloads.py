@@ -215,6 +215,4 @@ class TestScenarios:
         net = supply_chain_scenario(suppliers=2, seed=1)
         schema = net.node("S0").wrapper.schema
         assert schema["cost"].exported is False
-        assert "cost" not in [
-            name for name, _ in net.node("S0").discovery.advertisement.exported_relations
-        ]
+        assert "cost" not in schema.exported_view().relation_names
