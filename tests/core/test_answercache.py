@@ -200,6 +200,11 @@ class TestCountersSurfacing:
         totals = net.superpeer.network_cache_totals(collection_id)
         assert totals["cache_hits"] == 1
 
+    def test_cache_switch_follows_the_node_config(self):
+        assert build_chain(2).node("N0").cache.enabled
+        off = build_chain(2, config=NodeConfig(answer_cache=False))
+        assert not off.node("N0").cache.enabled
+
 
 class TestSqliteBackend:
     def test_cached_matches_uncached_on_sqlite_stores(self):

@@ -63,6 +63,79 @@ class TestDynamicTopology:
         assert set(net.node("H").links.acquaintances()) == {"S0"}
         assert net.node("S1").links.acquaintances() == []
 
+    def test_acquaintance_stays_while_any_rule_remains(self):
+        net = self.build()
+        net.rewire(
+            """
+            H:hub(x) <- S0:spoke(x)
+            H:hub(x) <- S0:spoke(x), x > 5
+            H:hub(x) <- S1:spoke(x)
+            """
+        )
+        assert net.node("H").links.acquaintances() == ["S0", "S1"]
+        net.rewire("H:hub(x) <- S0:spoke(x), x > 5")
+        assert net.node("H").links.acquaintances() == ["S0"]
+        net.rewire("H:hub(x) <- S1:spoke(x)")
+        assert net.node("H").links.acquaintances() == ["S1"]
+        assert net.node("S0").links.acquaintances() == []
+
+    def record_sends(self, net):
+        """Wrap every node's ``Endpoint.send``; returns the log of
+        ``(sender, recipient, kind)`` it fills."""
+        sent = []
+        for name, node in net.nodes.items():
+
+            def send(recipient, kind, payload, _send=node.endpoint.send, _name=name):
+                sent.append((_name, recipient, kind))
+                return _send(recipient, kind, payload)
+
+            node.endpoint.send = send
+        return sent
+
+    def test_every_update_message_travels_between_acquaintances(self):
+        net = self.build()
+        net.rewire("H:hub(x) <- S0:spoke(x)")
+        sent = self.record_sends(net)
+        net.global_update("H")
+        assert {kind for _, _, kind in sent} >= {
+            "update_request", "query_result", "update_complete"
+        }
+        for sender, recipient, _kind in sent:
+            assert recipient in net.node(sender).links.acquaintances()
+        assert sorted(net.node("H").rows("hub")) == [(0,), (10,)]
+
+    def test_a_send_to_a_former_acquaintance_does_not_restore_it(self):
+        # Reaching a peer outside the rules is a one-off message, not a
+        # pipe: later floods still go to the rules' remotes only.
+        net = self.build()
+        net.rewire("H:hub(x) <- S0:spoke(x)")
+        hub = net.node("H")
+        hub.endpoint.send(
+            "S1", "topology_request", {"discovery_id": "probe", "initiator": "H"}
+        )
+        net.run()
+        sent = self.record_sends(net)
+        net.global_update("H")
+        assert hub.links.acquaintances() == ["S0"]
+        assert [
+            recipient for sender, recipient, kind in sent
+            if kind == "update_request"
+        ] == ["S0"]
+
+    def test_rejoin_greets_only_acquaintances(self):
+        net = self.build()
+        net.rewire("H:hub(x) <- S0:spoke(x)")
+        hub = net.node("H")
+        hub.detach()
+        net.run()
+        sent = self.record_sends(net)
+        hub.rejoin()
+        net.run()
+        assert [
+            (sender, recipient) for sender, recipient, kind in sent
+            if kind == "rejoin"
+        ] == [("H", "S0"), ("S0", "H")]
+
 
 class TestFixpointGuard:
     def build_divergent(self, config):

@@ -34,6 +34,23 @@ class TestPerspective:
         )
         assert table.acquaintances() == ["C", "D", "A"]
 
+    def test_one_acquaintance_per_remote_however_many_rules(self):
+        # Two imports from B and one export to it: one pipe, three rules.
+        table = LinkTable(
+            "A",
+            rules(
+                "A:item(x) <- B:item(x)",
+                "A:tag(x) <- B:tag(x)",
+                "B:item(x) <- A:item(x)",
+            ),
+        )
+        assert table.acquaintances() == ["B"]
+        assert list(table.outgoing) == ["r0", "r1"]
+        assert list(table.incoming) == ["r2"]
+
+    def test_no_rules_no_acquaintances(self):
+        assert LinkTable("A", []).acquaintances() == []
+
 
 class TestDependency:
     def test_incoming_depends_on_outgoing_via_relation(self):

@@ -149,6 +149,24 @@ class TestNetworkBuilder:
             handled |= {*endpoint._handlers, *endpoint._run_handlers}
         assert handled == set(KINDS)
 
+    @pytest.mark.parametrize(
+        "kind", ["hello", "discovery_request", "discovery_response"]
+    )
+    def test_a_retired_kind_is_counted_and_ignored(self, kind):
+        """Kinds no longer in the vocabulary, as an older peer might
+        still send them, are counted as unhandled and change nothing."""
+        assert kind not in KINDS
+        net = CoDBNetwork(seed=11)
+        net.add_node("A", "r(a: int)", facts="r(1)")
+        net.add_node("B", "r(a: int)")
+        net.add_rule("B:r(a) <- A:r(a)")
+        net.start()
+        net.superpeer.endpoint.send("B", kind, {})
+        net.run()
+        assert net.node("B").endpoint.unhandled_count == 1
+        net.global_update("B")
+        assert net.node("B").rows("r") == [(1,)]
+
 
 class TestHeterogeneousStores:
     def test_mixed_backends_in_one_network(self, tmp_path):

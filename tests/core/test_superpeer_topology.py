@@ -132,3 +132,37 @@ class TestTopologyDiscovery:
         net.run()
         view = net.node("A").topology.view(discovery_id)
         assert view.pipes == {"A": ["B"], "B": ["C", "A"], "C": ["B"]}
+
+    def test_pipes_after_rewire_are_the_new_acquaintances(self, net):
+        net.rewire("A:item(k) <- C:item(k)")
+        discovery_id = net.node("A").topology.start()
+        net.run()
+        view = net.node("A").topology.view(discovery_id)
+        assert view.pipes == {"A": ["C"], "C": ["A"]}  # B has no pipe left
+
+    def test_each_node_answers_once_around_a_cycle(self, net):
+        net.rewire(
+            """
+            B:item(k) <- C:item(k)
+            A:item(k) <- B:item(k)
+            C:item(k) <- A:item(k)
+            """
+        )
+        before = net.transport.stats.by_kind.get("topology_response", 0)
+        discovery_id = net.node("A").topology.start()
+        net.run()
+        view = net.node("A").topology.view(discovery_id)
+        assert net.transport.stats.by_kind["topology_response"] - before == 2
+        assert view.nodes() == ["A", "B", "C"]
+        assert view.edge_count() == 3
+
+    def test_concurrent_discoveries_are_kept_apart(self, net):
+        from_a = net.node("A").topology.start()
+        from_c = net.node("C").topology.start()
+        net.run()
+        view_a = net.node("A").topology.view(from_a)
+        view_c = net.node("C").topology.view(from_c)
+        assert (view_a.initiator, view_c.initiator) == ("A", "C")
+        assert view_a.nodes() == view_c.nodes() == ["A", "B", "C"]
+        assert view_a.pipes == view_c.pipes
+        assert from_c not in net.node("A").topology.views

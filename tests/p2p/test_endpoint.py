@@ -1,8 +1,9 @@
-"""Endpoints: dispatch by kind, handler registration, message ids."""
+"""Endpoints: dispatch by kind, handler registration, message ids,
+and the accounting of sends."""
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, UnknownPeerError
 from repro.p2p.endpoint import Endpoint
 from repro.p2p.ids import IdAuthority
 from repro.p2p.inproc import InProcessNetwork
@@ -69,3 +70,36 @@ class TestEndpoint:
         m1 = a.send("B", "x", {})
         m2 = a.send("B", "x", {})
         assert m1.message_id != m2.message_id
+
+
+class TestSending:
+    """What a send through the endpoint accounts for and refuses."""
+
+    def test_send_is_counted_by_the_transport(self, net, ids):
+        a = endpoint(net, ids, "A")
+        b = endpoint(net, ids, "B")
+        b.on("data", lambda m: None)
+        message = a.send("B", "data", {"rows": [1, 2, 3]})
+        net.run_until_idle()
+        assert net.stats.messages_sent == 1
+        assert net.stats.bytes_sent == message.size_bytes()
+        assert net.stats.by_kind == {"data": 1}
+
+    def test_unknown_recipient_raises_and_try_send_declines(self, net, ids):
+        a = endpoint(net, ids, "A")
+        with pytest.raises(UnknownPeerError):
+            a.send("ghost", "x", {})
+        assert a.try_send("ghost", "x", {}) is None
+        assert net.stats.messages_sent == 0
+
+    def test_detached_peer_is_unknown_until_it_reattaches(self, net, ids):
+        a = endpoint(net, ids, "A")
+        b = endpoint(net, ids, "B")
+        got = []
+        b.on("x", lambda m: got.append(m.payload["n"]))
+        b.detach()
+        assert a.try_send("B", "x", {"n": 0}) is None
+        b.reattach()
+        a.send("B", "x", {"n": 1})
+        net.run_until_idle()
+        assert got == [1]

@@ -258,6 +258,20 @@ class TestIdAuthority:
         ids = IdAuthority()
         assert len({ids.message_id() for _ in range(100)}) == 100
 
+    def test_kinds_count_independently(self):
+        # Minting (or no longer minting) one kind of id never shifts
+        # another kind's sequence: message ids stay put.
+        from repro.p2p.ids import IdAuthority
+
+        plain = IdAuthority(seed=1)
+        busy = IdAuthority(seed=1)
+        busy.peer_id()
+        busy.update_id()
+        busy.query_id()
+        assert [busy.message_id() for _ in range(3)] == [
+            plain.message_id() for _ in range(3)
+        ]
+
 
 class TestBinaryCodec:
     """The negotiated binary frame codec (restricted pickle).
