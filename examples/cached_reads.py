@@ -10,11 +10,12 @@ a remote write arrives as one compact ``invalidation`` message instead
 of re-shipped rows: the next read recomputes, every read in between is
 a hit, and a stale answer is never served.
 
-The walkthrough shows the three knobs and every counter:
+The walkthrough shows the two switches and every counter:
 
-* ``NodeConfig(answer_cache=..., answer_cache_size=...)`` — per-node
-  default and LRU bound;
-* ``net.query(..., cache=False)`` — per-query opt-out (ablations);
+* ``NodeConfig(answer_cache=...)`` — per-node default (the LRU holds
+  ``repro.core.answercache.DEFAULT_CACHE_SIZE`` entries);
+* ``net.query(..., cache=False)`` — per-query opt-out, the uncached
+  oracle;
 * ``lifetime_totals()`` / superpeer statistics — hits, misses,
   invalidations, suppressed pushes, network-wide.
 
@@ -72,7 +73,7 @@ def main() -> None:
     print("And the read after that is a hit again:")
     read(net)
 
-    # The ablation: cache=False forces the full recompute — the answer
+    # The oracle: cache=False forces the full recompute — the answer
     # must be identical (the differential the test suite asserts under
     # every fault scenario).
     uncached = sorted(

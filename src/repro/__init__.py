@@ -95,14 +95,6 @@ from repro.relational.wrapper import (
     SqliteStore,
     Wrapper,
 )
-from repro.relational.minimize import minimize_mapping, minimize_query
-from repro.relational.explain import explain
-from repro.relational.persist import (
-    dump_network,
-    dump_store,
-    load_network,
-    load_store,
-)
 from repro.service import (
     QuotaExceededError,
     ServiceGateway,
@@ -153,13 +145,6 @@ __all__ = [
     "MemoryStore",
     "SqliteStore",
     "MediatorStore",
-    "minimize_query",
-    "minimize_mapping",
-    "explain",
-    "dump_store",
-    "load_store",
-    "dump_network",
-    "load_network",
     "ServiceGateway",
     "TenantQuotas",
     "QuotaExceededError",

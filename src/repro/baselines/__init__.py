@@ -4,23 +4,8 @@
   over the union of all node schemas.  The distributed global update
   must converge to the same instance up to null renaming; tests and
   experiment E12 verify that.
-* :mod:`naive` — configuration presets that strip the paper's
-  performance measures (semi-naive deltas, sent-set dedup) off the
-  distributed engine, for the ablation benches (E10).
 """
 
 from repro.baselines.centralized import CentralizedExchange
-from repro.baselines.naive import (
-    FULL_REEVALUATION,
-    NO_DEDUP,
-    NO_DEDUP_FULL_REEVALUATION,
-    PAPER_ENGINE,
-)
 
-__all__ = [
-    "CentralizedExchange",
-    "PAPER_ENGINE",
-    "FULL_REEVALUATION",
-    "NO_DEDUP",
-    "NO_DEDUP_FULL_REEVALUATION",
-]
+__all__ = ["CentralizedExchange"]

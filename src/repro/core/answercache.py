@@ -6,9 +6,9 @@ answers keyed on the query's structure, each entry stamped with the
 **epoch vector** of the relations the query's body reads.  An epoch is
 a per-relation version counter the node bumps on every mutation —
 local insert, ``load_facts``, delta ingest during a global update,
-push-delta ingest, query-time data import, the query answerer's
-non-persistent rollback, and rule changes (which bump *every*
-relation, since the derivable content of all of them may shift).
+push-delta ingest, query-time data import, and rule changes (which
+bump *every* relation, since the derivable content of all of them may
+shift).
 
 A lookup serves its entry only while every stamped epoch still equals
 the relation's current counter, so a cached answer can never outlive a
@@ -44,12 +44,12 @@ class AnswerCache:
     ----------
     limit:
         Maximum number of cached entries; least-recently-used entries
-        are evicted beyond it.
+        are evicted beyond it.  A node uses :data:`DEFAULT_CACHE_SIZE`.
     enabled:
         When ``False`` the epochs are still maintained (they cost one
         dict increment per mutation) but :meth:`get`/:meth:`put` are
-        no-ops — the ablation switch behind
-        ``NodeConfig(answer_cache=False)``.
+        no-ops — ``NodeConfig(answer_cache=False)``, the uncached
+        oracle of the cached ≡ uncached differentials.
     """
 
     def __init__(

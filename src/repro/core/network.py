@@ -442,7 +442,6 @@ class CoDBNetwork:
         query: str | ConjunctiveQuery,
         *,
         mode: str = "network",
-        persist: bool = True,
         cache: bool | None = None,
         tenant: str = "",
     ) -> RequestHandle:
@@ -481,9 +480,7 @@ class CoDBNetwork:
         started_at = self.transport.now()
         messages_before = self.transport.stats.messages_sent
         bytes_before = self.transport.stats.bytes_sent
-        query_id = node.submit_query_id(
-            query, persist=persist, cache=cache, tenant=tenant
-        )
+        query_id = node.submit_query_id(query, cache=cache, tenant=tenant)
         handle = RequestHandle(
             request_id=query_id,
             kind="query",
@@ -505,7 +502,6 @@ class CoDBNetwork:
         query: str | ConjunctiveQuery,
         *,
         mode: str = "local",
-        persist: bool = True,
         cache: bool | None = None,
     ) -> list[Row]:
         """Answer *query* at *node_name* (blocking wrapper).
@@ -519,9 +515,7 @@ class CoDBNetwork:
             return node.query(query, cache=cache)
         if mode != "network":
             raise ProtocolError(f"unknown query mode {mode!r}")
-        handle = self.submit_query(
-            node_name, query, mode="network", persist=persist, cache=cache
-        )
+        handle = self.submit_query(node_name, query, mode="network", cache=cache)
         answer = handle.result(self.poll_timeout)
         self._settle()
         assert answer is not None

@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from repro.core.answercache import DEFAULT_CACHE_SIZE, AnswerCache
+from repro.core.answercache import AnswerCache
 from repro.core.links import LinkTable, memory_digest
 from repro.core.push import PUSH_KIND, PushEngine
 from repro.core.query import QUERY_KINDS, QueryEngine
@@ -49,22 +49,21 @@ from repro.relational.wrapper import MemoryStore, Wrapper
 
 @dataclass
 class NodeConfig:
-    """Tunables for one node (ablation benches flip these).
+    """The settings a node's workload chooses.
+
+    The paper's §3 engine itself is not configurable: dependent links
+    are always re-evaluated on the delta ("substituting R by T'"), a
+    session never resends what it already sent ("delete from Ri those
+    tuples which have been already sent"), and a node whose database
+    violates its key constraints serves empty results until repaired
+    ("local inconsistency does not propagate", §1d).
 
     Attributes
     ----------
-    semi_naive:
-        Re-evaluate dependent incoming links only on the delta
-        ("substituting R by T'", §3).  Off = recompute in full on every
-        change (ablation E10).
-    sent_dedup:
-        Keep per-incoming-link sent-sets ("delete from Ri those tuples
-        which have been already sent", §3).  Off = resend everything
-        each round (ablation E10).
     subsumption_dedup:
         Drop an imported null-carrying tuple if an existing tuple
         subsumes it (restricted-chase remedy for non-weakly-acyclic
-        rule sets, ablation E11).
+        rule sets).
     fixpoint_guard:
         Per-node bound on processed result messages per update; trips
         :class:`~repro.errors.FixpointGuardError` instead of diverging.
@@ -76,16 +75,6 @@ class NodeConfig:
         Propagate local inserts along already-activated incoming links
         immediately (continuous/subscription mode), without waiting
         for the next global update.
-    quarantine_inconsistent:
-        "Local inconsistency does not propagate" (§1d): a node whose
-        local database violates its declared key constraints serves
-        empty results on its incoming links until repaired.  The check
-        is skipped entirely for schemas without keys.
-    minimize_rule_bodies:
-        Minimise the body of every installed rule to its core
-        (Chandra–Merlin) before evaluation.  Redundant body atoms cost
-        a join per activation and per delta batch; minimisation is
-        equivalence-preserving, so results never change.
     max_active_sessions:
         Admission cap: the most sessions (global-update engines plus
         network-query participations) this node runs at once; ``0``
@@ -97,14 +86,14 @@ class NodeConfig:
         Serve only what is new: an incoming link remembers what it has
         delivered (its lifetime ``pushed`` memory) and how far into its
         body relations that reaches (store watermarks), so a repeat
-        update or persistent network query evaluates just the rows
+        update or network query evaluates just the rows
         inserted since and ships just the rows the importer lacks —
         its ``fired`` set would mint nothing for the rest anyway.  Rows
         taught by a session that ends in failure are forgotten again
         (see :meth:`repro.core.links.LinkSession.close_incoming`), so a
-        healed partition still converges to ``complete``.  Only active
-        together with ``sent_dedup`` (the E10 ablation measures
-        resends; this must not mask it).
+        healed partition still converges to ``complete``.  Off, every
+        activation evaluates and ships in full (the differential
+        tests' oracle).
     answer_cache:
         The read-side twin of ``resend_suppression``: keep a per-node
         LRU of query answers keyed on the query structure plus the
@@ -114,19 +103,8 @@ class NodeConfig:
         depends on; staleness from *remote* writes arrives as taught
         rows or compact ``invalidation`` messages, either of which
         bumps the local epochs.  ``submit_query(cache=False)``
-        bypasses the cache per call.
-    answer_cache_size:
-        Bound on cached entries per node (LRU beyond it).
-    invalidation_batching:
-        Coalesce the compact ``invalidation`` notices of one write
-        burst (one ``bump_epochs`` flush window — a ``load_facts``
-        batch, one delta-ingest message, one cascading push) into a
-        single message per interested importer, instead of one message
-        per link.  The window adapts to the burst: a single-row insert
-        still sends one small notice, a thousand-row ingest touching
-        five rules toward one importer sends one message carrying five
-        notices.  Counters ``invalidation_batches`` /
-        ``invalidations_coalesced`` ride ``lifetime_totals()``.
+        bypasses the cache per call.  The cache holds
+        :data:`~repro.core.answercache.DEFAULT_CACHE_SIZE` entries.
     interest_lease_events:
         Event-count lease attached to CUP-style interest registrations
         (the read-side registration this node sends upstream).  The
@@ -139,19 +117,13 @@ class NodeConfig:
         invalidated, the pre-lease behaviour).
     """
 
-    semi_naive: bool = True
-    sent_dedup: bool = True
     subsumption_dedup: bool = False
     fixpoint_guard: int = 100_000
     batch_rows: int = 0
     push_on_insert: bool = False
-    quarantine_inconsistent: bool = True
-    minimize_rule_bodies: bool = False
     max_active_sessions: int = 0
     resend_suppression: bool = True
     answer_cache: bool = True
-    answer_cache_size: int = DEFAULT_CACHE_SIZE
-    invalidation_batching: bool = True
     interest_lease_events: int = 256
 
 
@@ -211,11 +183,8 @@ class CoDBNode:
         # lifetime_totals() shows where this node's compiled plans ran.
         self.stats.dispatch_source = self.wrapper.dispatch_counts
         #: Epoch-keyed answer cache (read-side suppression twin); the
-        #: epochs are maintained even when caching is disabled so an
-        #: ablation flip mid-run starts from honest versions.
-        self.cache = AnswerCache(
-            self.config.answer_cache_size, enabled=self.config.answer_cache
-        )
+        #: epochs are maintained even when caching is disabled.
+        self.cache = AnswerCache(enabled=self.config.answer_cache)
         #: CUP-style interest-protocol counters (cache counters live on
         #: the cache itself; these are the link-traffic side).
         self.invalidations_sent = 0
@@ -322,12 +291,6 @@ class CoDBNode:
             if link.remote == peer:
                 link.cache_interest = False
                 link.notified.clear()
-
-    def suppresses_resends(self) -> bool:
-        """Whether incoming links consult their send memory (``pushed``
-        and watermarks) to serve only what is new.  Needs ``sent_dedup``
-        too: the E10 ablation measures resends and must not be masked."""
-        return self.config.resend_suppression and self.config.sent_dedup
 
     # ------------------------------------------------------------------
     # Termination plumbing shared by both engines
@@ -496,17 +459,6 @@ class CoDBNode:
                 link.cache_interest = False
                 link.notified.clear()
 
-    def store_derived(self, relation: str, rows: list[Row]) -> list[Row]:
-        """Insert head facts a *persistent* computation derived (update
-        session, push, persistent query); returns the new ones.  The
-        link memories now say these rows were delivered for good, so a
-        live non-persistent query that happened to import one of them
-        first must not roll it back."""
-        new_rows = self.wrapper.insert_new(relation, rows)
-        if len(new_rows) < len(rows):
-            self.queries.keep(relation, rows)
-        return new_rows
-
     def bump_epochs(self, relations: Iterable[str]) -> None:
         """Advance the answer-cache epoch of every relation in
         *relations* (dropping the cached answers stamped with them) and
@@ -515,13 +467,13 @@ class CoDBNode:
 
         This is THE mutation hook: every write path — local insert,
         ``load_facts``, update-session delta ingest, continuous-mode
-        push ingest, query-time import, the non-persistent rollback —
-        routes its changed relations through here (callers hold the
-        node lock).  One call is one flush window: with
-        ``config.invalidation_batching`` the per-link notices it
-        produces are coalesced into a single message per importer, so
-        a write burst that stales several rules toward one peer costs
-        one message, not one per rule.
+        push ingest, query-time import — routes its changed relations
+        through here (callers hold the node lock).  One call is one
+        flush window: the per-link notices it produces are coalesced
+        into a single message per importer, so a write burst that
+        stales several rules toward one peer costs one message, not one
+        per rule.  Counters ``invalidation_batches`` /
+        ``invalidations_coalesced`` ride ``lifetime_totals()``.
         """
         changed = {relation for relation in relations if relation}
         if not changed:
@@ -544,40 +496,24 @@ class CoDBNode:
             self._send_invalidations(remote, batch)
 
     def _send_invalidations(self, remote: str, batch: list) -> None:
-        """Ship one flush window's notices toward one importer: a
-        single grouped message under ``invalidation_batching``, one
-        message per link otherwise (the ablation keeps the old wire
-        shape measurable)."""
-        if self.config.invalidation_batching:
-            payload = {
-                "notices": [
-                    {"rule_id": link.rule_id, "relations": heads}
-                    for link, heads in batch
-                ]
-            }
-            sent = self.endpoint.try_send(remote, "invalidation", payload)
-            if sent is None:
-                # The importer left: flood fallback on re-acquaintance.
-                for link, _heads in batch:
-                    link.cache_interest = False
-                    link.notified.clear()
-            else:
-                self.invalidations_sent += len(batch)
-                self.invalidation_batches += 1
-                self.invalidations_coalesced += len(batch) - 1
-            return
-        for link, heads in batch:
-            sent = self.endpoint.try_send(
-                remote,
-                "invalidation",
-                {"rule_id": link.rule_id, "relations": heads},
-            )
-            if sent is None:
+        """Ship one flush window's notices toward one importer as a
+        single grouped message."""
+        payload = {
+            "notices": [
+                {"rule_id": link.rule_id, "relations": heads}
+                for link, heads in batch
+            ]
+        }
+        sent = self.endpoint.try_send(remote, "invalidation", payload)
+        if sent is None:
+            # The importer left: flood fallback on re-acquaintance.
+            for link, _heads in batch:
                 link.cache_interest = False
                 link.notified.clear()
-            else:
-                self.invalidations_sent += 1
-                self.invalidation_batches += 1
+        else:
+            self.invalidations_sent += len(batch)
+            self.invalidation_batches += 1
+            self.invalidations_coalesced += len(batch) - 1
 
     def _spend_interest_lease(self, link) -> None:
         """One suppressed event against *link*'s registration: draw on
@@ -641,8 +577,8 @@ class CoDBNode:
         serves cached answers derived through it; remember its interest
         (and re-arm the per-registration notification dedup and its
         suppression lease).  Anything else is a data invalidation *to*
-        us — a single notice, or a batched flush window carrying
-        several under ``"notices"``: data we imported through the named
+        us — a flush window's notices under ``"notices"``, or the single
+        notice an expired lease sends: data we imported through the named
         outgoing links went stale upstream — bump the head relations'
         epochs (cascading to our own registrants, themselves batched
         because the cascade is one ``bump_epochs`` call) and drop our
@@ -737,18 +673,6 @@ class CoDBNode:
         rules just installed.
         """
         relevant = [r for r in rules if self.name in (r.target, r.source)]
-        if self.config.minimize_rule_bodies:
-            from repro.relational.minimize import minimize_mapping
-
-            relevant = [
-                CoordinationRule(
-                    rule.rule_id,
-                    rule.target,
-                    rule.source,
-                    minimize_mapping(rule.mapping),
-                )
-                for rule in relevant
-            ]
         for rule in relevant:
             self._validate_rule(rule)
         with self._lock:
@@ -913,7 +837,6 @@ class CoDBNode:
         self,
         query: str | ConjunctiveQuery,
         *,
-        persist: bool = True,
         cache: bool | None = None,
         tenant: str = "",
     ) -> str:
@@ -929,13 +852,12 @@ class CoDBNode:
             query = parse_query(query)
         with self._lock:
             self.stats.note_tenant_submission(tenant, "query")
-            return self.queries.submit(query, persist=persist, cache=cache)
+            return self.queries.submit(query, cache=cache)
 
     def submit_network_query(
         self,
         query: str | ConjunctiveQuery,
         *,
-        persist: bool = True,
         cache: bool | None = None,
     ) -> RequestHandle:
         """Pose a network query as a session; returns its handle.
@@ -947,7 +869,7 @@ class CoDBNode:
         started_at = transport.now()
         messages_before = transport.stats.messages_sent
         bytes_before = transport.stats.bytes_sent
-        query_id = self.submit_query_id(query, persist=persist, cache=cache)
+        query_id = self.submit_query_id(query, cache=cache)
         handle = RequestHandle(
             request_id=query_id,
             kind="query",

@@ -55,7 +55,7 @@ class PushEngine:
         changed = {rel for rel, rows in deltas.items() if rows}
         if not changed:
             return 0
-        if node.config.quarantine_inconsistent and not node.wrapper.is_consistent():
+        if not node.wrapper.is_consistent():
             return 0  # §1d: inconsistent data stays local
         sent_messages = 0
         for link in node.links.incoming_dependent_on_relations(changed):
@@ -128,7 +128,7 @@ class PushEngine:
             ):
                 if tuple_subsumed(row, node.wrapper._view().relation(relation)):
                     continue
-            new_rows = node.store_derived(relation, [row])
+            new_rows = node.wrapper.insert_new(relation, [row])
             if new_rows:
                 deltas.setdefault(relation, []).extend(new_rows)
                 self.rows_absorbed += len(new_rows)

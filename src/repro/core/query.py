@@ -26,9 +26,8 @@ design:
   whereas the global update runs the full fix-point — experiment E7
   exhibits the gap;
 * fetched data *migrates* into the nodes on the way (the paper's
-  data-migration role of coordination formulas).  ``persist=False``
-  rolls the imported tuples back after the answer is computed, so
-  repeated-query experiments (E6) measure steady-state query cost.
+  data-migration role of coordination formulas): what a query imports
+  stays stored, exactly as what an update imports does.
 
 Because the data migrates, a link need not serve it twice.  Under
 ``NodeConfig.resend_suppression`` an activated incoming link evaluates
@@ -38,8 +37,8 @@ and watermarks the global update uses (:mod:`repro.core.links`).  One
 difference matters: a query does not carry another computation's rows
 onward, so it may rely only on *settled* memory.  Keys an in-flight
 update taught are shipped again, and a query's own shipments stay in
-its participation until it ends cleanly — a non-persistent, bounced
-or peer-lost participation teaches nothing.
+its participation until it ends cleanly — a bounced or peer-lost
+participation teaches nothing.
 
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
@@ -74,7 +73,6 @@ class QueryParticipation:
 
     query_id: str
     origin: str
-    persist: bool
     #: Incoming-link rule ids activated for this query, with sent-sets
     #: (frontier row keys — the engine's type-strict identity).  Merged
     #: into the links' lifetime ``pushed`` memory on a clean end.
@@ -88,9 +86,6 @@ class QueryParticipation:
     clean: bool = True
     #: Outgoing-link rule ids requested, with received-sets (row keys).
     received: dict[str, set] = field(default_factory=dict)
-    #: ``{relation: {row key: row}}`` this query imported here, kept
-    #: only when not persist: what its cleanup rolls back.
-    inserted: dict[str, dict] = field(default_factory=dict)
     #: Neighbours we forwarded requests to (cleanup flood follows them).
     forwarded_to: list[str] = field(default_factory=list)
     done: bool = False
@@ -104,9 +99,7 @@ class RootQuery:
     answer: list[Row] | None = None
     messages_used: int = 0
     #: Answer-cache fingerprint to fill at completion (``None`` when
-    #: this query is uncached — ablated, ``cache=False``, or
-    #: non-persistent, whose rollback would invalidate the fill
-    #: immediately anyway).
+    #: this query is uncached — ``answer_cache`` off or ``cache=False``).
     cache_fill: str | None = None
 
 
@@ -117,9 +110,6 @@ class QueryEngine:
         self.node = node
         self.participations: dict[str, QueryParticipation] = {}
         self.roots: dict[str, RootQuery] = {}
-        #: The live non-persistent participations (they roll their
-        #: imports back at cleanup; see :meth:`keep`).
-        self._transient: dict[str, QueryParticipation] = {}
 
     # ------------------------------------------------------------------
     # Root side
@@ -129,7 +119,6 @@ class QueryEngine:
         self,
         query: ConjunctiveQuery,
         *,
-        persist: bool = True,
         cache: bool | None = None,
     ) -> str:
         """Pose *query* network-wide; returns the query id.
@@ -147,14 +136,11 @@ class QueryEngine:
         (``None`` inherits it).  A cached answer with every stamped
         epoch intact is served immediately, with no propagation at
         all; a miss runs the full diffusing computation and fills the
-        cache at completion.  Only persistent queries are cached — a
-        non-persistent query's own rollback deletes would invalidate
-        the entry before it could ever be served.
+        cache at completion.
         """
         node = self.node
         query.validate_against(node.wrapper.schema)
         use_cache = node.config.answer_cache if cache is None else cache
-        use_cache = use_cache and persist
         fingerprint = f"network:{query!r}"
         query_id = node.endpoint.ids.query_id()
         node.stats.network_queries_started += 1
@@ -171,12 +157,10 @@ class QueryEngine:
             root.cache_fill = fingerprint
         self.roots[query_id] = root
         if node.admission.try_enter(query_id, "query", initiation=True):
-            self._start_root(query_id, query, persist)
+            self._start_root(query_id, query)
         else:
             node.admission.defer_initiation(
-                query_id,
-                "query",
-                lambda: self._start_root(query_id, query, persist),
+                query_id, "query", lambda: self._start_root(query_id, query)
             )
         return query_id
 
@@ -187,38 +171,18 @@ class QueryEngine:
         self.roots.pop(query_id, None)
         return True
 
-    def _start_root(
-        self, query_id: str, query: ConjunctiveQuery, persist: bool
-    ) -> None:
+    def _start_root(self, query_id: str, query: ConjunctiveQuery) -> None:
         node = self.node
         node.termination.start_root(query_id)
-        participation = self._participate(query_id, node.name, persist)
+        participation = self._participate(query_id, node.name)
         needed = set(query.body_relations())
         self._forward_requests(participation, needed, label=[node.name])
         node.termination.check_quiescence(query_id)
 
-    def _participate(
-        self, query_id: str, origin: str, persist: bool
-    ) -> QueryParticipation:
-        participation = QueryParticipation(
-            query_id=query_id, origin=origin, persist=persist
-        )
+    def _participate(self, query_id: str, origin: str) -> QueryParticipation:
+        participation = QueryParticipation(query_id=query_id, origin=origin)
         self.participations[query_id] = participation
-        if not persist:
-            self._transient[query_id] = participation
         return participation
-
-    def keep(self, relation: str, rows: list[Row]) -> None:
-        """A persistent computation derived *rows* of *relation* and
-        found some already stored: if a live non-persistent query put
-        them there they are no longer its to roll back — the lifetime
-        link memories now say they were delivered for good.  Called
-        from :meth:`CoDBNode.store_derived` only."""
-        for participation in self._transient.values():
-            mine = participation.inserted.get(relation)
-            if mine:
-                for row in rows:
-                    mine.pop(row_key(row), None)
 
     def answer(self, query_id: str) -> list[Row] | None:
         """The answer rows, or ``None`` while the query is in flight."""
@@ -274,7 +238,6 @@ class QueryEngine:
                 "origin": participation.origin,
                 "label": label,
                 "rule_ids": rule_ids,
-                "persist": participation.persist,
             }
             if not node.wrapper.persistent:
                 # A mediator's buffer is dropped at the next update
@@ -306,15 +269,13 @@ class QueryEngine:
         participation = self.participations.get(query_id)
         if participation is None:
             participation = self._participate(
-                query_id,
-                message.payload["origin"],
-                bool(message.payload.get("persist", True)),
+                query_id, message.payload["origin"]
             )
         label = [str(item) for item in message.payload.get("label", ())]
         activated_bodies: set[str] = set()
         # Serve from the send memory only an importer that keeps what
         # it is sent (see ``_forward_requests``).
-        suppressing = node.suppresses_resends() and bool(
+        suppressing = node.config.resend_suppression and bool(
             message.payload.get("retains", True)
         )
         for rule_id in message.payload["rule_ids"]:
@@ -333,9 +294,7 @@ class QueryEngine:
             rows, activated_at, skipped = activation_rows(
                 node.wrapper,
                 link,
-                incremental=suppressing
-                and node.config.semi_naive
-                and not link.unsettled,
+                incremental=suppressing and not link.unsettled,
             )
             node.stats.note_activation(incremental=skipped is not None)
             if suppressing:
@@ -439,19 +398,19 @@ class QueryEngine:
         # push paths: a frontier row mints its nulls once per link
         # lifetime, whichever computation delivers it.  Only existential
         # heads need asking — any other head gives the same facts again
-        # and ``insert_new`` drops them.  A non-persistent query
-        # consults the memory but does not mark it: its rows are rolled
-        # back.  A mediator does neither: once its buffer is dropped
-        # "fired" no longer means "stored", and an update that found a
-        # row fired here would not carry it on to the other importers.
-        remembers = node.wrapper.persistent
+        # and ``insert_new`` drops them.  A mediator neither consults
+        # nor marks it: once its buffer is dropped "fired" no longer
+        # means "stored", and an update that found a row fired here
+        # would not carry it on to the other importers.
         to_fire = fresh_frontier
-        if remembers and link.rule.mapping.has_existentials():
-            fired = link.fired
-            to_fire = {
-                key: row for key, row in fresh_frontier.items() if key not in fired
-            }
-        if remembers and participation.persist:
+        if node.wrapper.persistent:
+            if link.rule.mapping.has_existentials():
+                fired = link.fired
+                to_fire = {
+                    key: row
+                    for key, row in fresh_frontier.items()
+                    if key not in fired
+                }
             link.fired.update(to_fire)
         # One insert_new per relation, as in UpdateEngine.ingest_results.
         deltas: dict[str, list[Row]] = {}
@@ -459,14 +418,7 @@ class QueryEngine:
             deltas.setdefault(relation, []).append(row)
         stored: list[str] = []
         for relation, pending in deltas.items():
-            if participation.persist:
-                new_rows = node.store_derived(relation, pending)
-            else:
-                new_rows = node.wrapper.insert_new(relation, pending)
-                participation.inserted.setdefault(relation, {}).update(
-                    (row_key(new_row), new_row) for new_row in new_rows
-                )
-            if new_rows:
+            if node.wrapper.insert_new(relation, pending):
                 stored.append(relation)
         if stored:
             node.bump_epochs(stored)
@@ -551,16 +503,7 @@ class QueryEngine:
     ) -> None:
         node = self.node
         participation.done = True
-        self._transient.pop(participation.query_id, None)
-        rolled_back = [
-            relation
-            for relation, rows in participation.inserted.items()
-            if rows and node.wrapper.delete_rows(relation, list(rows.values()))
-        ]
-        participation.inserted.clear()
-        if rolled_back:
-            node.bump_epochs(rolled_back)
-        if participation.persist and participation.clean:
+        if participation.clean:
             # Quiescence was detected with every shipment acknowledged:
             # the importers hold what this query sent them.
             for rule_id, (link, activated_at) in participation.activated.items():

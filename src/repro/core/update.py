@@ -205,8 +205,6 @@ class UpdateEngine:
     def _quarantined(self) -> bool:
         """§1d: a locally inconsistent node must not export its data."""
         node = self.node
-        if not node.config.quarantine_inconsistent:
-            return False
         if node.wrapper.is_consistent():
             return False
         report = node.stats.report_for(self.update_id)
@@ -221,7 +219,7 @@ class UpdateEngine:
         then check immediate (leaf) closure."""
         node = self.node
         quarantined = self._quarantined()
-        suppressing = node.suppresses_resends()
+        suppressing = node.config.resend_suppression
         for link, state in self.links.incoming_for_target(requester):
             if state.state != INACTIVE:
                 continue
@@ -231,9 +229,7 @@ class UpdateEngine:
                 self._send_results(link, [], path_len=1)
                 continue
             rows, activated_at, skipped = activation_rows(
-                node.wrapper,
-                link,
-                incremental=suppressing and node.config.semi_naive,
+                node.wrapper, link, incremental=suppressing
             )
             node.stats.note_activation(incremental=skipped is not None)
             if suppressing:
@@ -250,25 +246,21 @@ class UpdateEngine:
         ship over *link*, through two filters that share the keys.
 
         The session's sent-set — "we delete from Ri those tuples which
-        have been already sent" (§3) — which the rows join; ablation
-        E10 (``sent_dedup`` off) resends whatever came out.  Then
+        have been already sent" (§3) — which the rows join.  Then
         teach-forward resend suppression: skip rows the link's
         lifetime ``pushed`` memory says a previous update (or the push
         engine) already delivered — the importer's lifetime ``fired``
         set would drop them anyway.  Rows we do ship are taught to the
         memory, tagged in the session's ``lifetime_new`` so a failure
         closure can forget them again (the healed network's next
-        update must re-ship).  Gated on ``sent_dedup`` too: the E10
-        ablation measures resends and must not be masked.  *skipped*
-        rows never left the store (they sit behind the link's
+        update must re-ship).  *skipped* rows never left the store (they sit behind the link's
         watermark) and count as suppressed all the same.
         """
         node = self.node
-        if node.config.sent_dedup:
-            seen = state.seen
-            rows = {key: row for key, row in rows.items() if key not in seen}
-            seen.update(rows)
-        if not node.suppresses_resends():
+        seen = state.seen
+        rows = {key: row for key, row in rows.items() if key not in seen}
+        seen.update(rows)
+        if not node.config.resend_suppression:
             return list(rows.values())
         to_ship, suppressed = undelivered(link, rows, state.lifetime_new)
         if suppressed or skipped:
@@ -422,7 +414,7 @@ class UpdateEngine:
         deltas: dict[str, list[Row]] = {}
         rows_new = dict.fromkeys(received, 0)
         for relation, pending in batches.items():
-            new_rows = node.store_derived(relation, pending)
+            new_rows = node.wrapper.insert_new(relation, pending)
             if new_rows:
                 deltas[relation] = new_rows
                 _credit_new_rows(new_rows, pending, owners[relation], rows_new)
@@ -466,11 +458,7 @@ class UpdateEngine:
         for link, state in self.links.incoming_dependent_on_relations(changed):
             if state.state != OPEN:
                 continue  # inactive: full eval at activation sees this data
-            # Ablation E10 (semi_naive off): recompute the link in full
-            # on every change.
-            produced = frontier_rows(
-                node.wrapper, link, deltas if node.config.semi_naive else None
-            )
+            produced = frontier_rows(node.wrapper, link, deltas)
             self._send_results(
                 link,
                 self._unsent(link, state, produced),

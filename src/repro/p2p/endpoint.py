@@ -18,8 +18,8 @@ And it is where *runs* are cut.  A kind registered with
 :meth:`Endpoint.on_run` is handled a run at a time: inside a delivery,
 consecutive messages of that kind are buffered and handed over
 together — at the first message of another kind, which is a barrier
-handled only after the run before it, and when the scope closes,
-before the outbox leaves.  Outside a delivery a message is a run of
+handled only after the run before it (even when that run's handler
+raises), and when the scope closes, before the outbox leaves.  Outside a delivery a message is a run of
 one.  A run is therefore at most what one delivery carried, and how a
 transport splits bursts changes only how many runs there are.
 """
@@ -118,16 +118,27 @@ class Endpoint:
             if len(self._seen_ids) > self.DEDUP_LIMIT:
                 self._seen_ids.popitem(last=False)
         run_handler = self._run_handlers.get(message.kind)
-        if self.delivering():
-            if self._run and (
-                run_handler is None or self._run[0].kind != message.kind
-            ):
-                self._end_run()  # a barrier: the run before it goes first
-            if run_handler is not None:
+        if (
+            self.delivering()
+            and self._run
+            and (run_handler is None or self._run[0].kind != message.kind)
+        ):
+            # A barrier: the run before it goes first.  A run its handler
+            # refuses does not take the barrier down with it.
+            try:
+                self._end_run()
+            except Exception:
+                self._route(message, run_handler)
+                raise
+        self._route(message, run_handler)
+
+    def _route(self, message: Message, run_handler: RunHandler | None) -> None:
+        """Hand *message* to its handler, or to the run being collected."""
+        if run_handler is not None:
+            if self.delivering():
                 self._run.append(message)
-                return
-        elif run_handler is not None:
-            run_handler([message])
+            else:
+                run_handler([message])
             return
         handler = self._handlers.get(message.kind)
         if handler is not None:

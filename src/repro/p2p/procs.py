@@ -1093,7 +1093,6 @@ class ProcessNetwork:
         query: str,
         *,
         mode: str = "network",
-        persist: bool = True,
         cache: bool | None = None,
         tenant: str = "",
     ) -> RequestHandle:
@@ -1130,12 +1129,7 @@ class ProcessNetwork:
         messages_before = self.transport.stats.messages_sent
         bytes_before = self.transport.stats.bytes_sent
         query_id = self._call(
-            worker,
-            "submit_query",
-            query=query,
-            persist=persist,
-            cache=cache,
-            tenant=tenant,
+            worker, "submit_query", query=query, cache=cache, tenant=tenant
         )["request_id"]
         handle = RequestHandle(
             request_id=query_id,
@@ -1168,7 +1162,6 @@ class ProcessNetwork:
         query: str,
         *,
         mode: str = "local",
-        persist: bool = True,
         cache: bool | None = None,
     ) -> list[Row]:
         """Answer *query* at *node_name* (blocking wrapper)."""
@@ -1183,9 +1176,7 @@ class ProcessNetwork:
             return [decode_row(row) for row in rows]
         if mode != "network":
             raise ProtocolError(f"unknown query mode {mode!r}")
-        handle = self.submit_query(
-            node_name, query, mode="network", persist=persist, cache=cache
-        )
+        handle = self.submit_query(node_name, query, mode="network", cache=cache)
         return handle.result(self.poll_timeout)
 
     # ------------------------------------------------------------------

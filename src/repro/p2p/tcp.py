@@ -21,6 +21,9 @@ E13).  Design:
   :data:`MAX_FRAME_BYTES`: a larger header closes the connection with
   :class:`~repro.errors.FrameRejectedError` (logged in
   ``stats.frames_rejected``) instead of being believed.
+  A well-framed message that its handler cannot read (:data:`UNREADABLE`)
+  is dropped and counted the same way; the delivery thread goes on
+  with the rest of the burst.
   ``TCP_NODELAY`` is set on every socket (accept and connect paths):
   protocol traffic is small writes in quick succession, exactly the
   pattern Nagle's algorithm would stall on a delayed ACK.
@@ -76,6 +79,7 @@ from queue import Empty, Queue
 
 from repro._util import stable_json
 from repro.errors import (
+    CoDBError,
     FrameRejectedError,
     ProtocolError,
     TransportStoppedError,
@@ -97,6 +101,13 @@ FRAME_CONTINUES = 0x8000_0000
 #: Largest frame body either side accepts.  Far above any message the
 #: protocol builds, far below what the 31 length bits could claim.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: What a handler raises for a well-framed message whose payload it
+#: cannot read (a missing key, a wrong type, an unknown computation,
+#: a payload nested too deep to serialise).  The delivery loop drops
+#: such a message and counts it in ``stats.frames_rejected``.
+UNREADABLE = (
+    CoDBError, LookupError, TypeError, ValueError, AttributeError, RecursionError
+)
 
 
 def _frame(body: bytes, continues: bool = False) -> bytes:
@@ -253,9 +264,19 @@ class _PeerServer:
                 with self.scope():
                     for message in burst:
                         network.stats.record_delivery()
-                        self.handler(message)
+                        try:
+                            self.handler(message)
+                        except UNREADABLE:
+                            # One unreadable message costs itself, not
+                            # the burst and not this thread.
+                            network.stats.record_rejected_frame()
+                            continue
                         if network.faults is not None:
                             network.faults.after_delivery(message)
+            except UNREADABLE:
+                # Raised as the scope closed: a run handed over, or a
+                # reply that cannot be framed.
+                network.stats.record_rejected_frame()
             finally:
                 with network._inflight_lock:
                     network._inflight -= len(burst)

@@ -15,7 +15,7 @@ this package *is* that database.  It provides:
   the hot protocol paths (:mod:`planner`);
 * a textual syntax for schemas, facts, queries and coordination rules
   (:mod:`parser`);
-* homomorphism machinery — CQ containment and tuple subsumption
+* tuple subsumption and row-set equality up to null renaming
   (:mod:`containment`);
 * static rule-set analysis, notably weak acyclicity (:mod:`analysis`);
 * the storage **Wrapper** with memory, sqlite and mediator back ends
@@ -55,11 +55,7 @@ from repro.relational.parser import (
     parse_query,
     parse_schema,
 )
-from repro.relational.containment import (
-    find_homomorphism,
-    is_contained_in,
-    tuple_subsumed,
-)
+from repro.relational.containment import tuple_subsumed
 from repro.relational.analysis import (
     RuleGraph,
     is_weakly_acyclic,
@@ -70,14 +66,6 @@ from repro.relational.wrapper import (
     MemoryStore,
     SqliteStore,
     Wrapper,
-)
-from repro.relational.minimize import minimize_mapping, minimize_query
-from repro.relational.explain import QueryPlan, explain
-from repro.relational.persist import (
-    dump_network,
-    dump_store,
-    load_network,
-    load_store,
 )
 
 __all__ = [
@@ -110,8 +98,6 @@ __all__ = [
     "parse_facts",
     "parse_query",
     "parse_mapping",
-    "find_homomorphism",
-    "is_contained_in",
     "tuple_subsumed",
     "RuleGraph",
     "is_weakly_acyclic",
@@ -120,12 +106,4 @@ __all__ = [
     "MemoryStore",
     "SqliteStore",
     "MediatorStore",
-    "minimize_query",
-    "minimize_mapping",
-    "explain",
-    "QueryPlan",
-    "dump_store",
-    "load_store",
-    "dump_network",
-    "load_network",
 ]

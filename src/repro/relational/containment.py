@@ -1,13 +1,6 @@
-"""Homomorphism machinery: CQ containment and tuple subsumption.
+"""Null-aware row comparison: tuple subsumption and equality up to
+null renaming.
 
-Two uses inside coDB:
-
-* **Query containment** (:func:`is_contained_in`) — classic canonical-
-  database check (Chandra & Merlin): freeze the contained query's
-  variables into fresh constants, evaluate the containing query over
-  that canonical instance, and test whether the frozen head appears.
-  The query answerer uses it to skip redundant rule evaluations, and
-  tests use it as an oracle.
 * **Tuple subsumption** (:func:`tuple_subsumed`) — a tuple containing
   marked nulls is subsumed by a stored tuple when some mapping of its
   nulls (constants fixed, consistent across positions) turns it into
@@ -17,81 +10,17 @@ Two uses inside coDB:
   under-approximates full instance-level homomorphism, which is all
   that soundness needs — we may keep a redundant tuple, never drop a
   necessary one).
+* **Equality up to null renaming** (:func:`rows_equal_up_to_nulls`) —
+  the oracle that compares a distributed run with the centralised
+  chase: both compute the same certain facts under different labels.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
 
-from repro.relational.conjunctive import (
-    Atom,
-    ConjunctiveQuery,
-    Variable,
-)
-from repro.relational.database import Database
-from repro.relational.evaluation import evaluate_body, project_head_row
-from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.storage import Relation
 from repro.relational.values import MarkedNull, Row, Value, same_value
-
-
-def find_homomorphism(
-    source_atoms: Sequence[Atom],
-    target_facts: Iterable[tuple[str, Row]],
-    *,
-    fixed: Mapping[str, Value] | None = None,
-) -> dict[str, Value] | None:
-    """A variable mapping sending every source atom into the target facts.
-
-    Parameters
-    ----------
-    source_atoms:
-        Atoms whose variables we try to map.
-    target_facts:
-        Ground ``(relation, row)`` facts to map into.
-    fixed:
-        Pre-committed variable assignments (e.g. head variables pinned
-        to the frozen head during containment checks).
-
-    Returns the homomorphism as a dict, or ``None``.
-    """
-    by_relation: dict[str, list[Row]] = {}
-    for relation, row in target_facts:
-        by_relation.setdefault(relation, []).append(row)
-
-    atoms = sorted(source_atoms, key=lambda a: len(by_relation.get(a.relation, ())))
-    assignment: dict[str, Value] = dict(fixed or {})
-
-    def extend(index: int) -> bool:
-        if index == len(atoms):
-            return True
-        atom = atoms[index]
-        for row in by_relation.get(atom.relation, ()):
-            if len(row) != atom.arity:
-                continue
-            added: list[str] = []
-            ok = True
-            for term, value in zip(atom.terms, row):
-                if isinstance(term, Variable):
-                    bound = assignment.get(term.name, _UNSET)
-                    if bound is _UNSET:
-                        assignment[term.name] = value
-                        added.append(term.name)
-                    elif not same_value(bound, value):
-                        ok = False
-                        break
-                elif not same_value(term, value):
-                    ok = False
-                    break
-            if ok and extend(index + 1):
-                return True
-            for name in added:
-                del assignment[name]
-        return False
-
-    if extend(0):
-        return dict(assignment)
-    return None
 
 
 class _Unset:
@@ -99,67 +28,6 @@ class _Unset:
 
 
 _UNSET = _Unset()
-
-
-def freeze_query(query: ConjunctiveQuery) -> tuple[list[tuple[str, Row]], Row]:
-    """The canonical instance of *query* and its frozen head row.
-
-    Every variable ``x`` becomes the fresh constant ``"⟪x⟫"``
-    (mathematical angle brackets, which no user constant contains).
-    """
-    def freeze_term(term) -> Value:
-        if isinstance(term, Variable):
-            return f"⟪{term.name}⟫"
-        return term
-
-    facts = [
-        (atom.relation, tuple(freeze_term(t) for t in atom.terms))
-        for atom in query.body
-    ]
-    head = tuple(freeze_term(t) for t in query.head.terms)
-    return facts, head
-
-
-def _canonical_database(facts: Sequence[tuple[str, Row]]) -> Database:
-    schema = DatabaseSchema()
-    arities: dict[str, int] = {}
-    for relation, row in facts:
-        arities.setdefault(relation, len(row))
-    for relation, arity in arities.items():
-        schema.add(
-            RelationSchema.of(relation, [f"c{i}" for i in range(arity)])
-        )
-    database = Database(schema)
-    for relation, row in facts:
-        database.insert(relation, row)
-    return database
-
-
-def is_contained_in(
-    query: ConjunctiveQuery, other: ConjunctiveQuery
-) -> bool:
-    """Whether ``query ⊆ other`` over every database (no comparisons).
-
-    Comparison predicates make containment harder than the pure CQ
-    case; this implementation is exact for comparison-free queries and
-    *conservative* otherwise (it ignores the comparisons of *query*
-    and requires those of *other* to hold on the canonical instance,
-    so a ``True`` answer is always correct, a ``False`` answer may be
-    a false negative).
-    """
-    if query.head.arity != other.head.arity:
-        return False
-    facts, frozen_head = freeze_query(query)
-    database = _canonical_database(facts)
-    for binding in evaluate_body(database, other.body, other.comparisons):
-        if project_head_row(other.head, binding) == frozen_head:
-            return True
-    return False
-
-
-def is_equivalent_to(query: ConjunctiveQuery, other: ConjunctiveQuery) -> bool:
-    """Mutual containment (comparison-free exactness caveat applies)."""
-    return is_contained_in(query, other) and is_contained_in(other, query)
 
 
 def tuple_subsumed(candidate: Row, relation: Relation) -> bool:

@@ -24,8 +24,8 @@ storage wrappers pick one per plan (see "Executor dispatch rules" in
 * :func:`compile_plan_sql` — the same plan translated to one
   parameterized SQL join, pushed down into a SQLite-backed store.
 
-``explain`` renders the shared plan, so the join-order decision has
-one source of truth regardless of which executor serves it.
+The join order is decided once, in the shared plan, whichever
+executor serves it.
 
 Plan shape
 ----------
@@ -109,7 +109,7 @@ a single parameterized ``SELECT``:
 
 * the plan's atom order becomes the ``FROM`` order, joined with
   ``CROSS JOIN`` so SQLite keeps *our* join order (one source of truth
-  for ordering, here and in ``explain``);
+  for ordering);
 * probe templates, same-row checks and delta const/var checks become
   raw equality predicates over the encoded cells — the type-tagged
   encoding is injective, so cell equality is coDB value equality

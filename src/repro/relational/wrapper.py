@@ -192,8 +192,12 @@ class Wrapper:
     def delete_rows(self, relation: str, rows: Iterable[Sequence[Value]]) -> int:
         """Delete *rows* (exact matches); returns how many were present.
 
-        Used by the query-time answerer's non-persistent mode, which
-        rolls back the tuples a network query imported.
+        No protocol path calls it: what a computation imports stays
+        stored.  It is the local repair operation, e.g. removing the
+        tuples that break a key constraint so a quarantined node (§1d)
+        serves its links again.  It does not advance the node's
+        answer-cache epochs: a caller whose cached answers must notice
+        calls :meth:`~repro.core.node.CoDBNode.bump_epochs`.
         """
         raise NotImplementedError
 

@@ -191,7 +191,6 @@ class NodeWorker:
             return {
                 "request_id": node.submit_query_id(
                     query,
-                    persist=bool(frame.get("persist", True)),
                     cache=None if cache is None else bool(cache),
                     tenant=str(frame.get("tenant", "")),
                 )

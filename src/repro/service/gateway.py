@@ -10,8 +10,10 @@ dependencies:
     ``{"origin": node, "tenant": t?}`` — submit a global update;
     returns ``202`` with a request id immediately.
 ``POST /v1/query``
-    ``{"node": n, "query": text, "mode": "network"?, "persist"?,
-    "cache"?, "tenant"?}`` — submit a query the same way.
+    ``{"node": n, "query": text, "mode": "network"?, "cache"?,
+    "tenant"?}`` — submit a query the same way.  A query's imports
+    always stay stored: a ``"persist"`` other than ``true`` is a
+    ``400``.
 ``GET /v1/result/<id>[?wait=seconds]``
     Poll (or bounded-block for) the outcome; query answers come back
     as encoded rows (:func:`repro.relational.values.encode_row`).
@@ -570,13 +572,15 @@ class ServiceGateway:
         node = str(body["node"])
         query = str(body["query"])
         mode = str(body.get("mode", "network"))
-        persist = bool(body.get("persist", True))
+        if body.get("persist", True) is not True:
+            raise ValueError(
+                "'persist' is retired: a query's imports always stay stored"
+            )
         cache = body.get("cache", None)
         return node, lambda: self.network.submit_query(
             node,
             query,
             mode=mode,
-            persist=persist,
             cache=None if cache is None else bool(cache),
             tenant=tenant,
         )

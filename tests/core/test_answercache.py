@@ -11,7 +11,7 @@ so the next read recomputes instead of serving stale data.
 import pytest
 
 from repro import CoDBNetwork, NodeConfig
-from repro.core.answercache import AnswerCache
+from repro.core.answercache import DEFAULT_CACHE_SIZE, AnswerCache
 
 
 class TestAnswerCacheUnit:
@@ -153,14 +153,6 @@ class TestInterestProtocol:
         assert first == second == [(1,), (2,)]
         assert net.node("N0").cache.hits == 0
 
-    def test_non_persistent_queries_bypass_the_cache(self):
-        """Rollback deletes would invalidate a fill immediately, so
-        ``persist=False`` answers are computed fresh every time."""
-        net = build_chain(2)
-        net.query("N0", QUERY, mode="network", persist=False)
-        net.query("N0", QUERY, mode="network", persist=False)
-        assert net.node("N0").cache.stores == 0
-
     def test_local_query_caching(self):
         net = build_chain(2)
         node = net.node("N1")
@@ -170,6 +162,31 @@ class TestInterestProtocol:
         node.insert("item", (3,))
         assert sorted(node.query(QUERY)) == [(1,), (2,), (3,)]
         assert node.cache.hits == 1  # the insert invalidated the entry
+
+    def test_a_node_keeps_the_default_number_of_answers(self):
+        net = build_chain(2)
+        node = net.node("N1")
+        for bound in range(DEFAULT_CACHE_SIZE + 1):
+            assert node.query(f"q(x) <- item(x), x != {bound}")
+        assert len(node.cache) == DEFAULT_CACHE_SIZE
+        assert node.cache.evictions == 1
+        # The least recently used answer, the first, went.
+        assert sorted(node.query("q(x) <- item(x), x != 0")) == [(1,), (2,)]
+        assert node.cache.hits == 0
+
+    def test_a_repair_reaches_the_cache_through_bump_epochs(self):
+        """``Wrapper.delete_rows`` is a store-level repair: it does not
+        advance the node's epochs; the caller does."""
+        net = build_chain(2)
+        node = net.node("N1")
+        assert sorted(node.query(QUERY)) == [(1,), (2,)]
+        with node._lock:
+            assert node.wrapper.delete_rows("item", [(2,)]) == 1
+        assert sorted(node.query(QUERY)) == [(1,), (2,)]  # still cached
+        with node._lock:
+            node.bump_epochs(["item"])
+        assert node.query(QUERY) == [(1,)]
+        assert node.cache.invalidations == 1
 
     def test_rule_change_floods_the_cache(self):
         net = build_chain(2)

@@ -5,7 +5,7 @@ propagate")."""
 import pytest
 
 from repro import CoDBNetwork, NodeConfig, parse_schema
-from repro.relational.wrapper import MemoryStore
+from repro.relational.wrapper import MemoryStore, SqliteStore
 
 
 class TestKeyConstraints:
@@ -49,9 +49,8 @@ class TestKeyConstraints:
 
 
 class TestQuarantine:
-    def build(self, *, quarantine=True):
-        config = NodeConfig(quarantine_inconsistent=quarantine)
-        net = CoDBNetwork(seed=121, config=config)
+    def build(self):
+        net = CoDBNetwork(seed=121)
         net.add_node(
             "SRC", "person(name!: str, age: int)",
             facts="person('anna', 24). person('bob', 30)",
@@ -90,17 +89,27 @@ class TestQuarantine:
         report = net.node("SRC").update_report(outcome.update_id)
         assert report.quarantined is False
 
-    def test_quarantine_can_be_disabled(self):
-        net = self.build(quarantine=False)
-        net.node("SRC").insert("person", ("anna", 99))
+    def test_an_inconsistent_sqlite_store_serves_nothing(self):
+        net = CoDBNetwork(seed=124)
+        schema = parse_schema("person(name!: str, age: int)")
+        store = SqliteStore(schema)
+        net.add_node("SRC", schema, store=store, facts="person('anna', 24)")
+        net.add_node("DST", "rec(name: str, age: int)")
+        net.add_rule("DST:rec(n, a) <- SRC:person(n, a)")
+        net.start()
+        net.node("SRC").insert("person", ("anna", 99))  # key violation
+        outcome = net.global_update("DST")
+        assert net.node("DST").rows("rec") == []
+        assert net.node("SRC").update_report(outcome.update_id).quarantined
+        store.delete_rows("person", [("anna", 99)])
         net.global_update("DST")
-        assert len(net.node("DST").rows("rec")) == 3  # both annas exported
+        assert net.node("DST").rows("rec") == [("anna", 24)]
+        store.close()
 
     def test_inconsistency_does_not_poison_neighbours(self):
         # A consistent node between an inconsistent source and the sink
         # still serves its own data.
-        config = NodeConfig(quarantine_inconsistent=True)
-        net = CoDBNetwork(seed=122, config=config)
+        net = CoDBNetwork(seed=122)
         net.add_node("BAD", "item(k!, v)", facts="item(1, 'x'). item(1, 'y')")
         net.add_node("MID", "item(k, v)", facts="item(5, 'own')")
         net.add_node("SINK", "item(k, v)")
@@ -111,7 +120,7 @@ class TestQuarantine:
         assert net.node("SINK").rows("item") == [(5, "own")]
 
     def test_push_quarantined_too(self):
-        config = NodeConfig(push_on_insert=True, quarantine_inconsistent=True)
+        config = NodeConfig(push_on_insert=True)
         net = CoDBNetwork(seed=123, config=config)
         net.add_node("SRC", "item(k!, v)")
         net.add_node("DST", "item(k, v)")

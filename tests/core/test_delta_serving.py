@@ -2,7 +2,7 @@
 
 An incoming link serves only what is new — it filters against its
 lifetime ``pushed`` memory and evaluates only the rows behind its
-store watermarks — for updates and persistent network queries alike.
+store watermarks — for updates and network queries alike.
 These tests pin the invariant that makes that safe: suppression may
 consult only memory no live computation is still delivering, and a
 computation that did not end cleanly teaches nothing.
@@ -52,7 +52,7 @@ def query_all(net, node="N0", **kwargs):
 
 
 class TestExistentialHeadsDoNotRemint:
-    """Satellite bug: an uncached persistent query over an
+    """Satellite bug: an uncached query over an
     existential-head rule minted fresh nulls on every run, because
     query ingest never consulted ``OutgoingLink.fired``."""
 
@@ -80,24 +80,6 @@ class TestExistentialHeadsDoNotRemint:
         net.query("A", "q(n, d) <- emp(n, d)", mode="network")
         outcome = net.global_update("A")
         assert outcome.rows_imported == 0
-        assert len(net.node("A").rows("emp")) == 2
-
-    def test_non_persistent_query_consults_but_does_not_mark(self):
-        net = self.build(UNCACHED)
-        answer = net.query(
-            "A", "q(n, d) <- emp(n, d)", mode="network", persist=False
-        )
-        assert len(answer) == 2
-        (link,) = net.node("A").links.outgoing.values()
-        assert not link.fired and net.node("A").rows("emp") == []
-        # A persistent query then fires for real, and a later
-        # non-persistent one finds the rows fired: nothing re-minted.
-        net.query("A", "q(n, d) <- emp(n, d)", mode="network")
-        minted = net.node("A").nulls.minted
-        again = net.query(
-            "A", "q(n, d) <- emp(n, d)", mode="network", persist=False
-        )
-        assert len(again) == 2 and net.node("A").nulls.minted == minted
         assert len(net.node("A").rows("emp")) == 2
 
 
@@ -227,53 +209,6 @@ class TestRepeatUpdate:
         assert totals(net, "activations_incremental") == 3
         assert totals(ablated, "rows_suppressed") == 0
         assert totals(ablated, "activations_incremental") == 0
-
-
-class TestNonPersistentQueriesTeachNothing:
-    def test_no_memory_no_marks_no_rows(self):
-        net = build_chain()
-        before = net.snapshot()
-        assert query_all(net, persist=False) == all_items()
-        assert net.snapshot() == before
-        for name in ("N1", "N2", "N3"):
-            assert not incoming(net, name).pushed and not incoming(net, name).marks
-        assert query_all(net, persist=False) == all_items()
-
-    def test_its_rollback_voids_marks_and_nothing_else_does(self):
-        net = build_chain()
-        query_all(net)  # persistent: every link now has marks
-        # Nothing new anywhere: a non-persistent query imports nothing,
-        # deletes nothing, and the marks keep serving the tail.
-        full_before = totals(net, "activations_full")
-        assert query_all(net, persist=False) == all_items()
-        assert totals(net, "activations_full") == full_before
-        # A new row at the tail is imported along the chain and rolled
-        # back: the relays' relations saw a delete, their marks are void.
-        net.node("N3").insert("item", (99,))
-        assert query_all(net, persist=False) == sorted(all_items() + [(99,)])
-        assert (99,) not in net.node("N1").rows("item")
-        full_before = totals(net, "activations_full")
-        assert query_all(net) == sorted(all_items() + [(99,)])
-        # N1 and N2 rolled back (void marks, full evaluation); N3 only
-        # ever inserted.
-        assert totals(net, "activations_full") - full_before == 2
-        assert (99,) in net.node("N0").rows("item")
-
-    def test_rows_a_persistent_query_also_derived_survive_the_rollback(self):
-        """Two queries in flight deliver the same new rows: the
-        non-persistent one stored them first, the persistent one found
-        them stored.  They are persistent — the link memories now say
-        so — and must not disappear with the other query's rollback."""
-        net = build_chain()
-        transient = net.node("N0").submit_query_id(
-            "q(k) <- item(k)", persist=False
-        )
-        kept = net.node("N0").submit_query_id("q(k) <- item(k)")
-        net.run()
-        assert sorted(net.node("N0").network_query_answer(transient)) == all_items()
-        assert sorted(net.node("N0").network_query_answer(kept)) == all_items()
-        assert sorted(net.node("N0").rows("item")) == all_items()
-        assert query_all(net) == all_items()
 
 
 class TestQueryRacingAnUpdate:

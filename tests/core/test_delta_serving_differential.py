@@ -4,7 +4,7 @@ Hypothesis draws a small chain, tree or cycle (copy rules, some with an
 existential ``tag`` twin, some feeding a two-relation join), sometimes
 with one node a ``MediatorStore`` that keeps nothing past an update,
 and a random sequence of local inserts, global updates and network
-queries — persistent or not, cached or not.  The same sequence runs with the
+queries, cached or not.  The same sequence runs with the
 send memory on (``MemoryStore`` and ``SqliteStore``) and with
 ``NodeConfig(resend_suppression=False)``, the existing ablation, as the
 oracle: every answer and every store must agree up to a renaming of
@@ -69,7 +69,6 @@ def scenarios(draw, mediators=True):
             st.just("query"),
             node,
             st.sampled_from(QUERIES),
-            st.booleans(),  # persist
             st.booleans(),  # cache
         ),
     )
@@ -108,10 +107,8 @@ def apply(net, op):
     elif op[0] == "update":
         assert net.global_update(f"N{op[1]}").report.outcome == "complete"
     else:
-        _, node, query, persist, cache = op
-        return net.query(
-            f"N{node}", query, mode="network", persist=persist, cache=cache
-        )
+        _, node, query, cache = op
+        return net.query(f"N{node}", query, mode="network", cache=cache)
     return None
 
 
@@ -165,9 +162,9 @@ class TestSuppressionIsInvisible:
             [(1, 0, "copy"), (2, 0, "copy"), (0, 3, "copy")],
             {0: [], 1: [], 2: [], 3: [1, 2]},
             [
-                ("query", 1, QUERIES[0], True, False),
+                ("query", 1, QUERIES[0], False),
                 ("update", 1),
-                ("query", 2, QUERIES[0], True, False),
+                ("query", 2, QUERIES[0], False),
             ],
             0,
         )
@@ -237,7 +234,7 @@ class TestSuppressionIsInvisible:
                     elif op[0] == "update":
                         node.submit_update_id()
                     else:
-                        node.submit_query_id(op[2], persist=op[3])
+                        node.submit_query_id(op[2])
                 net.run()
             for node in net.nodes.values():
                 for link in node.links.incoming.values():

@@ -4,8 +4,8 @@ Batching: one write burst (one ``bump_epochs`` flush window) that
 stales several rules toward the same importer ships ONE grouped
 invalidation message, not one per link — counted by
 ``invalidation_batches`` / ``invalidations_coalesced`` in
-``lifetime_totals()``.  The ablation (``invalidation_batching=False``)
-keeps the old one-message-per-link wire shape measurable.
+``lifetime_totals()``.  The single-notice shape stays on the wire:
+lease expiry sends it.
 
 Leases: a CUP-style interest registration carries an event-count lease
 (``NodeConfig.interest_lease_events``).  Every event the upstream side
@@ -15,7 +15,10 @@ expires with a final unconditional invalidation, so an idle cached
 reader stops suppressing pushes forever.
 """
 
+import pytest
+
 from repro import CoDBNetwork, NodeConfig
+from repro.p2p.messages import Message
 
 QUERY_ITEM = "q(x) <- item(x)"
 QUERY_TAG = "q(x) <- tag(x)"
@@ -63,18 +66,6 @@ class TestBatchedInvalidations:
         assert (3,) in net.query("N0", QUERY_ITEM, mode="network")
         assert (3,) in net.query("N0", QUERY_TAG, mode="network")
 
-    def test_ablation_ships_one_message_per_link(self):
-        net = build_fanin(config=NodeConfig(invalidation_batching=False))
-        net.query("N0", QUERY_ITEM, mode="network")
-        net.query("N0", QUERY_TAG, mode="network")
-        net.node("N1").insert("item", (3,))
-        net.run()
-        exporter = net.node("N1")
-        assert exporter.invalidation_batches == 2
-        assert exporter.invalidations_sent == 2
-        assert exporter.invalidations_coalesced == 0
-        assert net.node("N0").invalidations_received == 2
-
     def test_single_link_burst_coalesces_nothing(self):
         net = build_pair()
         net.query("N0", QUERY_ITEM, mode="network")
@@ -95,6 +86,29 @@ class TestBatchedInvalidations:
         assert totals["invalidation_batches"] == 1
         assert totals["invalidations_coalesced"] == 1
         assert totals["interest_leases_expired"] == 0
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"notices": [{"rule_id": "r0", "relations": ["item"]}]},
+            {"rule_id": "r0", "relations": ["item"]},
+        ],
+        ids=["batched", "single"],
+    )
+    def test_the_importer_reads_both_notice_shapes(self, payload):
+        net = build_pair()
+        net.query("N0", QUERY_ITEM, mode="network")
+        importer = net.node("N0")
+        (outgoing,) = importer.links.outgoing.values()
+        assert outgoing.registered
+        epoch = importer.cache.epoch("item")
+        net.transport.send(
+            Message("invalidation", "N1", "N0", payload, message_id="msg-test")
+        )
+        net.run()
+        assert importer.invalidations_received == 1
+        assert importer.cache.epoch("item") == epoch + 1
+        assert not outgoing.registered
 
 
 def exporter_link(net, exporter="N1"):
@@ -138,6 +152,28 @@ class TestInterestLeases:
         assert sorted(rows) == [(1,), (2,), (3,), (4,), (5,), (6,)]
         net.run()
         assert link.cache_interest and link.lease_remaining == 2
+
+    def test_expiry_ships_the_single_notice_shape(self, monkeypatch):
+        net = build_pair(config=NodeConfig(interest_lease_events=1))
+        net.query("N0", QUERY_ITEM, mode="network")
+        sent = []
+        send_burst = net.transport.send_burst
+
+        def spying(messages):
+            sent.extend(m for m in messages if m.kind == "invalidation")
+            return send_burst(messages)
+
+        monkeypatch.setattr(net.transport, "send_burst", spying)
+        exporter = net.node("N1")
+        exporter.insert("item", (3,))  # a flush window's notices
+        net.run()
+        exporter.insert("item", (4,))  # suppressed: the lease runs out
+        net.run()
+        assert exporter.interest_leases_expired == 1
+        assert [m.payload for m in sent] == [
+            {"notices": [{"rule_id": "r0", "relations": ["item"]}]},
+            {"rule_id": "r0", "relations": ["item"]},
+        ]
 
     def test_suppressed_pushes_resume_after_expiry(self):
         """Continuous mode: each withheld push spends the lease, and

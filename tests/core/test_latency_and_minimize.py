@@ -1,8 +1,8 @@
-"""Latency models and rule-body minimisation in live networks."""
+"""Latency models and redundant rule bodies in live networks."""
 
 import pytest
 
-from repro import CoDBNetwork, LatencyModel, NodeConfig
+from repro import CoDBNetwork, LatencyModel
 
 
 class TestLatencyModels:
@@ -58,34 +58,32 @@ class TestLatencyModels:
 
 
 class TestRuleBodyMinimisation:
+    """A rule body is installed as written — no node minimises it — and
+    a redundant atom changes no answer: the engine derives what the
+    body's core derives."""
+
     RULE = "D:out(n) <- S:src(n, a), S:src(n, b)"  # redundant second atom
 
-    def build(self, minimize):
-        config = NodeConfig(minimize_rule_bodies=minimize)
-        net = CoDBNetwork(seed=132, config=config)
-        net.add_node("S", "src(n, a)", facts="src(1, 'x'). src(2, 'y')")
+    def build(self, rule):
+        net = CoDBNetwork(seed=132)
+        net.add_node(
+            "S", "src(n, a)", facts="src(1, 'x'). src(2, 'y'). src(2, 'z')"
+        )
         net.add_node("D", "out(n)")
-        net.add_rule(self.RULE)
+        net.add_rule(rule)
         net.start()
         return net
 
     def test_results_identical(self):
-        plain = self.build(False)
-        minimised = self.build(True)
-        plain.global_update("D")
-        minimised.global_update("D")
-        assert plain.node("D").snapshot() == minimised.node("D").snapshot()
-
-    def test_installed_rule_is_smaller(self):
-        net = self.build(True)
-        link = net.node("S").links.incoming["r0"]
-        assert len(link.rule.mapping.body) == 1
-        plain = self.build(False)
-        assert len(plain.node("S").links.incoming["r0"].rule.mapping.body) == 2
+        redundant = self.build(self.RULE)
+        core = self.build("D:out(n) <- S:src(n, a)")
+        redundant.global_update("D")
+        core.global_update("D")
+        assert redundant.node("D").snapshot() == core.node("D").snapshot()
+        assert len(redundant.node("S").links.incoming["r0"].rule.mapping.body) == 2
 
     def test_non_redundant_rules_untouched(self):
-        config = NodeConfig(minimize_rule_bodies=True)
-        net = CoDBNetwork(seed=133, config=config)
+        net = CoDBNetwork(seed=133)
         net.add_node("S", "a(n)\nb(n)", facts="a(1). b(1)")
         net.add_node("D", "out(n)")
         net.add_rule("D:out(n) <- S:a(n), S:b(n)")
@@ -94,3 +92,25 @@ class TestRuleBodyMinimisation:
         assert len(link.rule.mapping.body) == 2
         net.global_update("D")
         assert net.node("D").rows("out") == [(1,)]
+
+    @pytest.mark.parametrize(
+        "redundant, core",
+        [
+            ("D:out(n) <- S:src(n, a), S:src(n, a)", "D:out(n) <- S:src(n, a)"),
+            (
+                "D:out(n) <- S:src(n, 'y'), S:src(n, b)",
+                "D:out(n) <- S:src(n, 'y')",
+            ),
+            (
+                "D:out(n) <- S:src(n, a), S:src(n, b), S:src(m, b)",
+                "D:out(n) <- S:src(n, a)",
+            ),
+        ],
+        ids=["duplicate-atom", "implied-by-constant", "folds-onto-core"],
+    )
+    def test_redundant_atoms_change_no_answer(self, redundant, core):
+        nets = [self.build(redundant), self.build(core)]
+        for net in nets:
+            net.global_update("D")
+        assert nets[0].node("D").rows("out") == nets[1].node("D").rows("out")
+        assert nets[0].node("D").rows("out") != []

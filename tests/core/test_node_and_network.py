@@ -1,11 +1,14 @@
 """Node construction, rule validation, the network builder API."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import (
     CoDBNetwork,
     CoDBNode,
     MediatorStore,
+    NodeConfig,
     SqliteStore,
     parse_schema,
 )
@@ -38,6 +41,21 @@ class TestNodeConstruction:
         sqlite_node = CoDBNetwork(seed=2)
         n2 = sqlite_node.add_node("M", schema, store=SqliteStore(schema))
         assert n2.database is None
+
+    def test_node_config_holds_only_workload_settings(self):
+        # The §3 engine is not configurable; what is left are the
+        # settings a workload sets or a differential test uses as its
+        # oracle.
+        assert [field.name for field in fields(NodeConfig)] == [
+            "subsumption_dedup",
+            "fixpoint_guard",
+            "batch_rows",
+            "push_on_insert",
+            "max_active_sessions",
+            "resend_suppression",
+            "answer_cache",
+            "interest_lease_events",
+        ]
 
 
 class TestRuleValidation:

@@ -73,25 +73,42 @@ class TestBasicAnswering:
 
 
 class TestPersistence:
-    def test_persist_false_rolls_back_everywhere(self, chain_net):
-        rows = chain_net.query(
-            "A", "q(x) <- top(x)", mode="network", persist=False
-        )
-        assert sorted(rows) == [(2,), (3,)]
-        assert chain_net.node("A").rows("top") == []
-        assert chain_net.node("B").rows("mid") == []
-
-    def test_persist_false_keeps_preexisting_rows(self, chain_net):
-        chain_net.node("B").insert("mid", (99,))
-        chain_net.query("A", "q(x) <- top(x)", mode="network", persist=False)
-        assert chain_net.node("B").rows("mid") == [(99,)]
-
-    def test_repeated_ephemeral_queries_stable(self, chain_net):
+    def test_repeated_queries_stable(self, chain_net):
+        # Every repeat runs the whole diffusing computation (uncached)
+        # over stores that already hold what the first one migrated:
+        # the same answer, and nothing rolled back in between.
         for _ in range(3):
             rows = chain_net.query(
-                "A", "q(x) <- top(x)", mode="network", persist=False
+                "A", "q(x) <- top(x)", mode="network", cache=False
             )
             assert sorted(rows) == [(2,), (3,)]
+            assert sorted(chain_net.node("A").rows("top")) == [(2,), (3,)]
+            assert sorted(chain_net.node("B").rows("mid")) == [(1,), (2,), (3,)]
+
+
+    def test_a_relay_answers_from_what_migrated_without_traffic(self, chain_net):
+        # §1: data fetched for A migrated into B on the way, so B's own
+        # local query needs no network at all.
+        chain_net.query("A", "q(x) <- top(x)", mode="network")
+        before = chain_net.transport.stats.messages_sent
+        assert sorted(chain_net.query("B", "q(x) <- mid(x)")) == [(1,), (2,), (3,)]
+        assert chain_net.transport.stats.messages_sent == before
+
+    def test_the_query_request_carries_no_persist_flag(self, chain_net, monkeypatch):
+        # A query's imports always stay stored, so nothing on the wire
+        # says whether they should.
+        sent = []
+        send_burst = chain_net.transport.send_burst
+
+        def spying(messages):
+            sent.extend(messages)
+            return send_burst(messages)
+
+        monkeypatch.setattr(chain_net.transport, "send_burst", spying)
+        chain_net.query("A", "q(x) <- top(x)", mode="network")
+        requests = [m for m in sent if m.kind == "query_request"]
+        assert [(m.sender, m.recipient) for m in requests] == [("A", "B"), ("B", "C")]
+        assert all("persist" not in m.payload for m in requests)
 
 
 class TestRelevanceScoping:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import CentralizedExchange
 from repro.relational.containment import rows_equal_up_to_nulls
-from repro.workloads import random_graph
+from repro.workloads import chain, random_graph, ring
 
 
 def run_both(blueprint, seed, tuples_per_node=10, overlap=0.0):
@@ -49,6 +49,18 @@ class TestRandomizedEquivalence:
         post = {name: node.snapshot() for name, node in net.nodes.items()}
         rechase = CentralizedExchange.for_network(net).run(post)
         assert rechase.tuples_added == 0
+
+
+class TestBlueprintEquivalence:
+    @pytest.mark.parametrize(
+        "blueprint", [chain(4), ring(4)], ids=["chain", "ring"]
+    )
+    def test_blueprint_matches_chase(self, blueprint):
+        net, truth = run_both(blueprint, 3, tuples_per_node=15)
+        for name, node in net.nodes.items():
+            assert node.snapshot() == truth.node_snapshot(
+                name, node.wrapper.schema
+            ), name
 
 
 class TestExistentialEquivalence:

@@ -5,8 +5,8 @@ recipient's share to ``Transport.send_burst``; the simulator delivers
 a burst as one event, TCP as one frame train (continuation bit in the
 length prefix) handled in one scope.  A transport may split a burst
 anywhere — these tests pin both the whole and the split behaviour, the
-runs the endpoint cuts out of a delivery, and the frame boundary's
-fail-closed handling of hostile headers.
+runs the endpoint cuts out of a delivery, and the fail-closed handling
+of hostile headers and of payloads a handler cannot read.
 """
 
 import socket
@@ -17,13 +17,14 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro import CoDBNetwork
 from repro.errors import FrameRejectedError, ProtocolError, UnknownPeerError
 from repro.p2p import tcp
 from repro.p2p.endpoint import Endpoint
 from repro.p2p.faults import FaultInjector, FaultModel
 from repro.p2p.ids import IdAuthority
 from repro.p2p.inproc import InProcessNetwork
-from repro.p2p.messages import Message
+from repro.p2p.messages import FRAME_BINARY, Message
 from repro.p2p.tcp import FRAME_CONTINUES, MAX_FRAME_BYTES, TcpNetwork
 
 
@@ -273,6 +274,21 @@ class TestEndpointRuns:
         net.run_until_idle()
         assert log == [[0, 1], 2, [3, 4], "flush"]
 
+    def test_a_refused_run_does_not_take_its_barrier_down(self):
+        net, log = InProcessNetwork(), []
+        a = Endpoint("A", net, IdAuthority())
+
+        def refuse(run):
+            raise ProtocolError("unreadable run")
+
+        a.on_run("r", refuse)
+        a.on("x", lambda m: log.append(m.payload["n"]))
+        a.before_flush = lambda: log.append("flush")
+        net.send_burst([msg("B", "A", 0, "r"), msg("B", "A", 1, "x")])
+        with pytest.raises(ProtocolError):  # the simulator still raises
+            net.run_until_idle()
+        assert log == [1, "flush"]
+
     def test_a_split_burst_is_several_runs(self):
         net, log = InProcessNetwork(), []
         self.endpoint(net, log)
@@ -427,3 +443,73 @@ class TestFrameBoundary:
         with pytest.raises(FrameRejectedError):
             tcp_net.send(Message("k", "B", "A", {"blob": "x" * 100}))
         tcp_net.run_until_idle()  # the in-flight window was given back
+
+
+def _text(value: str) -> bytes:
+    data = value.encode("utf-8")
+    return b"X" + struct.pack("<I", len(data)) + data  # pickle BINUNICODE
+
+
+def nested_stats_request(depth: int) -> bytes:
+    """A binary ``stats_request`` from B whose collection id is a list
+    nested *depth* deep, pickled by hand (``pickle.dumps`` itself would
+    recurse).  It decodes; echoing it back in the reply cannot be
+    serialised."""
+    nested = b"]" * depth + b"a" * (depth - 1)  # EMPTY_LIST ... APPEND
+    return (
+        FRAME_BINARY + b"\x80\x02("
+        + _text("stats_request") + _text("B") + _text("A")
+        + b"}" + _text("collection_id") + nested + b"s"
+        + _text("hostile-1") + b"t."
+    )
+
+
+def hostile_frame(kind: str, payload: dict, sender: str = "B") -> bytes:
+    return Message(kind, sender, "A", payload, message_id="hostile-1").to_wire()
+
+
+class TestUnreadablePayloads:
+    """A well-framed message a handler cannot read is dropped and
+    counted; the node's delivery thread goes on serving."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            hostile_frame("ack", {}),
+            hostile_frame("update_request", {}),
+            hostile_frame("query_request", {"query_id": "q"}),
+            hostile_frame("query_data", {"query_id": "q"}),
+            nested_stats_request(100_000),
+            # AttributeError: a notice that is not an object.
+            hostile_frame("invalidation", {"notices": [1]}),
+            # UnknownPeerError: the reply has nowhere to go.
+            hostile_frame("stats_request", {}, sender="Z"),
+        ],
+        ids=[
+            "ack", "update_request", "query_request", "query_data", "nested",
+            "notice", "stranger",
+        ],
+    )
+    def test_the_node_survives_and_counts_it(self, body, monkeypatch):
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        net = CoDBNetwork(transport=TcpNetwork(), seed=5, with_superpeer=False)
+        try:
+            net.add_node("A", "item(k: int)")
+            net.add_node("B", "item(k: int)", facts="item(1)")
+            net.add_rule("A:item(k) <- B:item(k)")
+            net.start()
+            transport = net.transport
+            with socket.create_connection(
+                ("127.0.0.1", transport.port_of("A"))
+            ) as hostile:
+                hostile.sendall(frame(body))
+                transport.wait_for(
+                    lambda: transport.stats.frames_rejected == 1, 5.0
+                )
+            net.submit_global_update("A").result(5.0)
+            assert net.node("A").rows("item") == [(1,)]
+            assert transport.stats.frames_rejected == 1
+            assert crashed == []
+        finally:
+            net.stop()

@@ -1,90 +1,9 @@
-"""Homomorphisms: containment, subsumption, null-isomorphism."""
+"""Null-aware row comparison: subsumption and null-isomorphism."""
 
-import pytest
-
-from repro.relational.conjunctive import Atom
-from repro.relational.containment import (
-    find_homomorphism,
-    freeze_query,
-    is_contained_in,
-    is_equivalent_to,
-    rows_equal_up_to_nulls,
-    tuple_subsumed,
-)
-from repro.relational.parser import parse_query
+from repro.relational.containment import rows_equal_up_to_nulls, tuple_subsumed
 from repro.relational.schema import RelationSchema
 from repro.relational.storage import Relation
 from repro.relational.values import MarkedNull
-
-
-class TestFindHomomorphism:
-    def test_simple_match(self):
-        hom = find_homomorphism(
-            [Atom.of("r", "x", "y")], [("r", (1, 2)), ("r", (3, 4))]
-        )
-        assert hom in ({"x": 1, "y": 2}, {"x": 3, "y": 4})
-
-    def test_join_consistency(self):
-        atoms = [Atom.of("r", "x", "y"), Atom.of("r", "y", "z")]
-        facts = [("r", (1, 2)), ("r", (2, 3))]
-        hom = find_homomorphism(atoms, facts)
-        assert hom == {"x": 1, "y": 2, "z": 3}
-
-    def test_no_match(self):
-        atoms = [Atom.of("r", "x", "x")]
-        assert find_homomorphism(atoms, [("r", (1, 2))]) is None
-
-    def test_fixed_assignment_respected(self):
-        atoms = [Atom.of("r", "x", "y")]
-        facts = [("r", (1, 2)), ("r", (3, 4))]
-        hom = find_homomorphism(atoms, facts, fixed={"x": 3})
-        assert hom == {"x": 3, "y": 4}
-
-    def test_constants_must_match(self):
-        atoms = [Atom.of("r", 7, "y")]
-        assert find_homomorphism(atoms, [("r", (1, 2))]) is None
-        assert find_homomorphism(atoms, [("r", (7, 2))]) == {"y": 2}
-
-
-class TestContainment:
-    def test_longer_path_contained_in_shorter(self):
-        two = parse_query("q(x) <- edge(x, y), edge(y, z)")
-        one = parse_query("q(x) <- edge(x, y)")
-        assert is_contained_in(two, one)
-        assert not is_contained_in(one, two)
-
-    def test_reflexive(self):
-        q = parse_query("q(x, y) <- r(x, y), s(y)")
-        assert is_contained_in(q, q)
-        assert is_equivalent_to(q, q)
-
-    def test_redundant_atom_equivalence(self):
-        redundant = parse_query("q(x) <- r(x, y), r(x, y2)")
-        minimal = parse_query("q(x) <- r(x, y)")
-        assert is_equivalent_to(redundant, minimal)
-
-    def test_constants_break_containment(self):
-        specific = parse_query("q(x) <- r(x, 3)")
-        general = parse_query("q(x) <- r(x, y)")
-        assert is_contained_in(specific, general)
-        assert not is_contained_in(general, specific)
-
-    def test_different_arity_never_contained(self):
-        one = parse_query("q(x) <- r(x, y)")
-        two = parse_query("q(x, y) <- r(x, y)")
-        assert not is_contained_in(one, two)
-
-    def test_comparisons_conservative(self):
-        # True answers remain true with comparisons on the container.
-        q = parse_query("q(x) <- r(x, 5)")
-        filtered = parse_query("q(x) <- r(x, y), y > 1")
-        assert is_contained_in(q, filtered)
-
-    def test_freeze_query_shape(self):
-        q = parse_query("q(x) <- r(x, y)")
-        facts, head = freeze_query(q)
-        assert facts == [("r", ("⟪x⟫", "⟪y⟫"))]
-        assert head == ("⟪x⟫",)
 
 
 class TestTupleSubsumption:
@@ -118,6 +37,15 @@ class TestTupleSubsumption:
         relation = self.make_relation([("anna", stored)])
         assert tuple_subsumed(("anna", MarkedNull("fresh")), relation)
 
+    def test_all_null_tuple_subsumed_by_any_stored_row(self):
+        relation = self.make_relation([("anna", 24)])
+        assert tuple_subsumed((MarkedNull("a"), MarkedNull("b")), relation)
+
+    def test_empty_relation_subsumes_nothing(self):
+        relation = self.make_relation([])
+        assert not tuple_subsumed((MarkedNull("a"), MarkedNull("b")), relation)
+        assert not tuple_subsumed(("anna", 24), relation)
+
 
 class TestRowsEqualUpToNulls:
     def test_identical_constants(self):
@@ -148,3 +76,13 @@ class TestRowsEqualUpToNulls:
         assert not rows_equal_up_to_nulls(
             [(1, a), (1, b)], [(1, x), (1, x)]
         )
+
+    def test_row_order_does_not_matter(self):
+        a, x = MarkedNull("a"), MarkedNull("x")
+        assert rows_equal_up_to_nulls([(1, a), (2, 3)], [(2, 3), (1, x)])
+
+    def test_null_shared_within_a_row_matters(self):
+        a = MarkedNull("a")
+        x, y = MarkedNull("x"), MarkedNull("y")
+        assert not rows_equal_up_to_nulls([(a, a)], [(x, y)])
+        assert rows_equal_up_to_nulls([(a, a)], [(x, x)])

@@ -18,9 +18,8 @@ import pytest
 from repro.relational.comparisons import compile_comparison, conjoin
 from repro.relational.conjunctive import Variable
 from repro.relational.database import Database
-from repro.relational.explain import explain
 from repro.relational.parser import parse_query, parse_schema
-from repro.relational.planner import compile_plan
+from repro.relational.planner import compile_plan, compile_plan_sql
 from repro.relational.storage import Relation
 from repro.relational.wrapper import SqliteStore
 from test_planner import build_random_database
@@ -210,10 +209,15 @@ class TestSection4Bodies:
             assert plan.steps[0].estimated_rows == pytest.approx(30, rel=0.5)
             assert all(step.probe_positions for step in plan.steps[1:])
 
-    def test_explained_sql_joins_in_that_order(self):
-        plan = explain(section4_source(0), parse_query(CUSTREG))
-        assert plan.atom_order() == ["orders", "customer", "region"]
-        sql = plan.sql.sql
+    def test_pushdown_sql_joins_in_that_order(self):
+        db = section4_source(0)
+        query = parse_query(CUSTREG)
+        plan = compile_plan(
+            query.body, query.comparisons, query.head.terms, view=db
+        )
+        order = [query.body[i].relation for i in plan.atom_order()]
+        assert order == ["orders", "customer", "region"]
+        sql = compile_plan_sql(plan, db.relation_names).sql
         assert sql.index('"orders"') < sql.index('"customer"') < sql.index('"region"')
 
 

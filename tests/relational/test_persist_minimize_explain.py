@@ -1,72 +1,89 @@
-"""Snapshot persistence, CQ minimisation and query explanation."""
+"""Snapshot persistence and what a compiled plan says about itself.
+
+A node's rows persist through :mod:`repro.runner.snapshot`, the one
+snapshot format: tagged, versioned and fail-closed.  A body's join
+order, probe templates, comparison placement, estimates and pushdown
+SQL are read straight off :func:`~repro.relational.planner.compile_plan`
+and :func:`~repro.relational.planner.compile_plan_sql` — the plan the
+stores execute.
+"""
+
+import json
 
 import pytest
 
 from repro import CoDBNetwork, MarkedNull, parse_query, parse_schema
-from repro.errors import SchemaError
+from repro.errors import SnapshotError
 from repro.relational.database import Database
-from repro.relational.explain import explain
-from repro.relational.minimize import minimize_mapping, minimize_query
-from repro.relational.parser import parse_mapping
-from repro.relational.persist import (
-    dump_network,
-    dump_store,
-    dump_store_to_file,
-    load_network,
-    load_store,
-    load_store_from_file,
+from repro.relational.planner import compile_plan, compile_plan_sql
+from repro.relational.wrapper import SqliteStore
+from repro.runner.snapshot import (
+    read_snapshot,
+    restore_node,
+    snapshot_node,
+    write_snapshot,
 )
-from repro.relational.wrapper import MemoryStore, SqliteStore
-
 
 SCHEMA = "person(name!: str, age: int)\nlocal wages(name, amount)"
 
 
 class TestPersistence:
-    def make_store(self):
-        store = MemoryStore(parse_schema(SCHEMA))
-        store.load(
-            {
-                "person": [("anna", 24), ("bob", MarkedNull("N1@x"))],
-                "wages": [("anna", 100)],
-            }
-        )
-        return store
+    def make_node(self, *, schema=SCHEMA, store=None, facts=True):
+        net = CoDBNetwork(seed=31, with_superpeer=False)
+        node = net.add_node("N", schema, store=store)
+        if facts:
+            node.load_facts(
+                {
+                    "person": [("anna", 24), ("bob", MarkedNull("N1@x"))],
+                    "wages": [("anna", 100)],
+                }
+            )
+        net.start()
+        return node
 
     def test_round_trip_memory(self):
-        store = self.make_store()
-        restored = MemoryStore(parse_schema(SCHEMA))
-        assert load_store(restored, dump_store(store)) == 3
-        assert restored.snapshot() == store.snapshot()
+        node = self.make_node()
+        restored = self.make_node(facts=False)
+        assert restore_node(restored, snapshot_node(node))["rows_loaded"] == 3
+        assert restored.snapshot() == node.snapshot()
 
     def test_round_trip_cross_backend(self):
-        store = self.make_store()
-        restored = SqliteStore(parse_schema(SCHEMA))
-        load_store(restored, dump_store(store))
-        assert restored.snapshot() == store.snapshot()
-        restored.close()
+        node = self.make_node()
+        store = SqliteStore(parse_schema(SCHEMA))
+        restored = self.make_node(schema=store.schema, store=store, facts=False)
+        restore_node(restored, snapshot_node(node))
+        assert restored.snapshot() == node.snapshot()
+        store.close()
 
     def test_round_trip_via_file(self, tmp_path):
-        store = self.make_store()
+        node = self.make_node()
         path = str(tmp_path / "node.snapshot.json")
-        dump_store_to_file(store, path)
-        restored = MemoryStore(parse_schema(SCHEMA))
-        assert load_store_from_file(restored, path) == 3
-        assert restored.snapshot() == store.snapshot()
+        write_snapshot(path, snapshot_node(node))
+        restored = self.make_node(facts=False)
+        assert restore_node(restored, read_snapshot(path))["rows_loaded"] == 3
+        assert restored.snapshot() == node.snapshot()
 
     def test_schema_mismatch_rejected(self):
-        store = self.make_store()
-        other = MemoryStore(parse_schema("person(name, age)"))  # no key
-        with pytest.raises(SchemaError):
-            load_store(other, dump_store(store))
+        node = self.make_node()
+        other = self.make_node(schema="person(name)", facts=False)
+        with pytest.raises(SnapshotError):
+            restore_node(other, snapshot_node(node))
+        assert other.snapshot() == {"person": []}
 
-    def test_bad_format_rejected(self):
-        store = MemoryStore(parse_schema(SCHEMA))
-        with pytest.raises(SchemaError):
-            load_store(store, '{"format": 999, "schema": [], "rows": {}}')
+    def test_bad_format_rejected(self, tmp_path):
+        path = tmp_path / "node.snapshot.json"
+        path.write_text(
+            '{"format": 999, "version": 1, "facts": {}}', encoding="utf-8"
+        )
+        with pytest.raises(SnapshotError):
+            read_snapshot(str(path))
 
-    def test_deterministic_output(self):
-        assert dump_store(self.make_store()) == dump_store(self.make_store())
+    def test_deterministic_output(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_snapshot(str(first), snapshot_node(self.make_node()))
+        write_snapshot(str(second), snapshot_node(self.make_node()))
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text(encoding="utf-8"))["name"] == "N"
 
     def test_network_round_trip(self):
         def build():
@@ -79,59 +96,18 @@ class TestPersistence:
 
         original = build()
         original.global_update("B")
-        snapshot = dump_network(original)
+        snapshots = {
+            name: snapshot_node(node) for name, node in original.nodes.items()
+        }
 
         restored = build()
-        loaded = load_network(restored, snapshot)
+        loaded = sum(
+            restore_node(node, snapshots[name])["rows_loaded"]
+            for name, node in restored.nodes.items()
+        )
         # build() pre-loads p(1); only the update-imported rows are new.
         assert loaded == original.total_rows() - 1
         assert restored.snapshot() == original.snapshot()
-
-
-class TestMinimize:
-    def test_redundant_atom_dropped(self):
-        q = minimize_query(parse_query("q(x) <- r(x, y), r(x, z)"))
-        assert len(q.body) == 1
-
-    def test_core_preserved_for_non_redundant(self):
-        q = parse_query("q(x) <- r(x, y), s(y, z)")
-        assert minimize_query(q).body == q.body
-
-    def test_chain_collapses_onto_loop_pattern(self):
-        # r(x,y), r(y,x2) with x distinguished: the second atom is not
-        # redundant (it constrains y to have a successor).
-        q = parse_query("q(x) <- r(x, y), r(y, z)")
-        assert len(minimize_query(q).body) == 2
-
-    def test_duplicate_atoms_removed(self):
-        q = minimize_query(parse_query("q(x, y) <- r(x, y), r(x, y)"))
-        assert len(q.body) == 1
-
-    def test_equivalence_after_minimisation(self):
-        from repro.relational.containment import is_equivalent_to
-
-        original = parse_query("q(x) <- e(x, y), e(x, y2), e(y, z)")
-        minimised = minimize_query(original)
-        assert is_equivalent_to(original, minimised)
-        assert len(minimised.body) < len(original.body)
-
-    def test_mapping_body_minimised(self):
-        parsed = parse_mapping("B:out(n) <- A:src(n, a), A:src(n, b)")
-        minimised = minimize_mapping(parsed.mapping)
-        assert len(minimised.body) == 1
-        assert minimised.head == parsed.mapping.head
-
-    def test_mapping_frontierless_untouched(self):
-        parsed = parse_mapping("B:flag('on') <- A:src(n), A:src(m)")
-        minimised = minimize_mapping(parsed.mapping)
-        assert minimised.body == parsed.mapping.body
-
-    def test_constants_respected(self):
-        q = parse_query("q(x) <- r(x, 1), r(x, y)")
-        # r(x, y) is implied by r(x, 1): droppable; r(x, 1) is not.
-        minimised = minimize_query(q)
-        assert len(minimised.body) == 1
-        assert minimised.body[0].terms[1] == 1
 
 
 class TestExplain:
@@ -142,121 +118,131 @@ class TestExplain:
         db.load({"small": [(1,), (2,)]})
         return db
 
+    def plan(self, db, query):
+        return compile_plan(
+            query.body, query.comparisons, query.head.terms, view=db
+        )
+
+    def order(self, query, plan):
+        return [query.body[i].relation for i in plan.atom_order()]
+
     def test_small_relation_first(self):
         db = self.make_db()
         q = parse_query("q(b) <- big(a, b), small(a)")
-        plan = explain(db, q)
-        assert plan.atom_order() == ["small", "big"]
+        assert self.order(q, self.plan(db, q)) == ["small", "big"]
 
     def test_bound_columns_recorded(self):
         db = self.make_db()
-        q = parse_query("q(b) <- big(a, b), small(a)")
-        plan = explain(db, q)
-        assert plan.steps[1].bound_positions == (0,)
+        plan = self.plan(db, parse_query("q(b) <- big(a, b), small(a)"))
+        assert plan.steps[0].probe_positions == ()
+        assert plan.steps[1].probe_positions == (0,)
+        assert plan.steps[1].probe_sources == ((True, "a"),)
 
     def test_comparisons_attached_to_binding_step(self):
         db = self.make_db()
         q = parse_query("q(b) <- small(a), big(a, b), b > 100")
-        plan = explain(db, q)
-        big_step = [s for s in plan.steps if s.atom.relation == "big"][0]
-        assert any(">" in c for c in big_step.comparisons_checked)
+        plan = self.plan(db, q)
+        big_step = [s for s in plan.steps if s.relation == "big"][0]
+        (index,) = big_step.comparison_indices
+        assert repr(plan.comparisons[index]) == "?b > 100"
 
     def test_comparison_placement_and_selectivity_shown(self):
         db = self.make_db()
         # b > 495 keeps 4 of big's 500 rows — still more than small's
         # 2, so small leads and b > 495 filters each probed bucket.
-        plan = explain(
-            db, parse_query("q(b) <- small(a), big(a, b), b > 495, a < b, 1 < 2")
-        )
+        q = parse_query("q(b) <- small(a), big(a, b), b > 495, a < b, 1 < 2")
+        plan = self.plan(db, q)
         small_step, big_step = plan.steps
-        assert small_step.comparisons_checked == ("ground: 1 < 2",)
-        assert big_step.comparisons_checked == (
-            "bucket filter: ?b > 495",
-            "cross-step filter: ?a < ?b",
-        )
+        assert [repr(plan.comparisons[i]) for i in plan.ground_comparisons] == [
+            "1 < 2"
+        ]
+        assert small_step.comparison_indices == ()
+        assert big_step.probe_positions == (0,)
+        local = [repr(plan.comparisons[i]) for i in big_step.local_comparisons]
+        cross = [
+            repr(plan.comparisons[i])
+            for i in big_step.comparison_indices
+            if i not in big_step.local_comparisons
+        ]
+        assert (local, cross) == (["?b > 495"], ["?a < ?b"])
         assert big_step.selectivity == pytest.approx(4 / 500, rel=0.5)
         assert small_step.selectivity == 1.0
-        assert "selectivity" in plan.format()
         # A selective enough predicate moves its atom to the front,
         # where it runs as a scan filter.
-        plan = explain(db, parse_query("q(b) <- small(a), big(a, b), b >= 499"))
-        assert plan.atom_order() == ["big", "small"]
-        assert plan.steps[0].comparisons_checked == ("scan filter: ?b >= 499",)
-        assert plan.steps[0].estimated_matches == pytest.approx(1.0, rel=0.5)
+        q = parse_query("q(b) <- small(a), big(a, b), b >= 499")
+        plan = self.plan(db, q)
+        assert self.order(q, plan) == ["big", "small"]
+        first = plan.steps[0]
+        assert first.probe_positions == ()
+        assert [repr(plan.comparisons[i]) for i in first.local_comparisons] == [
+            "?b >= 499"
+        ]
+        assert first.estimated_cost == pytest.approx(1.0, rel=0.5)
 
     def test_format_contains_plan(self):
         db = self.make_db()
-        plan = explain(db, parse_query("q(b) <- big(a, b), small(a)"))
-        text = plan.format()
-        assert "plan for" in text
-        assert "small" in text and "big" in text
+        plan = self.plan(db, parse_query("q(b) <- big(a, b), small(a)"))
+        assert repr(plan) == "<JoinPlan small[1] -> big[0]>"
 
     def test_estimated_cost_positive(self):
         db = self.make_db()
-        plan = explain(db, parse_query("q(a) <- big(a, b)"))
+        plan = self.plan(db, parse_query("q(a) <- big(a, b)"))
         assert plan.estimated_cost() == pytest.approx(500.0)
 
     def test_steps_show_rows_after_them_and_the_plan_its_c_out(self):
-        from repro.relational.planner import compile_plan
-
         db = self.make_db()
-        query = parse_query("q(b) <- big(a, b), small(a)")
-        plan = explain(db, query)
+        plan = self.plan(db, parse_query("q(b) <- big(a, b), small(a)"))
         small_step, big_step = plan.steps
         # small: 2 rows; big probed on a: 500 / max(50 distinct a in
         # big, 2 in small) = 10 per small row, 20 rows after it.
-        assert small_step.estimated_matches == small_step.estimated_rows == 2.0
-        assert big_step.estimated_matches == pytest.approx(10.0)
+        assert small_step.estimated_cost == small_step.estimated_rows == 2.0
+        assert big_step.estimated_cost == pytest.approx(10.0)
         assert big_step.estimated_rows == pytest.approx(20.0)
         # C_out, the quantity the planner minimised (big first: 520).
         assert plan.estimated_cost() == pytest.approx(22.0)
-        compiled = compile_plan(query.body, (), query.head.terms, view=db)
-        assert compiled.estimated_cost() == plan.estimated_cost()
-        text = plan.format()
-        assert "est. rows out" in text
-        assert "estimated cost (C_out): 22.0" in text
 
     def test_plan_matches_execution_reality(self):
-        # the plan's first atom really is the cheaper side: verify by
-        # checking estimates are non-decreasing at selection time
+        # The estimates are the executed plan's: each step's estimated
+        # rows out match what executing the plan up to it yields.
         db = self.make_db()
-        plan = explain(db, parse_query("q(b) <- big(a, b), small(a)"))
-        assert plan.steps[0].estimated_matches <= plan.steps[1].estimated_matches + 500
+        q = parse_query("q(b) <- big(a, b), small(a)")
+        plan = self.plan(db, q)
+        assert plan.steps[-1].estimated_rows == pytest.approx(
+            len(list(plan.execute(db)))
+        )
 
     def test_explain_renders_pushdown_sql(self):
         db = self.make_db()
-        plan = explain(db, parse_query("q(b) <- big(a, b), small(a), b > 100"))
-        assert plan.sql is not None
-        # The SQL FROM order is the explained atom order (CROSS JOIN
-        # pins it), comparisons go through the registered function, and
-        # the comparison constant rides along as a parameter.
-        assert '"small"' in plan.sql.sql and '"big"' in plan.sql.sql
-        assert plan.sql.sql.index('"small"') < plan.sql.sql.index('"big"')
-        assert "CROSS JOIN" in plan.sql.sql
-        assert "codb_cmp('>'" in plan.sql.sql
-        assert plan.sql.params == (100,)
-        text = plan.format()
-        assert "pushdown SQL: SELECT" in text
+        plan = self.plan(db, parse_query("q(b) <- big(a, b), small(a), b > 100"))
+        sql = compile_plan_sql(plan, db.relation_names)
+        assert sql is not None
+        # The SQL FROM order is the plan's atom order (CROSS JOIN pins
+        # it), comparisons go through the registered function, and the
+        # comparison constant rides along as a parameter.
+        assert '"small"' in sql.sql and '"big"' in sql.sql
+        assert sql.sql.index('"small"') < sql.sql.index('"big"')
+        assert "CROSS JOIN" in sql.sql
+        assert "codb_cmp('>'" in sql.sql
+        assert sql.params == (100,)
+        assert sql.sql.startswith("SELECT")
 
     def test_explain_marks_unpushable_plans(self):
         db = self.make_db()
-        schema_q = parse_query("q(x) <- big(x, y), ghost(y)")
-        plan = explain(db, schema_q)
-        assert plan.sql is None
-        assert "in-memory only" in plan.format()
+        plan = self.plan(db, parse_query("q(x) <- big(x, y), ghost(y)"))
+        assert compile_plan_sql(plan, db.relation_names) is None
 
     def test_explained_sql_executes_identically(self):
-        # What explain shows is what a SQLite store runs: execute the
-        # rendered SqlPlan directly and compare with the evaluator.
+        # The pushdown SQL of a plan is what a SQLite store runs:
+        # execute it directly and compare with the evaluator.
         from repro.relational.evaluation import evaluate_query
-        from repro.relational.wrapper import SqliteStore
 
         db = self.make_db()
         query = parse_query("q(b) <- big(a, b), small(a), b > 100")
-        plan = explain(db, query)
+        plan = self.plan(db, query)
         store = SqliteStore(parse_schema("big(a, b)\nsmall(a)"))
         store.insert_new("big", db.relation("big").rows())
         store.insert_new("small", db.relation("small").rows())
-        pushed = sorted(set(store.execute_plan(plan.sql)))
+        sql = compile_plan_sql(plan, db.relation_names)
+        pushed = sorted(set(store.execute_plan(sql)))
         assert pushed == sorted(set(evaluate_query(db, query)))
         store.close()

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 
 from repro.relational.comparisons import evaluate_comparison
 from repro.relational.conjunctive import Atom, Comparison, Variable
-from repro.relational.containment import (
-    is_contained_in,
-    rows_equal_up_to_nulls,
-    tuple_subsumed,
-)
+from repro.relational.containment import rows_equal_up_to_nulls, tuple_subsumed
 from repro.relational.database import Database
 from repro.relational.evaluation import evaluate_query, evaluate_query_delta
 from repro.relational.parser import parse_query, parse_schema
@@ -203,14 +199,6 @@ class TestHomomorphismProperties:
                 all(row[i] == v for i, v in constants)
                 for row in relation.rows()
             )
-
-    def test_containment_transitive_example(self):
-        q3 = parse_query("q(x) <- e(x, y), e(y, z), e(z, w)")
-        q2 = parse_query("q(x) <- e(x, y), e(y, z)")
-        q1 = parse_query("q(x) <- e(x, y)")
-        assert is_contained_in(q3, q2)
-        assert is_contained_in(q2, q1)
-        assert is_contained_in(q3, q1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ COMMAND_ARGUMENTS = {
     },
     "insert": {"relation": "person", "row": ROWS[1]},
     "submit_update": {},
-    "submit_query": {"query": "q(n) <- person(n, c)", "persist": False},
+    "submit_query": {"query": "q(n) <- person(n, c)", "cache": False},
     "cancel": {"kind": "update", "request_id": "update-ab12cd-0003"},
     "session_status": {"request_id": "update-ab12cd-0003", "kind": "update"},
     "query_answer": {"request_id": "query-ab12cd-0001"},

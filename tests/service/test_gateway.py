@@ -15,6 +15,8 @@ import signal
 import socket
 import threading
 
+import pytest
+
 from repro import CoDBNetwork, NodeConfig, TenantQuotas
 from repro.p2p.procs import ProcessNetwork
 from repro.relational.containment import rows_equal_up_to_nulls
@@ -462,6 +464,50 @@ class TestErrorSurfaces:
             # Missing required field.
             status, reply, _ = request(thread, "POST", "/v1/update", {})
             assert status == 400
+        finally:
+            thread.stop()
+            net.stop()
+
+    def test_the_retired_persist_field_fails_closed(self):
+        net = build_network()
+        thread = serve_in_thread(net)
+        try:
+            body = {"node": "TN", "query": QUERY, "mode": "network"}
+            status, reply, _ = request(
+                thread, "POST", "/v1/query", {**body, "persist": False}
+            )
+            assert status == 400
+            assert "persist" in reply["error"]
+            assert thread.gateway.quotas.live() == 0
+            assert net.node("TN").rows("resident") == []  # nothing ran
+            for extra in ({}, {"persist": True}):
+                status, reply = submit_and_wait(
+                    thread, "/v1/query", {**body, **extra}
+                )
+                assert status == 200
+                rows = {decode_row(r) for r in reply["result"]["rows"]}
+                assert rows == {("anna",), ("carla",)}
+        finally:
+            thread.stop()
+            net.stop()
+
+    @pytest.mark.parametrize(
+        "value", [None, 0, 1, "true"], ids=["null", "zero", "one", "string"]
+    )
+    def test_a_persist_field_that_is_not_true_is_refused(self, value):
+        # Only the JSON literal true means what every query now does.
+        net = build_network()
+        thread = serve_in_thread(net)
+        try:
+            status, reply, _ = request(
+                thread,
+                "POST",
+                "/v1/query",
+                {"node": "TN", "query": QUERY, "mode": "network", "persist": value},
+            )
+            assert status == 400
+            assert "persist" in reply["error"]
+            assert thread.gateway.quotas.live() == 0
         finally:
             thread.stop()
             net.stop()
