@@ -8,7 +8,11 @@ counters bumped by every write the answer could depend on.  When a
 node serves from its cache, it has registered *interest* upstream, so
 a remote write arrives as one compact ``invalidation`` message instead
 of re-shipped rows: the next read recomputes, every read in between is
-a hit, and a stale answer is never served.
+a hit, and a stale answer is never served.  And because a network
+query's data *migrates* into the nodes it passes through, the miss of
+a second query over the same relations needs no network at all: the
+clean fill stamped them fresh, and the shop answers from what it now
+holds until an epoch moves.
 
 The walkthrough shows the two switches and every counter:
 
@@ -69,6 +73,17 @@ def main() -> None:
     net.node("MAKER").insert("product", ("p3",))
     net.run()
     read(net)  # a miss: recomputes and sees p3
+
+    print("A second query over the same relation misses, yet asks no one:")
+    before = net.transport.stats.messages_sent
+    others = sorted(
+        net.query("SHOP", "q(s) <- stocked(s), s != 'p1'", mode="network")
+    )
+    print(
+        f"  answer {others}   messages on the wire: "
+        f"{net.transport.stats.messages_sent - before}   (fresh misses "
+        f"{net.node('SHOP').cache_counters()['cache_fresh_served']})"
+    )
 
     print("And the read after that is a hit again:")
     read(net)

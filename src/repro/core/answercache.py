@@ -21,6 +21,17 @@ Staleness introduced by a *remote* write arrives as either taught rows
 (see :mod:`repro.core.node`); either way the bump invalidates exactly
 the dependent entries.
 
+A miss need not propagate either.  A *network* fill (the root of a
+clean §3 query, :mod:`repro.core.query`) also stamps its body's
+**relation set** with the epoch vector: at that moment the node holds
+everything a diffusing computation over those relations would import
+— the data *migrated* here — and interest is registered upstream, so
+any later change arrives as an invalidation and bumps an epoch.  While
+the stamp stands (:meth:`fresh`), a miss on *any* query over the same
+relations is answered by local evaluation, exactly as safely as a hit
+on a sibling query: one network round per write, not one per query
+template.  Stamps are validated and swept exactly like entries.
+
 The cache itself is deliberately dumb: it knows nothing about links,
 messages or fault fallbacks.  The node layer owns those (registration,
 fan-out, ``peer_down``/heal flood resets calling :meth:`bump_all`).
@@ -47,9 +58,9 @@ class AnswerCache:
         are evicted beyond it.  A node uses :data:`DEFAULT_CACHE_SIZE`.
     enabled:
         When ``False`` the epochs are still maintained (they cost one
-        dict increment per mutation) but :meth:`get`/:meth:`put` are
-        no-ops — ``NodeConfig(answer_cache=False)``, the uncached
-        oracle of the cached ≡ uncached differentials.
+        dict increment per mutation) but :meth:`get`/:meth:`put`/
+        :meth:`fresh` are no-ops — ``NodeConfig(answer_cache=False)``,
+        the uncached oracle of the cached ≡ uncached differentials.
     """
 
     def __init__(
@@ -63,6 +74,9 @@ class AnswerCache:
         self._entries: OrderedDict[
             str, tuple[tuple[tuple[str, int], ...], list[Row]]
         ] = OrderedDict()
+        #: sorted body relations -> epoch vector at the last clean
+        #: network fill over exactly those relations (see :meth:`fresh`).
+        self._fresh: dict[tuple[str, ...], tuple[tuple[str, int], ...]] = {}
         self.hits = 0
         self.misses = 0
         #: Entries dropped because an epoch moved under them (counted
@@ -70,6 +84,11 @@ class AnswerCache:
         self.invalidations = 0
         self.evictions = 0
         self.stores = 0
+        #: Misses answered locally under a standing network stamp.
+        self.fresh_served = 0
+        #: Network fills withheld: the query ended unclean, or an
+        #: invalidation for its relations arrived while it ran.
+        self.fills_skipped = 0
 
     # -- epochs ----------------------------------------------------------
 
@@ -92,10 +111,11 @@ class AnswerCache:
 
     def bump_all(self) -> None:
         """Conservative flood fallback: advance *every* known epoch and
-        drop every entry (``peer_down``, partition heal, rule change —
+        drop every entry and stamp (``peer_down``, partition heal, rule change —
         moments when precise dependency tracking cannot be trusted)."""
         for relation in self.epochs:
             self.epochs[relation] += 1
+        self._fresh.clear()
         if self._entries:
             self.invalidations += len(self._entries)
             self._entries.clear()
@@ -105,6 +125,9 @@ class AnswerCache:
         return tuple(
             (name, self.epochs.get(name, 0)) for name in sorted(set(relations))
         )
+
+    def _moved(self, stamped: tuple[tuple[str, int], ...]) -> bool:
+        return any(self.epochs.get(name, 0) != epoch for name, epoch in stamped)
 
     # -- entries ---------------------------------------------------------
 
@@ -122,7 +145,7 @@ class AnswerCache:
             self.misses += 1
             return None
         stamped, rows = entry
-        if any(self.epochs.get(name, 0) != epoch for name, epoch in stamped):
+        if self._moved(stamped):
             del self._entries[fingerprint]
             self.invalidations += 1
             self.misses += 1
@@ -136,20 +159,42 @@ class AnswerCache:
         fingerprint: str,
         relations: Iterable[str],
         rows: Sequence[Row],
+        *,
+        network: bool = False,
     ) -> None:
         """Fill *fingerprint* with *rows*, stamped with the current
-        epochs of *relations* (the query body's relations)."""
+        epochs of *relations* (the query body's relations).  A
+        *network* fill also stamps the relation set (:meth:`fresh`)."""
         if not self.enabled:
             return
-        self._entries[fingerprint] = (self.vector(relations), list(rows))
+        stamped = self.vector(relations)
+        self._entries[fingerprint] = (stamped, list(rows))
+        if network:
+            self._fresh[tuple(name for name, _epoch in stamped)] = stamped
         self._entries.move_to_end(fingerprint)
         self.stores += 1
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
             self.evictions += 1
 
+    def fresh(self, relations: Iterable[str]) -> bool:
+        """Whether a clean network fill over exactly *relations* still
+        stands: no epoch of theirs has moved since.  A moved stamp is
+        dropped, like an entry in :meth:`get`."""
+        if not self.enabled:
+            return False
+        key = tuple(sorted(set(relations)))
+        stamped = self._fresh.get(key)
+        if stamped is None:
+            return False
+        if self._moved(stamped):
+            del self._fresh[key]
+            return False
+        return True
+
     def invalidate(self, relations: Iterable[str]) -> int:
-        """Bump *relations* and eagerly sweep the entries they stamp.
+        """Bump *relations* and eagerly sweep the entries (and the
+        relation-set stamps) they stamp.
 
         Lazy validation in :meth:`get` would catch these anyway; the
         eager sweep keeps ``len()`` honest and frees the rows.  Returns
@@ -164,6 +209,8 @@ class AnswerCache:
         for fingerprint in stale:
             del self._entries[fingerprint]
         self.invalidations += len(stale)
+        for key in [key for key in self._fresh if bumped.intersection(key)]:
+            del self._fresh[key]
         return len(stale)
 
     def __len__(self) -> int:
@@ -180,4 +227,6 @@ class AnswerCache:
             "cache_invalidations": self.invalidations,
             "cache_evictions": self.evictions,
             "cache_entries": len(self._entries),
+            "cache_fresh_served": self.fresh_served,
+            "cache_fills_skipped": self.fills_skipped,
         }

@@ -174,6 +174,14 @@ class IncomingLink:
     #: suppress upstream propagation forever.  ``0`` = no lease
     #: (infinite, the pre-lease behaviour).
     lease_remaining: int = 0
+    #: Epoch vector of the body relations up to which a network query
+    #: last served this link in full: set at its activation, carried
+    #: across a re-fire that ships the query's own import, ``()`` once
+    #: a shipment bounced, ``None`` until a query serves it.  A
+    #: registration that finds the epochs moved since raced a write
+    #: the importer's fill may lack, and is answered with an immediate
+    #: invalidation.
+    served_at: tuple | None = None
     #: Diagnostic mirrors (most recent session, see module docstring).
     state: str = INACTIVE
     closed_by: str = ""

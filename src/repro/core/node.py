@@ -102,8 +102,12 @@ class NodeConfig:
         mutation, so a cached answer can never survive a write it
         depends on; staleness from *remote* writes arrives as taught
         rows or compact ``invalidation`` messages, either of which
-        bumps the local epochs.  ``submit_query(cache=False)``
-        bypasses the cache per call.  The cache holds
+        bumps the local epochs.  A clean network fill also stamps its
+        body's relation set, and while no epoch of those relations
+        moves, a miss on any query over them is answered from local
+        data without propagating (a node whose store keeps its imports
+        only).  ``submit_query(cache=False)`` bypasses the cache per
+        call and always propagates.  The cache holds
         :data:`~repro.core.answercache.DEFAULT_CACHE_SIZE` entries.
     interest_lease_events:
         Event-count lease attached to CUP-style interest registrations
@@ -323,6 +327,10 @@ class CoDBNode:
         payload: dict = {"computation_id": computation_id}
         if count > 1:
             payload["count"] = count
+        if self.queries.is_partial(computation_id):
+            # An unclean query participation says so on every ack it
+            # sends: the flag climbs the tree before the root completes.
+            payload["partial"] = True
         # try_send: acking a peer that just left must not crash the
         # handler — the departed peer no longer counts deficits anyway.
         self.endpoint.try_send(recipient, "ack", payload)
@@ -330,6 +338,8 @@ class CoDBNode:
     def _on_ack(self, message: Message) -> None:
         computation_id = message.payload["computation_id"]
         self._note_reachable(message.sender)
+        if message.payload.get("partial"):
+            self.queries.mark_partial(computation_id)
         self.termination.on_ack(
             computation_id, message.sender, int(message.payload.get("count", 1))
         )
@@ -406,14 +416,15 @@ class CoDBNode:
                     incoming.notified.clear()
             return
         computation_id = payload.get("update_id") or payload.get("query_id")
+        if original_kind in ("query_request", "query_data"):
+            # Before the deficit drains: that may complete the root.
+            self.queries.on_bounce(original_kind, payload)
         if original_kind in ("update_request", "query_result", "link_closed",
                              "query_request", "query_data"):
             if computation_id:
                 self.termination.on_bounce(computation_id, dead_peer)
         if original_kind in ("update_request", "query_result", "link_closed"):
             self.updates.on_peer_unreachable(computation_id or "", dead_peer)
-        elif original_kind in ("query_request", "query_data"):
-            self.queries.on_bounce(computation_id or "")
 
     def _spend_resend(
         self, kind: str, peer: str, computation_id: str
@@ -433,9 +444,11 @@ class CoDBNode:
         """Failure-detector notification: a peer left the network."""
         dead_peer = message.payload["peer"]
         self._down_peers.add(dead_peer)
+        # Queries first: a root whose deficit the write-off drains must
+        # already know it is partial.
+        self.queries.on_peer_down(dead_peer)
         self.termination.on_peer_down(dead_peer)
         self.updates.on_peer_down(dead_peer)
-        self.queries.on_peer_down(dead_peer)
         self.admission.on_peer_down(dead_peer)
         self.cache_fault_fallback(dead_peer)
 
@@ -576,13 +589,17 @@ class CoDBNode:
         ``op="register"`` — the importer on one of our incoming links
         serves cached answers derived through it; remember its interest
         (and re-arm the per-registration notification dedup and its
-        suppression lease).  Anything else is a data invalidation *to*
-        us — a flush window's notices under ``"notices"``, or the single
-        notice an expired lease sends: data we imported through the named
-        outgoing links went stale upstream — bump the head relations'
-        epochs (cascading to our own registrants, themselves batched
-        because the cascade is one ``bump_epochs`` call) and drop our
-        registrations so the next cache fill re-registers.
+        suppression lease).  If the link's body moved since a query last
+        served it, a write raced the importer's fill — one the dedup may
+        have suppressed — so the registration is answered with an
+        immediate invalidation.  Anything else is a data invalidation
+        *to* us — a flush window's notices under ``"notices"``, or the
+        single notice an expired lease sends: data we imported through
+        the named outgoing links went stale upstream — void the fills of
+        our cached roots in flight that read them, bump the head
+        relations' epochs (cascading to our own registrants, themselves
+        batched because the cascade is one ``bump_epochs`` call) and drop
+        our registrations so the next cache fill re-registers.
         """
         payload = message.payload
         if payload.get("op") == "register":
@@ -593,14 +610,17 @@ class CoDBNode:
                 link.lease_remaining = int(
                     payload.get("lease", self.config.interest_lease_events)
                 )
+                body = link.rule.mapping.body_relations()
+                if link.served_at not in (None, self.cache.vector(body)):
+                    heads = list(link.rule.mapping.head_relations())
+                    link.notified.update(heads)
+                    self._send_invalidations(link.remote, [(link, heads)])
                 # Interest is transitive: the importer's cached answer
                 # depends on whatever *we* would pull afresh to serve
                 # this link, so register our own interest upstream on
                 # the rule's body relations.  The per-link
                 # ``registered`` flag terminates cycles.
-                self.register_cache_interest(
-                    link.rule.mapping.body_relations()
-                )
+                self.register_cache_interest(body)
             return
         notices = payload.get("notices")
         if notices is None:
@@ -617,6 +637,7 @@ class CoDBNode:
                 for relation in notice.get("relations", ())
                 if relation in schema
             )
+        self.queries.void_fills(stale)
         self.bump_epochs(stale)
 
     def cache_counters(self) -> dict[str, int]:
@@ -876,7 +897,7 @@ class CoDBNode:
             origin=self.name,
             transport=transport,
             is_done=lambda: self.queries.is_done(query_id),
-            assemble=lambda _handle: self.queries.answer(query_id),
+            assemble=lambda _handle: self.network_query_answer(query_id),
             try_cancel=lambda: self.cancel_query(query_id),
             started_at=started_at,
             messages_before=messages_before,
@@ -886,8 +907,11 @@ class CoDBNode:
         return handle
 
     def network_query_answer(self, query_id: str) -> list[Row] | None:
+        """The answer of a network query rooted here, or ``None`` while
+        it runs.  A returned answer is handed over: the query is
+        released, and asking again raises ``ProtocolError``."""
         with self._lock:
-            return self.queries.answer(query_id)
+            return self.queries.take(query_id)
 
     def cancel_query(self, query_id: str) -> bool:
         """Withdraw a query still queued behind admission."""

@@ -42,7 +42,27 @@ participation teaches nothing.
 
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
-floods ``query_complete`` along the request tree for cleanup.
+floods ``query_complete`` along the request tree for cleanup.  A
+participation that lost a shipment says so on every ack it sends
+(``"partial": true``, on unclean acks only); its parent's deferred ack
+leaves only after that ack drained its deficit, so the root knows
+before it completes.
+
+Because the data migrates, a miss need not propagate either.  A cached
+query whose root ends clean fills the answer cache *and* stamps its
+body's relation set (:meth:`repro.core.answercache.AnswerCache.fresh`):
+the root then holds everything a diffusing computation over those
+relations would import, and registered interest upstream turns any
+later change into an invalidation that bumps an epoch.  Until one
+does, a miss on any query over the same relations is answered by
+local evaluation, with no propagation at all — at a node whose store
+keeps its imports (a mediator's does not).  A root that ended
+unclean, or that an invalidation for its relations reached while it
+ran, neither fills nor stamps.
+
+A root is released when its answer is taken (:meth:`QueryEngine.take`)
+and a participation at its cleanup; only the id of a finished
+participation is kept, so a late message of the query is dropped.
 """
 
 from __future__ import annotations
@@ -81,14 +101,14 @@ class QueryParticipation:
     #: ``activation_rows``) for the links served from their send
     #: memory; committed to the link on a clean end.
     activated: dict[str, tuple[IncomingLink, tuple]] = field(default_factory=dict)
-    #: No shipment bounced and no peer was lost while this ran: what it
+    #: No shipment bounced, no peer was lost and no partial ack came
+    #: in while this ran: what it and the participations it engaged
     #: sent has arrived.
     clean: bool = True
     #: Outgoing-link rule ids requested, with received-sets (row keys).
     received: dict[str, set] = field(default_factory=dict)
     #: Neighbours we forwarded requests to (cleanup flood follows them).
     forwarded_to: list[str] = field(default_factory=list)
-    done: bool = False
 
 
 @dataclass
@@ -96,11 +116,12 @@ class RootQuery:
     """Extra state on the querying node."""
 
     query: ConjunctiveQuery
-    answer: list[Row] | None = None
-    messages_used: int = 0
     #: Answer-cache fingerprint to fill at completion (``None`` when
     #: this query is uncached — ``answer_cache`` off or ``cache=False``).
     cache_fill: str | None = None
+    #: An invalidation for a body relation arrived while this ran: a
+    #: write it may have been served without, so it must not fill.
+    voided: bool = False
 
 
 class QueryEngine:
@@ -108,8 +129,13 @@ class QueryEngine:
 
     def __init__(self, node: "CoDBNode") -> None:
         self.node = node
+        #: Live participations; ``finished`` keeps the ids of those
+        #: cleaned up here, so late messages can be told from unknown.
         self.participations: dict[str, QueryParticipation] = {}
+        self.finished: set[str] = set()
+        #: Roots in flight, and answers completed but not yet taken.
         self.roots: dict[str, RootQuery] = {}
+        self.answers: dict[str, list[Row]] = {}
 
     # ------------------------------------------------------------------
     # Root side
@@ -127,7 +153,7 @@ class QueryEngine:
         per-query state (the :class:`RootQuery` plus this node's
         :class:`QueryParticipation`), counts against the node's
         admission cap, and completes event-driven — the answer becomes
-        available via :meth:`answer` once the diffusing computation
+        available via :meth:`take` once the diffusing computation
         quiesces.  Under admission pressure the root waits in the
         node's queue as a pending initiation (cancellable through its
         handle).
@@ -135,8 +161,11 @@ class QueryEngine:
         ``cache`` overrides ``NodeConfig.answer_cache`` for this query
         (``None`` inherits it).  A cached answer with every stamped
         epoch intact is served immediately, with no propagation at
-        all; a miss runs the full diffusing computation and fills the
-        cache at completion.
+        all, and so is a miss while a clean network fill over the same
+        body relations stands (see :meth:`_from_cache`).  Otherwise
+        the full diffusing computation runs and fills the cache at
+        completion.  ``cache=False`` always propagates: it is the
+        differentials' oracle.
         """
         node = self.node
         query.validate_against(node.wrapper.schema)
@@ -145,16 +174,12 @@ class QueryEngine:
         query_id = node.endpoint.ids.query_id()
         node.stats.network_queries_started += 1
         if use_cache:
-            hit = node.cache.get(fingerprint)
-            if hit is not None:
-                self.roots[query_id] = RootQuery(
-                    query=query, answer=list(hit)
-                )
+            answer = self._from_cache(query, fingerprint)
+            if answer is not None:
+                self.answers[query_id] = answer
                 node.notify_request_complete("query", query_id)
                 return query_id
-        root = RootQuery(query=query)
-        if use_cache:
-            root.cache_fill = fingerprint
+        root = RootQuery(query=query, cache_fill=fingerprint if use_cache else None)
         self.roots[query_id] = root
         if node.admission.try_enter(query_id, "query", initiation=True):
             self._start_root(query_id, query)
@@ -163,6 +188,25 @@ class QueryEngine:
                 query_id, "query", lambda: self._start_root(query_id, query)
             )
         return query_id
+
+    def _from_cache(
+        self, query: ConjunctiveQuery, fingerprint: str
+    ) -> list[Row] | None:
+        """A hit, or the local answer to a miss while a clean network
+        fill over the same body relations stands (module docstring) at
+        a node that keeps its imports.  That answer fills the cache; it
+        still counts as a miss."""
+        node = self.node
+        hit = node.cache.get(fingerprint)
+        if hit is not None:
+            return list(hit)
+        relations = query.body_relations()
+        if not (node.wrapper.persistent and node.cache.fresh(relations)):
+            return None
+        answer = node.wrapper.evaluate_query(query)
+        node.cache.put(fingerprint, relations, answer)
+        node.cache.fresh_served += 1
+        return answer
 
     def cancel(self, query_id: str) -> bool:
         """Withdraw *query_id* if it is still queued behind admission."""
@@ -184,33 +228,47 @@ class QueryEngine:
         self.participations[query_id] = participation
         return participation
 
-    def answer(self, query_id: str) -> list[Row] | None:
-        """The answer rows, or ``None`` while the query is in flight."""
-        root = self.roots.get(query_id)
-        if root is None:
+    def take(self, query_id: str) -> list[Row] | None:
+        """The answer rows, or ``None`` while the query is in flight.
+        A returned answer is handed over: the query is released."""
+        answer = self.answers.pop(query_id, None)
+        if answer is None and query_id not in self.roots:
             raise ProtocolError(f"unknown query {query_id!r}")
-        return root.answer
+        return answer
 
     def is_done(self, query_id: str) -> bool:
-        root = self.roots.get(query_id)
-        return root is not None and root.answer is not None
+        return query_id in self.answers
 
     def root_complete(self, query_id: str) -> None:
         """Quiescence detected: compute the answer, then clean up."""
         node = self.node
-        root = self.roots[query_id]
+        root = self.roots.pop(query_id)
         participation = self.participations[query_id]
-        root.answer = node.wrapper.evaluate_query(root.query)
+        answer = node.wrapper.evaluate_query(root.query)
         if root.cache_fill is not None:
-            # Fill under the epochs as they stand *after* this query's
-            # imports (each ingest bumped them), and register interest
-            # upstream so remote writes arrive as invalidations.
-            relations = root.query.body_relations()
-            node.cache.put(root.cache_fill, relations, root.answer)
-            node.register_cache_interest(relations)
+            if participation.clean and not root.voided:
+                # Fill under the epochs as they stand *after* this
+                # query's imports (each ingest bumped them), stamp the
+                # relation set fresh, and register interest upstream so
+                # remote writes arrive as invalidations.
+                relations = root.query.body_relations()
+                node.cache.put(root.cache_fill, relations, answer, network=True)
+                node.register_cache_interest(relations)
+            else:
+                node.cache.fills_skipped += 1
+        self.answers[query_id] = answer
         self._cleanup(participation, forwarded_from=None)
-        node.termination.forget(query_id)
         node.notify_request_complete("query", query_id)
+
+    def void_fills(self, relations: set[str]) -> None:
+        """An invalidation for *relations* arrived: no cached root in
+        flight that reads one of them may fill, since it may have been
+        served before the write."""
+        for root in self.roots.values():
+            if root.cache_fill is not None and relations.intersection(
+                root.query.body_relations()
+            ):
+                root.voided = True
 
     # ------------------------------------------------------------------
     # Request propagation
@@ -255,6 +313,8 @@ class QueryEngine:
     def on_query_request(self, message: Message) -> None:
         node = self.node
         query_id = message.payload["query_id"]
+        if self._finished_here(message):
+            return
         if query_id not in self.participations and not node.admission.try_enter(
             query_id, "query"
         ):
@@ -301,6 +361,7 @@ class QueryEngine:
                 participation.activated[rule_id] = (link, activated_at)
             fresh = self._unsent(participation, link, rows, skipped or 0)
             self._send_data(participation, rule_id, link.remote, fresh, path_len=1)
+            link.served_at = self._body_epochs(link)
             activated_bodies |= set(link.rule.mapping.body_relations())
         # The label cut: "a node does not propagate a query request, if
         # its ID is contained in the label".
@@ -310,6 +371,9 @@ class QueryEngine:
             )
         node.stats.queries_answered += 1
         node.termination.after_processing(query_id, message.sender, tree)
+
+    def _body_epochs(self, link: IncomingLink) -> tuple:
+        return self.node.cache.vector(link.rule.mapping.body_relations())
 
     def _unsent(
         self,
@@ -367,6 +431,8 @@ class QueryEngine:
     def on_query_data(self, message: Message) -> None:
         node = self.node
         query_id = message.payload["query_id"]
+        if self._finished_here(message):
+            return
         if query_id not in self.participations and node.admission.is_deferred(
             query_id
         ):
@@ -421,10 +487,17 @@ class QueryEngine:
             if node.wrapper.insert_new(relation, pending):
                 stored.append(relation)
         if stored:
+            # The re-fire below ships this import: a link served up to
+            # date stays so across it, one behind a write stays behind.
+            current = [
+                serving
+                for serving_id in participation.sent
+                if (serving := node.links.incoming.get(serving_id)) is not None
+                and serving.served_at == self._body_epochs(serving)
+            ]
             node.bump_epochs(stored)
-        root = self.roots.get(query_id)
-        if root is not None:
-            root.messages_used += 1
+            for serving in current:
+                serving.served_at = self._body_epochs(serving)
 
         # Re-fire on everything *this query* newly received — not just
         # rows new to the store.  Concurrent computations share the
@@ -463,27 +536,60 @@ class QueryEngine:
     # Cleanup
     # ------------------------------------------------------------------
 
+    def _finished_here(self, message: Message) -> bool:
+        """Whether *message* is late: its query already ended here
+        (only around failures).  It is dropped, but acked as partial,
+        so a sender still counting it neither waits nor takes it as
+        delivered."""
+        query_id = message.payload["query_id"]
+        if query_id not in self.finished:
+            return False
+        self.node.send_ack(message.sender, query_id)
+        return True
+
     def on_query_complete(self, message: Message) -> None:
         query_id = message.payload["query_id"]
+        if query_id in self.finished:
+            return  # a duplicate of the flood
         participation = self.participations.get(query_id)
         if participation is None:
             # Still queued behind admission while the query finished
             # elsewhere (only reachable around failures — a live
             # deferred request blocks quiescence): drop the entry and
-            # drain the deferred senders' deficits.
+            # drain the deferred senders' deficits, as partial.
+            self.finished.add(query_id)
             for stray in self.node.admission.drop(query_id):
                 self.node.send_ack(stray.sender, query_id)
             return
-        if participation.done:
-            return
         self._cleanup(participation, forwarded_from=message.sender)
 
-    def on_bounce(self, query_id: str) -> None:
-        """A shipment of *query_id* came back undeliverable: whatever
-        this participation sent may not have arrived."""
+    def on_bounce(self, kind: str, payload: dict) -> None:
+        """A ``query_request`` or ``query_data`` came back
+        undeliverable.  Shipped data may not have arrived, so the link
+        no longer counts as served (its importer's next registration is
+        answered with an invalidation)."""
+        if kind == "query_data":
+            link = self.node.links.incoming.get(payload.get("rule_id", ""))
+            if link is not None:
+                link.served_at = ()
+        self.mark_partial(payload.get("query_id", ""))
+
+    def mark_partial(self, query_id: str) -> None:
+        """A shipment of *query_id* bounced, or a partial ack came in:
+        whatever this participation or one below it sent may not have
+        arrived."""
         participation = self.participations.get(query_id)
         if participation is not None:
             participation.clean = False
+
+    def is_partial(self, query_id: str) -> bool:
+        """Whether an ack for *query_id* must say ``partial``: its
+        participation here is unclean, or already finished — the ack is
+        then for a late message that was dropped, not ingested."""
+        if query_id in self.finished:
+            return True
+        participation = self.participations.get(query_id)
+        return participation is not None and not participation.clean
 
     def on_peer_down(self, dead_peer: str) -> None:
         """Failure detector: no live participation can vouch for its
@@ -492,8 +598,6 @@ class QueryEngine:
         admission caps an orphaned participation would pin a session
         slot forever."""
         for participation in list(self.participations.values()):
-            if participation.done:
-                continue
             participation.clean = False
             if participation.origin == dead_peer:
                 self._cleanup(participation, forwarded_from=None)
@@ -502,10 +606,17 @@ class QueryEngine:
         self, participation: QueryParticipation, forwarded_from: str | None
     ) -> None:
         node = self.node
-        participation.done = True
-        if participation.clean:
-            # Quiescence was detected with every shipment acknowledged:
-            # the importers hold what this query sent them.
+        query_id = participation.query_id
+        del self.participations[query_id]
+        self.finished.add(query_id)
+        # Still engaged only when a failure flood ends the query early:
+        # some shipment is unacknowledged and may yet be dropped.
+        engaged = node.termination.is_engaged(query_id)
+        if not engaged:
+            node.termination.forget(query_id)
+        if participation.clean and not engaged:
+            # Every shipment was acknowledged, none as partial: the
+            # importers hold what this query sent them.
             for rule_id, (link, activated_at) in participation.activated.items():
                 if node.links.incoming.get(rule_id) is link:
                     link.pushed |= participation.sent[rule_id]
@@ -514,11 +625,9 @@ class QueryEngine:
             if remote != forwarded_from:
                 try:
                     node.endpoint.send(
-                        remote,
-                        "query_complete",
-                        {"query_id": participation.query_id},
+                        remote, "query_complete", {"query_id": query_id}
                     )
                 except UnknownPeerError:
                     continue
         # The participation is over: free its admission slot.
-        node.admission.release(participation.query_id)
+        node.admission.release(query_id)

@@ -95,6 +95,12 @@ PROMETHEUS_METRICS: dict[str, tuple[str, str, str]] = {
                         "Answer-cache LRU evictions"),
     "cache_entries": ("codb_node_cache_entries", "gauge",
                       "Answer-cache entries currently held"),
+    "cache_fresh_served": (
+        "codb_node_cache_fresh_served_total", "counter",
+        "Answer-cache misses answered locally under a fresh network fill"),
+    "cache_fills_skipped": (
+        "codb_node_cache_fills_skipped_total", "counter",
+        "Network fills withheld (unclean query or a racing invalidation)"),
     "invalidations_sent": ("codb_node_invalidations_sent_total", "counter",
                            "Compact invalidation notices sent downstream"),
     "invalidations_received": (

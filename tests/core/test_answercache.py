@@ -69,6 +69,27 @@ class TestAnswerCacheUnit:
         assert cache.get("q") is None
         assert len(cache) == 0
 
+    def test_a_network_fill_stamps_its_relation_set(self):
+        cache = AnswerCache()
+        cache.put("local", ["item", "tag"], [])
+        assert not cache.fresh(["tag", "item"])
+        cache.put("net", ["tag", "item", "item"], [], network=True)
+        assert cache.fresh(["item", "tag"])
+        assert not cache.fresh(["item"])  # exactly the same set only
+        cache.bump(["tag"])
+        assert not cache.fresh(["item", "tag"])  # lazily dropped
+        cache.put("net", ["item"], [], network=True)
+        cache.invalidate(["other"])
+        assert cache.fresh(["item"])
+        cache.invalidate(["item"])
+        assert not cache._fresh
+        cache.put("net", ["item"], [], network=True)
+        cache.bump_all()
+        assert not cache.fresh(["item"])
+        disabled = AnswerCache(enabled=False)
+        disabled.put("net", ["item"], [], network=True)
+        assert not disabled.fresh(["item"])
+
     def test_counters_keys(self):
         assert set(AnswerCache().counters()) == {
             "cache_hits",
@@ -76,6 +97,8 @@ class TestAnswerCacheUnit:
             "cache_invalidations",
             "cache_evictions",
             "cache_entries",
+            "cache_fresh_served",
+            "cache_fills_skipped",
         }
 
 

@@ -1,0 +1,141 @@
+"""Cached reads equal uncached ones at every quiescence, whatever ran.
+
+Hypothesis draws a chain or tree of 2–4 peers, each importing ``item``
+from its children, and a program of steps against the root ``N0``:
+
+* a write at any peer, left to race the next step or settled first;
+* a network read of one of three templates over ``item``, cached or
+  not;
+* a read that a write fired by ``at_delivery`` races: the write lands
+  at a peer right after that peer served the read's request;
+* a read while one import edge is severed by an unannounced partition,
+  healed afterwards;
+
+all of it under ``MessageLoss`` on the query kinds when the draw turns
+it on.  At every checkpoint, with the weather clear and the network
+quiet, every template read through the cache must equal the same read
+with ``cache=False``, and both the union of everything written.
+
+A cut stands only while the read it disturbs runs, and invalidations
+are not a query kind: an invalidation lost on the wire has no repair
+in this protocol short of a ``peer_down``, so the program never loses
+one.
+"""
+
+from __future__ import annotations
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from repro import CoDBNetwork
+from repro.core.query import QUERY_KINDS
+from repro.p2p.faults import FaultInjector, MessageLoss, Partition
+
+#: (query, the same filter on a written key)
+TEMPLATES = (
+    ("q(x) <- item(x)", lambda k: True),
+    ("q(x) <- item(x), x >= 5", lambda k: k >= 5),
+    ("q(x) <- item(x), x < 5", lambda k: k < 5),
+)
+
+
+@st.composite
+def programs(draw):
+    size = draw(st.integers(min_value=2, max_value=4))
+    if draw(st.booleans()):
+        parents = list(range(size - 1))  # a chain
+    else:
+        parents = [draw(st.integers(0, child - 1)) for child in range(1, size)]
+    data = {i: draw(st.lists(st.integers(0, 9), max_size=3)) for i in range(size)}
+    loss = draw(st.sampled_from([0.0, 0.0, 0.2, 0.4]))
+    node = st.integers(0, size - 1)
+    value = st.integers(0, 9)
+    template = st.integers(0, len(TEMPLATES) - 1)
+    step = st.one_of(
+        st.tuples(st.just("write"), node, value, st.booleans()),
+        st.tuples(st.just("read"), template, st.booleans()),
+        st.tuples(st.just("race"), node, value, template),
+        st.tuples(st.just("cut"), st.integers(1, size - 1), template),
+        st.tuples(st.just("check")),
+    )
+    steps = draw(st.lists(step, min_size=1, max_size=12))
+    return parents, data, loss, steps
+
+
+class Run:
+    def __init__(self, parents, data, loss) -> None:
+        self.net = CoDBNetwork(seed=7, with_superpeer=False)
+        for i in range(len(parents) + 1):
+            self.net.add_node(f"N{i}", "item(k: int)",
+                              facts={"item": [(k,) for k in data[i]]})
+        self.cuts = {}
+        for child, parent in enumerate(parents, start=1):
+            self.net.add_rule(f"N{parent}:item(k) <- N{child}:item(k)")
+            self.cuts[child] = Partition(
+                [(f"N{parent}",), (f"N{child}",)], announce=False
+            )
+        self.net.start()
+        self.truth = {k for keys in data.values() for k in keys}
+        self.loss = MessageLoss(loss, retries=1, kinds=QUERY_KINDS)
+        self.injector = FaultInjector(self.loss, *self.cuts.values(), seed=7)
+        self.net.transport.install_faults(self.injector)
+
+    def read(self, template: int, cached: bool = True) -> list:
+        query, _keeps = TEMPLATES[template]
+        return sorted(self.net.query("N0", query, mode="network", cache=cached))
+
+    def write(self, node: int, value: int) -> None:
+        self.net.node(f"N{node}").insert("item", (value,))
+        self.truth.add(value)
+
+    def step(self, op, *args) -> None:
+        if op == "write":
+            node, value, settle = args
+            self.write(node, value)
+            if settle:
+                self.net.run()
+        elif op == "read":
+            self.read(*args)
+        elif op == "race":
+            node, value, template = args
+            hook = self.injector.at_delivery(
+                lambda: self.write(node, value),
+                kind="query_request",
+                recipient=f"N{node}",
+            )
+            self.read(template)
+            hook.cancel()
+        elif op == "cut":
+            child, template = args
+            self.net.run()
+            self.cuts[child].sever()
+            self.read(template)
+            self.net.run()
+            self.cuts[child].heal()
+        else:
+            self.check()
+
+    def check(self) -> None:
+        weather, self.loss.probability = self.loss.probability, 0.0
+        self.net.run()
+        for template, (query, keeps) in enumerate(TEMPLATES):
+            cached = self.read(template)
+            uncached = self.read(template, cached=False)
+            truth = sorted((k,) for k in self.truth if keeps(k))
+            assert cached == uncached == truth, (query, cached, uncached)
+        self.loss.probability = weather
+
+
+@given(programs())
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_every_cached_read_equals_the_uncached_one(program):
+    parents, data, loss, steps = program
+    run = Run(parents, data, loss)
+    for step in steps:
+        run.step(*step)
+    run.check()

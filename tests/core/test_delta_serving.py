@@ -47,6 +47,21 @@ def totals(net, key):
     return sum(node_totals[key] for node_totals in net.lifetime_totals().values())
 
 
+def participations(net, name):
+    """Every query participation *name* starts from now on, kept here
+    after the engine releases it at its cleanup."""
+    engine = net.node(name).queries
+    started = []
+    participate = engine._participate
+
+    def recording(query_id, origin):
+        started.append(participate(query_id, origin))
+        return started[-1]
+
+    engine._participate = recording
+    return started
+
+
 def query_all(net, node="N0", **kwargs):
     return sorted(net.query(node, "q(k) <- item(k)", mode="network", **kwargs))
 
@@ -243,6 +258,7 @@ class TestQueryRacingAnUpdate:
         posed = []
         unsettled_seen = []
         s_link = incoming(net, "S")
+        at_s = participations(net, "S")
         injector.at_delivery(
             lambda: posed.append(
                 net.node("W").submit_query_id("q(k) <- item(k)")
@@ -261,7 +277,7 @@ class TestQueryRacingAnUpdate:
         # The race happened as described, S shipped the unsettled keys
         # again for the query ...
         assert unsettled_seen == [{(1,), (2,)}]
-        (participation,) = net.node("S").queries.participations.values()
+        (participation,) = at_s
         assert participation.sent[s_link.rule_id] == {(1,), (2,)}
         # ... and the query answered with S's rows.
         answer = net.node("W").network_query_answer(query_id)
@@ -279,11 +295,12 @@ class TestQueryRacingAnUpdate:
         # An update in flight taught a key the marks already cover.
         link.unsettled.add((10,))
         full_before = totals(net, "activations_full")
+        at_n1 = participations(net, "N1")
         assert query_all(net) == all_items()
         # N1 evaluated in full and shipped the unsettled key again;
         # N2 and N3 (nothing unsettled) served their empty tails.
         assert totals(net, "activations_full") - full_before == 1
-        participation = list(net.node("N1").queries.participations.values())[-1]
+        (participation,) = at_n1
         assert participation.sent[link.rule_id] == {(10,)}
 
     def test_update_settles_its_keys_when_it_finalizes(self):
@@ -350,8 +367,9 @@ class TestMediatorsAreServedInFull:
         query_all(net, "C")
         before = totals(net, "activations_full")
         suppressed = net.node("SRC").stats.query_rows_suppressed
+        at_src = participations(net, "SRC")
         assert query_all(net, "C") == [(1,), (2,)]
-        participation = list(net.node("SRC").queries.participations.values())[-1]
+        (participation,) = at_src
         (sent,) = participation.sent.values()
         assert sent == {(1,), (2,)} and not participation.activated
         assert net.node("SRC").stats.query_rows_suppressed == suppressed

@@ -178,7 +178,10 @@ class TestStrayAcks:
         fabric.from_b(("query_request", request), ("query_request", request))
         assert fabric.acks() == []
         fabric.from_b(("query_complete", {"query_id": "query-late-0002"}))
-        assert fabric.acks() == [{"computation_id": "query-late-0002", "count": 2}]
+        # Never served: the ack says so.
+        assert fabric.acks() == [
+            {"computation_id": "query-late-0002", "count": 2, "partial": True}
+        ]
 
 
 class TestOneAckPerDelivery:
