@@ -181,7 +181,10 @@ class CoDBNode:
         #: in the current delivery; they leave summed when it ends.
         #: Touched by the delivering thread only.
         self._owed_acks: dict[tuple[str, str], int] = {}
-        self.endpoint.before_flush = self._flush_acks
+        #: Likewise peer -> {rule id: lease}, the cache registrations
+        #: owed (see :meth:`register_cache_interest`).
+        self._owed_registrations: dict[str, dict[str, int]] = {}
+        self.endpoint.before_flush = self._flush_owed
         self.nulls = NullFactory(name)
         self.stats = NodeStatistics(name)
         # lifetime_totals() shows where this node's compiled plans ran.
@@ -314,9 +317,15 @@ class CoDBNode:
         else:
             self._emit_ack(recipient, computation_id, count)
 
-    def _flush_acks(self) -> None:
-        """End of a delivery: pay what it ran up (the acks join the
-        bursts that are about to leave)."""
+    def _flush_owed(self) -> None:
+        """End of a delivery: pay what it ran up (it joins the bursts
+        that are about to leave) — first the registrations no
+        completion carried, then the acks."""
+        if self._owed_registrations:
+            registrations, self._owed_registrations = self._owed_registrations, {}
+            for remote, owed_here in registrations.items():
+                for rule_id, lease in owed_here.items():
+                    self._send_registration(remote, rule_id, lease)
         owed, self._owed_acks = self._owed_acks, {}
         for (recipient, computation_id), count in owed.items():
             self._emit_ack(recipient, computation_id, count)
@@ -398,6 +407,11 @@ class CoDBNode:
             ):
                 self.endpoint.try_send(dead_peer, "update_complete", payload)
             return
+        if original_kind == "query_complete":
+            # Nothing to retransmit (the peer's participation is only
+            # left behind), but the registrations it carried are lost.
+            self.registrations_lost(payload.get("register", ()))
+            return
         if original_kind == "invalidation":
             # Conservative fallback either way: a bounced registration
             # means we are NOT registered upstream (re-register on the
@@ -406,9 +420,7 @@ class CoDBNode:
             # registration so the next change floods rows instead.
             rule_id = payload.get("rule_id", "")
             if payload.get("op") == "register":
-                outgoing = self.links.outgoing.get(rule_id)
-                if outgoing is not None:
-                    outgoing.registered = False
+                self.registrations_lost([rule_id])
             else:
                 incoming = self.links.incoming.get(rule_id)
                 if incoming is not None:
@@ -564,63 +576,101 @@ class CoDBNode:
         its data changes; this node pulls afresh on the cache miss.
         The registration carries this node's
         ``config.interest_lease_events`` as a renewable suppression
-        lease (see :class:`NodeConfig`)."""
+        lease (see :class:`NodeConfig`).
+
+        During a delivery a registration is only noted, like an ack: a
+        ``query_complete`` this delivery sends to that peer carries it
+        (:meth:`take_registrations`), else it leaves at the delivery's
+        end as a standalone ``invalidation op=register``."""
         targets = set(relations)
+        lease = self.config.interest_lease_events
+        delivering = self.endpoint.delivering()
         for link in self.links.outgoing.values():
             if link.registered:
                 continue
             if not targets & set(link.rule.mapping.head_relations()):
                 continue
-            sent = self.endpoint.try_send(
-                link.remote,
-                "invalidation",
-                {
-                    "op": "register",
-                    "rule_id": link.rule_id,
-                    "lease": self.config.interest_lease_events,
-                },
-            )
-            if sent is not None:
-                link.registered = True
+            link.registered = True
+            if delivering:
+                owed = self._owed_registrations.setdefault(link.remote, {})
+                owed[link.rule_id] = lease
+            else:
+                self._send_registration(link.remote, link.rule_id, lease)
+
+    def _send_registration(self, remote: str, rule_id: str, lease: int) -> None:
+        payload = {"op": "register", "rule_id": rule_id, "lease": lease}
+        if self.endpoint.try_send(remote, "invalidation", payload) is None:
+            self.registrations_lost([rule_id])
+
+    def take_registrations(self, remote: str) -> dict[str, int] | None:
+        """The registrations owed to *remote* in this delivery, for a
+        ``query_complete`` toward it to carry."""
+        if not self._owed_registrations or not self.endpoint.delivering():
+            return None
+        return self._owed_registrations.pop(remote, None)
+
+    def registrations_lost(self, rule_ids: Iterable[str]) -> None:
+        """Registrations that never arrived: a write upstream would
+        reach us as nothing, so bump what those links feed — the next
+        read propagates and its fill registers again."""
+        heads: set[str] = set()
+        for rule_id in rule_ids:
+            link = self.links.outgoing.get(rule_id)
+            if link is not None:
+                link.registered = False
+                heads.update(link.rule.mapping.head_relations())
+        self.bump_epochs(heads)
+
+    def apply_registration(self, rule_id: str, lease: int) -> None:
+        """The importer on our incoming link *rule_id* serves cached
+        answers derived through it: remember its interest (re-arming
+        the per-registration notification dedup and its suppression
+        *lease*).  If the link's body moved since a query last served
+        it, a write raced the importer's fill — one the dedup may have
+        suppressed — so the registration is answered with an immediate
+        invalidation and goes no further (passed on, it can circle a
+        rule cycle for ever): the importer drops what it cached through
+        the link and registers afresh after its next fill."""
+        link = self.links.incoming.get(rule_id)
+        if link is None:
+            return
+        link.cache_interest = True
+        link.notified.clear()
+        link.lease_remaining = lease
+        body = link.rule.mapping.body_relations()
+        if link.served_at not in (None, self.cache.vector(body)):
+            heads = list(link.rule.mapping.head_relations())
+            link.notified.update(heads)
+            self._send_invalidations(link.remote, [(link, heads)])
+            return
+        # Interest is transitive: the importer's cached answer depends
+        # on whatever *we* would pull afresh to serve this link, so
+        # register our own interest upstream on the rule's body
+        # relations.  The per-link ``registered`` flag terminates
+        # cycles.
+        self.register_cache_interest(body)
 
     def _on_invalidation(self, message: Message) -> None:
         """Both halves of the interest protocol ride one kind.
 
-        ``op="register"`` — the importer on one of our incoming links
-        serves cached answers derived through it; remember its interest
-        (and re-arm the per-registration notification dedup and its
-        suppression lease).  If the link's body moved since a query last
-        served it, a write raced the importer's fill — one the dedup may
-        have suppressed — so the registration is answered with an
-        immediate invalidation.  Anything else is a data invalidation
-        *to* us — a flush window's notices under ``"notices"``, or the
-        single notice an expired lease sends: data we imported through
-        the named outgoing links went stale upstream — void the fills of
-        our cached roots in flight that read them, bump the head
-        relations' epochs (cascading to our own registrants, themselves
-        batched because the cascade is one ``bump_epochs`` call) and drop
-        our registrations so the next cache fill re-registers.
+        ``op="register"`` — a registration no ``query_complete``
+        carried (see :meth:`register_cache_interest`); it is applied by
+        :meth:`apply_registration`.  Anything else is a data
+        invalidation *to* us — a flush window's notices under
+        ``"notices"``, or the single notice an expired lease sends:
+        data we imported through the named outgoing links went stale
+        upstream — void the fills of our cached roots in flight that
+        read them, bump the head relations' epochs (cascading to our
+        own registrants, themselves batched because the cascade is one
+        ``bump_epochs`` call) and drop our registrations so the next
+        cache fill re-registers.
         """
         payload = message.payload
         if payload.get("op") == "register":
-            link = self.links.incoming.get(payload.get("rule_id", ""))
-            if link is not None:
-                link.cache_interest = True
-                link.notified.clear()
-                link.lease_remaining = int(
-                    payload.get("lease", self.config.interest_lease_events)
-                )
-                body = link.rule.mapping.body_relations()
-                if link.served_at not in (None, self.cache.vector(body)):
-                    heads = list(link.rule.mapping.head_relations())
-                    link.notified.update(heads)
-                    self._send_invalidations(link.remote, [(link, heads)])
-                # Interest is transitive: the importer's cached answer
-                # depends on whatever *we* would pull afresh to serve
-                # this link, so register our own interest upstream on
-                # the rule's body relations.  The per-link
-                # ``registered`` flag terminates cycles.
-                self.register_cache_interest(body)
+            self.apply_registration(
+                payload.get("rule_id", ""),
+                int(payload.get("lease", self.config.interest_lease_events)),
+            )
             return
         notices = payload.get("notices")
         if notices is None:
@@ -835,7 +885,7 @@ class CoDBNode:
         use_cache = self.config.answer_cache if cache is None else cache
         with self._lock:
             answers = None
-            fingerprint = f"local:{query!r}"
+            fingerprint = "local:" + query.fingerprint
             if use_cache:
                 answers = self.cache.get(fingerprint)
             if answers is None:

@@ -40,6 +40,11 @@ update taught are shipped again, and a query's own shipments stay in
 its participation until it ends cleanly — a bounced or peer-lost
 participation teaches nothing.
 
+So §3's immediate local answer is mostly empty, and an activation
+sends ``query_data`` only when it has rows: the ``query_request`` is
+acked anyway.  (The update path always sends its ``query_result``:
+§4's result-messages-per-rule statistics count them.)
+
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
 floods ``query_complete`` along the request tree for cleanup.  A
@@ -53,8 +58,11 @@ query whose root ends clean fills the answer cache *and* stamps its
 body's relation set (:meth:`repro.core.answercache.AnswerCache.fresh`):
 the root then holds everything a diffusing computation over those
 relations would import, and registered interest upstream turns any
-later change into an invalidation that bumps an epoch.  Until one
-does, a miss on any query over the same relations is answered by
+later change into an invalidation that bumps an epoch.  The
+registrations ride the completion flood (``"register"`` on
+``query_complete``), each applied before its receiver's own cleanup;
+one with no completion to ride leaves standalone.  Until an epoch
+moves, a miss on any query over the same relations is answered by
 local evaluation, with no propagation at all — at a node whose store
 keeps its imports (a mediator's does not).  A root that ended
 unclean, or that an invalidation for its relations reached while it
@@ -170,7 +178,7 @@ class QueryEngine:
         node = self.node
         query.validate_against(node.wrapper.schema)
         use_cache = node.config.answer_cache if cache is None else cache
-        fingerprint = f"network:{query!r}"
+        fingerprint = "network:" + query.fingerprint
         query_id = node.endpoint.ids.query_id()
         node.stats.network_queries_started += 1
         if use_cache:
@@ -404,9 +412,8 @@ class QueryEngine:
         rows: list[Row],
         *,
         path_len: int,
-        always: bool = True,
     ) -> None:
-        if not rows and not always:
+        if not rows:
             return
         node = self.node
         try:
@@ -528,7 +535,6 @@ class QueryEngine:
                 serving.remote,
                 self._unsent(participation, serving, produced),
                 path_len=path_len + 1,
-                always=False,
             )
         node.termination.after_processing(query_id, message.sender, tree)
 
@@ -548,6 +554,9 @@ class QueryEngine:
         return True
 
     def on_query_complete(self, message: Message) -> None:
+        # Carried registrations first, as when they came ahead of it.
+        for rule_id, lease in message.payload.get("register", {}).items():
+            self.node.apply_registration(rule_id, int(lease))
         query_id = message.payload["query_id"]
         if query_id in self.finished:
             return  # a duplicate of the flood
@@ -623,11 +632,14 @@ class QueryEngine:
                     link.settle(participation.sent[rule_id], activated_at)
         for remote in participation.forwarded_to:
             if remote != forwarded_from:
+                payload: dict = {"query_id": query_id}
+                registrations = node.take_registrations(remote)
+                if registrations:
+                    payload["register"] = registrations
                 try:
-                    node.endpoint.send(
-                        remote, "query_complete", {"query_id": query_id}
-                    )
+                    node.endpoint.send(remote, "query_complete", payload)
                 except UnknownPeerError:
-                    continue
+                    if registrations:
+                        node.registrations_lost(registrations)
         # The participation is over: free its admission slot.
         node.admission.release(query_id)

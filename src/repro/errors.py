@@ -67,6 +67,10 @@ class ParseError(CoDBError):
         self.column = column
 
 
+class QueryTooLargeError(ParseError):
+    """A query text over the parser's size cap, refused unread."""
+
+
 class RuleError(CoDBError):
     """A coordination rule is malformed or inconsistent with the schemas."""
 

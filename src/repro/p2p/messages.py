@@ -97,10 +97,12 @@ KINDS = (
     "update_complete",      # origin's completion flood (condition (b))
     "ack",                  # diffusing-computation acknowledgement
     "query_request",        # query-time answering request (§3)
-    "query_data",           # query-time answering results
-    "query_complete",       # query-time answering end-of-stream
+    "query_data",           # query-time answering results (never empty)
+    "query_complete",       # query-time cleanup flood; may carry the
+                            # sender's cache registrations ("register")
     "push_delta",           # continuous-mode delta push (subscriptions)
-    "invalidation",         # CUP-style cache interest + invalidation
+    "invalidation",         # CUP-style invalidation; a registration
+                            # no query_complete carried (op=register)
     "stats_request",        # super-peer statistics collection (§4)
     "stats_response",
     "topology_request",     # topology discovery procedure (§2 UI)

@@ -21,6 +21,7 @@ in :mod:`repro.core.rules`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
 
@@ -215,6 +216,12 @@ class ConjunctiveQuery:
     def __repr__(self) -> str:
         parts = [repr(a) for a in self.body] + [repr(c) for c in self.comparisons]
         return f"{self.head!r} <- {', '.join(parts)}"
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The query's structure as text (its ``repr``), built once:
+        what the answer cache keys its entries on."""
+        return repr(self)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterator
+from functools import lru_cache
 
-from repro.errors import ParseError
+from repro.errors import ParseError, QueryTooLargeError
 from repro.relational.conjunctive import (
     Atom,
     Comparison,
@@ -143,15 +144,15 @@ def tokenize(source: str) -> list[Token]:
             column += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and source[i + 1].isdecimal()):
             j = i + 1
             seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+            while j < n and (source[j].isdecimal() or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     # A trailing fact period must not be eaten: "24." at
                     # end of fact.  Only treat '.' as decimal point when
                     # a digit follows.
-                    if j + 1 >= n or not source[j + 1].isdigit():
+                    if j + 1 >= n or not source[j + 1].isdecimal():
                         break
                     seen_dot = True
                 j += 1
@@ -390,12 +391,33 @@ def parse_facts(source: str) -> dict[str, list[Row]]:
     return facts
 
 
+#: Longest query text read (a query, not a bulk load): a longer one is
+#: refused before tokenising, not parsed for seconds on a network thread.
+MAX_QUERY_CHARS = 16_384
+#: Parsed queries kept (LRU), of texts up to MEMO_TEXT_CHARS long.
+MEMO_SIZE, MEMO_TEXT_CHARS = 1024, 2048
+
+
 def parse_query(source: str) -> ConjunctiveQuery:
     """Parse one conjunctive query.
+
+    The same text gives back the same (frozen) query: parses are
+    memoised, failures are not.  A text over :data:`MAX_QUERY_CHARS`
+    raises :class:`~repro.errors.QueryTooLargeError` unread.
 
     >>> parse_query("q(x) <- person(x, a), a >= 18")
     q(?x) <- person(?x, ?a), ?a >= 18
     """
+    if len(source) <= MEMO_TEXT_CHARS:
+        return _memoised_parse_query(source)
+    return _parse_query(source)
+
+
+def _parse_query(source: str) -> ConjunctiveQuery:
+    if len(source) > MAX_QUERY_CHARS:
+        raise QueryTooLargeError(
+            f"query text over the {MAX_QUERY_CHARS}-character cap"
+        )
     stream = _TokenStream(tokenize(source))
     head = _parse_atom(stream)
     if head.peer is not None:
@@ -416,6 +438,9 @@ def parse_query(source: str) -> ConjunctiveQuery:
         tuple(p.atom for p in atoms),
         tuple(comparisons),
     )
+
+
+_memoised_parse_query = lru_cache(maxsize=MEMO_SIZE)(_parse_query)
 
 
 @dataclass(frozen=True)

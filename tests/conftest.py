@@ -2,9 +2,44 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro import CoDBNetwork, Database, parse_facts, parse_schema
+
+#: ``HYPOTHESIS_PROFILE=deep`` runs the differentials randomized and at
+#: depth (a CI job of its own).  Their tier-1 settings stay pinned in
+#: their decorators; under ``deep`` those pins are replaced at
+#: collection, since explicit decorator settings outrank any profile.
+settings.register_profile(
+    "deep",
+    max_examples=2000,
+    derandomize=False,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
+DEEP_FILES = {
+    "test_cached_reads_differential.py",
+    "test_delta_serving_differential.py",
+}
+if DEEP:
+    settings.load_profile("deep")
+
+
+def pytest_collection_modifyitems(items):
+    if not DEEP:
+        return
+    deep = settings.get_profile("deep")
+    for item in items:
+        test = getattr(item, "function", None)
+        pinned = getattr(test, "_hypothesis_internal_use_settings", None)
+        if item.path.name in DEEP_FILES and pinned is not None:
+            test._hypothesis_internal_use_settings = settings(
+                pinned, max_examples=deep.max_examples, derandomize=False
+            )
 
 
 @pytest.fixture

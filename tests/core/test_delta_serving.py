@@ -144,7 +144,7 @@ class TestRowsAnotherComputationFired:
 
 
 class TestPersistentQueryTeachesOnCleanEnd:
-    def test_repeat_query_ships_no_rows_but_every_message(self):
+    def test_repeat_query_ships_no_query_data(self):
         def repeat_cost(config):
             net = build_chain(config)
             assert query_all(net) == all_items()
@@ -156,9 +156,15 @@ class TestPersistentQueryTeachesOnCleanEnd:
 
         net, by_kind, size = repeat_cost(UNCACHED)
         _, ablated_by_kind, ablated_size = repeat_cost(ABLATED)
-        # Activations keep their (now empty) first query_data: message
-        # counts and Dijkstra–Scholten traffic do not move, bytes do.
-        assert by_kind == ablated_by_kind
+        # An activation with nothing new to ship sends nothing: the
+        # repeat costs its requests, their acks and the completion
+        # flood.  The ablation ships every row again.
+        assert by_kind == {
+            "query_request": 3, "ack": 3, "query_data": 0, "query_complete": 3,
+        }
+        assert ablated_by_kind == {
+            "query_request": 3, "ack": 6, "query_data": 3, "query_complete": 3,
+        }
         assert size < ablated_size
         assert totals(net, "rows_suppressed") > 0
         assert totals(net, "activations_incremental") == 3

@@ -336,7 +336,27 @@ class TestCycleBudget:
         self.cycle(net, 700_000)  # warm-up: registrations settle
         for write in (712_345, 798_765, 754_321):
             sent, volume, per_read = self.cycle(net, write)
-            assert (sent, volume) == (34, 4957)
+            assert (sent, volume) == (24, 3618)
             assert per_read[1:] == [0, 0]
         cache = net.node("N0").cache
         assert cache.fresh_served == 2 * 4
+
+    def test_a_propagating_miss_by_kind(self):
+        """Only the activation at the tail has a row to ship; the other
+        three answer nothing, and every registration rides the
+        completion flood."""
+        net = self.build()
+        self.cycle(net, 700_000)
+        net.node("N4").insert("item", (712_345,))
+        net.run()
+        stats = net.transport.stats
+        kinds = dict(stats.by_kind)
+        net.query("N0", self.TEMPLATES[0], mode="network")
+        by_kind = {k: n - kinds.get(k, 0) for k, n in stats.by_kind.items()}
+        assert {k: n for k, n in by_kind.items() if n} == {
+            "query_request": 4, "query_data": 4, "ack": 8, "query_complete": 4,
+        }
+        # ... yet every link is registered again.
+        for i in range(4):
+            (link,) = net.node(f"N{i}").links.outgoing.values()
+            assert link.registered

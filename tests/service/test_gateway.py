@@ -20,6 +20,7 @@ import pytest
 from repro import CoDBNetwork, NodeConfig, TenantQuotas
 from repro.p2p.procs import ProcessNetwork
 from repro.relational.containment import rows_equal_up_to_nulls
+from repro.relational.parser import MAX_QUERY_CHARS
 from repro.relational.values import decode_row
 from repro.service import serve_in_thread
 from repro.service.loadgen import (
@@ -460,6 +461,17 @@ class TestErrorSurfaces:
                 {"node": "TN", "query": "this is not a query"},
             )
             assert status == 400
+            assert gateway.quotas.live() == 0
+            # So does a query text over the parser's size cap, refused
+            # unread.
+            status, reply, _ = request(
+                thread,
+                "POST",
+                "/v1/query",
+                {"node": "TN", "query": QUERY + " " * MAX_QUERY_CHARS},
+            )
+            assert status == 400
+            assert "cap" in reply["error"]
             assert gateway.quotas.live() == 0
             # Missing required field.
             status, reply, _ = request(thread, "POST", "/v1/update", {})
