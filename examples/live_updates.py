@@ -1,25 +1,25 @@
-"""Continuous mode: pushes, churn and inconsistency quarantine.
+"""Live updates: repeated global updates, churn and inconsistency quarantine.
 
-Three extensions around the paper's batch algorithm, all in one
+Three behaviours around the paper's update algorithm, all in one
 scenario:
 
-* **push on insert** — after one global update has materialised the
-  network, local inserts flow downstream immediately;
-* **churn** — a node crashes; the failure detector closes its links
-  and ongoing work still terminates (§1's dynamic-network claim);
+* **repeated updates** — after local inserts at a source, the next
+  global update carries just the new rows downstream (what the links
+  already delivered stays off the wire);
 * **quarantine** — a node that becomes locally inconsistent (key
   violation) stops exporting data until repaired (§1d: "local
-  inconsistency does not propagate").
+  inconsistency does not propagate");
+* **churn** — a node crashes; the failure detector closes its links
+  and a global update still terminates (§1's dynamic-network claim).
 
 Run:  python examples/live_updates.py
 """
 
-from repro import CoDBNetwork, NodeConfig
+from repro import CoDBNetwork
 
 
 def main() -> None:
-    config = NodeConfig(push_on_insert=True)
-    net = CoDBNetwork(seed=13, config=config)
+    net = CoDBNetwork(seed=13)
     net.add_node("SENSOR", "reading(tick!: int, value: int)")
     net.add_node("GATEWAY", "reading(tick: int, value: int)")
     net.add_node("CLOUD", "reading(tick: int, value: int)")
@@ -28,37 +28,40 @@ def main() -> None:
     net.start()
     net.global_update("CLOUD")  # establish the materialisation
 
-    print("Live inserts at the sensor propagate to the cloud:")
+    print("Inserts at the sensor reach the cloud with the next update:")
     for tick in range(3):
         net.node("SENSOR").insert("reading", (tick, tick * 10))
-    net.run()
-    print(f"  cloud now has {net.node('CLOUD').wrapper.count('reading')} readings")
+    outcome = net.global_update("CLOUD")
+    print(f"  cloud now has {net.node('CLOUD').wrapper.count('reading')} readings "
+          f"({outcome.report.total_rows_imported} new at the cloud side)")
 
     print("\nA conflicting reading makes the sensor inconsistent "
           "(duplicate key, different value):")
     net.node("SENSOR").insert("reading", (1, 999))
-    net.run()
+    outcome = net.global_update("CLOUD")
     violations = net.node("SENSOR").wrapper.key_violations()
     print(f"  sensor violations: {violations}")
+    print(f"  sensor quarantined: "
+          f"{net.node('SENSOR').update_report(outcome.update_id).quarantined}")
     print(f"  cloud rows (unchanged): {net.node('CLOUD').wrapper.count('reading')}")
 
     print("\nRepair the sensor; service resumes:")
     net.node("SENSOR").wrapper.delete_rows("reading", [(1, 999)])
     net.node("SENSOR").insert("reading", (3, 30))
-    net.run()
+    net.global_update("CLOUD")
     print(f"  cloud rows: {net.node('CLOUD').wrapper.count('reading')}")
 
-    print("\nThe gateway crashes mid-stream:")
+    print("\nThe gateway crashes:")
     net.node("GATEWAY").detach()
-    net.node("SENSOR").insert("reading", (4, 40))  # bounces at the gateway
+    net.node("SENSOR").insert("reading", (4, 40))
     net.run()
-    print(f"  cloud rows (stream cut): {net.node('CLOUD').wrapper.count('reading')}")
 
     print("\nA fresh global update from the cloud still terminates:")
     outcome = net.global_update("CLOUD")
     report = net.node("CLOUD").update_report(outcome.update_id)
     print(f"  status={report.status}, failure closures network-wide="
           f"{sum(r.links_closed_by_failure for r in outcome.report.node_reports.values())}")
+    print(f"  cloud rows (gateway gone): {net.node('CLOUD').wrapper.count('reading')}")
 
 
 if __name__ == "__main__":

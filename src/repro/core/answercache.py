@@ -6,7 +6,7 @@ answers keyed on the query's structure, each entry stamped with the
 **epoch vector** of the relations the query's body reads.  An epoch is
 a per-relation version counter the node bumps on every mutation —
 local insert, ``load_facts``, delta ingest during a global update,
-push-delta ingest, query-time data import, and rule changes (which
+query-time data import, and rule changes (which
 bump *every* relation, since the derivable content of all of them may
 shift).
 

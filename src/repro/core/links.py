@@ -84,7 +84,7 @@ class OutgoingLink:
     #: Row keys of frontier rows that ever *fired* this rule here —
     #: instantiated the head, minting the null vector for existential
     #: head variables.  This is the link's **lifetime** memory, shared
-    #: by every update session and by the push engine: a frontier row
+    #: by every update session and network query: a frontier row
     #: fires the rule exactly once over the rule's lifetime, which is
     #: what keeps repeated global updates idempotent ("remove from T
     #: those tuples which are already in R", lifted to frontier
@@ -122,9 +122,9 @@ class IncomingLink:
 
     rule: CoordinationRule
 
-    #: Row keys this node ever *delivered* over this link: shipped by
-    #: the push engine (continuous mode) or taught forward by an update
-    #: session under resend suppression.  The link's lifetime sent
+    #: Row keys this node ever *delivered* over this link: taught
+    #: forward by an update session under resend suppression.  The
+    #: link's lifetime sent
     #: memory, mirroring §3's "delete from Ri those tuples which have
     #: been already sent" across updates — the importer's lifetime
     #: ``fired`` set would drop a re-shipped row anyway, so a later
@@ -154,8 +154,8 @@ class IncomingLink:
     forgets: int = 0
     #: Whether the importer registered CUP-style invalidation interest:
     #: it serves cached answers derived through this link and wants a
-    #: compact ``invalidation`` instead of eager continuous-mode row
-    #: pushes (it pulls on a cache miss).  Conservatively reset to
+    #: compact ``invalidation`` when the link's body changes (it pulls
+    #: on a cache miss).  Conservatively reset to
     #: ``False`` — flood — on failure closes and ``peer_down``.
     cache_interest: bool = False
     #: Head relations (importer-side) already invalidated since the
@@ -167,11 +167,10 @@ class IncomingLink:
     #: Remaining suppression budget of the importer's registration
     #: (interest lease).  Each registration arrives with an event-count
     #: lease; every event this side *suppresses* on the importer's
-    #: behalf (a notified-deduped write, a withheld continuous push)
-    #: spends one unit.  At zero the lease expires: interest is
-    #: dropped, a final unconditional ``invalidation`` tells the
-    #: importer, and pushes flow again — an idle cached reader cannot
-    #: suppress upstream propagation forever.  ``0`` = no lease
+    #: behalf (a notified-deduped write) spends one unit.  At zero the
+    #: lease expires: interest is dropped and a final unconditional
+    #: ``invalidation`` tells the importer — an idle cached reader
+    #: cannot hold its registration upstream forever.  ``0`` = no lease
     #: (infinite, the pre-lease behaviour).
     lease_remaining: int = 0
     #: Epoch vector of the body relations up to which a network query
@@ -228,7 +227,7 @@ class IncomingLink:
 def undelivered(
     link: IncomingLink,
     rows: dict[tuple, Row],
-    taught: set | None,
+    taught: set,
     *,
     settled_only: bool = False,
 ) -> tuple[list[Row], int]:
@@ -241,10 +240,9 @@ def undelivered(
     ends; rows already in it were shipped by this very computation and
     are dropped without counting as suppressed.
 
-    Update sessions and the push engine (``settled_only=False``) skip
-    everything in ``pushed`` and teach it at once, an update's keys
-    staying ``unsettled`` until its session ends (the push engine has
-    no end to wait for and passes ``taught=None``).  A query
+    An update session (``settled_only=False``) skips everything in
+    ``pushed`` and teaches it at once, its keys staying ``unsettled``
+    until the session ends.  A query
     (``settled_only=True``) skips only settled keys and teaches
     nothing yet: the query engine merges *taught* into ``pushed`` if
     the query ends cleanly.
@@ -253,18 +251,16 @@ def undelivered(
     to_ship: list[Row] = []
     suppressed = 0
     for key, row in rows.items():
-        if taught is not None and key in taught:
+        if key in taught:
             continue
         if key in pushed and not (settled_only and key in unsettled):
             suppressed += 1
             continue
         to_ship.append(row)
-        if taught is not None:
-            taught.add(key)
+        taught.add(key)
         if not settled_only:
             pushed.add(key)
-            if taught is not None:
-                unsettled.add(key)
+            unsettled.add(key)
     return to_ship, suppressed
 
 

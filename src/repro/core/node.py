@@ -24,7 +24,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.answercache import AnswerCache
 from repro.core.links import LinkTable, memory_digest
-from repro.core.push import PUSH_KIND, PushEngine
 from repro.core.query import QUERY_KINDS, QueryEngine
 from repro.core.requests import AdmissionControl, RequestHandle
 from repro.core.rulefile import RuleFile
@@ -71,10 +70,6 @@ class NodeConfig:
         Maximum frontier rows per ``query_result`` message; ``0`` means
         unbounded (one message per evaluation).  Bounds the §4 "volume
         of the data in each message" at the cost of more messages.
-    push_on_insert:
-        Propagate local inserts along already-activated incoming links
-        immediately (continuous/subscription mode), without waiting
-        for the next global update.
     max_active_sessions:
         Admission cap: the most sessions (global-update engines plus
         network-query participations) this node runs at once; ``0``
@@ -113,18 +108,17 @@ class NodeConfig:
         Event-count lease attached to CUP-style interest registrations
         (the read-side registration this node sends upstream).  The
         upstream side spends one unit per event it *suppresses* for us
-        (a notified-deduped write, a withheld continuous push); at zero
-        it drops the registration and sends a final unconditional
-        invalidation, so an idle cached reader stops suppressing
-        upstream pushes forever.  Refreshed by re-registration on the
-        next cache fill.  ``0`` = no lease (registrations live until
-        invalidated, the pre-lease behaviour).
+        (a notified-deduped write); at zero it drops the registration
+        and sends a final unconditional invalidation, so an idle cached
+        reader does not hold its registration upstream forever.
+        Refreshed by re-registration on the next cache fill.  ``0`` =
+        no lease (registrations live until invalidated, the pre-lease
+        behaviour).
     """
 
     subsumption_dedup: bool = False
     fixpoint_guard: int = 100_000
     batch_rows: int = 0
-    push_on_insert: bool = False
     max_active_sessions: int = 0
     resend_suppression: bool = True
     answer_cache: bool = True
@@ -196,7 +190,6 @@ class CoDBNode:
         #: the cache itself; these are the link-traffic side).
         self.invalidations_sent = 0
         self.invalidations_received = 0
-        self.pushes_suppressed = 0
         self.invalidation_batches = 0
         self.invalidations_coalesced = 0
         self.interest_leases_expired = 0
@@ -215,7 +208,6 @@ class CoDBNode:
         self.completion_listeners: list = []
         self.updates = UpdateManager(self)
         self.queries = QueryEngine(self)
-        self.push = PushEngine(self)
         self.topology = TopologyDiscovery(self)
         self._wire_handlers()
 
@@ -239,9 +231,6 @@ class CoDBNode:
         self.endpoint.on_run(
             "query_result",
             self._locked_noting_run(self.updates.on_query_result),
-        )
-        self.endpoint.on(
-            PUSH_KIND, self._locked_noting_sender(self.push.on_push_delta)
         )
         self.endpoint.on("ack", self._locked(self._on_ack))
         self.endpoint.on("rules_file", self._locked(self._on_rules_file))
@@ -287,17 +276,9 @@ class CoDBNode:
         lost while the cut stood, so the answer cache falls back to
         flood — every epoch advances, every entry drops — and the
         interest protocol resets to re-register from scratch."""
-        if peer not in self._down_peers:
-            return
-        self._down_peers.discard(peer)
-        self.cache.bump_all()
-        for link in self.links.outgoing.values():
-            if link.remote == peer:
-                link.registered = False
-        for link in self.links.incoming.values():
-            if link.remote == peer:
-                link.cache_interest = False
-                link.notified.clear()
+        if peer in self._down_peers:
+            self._down_peers.discard(peer)
+            self.cache_fault_fallback(peer)
 
     # ------------------------------------------------------------------
     # Termination plumbing shared by both engines
@@ -340,9 +321,7 @@ class CoDBNode:
             # An unclean query participation says so on every ack it
             # sends: the flag climbs the tree before the root completes.
             payload["partial"] = True
-        # try_send: acking a peer that just left must not crash the
-        # handler — the departed peer no longer counts deficits anyway.
-        self.endpoint.try_send(recipient, "ack", payload)
+        self.endpoint.send(recipient, "ack", payload)
 
     def _on_ack(self, message: Message) -> None:
         computation_id = message.payload["computation_id"]
@@ -369,14 +348,19 @@ class CoDBNode:
             )
 
     def _on_undeliverable(self, message: Message) -> None:
-        """A message we sent bounced: the recipient left the network.
+        """A message we sent bounced — the one place any protocol
+        learns that a peer is gone.
 
         The paper claims the algorithm terminates "even if nodes and
         coordination rules appear or disappear during the computation"
-        (§1).  The transport returns undeliverable protocol messages to
-        the sender; we drain the termination deficit they left behind
-        and close the links toward the departed peer so closure
-        cascades are not blocked forever.
+        (§1).  A send never fails where it is made: whatever cannot be
+        delivered — a recipient that left or never joined, a burst the
+        wire refused, a fault-injected loss — comes back here as an
+        ``undeliverable`` wrapping the original.  We drain the
+        termination deficit it left behind and close the links toward
+        the departed peer so closure cascades are not blocked forever;
+        control messages are retransmitted within a budget, and the
+        interest protocol falls back conservatively.
         """
         original_kind = message.payload.get("kind", "")
         payload = message.payload.get("payload", {})
@@ -405,7 +389,7 @@ class CoDBNode:
             if dead_peer not in self._down_peers and self._spend_resend(
                 "update_complete", dead_peer, payload.get("update_id", "")
             ):
-                self.endpoint.try_send(dead_peer, "update_complete", payload)
+                self.endpoint.send(dead_peer, "update_complete", payload)
             return
         if original_kind == "query_complete":
             # Nothing to retransmit (the peer's participation is only
@@ -413,30 +397,37 @@ class CoDBNode:
             self.registrations_lost(payload.get("register", ()))
             return
         if original_kind == "invalidation":
-            # Conservative fallback either way: a bounced registration
-            # means we are NOT registered upstream (re-register on the
-            # next fill); a bounced data invalidation means the
-            # importer may now be stale without knowing — drop its
-            # registration so the next change floods rows instead.
-            rule_id = payload.get("rule_id", "")
             if payload.get("op") == "register":
-                self.registrations_lost([rule_id])
-            else:
-                incoming = self.links.incoming.get(rule_id)
+                # We are NOT registered upstream: re-register on the
+                # next fill.
+                self.registrations_lost([payload.get("rule_id", "")])
+                return
+            # The importer may now be stale without knowing.  Un-note
+            # what it was not told, so the next write to those heads
+            # notifies it again.  Its interest stays: dropping it would
+            # strand an importer that still believes it is registered
+            # (a departed one loses it through ``peer_down``).
+            for notice in payload.get("notices", ()):
+                incoming = self.links.incoming.get(notice.get("rule_id", ""))
                 if incoming is not None:
-                    incoming.cache_interest = False
-                    incoming.notified.clear()
+                    incoming.notified.difference_update(
+                        notice.get("relations", ())
+                    )
             return
         computation_id = payload.get("update_id") or payload.get("query_id")
+        # The session hears of the loss before the deficit drains: that
+        # may complete the root, and its report must name the peer.
         if original_kind in ("query_request", "query_data"):
-            # Before the deficit drains: that may complete the root.
             self.queries.on_bounce(original_kind, payload)
-        if original_kind in ("update_request", "query_result", "link_closed",
-                             "query_request", "query_data"):
-            if computation_id:
-                self.termination.on_bounce(computation_id, dead_peer)
-        if original_kind in ("update_request", "query_result", "link_closed"):
+        elif original_kind in (
+            "update_request", "query_result", "link_closed"
+        ):
             self.updates.on_peer_unreachable(computation_id or "", dead_peer)
+        else:
+            return
+        if computation_id:
+            self.termination.on_bounce(computation_id, dead_peer)
+            self.updates.maybe_finalize_after_failure(computation_id)
 
     def _spend_resend(
         self, kind: str, peer: str, computation_id: str
@@ -471,10 +462,11 @@ class CoDBNode:
     def cache_fault_fallback(self, peer: str) -> None:
         """Conservative cache fallback on any reachability change
         involving *peer* (failure-detector notice, bounced session
-        traffic): a recompute could legitimately answer differently
-        than any cached fill — flood (drop everything) rather than
-        risk serving an answer the lost peer contributed to, and reset
-        the interest protocol on the links toward it."""
+        traffic, a healed partition, a rejoin): a recompute could
+        legitimately answer differently than any cached fill — flood
+        (drop everything) rather than risk serving an answer the lost
+        peer contributed to, and reset the interest protocol on the
+        links toward it."""
         self.cache.bump_all()
         for link in self.links.outgoing.values():
             if link.remote == peer:
@@ -491,9 +483,9 @@ class CoDBNode:
         whose importer registered cache interest.
 
         This is THE mutation hook: every write path — local insert,
-        ``load_facts``, update-session delta ingest, continuous-mode
-        push ingest, query-time import — routes its changed relations
-        through here (callers hold the node lock).  One call is one
+        ``load_facts``, update-session delta ingest, query-time
+        import — routes its changed relations through here (callers
+        hold the node lock).  One call is one
         flush window: the per-link notices it produces are coalesced
         into a single message per importer, so a write burst that
         stales several rules toward one peer costs one message, not one
@@ -529,16 +521,10 @@ class CoDBNode:
                 for link, heads in batch
             ]
         }
-        sent = self.endpoint.try_send(remote, "invalidation", payload)
-        if sent is None:
-            # The importer left: flood fallback on re-acquaintance.
-            for link, _heads in batch:
-                link.cache_interest = False
-                link.notified.clear()
-        else:
-            self.invalidations_sent += len(batch)
-            self.invalidation_batches += 1
-            self.invalidations_coalesced += len(batch) - 1
+        self.endpoint.send(remote, "invalidation", payload)
+        self.invalidations_sent += len(batch)
+        self.invalidation_batches += 1
+        self.invalidations_coalesced += len(batch) - 1
 
     def _spend_interest_lease(self, link) -> None:
         """One suppressed event against *link*'s registration: draw on
@@ -559,22 +545,14 @@ class CoDBNode:
         link.notified.clear()
         self.interest_leases_expired += 1
         heads = list(link.rule.mapping.head_relations())
-        sent = self.endpoint.try_send(
-            link.remote,
-            "invalidation",
-            {"rule_id": link.rule_id, "relations": heads},
-        )
-        if sent is not None:
-            self.invalidations_sent += 1
-            self.invalidation_batches += 1
+        self._send_invalidations(link.remote, [(link, heads)])
 
     def register_cache_interest(self, relations: Iterable[str]) -> None:
         """Register CUP-style invalidation interest upstream on every
         outgoing link whose rule head feeds *relations* (the body of an
         answer this node just cached).  The upstream side will send a
-        compact ``invalidation`` — instead of eager row pushes — when
-        its data changes; this node pulls afresh on the cache miss.
-        The registration carries this node's
+        compact ``invalidation`` when its data changes; this node pulls
+        afresh on the cache miss.  The registration carries this node's
         ``config.interest_lease_events`` as a renewable suppression
         lease (see :class:`NodeConfig`).
 
@@ -599,8 +577,7 @@ class CoDBNode:
 
     def _send_registration(self, remote: str, rule_id: str, lease: int) -> None:
         payload = {"op": "register", "rule_id": rule_id, "lease": lease}
-        if self.endpoint.try_send(remote, "invalidation", payload) is None:
-            self.registrations_lost([rule_id])
+        self.endpoint.send(remote, "invalidation", payload)
 
     def take_registrations(self, remote: str) -> dict[str, int] | None:
         """The registrations owed to *remote* in this delivery, for a
@@ -656,14 +633,13 @@ class CoDBNode:
         ``op="register"`` — a registration no ``query_complete``
         carried (see :meth:`register_cache_interest`); it is applied by
         :meth:`apply_registration`.  Anything else is a data
-        invalidation *to* us — a flush window's notices under
-        ``"notices"``, or the single notice an expired lease sends:
-        data we imported through the named outgoing links went stale
-        upstream — void the fills of our cached roots in flight that
-        read them, bump the head relations' epochs (cascading to our
-        own registrants, themselves batched because the cascade is one
-        ``bump_epochs`` call) and drop our registrations so the next
-        cache fill re-registers.
+        invalidation *to* us — a flush window's notices (an expired
+        lease sends one) under ``"notices"``: data we imported through
+        the named outgoing links went stale upstream — void the fills
+        of our cached roots in flight that read them, bump the head
+        relations' epochs (cascading to our own registrants, themselves
+        batched because the cascade is one ``bump_epochs`` call) and
+        drop our registrations so the next cache fill re-registers.
         """
         payload = message.payload
         if payload.get("op") == "register":
@@ -672,12 +648,9 @@ class CoDBNode:
                 int(payload.get("lease", self.config.interest_lease_events)),
             )
             return
-        notices = payload.get("notices")
-        if notices is None:
-            notices = [payload]
         schema = self.wrapper.schema
         stale: set[str] = set()
-        for notice in notices:
+        for notice in payload["notices"]:
             self.invalidations_received += 1
             outgoing = self.links.outgoing.get(notice.get("rule_id", ""))
             if outgoing is not None:
@@ -696,7 +669,6 @@ class CoDBNode:
         counters = self.cache.counters()
         counters["invalidations_sent"] = self.invalidations_sent
         counters["invalidations_received"] = self.invalidations_received
-        counters["pushes_suppressed"] = self.pushes_suppressed
         counters["invalidation_batches"] = self.invalidation_batches
         counters["invalidations_coalesced"] = self.invalidations_coalesced
         counters["interest_leases_expired"] = self.interest_leases_expired
@@ -822,26 +794,14 @@ class CoDBNode:
             return loaded
 
     def insert(self, relation: str, row: Sequence[Value]) -> bool:
-        """Insert one local row; pushes the delta downstream when the
-        node runs in continuous mode (``config.push_on_insert``)."""
+        """Insert one local row.  It reaches downstream peers with the
+        next global update or network query that reads it; importers
+        holding cached answers over it are sent an invalidation."""
         with self._lock:
             new_rows = self.wrapper.insert_new(relation, [row])
             if new_rows:
                 self.bump_epochs([relation])
-                if self.config.push_on_insert:
-                    self.push.push_deltas({relation: new_rows})
             return bool(new_rows)
-
-    def push_deltas(self, deltas: dict[str, list]) -> int:
-        """Explicitly push ``{relation: rows}`` along incoming links."""
-        with self._lock:
-            # The deltas describe rows already in the store (callers
-            # insert first); bump anyway — an extra epoch advance is
-            # harmless, a missed one would serve a stale cached answer.
-            self.bump_epochs(deltas)
-            return self.push.push_deltas(
-                {rel: [tuple(r) for r in rows] for rel, rows in deltas.items()}
-            )
 
     def rows(self, relation: str) -> list[Row]:
         with self._lock:
@@ -1079,7 +1039,7 @@ class CoDBNode:
             }
         self.endpoint.reattach()
         for peer in peers:
-            self.endpoint.try_send(peer, "rejoin", payload)
+            self.endpoint.send(peer, "rejoin", payload)
         with self._lock:
             self.admission.drain()
 
@@ -1099,23 +1059,18 @@ class CoDBNode:
         peer = message.sender
         payload = message.payload
         self._down_peers.discard(peer)
-        self.cache.bump_all()
-        for link in self.links.outgoing.values():
-            if link.remote == peer:
-                link.registered = False
+        self.cache_fault_fallback(peer)
         digests = payload.get("digests", {})
         for link in self.links.incoming.values():
             if link.remote != peer:
                 continue
-            link.cache_interest = False
-            link.notified.clear()
             link.lease_remaining = 0
             theirs = digests.get(link.rule_id)
             if theirs is None or tuple(theirs) != memory_digest(link.pushed):
                 link.forget_delivered()
         self.admission.drain()
         if not payload.get("ack"):
-            self.endpoint.try_send(
+            self.endpoint.send(
                 peer,
                 "rejoin",
                 {

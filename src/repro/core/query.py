@@ -84,7 +84,7 @@ from repro.core.links import (
     frontier_rows,
     undelivered,
 )
-from repro.errors import ProtocolError, UnknownPeerError
+from repro.errors import ProtocolError
 from repro.p2p.messages import Message
 from repro.relational.conjunctive import ConjunctiveQuery
 from repro.relational.values import Row, decode_row, encode_row, row_key
@@ -310,10 +310,7 @@ class QueryEngine:
                 # boundary: the exporter must serve it in full every
                 # time, whatever its send memory says.
                 payload["retains"] = False
-            try:
-                node.endpoint.send(remote, "query_request", payload)
-            except UnknownPeerError:
-                continue  # the acquaintance left; query what remains
+            node.endpoint.send(remote, "query_request", payload)
             node.termination.note_sent(participation.query_id, remote)
             if remote not in participation.forwarded_to:
                 participation.forwarded_to.append(remote)
@@ -416,19 +413,16 @@ class QueryEngine:
         if not rows:
             return
         node = self.node
-        try:
-            node.endpoint.send(
-                remote,
-                "query_data",
-                {
-                    "query_id": participation.query_id,
-                    "rule_id": rule_id,
-                    "rows": [encode_row(row) for row in rows],
-                    "path_len": path_len,
-                },
-            )
-        except UnknownPeerError:
-            return  # requester left; its cleanup flood will never come
+        node.endpoint.send(
+            remote,
+            "query_data",
+            {
+                "query_id": participation.query_id,
+                "rule_id": rule_id,
+                "rows": [encode_row(row) for row in rows],
+                "path_len": path_len,
+            },
+        )
         node.termination.note_sent(participation.query_id, remote)
 
     # ------------------------------------------------------------------
@@ -467,8 +461,8 @@ class QueryEngine:
         received.update(fresh_frontier)
         path_len = int(message.payload.get("path_len", 1))
 
-        # The link's lifetime fired memory, shared with the update and
-        # push paths: a frontier row mints its nulls once per link
+        # The link's lifetime fired memory, shared with the update
+        # path: a frontier row mints its nulls once per link
         # lifetime, whichever computation delivers it.  Only existential
         # heads need asking — any other head gives the same facts again
         # and ``insert_new`` drops them.  A mediator neither consults
@@ -636,10 +630,6 @@ class QueryEngine:
                 registrations = node.take_registrations(remote)
                 if registrations:
                     payload["register"] = registrations
-                try:
-                    node.endpoint.send(remote, "query_complete", payload)
-                except UnknownPeerError:
-                    if registrations:
-                        node.registrations_lost(registrations)
+                node.endpoint.send(remote, "query_complete", payload)
         # The participation is over: free its admission slot.
         node.admission.release(query_id)

@@ -106,8 +106,6 @@ PROMETHEUS_METRICS: dict[str, tuple[str, str, str]] = {
     "invalidations_received": (
         "codb_node_invalidations_received_total", "counter",
         "Compact invalidation notices received"),
-    "pushes_suppressed": ("codb_node_pushes_suppressed_total", "counter",
-                          "Continuous-mode pushes withheld for interest"),
     "invalidation_batches": (
         "codb_node_invalidation_batches_total", "counter",
         "Invalidation messages sent (each carrying >=1 notice)"),

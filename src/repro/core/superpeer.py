@@ -40,7 +40,7 @@ class SuperPeer:
         self._collections: dict[str, dict[str, list[UpdateReport]]] = {}
         self._queries_answered: dict[str, dict[str, int]] = {}
         #: collection_id -> node -> answer-cache counters (hits,
-        #: misses, invalidations, suppressed pushes — the CUP-style
+        #: misses, invalidations — the CUP-style
         #: read-side statistics the nodes report alongside §4's).
         self._cache_counters: dict[str, dict[str, dict[str, int]]] = {}
         self.rules_broadcasts = 0

@@ -106,7 +106,7 @@ from repro.core.links import (
     frontier_rows,
     undelivered,
 )
-from repro.errors import FixpointGuardError, ProtocolError, UnknownPeerError
+from repro.errors import FixpointGuardError, ProtocolError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
 from repro.relational.storage import Relation
@@ -180,15 +180,11 @@ class UpdateEngine:
         node = self.node
         update_id = self.update_id
         report = node.stats.report_for(update_id)
-        try:
-            message = node.endpoint.send(
-                remote,
-                "update_request",
-                {"update_id": update_id, "origin": self.origin, "path": path},
-            )
-        except UnknownPeerError:
-            self.on_peer_unreachable(remote)
-            return
+        message = node.endpoint.send(
+            remote,
+            "update_request",
+            {"update_id": update_id, "origin": self.origin, "path": path},
+        )
         node.termination.note_sent(update_id, remote)
         if report is not None:
             report.messages_sent += 1
@@ -248,9 +244,9 @@ class UpdateEngine:
         The session's sent-set — "we delete from Ri those tuples which
         have been already sent" (§3) — which the rows join.  Then
         teach-forward resend suppression: skip rows the link's
-        lifetime ``pushed`` memory says a previous update (or the push
-        engine) already delivered — the importer's lifetime ``fired``
-        set would drop them anyway.  Rows we do ship are taught to the
+        lifetime ``pushed`` memory says a previous update (or a
+        cleanly ended query) already delivered — the importer's
+        lifetime ``fired`` set would drop them anyway.  Rows we do ship are taught to the
         memory, tagged in the session's ``lifetime_new`` so a failure
         closure can forget them again (the healed network's next
         update must re-ship).  *skipped* rows never left the store (they sit behind the link's
@@ -300,20 +296,16 @@ class UpdateEngine:
                 for start in range(0, len(rows), batch_size)
             ]
         for batch in batches:
-            try:
-                message = node.endpoint.send(
-                    link.remote,
-                    "query_result",
-                    {
-                        "update_id": update_id,
-                        "rule_id": link.rule_id,
-                        "rows": [encode_row(row) for row in batch],
-                        "path_len": path_len,
-                    },
-                )
-            except UnknownPeerError:
-                self.on_peer_unreachable(link.remote)
-                return
+            message = node.endpoint.send(
+                link.remote,
+                "query_result",
+                {
+                    "update_id": update_id,
+                    "rule_id": link.rule_id,
+                    "rows": [encode_row(row) for row in batch],
+                    "path_len": path_len,
+                },
+            )
             node.termination.note_sent(update_id, link.remote)
             if report is not None:
                 report.messages_sent += 1
@@ -486,15 +478,11 @@ class UpdateEngine:
                 self.links.close_incoming(link.rule_id, "cascade")
                 if report is not None:
                     report.links_closed_by_cascade += 1
-                try:
-                    message = node.endpoint.send(
-                        link.remote,
-                        "link_closed",
-                        {"update_id": update_id, "rule_id": link.rule_id},
-                    )
-                except UnknownPeerError:
-                    progressed = True
-                    continue  # importer left; nothing to notify
+                message = node.endpoint.send(
+                    link.remote,
+                    "link_closed",
+                    {"update_id": update_id, "rule_id": link.rule_id},
+                )
                 node.termination.note_sent(update_id, link.remote)
                 if report is not None:
                     report.messages_sent += 1
@@ -901,14 +889,11 @@ class UpdateManager:
         # finalize still-active sessions downstream (they arm instead).
         for remote in node.links.acquaintances():
             if remote != forwarded_from:
-                try:
-                    node.endpoint.send(
-                        remote,
-                        "update_complete",
-                        {"update_id": update_id, "cause": cause},
-                    )
-                except UnknownPeerError:
-                    continue  # departed peers need no completion notice
+                node.endpoint.send(
+                    remote,
+                    "update_complete",
+                    {"update_id": update_id, "cause": cause},
+                )
         # Free this session's admission slot (drains the queue) and
         # signal completion to any request handles / waiting drivers.
         node.admission.release(update_id)

@@ -22,6 +22,15 @@ handled only after the run before it (even when that run's handler
 raises), and when the scope closes, before the outbox leaves.  Outside a delivery a message is a run of
 one.  A run is therefore at most what one delivery carried, and how a
 transport splits bursts changes only how many runs there are.
+
+Finally, a send never raises for its recipient.  A transport raises
+:class:`~repro.errors.UnknownPeerError` for a recipient that is not on
+the network (it left, never joined, or the wire refused the burst);
+the endpoint is the one place that catches it, and turns each message
+into an ``undeliverable`` bounce back to the sender
+(:meth:`~repro.p2p.transport.Transport.bounce`) — the same notice a
+message lost in flight produces.  So a protocol learns that a peer is
+gone in exactly one way.
 """
 
 from __future__ import annotations
@@ -191,9 +200,10 @@ class Endpoint:
                 self._send_burst(messages)
 
     def _send_burst(self, messages: list[Message]) -> None:
-        """Hand one recipient's messages to the transport.  They were
-        accepted when the recipient was on the network; if it is gone
-        by now, or the wire refuses, each comes back as a bounce."""
+        """Hand one recipient's messages to the transport.  If the
+        recipient is not on the network, or the wire refuses, each
+        comes back as a bounce: this is the one place the transport's
+        :class:`~repro.errors.UnknownPeerError` is caught."""
         transport = self.transport
         try:
             if len(messages) == 1:
@@ -209,9 +219,10 @@ class Endpoint:
     def send(self, recipient: str, kind: str, payload: dict[str, Any]) -> Message:
         """Build, stamp and send one message; returns it (for stats).
 
-        Raises :class:`~repro.errors.UnknownPeerError` when *recipient*
-        is not on the network — also during a delivery, where the
-        message itself only leaves with its burst."""
+        Never raises for the recipient: one that is not on the network
+        gets the message all the same, and it comes back to this peer
+        as an ``undeliverable`` — at once outside a delivery, when the
+        burst leaves inside one."""
         message = Message(
             kind=kind,
             sender=self.peer_id,
@@ -220,24 +231,12 @@ class Endpoint:
             message_id=self.ids.message_id(),
         )
         if not self.delivering():
-            self.transport.send(message)
+            self._send_burst([message])
         elif recipient in self._outbox:
             self._outbox[recipient].append(message)
-        elif self.transport.is_registered(recipient):
-            self._outbox[recipient] = [message]
         else:
-            raise UnknownPeerError(recipient)
+            self._outbox[recipient] = [message]
         return message
-
-    def try_send(
-        self, recipient: str, kind: str, payload: dict[str, Any]
-    ) -> Message | None:
-        """Like :meth:`send`, but returns ``None`` when the recipient
-        has left the network instead of raising (dynamic topologies)."""
-        try:
-            return self.send(recipient, kind, payload)
-        except UnknownPeerError:
-            return None
 
     def detach(self) -> None:
         self.transport.unregister(self.peer_id)

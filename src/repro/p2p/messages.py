@@ -100,7 +100,6 @@ KINDS = (
     "query_data",           # query-time answering results (never empty)
     "query_complete",       # query-time cleanup flood; may carry the
                             # sender's cache registrations ("register")
-    "push_delta",           # continuous-mode delta push (subscriptions)
     "invalidation",         # CUP-style invalidation; a registration
                             # no query_complete carried (op=register)
     "stats_request",        # super-peer statistics collection (§4)

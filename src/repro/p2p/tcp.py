@@ -416,7 +416,7 @@ class TcpNetwork(Transport):
     def remove_remote_peer(self, peer_id: str) -> None:
         """Forget a remote peer (its process died or left): subsequent
         sends raise :class:`~repro.errors.UnknownPeerError`, which the
-        engines treat as a peer failure."""
+        sending endpoint turns into an ``undeliverable`` bounce."""
         self._remote_ports.pop(peer_id, None)
         # Scan under _connections_lock: sender threads insert into
         # _send_locks (setdefault) under the same lock concurrently.
@@ -493,8 +493,8 @@ class TcpNetwork(Transport):
                     written += len(burst)
         except OSError as exc:
             # A remote worker died between the port lookup and the
-            # write: surface the failure as an unknown peer, the
-            # engines' failure path.
+            # write: surface the failure as an unknown peer, which the
+            # sending endpoint bounces.
             raise UnknownPeerError(recipient) from exc
         finally:
             if local and written < total:

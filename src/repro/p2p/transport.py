@@ -236,7 +236,9 @@ class Transport:
         """Send *messages* — same sender, same recipient, in order — as
         one burst.  Raises :class:`~repro.errors.UnknownPeerError`
         before anything is sent when the recipient is not on the
-        network.  The default splits the burst into single sends."""
+        network; :class:`~repro.p2p.endpoint.Endpoint` catches it and
+        bounces the burst, so no protocol sees it.  The default splits
+        the burst into single sends."""
         for message in messages:
             self.send(message)
 

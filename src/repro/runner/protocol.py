@@ -50,7 +50,7 @@ COMMANDS = (
     "connect",          # install {peer: port} for every sibling worker
     "load_facts",       # bulk-load {relation: [encoded rows]}
     "set_rules",        # install a rule-file payload (node filters relevance)
-    "insert",           # one local row (continuous-mode feeds)
+    "insert",           # one local row
     "submit_update",    # submit a global update; returns its id
     "submit_query",     # submit a network query; returns its id
     "cancel",           # withdraw a queued request by id

@@ -149,19 +149,6 @@ class TestInterestProtocol:
         assert net.node("N0").invalidations_received >= 1
         assert (3,) in net.query("N0", QUERY, mode="network")
 
-    def test_interest_suppresses_push_shipping(self):
-        """With continuous push on, a registered-interest link gets the
-        compact invalidation, not the rows (they re-ship lazily on the
-        next read)."""
-        config = NodeConfig(push_on_insert=True)
-        net = build_chain(2, config=config)
-        net.query("N0", QUERY, mode="network")
-        net.node("N1").insert("item", (3,))
-        net.run()
-        pusher = net.node("N1")
-        assert pusher.pushes_suppressed == 1
-        assert (3,) in net.query("N0", QUERY, mode="network")
-
     def test_cache_off_knob_per_query(self):
         net = build_chain(2)
         net.query("N0", QUERY, mode="network", cache=False)
@@ -228,7 +215,6 @@ class TestCountersSurfacing:
         assert totals["cache_hits"] == 1
         assert totals["cache_entries"] == 1
         assert "invalidations_sent" in totals
-        assert "pushes_suppressed" in totals
 
     def test_superpeer_aggregates_cache_counters(self):
         net = build_chain(2)

@@ -1,0 +1,87 @@
+"""A data invalidation that bounces.
+
+An exporter remembers which of an importer's head relations it has
+already invalidated (``IncomingLink.notified``) and tells it nothing
+more about them until the importer registers again.  When the notice
+bounces, the importer was told nothing: the exporter un-notes those
+heads and keeps the importer's interest, so the next write that is
+delivered tells it.  A cached read after that write equals the
+uncached one — for the template that filled the cache and for a
+sibling answered through the fresh-miss path alike.
+"""
+
+from repro import CoDBNetwork
+from repro.p2p.faults import FaultInjector, MessageLoss
+
+QUERY = "q(x) <- item(x)"
+SIBLING = "q(x) <- item(x), x > 0"
+ALL = [(1,), (2,), (3,), (4,)]
+
+
+def build():
+    """The chain ``N0 <- N1``, with ``N1`` holding ``{1, 2}``."""
+    net = CoDBNetwork(seed=3, with_superpeer=False)
+    net.add_node("N0", "item(k: int)")
+    net.add_node("N1", "item(k: int)", facts={"item": [(1,), (2,)]})
+    net.add_rule("N0:item(k) <- N1:item(k)")
+    net.start()
+    return net
+
+
+def read(net, query=QUERY, **kwargs):
+    return sorted(net.query("N0", query, mode="network", **kwargs))
+
+
+def served_link(net):
+    (link,) = net.node("N1").links.incoming.values()
+    return link
+
+
+def fill(net):
+    assert read(net) == [(1,), (2,)]
+    net.run()  # the registration settles
+    assert served_link(net).cache_interest
+
+
+def bounce_one_invalidation(net):
+    """Write 3 at ``N1`` while every invalidation bounces."""
+    loss = MessageLoss(1.0, retries=0, kinds=("invalidation",))
+    net.transport.install_faults(FaultInjector(loss, seed=1))
+    net.node("N1").insert("item", (3,))
+    net.run()
+    assert loss.bounced == 1
+    return loss
+
+
+class TestABouncedInvalidation:
+    def test_the_exporter_unnotes_and_keeps_the_interest(self):
+        net = build()
+        fill(net)
+        bounce_one_invalidation(net)
+        link = served_link(net)
+        assert link.cache_interest
+        assert not link.notified
+
+    def test_the_next_delivered_write_reaches_a_cached_read(self):
+        net = build()
+        fill(net)
+        loss = bounce_one_invalidation(net)
+        loss.probability = 0.0
+        net.node("N1").insert("item", (4,))
+        net.run()
+        # Cached first: an uncached read imports, which would heal it.
+        cached = read(net)
+        assert cached == read(net, cache=False) == ALL
+
+    def test_a_sibling_through_the_fresh_miss_path(self):
+        net = build()
+        fill(net)
+        cache = net.node("N0").cache
+        assert read(net, SIBLING) == [(1,), (2,)]
+        assert cache.fresh_served == 1  # answered from the fill's import
+        loss = bounce_one_invalidation(net)
+        loss.probability = 0.0
+        net.node("N1").insert("item", (4,))
+        net.run()
+        cached = read(net, SIBLING)
+        assert cached == read(net, SIBLING, cache=False) == ALL

@@ -1,4 +1,4 @@
-"""Concurrent computations: updates, queries and pushes interleaved.
+"""Concurrent computations: updates, queries and inserts interleaved.
 
 The DBM "serves, in general, many requests concurrently" (§3): any
 number of global updates may be in flight per network, one session per
@@ -9,7 +9,7 @@ second update live.
 
 import pytest
 
-from repro import CoDBNetwork, NodeConfig
+from repro import CoDBNetwork
 
 
 def build_chain(config=None):
@@ -191,14 +191,16 @@ class TestQueriesDuringUpdates:
         assert sorted(net.node("A").network_query_answer(qa)) == ALL_ITEMS
         assert sorted(net.node("B").network_query_answer(qb)) == ALL_ITEMS
 
-    def test_push_during_query(self):
-        net = build_chain(NodeConfig(push_on_insert=True))
+    def test_insert_during_query(self):
+        net = build_chain()
         net.global_update("A")
         query_id = net.node("A").submit_query_id("q(k) <- item(k)")
+        net.transport.step()  # the request is under way
         net.node("C").insert("item", (9,))
         net.run()
-        assert net.node("A").network_query_answer(query_id) is not None
-        assert (9,) in net.node("A").rows("item")
+        answer = net.node("A").network_query_answer(query_id)
+        assert sorted(answer) == sorted([*ALL_ITEMS, (9,)])
+        assert (9,) in net.node("A").rows("item")  # the query imported it
 
 
 class TestLocalQueriesAlwaysAvailable:

@@ -4,7 +4,7 @@ propagate")."""
 
 import pytest
 
-from repro import CoDBNetwork, NodeConfig, parse_schema
+from repro import CoDBNetwork, parse_schema
 from repro.relational.wrapper import MemoryStore, SqliteStore
 
 
@@ -119,17 +119,17 @@ class TestQuarantine:
         net.global_update("SINK")
         assert net.node("SINK").rows("item") == [(5, "own")]
 
-    def test_push_quarantined_too(self):
-        config = NodeConfig(push_on_insert=True)
-        net = CoDBNetwork(seed=123, config=config)
+    def test_a_later_update_is_quarantined_too(self):
+        net = CoDBNetwork(seed=123)
         net.add_node("SRC", "item(k!, v)")
         net.add_node("DST", "item(k, v)")
         net.add_rule("DST:item(k, v) <- SRC:item(k, v)")
         net.start()
         net.global_update("DST")
         net.node("SRC").insert("item", (1, "x"))
-        net.run()
+        net.global_update("DST")
         assert net.node("DST").rows("item") == [(1, "x")]
         net.node("SRC").insert("item", (1, "y"))  # now inconsistent
-        net.run()
+        outcome = net.global_update("DST")
         assert net.node("DST").rows("item") == [(1, "x")]  # not propagated
+        assert net.node("SRC").update_report(outcome.update_id).quarantined

@@ -4,18 +4,16 @@ Batching: one write burst (one ``bump_epochs`` flush window) that
 stales several rules toward the same importer ships ONE grouped
 invalidation message, not one per link — counted by
 ``invalidation_batches`` / ``invalidations_coalesced`` in
-``lifetime_totals()``.  The single-notice shape stays on the wire:
-lease expiry sends it.
+``lifetime_totals()``.  There is one notice shape on the wire, a
+``notices`` list: lease expiry sends a list of one.
 
 Leases: a CUP-style interest registration carries an event-count lease
 (``NodeConfig.interest_lease_events``).  Every event the upstream side
-suppresses on the registrant's behalf — a notified-deduped write, a
-withheld continuous push — spends one unit; at zero the registration
-expires with a final unconditional invalidation, so an idle cached
-reader stops suppressing pushes forever.
+suppresses on the registrant's behalf — a notified-deduped write —
+spends one unit; at zero the registration expires with a final
+unconditional invalidation, so an idle cached reader does not hold its
+registration upstream forever.
 """
-
-import pytest
 
 from repro import CoDBNetwork, NodeConfig
 from repro.p2p.messages import Message
@@ -87,15 +85,8 @@ class TestBatchedInvalidations:
         assert totals["invalidations_coalesced"] == 1
         assert totals["interest_leases_expired"] == 0
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"notices": [{"rule_id": "r0", "relations": ["item"]}]},
-            {"rule_id": "r0", "relations": ["item"]},
-        ],
-        ids=["batched", "single"],
-    )
-    def test_the_importer_reads_both_notice_shapes(self, payload):
+    def test_the_importer_reads_a_notice_batch(self):
+        payload = {"notices": [{"rule_id": "r0", "relations": ["item"]}]}
         net = build_pair()
         net.query("N0", QUERY_ITEM, mode="network")
         importer = net.node("N0")
@@ -153,7 +144,7 @@ class TestInterestLeases:
         net.run()
         assert link.cache_interest and link.lease_remaining == 2
 
-    def test_expiry_ships_the_single_notice_shape(self, monkeypatch):
+    def test_expiry_ships_a_batch_of_one_notice(self, monkeypatch):
         net = build_pair(config=NodeConfig(interest_lease_events=1))
         net.query("N0", QUERY_ITEM, mode="network")
         sent = []
@@ -170,37 +161,38 @@ class TestInterestLeases:
         exporter.insert("item", (4,))  # suppressed: the lease runs out
         net.run()
         assert exporter.interest_leases_expired == 1
+        notice = {"rule_id": "r0", "relations": ["item"]}
         assert [m.payload for m in sent] == [
-            {"notices": [{"rule_id": "r0", "relations": ["item"]}]},
-            {"rule_id": "r0", "relations": ["item"]},
+            {"notices": [notice]},
+            {"notices": [notice]},  # the expiry: one shape on the wire
         ]
 
-    def test_suppressed_pushes_resume_after_expiry(self):
-        """Continuous mode: each withheld push spends the lease, and
-        once it expires rows flow to the importer again."""
-        net = build_pair(
-            config=NodeConfig(push_on_insert=True, interest_lease_events=2)
-        )
+    def test_the_next_cached_read_propagates_after_expiry(self):
+        """Once the lease expires, the importer's next cached read is a
+        miss that propagates: it sees every row written meanwhile, and
+        its fill registers again."""
+        net = build_pair(config=NodeConfig(interest_lease_events=1))
         net.query("N0", QUERY_ITEM, mode="network")
-        exporter = net.node("N1")
+        importer, exporter = net.node("N0"), net.node("N1")
         link = exporter_link(net)
 
-        # Write 1: invalidation sent; the push is withheld (spends 1).
-        exporter.insert("item", (3,))
+        exporter.insert("item", (3,))  # notice sent
         net.run()
-        assert exporter.pushes_suppressed == 1
-        assert exporter.push.pushes_sent == 0
-        assert link.lease_remaining == 1
-
-        # Write 2: the dedup-suppressed notice spends the last unit —
-        # the lease expires mid-burst and THIS write's rows are pushed.
-        exporter.insert("item", (4,))
+        exporter.insert("item", (4,))  # suppressed: the lease runs out
         net.run()
         assert exporter.interest_leases_expired == 1
-        assert exporter.push.pushes_sent == 1
-        assert exporter.pushes_suppressed == 1
-        # The pushed delta materialised downstream without any pull.
-        assert (4,) in net.node("N0").query(QUERY_ITEM)
+        assert not link.cache_interest
+        # Nothing reached the importer's store: the rows are pulled.
+        assert (4,) not in importer.rows("item")
+
+        misses = importer.cache.misses
+        sent = net.transport.stats.messages_sent
+        rows = net.query("N0", QUERY_ITEM, mode="network")
+        assert sorted(rows) == [(1,), (2,), (3,), (4,)]
+        assert importer.cache.misses == misses + 1
+        assert net.transport.stats.messages_sent > sent  # it propagated
+        net.run()
+        assert link.cache_interest and link.lease_remaining == 1
 
     def test_zero_lease_never_expires(self):
         """``interest_lease_events=0`` is the pre-lease behaviour:

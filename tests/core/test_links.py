@@ -215,13 +215,6 @@ class TestUndelivered:
         # Another update sees the in-flight keys as delivered.
         assert undelivered(link, keyed([(2,), (4,)]), set()) == ([(4,)], 1)
 
-    def test_push_teaches_without_anything_to_settle(self):
-        from repro.core.links import undelivered
-
-        link = self.link()
-        assert undelivered(link, keyed([(1,)]), None) == ([(1,)], 0)
-        assert link.pushed == {(1,)} and not link.unsettled
-
     def test_query_skips_only_settled_keys_and_holds_what_it_ships(self):
         from repro.core.links import undelivered
 

@@ -50,7 +50,6 @@ class TestNodeConstruction:
             "subsumption_dedup",
             "fixpoint_guard",
             "batch_rows",
-            "push_on_insert",
             "max_active_sessions",
             "resend_suppression",
             "answer_cache",

@@ -1,8 +1,8 @@
-"""Continuous push propagation and result batching."""
+"""Result batching and certain answers."""
 
 import pytest
 
-from repro import CoDBNetwork, MarkedNull, NodeConfig
+from repro import CoDBNetwork, NodeConfig
 
 
 def build_chain(config=None):
@@ -14,107 +14,6 @@ def build_chain(config=None):
     net.add_rule("A:item(k) <- B:item(k)")
     net.start()
     return net
-
-
-class TestPushPropagation:
-    def test_insert_pushes_through_chain(self):
-        net = build_chain(NodeConfig(push_on_insert=True))
-        net.global_update("A")  # establish materialisation
-        net.node("C").insert("item", (42,))
-        net.run()
-        assert (42,) in net.node("B").rows("item")
-        assert (42,) in net.node("A").rows("item")
-
-    def test_push_respects_rule_comparisons(self):
-        net = CoDBNetwork(seed=112, config=NodeConfig(push_on_insert=True))
-        net.add_node("S", "item(k: int)")
-        net.add_node("D", "item(k: int)")
-        net.add_rule("D:item(k) <- S:item(k), k >= 10")
-        net.start()
-        net.global_update("D")
-        net.node("S").insert("item", (5,))
-        net.node("S").insert("item", (15,))
-        net.run()
-        assert net.node("D").rows("item") == [(15,)]
-
-    def test_push_without_flag_stays_local(self):
-        net = build_chain()  # push_on_insert = False
-        net.global_update("A")
-        net.node("C").insert("item", (42,))
-        net.run()
-        assert (42,) not in net.node("A").rows("item")
-
-    def test_explicit_push_deltas(self):
-        net = build_chain()
-        net.global_update("A")
-        new = net.node("C").wrapper.insert_new("item", [(7,)])
-        sent = net.node("C").push_deltas({"item": new})
-        net.run()
-        assert sent == 1
-        assert (7,) in net.node("A").rows("item")
-
-    def test_push_dedups_against_lifetime_pushed_set(self):
-        net = build_chain(NodeConfig(push_on_insert=True))
-        net.global_update("A")
-        # (1,) already travelled during the update, which taught the
-        # link's lifetime ``pushed`` memory (resend suppression), so
-        # even the FIRST push of the same row is a wire no-op — the
-        # importer's lifetime fired-set would have dropped it anyway.
-        rows_before = sorted(net.node("B").rows("item"))
-        before = net.transport.stats.messages_sent
-        assert net.node("C").push_deltas({"item": [(1,)]}) == 0
-        net.run()
-        assert sorted(net.node("B").rows("item")) == rows_before
-        assert net.transport.stats.messages_sent == before
-        # With suppression off, update sessions keep strictly
-        # per-session sent-sets and the first push re-ships the row;
-        # the importer's fired-set still drops it on arrival.
-        legacy = build_chain(
-            NodeConfig(push_on_insert=True, resend_suppression=False)
-        )
-        legacy.global_update("A")
-        legacy_rows = sorted(legacy.node("B").rows("item"))
-        assert legacy.node("C").push_deltas({"item": [(1,)]}) == 1
-        legacy.run()
-        assert sorted(legacy.node("B").rows("item")) == legacy_rows
-        # ... and the push engine's own lifetime dedup makes every
-        # later push of the same row a wire no-op.
-        assert legacy.node("C").push_deltas({"item": [(1,)]}) == 0
-
-    def test_push_with_existentials_mints_nulls_once(self):
-        net = CoDBNetwork(seed=113, config=NodeConfig(push_on_insert=True))
-        net.add_node("S", "item(k: int)")
-        net.add_node("D", "copy(k: int, tag)")
-        net.add_rule("D:copy(k, w) <- S:item(k)")
-        net.start()
-        net.global_update("D")
-        net.node("S").insert("item", (9,))
-        net.run()
-        rows = net.node("D").rows("copy")
-        assert len(rows) == 1
-        assert isinstance(rows[0][1], MarkedNull)
-        # pushing the same row again changes nothing
-        net.node("S").push_deltas({"item": [(9,)]})
-        net.run()
-        assert len(net.node("D").rows("copy")) == 1
-
-    def test_push_counters(self):
-        net = build_chain(NodeConfig(push_on_insert=True))
-        net.global_update("A")
-        net.node("C").insert("item", (50,))
-        net.run()
-        assert net.node("C").push.pushes_sent == 1
-        assert net.node("B").push.pushes_received == 1
-        assert net.node("B").push.rows_absorbed == 1
-        assert net.node("A").push.rows_absorbed == 1
-
-    def test_push_to_dead_peer_tolerated(self):
-        net = build_chain(NodeConfig(push_on_insert=True))
-        net.global_update("A")
-        net.node("B").detach()
-        net.node("C").insert("item", (60,))  # must not raise
-        net.run()
-        assert (60,) not in net.node("A").rows("item")
 
 
 class TestBatching:

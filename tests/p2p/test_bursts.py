@@ -134,21 +134,21 @@ class TestEndpointOutbox:
         a.send("B", "k", {"n": 1})
         assert net.pending() == 1
 
-    def test_unknown_recipient_surfaces_synchronously_from_send(self):
+    def test_unknown_recipient_bounces_when_the_burst_leaves(self):
         net = InProcessNetwork()
         a, _b = self.pair(net)
-        raised = []
+        bounces = []
+        a.on("undeliverable", bounces.append)
 
         def handler(message):
-            try:
-                a.send("ghost", "k", {"n": 0})
-            except UnknownPeerError as exc:
-                raised.append(exc.peer_id)
+            a.send("ghost", "k", {"n": 0})  # held, like any send
+            a.send("ghost", "k", {"n": 1})
 
         a.on("go", handler)
         net.send(msg("B", "A", kind="go"))
         net.run_until_idle()
-        assert raised == ["ghost"]
+        assert [m.payload["payload"] for m in bounces] == [{"n": 0}, {"n": 1}]
+        assert all(m.payload["recipient"] == "ghost" for m in bounces)
 
     def test_recipient_gone_at_flush_bounces_every_message(self):
         net = InProcessNetwork()
@@ -482,12 +482,10 @@ class TestUnreadablePayloads:
             nested_stats_request(100_000),
             # AttributeError: a notice that is not an object.
             hostile_frame("invalidation", {"notices": [1]}),
-            # UnknownPeerError: the reply has nowhere to go.
-            hostile_frame("stats_request", {}, sender="Z"),
         ],
         ids=[
             "ack", "update_request", "query_request", "query_data", "nested",
-            "notice", "stranger",
+            "notice",
         ],
     )
     def test_the_node_survives_and_counts_it(self, body, monkeypatch):
@@ -510,6 +508,44 @@ class TestUnreadablePayloads:
             net.submit_global_update("A").result(5.0)
             assert net.node("A").rows("item") == [(1,)]
             assert transport.stats.frames_rejected == 1
+            assert crashed == []
+        finally:
+            net.stop()
+
+    def test_a_reply_to_a_stranger_bounces(self, monkeypatch):
+        """A request from a sender not on the network is answered; the
+        reply has nowhere to go and comes back as a bounce, so no frame
+        is rejected and the node goes on serving."""
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        net = CoDBNetwork(transport=TcpNetwork(), seed=5, with_superpeer=False)
+        try:
+            net.add_node("A", "item(k: int)")
+            net.add_node("B", "item(k: int)", facts="item(1)")
+            net.add_rule("A:item(k) <- B:item(k)")
+            net.start()
+            transport = net.transport
+            bounced = []
+            bounce = transport.bounce
+
+            def recording(message):
+                bounced.append(message)
+                bounce(message)
+
+            monkeypatch.setattr(transport, "bounce", recording)
+            with socket.create_connection(
+                ("127.0.0.1", transport.port_of("A"))
+            ) as hostile:
+                hostile.sendall(
+                    frame(hostile_frame("stats_request", {}, sender="Z"))
+                )
+                transport.wait_for(lambda: bounced, 5.0)
+            assert [(m.kind, m.recipient) for m in bounced] == [
+                ("stats_response", "Z")
+            ]
+            net.submit_global_update("A").result(5.0)
+            assert net.node("A").rows("item") == [(1,)]
+            assert transport.stats.frames_rejected == 0
             assert crashed == []
         finally:
             net.stop()

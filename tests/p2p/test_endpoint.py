@@ -3,7 +3,7 @@ and the accounting of sends."""
 
 import pytest
 
-from repro.errors import ProtocolError, UnknownPeerError
+from repro.errors import ProtocolError
 from repro.p2p.endpoint import Endpoint
 from repro.p2p.ids import IdAuthority
 from repro.p2p.inproc import InProcessNetwork
@@ -85,20 +85,31 @@ class TestSending:
         assert net.stats.bytes_sent == message.size_bytes()
         assert net.stats.by_kind == {"data": 1}
 
-    def test_unknown_recipient_raises_and_try_send_declines(self, net, ids):
+    def test_unknown_recipient_bounces_instead_of_raising(self, net, ids):
         a = endpoint(net, ids, "A")
-        with pytest.raises(UnknownPeerError):
-            a.send("ghost", "x", {})
-        assert a.try_send("ghost", "x", {}) is None
-        assert net.stats.messages_sent == 0
+        bounces = []
+        a.on("undeliverable", bounces.append)
+        message = a.send("ghost", "x", {"n": 1})
+        assert message.recipient == "ghost"
+        assert net.stats.messages_sent == 0  # never on the wire
+        net.run_until_idle()
+        assert [
+            (m.payload["kind"], m.payload["recipient"], m.payload["payload"])
+            for m in bounces
+        ] == [("x", "ghost", {"n": 1})]
 
-    def test_detached_peer_is_unknown_until_it_reattaches(self, net, ids):
+    def test_detached_peer_bounces_until_it_reattaches(self, net, ids):
         a = endpoint(net, ids, "A")
         b = endpoint(net, ids, "B")
         got = []
         b.on("x", lambda m: got.append(m.payload["n"]))
+        bounces = []
+        a.on("undeliverable", bounces.append)
+        a.on_default(lambda m: None)  # B's departure notice
         b.detach()
-        assert a.try_send("B", "x", {"n": 0}) is None
+        a.send("B", "x", {"n": 0})
+        net.run_until_idle()
+        assert [m.payload["payload"] for m in bounces] == [{"n": 0}]
         b.reattach()
         a.send("B", "x", {"n": 1})
         net.run_until_idle()

@@ -8,7 +8,6 @@ duplicate suppression.
 
 import pytest
 
-from repro.errors import UnknownPeerError
 from repro.p2p.endpoint import Endpoint
 from repro.p2p.faults import (
     Duplication,
@@ -348,8 +347,10 @@ class TestDeliveryHooks:
         a.send("B", "data", {"i": 0})
         net.run_until_idle()
         assert "B" not in net.peers()
-        with pytest.raises(UnknownPeerError):
-            a.send("B", "data", {"i": 1})
+        a.send("B", "data", {"i": 1})  # never raises: it bounces
+        net.run_until_idle()
+        bounced = [m for m in log if m.kind == "undeliverable"]
+        assert [m.payload["payload"] for m in bounced] == [{"i": 1}]
 
 
 class TestLatencyAndChannelModels:

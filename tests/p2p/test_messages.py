@@ -59,8 +59,7 @@ KIND_PAYLOADS = {
         "rows": ROWS,
     },
     "query_complete": {"query_id": "query-ab12cd-0000"},
-    "push_delta": {"rule_id": "r0", "rows": ROWS},
-    "invalidation": {"rule_id": "r0", "relations": ["resident"]},
+    "invalidation": {"notices": [{"rule_id": "r0", "relations": ["resident"]}]},
     "stats_request": {"collection_id": "msg-ab12cd-0009"},
     "stats_response": {
         "node": "TN",

@@ -1,0 +1,91 @@
+"""One failure seam: a send never raises for its recipient.
+
+A peer that left the network, or never joined it, is learnt about in
+one way only: the message comes back to its sender as exactly one
+``undeliverable``.  That holds on both transports, for a send made
+from a handler (held in the delivery's outbox until the burst leaves)
+and for one made from a driver thread (straight out).  The protocol
+modules under ``repro.core`` therefore never handle the transport's
+``UnknownPeerError`` themselves.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro.core
+from repro.p2p.endpoint import Endpoint
+from repro.p2p.ids import IdAuthority
+from repro.p2p.inproc import InProcessNetwork
+from repro.p2p.tcp import TcpNetwork
+
+
+@pytest.fixture(params=["inproc", "tcp"])
+def transport(request):
+    if request.param == "inproc":
+        yield InProcessNetwork(seed=1)
+        return
+    network = TcpNetwork()
+    try:
+        yield network
+    finally:
+        network.stop()
+
+
+@pytest.mark.parametrize("gone", ["departed", "never_registered"])
+@pytest.mark.parametrize("sent_from", ["handler", "driver"])
+def test_a_send_to_a_gone_peer_bounces_exactly_once(transport, gone, sent_from):
+    ids = IdAuthority(seed=1)
+    a = Endpoint("A", transport, ids)
+    b = Endpoint("B", transport, ids)
+    bounces = []
+    a.on("undeliverable", bounces.append)
+    a.on_default(lambda message: None)  # the departure notice
+    target = "ghost"
+    if gone == "departed":
+        target = "C"
+        Endpoint("C", transport, ids).detach()
+    if sent_from == "handler":
+        a.on("go", lambda message: a.send(target, "k", {"n": 1}))
+        b.send("A", "go", {})
+    else:
+        message = a.send(target, "k", {"n": 1})
+        assert message.recipient == target
+    transport.wait_for(lambda: bounces, 5.0)
+    transport.run_until_idle()
+    assert [
+        (m.kind, m.payload["kind"], m.payload["recipient"], m.payload["payload"])
+        for m in bounces
+    ] == [("undeliverable", "k", target, {"n": 1})]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier *tree* mentions: names, attributes, imports."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+            if node.asname:
+                names.add(node.asname)
+    return names
+
+
+class TestNoSecondFailurePath:
+    def test_no_core_module_names_unknown_peer_error(self):
+        modules = sorted(Path(repro.core.__file__).parent.glob("*.py"))
+        assert modules
+        offenders = [
+            path.name
+            for path in modules
+            if {"UnknownPeerError", "try_send"}
+            & _names(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert offenders == []
+
+    def test_the_endpoint_has_no_try_send(self):
+        assert not hasattr(Endpoint, "try_send")
