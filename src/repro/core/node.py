@@ -129,8 +129,9 @@ class CoDBNode:
     """One coDB peer.  See module docstring."""
 
     #: Retransmission attempts per bounced control message (ack /
-    #: update_complete) before giving up and deferring to failure
-    #: write-offs.  Bounded so a dead link can never livelock.
+    #: update_complete / data invalidation) before giving up and
+    #: deferring to failure write-offs.  Bounded so a dead link can
+    #: never livelock.
     RESEND_LIMIT = 5
 
     def __init__(
@@ -157,7 +158,8 @@ class CoDBNode:
         #: its deficits were written off when the notice arrived.
         self._down_peers: set[str] = set()
         #: Bounded retransmission ledger for bounced control messages,
-        #: keyed by (kind, peer, computation_id).
+        #: keyed by (kind, peer, computation_id) — by rule id for an
+        #: invalidation notice.
         self._resend_budget: dict[tuple[str, str, str], int] = {}
         #: Serialises this node's DBM: over TCP, the delivery thread
         #: runs handlers while the driver thread calls the public API
@@ -301,15 +303,33 @@ class CoDBNode:
     def _flush_owed(self) -> None:
         """End of a delivery: pay what it ran up (it joins the bursts
         that are about to leave) — first the registrations no
-        completion carried, then the acks."""
+        completion carried, then a query participation's tree ack on
+        its last ``query_data``, then the acks."""
         if self._owed_registrations:
             registrations, self._owed_registrations = self._owed_registrations, {}
             for remote, owed_here in registrations.items():
                 for rule_id, lease in owed_here.items():
                     self._send_registration(remote, rule_id, lease)
+        if self.queries.last_data:
+            with self._lock:
+                self._finish_with_last_data()
         owed, self._owed_acks = self._owed_acks, {}
         for (recipient, computation_id), count in owed.items():
             self._emit_ack(recipient, computation_id, count)
+
+    def _finish_with_last_data(self) -> None:
+        """A participant whose whole deficit is the ``query_data`` it
+        queued to its parent in this delivery lets that message carry
+        its tree ack: ``"fin": true``, and ``"partial": true`` when it
+        is unclean, as its ack would say (:mod:`repro.core.termination`)."""
+        last, self.queries.last_data = self.queries.last_data, {}
+        for query_id, message in last.items():
+            if not self.termination.finish_with(query_id, message.recipient):
+                continue
+            payload = {**message.payload, "fin": True}
+            if self.queries.is_partial(query_id):
+                payload["partial"] = True
+            self.endpoint.amend_queued(message, payload)
 
     def _emit_ack(self, recipient: str, computation_id: str, count: int) -> None:
         # ``count`` omitted means 1: a single ack is the frame it
@@ -376,9 +396,7 @@ class CoDBNode:
             # livelock the simulator: once it runs out, the far side's
             # own failure handling covers the deficit.
             computation_id = payload.get("computation_id", "")
-            if dead_peer not in self._down_peers and self._spend_resend(
-                "ack", dead_peer, computation_id
-            ):
+            if self._may_resend("ack", dead_peer, computation_id):
                 self.send_ack(
                     dead_peer, computation_id, int(payload.get("count", 1))
                 )
@@ -386,7 +404,7 @@ class CoDBNode:
         if original_kind == "update_complete":
             # Same retransmission logic for the completion flood: a
             # lost update_complete would strand the subtree behind it.
-            if dead_peer not in self._down_peers and self._spend_resend(
+            if self._may_resend(
                 "update_complete", dead_peer, payload.get("update_id", "")
             ):
                 self.endpoint.send(dead_peer, "update_complete", payload)
@@ -402,17 +420,37 @@ class CoDBNode:
                 # next fill.
                 self.registrations_lost([payload.get("rule_id", "")])
                 return
-            # The importer may now be stale without knowing.  Un-note
-            # what it was not told, so the next write to those heads
-            # notifies it again.  Its interest stays: dropping it would
-            # strand an importer that still believes it is registered
-            # (a departed one loses it through ``peer_down``).
+            # The importer may now be stale without knowing.  Tell it
+            # again, within the budget (per rule id), unless it was
+            # reported down.  Once the budget is spent, un-note what it
+            # was not told, so the next write to those heads notifies
+            # it again.  Its interest stays: dropping it would strand
+            # an importer that still believes it is registered (a
+            # departed one loses it through ``peer_down``).
+            resend = []
             for notice in payload.get("notices", ()):
-                incoming = self.links.incoming.get(notice.get("rule_id", ""))
+                rule_id = notice.get("rule_id", "")
+                if self._may_resend("invalidation", dead_peer, rule_id):
+                    resend.append(notice)
+                    continue
+                incoming = self.links.incoming.get(rule_id)
                 if incoming is not None:
                     incoming.notified.difference_update(
                         notice.get("relations", ())
                     )
+            if resend:
+                self.endpoint.send(dead_peer, "invalidation", {"notices": resend})
+            return
+        if original_kind == "query_data" and payload.get("fin"):
+            # It carried our tree ack, and it left our deficit when it
+            # was sent: draining on its bounce would take an unrelated
+            # message off.  The parent still waits for that ack, and the
+            # data did not arrive: re-send the ack, partial (the bounce
+            # left the participation unclean).
+            self.queries.on_bounce(original_kind, payload)
+            query_id = payload.get("query_id", "")
+            if self._may_resend("ack", dead_peer, query_id):
+                self.send_ack(dead_peer, query_id)
             return
         computation_id = payload.get("update_id") or payload.get("query_id")
         # The session hears of the loss before the deficit drains: that
@@ -429,13 +467,15 @@ class CoDBNode:
             self.termination.on_bounce(computation_id, dead_peer)
             self.updates.maybe_finalize_after_failure(computation_id)
 
-    def _spend_resend(
-        self, kind: str, peer: str, computation_id: str
-    ) -> bool:
+    def _may_resend(self, kind: str, peer: str, computation_id: str) -> bool:
         """Draw one unit of retransmission budget for a bounced control
-        message.  Returns False once the budget for this (kind, peer,
-        computation) is spent — the caller then drops the message and
-        relies on failure write-offs for termination."""
+        message.  Returns False toward a peer the failure detector
+        reported down (it wrote those deficits off), and once the
+        budget for this (kind, peer, computation) is spent — the caller
+        then drops the message and relies on failure write-offs for
+        termination."""
+        if peer in self._down_peers:
+            return False
         key = (kind, peer, computation_id)
         used = self._resend_budget.get(key, 0)
         if used >= self.RESEND_LIMIT:

@@ -48,10 +48,20 @@ acked anyway.  (The update path always sends its ``query_result``:
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
 floods ``query_complete`` along the request tree for cleanup.  A
-participation that lost a shipment says so on every ack it sends
-(``"partial": true``, on unclean acks only); its parent's deferred ack
-leaves only after that ack drained its deficit, so the root knows
-before it completes.
+participant whose whole deficit is the ``query_data`` it just queued
+to its parent lets that shipment carry its tree ack (``"fin": true``;
+:mod:`repro.core.termination`), so a propagating miss down a chain
+whose tail alone has rows to ship sends no ``ack`` at all.  A
+participation that lost a shipment says so on every ack it sends, and
+on a ``fin`` shipment (``"partial": true``, when unclean only); its
+parent's deferred ack leaves only after that ack drained its deficit,
+so the root knows before it completes.  A flood that ends the query
+early, while its sender still waits for an ack, says ``partial`` too:
+a ``fin`` shipment on its way may be dropped unread.
+
+A locally inconsistent node serves no rows — so it forwards no
+request either — and relays nothing it imports (§1d, as for an
+update): its participation is unclean, so no cache fills from it.
 
 Because the data migrates, a miss need not propagate either.  A cached
 query whose root ends clean fills the answer cache *and* stamps its
@@ -117,6 +127,9 @@ class QueryParticipation:
     received: dict[str, set] = field(default_factory=dict)
     #: Neighbours we forwarded requests to (cleanup flood follows them).
     forwarded_to: list[str] = field(default_factory=list)
+    #: The store broke a key constraint while this ran: it served and
+    #: relayed nothing (§1d), so it is unclean too.
+    quarantined: bool = False
 
 
 @dataclass
@@ -144,6 +157,10 @@ class QueryEngine:
         #: Roots in flight, and answers completed but not yet taken.
         self.roots: dict[str, RootQuery] = {}
         self.answers: dict[str, list[Row]] = {}
+        #: query id -> the last ``query_data`` the open delivery queued
+        #: for it: the node may let it carry its tree ack
+        #: (:meth:`CoDBNode._finish_with_last_data`).
+        self.last_data: dict[str, Message] = {}
 
     # ------------------------------------------------------------------
     # Root side
@@ -338,6 +355,7 @@ class QueryEngine:
             )
         label = [str(item) for item in message.payload.get("label", ())]
         activated_bodies: set[str] = set()
+        quarantined = self._quarantined(participation)
         # Serve from the send memory only an importer that keeps what
         # it is sent (see ``_forward_requests``).
         suppressing = node.config.resend_suppression and bool(
@@ -353,6 +371,8 @@ class QueryEngine:
             if rule_id in participation.sent:
                 continue  # already activated for this query
             participation.sent[rule_id] = set()
+            if quarantined:
+                continue
             # Watermarks vouch for rows being in ``pushed``, not for
             # their being settled: with an update's keys still in
             # flight the tail alone would miss them.
@@ -376,6 +396,18 @@ class QueryEngine:
             )
         node.stats.queries_answered += 1
         node.termination.after_processing(query_id, message.sender, tree)
+
+    def _quarantined(self, participation: QueryParticipation) -> bool:
+        """§1d, as for an update session: a locally inconsistent node
+        exports nothing.  What it withholds leaves the participation
+        unclean, so no cache fills from it; counted once per query."""
+        if self.node.wrapper.is_consistent():
+            return False
+        if not participation.quarantined:
+            participation.quarantined = True
+            participation.clean = False
+            self.node.stats.queries_quarantined += 1
+        return True
 
     def _body_epochs(self, link: IncomingLink) -> tuple:
         return self.node.cache.vector(link.rule.mapping.body_relations())
@@ -413,7 +445,7 @@ class QueryEngine:
         if not rows:
             return
         node = self.node
-        node.endpoint.send(
+        message = node.endpoint.send(
             remote,
             "query_data",
             {
@@ -424,6 +456,8 @@ class QueryEngine:
             },
         )
         node.termination.note_sent(participation.query_id, remote)
+        if node.endpoint.delivering():
+            self.last_data[participation.query_id] = message
 
     # ------------------------------------------------------------------
     # Data ingestion
@@ -441,7 +475,11 @@ class QueryEngine:
                 query_id, "query", message, self.on_query_data
             )
             return
-        tree = node.termination.on_engaging_message(query_id, message.sender)
+        # The sender's last word: it carries the sender's tree ack.
+        fin = bool(message.payload.get("fin"))
+        tree = node.termination.on_engaging_message(
+            query_id, message.sender, fin=fin
+        )
         participation = self.participations.get(query_id)
         if participation is None:
             raise ProtocolError(
@@ -512,6 +550,8 @@ class QueryEngine:
         if len(to_fire) < len(fresh_frontier):
             refired = set(link.rule.mapping.head_relations())
         changed = set(deltas)
+        if participation.sent and self._quarantined(participation):
+            changed = refired = set()
         for serving_id in participation.sent:
             serving = node.links.incoming.get(serving_id)
             if serving is None:
@@ -530,7 +570,12 @@ class QueryEngine:
                 self._unsent(participation, serving, produced),
                 path_len=path_len + 1,
             )
-        node.termination.after_processing(query_id, message.sender, tree)
+        if fin and message.payload.get("partial"):
+            # As on a partial ack: before it can complete the root.
+            self.mark_partial(query_id)
+        node.termination.after_processing(
+            query_id, message.sender, tree, fin=fin
+        )
 
     # ------------------------------------------------------------------
     # Cleanup
@@ -540,11 +585,17 @@ class QueryEngine:
         """Whether *message* is late: its query already ended here
         (only around failures).  It is dropped, but acked as partial,
         so a sender still counting it neither waits nor takes it as
-        delivered."""
+        delivered.  A ``fin`` message is not acked: it is still its
+        sender's tree ack, which a failure flood that ended the query
+        here early may be waiting for (:meth:`_cleanup`)."""
         query_id = message.payload["query_id"]
         if query_id not in self.finished:
             return False
-        self.node.send_ack(message.sender, query_id)
+        node = self.node
+        if not message.payload.get("fin"):
+            node.send_ack(message.sender, query_id)
+        elif node.termination.is_engaged(query_id):
+            node.termination.on_ack(query_id, message.sender)
         return True
 
     def on_query_complete(self, message: Message) -> None:
@@ -562,8 +613,13 @@ class QueryEngine:
             # drain the deferred senders' deficits, as partial.
             self.finished.add(query_id)
             for stray in self.node.admission.drop(query_id):
-                self.node.send_ack(stray.sender, query_id)
+                if not stray.payload.get("fin"):
+                    self.node.send_ack(stray.sender, query_id)
             return
+        if message.payload.get("partial"):
+            # A flood that ended the query early: what we shipped last
+            # without an ack (``fin``) may be dropped unread upstream.
+            participation.clean = False
         self._cleanup(participation, forwarded_from=message.sender)
 
     def on_bounce(self, kind: str, payload: dict) -> None:
@@ -613,7 +669,9 @@ class QueryEngine:
         del self.participations[query_id]
         self.finished.add(query_id)
         # Still engaged only when a failure flood ends the query early:
-        # some shipment is unacknowledged and may yet be dropped.
+        # some shipment is unacknowledged and may yet be dropped — and
+        # so may a ``fin`` shipment to us, settled at its sender: the
+        # flood tells the peers it reaches (``partial``).
         engaged = node.termination.is_engaged(query_id)
         if not engaged:
             node.termination.forget(query_id)
@@ -627,6 +685,8 @@ class QueryEngine:
         for remote in participation.forwarded_to:
             if remote != forwarded_from:
                 payload: dict = {"query_id": query_id}
+                if engaged:
+                    payload["partial"] = True
                 registrations = node.take_registrations(remote)
                 if registrations:
                     payload["register"] = registrations

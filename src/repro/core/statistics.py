@@ -64,6 +64,9 @@ PROMETHEUS_METRICS: dict[str, tuple[str, str, str]] = {
                   "Summed per-update processing time (transport clock)"),
     "queries_answered": ("codb_node_queries_answered_total", "counter",
                          "Queries answered (local and network)"),
+    "queries_quarantined": (
+        "codb_node_queries_quarantined_total", "counter",
+        "Network queries this node served nothing to, its store inconsistent"),
     "peak_concurrent_updates": (
         "codb_node_peak_concurrent_updates", "gauge",
         "Most update sessions ever simultaneously open"),
@@ -290,6 +293,9 @@ class NodeStatistics:
         self.reports: dict[str, UpdateReport] = {}
         self.queries_answered = 0
         self.network_queries_started = 0
+        #: Network-query participations quarantined (§1d): the store
+        #: broke a key constraint, so they exported nothing.
+        self.queries_quarantined = 0
         #: Rows the send memory kept off the wire on behalf of network
         #: queries (update sessions count theirs in their reports).
         self.query_rows_suppressed = 0
@@ -393,6 +399,7 @@ class NodeStatistics:
             "busy_time": sum(r.duration for r in reports),
             "peak_concurrent_updates": peak_concurrency(reports),
             "queries_answered": self.queries_answered,
+            "queries_quarantined": self.queries_quarantined,
             "sessions_deferred": self.sessions_deferred,
             "admission_queue_peak": self.admission_queue_peak,
             "live_sessions_peak": self.live_sessions_peak,

@@ -8,7 +8,8 @@ detecting exactly that is Dijkstra–Scholten acknowledgement counting,
 which this module implements, decoupled from any particular protocol:
 
 * Every *engaging* message (update request, query result, link-closed
-  notification, ...) must eventually be acknowledged by its receiver.
+  notification, ...) is acknowledged by its receiver, explicitly or —
+  for a query participant's last word — implicitly (below).
 * The first engaging message that reaches a disengaged node makes the
   sender that node's *parent*; the ack for it is deferred.
 * Every other engaging message is acknowledged once its local
@@ -24,6 +25,16 @@ which this module implements, decoupled from any particular protocol:
 * A node's *deficit* counts its own sent-but-unacked messages.  When
   an engaged node is passive (between messages) with deficit zero, it
   acknowledges its parent and disengages (it may be re-engaged later).
+* **The last word carries the ack** (:meth:`finish_with`, queries
+  only).  A non-root participant whose whole deficit, at the end of a
+  delivery, is one ``query_data`` queued to its parent marks that
+  message ``"fin": true``, takes it off its deficit and disengages:
+  the parent's ack for the data and the child's tree ack would only
+  cancel out.  The receiver never acknowledges a ``fin`` message; once
+  it is processed it counts as the sender's tree ack
+  (``after_processing(..., fin=True)``), and it engages a disengaged
+  receiver without making the sender its parent.  The rule covers a
+  single message, so no transport can split the data from its ack.
 * The computation's *root* detects termination when it is passive
   with deficit zero: at that point no message is in flight anywhere
   and every node is disengaged — the paper's condition (b) holds
@@ -97,9 +108,13 @@ class DiffusingComputation:
 
     # -- message hooks --------------------------------------------------------
 
-    def on_engaging_message(self, computation_id: str, sender: str) -> bool:
+    def on_engaging_message(
+        self, computation_id: str, sender: str, *, fin: bool = False
+    ) -> bool:
         """Record receipt of an engaging message; returns ``True`` when
-        this message is the tree edge (ack deferred).
+        this message is the tree edge (ack deferred).  A *fin* message
+        may engage this node, but its sender, already disengaged, is
+        owed nothing: no parent is adopted.
 
         Call *before* processing the message; pair each call with one
         :meth:`after_processing`.
@@ -107,18 +122,51 @@ class DiffusingComputation:
         state = self._state(computation_id)
         if not state.engaged:
             state.engaged = True
-            state.parent = sender
+            state.parent = None if fin else sender
             return True
         return False
 
     def after_processing(
-        self, computation_id: str, sender: str, was_tree_edge: bool
+        self,
+        computation_id: str,
+        sender: str,
+        was_tree_edge: bool,
+        *,
+        fin: bool = False,
     ) -> None:
-        """Ack non-tree messages; check the leave condition."""
-        state = self._state(computation_id)
-        if not was_tree_edge:
+        """Ack non-tree messages; check the leave condition.  A *fin*
+        message is never acked: it is its sender's tree ack."""
+        if fin:
+            self.on_ack(computation_id, sender)
+        elif not was_tree_edge:
             self._send_ack(sender, computation_id)
         self.check_quiescence(computation_id)
+
+    def finish_with(self, computation_id: str, recipient: str) -> bool:
+        """The sender half of an implicit ack: whether the one message
+        about to leave for *recipient* may carry this node's tree ack.
+
+        It may when this node is a non-root participant, *recipient* is
+        its parent and that message is its whole deficit.  Then the
+        message is taken off the deficit and the node disengages; the
+        caller marks the message ``fin``.  Call only while the message
+        has not left (its ack cannot have come back).
+        """
+        state = self._computations.get(computation_id)
+        if (
+            state is None
+            or not state.engaged
+            or state.is_root
+            or state.parent != recipient
+            or state.deficit != 1
+            or state.deficit_by_peer.get(recipient) != 1
+        ):
+            return False
+        state.deficit = 0
+        state.deficit_by_peer[recipient] = 0
+        state.engaged = False
+        state.parent = None
+        return True
 
     def note_sent(
         self, computation_id: str, recipient: str = "", count: int = 1

@@ -90,7 +90,8 @@ class Endpoint:
         #: themselves, not copies of their payloads).
         self._run: list[Message] = []
         #: Called when a delivery ends, before the outbox leaves: the
-        #: node's last word in the bursts (its summed acknowledgements).
+        #: node's last word in the bursts (its summed acknowledgements,
+        #: or a queued message amended to carry one).
         self.before_flush: Callable[[], None] | None = None
         transport.register(peer_id, self._dispatch, self.delivery)
 
@@ -237,6 +238,29 @@ class Endpoint:
         else:
             self._outbox[recipient] = [message]
         return message
+
+    def amend_queued(self, message: Message, payload: dict[str, Any]) -> Message:
+        """Replace *message*, still held in this delivery's outbox, by a
+        copy that carries *payload* (same id, same place in its burst);
+        returns the copy.  Nothing may have sized *message* yet: its
+        bytes would already be counted as the old payload's."""
+        queued = self._outbox.get(message.recipient, ()) if self.delivering() else ()
+        for index in range(len(queued) - 1, -1, -1):
+            if queued[index] is message:
+                break
+        else:
+            raise ProtocolError(f"{message.kind} {message.message_id!r} is not queued")
+        if "_wire" in message.__dict__:
+            raise ProtocolError(f"{message.kind} {message.message_id!r} was sized")
+        amended = Message(
+            kind=message.kind,
+            sender=message.sender,
+            recipient=message.recipient,
+            payload=payload,
+            message_id=message.message_id,
+        )
+        queued[index] = amended
+        return amended
 
     def detach(self) -> None:
         self.transport.unregister(self.peer_id)

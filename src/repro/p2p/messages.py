@@ -97,7 +97,8 @@ KINDS = (
     "update_complete",      # origin's completion flood (condition (b))
     "ack",                  # diffusing-computation acknowledgement
     "query_request",        # query-time answering request (§3)
-    "query_data",           # query-time answering results (never empty)
+    "query_data",           # query-time answering results (never empty);
+                            # "fin": the sender's tree ack rides on it
     "query_complete",       # query-time cleanup flood; may carry the
                             # sender's cache registrations ("register")
     "invalidation",         # CUP-style invalidation; a registration

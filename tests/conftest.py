@@ -24,6 +24,7 @@ DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
 DEEP_FILES = {
     "test_cached_reads_differential.py",
     "test_delta_serving_differential.py",
+    "test_implicit_acks.py",
 }
 if DEEP:
     settings.load_profile("deep")

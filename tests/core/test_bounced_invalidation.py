@@ -11,6 +11,7 @@ sibling answered through the fresh-miss path alike.
 """
 
 from repro import CoDBNetwork
+from repro.core.node import CoDBNode
 from repro.p2p.faults import FaultInjector, MessageLoss
 
 QUERY = "q(x) <- item(x)"
@@ -44,12 +45,13 @@ def fill(net):
 
 
 def bounce_one_invalidation(net):
-    """Write 3 at ``N1`` while every invalidation bounces."""
+    """Write 3 at ``N1`` while every invalidation bounces: the notice
+    and each of its retransmissions, until the budget is spent."""
     loss = MessageLoss(1.0, retries=0, kinds=("invalidation",))
     net.transport.install_faults(FaultInjector(loss, seed=1))
     net.node("N1").insert("item", (3,))
     net.run()
-    assert loss.bounced == 1
+    assert loss.bounced == 1 + CoDBNode.RESEND_LIMIT
     return loss
 
 

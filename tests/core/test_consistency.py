@@ -133,3 +133,46 @@ class TestQuarantine:
         outcome = net.global_update("DST")
         assert net.node("DST").rows("item") == [(1, "x")]  # not propagated
         assert net.node("SRC").update_report(outcome.update_id).quarantined
+
+
+class TestQueryQuarantine:
+    """§1d for the query path: a network query reaches an inconsistent
+    node like an update does, and gets nothing from it either."""
+
+    def build(self):
+        net = CoDBNetwork(seed=125, with_superpeer=False)
+        net.add_node("SRC", "item(k!, v)", facts="item(1, 'x'). item(1, 'y')")
+        net.add_node("DST", "item(k, v)")
+        net.add_rule("DST:item(k, v) <- SRC:item(k, v)")
+        net.start()
+        return net
+
+    def test_an_uncached_network_query_imports_nothing(self):
+        net = self.build()
+        answer = net.query("DST", "q(k, v) <- item(k, v)", mode="network", cache=False)
+        assert answer == []
+        assert net.node("DST").rows("item") == []
+        assert net.lifetime_totals()["SRC"]["queries_quarantined"] == 1
+
+    def test_a_quarantined_answer_is_not_cached(self):
+        net = self.build()
+        dst = net.node("DST")
+        assert net.query("DST", "q(k, v) <- item(k, v)", mode="network") == []
+        assert dst.cache.fills_skipped == 1
+        net.node("SRC").wrapper.delete_rows("item", [(1, "y")])  # repaired
+        answer = net.query("DST", "q(k, v) <- item(k, v)", mode="network")
+        assert answer == [(1, "x")]
+
+    def test_an_inconsistent_relay_forwards_nothing_it_imports(self):
+        net = CoDBNetwork(seed=126, with_superpeer=False)
+        net.add_node("SRC", "item(k, v)", facts="item(7, 'far')")
+        net.add_node("MID", "item(k!, v)", facts="item(1, 'x')")
+        net.add_node("DST", "item(k, v)")
+        net.add_rule("MID:item(k, v) <- SRC:item(k, v)")
+        net.add_rule("DST:item(k, v) <- MID:item(k, v)")
+        net.start()
+        assert net.query("DST", "q(k) <- item(k, v)", mode="network") == [(1,), (7,)]
+        net.node("MID").insert("item", (1, "y"))  # now inconsistent
+        net.node("SRC").insert("item", (8, "new"))
+        answer = net.query("DST", "q(k) <- item(k, v)", mode="network", cache=False)
+        assert sorted(answer) == [(1,), (7,)]

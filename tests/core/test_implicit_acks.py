@@ -1,0 +1,265 @@
+"""A query's last word carries its acknowledgement, soundly.
+
+A non-root query participant whose whole deficit, at the end of a
+delivery, is the one ``query_data`` it queued to its parent marks that
+message ``fin`` and disengages; the parent never acks it and counts it
+as the tree ack (:mod:`repro.core.termination`).  Taking an ack early
+is exactly what Dijkstra–Scholten cannot survive, so Hypothesis draws
+chains, trees and ``random_graph`` digraphs (cycles included) of 2–6
+peers, each importing ``item`` from its neighbours, and a program of
+writes and network reads at ``N0`` — cached or not, some of them under
+``MessageLoss`` on ``query_data`` and ``ack`` — and checks:
+
+* at every root completion, no ``query_request`` or ``query_data`` of
+  that query is still in flight and no peer is engaged in it;
+* a read that lost a shipment is partial and fills nothing, and the
+  next lossless read equals the uncached one;
+* at every checkpoint, cached and uncached reads equal everything
+  written.
+
+And on a chain where only the tail has anything new, a lossless read
+sends no ``ack`` at all.
+"""
+
+from __future__ import annotations
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from repro import CoDBNetwork
+from repro.p2p.faults import FaultInjector, FaultModel, MessageLoss
+from repro.workloads.topologies import ITEM_SCHEMA, random_graph
+
+#: (query, the same filter on a written key)
+TEMPLATES = (
+    ("q(k) <- item(k, v)", lambda k: True),
+    ("q(k) <- item(k, v), k >= 5", lambda k: k >= 5),
+)
+ENGAGING = ("query_request", "query_data")
+
+
+class FewLosses(MessageLoss):
+    """:class:`MessageLoss` without retries on ``query_data`` and
+    ``ack`` that bounces at most ``limit`` messages, so no
+    retransmission budget (``CoDBNode.RESEND_LIMIT`` per peer and
+    query) can run out; it remembers what it bounced."""
+
+    def __init__(self, probability: float) -> None:
+        super().__init__(probability, retries=0, kinds=("query_data", "ack"))
+        self.limit = 0
+        self.lost: list[str] = []
+
+    def on_send(self, message, verdict) -> None:
+        if len(self.lost) >= self.limit:
+            return
+        super().on_send(message, verdict)
+        if verdict.bounce:
+            self.lost.append(message.kind)
+
+
+def copy_rules(pairs) -> list[str]:
+    """``N{i}`` imports ``item`` from ``N{j}`` for every pair (i, j)."""
+    return [f"N{i}:item(k, v) <- N{j}:item(k, v)" for i, j in pairs]
+
+
+def chain(size: int) -> list[str]:
+    return copy_rules((i, i + 1) for i in range(size - 1))
+
+
+def topology(shape: str, size: int, draw) -> list[str]:
+    """Import rules over which every peer reaches ``N0``."""
+    if shape == "graph":
+        return random_graph(size, 0.4, seed=draw(st.integers(0, 50))).rule_texts
+    if shape == "chain":
+        return chain(size)
+    return copy_rules((draw(st.integers(0, child - 1)), child) for child in range(1, size))
+
+
+@st.composite
+def programs(draw):
+    size = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(["chain", "tree", "graph"]))
+    rules = topology(shape, size, draw)
+    data = {i: draw(st.lists(st.integers(0, 9), max_size=3)) for i in range(size)}
+    loss = draw(st.sampled_from([0.3, 0.6]))
+    step = st.one_of(
+        st.tuples(st.just("write"), st.integers(0, size - 1), st.integers(0, 9)),
+        st.tuples(
+            st.just("read"),
+            st.integers(0, len(TEMPLATES) - 1),
+            st.booleans(),  # cached
+            st.booleans(),  # lossy
+        ),
+        st.tuples(st.just("check")),
+    )
+    steps = draw(st.lists(step, min_size=1, max_size=10))
+    return size, rules, data, loss, steps
+
+
+def build(size, rules, data) -> CoDBNetwork:
+    net = CoDBNetwork(seed=11, with_superpeer=False)
+    for i in range(size):
+        net.add_node(f"N{i}", ITEM_SCHEMA, facts={"item": [(k, 0) for k in data[i]]})
+    net.add_rules(rules)
+    net.start()
+    return net
+
+
+class Run:
+    def __init__(self, size, rules, data, loss) -> None:
+        self.net = build(size, rules, data)
+        self.truth = {k for keys in data.values() for k in keys}
+        self.loss = FewLosses(loss)
+        self.net.transport.install_faults(FaultInjector(self.loss, seed=11))
+        #: (query id, whether the root ended clean), in completion order.
+        self.completions: list[tuple[str, bool]] = []
+        for node in self.net.nodes.values():
+            self.watch(node)
+
+    def watch(self, node) -> None:
+        engine = node.queries
+        complete = engine.root_complete
+
+        def root_complete(query_id):
+            self.assert_quiet(query_id)
+            self.completions.append((query_id, engine.participations[query_id].clean))
+            complete(query_id)
+
+        engine.root_complete = root_complete
+
+    def assert_quiet(self, query_id: str) -> None:
+        for _at, _sequence, burst in self.net.transport._queue:
+            for message in burst:
+                assert not (
+                    message.kind in ENGAGING
+                    and message.payload.get("query_id") == query_id
+                ), message
+        for name, node in self.net.nodes.items():
+            assert not node.termination.is_engaged(query_id), name
+
+    def read(self, template: int, cached: bool = True) -> list:
+        query, _keeps = TEMPLATES[template]
+        return sorted(self.net.query("N0", query, mode="network", cache=cached))
+
+    def lossy_read(self, template: int, cached: bool) -> None:
+        root = self.net.node("N0")
+        skipped, completed = root.cache.fills_skipped, len(self.completions)
+        self.loss.lost.clear()
+        self.loss.limit = 3
+        try:
+            self.read(template, cached)
+            self.net.run()
+        finally:
+            self.loss.limit = 0
+        if "query_data" not in self.loss.lost:
+            return
+        # A shipment was lost: the read is partial and fills nothing.
+        ((_query_id, clean),) = self.completions[completed:]
+        assert not clean
+        if cached:
+            assert root.cache.fills_skipped == skipped + 1
+        assert self.read(template) == self.read(template, cached=False)
+
+    def step(self, op, *args) -> None:
+        if op == "write":
+            node, value = args
+            self.net.node(f"N{node}").insert("item", (value, 0))
+            self.truth.add(value)
+            self.net.run()
+        elif op == "read":
+            template, cached, lossy = args
+            if lossy:
+                self.lossy_read(template, cached)
+            else:
+                self.read(template, cached)
+        else:
+            self.check()
+
+    def check(self) -> None:
+        self.net.run()
+        for template, (query, keeps) in enumerate(TEMPLATES):
+            truth = sorted((k,) for k in self.truth if keeps(k))
+            cached, uncached = self.read(template), self.read(template, cached=False)
+            assert cached == uncached == truth, (query, cached, uncached)
+
+
+@given(programs())
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_every_completion_is_quiet_and_every_loss_is_partial(program):
+    size, rules, data, loss, steps = program
+    run = Run(size, rules, data, loss)
+    for step in steps:
+        run.step(*step)
+    run.check()
+
+
+@given(
+    size=st.integers(2, 6),
+    tail=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+    reads=st.lists(
+        st.tuples(st.integers(0, len(TEMPLATES) - 1), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_chain_read_of_new_tail_rows_sends_no_ack(size, tail, reads):
+    """Each read follows a write of a fresh key at the tail, the only
+    peer with anything new: every participant's last word is a
+    shipment to its parent."""
+    net = build(size, chain(size), {i: tail if i == size - 1 else [] for i in range(size)})
+    stats = net.transport.stats
+    for fresh, (template, cached) in enumerate(reads, start=100):
+        if fresh > 100:
+            net.node(f"N{size - 1}").insert("item", (fresh, 0))
+            net.run()
+        query, _keeps = TEMPLATES[template]
+        acks = stats.by_kind.get("ack", 0)
+        answer = sorted(net.query("N0", query, mode="network", cache=cached))
+        net.run()
+        assert stats.by_kind.get("ack", 0) == acks
+        assert answer == sorted(net.query("N0", query, mode="network", cache=False))
+
+
+class Weather(FaultModel):
+    """Bounce *lost*'s first ``query_data``; hold *slow*'s back."""
+
+    def __init__(self, lost: str, slow: str) -> None:
+        super().__init__()
+        self.lost, self.slow, self.bounced = lost, slow, 0
+
+    def on_send(self, message, verdict) -> None:
+        if message.kind != "query_data":
+            return
+        if message.sender == self.lost and not self.bounced:
+            self.bounced += 1
+            verdict.bounce = True
+        elif message.sender == self.slow:
+            verdict.extra_delay += 0.005
+
+
+def test_a_relay_whose_last_word_follows_a_loss_says_partial():
+    """``N1`` hears ``N2``'s shipment was lost (a partial ack), then
+    relays ``N3``'s: that relay is its last word, and it must carry the
+    partial flag up, or ``N0`` would fill without ``N2``'s rows."""
+    net = build(4, copy_rules([(0, 1), (1, 2), (1, 3)]), {0: [], 1: [], 2: [2], 3: [3]})
+    weather = Weather(lost="N2", slow="N3")
+    net.transport.install_faults(FaultInjector(weather, seed=1))
+    relays = []
+
+    def record(message):
+        if message.kind == "query_data" and message.sender == "N1":
+            relays.append(message.payload)
+
+    net.transport.faults.after_delivery = record
+    root = net.node("N0")
+    assert sorted(net.query("N0", TEMPLATES[0][0], mode="network")) == [(3,)]
+    assert weather.bounced == 1
+    assert [(r["fin"], r.get("partial")) for r in relays] == [(True, True)]
+    assert root.cache.fills_skipped == 1
+    assert sorted(net.query("N0", TEMPLATES[0][0], mode="network")) == [(2,), (3,)]

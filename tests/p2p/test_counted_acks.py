@@ -199,3 +199,49 @@ class TestOneAckPerDelivery:
         assert acks_for([1, 2, 3]) == [3]
         assert acks_for([1], [2, 3]) == [1, 2]
         assert acks_for([1], [2], [3]) == [1, 1, 1]
+
+
+class TestImplicitAcks:
+    """A query participant's last ``query_data`` to its parent, when it
+    is the participant's whole deficit, carries its tree ack (``fin``)."""
+
+    def test_a_fin_message_is_not_acked_and_releases_the_tree_edge(self):
+        fabric = Fabric()
+        node = fabric.node
+        query_id = node.submit_query_id("q(k) <- item(k)", cache=False)
+        fabric.net.run_until_idle()
+        (request,) = fabric.heard  # A, the root, asked B
+        assert request.kind == "query_request"
+        assert node.termination.deficit(query_id) == 1
+        data = {"query_id": query_id, "rule_id": "r", "rows": [[1]],
+                "path_len": 1, "fin": True}
+        fabric.from_b(("query_data", data))
+        assert fabric.acks() == []
+        assert node.termination.deficit(query_id) == 0
+        assert node.network_query_answer(query_id) == [(1,)]
+
+    def test_a_bounced_fin_resends_the_tree_ack_bare_and_partial(self):
+        fabric = Fabric()
+        node = fabric.node
+        node.set_rules(
+            [CoordinationRule.from_text("s", "B:item(k) <- A:item(k)")]
+        )
+        node.load_facts({"item": [(1,)]})
+        request = {"query_id": "query-x", "origin": "B", "label": ["B"],
+                   "rule_ids": ["s"]}
+        fabric.from_b(("query_request", request))
+        (data,) = [m for m in fabric.heard if m.kind == "query_data"]
+        assert data.payload["fin"] is True and "partial" not in data.payload
+        assert fabric.acks() == []
+        assert not node.termination.is_engaged("query-x")
+        # Engaged again meanwhile, with one message of its own out to B:
+        # the bounce must not take that one off.
+        node.termination.on_engaging_message("query-x", "B")
+        node.termination.note_sent("query-x", "B")
+        fabric.from_b(
+            ("undeliverable",
+             {"kind": "query_data", "payload": data.payload, "recipient": "B"})
+        )
+        assert fabric.acks() == [{"computation_id": "query-x", "partial": True}]
+        assert node.termination.deficit("query-x") == 1
+        assert node.queries.is_partial("query-x")
