@@ -175,8 +175,8 @@ class IncomingLink:
     lease_remaining: int = 0
     #: Epoch vector of the body relations up to which a network query
     #: last served this link in full: set at its activation, carried
-    #: across a re-fire that ships the query's own import, ``()`` once
-    #: a shipment bounced, ``None`` until a query serves it.  A
+    #: across a re-fire that ships the query's own import, ``None``
+    #: until a query serves it.  A
     #: registration that finds the epochs moved since raced a write
     #: the importer's fill may lack, and is answered with an immediate
     #: invalidation.
@@ -495,8 +495,9 @@ class LinkSession:
         """This session's shipments toward the importer may never have
         arrived: forget what it taught the lifetime sent memory so the
         next update re-ships.  Called on failure closes, and again when
-        a shipment bounces *after* the link already closed cleanly —
-        the importer's ``fired`` set makes the re-send harmless."""
+        the importer is written off *after* the link already closed
+        cleanly — the importer's ``fired`` set makes the re-send
+        harmless."""
         state = self.incoming_state(rule_id)
         state.activated_at = None
         link = self.table.incoming.get(rule_id)

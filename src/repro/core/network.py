@@ -322,7 +322,7 @@ class CoDBNetwork:
                 reports,
                 # An empty BFS result means *topology* shows no cut —
                 # defer to the union of per-node views so losses the
-                # nodes detected (bounced shipments) still get named.
+                # nodes detected (peers they wrote off) still get named.
                 unreachable_peers=self._unreachable_from(origin) or None,
             ),
             wall_time=handle.finished_at - handle.started_at,

@@ -18,6 +18,7 @@ discover the topology, read reports — are the public methods.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
@@ -44,6 +45,8 @@ from repro.relational.parser import parse_facts, parse_query
 from repro.relational.schema import DatabaseSchema
 from repro.relational.values import Row, Value
 from repro.relational.wrapper import MemoryStore, Wrapper
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -128,10 +131,10 @@ class NodeConfig:
 class CoDBNode:
     """One coDB peer.  See module docstring."""
 
-    #: Retransmission attempts per bounced control message (ack /
-    #: update_complete / data invalidation) before giving up and
-    #: deferring to failure write-offs.  Bounded so a dead link can
-    #: never livelock.
+    #: Retries a peer's bounced messages get, of any kind, before the
+    #: peer is written off (:meth:`_on_undeliverable`); any delivery
+    #: from the peer refills them.  Bounded so a dead link can never
+    #: livelock.
     RESEND_LIMIT = 5
 
     def __init__(
@@ -153,14 +156,12 @@ class CoDBNode:
         self.config = config if config is not None else NodeConfig()
         #: Set when the node leaves the network (drivers skip it).
         self.detached = False
-        #: Peers a failure detector reported down (``peer_down``); a
-        #: bounced ack toward one of these is *not* retransmitted —
-        #: its deficits were written off when the notice arrived.
+        #: Peers written off (:meth:`_on_peer_down`) and not heard from
+        #: since; a message bounced toward one is not sent again.
         self._down_peers: set[str] = set()
-        #: Bounded retransmission ledger for bounced control messages,
-        #: keyed by (kind, peer, computation_id) — by rule id for an
-        #: invalidation notice.
-        self._resend_budget: dict[tuple[str, str, str], int] = {}
+        #: peer -> retries its bounced messages used since its last
+        #: delivery here; empty while nothing bounces.
+        self._resends: dict[str, int] = {}
         #: Serialises this node's DBM: over TCP, the delivery thread
         #: runs handlers while the driver thread calls the public API
         #: (start updates/queries, local inserts).  One reentrant lock
@@ -238,8 +239,13 @@ class CoDBNode:
         self.endpoint.on("rules_file", self._locked(self._on_rules_file))
         self.endpoint.on("stats_request", self._locked(self._on_stats_request))
         self.endpoint.on("undeliverable", self._locked(self._on_undeliverable))
-        self.endpoint.on("peer_down", self._locked(self._on_peer_down))
-        self.endpoint.on("invalidation", self._locked(self._on_invalidation))
+        self.endpoint.on(
+            "peer_down",
+            self._locked(lambda message: self._on_peer_down(message.payload["peer"])),
+        )
+        self.endpoint.on(
+            "invalidation", self._locked_noting_sender(self._on_invalidation)
+        )
         self.endpoint.on("rejoin", self._locked(self._on_rejoin))
 
     def _locked(self, handler):
@@ -251,8 +257,7 @@ class CoDBNode:
 
     def _locked_noting_sender(self, handler):
         """:meth:`_locked`, and hearing from a peer proves it reachable
-        again (a healed partition): ack retransmission toward it must
-        resume, and the answer cache floods conservatively."""
+        (:meth:`_note_reachable`)."""
 
         def wrapped(message: Message) -> None:
             with self._lock:
@@ -273,11 +278,14 @@ class CoDBNode:
         return wrapped
 
     def _note_reachable(self, peer: str) -> None:
-        """First contact from a peer the failure detector had written
-        off: a partition healed.  Invalidations toward us may have been
-        lost while the cut stood, so the answer cache falls back to
-        flood — every epoch advances, every entry drops — and the
-        interest protocol resets to re-register from scratch."""
+        """A delivery from *peer* refills its retry budget.  First
+        contact from a peer written off: a partition healed.
+        Invalidations toward us may have been lost while the cut stood,
+        so the answer cache falls back to flood — every epoch advances,
+        every entry drops — and the interest protocol resets to
+        re-register from scratch."""
+        if self._resends:
+            self._resends.pop(peer, None)
         if peer in self._down_peers:
             self._down_peers.discard(peer)
             self.cache_fault_fallback(peer)
@@ -368,130 +376,47 @@ class CoDBNode:
             )
 
     def _on_undeliverable(self, message: Message) -> None:
-        """A message we sent bounced — the one place any protocol
-        learns that a peer is gone.
-
-        The paper claims the algorithm terminates "even if nodes and
-        coordination rules appear or disappear during the computation"
-        (§1).  A send never fails where it is made: whatever cannot be
-        delivered — a recipient that left or never joined, a burst the
-        wire refused, a fault-injected loss — comes back here as an
-        ``undeliverable`` wrapping the original.  We drain the
-        termination deficit it left behind and close the links toward
-        the departed peer so closure cascades are not blocked forever;
-        control messages are retransmitted within a budget, and the
-        interest protocol falls back conservatively.
-        """
-        original_kind = message.payload.get("kind", "")
-        payload = message.payload.get("payload", {})
-        dead_peer = message.payload.get("recipient", "")
-        if original_kind == "ack":
-            # A reliable wire retransmits acknowledgements: a
-            # fault-injected bounce (loss, flap, fresh partition) would
-            # otherwise leave the Dijkstra–Scholten deficit at the far
-            # side unpaid forever.  A peer the failure detector already
-            # reported down wrote those deficits off — no resend.  The
-            # budget bounds retransmission so a dead link (or a stale
-            # in-flight message racing the peer_down notice) cannot
-            # livelock the simulator: once it runs out, the far side's
-            # own failure handling covers the deficit.
-            computation_id = payload.get("computation_id", "")
-            if self._may_resend("ack", dead_peer, computation_id):
-                self.send_ack(
-                    dead_peer, computation_id, int(payload.get("count", 1))
-                )
-            return
-        if original_kind == "update_complete":
-            # Same retransmission logic for the completion flood: a
-            # lost update_complete would strand the subtree behind it.
-            if self._may_resend(
-                "update_complete", dead_peer, payload.get("update_id", "")
-            ):
-                self.endpoint.send(dead_peer, "update_complete", payload)
-            return
-        if original_kind == "query_complete":
-            # Nothing to retransmit (the peer's participation is only
-            # left behind), but the registrations it carried are lost.
-            self.registrations_lost(payload.get("register", ()))
-            return
-        if original_kind == "invalidation":
-            if payload.get("op") == "register":
-                # We are NOT registered upstream: re-register on the
-                # next fill.
-                self.registrations_lost([payload.get("rule_id", "")])
+        """A message we sent bounced: it did not arrive, which does not
+        mean its recipient is gone (§1: the algorithm terminates "even
+        if nodes and coordination rules appear or disappear during the
+        computation").  Send it again under its own id, whatever its
+        kind, while the recipient's retry budget lasts; once it is
+        spent, write the peer off (:meth:`_on_peer_down`) and tell it,
+        so it writes us off in turn (:meth:`_on_rejoin`).  A bounce
+        toward a peer already written off writes its deficit off."""
+        bounced = message.payload
+        peer, kind = bounced["recipient"], bounced["kind"]
+        if peer not in self._down_peers:
+            spent = self._resends.get(peer, 0)
+            if spent < self.RESEND_LIMIT:
+                self._resends[peer] = spent + 1
+                self.stats.messages_resent += 1
+                self.endpoint.send_message(Message(
+                    kind, self.name, peer, bounced["payload"], bounced["message_id"]
+                ))
                 return
-            # The importer may now be stale without knowing.  Tell it
-            # again, within the budget (per rule id), unless it was
-            # reported down.  Once the budget is spent, un-note what it
-            # was not told, so the next write to those heads notifies
-            # it again.  Its interest stays: dropping it would strand
-            # an importer that still believes it is registered (a
-            # departed one loses it through ``peer_down``).
-            resend = []
-            for notice in payload.get("notices", ()):
-                rule_id = notice.get("rule_id", "")
-                if self._may_resend("invalidation", dead_peer, rule_id):
-                    resend.append(notice)
-                    continue
-                incoming = self.links.incoming.get(rule_id)
-                if incoming is not None:
-                    incoming.notified.difference_update(
-                        notice.get("relations", ())
-                    )
-            if resend:
-                self.endpoint.send(dead_peer, "invalidation", {"notices": resend})
-            return
-        if original_kind == "query_data" and payload.get("fin"):
-            # It carried our tree ack, and it left our deficit when it
-            # was sent: draining on its bounce would take an unrelated
-            # message off.  The parent still waits for that ack, and the
-            # data did not arrive: re-send the ack, partial (the bounce
-            # left the participation unclean).
-            self.queries.on_bounce(original_kind, payload)
-            query_id = payload.get("query_id", "")
-            if self._may_resend("ack", dead_peer, query_id):
-                self.send_ack(dead_peer, query_id)
-            return
-        computation_id = payload.get("update_id") or payload.get("query_id")
-        # The session hears of the loss before the deficit drains: that
-        # may complete the root, and its report must name the peer.
-        if original_kind in ("query_request", "query_data"):
-            self.queries.on_bounce(original_kind, payload)
-        elif original_kind in (
-            "update_request", "query_result", "link_closed"
-        ):
-            self.updates.on_peer_unreachable(computation_id or "", dead_peer)
-        else:
-            return
-        if computation_id:
-            self.termination.on_bounce(computation_id, dead_peer)
-            self.updates.maybe_finalize_after_failure(computation_id)
+            self._resends.pop(peer, None)
+            self.stats.peers_written_off += 1
+            log.warning("%s writes %s off: its %s bounced %d times",
+                        self.name, peer, kind, spent + 1)
+            self.endpoint.send(
+                peer, "rejoin", self._rejoin_payload(ack=False, written_off=True)
+            )
+        self._on_peer_down(peer)
 
-    def _may_resend(self, kind: str, peer: str, computation_id: str) -> bool:
-        """Draw one unit of retransmission budget for a bounced control
-        message.  Returns False toward a peer the failure detector
-        reported down (it wrote those deficits off), and once the
-        budget for this (kind, peer, computation) is spent — the caller
-        then drops the message and relies on failure write-offs for
-        termination."""
-        if peer in self._down_peers:
-            return False
-        key = (kind, peer, computation_id)
-        used = self._resend_budget.get(key, 0)
-        if used >= self.RESEND_LIMIT:
-            return False
-        self._resend_budget[key] = used + 1
-        return True
-
-    def _on_peer_down(self, message: Message) -> None:
-        """Failure-detector notification: a peer left the network."""
-        dead_peer = message.payload["peer"]
+    def _on_peer_down(self, dead_peer: str) -> None:
+        """Write *dead_peer* off: a failure detector reported it down,
+        its retry budget is spent, or it wrote us off.  The one place
+        the engines learn that a peer is gone."""
         self._down_peers.add(dead_peer)
-        # Queries first: a root whose deficit the write-off drains must
-        # already know it is partial.
+        # The sessions first: a root whose deficit the write-off drains
+        # must already know it is partial, and name the peer.  Those
+        # the drain leaves closed and disengaged finalize after it.
         self.queries.on_peer_down(dead_peer)
-        self.termination.on_peer_down(dead_peer)
         self.updates.on_peer_down(dead_peer)
+        self.termination.on_peer_down(dead_peer)
+        for update_id in list(self.updates.sessions):
+            self.updates.maybe_finalize_after_failure(update_id)
         self.admission.on_peer_down(dead_peer)
         self.cache_fault_fallback(dead_peer)
 
@@ -501,8 +426,8 @@ class CoDBNode:
 
     def cache_fault_fallback(self, peer: str) -> None:
         """Conservative cache fallback on any reachability change
-        involving *peer* (failure-detector notice, bounced session
-        traffic, a healed partition, a rejoin): a recompute could
+        involving *peer* (a write-off, a healed partition, a rejoin, a
+        session's link closed by failure): a recompute could
         legitimately answer differently than any cached fill — flood
         (drop everything) rather than risk serving an answer the lost
         peer contributed to, and reset the interest protocol on the
@@ -625,18 +550,6 @@ class CoDBNode:
         if not self._owed_registrations or not self.endpoint.delivering():
             return None
         return self._owed_registrations.pop(remote, None)
-
-    def registrations_lost(self, rule_ids: Iterable[str]) -> None:
-        """Registrations that never arrived: a write upstream would
-        reach us as nothing, so bump what those links feed — the next
-        read propagates and its fill registers again."""
-        heads: set[str] = set()
-        for rule_id in rule_ids:
-            link = self.links.outgoing.get(rule_id)
-            if link is not None:
-                link.registered = False
-                heads.update(link.rule.mapping.head_relations())
-        self.bump_epochs(heads)
 
     def apply_registration(self, rule_id: str, lease: int) -> None:
         """The importer on our incoming link *rule_id* serves cached
@@ -1032,15 +945,24 @@ class CoDBNode:
     # Crash-and-rejoin lifecycle
     # ------------------------------------------------------------------
 
-    def _rejoin_digests(self) -> dict[str, list[int]]:
-        """Per-outgoing-link fingerprints of the lifetime ``fired``
-        memory, keyed by rule id — what the rejoin handshake ships so
-        the exporter on the other side can decide whether its
-        ``pushed`` dedup still matches what this importer remembers."""
-        return {
-            rule_id: list(memory_digest(link.fired))
-            for rule_id, link in self.links.outgoing.items()
+    def _rejoin_payload(self, *, ack: bool, written_off: bool = False) -> dict:
+        """The rejoin handshake: per-outgoing-link fingerprints of the
+        lifetime ``fired`` memory, keyed by rule id, so the exporter on
+        the other side can decide whether its ``pushed`` dedup still
+        matches what this importer remembers; our epoch vector; whether
+        this answers the peer's own handshake; and whether we wrote the
+        peer off (see :meth:`_on_rejoin`)."""
+        payload = {
+            "digests": {
+                rule_id: list(memory_digest(link.fired))
+                for rule_id, link in self.links.outgoing.items()
+            },
+            "epochs": dict(self.cache.epochs),
+            "ack": ack,
         }
+        if written_off:
+            payload["written_off"] = True
+        return payload
 
     def rejoin(self) -> None:
         """Re-enter the network after a crash or departure.
@@ -1065,6 +987,7 @@ class CoDBNode:
             # Every acquaintance gets a fresh chance; a genuinely dead
             # peer will bounce again and be re-recorded.
             self._down_peers.clear()
+            self._resends.clear()
             self.cache.bump_all()
             for link in self.links.outgoing.values():
                 link.registered = False
@@ -1072,11 +995,7 @@ class CoDBNode:
                 link.cache_interest = False
                 link.notified.clear()
             peers = self.links.acquaintances()
-            payload = {
-                "digests": self._rejoin_digests(),
-                "epochs": dict(self.cache.epochs),
-                "ack": False,
-            }
+            payload = self._rejoin_payload(ack=False)
         self.endpoint.reattach()
         for peer in peers:
             self.endpoint.send(peer, "rejoin", payload)
@@ -1084,20 +1003,30 @@ class CoDBNode:
             self.admission.drain()
 
     def _on_rejoin(self, message: Message) -> None:
-        """A peer re-entered the network (or acked our own rejoin).
+        """A peer re-entered the network, wrote us off, or acked our own
+        rejoin.
 
-        Symmetric resync: treat the peer as freshly reachable (flood
-        the cache, reset interest both ways — it may have missed
-        invalidations while gone), then compare each incoming link's
-        lifetime ``pushed`` memory against the digest of the peer's
-        restored ``fired`` memory for the same rule.  A match means the
-        peer missed nothing this side's dedup would suppress — the
-        warm-rejoin fast path.  Any mismatch clears ``pushed`` so the
-        next update re-ships everything; the peer's ``fired`` set makes
-        over-shipping harmless, while under-shipping would lose data.
+        A peer that wrote us off (``"written_off"``, its retry budget
+        spent, see :meth:`_on_undeliverable`) wrote off with us what it
+        owed us — acks, a tree ack, closures — so we write it off in
+        turn (:meth:`_on_peer_down`): nothing here may wait for them.
+
+        Then, as for any rejoin, a symmetric resync: treat the peer as
+        freshly reachable (flood the cache, reset interest both ways —
+        it may have missed invalidations while gone), then compare each
+        incoming link's lifetime ``pushed`` memory against the digest of
+        the peer's restored ``fired`` memory for the same rule.  A match
+        means the peer missed nothing this side's dedup would suppress —
+        the warm-rejoin fast path.  Any mismatch clears ``pushed`` so
+        the next update re-ships everything; the peer's ``fired`` set
+        makes over-shipping harmless, while under-shipping would lose
+        data.
         """
         peer = message.sender
         payload = message.payload
+        if payload.get("written_off"):
+            self._on_peer_down(peer)
+        self._resends.pop(peer, None)
         self._down_peers.discard(peer)
         self.cache_fault_fallback(peer)
         digests = payload.get("digests", {})
@@ -1110,15 +1039,7 @@ class CoDBNode:
                 link.forget_delivered()
         self.admission.drain()
         if not payload.get("ack"):
-            self.endpoint.send(
-                peer,
-                "rejoin",
-                {
-                    "digests": self._rejoin_digests(),
-                    "epochs": dict(self.cache.epochs),
-                    "ack": True,
-                },
-            )
+            self.endpoint.send(peer, "rejoin", self._rejoin_payload(ack=True))
 
     # ------------------------------------------------------------------
 
@@ -1126,10 +1047,13 @@ class CoDBNode:
         """Crash-leave the network: no goodbyes, mail bounces.
 
         In-flight protocol messages addressed here are returned to
-        their senders as ``undeliverable`` (simulated transport), which
-        drains their termination deficits and closes their links toward
-        this node — ongoing updates still terminate (§1's dynamic-
-        network claim).
+        their senders as ``undeliverable`` (simulated transport).  A
+        sender that was told this node is down (``peer_down``) writes
+        off the deficit each left at once; one that was not retries
+        until its budget for this node is spent, then writes it off.
+        Either way the write-off closes the senders' links toward this
+        node, so ongoing updates still terminate (§1's dynamic-network
+        claim).
         """
         with self._lock:
             self.detached = True

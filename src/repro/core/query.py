@@ -37,8 +37,8 @@ and watermarks the global update uses (:mod:`repro.core.links`).  One
 difference matters: a query does not carry another computation's rows
 onward, so it may rely only on *settled* memory.  Keys an in-flight
 update taught are shipped again, and a query's own shipments stay in
-its participation until it ends cleanly — a bounced or peer-lost
-participation teaches nothing.
+its participation until it ends cleanly — a participation that lost a
+peer teaches nothing.
 
 So §3's immediate local answer is mostly empty, and an activation
 sends ``query_data`` only when it has rows: the ``query_request`` is
@@ -119,8 +119,8 @@ class QueryParticipation:
     #: ``activation_rows``) for the links served from their send
     #: memory; committed to the link on a clean end.
     activated: dict[str, tuple[IncomingLink, tuple]] = field(default_factory=dict)
-    #: No shipment bounced, no peer was lost and no partial ack came
-    #: in while this ran: what it and the participations it engaged
+    #: No peer was written off and no partial ack came in while this
+    #: ran: what it and the participations it engaged
     #: sent has arrived.
     clean: bool = True
     #: Outgoing-link rule ids requested, with received-sets (row keys).
@@ -622,21 +622,9 @@ class QueryEngine:
             participation.clean = False
         self._cleanup(participation, forwarded_from=message.sender)
 
-    def on_bounce(self, kind: str, payload: dict) -> None:
-        """A ``query_request`` or ``query_data`` came back
-        undeliverable.  Shipped data may not have arrived, so the link
-        no longer counts as served (its importer's next registration is
-        answered with an invalidation)."""
-        if kind == "query_data":
-            link = self.node.links.incoming.get(payload.get("rule_id", ""))
-            if link is not None:
-                link.served_at = ()
-        self.mark_partial(payload.get("query_id", ""))
-
     def mark_partial(self, query_id: str) -> None:
-        """A shipment of *query_id* bounced, or a partial ack came in:
-        whatever this participation or one below it sent may not have
-        arrived."""
+        """A partial ack came in: whatever a participation below this
+        one sent may not have arrived."""
         participation = self.participations.get(query_id)
         if participation is not None:
             participation.clean = False

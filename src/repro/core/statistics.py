@@ -73,6 +73,10 @@ PROMETHEUS_METRICS: dict[str, tuple[str, str, str]] = {
     # fault counters
     "partial_updates": ("codb_node_partial_updates_total", "counter",
                         "Updates that finished partial (lost peers/links)"),
+    "messages_resent": ("codb_node_messages_resent_total", "counter",
+                        "Bounced messages sent again under their own id"),
+    "peers_written_off": ("codb_node_peers_written_off_total", "counter",
+                          "Peers written off once their retry budget was spent"),
     # admission counters (NodeConfig.max_active_sessions)
     "sessions_deferred": ("codb_node_sessions_deferred_total", "counter",
                           "Requests that waited in the admission queue"),
@@ -296,6 +300,11 @@ class NodeStatistics:
         #: Network-query participations quarantined (§1d): the store
         #: broke a key constraint, so they exported nothing.
         self.queries_quarantined = 0
+        #: Bounced messages retried, and peers written off once their
+        #: retry budget was spent (:meth:`CoDBNode._on_undeliverable
+        #: <repro.core.node.CoDBNode._on_undeliverable>`).
+        self.messages_resent = 0
+        self.peers_written_off = 0
         #: Rows the send memory kept off the wire on behalf of network
         #: queries (update sessions count theirs in their reports).
         self.query_rows_suppressed = 0
@@ -400,6 +409,8 @@ class NodeStatistics:
             "peak_concurrent_updates": peak_concurrency(reports),
             "queries_answered": self.queries_answered,
             "queries_quarantined": self.queries_quarantined,
+            "messages_resent": self.messages_resent,
+            "peers_written_off": self.peers_written_off,
             "sessions_deferred": self.sessions_deferred,
             "admission_queue_peak": self.admission_queue_peak,
             "live_sessions_peak": self.live_sessions_peak,

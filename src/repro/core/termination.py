@@ -184,11 +184,13 @@ class DiffusingComputation:
         self, computation_id: str, sender: str = "", count: int = 1
     ) -> None:
         """*sender* acknowledged *count* of our messages."""
-        state = self._state(computation_id)
+        state = self._computations.get(computation_id)
+        if state is None:
+            return  # late: the computation already ended here
         if sender:
-            # Acks from a peer whose share the failure detector already
-            # wrote off (in full or in part) are duplicates of that
-            # write-off: drain only what the peer still owes.
+            # Acks from a peer whose share was already written off (in
+            # full or in part) are duplicates of that write-off: drain
+            # only what the peer still owes.
             owed = state.deficit_by_peer.get(sender, 0)
             count = min(count, owed)
             if count <= 0:
@@ -225,24 +227,6 @@ class DiffusingComputation:
             self._send_ack(parent, computation_id)
 
     # -- dynamic networks -------------------------------------------------------
-
-    def on_bounce(self, computation_id: str, recipient: str = "") -> None:
-        """An engaging message we sent was returned undeliverable.
-
-        Drains the deficit like an ack, but tolerates computations that
-        have already been forgotten (the bounce raced completion).
-        """
-        state = self._computations.get(computation_id)
-        if state is None or state.deficit <= 0:
-            return
-        if recipient:
-            # Already written off by the failure detector? Then this
-            # bounce's deficit entry is gone; do not drain twice.
-            if state.deficit_by_peer.get(recipient, 0) <= 0:
-                return
-            state.deficit_by_peer[recipient] -= 1
-        state.deficit -= 1
-        self.check_quiescence(computation_id)
 
     def on_peer_down(self, peer: str) -> None:
         """Failure-detector notification: *peer* left the network.

@@ -66,6 +66,21 @@ the results sent before it.  The fix-point does not depend on how T
 is cut, so runs change what a delivery costs, not what is computed;
 Dijkstra–Scholten and the §4 statistics still count messages.
 
+Retries can reorder a pipe.  A bounced message is sent again
+(:meth:`CoDBNode._on_undeliverable
+<repro.core.node.CoDBNode._on_undeliverable>`), so a ``query_result``
+whose retry arrives after the ``link_closed`` that followed it is
+possible, though no transport reorders a pipe by itself.  The receiver
+tolerates it with no sequence numbers: results are ingested whatever
+the link's state, and their deltas re-fire dependent links closed by
+cascade as well as open ones, so the closed importers downstream
+ingest them the same way.  The retried message is still in its
+sender's deficit until acknowledged, so the update cannot complete
+before it lands.  No other order matters: the completion floods leave
+only after every message of the computation was acknowledged, acks
+are counts, and an invalidation or registration that arrives late
+only drops cached answers.
+
 Correctness under concurrency: the local databases are shared and grow
 monotonically; each session is an independent propagation wave whose
 deltas it carries to quiescence itself, and the lifetime ``fired`` set
@@ -438,18 +453,22 @@ class UpdateEngine:
         "incoming links, which are dependent on O, are computed by
         substituting R by T'").
 
-        Only links open *in this session* re-fire; another session's
+        Only links this session activated re-fire; another session's
         open view of the same link propagates its own deltas itself
         (its data flow inserted them), so nothing is lost and nothing
-        is sent twice under one update id.
+        is sent twice under one update id.  A link closed by cascade
+        re-fires too: the delta is then a result that a retry delivered
+        after the closure it preceded (see the module docstring).
         """
         node = self.node
         if self._quarantined():
             return
         changed = set(deltas)
         for link, state in self.links.incoming_dependent_on_relations(changed):
-            if state.state != OPEN:
-                continue  # inactive: full eval at activation sees this data
+            if state.state == INACTIVE or state.closed_by == "failure":
+                # Inactive: full eval at activation sees this data.
+                # Closed by failure: nobody is left to serve.
+                continue
             produced = frontier_rows(node.wrapper, link, deltas)
             self._send_results(
                 link,
@@ -559,9 +578,9 @@ class UpdateEngine:
                 self.links.close_incoming(link.rule_id, "failure")
                 changed = True
             else:
-                # The link closed cleanly, then a shipment toward the
-                # importer bounced: the rows it taught the lifetime
-                # sent memory never arrived, so forget them.
+                # The link closed cleanly, then the importer was
+                # written off: the rows it taught the lifetime sent
+                # memory may never have arrived, so forget them.
                 self.links.rollback_taught(link.rule_id)
         # Arm self-finalization only when the dead peer actually
         # touches this session (it is an acquaintance on some rule —
@@ -720,10 +739,8 @@ class UpdateManager:
                 session.send_request(remote, path=forward_path)
         session.activate_links_for(message.sender)
         node.termination.after_processing(update_id, message.sender, tree)
-        # A reordered flood tail from an origin that already died can
-        # create a session whose every send fails synchronously (the
-        # links close with "failure" and no bounce will ever arrive to
-        # re-check) — this is the session's last chance to self-close.
+        # A session a write-off touched may be over here now, and no
+        # later message may come to re-check — finalize it while passive.
         self.maybe_finalize_after_failure(update_id)
 
     def on_query_result(self, messages: list[Message]) -> None:
@@ -809,8 +826,16 @@ class UpdateManager:
             # that data (and at the root it would complete the whole
             # update prematurely).  Instead the flood *arms* the
             # session: once it too is closed and disengaged it
-            # finalizes, and forwards the flood then.
+            # finalizes, and forwards the flood then.  Only a link the
+            # sender exports to us closes now, by failure: the sender's
+            # session is over, so nothing more will arrive over it.
             session = self.sessions.get(update_id)
+            if session is not None and any(
+                link.remote == message.sender and state.state == OPEN
+                for link, state in session.links.outgoing_items()
+            ):
+                session.on_peer_unreachable(message.sender)
+                session = self.sessions.get(update_id)
             if session is not None:
                 report = self.node.stats.report_for(update_id)
                 if (
@@ -874,7 +899,7 @@ class UpdateManager:
         if session is not None:
             session.force_close_remaining()
             # Every message the session sent has been acknowledged (or
-            # bounced and rolled back): what it taught is delivered.
+            # written off and rolled back): what it taught is delivered.
             session.links.settle()
             node.wrapper.on_update_finished()
         # The update may have completed globally while still queued

@@ -231,13 +231,20 @@ class Endpoint:
             payload=payload,
             message_id=self.ids.message_id(),
         )
+        self.send_message(message)
+        return message
+
+    def send_message(self, message: Message) -> None:
+        """Send *message*, already stamped, as it is.  A bounced message
+        goes again this way, under its own id: should an earlier copy
+        have arrived after all, the receiver drops this one as a
+        duplicate."""
         if not self.delivering():
             self._send_burst([message])
-        elif recipient in self._outbox:
-            self._outbox[recipient].append(message)
+        elif message.recipient in self._outbox:
+            self._outbox[message.recipient].append(message)
         else:
-            self._outbox[recipient] = [message]
-        return message
+            self._outbox[message.recipient] = [message]
 
     def amend_queued(self, message: Message, payload: dict[str, Any]) -> Message:
         """Replace *message*, still held in this delivery's outbox, by a

@@ -15,12 +15,15 @@ own transports) — consults it at two hook points:
 
 * **send** — every scheduled message gets a :class:`Verdict`: deliver
   (possibly several copies, possibly with extra delay) or *bounce*
-  (the sender receives the standard ``undeliverable`` notification, as
-  if the recipient had left — the protocol's existing failure
-  machinery then closes links and keeps the computation terminating).
+  (the sender receives the standard ``undeliverable`` notification,
+  as if the recipient had left; a coDB node sends the message again
+  and writes the peer off only once its retry budget for that peer is
+  spent, which closes links and keeps the computation terminating).
   Per-pipe FIFO is preserved whatever the models do (the transport's
   pair horizon clamps delivery times), exactly like a real TCP pipe
   under loss and retransmission; *cross*-pipe order scrambles freely.
+  Only a bounced message that its sender sends again can arrive behind
+  messages sent after it (:mod:`repro.core.update` tolerates that).
 * **after delivery** — event-count hooks
   (:meth:`FaultInjector.at_delivery`) fire actions at exact protocol
   moments ("after the victim processed its second ``update_request``"),
@@ -32,10 +35,11 @@ The models:
 * :class:`MessageLoss` — each matching message is lost with
   probability *p*; a lost message is retransmitted up to *retries*
   times (surfacing as extra delay, like TCP retransmission), and when
-  retries are exhausted the loss bounces to the sender.  A run whose
-  losses are all absorbed by retries is differentially equal to the
-  fault-free run; an exhausted loss yields a precisely-reported
-  ``partial`` outcome.
+  retries are exhausted the loss bounces to the sender, which sends the
+  message again.  A run whose losses are all absorbed by retries, at
+  either level, is differentially equal to the fault-free run; a loss
+  that outlasts the sender's retry budget writes the peer off and
+  yields a precisely-reported ``partial`` outcome.
 * :class:`Duplication` — delivers extra copies.  Safe because every
   endpoint drops exact duplicates by ``(sender, message_id)``
   (at-most-once processing over an at-least-once wire).
@@ -175,9 +179,11 @@ class MessageLoss(FaultModel):
 
     A loss absorbed by a retry shows up as ``retry_delay`` extra
     latency per attempt; a loss that exhausts ``retries`` bounces to
-    the sender (failure semantics — links close, the report goes
-    ``partial``).  With the default ``retries=3`` and moderate *p*,
-    most runs are fault-free-equivalent.
+    the sender, which sends the message again, with a fresh draw, until
+    its retry budget for the recipient is spent — only then do links
+    close and the report go ``partial``.  With the default
+    ``retries=3`` and moderate *p*, most runs are
+    fault-free-equivalent.
     """
 
     name = "loss"
@@ -508,9 +514,10 @@ class LinkFlap(FaultModel):
       ``outage_delay`` late per remaining down-slot (TCP
       retransmission).  Absorbable — the run stays differential-equal
       to fault-free.
-    * ``mode="bounce"`` — the outage is long enough for the failure
-      detector: each attempt bounces to the sender, links close with
-      cause "failure" and the report goes ``partial``.
+    * ``mode="bounce"`` — each attempt bounces to the sender, which
+      sends it again; an outage that outlasts the sender's retry
+      budget writes the peer off, links close with cause "failure"
+      and the report goes ``partial``.
 
     No wall-clock anywhere, so the flap schedule is identical under
     any latency model.

@@ -252,8 +252,11 @@ class Transport:
     def bounce(self, message: Message) -> None:
         """Return *message* to its sender as an ``undeliverable``
         notice: mail for a departed peer, a fault-injected loss that
-        exhausted its retries, a burst the wire refused.  Bounces are
-        never bounced."""
+        exhausted its retries, a burst the wire refused.  The notice
+        carries the message whole — kind, payload, recipient and id —
+        so the sender can send it again as it was (a bounce says the
+        message did not arrive, not that its recipient is gone).
+        Bounces are never bounced."""
         if message.kind != "undeliverable":
             self._notify(
                 Message(
@@ -264,6 +267,7 @@ class Transport:
                         "kind": message.kind,
                         "payload": message.payload,
                         "recipient": message.recipient,
+                        "message_id": message.message_id,
                     },
                 )
             )

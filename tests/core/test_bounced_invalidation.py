@@ -1,13 +1,15 @@
-"""A data invalidation that bounces.
+"""A data invalidation that bounces for good.
 
 An exporter remembers which of an importer's head relations it has
 already invalidated (``IncomingLink.notified``) and tells it nothing
-more about them until the importer registers again.  When the notice
-bounces, the importer was told nothing: the exporter un-notes those
-heads and keeps the importer's interest, so the next write that is
-delivered tells it.  A cached read after that write equals the
-uncached one — for the template that filled the cache and for a
-sibling answered through the fresh-miss path alike.
+more about them until the importer registers again.  A bounced notice
+is sent again (``tests/core/test_invalidation_retransmit.py``); when
+every retry bounces too, the exporter writes the importer off and
+tells it, so both sides drop the registration: the exporter its
+interest, the importer its ``registered`` flag and its cached answers.
+A cached read after the next delivered write equals the uncached one —
+for the template that filled the cache and for a sibling answered
+through the fresh-miss path alike.
 """
 
 from repro import CoDBNetwork
@@ -56,13 +58,18 @@ def bounce_one_invalidation(net):
 
 
 class TestABouncedInvalidation:
-    def test_the_exporter_unnotes_and_keeps_the_interest(self):
+    def test_both_sides_drop_the_registration(self):
         net = build()
         fill(net)
         bounce_one_invalidation(net)
         link = served_link(net)
-        assert link.cache_interest
+        assert not link.cache_interest
         assert not link.notified
+        assert net.node("N1").stats.peers_written_off == 1
+        importer = net.node("N0")
+        (outgoing,) = importer.links.outgoing.values()
+        assert not outgoing.registered
+        assert len(importer.cache) == 0
 
     def test_the_next_delivered_write_reaches_a_cached_read(self):
         net = build()

@@ -1,7 +1,9 @@
 """Cached reads equal uncached ones at every quiescence, whatever ran.
 
 Hypothesis draws a chain or tree of 2–4 peers, each importing ``item``
-from its children, and a program of steps against the root ``N0``:
+from its children, plus up to three more import edges between any two
+peers (so the rules may form cycles), and a program of steps against
+the root ``N0``:
 
 * a write at any peer, left to race the next step or settled first;
 * a network read of one of three templates over ``item``, cached or
@@ -10,16 +12,18 @@ from its children, and a program of steps against the root ``N0``:
   at a peer right after that peer served the read's request;
 * a read while one import edge is severed by an unannounced partition,
   healed afterwards;
+* a global update from any peer, which must complete;
 
-all of it under ``MessageLoss`` on the query kinds when the draw turns
-it on.  At every checkpoint, with the weather clear and the network
-quiet, every template read through the cache must equal the same read
-with ``cache=False``, and both the union of everything written.
+all of it under ``MessageLoss`` on the query and update kinds when the
+draw turns it on.  At every checkpoint, with the weather clear and the
+network quiet, every template read through the cache must equal the
+same read with ``cache=False``, and both the union of everything
+written.
 
-A cut stands only while the read it disturbs runs, and invalidations
-are not a query kind: an invalidation lost on the wire has no repair
-in this protocol short of a ``peer_down``, so the program never loses
-one.
+A cut stands only while the read it disturbs runs, and the program
+never loses an ``invalidation``: one lost for good is repaired only when
+the exporter's retry budget is spent and its write-off notice reaches
+the importer, so a cached read at the importer in between is stale.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import CoDBNetwork
 from repro.core.query import QUERY_KINDS
+from repro.core.update import UPDATE_KINDS
 from repro.p2p.faults import FaultInjector, MessageLoss, Partition
 
 #: (query, the same filter on a written key)
@@ -46,9 +51,17 @@ def programs(draw):
         parents = list(range(size - 1))  # a chain
     else:
         parents = [draw(st.integers(0, child - 1)) for child in range(1, size)]
+    node = st.integers(0, size - 1)
+    tree = {(parent, child) for child, parent in enumerate(parents, start=1)}
+    extra = draw(
+        st.lists(
+            st.tuples(node, node).filter(lambda e: e[0] != e[1] and e not in tree),
+            max_size=3,
+            unique=True,
+        )
+    )
     data = {i: draw(st.lists(st.integers(0, 9), max_size=3)) for i in range(size)}
     loss = draw(st.sampled_from([0.0, 0.0, 0.2, 0.4]))
-    node = st.integers(0, size - 1)
     value = st.integers(0, 9)
     template = st.integers(0, len(TEMPLATES) - 1)
     step = st.one_of(
@@ -56,14 +69,15 @@ def programs(draw):
         st.tuples(st.just("read"), template, st.booleans()),
         st.tuples(st.just("race"), node, value, template),
         st.tuples(st.just("cut"), st.integers(1, size - 1), template),
+        st.tuples(st.just("update"), node),
         st.tuples(st.just("check")),
     )
     steps = draw(st.lists(step, min_size=1, max_size=12))
-    return parents, data, loss, steps
+    return parents, extra, data, loss, steps
 
 
 class Run:
-    def __init__(self, parents, data, loss) -> None:
+    def __init__(self, parents, extra, data, loss) -> None:
         self.net = CoDBNetwork(seed=7, with_superpeer=False)
         for i in range(len(parents) + 1):
             self.net.add_node(f"N{i}", "item(k: int)",
@@ -74,9 +88,13 @@ class Run:
             self.cuts[child] = Partition(
                 [(f"N{parent}",), (f"N{child}",)], announce=False
             )
+        for importer, exporter in extra:
+            self.net.add_rule(f"N{importer}:item(k) <- N{exporter}:item(k)")
         self.net.start()
         self.truth = {k for keys in data.values() for k in keys}
-        self.loss = MessageLoss(loss, retries=1, kinds=QUERY_KINDS)
+        self.loss = MessageLoss(
+            loss, retries=1, kinds=(*QUERY_KINDS, *UPDATE_KINDS)
+        )
         self.injector = FaultInjector(self.loss, *self.cuts.values(), seed=7)
         self.net.transport.install_faults(self.injector)
 
@@ -112,6 +130,9 @@ class Run:
             self.read(template)
             self.net.run()
             self.cuts[child].heal()
+        elif op == "update":
+            (node,) = args
+            self.net.global_update(f"N{node}")
         else:
             self.check()
 
@@ -134,8 +155,8 @@ class Run:
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_every_cached_read_equals_the_uncached_one(program):
-    parents, data, loss, steps = program
-    run = Run(parents, data, loss)
+    parents, extra, data, loss, steps = program
+    run = Run(parents, extra, data, loss)
     for step in steps:
         run.step(*step)
     run.check()

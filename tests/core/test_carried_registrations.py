@@ -1,5 +1,6 @@
 """Cache registrations that ride the ``query_complete`` flood, and the
-two ways one does not: its completion bounces, or there is none.
+two ways one does not: its completion is lost for good, or there is
+none.
 
 A cached root registers interest on its import links when it fills,
 and each peer that accepts a registration registers upstream in turn.
@@ -10,6 +11,7 @@ way, a cached read must keep equalling the uncached one.
 """
 
 from repro import CoDBNetwork
+from repro.core.node import CoDBNode
 from repro.p2p.faults import FaultInjector, MessageLoss
 
 QUERY = "q(x) <- item(x)"
@@ -58,7 +60,9 @@ class TestABouncedCompletionLosesItsRegistrations:
         net, loss = self.build()
         assert read(net) == [(5,), (7,)]
         net.run()
-        assert loss.bounced == 1
+        # N0's completion to N1 bounced until N0 wrote N1 off; told so,
+        # N1 ended its part and its completion to N2 went the same way.
+        assert loss.bounced == 2 * (1 + CoDBNode.RESEND_LIMIT)
         assert not outgoing(net, "N0").registered
         # N1 never heard of the completion, so registered nothing.
         assert not outgoing(net, "N1").registered

@@ -12,13 +12,15 @@ writes and network reads at ``N0`` — cached or not, some of them under
 
 * at every root completion, no ``query_request`` or ``query_data`` of
   that query is still in flight and no peer is engaged in it;
-* a read that lost a shipment is partial and fills nothing, and the
-  next lossless read equals the uncached one;
+* a read that lost shipments or acks, fewer than a peer's retry
+  budget, had each sent again: it ends clean and fills, and the next
+  read equals the uncached one;
 * at every checkpoint, cached and uncached reads equal everything
   written.
 
-And on a chain where only the tail has anything new, a lossless read
-sends no ``ack`` at all.
+On a chain where only the tail has anything new, a lossless read sends
+no ``ack`` at all.  And a relay whose last word follows a shipment lost
+for good says ``partial`` on it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro import CoDBNetwork
+from repro.core.node import CoDBNode
 from repro.p2p.faults import FaultInjector, FaultModel, MessageLoss
 from repro.workloads.topologies import ITEM_SCHEMA, random_graph
 
@@ -40,9 +43,9 @@ ENGAGING = ("query_request", "query_data")
 
 class FewLosses(MessageLoss):
     """:class:`MessageLoss` without retries on ``query_data`` and
-    ``ack`` that bounces at most ``limit`` messages, so no
-    retransmission budget (``CoDBNode.RESEND_LIMIT`` per peer and
-    query) can run out; it remembers what it bounced."""
+    ``ack`` that bounces at most ``limit`` messages, so no peer's retry
+    budget (``CoDBNode.RESEND_LIMIT``) can run out; it remembers what
+    it bounced."""
 
     def __init__(self, probability: float) -> None:
         super().__init__(probability, retries=0, kinds=("query_data", "ack"))
@@ -151,13 +154,12 @@ class Run:
             self.net.run()
         finally:
             self.loss.limit = 0
-        if "query_data" not in self.loss.lost:
+        if not self.loss.lost:
             return
-        # A shipment was lost: the read is partial and fills nothing.
+        # Each loss was sent again: the read ends clean and fills.
         ((_query_id, clean),) = self.completions[completed:]
-        assert not clean
-        if cached:
-            assert root.cache.fills_skipped == skipped + 1
+        assert clean
+        assert root.cache.fills_skipped == skipped
         assert self.read(template) == self.read(template, cached=False)
 
     def step(self, op, *args) -> None:
@@ -190,7 +192,7 @@ class Run:
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_every_completion_is_quiet_and_every_loss_is_partial(program):
+def test_every_completion_is_quiet_and_every_loss_is_retried(program):
     size, rules, data, loss, steps = program
     run = Run(size, rules, data, loss)
     for step in steps:
@@ -227,7 +229,7 @@ def test_a_chain_read_of_new_tail_rows_sends_no_ack(size, tail, reads):
 
 
 class Weather(FaultModel):
-    """Bounce *lost*'s first ``query_data``; hold *slow*'s back."""
+    """Bounce every ``query_data`` of *lost*'s; hold *slow*'s back."""
 
     def __init__(self, lost: str, slow: str) -> None:
         super().__init__()
@@ -236,7 +238,7 @@ class Weather(FaultModel):
     def on_send(self, message, verdict) -> None:
         if message.kind != "query_data":
             return
-        if message.sender == self.lost and not self.bounced:
+        if message.sender == self.lost:
             self.bounced += 1
             verdict.bounce = True
         elif message.sender == self.slow:
@@ -244,8 +246,9 @@ class Weather(FaultModel):
 
 
 def test_a_relay_whose_last_word_follows_a_loss_says_partial():
-    """``N1`` hears ``N2``'s shipment was lost (a partial ack), then
-    relays ``N3``'s: that relay is its last word, and it must carry the
+    """``N2``'s shipment is lost for good: ``N2`` writes ``N1`` off and
+    tells it, so ``N1``'s part is unclean.  Then ``N1`` relays
+    ``N3``'s: that relay is its last word, and it must carry the
     partial flag up, or ``N0`` would fill without ``N2``'s rows."""
     net = build(4, copy_rules([(0, 1), (1, 2), (1, 3)]), {0: [], 1: [], 2: [2], 3: [3]})
     weather = Weather(lost="N2", slow="N3")
@@ -259,7 +262,8 @@ def test_a_relay_whose_last_word_follows_a_loss_says_partial():
     net.transport.faults.after_delivery = record
     root = net.node("N0")
     assert sorted(net.query("N0", TEMPLATES[0][0], mode="network")) == [(3,)]
-    assert weather.bounced == 1
+    assert weather.bounced == 1 + CoDBNode.RESEND_LIMIT
     assert [(r["fin"], r.get("partial")) for r in relays] == [(True, True)]
     assert root.cache.fills_skipped == 1
+    weather.lost = ""
     assert sorted(net.query("N0", TEMPLATES[0][0], mode="network")) == [(2,), (3,)]

@@ -1,10 +1,10 @@
 """A bounced data invalidation is sent again before it is given up.
 
 An exporter that loses one invalidation notice retransmits it, within
-``CoDBNode.RESEND_LIMIT`` per rule, so a loss the wire recovers from
+``CoDBNode.RESEND_LIMIT`` retries per peer, so a loss the wire recovers from
 leaves no stale read behind — not even one made before the next write.
-Only once the budget is spent does the exporter fall back to un-noting
-the heads (``tests/core/test_bounced_invalidation.py``).
+Only once the budget is spent does the exporter write the importer off
+(``tests/core/test_bounced_invalidation.py``).
 """
 
 from repro import CoDBNetwork
@@ -94,7 +94,7 @@ class TestALostInvalidationIsSentAgain:
         (link,) = exporter.links.incoming.values()
         assert not link.notified  # un-noted at once
 
-    def test_a_spent_budget_falls_back_to_unnoting(self):
+    def test_a_spent_budget_writes_the_importer_off(self):
         net = build()
         read(net)
         net.run()
@@ -104,4 +104,5 @@ class TestALostInvalidationIsSentAgain:
         net.run()
         assert loss.bounced == 1 + CoDBNode.RESEND_LIMIT
         (link,) = net.node("N1").links.incoming.values()
-        assert link.cache_interest and not link.notified
+        assert not link.cache_interest and not link.notified
+        assert net.node("N1").stats.peers_written_off == 1

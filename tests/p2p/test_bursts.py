@@ -18,6 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import CoDBNetwork
+from repro.core.node import CoDBNode
 from repro.errors import FrameRejectedError, ProtocolError, UnknownPeerError
 from repro.p2p import tcp
 from repro.p2p.endpoint import Endpoint
@@ -514,8 +515,10 @@ class TestUnreadablePayloads:
 
     def test_a_reply_to_a_stranger_bounces(self, monkeypatch):
         """A request from a sender not on the network is answered; the
-        reply has nowhere to go and comes back as a bounce, so no frame
-        is rejected and the node goes on serving."""
+        reply has nowhere to go and comes back as a bounce, each retry
+        too, until the node writes the stranger off (its notice of that
+        bounces as well).  No frame is rejected and the node goes on
+        serving."""
         crashed = []
         monkeypatch.setattr(threading, "excepthook", crashed.append)
         net = CoDBNetwork(transport=TcpNetwork(), seed=5, with_superpeer=False)
@@ -539,10 +542,12 @@ class TestUnreadablePayloads:
                 hostile.sendall(
                     frame(hostile_frame("stats_request", {}, sender="Z"))
                 )
-                transport.wait_for(lambda: bounced, 5.0)
+                transport.wait_for(
+                    lambda: len(bounced) == CoDBNode.RESEND_LIMIT + 2, 5.0
+                )
             assert [(m.kind, m.recipient) for m in bounced] == [
                 ("stats_response", "Z")
-            ]
+            ] * (1 + CoDBNode.RESEND_LIMIT) + [("rejoin", "Z")]
             net.submit_global_update("A").result(5.0)
             assert net.node("A").rows("item") == [(1,)]
             assert transport.stats.frames_rejected == 0

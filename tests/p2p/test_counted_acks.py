@@ -3,8 +3,8 @@
 A node sums what it owes during a delivery and pays it as one ``ack``
 carrying ``count`` (left out when it is 1).  These tests pin the paths
 where a count could get lost or be applied twice: a bounced ack's
-retransmission, acks from a peer the failure detector (partly) wrote
-off, and the stray-ack paths of the update and query engines.
+retransmission, acks from a peer that was written off, and the
+stray-ack paths of the update and query engines.
 """
 
 import itertools
@@ -41,15 +41,16 @@ class TestCountedOnAck:
         d.on_ack("c", "P")
         assert d.deficit("c") == 1 and completed == []
 
-    def test_partly_written_off_peer_drains_only_what_is_left(self):
-        """Two of P's five messages bounced; its ack for all five must
-        not raise "more acks than messages", nor touch Q's share."""
+    def test_written_off_peer_drains_only_what_it_was_sent_since(self):
+        """P was written off with five messages out and sent two more;
+        its late ack for the five must not raise "more acks than
+        messages", nor touch Q's share."""
         d, completed = detector()
         d.start_root("c")
         d.note_sent("c", "P", count=5)
         d.note_sent("c", "Q")
-        d.on_bounce("c", "P")
-        d.on_bounce("c", "P")
+        d.on_peer_down("P")
+        d.note_sent("c", "P", count=2)
         d.on_ack("c", "P", 5)
         assert d.deficit("c") == 1 and completed == []
         d.on_ack("c", "Q")
@@ -114,17 +115,23 @@ def result(update_id: str, *keys: int) -> tuple[str, dict]:
 
 class TestBouncedAck:
     def bounce(self, payload: dict) -> tuple[str, dict]:
-        return ("undeliverable", {"kind": "ack", "payload": payload, "recipient": "B"})
+        return (
+            "undeliverable",
+            {"kind": "ack", "payload": payload, "recipient": "B", "message_id": "a-7"},
+        )
 
-    def test_retransmission_keeps_the_count(self):
+    def resent(self, fabric: Fabric) -> list[tuple[str, dict]]:
+        return [(m.message_id, m.payload) for m in fabric.heard if m.kind == "ack"]
+
+    def test_retransmission_keeps_the_count_and_the_id(self):
         fabric = Fabric()
         fabric.from_b(self.bounce({"computation_id": "update-x", "count": 3}))
-        assert fabric.acks() == [{"computation_id": "update-x", "count": 3}]
+        assert self.resent(fabric) == [("a-7", {"computation_id": "update-x", "count": 3})]
 
     def test_a_single_ack_is_retransmitted_bare(self):
         fabric = Fabric()
         fabric.from_b(self.bounce({"computation_id": "update-x"}))
-        assert fabric.acks() == [{"computation_id": "update-x"}]
+        assert self.resent(fabric) == [("a-7", {"computation_id": "update-x"})]
 
     def test_no_retransmission_toward_a_peer_reported_down(self):
         fabric = Fabric()
@@ -220,7 +227,7 @@ class TestImplicitAcks:
         assert node.termination.deficit(query_id) == 0
         assert node.network_query_answer(query_id) == [(1,)]
 
-    def test_a_bounced_fin_resends_the_tree_ack_bare_and_partial(self):
+    def test_a_bounced_fin_goes_again_as_it_was(self):
         fabric = Fabric()
         node = fabric.node
         node.set_rules(
@@ -240,8 +247,12 @@ class TestImplicitAcks:
         node.termination.note_sent("query-x", "B")
         fabric.from_b(
             ("undeliverable",
-             {"kind": "query_data", "payload": data.payload, "recipient": "B"})
+             {"kind": "query_data", "payload": data.payload, "recipient": "B",
+              "message_id": data.message_id})
         )
-        assert fabric.acks() == [{"computation_id": "query-x", "partial": True}]
+        # The same shipment, still carrying the tree ack: nothing else.
+        (_, again) = [m for m in fabric.heard if m.kind == "query_data"]
+        assert (again.message_id, again.payload) == (data.message_id, data.payload)
+        assert fabric.acks() == []
         assert node.termination.deficit("query-x") == 1
-        assert node.queries.is_partial("query-x")
+        assert not node.queries.is_partial("query-x")

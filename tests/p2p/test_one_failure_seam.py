@@ -7,6 +7,11 @@ from a handler (held in the delivery's outbox until the burst leaves)
 and for one made from a driver thread (straight out).  The protocol
 modules under ``repro.core`` therefore never handle the transport's
 ``UnknownPeerError`` themselves.
+
+A bounce is handled in one place too: ``CoDBNode._on_undeliverable``
+sends the message again, whatever its kind, and once the peer's retry
+budget is spent writes the peer off through ``CoDBNode._on_peer_down``,
+the only caller of the engines' ``on_peer_down``.
 """
 
 import ast
@@ -75,13 +80,17 @@ def _names(tree: ast.AST) -> set[str]:
     return names
 
 
+def core_modules() -> list[Path]:
+    modules = sorted(Path(repro.core.__file__).parent.glob("*.py"))
+    assert modules
+    return modules
+
+
 class TestNoSecondFailurePath:
     def test_no_core_module_names_unknown_peer_error(self):
-        modules = sorted(Path(repro.core.__file__).parent.glob("*.py"))
-        assert modules
         offenders = [
             path.name
-            for path in modules
+            for path in core_modules()
             if {"UnknownPeerError", "try_send"}
             & _names(ast.parse(path.read_text(encoding="utf-8")))
         ]
@@ -89,3 +98,32 @@ class TestNoSecondFailurePath:
 
     def test_the_endpoint_has_no_try_send(self):
         assert not hasattr(Endpoint, "try_send")
+
+    def test_no_core_module_handles_a_bounce_by_kind(self):
+        """A bounce is retried in one place, whatever its kind: no
+        per-kind budget, and no engine hears of a bounce."""
+        offenders = [
+            path.name
+            for path in core_modules()
+            if {"_may_resend", "_resend_budget", "on_bounce"}
+            & _names(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert offenders == []
+
+    def test_only_the_node_write_off_calls_the_engines_on_peer_down(self):
+        callers = []
+        for path in core_modules():
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+                for function in cls.body:
+                    if not isinstance(function, ast.FunctionDef):
+                        continue
+                    callers.extend(
+                        (path.name, cls.name, function.name)
+                        for node in ast.walk(function)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "on_peer_down"
+                    )
+        assert callers
+        assert set(callers) == {("node.py", "CoDBNode", "_on_peer_down")}
