@@ -160,7 +160,9 @@ class CoDBNode:
         #: since; a message bounced toward one is not sent again.
         self._down_peers: set[str] = set()
         #: peer -> retries its bounced messages used since its last
-        #: delivery here; empty while nothing bounces.
+        #: delivery here (past ``RESEND_LIMIT``: we wrote it off, and
+        #: tell it again at its first contact); empty while nothing
+        #: bounces.
         self._resends: dict[str, int] = {}
         #: Serialises this node's DBM: over TCP, the delivery thread
         #: runs handlers while the driver thread calls the public API
@@ -283,9 +285,11 @@ class CoDBNode:
         Invalidations toward us may have been lost while the cut stood,
         so the answer cache falls back to flood — every epoch advances,
         every entry drops — and the interest protocol resets to
-        re-register from scratch."""
-        if self._resends:
-            self._resends.pop(peer, None)
+        re-register from scratch, on both sides when it was our budget
+        that wrote the peer off: its notice may have been lost, so a
+        plain rejoin handshake resets the peer's side too."""
+        if self._resends and self._resends.pop(peer, 0) > self.RESEND_LIMIT:
+            self.endpoint.send(peer, "rejoin", self._rejoin_payload(ack=False))
         if peer in self._down_peers:
             self._down_peers.discard(peer)
             self.cache_fault_fallback(peer)
@@ -395,7 +399,7 @@ class CoDBNode:
                     kind, self.name, peer, bounced["payload"], bounced["message_id"]
                 ))
                 return
-            self._resends.pop(peer, None)
+            self._resends[peer] = spent + 1
             self.stats.peers_written_off += 1
             log.warning("%s writes %s off: its %s bounced %d times",
                         self.name, peer, kind, spent + 1)

@@ -826,13 +826,18 @@ class UpdateManager:
             # that data (and at the root it would complete the whole
             # update prematurely).  Instead the flood *arms* the
             # session: once it too is closed and disengaged it
-            # finalizes, and forwards the flood then.  Only a link the
-            # sender exports to us closes now, by failure: the sender's
-            # session is over, so nothing more will arrive over it.
+            # finalizes, and forwards the flood then.  Only the links
+            # with the sender close now, by failure: its session is
+            # over, so nothing more of this update passes between us —
+            # not the results and closure of a link it exports to us,
+            # nor the request that would open one it imports from us.
             session = self.sessions.get(update_id)
             if session is not None and any(
-                link.remote == message.sender and state.state == OPEN
-                for link, state in session.links.outgoing_items()
+                link.remote == message.sender and state.state != CLOSED
+                for link, state in (
+                    *session.links.outgoing_items(),
+                    *session.links.incoming_items(),
+                )
             ):
                 session.on_peer_unreachable(message.sender)
                 session = self.sessions.get(update_id)

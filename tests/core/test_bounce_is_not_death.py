@@ -83,19 +83,14 @@ class TestALostClosure:
         assert net.node("N2").stats.lifetime_totals()["messages_resent"] == 1
         assert net.node("N2").stats.lifetime_totals()["peers_written_off"] == 0
 
-    @pytest.mark.parametrize(
-        "lost", [("link_closed",), ("link_closed", "rejoin")], ids=["closure", "and-notice"]
-    )
     def test_a_permanent_loss_writes_the_peer_off_and_completes_partial(
-        self, seed, facts, lost, caplog
+        self, seed, facts, caplog
     ):
-        """With the write-off's notice lost too, N1 learns only from
-        N2's failure flood that its link from N2 will never close."""
         net = chain(4, seed, facts)
-        fault = install(net, Bounce(lost, "N2", "N1", always=True))
+        fault = install(net, Bounce("link_closed", "N2", "N1", always=True))
         with caplog.at_level(logging.WARNING, logger="repro.core.node"):
             outcome = net.global_update("N3")
-        assert fault.bounced == len(lost) + CoDBNode.RESEND_LIMIT
+        assert fault.bounced == 1 + CoDBNode.RESEND_LIMIT
         assert outcome.report.outcome == "partial"
         assert "N1" in outcome.report.unreachable_peers
         totals = net.node("N2").stats.lifetime_totals()
@@ -110,6 +105,20 @@ class TestALostClosure:
         # A late ack for the written-off update leaves no state behind.
         net.run()
         assert not any(node.termination._computations for node in net.nodes.values())
+
+    def test_with_the_notice_lost_too_the_failure_flood_closes_the_link(
+        self, seed, facts
+    ):
+        """N1 never hears that N2 wrote it off: only N2's failure flood
+        tells it that its link from N2 will never close."""
+        net = chain(4, seed, facts)
+        install(net, Bounce(("link_closed", "rejoin"), "N2", "N1", always=True))
+        outcome = net.global_update("N3")
+        assert outcome.report.outcome == "partial"
+        assert net.node("N2").stats.peers_written_off >= 1
+        report = net.node("N1").update_report(outcome.update_id)
+        assert report.links_closed_by_failure == 1
+        assert net.node("N0").rows("item") == [(k,) for k in facts]
 
 
 def read(net, **kwargs):
@@ -182,3 +191,23 @@ def test_the_retry_counters_reach_metrics():
     assert scrape.value("codb_node_messages_resent_total", node="N1") == CoDBNode.RESEND_LIMIT
     assert scrape.value("codb_node_peers_written_off_total", node="N1") == 1
     assert scrape.value("codb_node_peers_written_off_total", node="N0") == 0
+
+
+def test_a_lost_write_off_notice_is_made_good_at_first_contact():
+    """Every invalidation from N1 to N0 bounces, and so does the notice
+    that N1 wrote N0 off: N1 dropped N0's interest, but N0 still thinks
+    itself registered.  N0's next contact makes N1 send the handshake
+    again, so N0 registers afresh and its cached reads stay fresh."""
+    net = chain(2, 3, (1,))
+    assert read(net) == [(1,)]
+    net.run()
+    fault = install(net, Bounce(("invalidation", "rejoin"), "N1", "N0", always=True))
+    settled_write(net, "N1", 2)
+    assert fault.bounced == 2 + CoDBNode.RESEND_LIMIT
+    fault.kinds = set()  # the weather clears
+    assert read(net, cache=False) == [(1,), (2,)]  # the first contact
+    net.run()
+    for value in (3, 4):
+        settled_write(net, "N1", value)
+        assert read(net) == read(net, cache=False)
+    assert read(net) == [(1,), (2,), (3,), (4,)]
