@@ -183,6 +183,10 @@ class CoDBNode:
         #: Likewise peer -> {rule id: lease}, the cache registrations
         #: owed (see :meth:`register_cache_interest`).
         self._owed_registrations: dict[str, dict[str, int]] = {}
+        #: computation id -> the last result (``query_data``, or an
+        #: update's ``query_result``) the open delivery queued for it:
+        #: it may carry this node's tree ack (:meth:`_finish_last_words`).
+        self.last_words: dict[str, Message] = {}
         self.endpoint.before_flush = self._flush_owed
         self.nulls = NullFactory(name)
         self.stats = NodeStatistics(name)
@@ -223,7 +227,6 @@ class CoDBNode:
     def _wire_handlers(self) -> None:
         engine_handlers = {
             "update_request": self.updates.on_update_request,
-            "link_closed": self.updates.on_link_closed,
             "update_complete": self.updates.on_update_complete,
             "query_request": self.queries.on_query_request,
             "query_data": self.queries.on_query_data,
@@ -315,33 +318,51 @@ class CoDBNode:
     def _flush_owed(self) -> None:
         """End of a delivery: pay what it ran up (it joins the bursts
         that are about to leave) — first the registrations no
-        completion carried, then a query participation's tree ack on
-        its last ``query_data``, then the acks."""
+        completion carried, then a participant's tree ack on its last
+        result, then the acks."""
         if self._owed_registrations:
             registrations, self._owed_registrations = self._owed_registrations, {}
             for remote, owed_here in registrations.items():
                 for rule_id, lease in owed_here.items():
                     self._send_registration(remote, rule_id, lease)
-        if self.queries.last_data:
+        if self.last_words:
             with self._lock:
-                self._finish_with_last_data()
+                self._finish_last_words()
         owed, self._owed_acks = self._owed_acks, {}
         for (recipient, computation_id), count in owed.items():
             self._emit_ack(recipient, computation_id, count)
 
-    def _finish_with_last_data(self) -> None:
-        """A participant whose whole deficit is the ``query_data`` it
-        queued to its parent in this delivery lets that message carry
-        its tree ack: ``"fin": true``, and ``"partial": true`` when it
-        is unclean, as its ack would say (:mod:`repro.core.termination`)."""
-        last, self.queries.last_data = self.queries.last_data, {}
-        for query_id, message in last.items():
-            if not self.termination.finish_with(query_id, message.recipient):
-                continue
-            payload = {**message.payload, "fin": True}
-            if self.queries.is_partial(query_id):
-                payload["partial"] = True
-            self.endpoint.amend_queued(message, payload)
+    def _finish_last_words(self) -> None:
+        """A participant whose whole deficit is the result it queued to
+        its parent in this delivery — a query's ``query_data`` or an
+        update's ``query_result`` — lets that message carry its tree
+        ack: ``"fin": true``, and ``"partial": true`` when its query
+        participation is unclean, as its ack would say
+        (:mod:`repro.core.termination`).  An update session a failure
+        touched may be over here once it disengages; finalizing it can
+        admit deferred work, whose last words are taken in turn.  Then
+        the update results of the delivery are final and counted."""
+        while self.last_words:
+            last, self.last_words = self.last_words, {}
+            for computation_id, message in last.items():
+                if not self.termination.finish_with(computation_id, message.recipient):
+                    continue
+                fields = {"fin": True}
+                if self.queries.is_partial(computation_id):
+                    fields["partial"] = True
+                self.endpoint.amend_queued(message, fields)
+                self.updates.maybe_finalize_after_failure(computation_id)
+        self.updates.count_queued()
+
+    def drop_unread(self, message: Message, computation_id: str) -> None:
+        """Settle an engaging *message* dropped unread (its computation
+        is over here, or never started): ack it so its sender's deficit
+        drains — unless it is a ``fin`` message, which is owed nothing:
+        it is its sender's tree ack, and drains the edge it closes."""
+        if message.payload.get("fin"):
+            self.termination.on_ack(computation_id, message.sender)
+        else:
+            self.send_ack(message.sender, computation_id)
 
     def _emit_ack(self, recipient: str, computation_id: str, count: int) -> None:
         # ``count`` omitted means 1: a single ack is the frame it
@@ -411,7 +432,11 @@ class CoDBNode:
     def _on_peer_down(self, dead_peer: str) -> None:
         """Write *dead_peer* off: a failure detector reported it down,
         its retry budget is spent, or it wrote us off.  The one place
-        the engines learn that a peer is gone."""
+        the engines learn that a peer is gone.  Writing off a peer
+        already written off (a bounce toward it) drains what was sent
+        it since, but floods the answer cache only the first time:
+        nothing has reached us from the peer in between."""
+        repeat = dead_peer in self._down_peers
         self._down_peers.add(dead_peer)
         # The sessions first: a root whose deficit the write-off drains
         # must already know it is partial, and name the peer.  Those
@@ -422,21 +447,22 @@ class CoDBNode:
         for update_id in list(self.updates.sessions):
             self.updates.maybe_finalize_after_failure(update_id)
         self.admission.on_peer_down(dead_peer)
-        self.cache_fault_fallback(dead_peer)
+        self.cache_fault_fallback(dead_peer, flood=not repeat)
 
     # ------------------------------------------------------------------
     # Answer cache: epochs, interest registration, invalidation fan-out
     # ------------------------------------------------------------------
 
-    def cache_fault_fallback(self, peer: str) -> None:
+    def cache_fault_fallback(self, peer: str, *, flood: bool = True) -> None:
         """Conservative cache fallback on any reachability change
         involving *peer* (a write-off, a healed partition, a rejoin, a
         session's link closed by failure): a recompute could
         legitimately answer differently than any cached fill — flood
         (drop everything) rather than risk serving an answer the lost
         peer contributed to, and reset the interest protocol on the
-        links toward it."""
-        self.cache.bump_all()
+        links toward it.  Without *flood* only the reset."""
+        if flood:
+            self.cache.bump_all()
         for link in self.links.outgoing.values():
             if link.remote == peer:
                 link.registered = False
@@ -953,15 +979,14 @@ class CoDBNode:
         """The rejoin handshake: per-outgoing-link fingerprints of the
         lifetime ``fired`` memory, keyed by rule id, so the exporter on
         the other side can decide whether its ``pushed`` dedup still
-        matches what this importer remembers; our epoch vector; whether
-        this answers the peer's own handshake; and whether we wrote the
-        peer off (see :meth:`_on_rejoin`)."""
+        matches what this importer remembers; whether this answers the
+        peer's own handshake; and whether we wrote the peer off — what
+        :meth:`_on_rejoin` reads, and nothing else."""
         payload = {
             "digests": {
                 rule_id: list(memory_digest(link.fired))
                 for rule_id, link in self.links.outgoing.items()
             },
-            "epochs": dict(self.cache.epochs),
             "ack": ack,
         }
         if written_off:
@@ -975,8 +1000,8 @@ class CoDBNode:
         everything reachability-sensitive (answer cache floods, interest
         registrations drop on both sides — exactly the partition-heal
         fallbacks), then announces itself to every acquaintance with a
-        ``rejoin`` handshake carrying its lifetime-memory digests and
-        epoch vector.  Each survivor resynchronises its send-dedup
+        ``rejoin`` handshake carrying its lifetime-memory digests.
+        Each survivor resynchronises its send-dedup
         against the digests (see :meth:`_on_rejoin`) and answers with
         its own, so both directions of every shared rule end
         consistent.  Finally the admission queue is re-armed so work

@@ -42,8 +42,8 @@ peer teaches nothing.
 
 So §3's immediate local answer is mostly empty, and an activation
 sends ``query_data`` only when it has rows: the ``query_request`` is
-acked anyway.  (The update path always sends its ``query_result``:
-§4's result-messages-per-rule statistics count them.)
+acked anyway.  (An update activation does the same until its link
+closes; the closure then leaves on a result of no rows.)
 
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
@@ -157,10 +157,6 @@ class QueryEngine:
         #: Roots in flight, and answers completed but not yet taken.
         self.roots: dict[str, RootQuery] = {}
         self.answers: dict[str, list[Row]] = {}
-        #: query id -> the last ``query_data`` the open delivery queued
-        #: for it: the node may let it carry its tree ack
-        #: (:meth:`CoDBNode._finish_with_last_data`).
-        self.last_data: dict[str, Message] = {}
 
     # ------------------------------------------------------------------
     # Root side
@@ -457,7 +453,7 @@ class QueryEngine:
         )
         node.termination.note_sent(participation.query_id, remote)
         if node.endpoint.delivering():
-            self.last_data[participation.query_id] = message
+            node.last_words[participation.query_id] = message
 
     # ------------------------------------------------------------------
     # Data ingestion
@@ -591,11 +587,7 @@ class QueryEngine:
         query_id = message.payload["query_id"]
         if query_id not in self.finished:
             return False
-        node = self.node
-        if not message.payload.get("fin"):
-            node.send_ack(message.sender, query_id)
-        elif node.termination.is_engaged(query_id):
-            node.termination.on_ack(query_id, message.sender)
+        self.node.drop_unread(message, query_id)
         return True
 
     def on_query_complete(self, message: Message) -> None:
@@ -613,8 +605,7 @@ class QueryEngine:
             # drain the deferred senders' deficits, as partial.
             self.finished.add(query_id)
             for stray in self.node.admission.drop(query_id):
-                if not stray.payload.get("fin"):
-                    self.node.send_ack(stray.sender, query_id)
+                self.node.drop_unread(stray, query_id)
             return
         if message.payload.get("partial"):
             # A flood that ended the query early: what we shipped last

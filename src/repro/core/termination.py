@@ -7,9 +7,9 @@ i.e. when the data flow has quiesced.  The classical algorithm for
 detecting exactly that is Dijkstra–Scholten acknowledgement counting,
 which this module implements, decoupled from any particular protocol:
 
-* Every *engaging* message (update request, query result, link-closed
-  notification, ...) is acknowledged by its receiver, explicitly or —
-  for a query participant's last word — implicitly (below).
+* Every *engaging* message (update request, query result, query
+  data, ...) is acknowledged by its receiver, explicitly or — for a
+  participant's last word — implicitly (below).
 * The first engaging message that reaches a disengaged node makes the
   sender that node's *parent*; the ack for it is deferred.
 * Every other engaging message is acknowledged once its local
@@ -25,16 +25,19 @@ which this module implements, decoupled from any particular protocol:
 * A node's *deficit* counts its own sent-but-unacked messages.  When
   an engaged node is passive (between messages) with deficit zero, it
   acknowledges its parent and disengages (it may be re-engaged later).
-* **The last word carries the ack** (:meth:`finish_with`, queries
-  only).  A non-root participant whose whole deficit, at the end of a
-  delivery, is one ``query_data`` queued to its parent marks that
-  message ``"fin": true``, takes it off its deficit and disengages:
-  the parent's ack for the data and the child's tree ack would only
-  cancel out.  The receiver never acknowledges a ``fin`` message; once
-  it is processed it counts as the sender's tree ack
+* **The last word carries the ack** (:meth:`finish_with`).  A
+  non-root participant whose whole deficit, at the end of a delivery,
+  is one result queued to its parent — a query's ``query_data``, an
+  update's ``query_result``, most often the one that closes its link —
+  marks that message ``"fin": true``, takes it off its deficit and
+  disengages: the parent's ack for the result and the child's tree ack
+  would only cancel out.  The receiver never acknowledges a ``fin``
+  message; once it is processed it counts as the sender's tree ack
   (``after_processing(..., fin=True)``), and it engages a disengaged
-  receiver without making the sender its parent.  The rule covers a
-  single message, so no transport can split the data from its ack.
+  receiver without making the sender its parent.  Dropped unread (its
+  computation is over at the receiver), it still drains the tree edge
+  it closes.  The rule covers a single message, so no transport can
+  split the result from its ack.
 * The computation's *root* detects termination when it is passive
   with deficit zero: at that point no message is in flight anywhere
   and every node is disengaged — the paper's condition (b) holds
@@ -146,8 +149,12 @@ class DiffusingComputation:
         """The sender half of an implicit ack: whether the one message
         about to leave for *recipient* may carry this node's tree ack.
 
-        It may when this node is a non-root participant, *recipient* is
-        its parent and that message is its whole deficit.  Then the
+        The message is the last result a delivery queued for the
+        computation — a query's ``query_data`` or an update's
+        ``query_result`` (:meth:`CoDBNode._finish_last_words
+        <repro.core.node.CoDBNode._finish_last_words>`).  It may carry
+        the ack when this node is a non-root participant, *recipient*
+        is its parent and that message is its whole deficit.  Then the
         message is taken off the deficit and the node disengages; the
         caller marks the message ``fin``.  Call only while the message
         has not left (its ack cannot have come back).
@@ -208,10 +215,13 @@ class DiffusingComputation:
     def check_quiescence(self, computation_id: str) -> None:
         """Leave the computation / detect termination when possible.
 
-        Safe to call at any passive moment (end of every handler).
+        Safe to call at any passive moment (end of every handler), also
+        for a computation already forgotten here: a ``fin`` message can
+        complete the root, which forgets it, before its own processing
+        ends.
         """
-        state = self._state(computation_id)
-        if not state.engaged or state.deficit > 0:
+        state = self._computations.get(computation_id)
+        if state is None or not state.engaged or state.deficit > 0:
             return
         if state.is_root:
             if not state.completed:

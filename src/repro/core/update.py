@@ -23,7 +23,8 @@ update id, i.e. per session):
   rule and sends the results back" — the body is evaluated over the
   full local database, projected onto the rule's frontier variables,
   deduplicated against the session's per-link *sent* set, and shipped
-  as a ``query_result``.
+  as ``query_result`` messages — none when nothing is new: the link's
+  closure then tells the importer it is done.
 * A ``query_result`` arriving over outgoing link *O* carries frontier
   rows.  Rows new *to this session* (dedup against the session's
   per-link *received* set — "we first remove from T those tuples which
@@ -38,10 +39,16 @@ update id, i.e. per session):
   already sent".
 * Link closure, the paper's condition (a): an incoming link closes
   (in this session) when every relevant outgoing link of this session
-  is closed (leaf links close right after their initial results); a
-  ``link_closed`` message closes the matching outgoing link at the
+  is closed (leaf links close right after their initial results).  The
+  closure rides the last ``query_result`` the delivery queued on that
+  link (``"closed": true``), or a ``query_result`` of no rows when
+  there is none; it closes the matching outgoing link at the
   importer's session, cascading network-wide through acyclic
-  dependencies.
+  dependencies.  When that result is the sender's whole deficit and
+  goes to its parent, it carries the sender's tree ack as well
+  (``"fin": true``, :mod:`repro.core.termination`): a repeat update
+  that finds nothing new costs a request and a closing result per
+  link, and the completion flood.
 * Cyclic dependencies cannot close by cascade.  They close via the
   paper's condition (b) — "all query results did not bring any new
   data" — detected exactly by the Dijkstra–Scholten machinery of
@@ -61,25 +68,28 @@ consecutive ones of one update and one path length are ingested as
 ONE T: one dedup pass, one insert per relation, one re-evaluation of
 the dependent links, whose output leaves re-cut into full
 ``batch_rows`` messages.  Any other kind is a barrier, handled
-only after the run in front of it — a ``link_closed`` never overtakes
-the results sent before it.  The fix-point does not depend on how T
-is cut, so runs change what a delivery costs, not what is computed;
-Dijkstra–Scholten and the §4 statistics still count messages.
+only after the run in front of it.  The closures a run carries are
+applied once it is ingested (:meth:`UpdateManager.on_link_closed`),
+so a closure never overtakes the results sent before it.  The
+fix-point does not depend on how T is cut, so runs change what a
+delivery costs, not what is computed; Dijkstra–Scholten and the §4
+statistics still count messages.
 
 Retries can reorder a pipe.  A bounced message is sent again
 (:meth:`CoDBNode._on_undeliverable
 <repro.core.node.CoDBNode._on_undeliverable>`), so a ``query_result``
-whose retry arrives after the ``link_closed`` that followed it is
+whose retry arrives after the closing result that followed it is
 possible, though no transport reorders a pipe by itself.  The receiver
 tolerates it with no sequence numbers: results are ingested whatever
 the link's state, and their deltas re-fire dependent links closed by
 cascade as well as open ones, so the closed importers downstream
 ingest them the same way.  The retried message is still in its
-sender's deficit until acknowledged, so the update cannot complete
-before it lands.  No other order matters: the completion floods leave
-only after every message of the computation was acknowledged, acks
-are counts, and an invalidation or registration that arrives late
-only drops cached answers.
+sender's deficit until acknowledged — or, when it carries its sender's
+tree ack (``fin``), its parent still waits for it — so the update
+cannot complete before it lands.  No other order matters: the
+completion floods leave only after every message of the computation
+was acknowledged, acks are counts, and an invalidation or
+registration that arrives late only drops cached answers.
 
 Correctness under concurrency: the local databases are shared and grow
 monotonically; each session is an independent propagation wave whose
@@ -102,7 +112,10 @@ sessions run at once.  Local initiations queue as pending starts;
 remote session-creating messages are deferred un-acked (keeping the
 sender's Dijkstra–Scholten deficit open, so the computation waits for
 the queued participant instead of falsely quiescing) and replayed in
-global update-id seniority order as sessions finish.
+global update-id seniority order as sessions finish.  A message that
+is dropped unread instead — its update is over here — is acked, unless
+it carries its sender's tree ack (``fin``): that one drains the tree
+edge it closes (:meth:`~repro.core.node.CoDBNode.drop_unread`).
 """
 
 from __future__ import annotations
@@ -131,7 +144,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import CoDBNode
 
 #: Message kinds owned by the update manager.
-UPDATE_KINDS = ("update_request", "query_result", "link_closed", "update_complete")
+UPDATE_KINDS = ("update_request", "query_result", "update_complete")
 
 
 def _credit_new_rows(
@@ -237,7 +250,6 @@ class UpdateEngine:
             state.state = OPEN
             link.state = OPEN  # diagnostic mirror
             if quarantined:
-                self._send_results(link, [], path_len=1)
                 continue
             rows, activated_at, skipped = activation_rows(
                 node.wrapper, link, incremental=suppressing
@@ -281,29 +293,24 @@ class UpdateEngine:
         return to_ship
 
     def _send_results(
-        self,
-        link: IncomingLink,
-        rows: list[Row],
-        *,
-        path_len: int,
-        always: bool = True,
+        self, link: IncomingLink, rows: list[Row], *, path_len: int
     ) -> None:
         """Ship frontier *rows* to the link's importer.
 
-        Initial activations always send (the paper's "possibly empty
-        set of tuples" — the importer's statistics rely on at least
-        one result message per activated rule); delta propagation
-        sends only non-empty batches.  ``config.batch_rows`` bounds the
-        rows per message (§4's per-message data volume), splitting
-        large results across several messages.
+        Nothing is sent without rows — an activation that finds
+        nothing new included: the link's closure, when it comes, is
+        what tells the importer the link is done (:meth:`_send_closure`).
+        So in §4's statistics a rule that ships nothing reports one
+        result message when it closes by cascade (the closing one) and
+        none when it closes by quiescence or failure.
+        ``config.batch_rows`` bounds the rows per message (§4's
+        per-message data volume), splitting large results across
+        several messages.
         """
-        if not rows and not always:
+        if not rows:
             return
-        node = self.node
-        update_id = self.update_id
-        report = node.stats.report_for(update_id)
-        batch_size = node.config.batch_rows
-        if batch_size <= 0 or not rows:
+        batch_size = self.node.config.batch_rows
+        if batch_size <= 0:
             batches: list[list[Row]] = [rows]
         else:
             batches = [
@@ -311,22 +318,57 @@ class UpdateEngine:
                 for start in range(0, len(rows), batch_size)
             ]
         for batch in batches:
-            message = node.endpoint.send(
-                link.remote,
-                "query_result",
+            self._send_result(
+                link,
                 {
-                    "update_id": update_id,
+                    "update_id": self.update_id,
                     "rule_id": link.rule_id,
                     "rows": [encode_row(row) for row in batch],
                     "path_len": path_len,
                 },
             )
-            node.termination.note_sent(update_id, link.remote)
-            if report is not None:
-                report.messages_sent += 1
-                report.bytes_sent += message.size_bytes()
-                if link.remote not in report.results_sent_to:
-                    report.results_sent_to.append(link.remote)
+
+    def _send_result(self, link: IncomingLink, payload: dict) -> None:
+        """One ``query_result`` to the link's importer.  Inside a
+        delivery it is the link's last result until another follows
+        it: the link's closure and this node's tree ack may still ride
+        it, so its bytes are counted when the delivery ends
+        (:meth:`UpdateManager.queue`)."""
+        node = self.node
+        update_id = self.update_id
+        message = node.endpoint.send(link.remote, "query_result", payload)
+        node.termination.note_sent(update_id, link.remote)
+        report = node.stats.report_for(update_id)
+        if report is not None:
+            report.messages_sent += 1
+            if link.remote not in report.results_sent_to:
+                report.results_sent_to.append(link.remote)
+        if node.endpoint.delivering():
+            node.last_words[update_id] = message
+            node.updates.queue(message)
+        elif report is not None:
+            report.bytes_sent += message.size_bytes()
+
+    def _send_closure(self, link: IncomingLink) -> None:
+        """Tell the importer that *link* closed in this session: on the
+        last result this delivery queued on it (``"closed": true``), or
+        on a result of no rows when there is none.  The importer
+        applies it after ingesting the run it came with."""
+        node = self.node
+        if node.endpoint.delivering():
+            message = node.updates.queued.get((self.update_id, link.rule_id))
+            if message is not None:
+                node.endpoint.amend_queued(message, {"closed": True})
+                return
+        self._send_result(
+            link,
+            {
+                "update_id": self.update_id,
+                "rule_id": link.rule_id,
+                "rows": [],
+                "closed": True,
+            },
+        )
 
     # ------------------------------------------------------------------
     # Ingesting results (the heart of §3)
@@ -471,10 +513,7 @@ class UpdateEngine:
                 continue
             produced = frontier_rows(node.wrapper, link, deltas)
             self._send_results(
-                link,
-                self._unsent(link, state, produced),
-                path_len=path_len + 1,
-                always=False,
+                link, self._unsent(link, state, produced), path_len=path_len + 1
             )
 
     # ------------------------------------------------------------------
@@ -487,9 +526,7 @@ class UpdateEngine:
             self.links.close_outgoing(rule_id, "cascade")
 
     def cascade_closures(self) -> None:
-        node = self.node
-        update_id = self.update_id
-        report = node.stats.report_for(update_id)
+        report = self.node.stats.report_for(self.update_id)
         progressed = True
         while progressed:
             progressed = False
@@ -497,15 +534,7 @@ class UpdateEngine:
                 self.links.close_incoming(link.rule_id, "cascade")
                 if report is not None:
                     report.links_closed_by_cascade += 1
-                message = node.endpoint.send(
-                    link.remote,
-                    "link_closed",
-                    {"update_id": update_id, "rule_id": link.rule_id},
-                )
-                node.termination.note_sent(update_id, link.remote)
-                if report is not None:
-                    report.messages_sent += 1
-                    report.bytes_sent += message.size_bytes()
+                self._send_closure(link)
                 progressed = True
         self.maybe_finish_locally()
 
@@ -590,10 +619,6 @@ class UpdateEngine:
         # still-streaming rest of a healthy update.
         if relevant:
             self.peer_lost = True
-            # Reachability changed under this session: the answer
-            # cache floods (bump_all) and the interest protocol toward
-            # the lost peer resets, same as a failure-detector notice.
-            node.cache_fault_fallback(dead_peer)
             if report is not None:
                 # The §4 report must say what went missing, not
                 # silently truncate: this node's view of the update is
@@ -625,6 +650,10 @@ class UpdateManager:
         self.node = node
         self.sessions: dict[str, UpdateEngine] = {}
         self.completed_updates: set[str] = set()
+        #: (update id, rule id) -> the last ``query_result`` the open
+        #: delivery queued on that incoming link, not sized yet: the
+        #: link's closure may still ride it.
+        self.queued: dict[tuple[str, str], Message] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -772,46 +801,60 @@ class UpdateManager:
             else:
                 # Completed here (or arrived after a failure-finalize):
                 # the data flowed under another still-open session or
-                # is already stored; ack so the sender's deficit drains.
-                node.send_ack(message.sender, update_id)
+                # is already stored.
+                node.drop_unread(message, update_id)
         if not run:
             return
         termination = node.termination
+        fins = [bool(message.payload.get("fin")) for message in run]
         trees = [
-            termination.on_engaging_message(update_id, message.sender)
-            for message in run
+            termination.on_engaging_message(update_id, message.sender, fin=fin)
+            for message, fin in zip(run, fins)
         ]
-        self.sessions[update_id].ingest_results(run)
-        for message, tree in zip(run, trees):
-            termination.after_processing(update_id, message.sender, tree)
+        session = self.sessions[update_id]
+        session.ingest_results(run)
+        closed = [
+            message.payload["rule_id"]
+            for message in run
+            if message.payload.get("closed")
+        ]
+        if closed:
+            self.on_link_closed(session, closed)
+        for message, tree, fin in zip(run, trees, fins):
+            termination.after_processing(update_id, message.sender, tree, fin=fin)
         self.maybe_finalize_after_failure(update_id)
 
     def _replay_result(self, message: Message) -> None:
         self.on_query_result([message])
 
-    def on_link_closed(self, message: Message) -> None:
-        update_id = message.payload["update_id"]
-        session = self.sessions.get(update_id)
-        if session is None:
-            if self.node.admission.is_deferred(update_id):
-                self.node.admission.defer_message(
-                    update_id, "update", message, self.on_link_closed
-                )
-                return
-            self.node.send_ack(message.sender, update_id)
-            return
-        tree = self.node.termination.on_engaging_message(update_id, message.sender)
-        rule_id = message.payload["rule_id"]
-        if rule_id not in self.node.links.outgoing:
-            raise ProtocolError(
-                f"{self.node.name}: link_closed for unknown outgoing "
-                f"rule {rule_id!r}"
-            )
-        session.close_outgoing_by_cascade(rule_id)
+    def on_link_closed(self, session: UpdateEngine, rule_ids: list[str]) -> None:
+        """Apply the closures a run carried (``"closed": true``), once
+        the run is ingested: a closure never overtakes the rows in
+        front of it.  The cascade may close incoming links in turn."""
+        for rule_id in rule_ids:
+            session.close_outgoing_by_cascade(rule_id)
         session.cascade_closures()
-        session.maybe_finish_locally()
-        self.node.termination.after_processing(update_id, message.sender, tree)
-        self.maybe_finalize_after_failure(update_id)
+
+    def queue(self, message: Message) -> None:
+        """*message*, a ``query_result`` the open delivery just queued,
+        is now its link's last; the one it follows can no longer change
+        and is counted."""
+        key = (message.payload["update_id"], message.payload["rule_id"])
+        previous = self.queued.get(key)
+        self.queued[key] = message
+        if previous is not None:
+            self._count_bytes(previous)
+
+    def count_queued(self) -> None:
+        """The delivery ends: its last results are final, count them."""
+        queued, self.queued = self.queued, {}
+        for message in queued.values():
+            self._count_bytes(message)
+
+    def _count_bytes(self, message: Message) -> None:
+        report = self.node.stats.report_for(message.payload["update_id"])
+        if report is not None:
+            report.bytes_sent += message.size_bytes()
 
     def on_update_complete(self, message: Message) -> None:
         update_id = message.payload["update_id"]
@@ -840,6 +883,10 @@ class UpdateManager:
                 )
             ):
                 session.on_peer_unreachable(message.sender)
+                # Reachability changed under this session: the answer
+                # cache floods and the interest protocol toward the
+                # sender resets, as on a write-off.
+                self.node.cache_fault_fallback(message.sender)
                 session = self.sessions.get(update_id)
             if session is not None:
                 report = self.node.stats.report_for(update_id)
@@ -912,7 +959,7 @@ class UpdateManager:
         # queue entry and ack its deferred messages so the senders'
         # deficits drain.
         for stray in node.admission.drop(update_id):
-            node.send_ack(stray.sender, update_id)
+            node.drop_unread(stray, update_id)
         node.termination.forget(update_id)
         # Flood the completion (non-engaging; dedup via completed_updates).
         # The cause travels with it: failure-triggered floods must not

@@ -246,28 +246,17 @@ class Endpoint:
         else:
             self._outbox[message.recipient] = [message]
 
-    def amend_queued(self, message: Message, payload: dict[str, Any]) -> Message:
-        """Replace *message*, still held in this delivery's outbox, by a
-        copy that carries *payload* (same id, same place in its burst);
-        returns the copy.  Nothing may have sized *message* yet: its
-        bytes would already be counted as the old payload's."""
+    def amend_queued(self, message: Message, fields: dict[str, Any]) -> None:
+        """Add *fields* to the payload of *message*, still held in this
+        delivery's outbox (same object, same id, same place in its
+        burst).  Nothing may have sized *message* yet: its bytes would
+        already be counted as the old payload's."""
         queued = self._outbox.get(message.recipient, ()) if self.delivering() else ()
-        for index in range(len(queued) - 1, -1, -1):
-            if queued[index] is message:
-                break
-        else:
+        if not any(item is message for item in reversed(queued)):
             raise ProtocolError(f"{message.kind} {message.message_id!r} is not queued")
         if "_wire" in message.__dict__:
             raise ProtocolError(f"{message.kind} {message.message_id!r} was sized")
-        amended = Message(
-            kind=message.kind,
-            sender=message.sender,
-            recipient=message.recipient,
-            payload=payload,
-            message_id=message.message_id,
-        )
-        queued[index] = amended
-        return amended
+        message.payload.update(fields)
 
     def detach(self) -> None:
         self.transport.unregister(self.peer_id)

@@ -92,8 +92,10 @@ def decode_binary(data: bytes) -> Any:
 KINDS = (
     "rules_file",           # super-peer broadcast of coordination rules
     "update_request",       # global update propagation (§2)
-    "query_result",         # tuples flowing back along a link (§3)
-    "link_closed",          # incoming-link closure notification (§3)
+    "query_result",         # tuples flowing back along a link (§3);
+                            # "closed": the link closed (§3) — the
+                            # last result on it, or one of no rows;
+                            # "fin": the sender's tree ack rides on it
     "update_complete",      # origin's completion flood (condition (b))
     "ack",                  # diffusing-computation acknowledgement
     "query_request",        # query-time answering request (§3)

@@ -7,14 +7,18 @@ spent; only then is the peer written off, through the same
 reading a bounced result or closure as its recipient's death are
 pinned here:
 
-* an update whose one ``link_closed`` bounced never completed: the
-  importer's link stayed open, and the failure flood only armed it;
+* an update whose one closure bounced never completed: the importer's
+  link stayed open, and the failure flood only armed it (a closure
+  rides the link's last ``query_result``, ``"closed": true``);
 * an exporter that wrote an importer off after one bounced shipment
   dropped its cache interest while the importer still believed itself
   registered, so the importer's cached reads stayed stale for good.
 """
 
+import ast
+import inspect
 import logging
+import textwrap
 
 import pytest
 
@@ -24,12 +28,18 @@ from repro.p2p.faults import FaultInjector, FaultModel
 from repro.service.metrics import parse_metrics, render_metrics
 
 QUERY = "q(x) <- item(x)"
+#: Stands for a ``query_result`` that closes its link among *kinds*.
+CLOSING = "closing query_result"
+
+
+def closes(message) -> bool:
+    return message.kind == "query_result" and bool(message.payload.get("closed"))
 
 
 class Bounce(FaultModel):
-    """Bounce the messages of *kinds* (one kind, or a tuple) from
-    *sender* to *recipient*: the first one only, or every one when
-    *always*."""
+    """Bounce the messages of *kinds* (one kind, or a tuple; ``CLOSING``
+    for a result that closes its link) from *sender* to *recipient*:
+    the first one only, or every one when *always*."""
 
     def __init__(self, kinds, sender, recipient, *, always=False):
         super().__init__()
@@ -40,7 +50,7 @@ class Bounce(FaultModel):
 
     def on_send(self, message, verdict):
         if (
-            message.kind in self.kinds
+            (message.kind in self.kinds or (CLOSING in self.kinds and closes(message)))
             and (message.sender, message.recipient) == self.pipe
             and (self.always or not self.bounced)
         ):
@@ -71,11 +81,11 @@ def install(net, model):
 @pytest.mark.parametrize("seed", [3, 7])
 class TestALostClosure:
     """Bug A: the chain ``N0 <- N1 <- N2 <- N3``, updated from N3, with
-    the one ``link_closed`` from N2 to N1 bounced."""
+    the one closing result from N2 to N1 bounced."""
 
     def test_a_one_shot_loss_is_retried_and_completes(self, seed, facts):
         net = chain(4, seed, facts)
-        fault = install(net, Bounce("link_closed", "N2", "N1"))
+        fault = install(net, Bounce(CLOSING, "N2", "N1"))
         outcome = net.global_update("N3")
         assert fault.bounced == 1
         assert outcome.report.outcome == "complete"
@@ -87,7 +97,7 @@ class TestALostClosure:
         self, seed, facts, caplog
     ):
         net = chain(4, seed, facts)
-        fault = install(net, Bounce("link_closed", "N2", "N1", always=True))
+        fault = install(net, Bounce(CLOSING, "N2", "N1", always=True))
         with caplog.at_level(logging.WARNING, logger="repro.core.node"):
             outcome = net.global_update("N3")
         assert fault.bounced == 1 + CoDBNode.RESEND_LIMIT
@@ -99,12 +109,11 @@ class TestALostClosure:
         (record,) = [r for r in caplog.records if r.name == "repro.core.node"]
         assert record.levelno == logging.WARNING
         assert "N2" in record.getMessage() and "N1" in record.getMessage()
-        assert "link_closed" in record.getMessage()
-        # The rows arrived before the closure was lost.
-        assert net.node("N0").rows("item") == [(k,) for k in facts]
+        assert "query_result" in record.getMessage()
         # A late ack for the written-off update leaves no state behind.
         net.run()
         assert not any(node.termination._computations for node in net.nodes.values())
+        assert_the_rows_arrive(net, fault, facts)
 
     def test_with_the_notice_lost_too_the_failure_flood_closes_the_link(
         self, seed, facts
@@ -112,13 +121,24 @@ class TestALostClosure:
         """N1 never hears that N2 wrote it off: only N2's failure flood
         tells it that its link from N2 will never close."""
         net = chain(4, seed, facts)
-        install(net, Bounce(("link_closed", "rejoin"), "N2", "N1", always=True))
+        fault = install(net, Bounce((CLOSING, "rejoin"), "N2", "N1", always=True))
         outcome = net.global_update("N3")
         assert outcome.report.outcome == "partial"
         assert net.node("N2").stats.peers_written_off >= 1
         report = net.node("N1").update_report(outcome.update_id)
         assert report.links_closed_by_failure == 1
-        assert net.node("N0").rows("item") == [(k,) for k in facts]
+        assert_the_rows_arrive(net, fault, facts)
+
+
+def assert_the_rows_arrive(net, fault, facts):
+    """The rows rode the closure that was lost for good, so they did
+    not arrive; the write-off forgot that they were sent, so the next
+    update brings them once the weather clears."""
+    if facts:
+        assert net.node("N0").rows("item") == []
+    fault.kinds = set()
+    assert net.global_update("N3").report.outcome == "complete"
+    assert net.node("N0").rows("item") == [(k,) for k in facts]
 
 
 def read(net, **kwargs):
@@ -132,7 +152,7 @@ def settled_write(net, node, value):
 
 @pytest.mark.parametrize(
     "length, kind",
-    [(2, "query_result"), (2, "link_closed"), (3, "query_result"), (3, "link_closed")],
+    [(2, "query_result"), (2, CLOSING), (3, "query_result"), (3, CLOSING)],
 )
 class TestAStaleCachedReader:
     """Bug B: a cached reader at N0 after an update during which one
@@ -160,7 +180,7 @@ class TestAStaleCachedReader:
 @pytest.mark.parametrize("seed", [3, 7])
 def test_a_result_retried_after_its_closure_still_reaches_downstream(seed):
     """The one order a retry can break: the first ``query_result`` from
-    N2 to N1 bounces, the ``link_closed`` behind it arrives, N1 closes
+    N2 to N1 bounces, the closing one behind it arrives, N1 closes
     its own link to N0 by cascade — and the retried result must still
     reach N0 in the same update."""
     net = chain(3, seed, (1, 2))
@@ -211,3 +231,72 @@ def test_a_lost_write_off_notice_is_made_good_at_first_contact():
         settled_write(net, "N1", value)
         assert read(net) == read(net, cache=False)
     assert read(net) == [(1,), (2,), (3,), (4,)]
+
+
+def test_bounces_toward_a_departed_peer_flood_the_cache_once():
+    """N1 leaves: N0 writes it off and floods its answer cache.  Each
+    later update's request to N1 bounces and writes N1 off again — the
+    update still drains and ends — but the cache floods no more."""
+    net = chain(2, 3, (1,))
+    assert read(net) == [(1,)]
+    net.run()
+    root = net.node("N0")
+    epoch = root.cache.epoch("item")
+    bounced = []
+    bounce = net.transport.bounce
+
+    def recording(message):
+        bounced.append(message.kind)
+        bounce(message)
+
+    net.transport.bounce = recording
+    net.node("N1").detach()
+    net.run()
+    assert root.cache.epoch("item") == epoch + 1
+    for _ in range(3):
+        outcome = net.global_update("N0")
+        assert outcome.report.outcome == "partial"
+        assert outcome.report.unreachable_peers == ["N1"]
+    assert bounced == ["update_request", "update_complete"] * 3
+    assert root.cache.epoch("item") == epoch + 1
+    assert not root.termination._computations
+
+
+def keys_read(function) -> set[str]:
+    """The keys *function* reads from a dict named ``payload``."""
+    keys = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "payload"
+        ):
+            keys.add(node.args[0].value)
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "payload"
+        ):
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_a_rejoin_carries_exactly_what_its_receiver_reads():
+    read_keys = keys_read(CoDBNode._on_rejoin)
+    assert read_keys == {"digests", "ack", "written_off"}
+    net = chain(2, 3, (1,))
+    sent = []
+    send_burst = net.transport.send_burst
+
+    def recording(messages):
+        sent.extend(m.payload for m in messages if m.kind == "rejoin")
+        send_burst(messages)
+
+    net.transport.send_burst = recording
+    net.node("N1").rejoin()  # the handshake, and N0's answer
+    net.run()
+    assert [set(payload) for payload in sent] == [{"digests", "ack"}] * 2
+    node = net.node("N0")
+    assert set(node._rejoin_payload(ack=False, written_off=True)) == read_keys

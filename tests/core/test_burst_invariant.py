@@ -13,8 +13,8 @@ Dijkstra–Scholten deficit paid and no session left behind.
 The same invariant licenses ingesting a delivered run of results as
 one T: how a burst is cut changes how many runs there are, never what
 a node imports, mints or reports.  Hand-built bursts pin the run's
-edges — a close marker is a barrier, two interleaved updates are two
-runs — and a crash hook and the fix-point guard behave the same
+edges — a closing result joins the run and is applied after it, two
+interleaved updates are two runs — and a crash hook and the fix-point guard behave the same
 whether a burst arrives whole or a message at a time.
 """
 
@@ -41,14 +41,17 @@ SCHEMA = "item(k: int)\ntag(k: int, w)"
 
 
 class SplittingNetwork(InProcessNetwork):
-    """Cuts every burst after each message with probability *cut*."""
+    """Cuts every burst after each message with probability *cut*;
+    counts the messages that carry their sender's tree ack."""
 
     def __init__(self, seed: int, cut: float) -> None:
         super().__init__(seed)
         self.cut = cut
         self.cuts = random.Random(seed)
+        self.fins = 0
 
     def send_burst(self, messages):
+        self.fins += sum(1 for m in messages if m.payload.get("fin"))
         start = 0
         for end in range(1, len(messages) + 1):
             if end == len(messages) or self.cuts.random() < self.cut:
@@ -156,13 +159,16 @@ def test_whole_split_and_single_deliveries_reach_the_centralised_fixpoint(
     engaging = sum(
         count
         for kind, count in runs["single"].transport.stats.by_kind.items()
-        if kind in ("update_request", "query_result", "link_closed")
+        if kind in ("update_request", "query_result")
     )
-    assert acks["single"] == engaging  # alone, every message costs its own ack
+    # Alone, every message costs its own ack, or the one it closes the
+    # tree edge of carries it (``fin``) and costs none.
+    fins = runs["single"].transport.fins
+    assert acks["single"] + fins == engaging - fins
     assert acks["whole"] <= sum(
         count
         for kind, count in runs["whole"].transport.stats.by_kind.items()
-        if kind in ("update_request", "query_result", "link_closed")
+        if kind in ("update_request", "query_result")
     )
 
 
@@ -240,21 +246,20 @@ class HandBuilt:
             kind, self.sender, self.recipient, payload, f"hand-{self.count}"
         )
 
-    def results(self, update_id: str, rule_id: str, keys: list[int]) -> Message:
-        return self.message(
-            "query_result",
-            {
-                "update_id": update_id,
-                "rule_id": rule_id,
-                "rows": [[k] for k in keys],
-                "path_len": 1,
-            },
-        )
-
-    def closed(self, update_id: str, rule_id: str) -> Message:
-        return self.message(
-            "link_closed", {"update_id": update_id, "rule_id": rule_id}
-        )
+    def results(
+        self, update_id: str, rule_id: str, keys: list[int], *, closed=False
+    ) -> Message:
+        """A ``query_result``; *closed*: the link's last, carrying its
+        closure."""
+        payload = {
+            "update_id": update_id,
+            "rule_id": rule_id,
+            "rows": [[k] for k in keys],
+            "path_len": 1,
+        }
+        if closed:
+            payload["closed"] = True
+        return self.message("query_result", payload)
 
 
 def spy_on_runs(monkeypatch) -> list[tuple[str, str, int]]:
@@ -289,20 +294,20 @@ def test_a_close_marker_never_overtakes_the_run_in_front_of_it(monkeypatch):
     transport.send_burst(
         [
             n2.results(update_id, relayed.rule_id, [10, 11]),
-            n2.results(update_id, relayed.rule_id, [12]),
-            n2.closed(update_id, relayed.rule_id),
+            n2.results(update_id, relayed.rule_id, [12], closed=True),
         ]
     )
     net.run()
     # One run at the relay, one for what it relayed.
     assert runs == [("N1", update_id, 2), ("N0", update_id, 2)]
     (to_n0,) = [
-        [m.kind for m in burst if m.kind in ("query_result", "link_closed")]
+        [(m.kind, m.payload.get("closed", False)) for m in burst]
         for burst in transport.bursts
         if burst[0].sender == "N1" and burst[0].recipient == "N0"
     ]
-    # The three relayed rows leave in full batches, then the closure.
-    assert to_n0 == ["query_result", "query_result", "link_closed"]
+    # The three relayed rows leave in full batches, the closure on the
+    # last: the cascade ran after the run was ingested.
+    assert to_n0 == [("query_result", False), ("query_result", True)]
     assert sorted(net.node("N0").rows("item")) == [(1,), (10,), (11,), (12,)]
 
 
@@ -331,12 +336,11 @@ def test_interleaved_updates_are_separate_runs_and_end_as_if_sequential(
         [
             n1.results(u1, "r0", rows["u1"][0]),
             n1.results(u1, "r1", rows["u1"][0]),
-            n1.results(u2, "r0", rows["u2"][0]),
-            n1.results(u2, "r1", rows["u2"][0]),
-            n1.results(u1, "r0", rows["u1"][1]),
-            n1.results(u1, "r1", rows["u1"][1]),
+            n1.results(u2, "r0", rows["u2"][0], closed=True),
+            n1.results(u2, "r1", rows["u2"][0], closed=True),
+            n1.results(u1, "r0", rows["u1"][1], closed=True),
+            n1.results(u1, "r1", rows["u1"][1], closed=True),
         ]
-        + [n1.closed(u, r) for u in (u1, u2) for r in ("r0", "r1")]
     )
     net.run()
     assert runs == [("N0", u1, 2), ("N0", u2, 2), ("N0", u1, 2)]
@@ -348,11 +352,10 @@ def test_interleaved_updates_are_separate_runs_and_end_as_if_sequential(
         sequential.run()
         transport.send_burst(
             [
-                n1.results(update_id, rule_id, keys)
+                n1.results(update_id, rule_id, keys, closed=keys is rows[label][-1])
                 for keys in rows[label]
                 for rule_id in ("r0", "r1")
             ]
-            + [n1.closed(update_id, r) for r in ("r0", "r1")]
         )
         sequential.run()
     interleaved, expected = net.node("N0"), sequential.node("N0")

@@ -1,14 +1,16 @@
-"""A query's last word carries its acknowledgement, soundly.
+"""A participant's last word carries its acknowledgement, soundly.
 
-A non-root query participant whose whole deficit, at the end of a
-delivery, is the one ``query_data`` it queued to its parent marks that
-message ``fin`` and disengages; the parent never acks it and counts it
-as the tree ack (:mod:`repro.core.termination`).  Taking an ack early
-is exactly what Dijkstra–Scholten cannot survive, so Hypothesis draws
-chains, trees and ``random_graph`` digraphs (cycles included) of 2–6
-peers, each importing ``item`` from its neighbours, and a program of
-writes and network reads at ``N0`` — cached or not, some of them under
-``MessageLoss`` on ``query_data`` and ``ack`` — and checks:
+A non-root participant whose whole deficit, at the end of a delivery,
+is the one result it queued to its parent — a query's ``query_data``,
+an update's ``query_result`` (most often the one that closes its
+link) — marks that message ``fin`` and disengages; the parent never
+acks it and counts it as the tree ack (:mod:`repro.core.termination`).
+Taking an ack early is exactly what Dijkstra–Scholten cannot survive,
+so Hypothesis draws chains, trees and ``random_graph`` digraphs (cycles
+included) of 2–6 peers, each importing ``item`` from its neighbours,
+and a program of writes and network reads at ``N0`` — cached or not,
+some of them under ``MessageLoss`` on ``query_data`` and ``ack`` — and
+checks:
 
 * at every root completion, no ``query_request`` or ``query_data`` of
   that query is still in flight and no peer is engaged in it;
@@ -21,6 +23,14 @@ writes and network reads at ``N0`` — cached or not, some of them under
 On a chain where only the tail has anything new, a lossless read sends
 no ``ack`` at all.  And a relay whose last word follows a shipment lost
 for good says ``partial`` on it.
+
+The same shapes carry global updates from any peer, with writes in
+between, some of them under ``MessageLoss`` on every update kind and
+``ack`` (closing results included); every update must complete with no
+update message in flight when its root completes, leave every peer —
+all are reachable from any origin — equal to the centralised chase and
+no termination state anywhere.  On a chain, a repeat update that finds
+nothing new sends no ``ack``.
 """
 
 from __future__ import annotations
@@ -29,8 +39,11 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro import CoDBNetwork
+from repro.baselines import CentralizedExchange
 from repro.core.node import CoDBNode
+from repro.core.update import UPDATE_KINDS
 from repro.p2p.faults import FaultInjector, FaultModel, MessageLoss
+from repro.relational.containment import rows_equal_up_to_nulls
 from repro.workloads.topologies import ITEM_SCHEMA, random_graph
 
 #: (query, the same filter on a written key)
@@ -39,16 +52,17 @@ TEMPLATES = (
     ("q(k) <- item(k, v), k >= 5", lambda k: k >= 5),
 )
 ENGAGING = ("query_request", "query_data")
+UPDATE_ENGAGING = ("update_request", "query_result")
 
 
 class FewLosses(MessageLoss):
-    """:class:`MessageLoss` without retries on ``query_data`` and
-    ``ack`` that bounces at most ``limit`` messages, so no peer's retry
-    budget (``CoDBNode.RESEND_LIMIT``) can run out; it remembers what
-    it bounced."""
+    """:class:`MessageLoss` without retries on *kinds* that bounces at
+    most ``limit`` messages, so no peer's retry budget
+    (``CoDBNode.RESEND_LIMIT``) can run out; it remembers what it
+    bounced."""
 
-    def __init__(self, probability: float) -> None:
-        super().__init__(probability, retries=0, kinds=("query_data", "ack"))
+    def __init__(self, probability: float, kinds=("query_data", "ack")) -> None:
+        super().__init__(probability, retries=0, kinds=kinds)
         self.limit = 0
         self.lost: list[str] = []
 
@@ -267,3 +281,116 @@ def test_a_relay_whose_last_word_follows_a_loss_says_partial():
     assert root.cache.fills_skipped == 1
     weather.lost = ""
     assert sorted(net.query("N0", TEMPLATES[0][0], mode="network")) == [(2,), (3,)]
+
+
+@st.composite
+def update_programs(draw):
+    size = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(["chain", "tree", "graph"]))
+    rules = topology(shape, size, draw)
+    data = {i: draw(st.lists(st.integers(0, 9), max_size=3)) for i in range(size)}
+    loss = draw(st.sampled_from([0.3, 0.6]))
+    step = st.one_of(
+        st.tuples(st.just("write"), st.integers(0, size - 1), st.integers(0, 9)),
+        st.tuples(st.just("update"), st.integers(0, size - 1), st.booleans()),
+    )
+    steps = draw(st.lists(step, min_size=1, max_size=6))
+    return size, rules, data, loss, steps
+
+
+class UpdateRun:
+    def __init__(self, size, rules, data, loss) -> None:
+        self.net = build(size, rules, data)
+        self.loss = FewLosses(loss, kinds=(*UPDATE_KINDS, "ack"))
+        self.net.transport.install_faults(FaultInjector(self.loss, seed=11))
+        self.completed: list[str] = []
+        for node in self.net.nodes.values():
+            self.watch(node)
+
+    def watch(self, node) -> None:
+        manager = node.updates
+        complete = manager.root_complete
+
+        def root_complete(update_id):
+            self.assert_quiet(update_id)
+            self.completed.append(update_id)
+            complete(update_id)
+
+        manager.root_complete = root_complete
+
+    def assert_quiet(self, update_id: str) -> None:
+        """No update message of *update_id* in flight, nor bounced."""
+        for _at, _sequence, burst in self.net.transport._queue:
+            for message in burst:
+                kind, payload = message.kind, message.payload
+                if kind == "undeliverable":
+                    kind, payload = payload["kind"], payload["payload"]
+                assert not (
+                    kind in UPDATE_ENGAGING and payload.get("update_id") == update_id
+                ), message
+        for name, node in self.net.nodes.items():
+            assert not node.termination.is_engaged(update_id), name
+
+    def update(self, origin: int, lossy: bool) -> None:
+        net = self.net
+        truth = CentralizedExchange.for_network(net).run_for_network(net)
+        self.loss.limit = 3 if lossy else 0
+        self.loss.lost.clear()
+        try:
+            outcome = net.global_update(f"N{origin}")
+            net.run()
+        finally:
+            self.loss.limit = 0
+        assert outcome.report.outcome == "complete"
+        assert self.completed[-1] == outcome.update_id
+        for name, node in net.nodes.items():
+            assert not node.termination._computations, name
+            assert not node.updates.sessions, name
+            expected = truth.node_snapshot(name, node.wrapper.schema)
+            for relation, rows in node.snapshot().items():
+                assert rows_equal_up_to_nulls(rows, expected[relation]), (name, relation)
+
+
+@given(update_programs())
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_every_update_completes_quiet_and_at_the_fixpoint(program):
+    size, rules, data, loss, steps = program
+    run = UpdateRun(size, rules, data, loss)
+    for op, *args in steps:
+        if op == "write":
+            node, value = args
+            run.net.node(f"N{node}").insert("item", (value, 0))
+        else:
+            run.update(*args)
+
+
+@given(size=st.integers(2, 6), data=st.lists(st.integers(0, 9), max_size=3))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_repeat_update_with_nothing_new_sends_no_ack(size, data):
+    """After a first update from the head of the chain every row has
+    migrated there: in the second, each participant's last word is the
+    result that closes its link, and it carries the sender's tree ack."""
+    net = build(size, chain(size), {i: data if i == size - 1 else [] for i in range(size)})
+    net.global_update("N0")
+    net.run()
+    stats = net.transport.stats
+    before = dict(stats.by_kind)
+    assert net.global_update("N0").report.outcome == "complete"
+    net.run()
+    sent = {
+        kind: count - before.get(kind, 0)
+        for kind, count in stats.by_kind.items()
+        if count != before.get(kind, 0)
+    }
+    # A request and a closing result per link, then the completion flood.
+    links = size - 1
+    assert sent == {
+        "update_request": links,
+        "query_result": links,
+        "update_complete": links,
+    }

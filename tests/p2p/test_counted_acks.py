@@ -113,6 +113,15 @@ def result(update_id: str, *keys: int) -> tuple[str, dict]:
     )
 
 
+def closing(update_id: str, *, fin: bool = False) -> tuple[str, dict]:
+    """The result of no rows that closes B's link to A."""
+    kind, payload = result(update_id)
+    payload["closed"] = True
+    if fin:
+        payload["fin"] = True
+    return kind, payload
+
+
 class TestBouncedAck:
     def bounce(self, payload: dict) -> tuple[str, dict]:
         return (
@@ -147,10 +156,16 @@ class TestStrayAcks:
         fabric.from_b(
             result("update-done", 1),
             result("update-done", 2),
-            ("link_closed", {"update_id": "update-done", "rule_id": "r"}),
+            closing("update-done"),
         )
         assert fabric.acks() == [{"computation_id": "update-done", "count": 3}]
         assert fabric.node.rows("item") == []  # dropped, not ingested
+
+    def test_a_fin_stray_is_not_acked(self):
+        fabric = Fabric()
+        fabric.node.updates.completed_updates.add("update-done")
+        fabric.from_b(result("update-done", 1), closing("update-done", fin=True))
+        assert fabric.acks() == [{"computation_id": "update-done"}]
 
     def test_single_stray_is_acked_bare(self):
         fabric = Fabric()
@@ -171,6 +186,18 @@ class TestStrayAcks:
         assert fabric.acks() == []  # deferred un-acked: B's deficit stays open
         fabric.from_b(("update_complete", {"update_id": "update-late-0002"}))
         assert fabric.acks() == [{"computation_id": "update-late-0002", "count": 2}]
+
+    def test_a_deferred_fin_is_not_acked_when_its_update_is_dropped(self):
+        fabric = Fabric(NodeConfig(max_active_sessions=1))
+        node = fabric.node
+        node.admission.try_enter("update-live-0001", "update")
+        request = (
+            "update_request",
+            {"update_id": "update-late-0002", "origin": "B", "path": ["B"]},
+        )
+        fabric.from_b(request, closing("update-late-0002", fin=True))
+        fabric.from_b(("update_complete", {"update_id": "update-late-0002"}))
+        assert fabric.acks() == [{"computation_id": "update-late-0002"}]
 
     def test_query_dropped_from_admission_acks_its_deferred_messages_once(self):
         fabric = Fabric(NodeConfig(max_active_sessions=1))
@@ -209,8 +236,55 @@ class TestOneAckPerDelivery:
 
 
 class TestImplicitAcks:
-    """A query participant's last ``query_data`` to its parent, when it
-    is the participant's whole deficit, carries its tree ack (``fin``)."""
+    """A participant's last result to its parent — a ``query_data``, or
+    an update's ``query_result`` — when it is the participant's whole
+    deficit, carries its tree ack (``fin``)."""
+
+    def test_an_update_fin_closes_the_link_and_the_tree_edge(self):
+        fabric = Fabric()
+        node = fabric.node
+        update_id = node.submit_update_id()
+        fabric.net.run_until_idle()
+        assert node.termination.deficit(update_id) == 1  # the request to B
+        fabric.from_b(result(update_id, 1), closing(update_id, fin=True))
+        # The first result is acked; the closing one is B's tree ack.
+        assert fabric.acks() == [{"computation_id": update_id}]
+        assert node.update_done(update_id)
+        assert node.rows("item") == [(1,)]
+        report = node.update_report(update_id)
+        assert report.status == "closed" and report.links_closed_by_quiescence == 0
+
+    def test_an_update_participant_closes_with_its_last_word(self):
+        fabric = Fabric()
+        node = fabric.node
+        node.set_rules(
+            [CoordinationRule.from_text("s", "B:item(k) <- A:item(k)")]
+        )
+        node.load_facts({"item": [(1,)]})
+        request = {"update_id": "update-x", "origin": "B", "path": ["B"]}
+        fabric.from_b(("update_request", request))
+        (last,) = [m for m in fabric.heard if m.kind == "query_result"]
+        assert last.payload == {
+            "update_id": "update-x", "rule_id": "s", "rows": [[1]],
+            "path_len": 1, "closed": True, "fin": True,
+        }
+        assert fabric.acks() == []
+        assert not node.termination.is_engaged("update-x")
+        assert node.update_report("update-x").bytes_sent == last.size_bytes()
+
+    def test_an_activation_with_nothing_new_sends_only_the_closure(self):
+        fabric = Fabric()
+        node = fabric.node
+        node.set_rules(
+            [CoordinationRule.from_text("s", "B:item(k) <- A:item(k)")]
+        )
+        request = {"update_id": "update-x", "origin": "B", "path": ["B"]}
+        fabric.from_b(("update_request", request))
+        (last,) = [m for m in fabric.heard if m.kind == "query_result"]
+        assert last.payload == {
+            "update_id": "update-x", "rule_id": "s", "rows": [],
+            "closed": True, "fin": True,
+        }
 
     def test_a_fin_message_is_not_acked_and_releases_the_tree_edge(self):
         fabric = Fabric()

@@ -6,7 +6,13 @@ same network — an 8-node copy chain, ``batch_rows=8``, 20 fresh rows
 at every non-origin node, one update from ``N0`` — checked in a second:
 the counts must not depend on the transport or on socket timing, the
 acknowledgements stay within their burst budget, and the paper's §4
-statistics are what they were before bursts existed.
+statistics are what they were before bursts existed (but for the
+closure that seven results carry).
+
+And the gateway's ``A <- B <- C`` chain: a repeat update that finds
+nothing new sends its requests, one closing result per link — each
+its sender's last word, so it carries the tree ack too — and the
+completion flood.
 """
 
 import random
@@ -80,17 +86,59 @@ def test_acks_and_total_stay_within_the_burst_budget(simulated):
     # One ack per data burst (1 + 2 + ... + 7) and one per tree edge.
     assert by_kind["ack"] <= 35
     assert sum(by_kind.values()) <= 140
+    # Each closure rides the last result on its link.
     assert by_kind == {
         "update_request": 7,
         "query_result": 84,
-        "link_closed": 7,
         "update_complete": 7,
-        "ack": by_kind["ack"],
+        "ack": 35,
     }
+    assert simulated["bytes_sent"] == 30051
 
 
 def test_section_4_statistics_are_unmoved(simulated):
     assert simulated["rules"] == 7
     assert simulated["result_msgs"] / simulated["rules"] == 12
-    assert round(simulated["volume"] / simulated["result_msgs"], 2) == 177.67
+    # Seven results carry their link's closure (``"closed":true``).
+    assert simulated["volume"] == 14924 + 7 * len(',"closed":true')
+    assert round(simulated["volume"] / simulated["result_msgs"], 2) == 178.83
     assert simulated["longest_path"] == 7
+
+
+def test_a_repeat_update_on_the_gateway_chain_is_six_messages():
+    net = CoDBNetwork(
+        seed=0, with_superpeer=False, config=NodeConfig(max_active_sessions=4)
+    )
+    net.add_node("A", "item(k: int)")
+    net.add_node("B", "item(k: int)", facts={"item": [(k,) for k in range(10, 70)]})
+    net.add_node("C", "item(k: int)", facts={"item": [(k,) for k in range(70, 130)]})
+    net.add_rule("A:item(k) <- B:item(k)")
+    net.add_rule("B:item(k) <- C:item(k)")
+    net.start()
+    net.global_update("A")
+    net.run()
+    sent = []
+    send_burst = net.transport.send_burst
+
+    def recording(messages):
+        sent.extend(messages)
+        send_burst(messages)
+
+    net.transport.send_burst = recording
+    outcome = net.global_update("A")
+    net.run()
+    assert outcome.report.outcome == "complete"
+    closing = {"rows": [], "closed": True, "fin": True}
+    assert [
+        (m.kind, m.sender, m.recipient, m.size_bytes()) for m in sent
+    ] == [
+        ("update_request", "A", "B", 156),
+        ("update_request", "B", "C", 160),
+        ("query_result", "C", "B", 178),
+        ("query_result", "B", "A", 178),
+        ("update_complete", "A", "B", 148),
+        ("update_complete", "B", "C", 148),
+    ]
+    for result in sent[2:4]:
+        assert {key: result.payload[key] for key in closing} == closing
+    assert sum(m.size_bytes() for m in sent) == 968

@@ -44,8 +44,9 @@ KIND_PAYLOADS = {
         "rule_id": "r0",
         "rows": ROWS,
         "path_len": 2,
+        "closed": True,
+        "fin": True,
     },
-    "link_closed": {"update_id": "update-ab12cd-0000", "rule_id": "r0"},
     "update_complete": {"update_id": "update-ab12cd-0000"},
     "ack": {"computation_id": "update-ab12cd-0000"},
     "query_request": {
@@ -77,7 +78,6 @@ KIND_PAYLOADS = {
     },
     "rejoin": {
         "digests": {"r1": [3, 123456789]},
-        "epochs": {"G": 2},
         "ack": False,
     },
 }
