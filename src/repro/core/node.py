@@ -14,6 +14,32 @@ A node owns:
 
 The "UI" operations of §2 — pose queries, start updates, change rules,
 discover the topology, read reports — are the public methods.
+
+Every input to a node — a delivered burst (a bounce and a ``peer_down``
+notice are bursts too), a public call — is one scope,
+:meth:`CoDBNode.input`.  The scope holds the node's lock, and every
+message the input emits (:meth:`CoDBNode.emit`) is collected in order
+as a *draft*, without an id.  When the scope closes, one pass finishes
+the list (:meth:`CoDBNode._finish`):
+
+* a cache registration rides the next ``query_complete`` the input sent
+  its peer, or leaves on its own (``invalidation`` ``op=register``);
+* a participant whose whole deficit is the last result it sent for a
+  computation lets that result carry its tree ack (``"fin"``, and
+  ``"partial"`` when its query participation is unclean,
+  :mod:`repro.core.termination`) — which can finish an update session
+  a failure touched, whose emissions join the list;
+* the acknowledgements the input owes leave summed, one per peer and
+  computation, last;
+* every draft is stamped with its id, in order, and an update's
+  request and result bytes are counted in its §4 report.
+
+Then the list leaves, one burst per recipient in order of first
+appearance, while the lock is still held (:meth:`CoDBNode._send`).  A
+message sent again after a bounce keeps its id and is not touched.  So
+what a node sends is a function of its inputs alone:
+:meth:`CoDBNode.react` runs one burst and returns the finished list
+instead of sending it.
 """
 
 from __future__ import annotations
@@ -47,6 +73,10 @@ from repro.relational.values import Row, Value
 from repro.relational.wrapper import MemoryStore, Wrapper
 
 log = logging.getLogger(__name__)
+
+#: The kinds a peer sends in its own name: their delivery proves the
+#: sender reachable (:meth:`CoDBNode._heard`).
+_FROM_PEER = frozenset({*UPDATE_KINDS, *QUERY_KINDS, "invalidation", "ack"})
 
 
 @dataclass
@@ -168,26 +198,23 @@ class CoDBNode:
         #: runs handlers while the driver thread calls the public API
         #: (start updates/queries, local inserts).  One reentrant lock
         #: per node keeps the actor discipline without giving up
-        #: cross-node parallelism.  Uncontended on the simulator.
+        #: cross-node parallelism.  Uncontended on the simulator.  Held
+        #: for the whole of an input (:meth:`input`).
         self._lock = threading.RLock()
+        #: Inputs open on the thread that holds the lock: one nested in
+        #: another (a handler that calls a public method) joins it.
+        self._inputs = 0
+        self._scope = _Input(self)
+        #: What the open input has emitted so far, in order.
+        self.emitted: list[Message] = []
         self.wrapper = store if store is not None else MemoryStore(schema)
         if self.wrapper.schema is not schema:
             raise RuleError(
                 f"node {name!r}: the store was built for a different schema"
             )
-        self.endpoint = Endpoint(name, transport, ids)
-        #: (recipient, computation id) -> acknowledgements owed so far
-        #: in the current delivery; they leave summed when it ends.
-        #: Touched by the delivering thread only.
-        self._owed_acks: dict[tuple[str, str], int] = {}
-        #: Likewise peer -> {rule id: lease}, the cache registrations
-        #: owed (see :meth:`register_cache_interest`).
-        self._owed_registrations: dict[str, dict[str, int]] = {}
-        #: computation id -> the last result (``query_data``, or an
-        #: update's ``query_result``) the open delivery queued for it:
-        #: it may carry this node's tree ack (:meth:`_finish_last_words`).
-        self.last_words: dict[str, Message] = {}
-        self.endpoint.before_flush = self._flush_owed
+        self.endpoint = Endpoint(
+            name, transport, ids, scope=self.input, heard=self._heard
+        )
         self.nulls = NullFactory(name)
         self.stats = NodeStatistics(name)
         # lifetime_totals() shows where this node's compiled plans ran.
@@ -234,53 +261,26 @@ class CoDBNode:
         }
         assert {*engine_handlers, "query_result"} == {*UPDATE_KINDS, *QUERY_KINDS}
         for kind, handler in engine_handlers.items():
-            self.endpoint.on(kind, self._locked_noting_sender(handler))
+            self.endpoint.on(kind, handler)
         # Results are ingested a run at a time: one T per delivery (§3).
-        self.endpoint.on_run(
-            "query_result",
-            self._locked_noting_run(self.updates.on_query_result),
-        )
-        self.endpoint.on("ack", self._locked(self._on_ack))
-        self.endpoint.on("rules_file", self._locked(self._on_rules_file))
-        self.endpoint.on("stats_request", self._locked(self._on_stats_request))
-        self.endpoint.on("undeliverable", self._locked(self._on_undeliverable))
+        self.endpoint.on_run("query_result", self.updates.on_query_result)
+        self.endpoint.on("ack", self._on_ack)
+        self.endpoint.on("rules_file", self._on_rules_file)
+        self.endpoint.on("stats_request", self._on_stats_request)
+        self.endpoint.on("undeliverable", self._on_undeliverable)
         self.endpoint.on(
-            "peer_down",
-            self._locked(lambda message: self._on_peer_down(message.payload["peer"])),
+            "peer_down", lambda message: self._on_peer_down(message.payload["peer"])
         )
-        self.endpoint.on(
-            "invalidation", self._locked_noting_sender(self._on_invalidation)
-        )
-        self.endpoint.on("rejoin", self._locked(self._on_rejoin))
+        self.endpoint.on("invalidation", self._on_invalidation)
+        self.endpoint.on("rejoin", self._on_rejoin)
 
-    def _locked(self, handler):
-        def wrapped(message: Message) -> None:
-            with self._lock:
-                handler(message)
-
-        return wrapped
-
-    def _locked_noting_sender(self, handler):
-        """:meth:`_locked`, and hearing from a peer proves it reachable
-        (:meth:`_note_reachable`)."""
-
-        def wrapped(message: Message) -> None:
-            with self._lock:
-                self._note_reachable(message.sender)
-                handler(message)
-
-        return wrapped
-
-    def _locked_noting_run(self, handler):
-        """:meth:`_locked_noting_sender` for a run handler."""
-
-        def wrapped(messages: list[Message]) -> None:
-            with self._lock:
-                for message in messages:
-                    self._note_reachable(message.sender)
-                handler(messages)
-
-        return wrapped
+    def _heard(self, message: Message) -> None:
+        """A message reached this node's input: one a peer sent in its
+        own name proves that peer reachable (:meth:`_note_reachable`).
+        A transport notice names the peer it is about as its sender,
+        and a ``rejoin`` settles reachability itself."""
+        if message.kind in _FROM_PEER:
+            self._note_reachable(message.sender)
 
     def _note_reachable(self, peer: str) -> None:
         """A delivery from *peer* refills its retry budget.  First
@@ -292,67 +292,130 @@ class CoDBNode:
         that wrote the peer off: its notice may have been lost, so a
         plain rejoin handshake resets the peer's side too."""
         if self._resends and self._resends.pop(peer, 0) > self.RESEND_LIMIT:
-            self.endpoint.send(peer, "rejoin", self._rejoin_payload(ack=False))
+            self.emit(peer, "rejoin", self._rejoin_payload(ack=False))
         if peer in self._down_peers:
             self._down_peers.discard(peer)
             self.cache_fault_fallback(peer)
 
     # ------------------------------------------------------------------
-    # Termination plumbing shared by both engines
+    # Inputs: what one input emits, finished in one pass
     # ------------------------------------------------------------------
+
+    def input(self) -> "_Input":
+        """The scope of one input to this node (module docstring): the
+        transport enters it around each delivered burst, and every
+        public call that may send runs inside it."""
+        return self._scope
+
+    def react(self, burst: Iterable[Message]) -> list[Message]:
+        """Handle *burst* as one input, as a delivery would, and return
+        what it emits — finished and stamped, in order — instead of
+        sending it: the node core as a function of its inputs."""
+        scope = _Input(self, keep=True)
+        with scope:
+            if self._inputs > 1:
+                raise ProtocolError(f"{self.name}: react inside an open input")
+            for message in burst:
+                self.endpoint._dispatch(message)
+        return scope.effects
+
+    def emit(self, recipient: str, kind: str, payload: dict) -> Message:
+        """Collect one message in the open input; it leaves, stamped,
+        when the input closes.  Returns the draft."""
+        if not self._inputs:
+            raise ProtocolError(f"{self.name}: {kind} sent outside an input")
+        message = Message(kind, self.name, recipient, payload)
+        self.emitted.append(message)
+        return message
 
     def send_ack(
         self, recipient: str, computation_id: str, count: int = 1
     ) -> None:
-        """Acknowledge *count* of *recipient*'s messages.  During a
-        delivery the debt is only noted: everything owed to one peer
-        for one computation leaves as a single counted ``ack`` when the
-        delivery ends (always safe in Dijkstra–Scholten, and it keeps
-        the number of acks a function of the bursts delivered)."""
-        if self.endpoint.delivering():
-            key = (recipient, computation_id)
-            self._owed_acks[key] = self._owed_acks.get(key, 0) + count
-        else:
-            self._emit_ack(recipient, computation_id, count)
+        """Acknowledge *count* of *recipient*'s messages.  The debt is
+        only noted in the open input: everything it owes one peer for
+        one computation leaves as a single counted ``ack`` when it
+        closes (always safe in Dijkstra–Scholten, and it keeps the
+        number of acks a function of the bursts delivered)."""
+        self.emit(recipient, "ack", {"computation_id": computation_id, "count": count})
 
-    def _flush_owed(self) -> None:
-        """End of a delivery: pay what it ran up (it joins the bursts
-        that are about to leave) — first the registrations no
-        completion carried, then a participant's tree ack on its last
-        result, then the acks."""
-        if self._owed_registrations:
-            registrations, self._owed_registrations = self._owed_registrations, {}
-            for remote, owed_here in registrations.items():
-                for rule_id, lease in owed_here.items():
-                    self._send_registration(remote, rule_id, lease)
-        if self.last_words:
-            with self._lock:
-                self._finish_last_words()
-        owed, self._owed_acks = self._owed_acks, {}
-        for (recipient, computation_id), count in owed.items():
-            self._emit_ack(recipient, computation_id, count)
-
-    def _finish_last_words(self) -> None:
-        """A participant whose whole deficit is the result it queued to
-        its parent in this delivery — a query's ``query_data`` or an
-        update's ``query_result`` — lets that message carry its tree
-        ack: ``"fin": true``, and ``"partial": true`` when its query
-        participation is unclean, as its ack would say
-        (:mod:`repro.core.termination`).  An update session a failure
-        touched may be over here once it disengages; finalizing it can
-        admit deferred work, whose last words are taken in turn.  Then
-        the update results of the delivery are final and counted."""
-        while self.last_words:
-            last, self.last_words = self.last_words, {}
+    def _finish(self) -> list[Message]:
+        """The one pass over what the open input emitted (module
+        docstring); returns the list ready to leave.  A failure-touched
+        update session that a tree ack finishes may emit more; that is
+        taken in turn, so the acks still leave last."""
+        batch, self.emitted = self.emitted, []
+        finished: list[Message] = []
+        #: (peer, computation id) -> acks owed; peer -> {rule id: lease}.
+        acks: dict[tuple[str, str], int] = {}
+        registrations: dict[str, dict[str, int]] = {}
+        while batch:
+            #: computation id -> the last result sent for it.
+            last: dict[str, Message] = {}
+            for message in batch:
+                # A message with an id was sent before and bounced: it
+                # goes again as it was.
+                kind, payload = message.kind, message.payload
+                if not message.message_id:
+                    if kind == "ack":
+                        key = (message.recipient, payload["computation_id"])
+                        acks[key] = acks.get(key, 0) + payload["count"]
+                        continue
+                    if kind == "invalidation" and payload.get("op") == "register":
+                        owed = registrations.setdefault(message.recipient, {})
+                        owed[payload["rule_id"]] = payload["lease"]
+                        continue
+                    if kind == "query_complete":
+                        carried = registrations.pop(message.recipient, None)
+                        if carried:
+                            payload["register"] = carried
+                    elif kind == "query_result":
+                        last[payload["update_id"]] = message
+                    elif kind == "query_data":
+                        last[payload["query_id"]] = message
+                finished.append(message)
+            for remote, owed in registrations.items():
+                for rule_id, lease in owed.items():
+                    finished.append(Message("invalidation", self.name, remote, {
+                        "op": "register", "rule_id": rule_id, "lease": lease,
+                    }))
+            registrations.clear()
             for computation_id, message in last.items():
-                if not self.termination.finish_with(computation_id, message.recipient):
-                    continue
-                fields = {"fin": True}
-                if self.queries.is_partial(computation_id):
-                    fields["partial"] = True
-                self.endpoint.amend_queued(message, fields)
-                self.updates.maybe_finalize_after_failure(computation_id)
-        self.updates.count_queued()
+                if self.termination.finish_with(computation_id, message.recipient):
+                    message.payload["fin"] = True
+                    if self.queries.is_partial(computation_id):
+                        message.payload["partial"] = True
+                    self.updates.maybe_finalize_after_failure(computation_id)
+            batch, self.emitted = self.emitted, []
+        for (recipient, computation_id), count in acks.items():
+            # ``count`` omitted means 1: a single ack is the frame it
+            # always was.  An unclean query participation says so on
+            # every ack it sends: the flag climbs the tree before the
+            # root completes.
+            payload: dict = {"computation_id": computation_id}
+            if count > 1:
+                payload["count"] = count
+            if self.queries.is_partial(computation_id):
+                payload["partial"] = True
+            finished.append(Message("ack", self.name, recipient, payload))
+        message_id = self.endpoint.ids.message_id
+        for message in finished:
+            if message.message_id:
+                continue
+            message.stamp(message_id())
+            if message.kind in ("update_request", "query_result"):
+                report = self.stats.report_for(message.payload["update_id"])
+                if report is not None:
+                    report.bytes_sent += message.size_bytes()
+        return finished
+
+    def _send(self, messages: list[Message]) -> None:
+        """The one place this node's messages leave: one burst per
+        recipient, in order of first appearance."""
+        bursts: dict[str, list[Message]] = {}
+        for message in messages:
+            bursts.setdefault(message.recipient, []).append(message)
+        for burst in bursts.values():
+            self.endpoint.send_burst(burst)
 
     def drop_unread(self, message: Message, computation_id: str) -> None:
         """Settle an engaging *message* dropped unread (its computation
@@ -364,21 +427,8 @@ class CoDBNode:
         else:
             self.send_ack(message.sender, computation_id)
 
-    def _emit_ack(self, recipient: str, computation_id: str, count: int) -> None:
-        # ``count`` omitted means 1: a single ack is the frame it
-        # always was.
-        payload: dict = {"computation_id": computation_id}
-        if count > 1:
-            payload["count"] = count
-        if self.queries.is_partial(computation_id):
-            # An unclean query participation says so on every ack it
-            # sends: the flag climbs the tree before the root completes.
-            payload["partial"] = True
-        self.endpoint.send(recipient, "ack", payload)
-
     def _on_ack(self, message: Message) -> None:
         computation_id = message.payload["computation_id"]
-        self._note_reachable(message.sender)
         if message.payload.get("partial"):
             self.queries.mark_partial(computation_id)
         self.termination.on_ack(
@@ -416,7 +466,7 @@ class CoDBNode:
             if spent < self.RESEND_LIMIT:
                 self._resends[peer] = spent + 1
                 self.stats.messages_resent += 1
-                self.endpoint.send_message(Message(
+                self.emitted.append(Message(
                     kind, self.name, peer, bounced["payload"], bounced["message_id"]
                 ))
                 return
@@ -424,7 +474,7 @@ class CoDBNode:
             self.stats.peers_written_off += 1
             log.warning("%s writes %s off: its %s bounced %d times",
                         self.name, peer, kind, spent + 1)
-            self.endpoint.send(
+            self.emit(
                 peer, "rejoin", self._rejoin_payload(ack=False, written_off=True)
             )
         self._on_peer_down(peer)
@@ -516,7 +566,7 @@ class CoDBNode:
                 for link, heads in batch
             ]
         }
-        self.endpoint.send(remote, "invalidation", payload)
+        self.emit(remote, "invalidation", payload)
         self.invalidations_sent += len(batch)
         self.invalidation_batches += 1
         self.invalidations_coalesced += len(batch) - 1
@@ -551,35 +601,21 @@ class CoDBNode:
         ``config.interest_lease_events`` as a renewable suppression
         lease (see :class:`NodeConfig`).
 
-        During a delivery a registration is only noted, like an ack: a
-        ``query_complete`` this delivery sends to that peer carries it
-        (:meth:`take_registrations`), else it leaves at the delivery's
-        end as a standalone ``invalidation op=register``."""
+        A registration is only noted in the open input, like an ack: a
+        ``query_complete`` the input sends that peer after it carries
+        it, else it leaves on its own when the input closes, as an
+        ``invalidation`` ``op=register`` (:meth:`_finish`)."""
         targets = set(relations)
         lease = self.config.interest_lease_events
-        delivering = self.endpoint.delivering()
         for link in self.links.outgoing.values():
             if link.registered:
                 continue
             if not targets & set(link.rule.mapping.head_relations()):
                 continue
             link.registered = True
-            if delivering:
-                owed = self._owed_registrations.setdefault(link.remote, {})
-                owed[link.rule_id] = lease
-            else:
-                self._send_registration(link.remote, link.rule_id, lease)
-
-    def _send_registration(self, remote: str, rule_id: str, lease: int) -> None:
-        payload = {"op": "register", "rule_id": rule_id, "lease": lease}
-        self.endpoint.send(remote, "invalidation", payload)
-
-    def take_registrations(self, remote: str) -> dict[str, int] | None:
-        """The registrations owed to *remote* in this delivery, for a
-        ``query_complete`` toward it to carry."""
-        if not self._owed_registrations or not self.endpoint.delivering():
-            return None
-        return self._owed_registrations.pop(remote, None)
+            self.emit(link.remote, "invalidation", {
+                "op": "register", "rule_id": link.rule_id, "lease": lease,
+            })
 
     def apply_registration(self, rule_id: str, lease: int) -> None:
         """The importer on our incoming link *rule_id* serves cached
@@ -701,7 +737,7 @@ class CoDBNode:
         relevant = [r for r in rules if self.name in (r.target, r.source)]
         for rule in relevant:
             self._validate_rule(rule)
-        with self._lock:
+        with self.input():
             self.links = LinkTable(self.name, relevant)
             # Live update sessions keep running across a rewire: rebind
             # their link views to the new table (§4 dynamic topology).
@@ -750,7 +786,7 @@ class CoDBNode:
         reports = [
             report.to_payload() for report in self.stats.reports.values()
         ]
-        self.endpoint.send(
+        self.emit(
             message.sender,
             "stats_response",
             {
@@ -770,7 +806,7 @@ class CoDBNode:
         """Bulk-load ground facts, given as text or ``{relation: rows}``."""
         if isinstance(facts, str):
             facts = parse_facts(facts)
-        with self._lock:
+        with self.input():
             loaded = self.wrapper.load({k: list(v) for k, v in facts.items()})
             if loaded:
                 self.bump_epochs(facts)
@@ -780,7 +816,7 @@ class CoDBNode:
         """Insert one local row.  It reaches downstream peers with the
         next global update or network query that reads it; importers
         holding cached answers over it are sent an invalidation."""
-        with self._lock:
+        with self.input():
             new_rows = self.wrapper.insert_new(relation, [row])
             if new_rows:
                 self.bump_epochs([relation])
@@ -864,7 +900,7 @@ class CoDBNode:
         service gateway's per-tenant accounting)."""
         if isinstance(query, str):
             query = parse_query(query)
-        with self._lock:
+        with self.input():
             self.stats.note_tenant_submission(tenant, "query")
             return self.queries.submit(query, cache=cache)
 
@@ -908,7 +944,7 @@ class CoDBNode:
 
     def cancel_query(self, query_id: str) -> bool:
         """Withdraw a query still queued behind admission."""
-        with self._lock:
+        with self.input():
             return self.queries.cancel(query_id)
 
     # ------------------------------------------------------------------
@@ -921,7 +957,7 @@ class CoDBNode:
         entry point the network layer and id-oriented callers use).
         *tenant* tags the submission in this node's statistics (the
         service gateway's per-tenant accounting)."""
-        with self._lock:
+        with self.input():
             self.stats.note_tenant_submission(tenant, "update")
             return self.updates.submit()
 
@@ -961,7 +997,7 @@ class CoDBNode:
 
     def cancel_update(self, update_id: str) -> bool:
         """Withdraw an update still queued behind admission."""
-        with self._lock:
+        with self.input():
             return self.updates.cancel(update_id)
 
     def update_done(self, update_id: str) -> bool:
@@ -1011,7 +1047,7 @@ class CoDBNode:
         keeps re-shipped rows from re-minting nulls.  A stale ``pushed``
         memory only ever causes over-resending, which ``fired`` absorbs.
         """
-        with self._lock:
+        with self.input():
             self.detached = False
             # Every acquaintance gets a fresh chance; a genuinely dead
             # peer will bounce again and be re-recorded.
@@ -1023,12 +1059,10 @@ class CoDBNode:
             for link in self.links.incoming.values():
                 link.cache_interest = False
                 link.notified.clear()
-            peers = self.links.acquaintances()
+            self.endpoint.reattach()
             payload = self._rejoin_payload(ack=False)
-        self.endpoint.reattach()
-        for peer in peers:
-            self.endpoint.send(peer, "rejoin", payload)
-        with self._lock:
+            for peer in self.links.acquaintances():
+                self.emit(peer, "rejoin", payload)
             self.admission.drain()
 
     def _on_rejoin(self, message: Message) -> None:
@@ -1041,8 +1075,9 @@ class CoDBNode:
         turn (:meth:`_on_peer_down`): nothing here may wait for them.
 
         Then, as for any rejoin, a symmetric resync: treat the peer as
-        freshly reachable (flood the cache, reset interest both ways —
-        it may have missed invalidations while gone), then compare each
+        freshly reachable (flood the cache unless that write-off just
+        did, reset interest both ways — it may have missed
+        invalidations while gone), then compare each
         incoming link's lifetime ``pushed`` memory against the digest of
         the peer's restored ``fired`` memory for the same rule.  A match
         means the peer missed nothing this side's dedup would suppress —
@@ -1053,11 +1088,13 @@ class CoDBNode:
         """
         peer = message.sender
         payload = message.payload
+        # The write-off floods unless the peer was written off already.
+        flooded = payload.get("written_off") and peer not in self._down_peers
         if payload.get("written_off"):
             self._on_peer_down(peer)
         self._resends.pop(peer, None)
         self._down_peers.discard(peer)
-        self.cache_fault_fallback(peer)
+        self.cache_fault_fallback(peer, flood=not flooded)
         digests = payload.get("digests", {})
         for link in self.links.incoming.values():
             if link.remote != peer:
@@ -1068,7 +1105,7 @@ class CoDBNode:
                 link.forget_delivered()
         self.admission.drain()
         if not payload.get("ack"):
-            self.endpoint.send(peer, "rejoin", self._rejoin_payload(ack=True))
+            self.emit(peer, "rejoin", self._rejoin_payload(ack=True))
 
     # ------------------------------------------------------------------
 
@@ -1095,7 +1132,7 @@ class CoDBNode:
         diffusing computation this node is part of can collapse without
         waiting for bounces.
         """
-        with self._lock:
+        with self.input():
             self.detached = True
             self.termination.abandon_all()
         self.endpoint.detach()
@@ -1105,3 +1142,42 @@ class CoDBNode:
             f"<CoDBNode {self.name} relations={self.wrapper.schema.relation_names} "
             f"out={len(self.links.outgoing)} in={len(self.links.incoming)}>"
         )
+
+
+class _Input:
+    """Context manager behind :meth:`CoDBNode.input` (a class, not a
+    generator: one is entered for every delivered burst).  With *keep*
+    the finished list is kept in :attr:`effects` instead of sent."""
+
+    __slots__ = ("node", "keep", "effects")
+
+    def __init__(self, node: CoDBNode, *, keep: bool = False) -> None:
+        self.node = node
+        self.keep = keep
+        self.effects: list[Message] = []
+
+    def __enter__(self) -> None:
+        node = self.node
+        node._lock.acquire()
+        node._inputs += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        node = self.node
+        try:
+            if node._inputs == 1:
+                # The run the input was collecting is handled first, and
+                # what was emitted leaves even when a handler raised.
+                try:
+                    node.endpoint.end_run()
+                finally:
+                    if node.emitted:
+                        effects = node._finish()
+                        if self.keep:
+                            self.effects = effects
+                        else:
+                            node._send(effects)
+        finally:
+            node._inputs -= 1
+            if not node._inputs and node.emitted:  # the pass raised
+                node.emitted = []
+            node._lock.release()

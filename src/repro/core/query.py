@@ -48,8 +48,8 @@ closes; the closure then leaves on a result of no rows.)
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
 floods ``query_complete`` along the request tree for cleanup.  A
-participant whose whole deficit is the ``query_data`` it just queued
-to its parent lets that shipment carry its tree ack (``"fin": true``;
+participant whose whole deficit is the ``query_data`` its input just
+sent its parent lets that shipment carry its tree ack (``"fin": true``;
 :mod:`repro.core.termination`), so a propagating miss down a chain
 whose tail alone has rows to ship sends no ``ack`` at all.  A
 participation that lost a shipment says so on every ack it sends, and
@@ -70,8 +70,9 @@ the root then holds everything a diffusing computation over those
 relations would import, and registered interest upstream turns any
 later change into an invalidation that bumps an epoch.  The
 registrations ride the completion flood (``"register"`` on
-``query_complete``), each applied before its receiver's own cleanup;
-one with no completion to ride leaves standalone.  Until an epoch
+``query_complete``, added as the sender's input closes), each applied
+before its receiver's own cleanup; one with no completion to ride
+leaves standalone.  Until an epoch
 moves, a miss on any query over the same relations is answered by
 local evaluation, with no propagation at all — at a node whose store
 keeps its imports (a mediator's does not).  A root that ended
@@ -323,7 +324,7 @@ class QueryEngine:
                 # boundary: the exporter must serve it in full every
                 # time, whatever its send memory says.
                 payload["retains"] = False
-            node.endpoint.send(remote, "query_request", payload)
+            node.emit(remote, "query_request", payload)
             node.termination.note_sent(participation.query_id, remote)
             if remote not in participation.forwarded_to:
                 participation.forwarded_to.append(remote)
@@ -441,7 +442,7 @@ class QueryEngine:
         if not rows:
             return
         node = self.node
-        message = node.endpoint.send(
+        node.emit(
             remote,
             "query_data",
             {
@@ -452,8 +453,6 @@ class QueryEngine:
             },
         )
         node.termination.note_sent(participation.query_id, remote)
-        if node.endpoint.delivering():
-            node.last_words[participation.query_id] = message
 
     # ------------------------------------------------------------------
     # Data ingestion
@@ -666,9 +665,6 @@ class QueryEngine:
                 payload: dict = {"query_id": query_id}
                 if engaged:
                     payload["partial"] = True
-                registrations = node.take_registrations(remote)
-                if registrations:
-                    payload["register"] = registrations
-                node.endpoint.send(remote, "query_complete", payload)
+                node.emit(remote, "query_complete", payload)
         # The participation is over: free its admission slot.
         node.admission.release(query_id)

@@ -15,19 +15,21 @@ which this module implements, decoupled from any particular protocol:
 * Every other engaging message is acknowledged once its local
   processing has finished.  Delaying an acknowledgement is always
   safe — it only keeps the sender's deficit open a little longer — so
-  the node does not send one ``ack`` per message: what it owes at the
-  end of a delivery leaves as **one counted ack** per (sender,
-  computation), ``{"computation_id": ..., "count": n}`` with ``count``
-  left out when it is 1 (:meth:`CoDBNode.send_ack
-  <repro.core.node.CoDBNode.send_ack>`).  The flush happens when the
-  same delivery ends, so nothing is ever owed across deliveries and
-  detection is exactly as prompt as before.
+  the node does not send one ``ack`` per message: what one input to
+  the node (a delivered burst, a public call) owes leaves, as the input
+  closes, as **one counted ack** per (sender, computation),
+  ``{"computation_id": ..., "count": n}`` with ``count`` left out when
+  it is 1 (:meth:`CoDBNode.send_ack
+  <repro.core.node.CoDBNode.send_ack>`, summed in the input's one
+  pass, :meth:`CoDBNode._finish <repro.core.node.CoDBNode._finish>`).
+  Nothing is ever owed across inputs, so detection is exactly as
+  prompt as with one ack per message.
 * A node's *deficit* counts its own sent-but-unacked messages.  When
   an engaged node is passive (between messages) with deficit zero, it
   acknowledges its parent and disengages (it may be re-engaged later).
 * **The last word carries the ack** (:meth:`finish_with`).  A
-  non-root participant whose whole deficit, at the end of a delivery,
-  is one result queued to its parent — a query's ``query_data``, an
+  non-root participant whose whole deficit, as an input closes, is one
+  result that input sent its parent — a query's ``query_data``, an
   update's ``query_result``, most often the one that closes its link —
   marks that message ``"fin": true``, takes it off its deficit and
   disengages: the parent's ack for the result and the child's tree ack
@@ -149,10 +151,11 @@ class DiffusingComputation:
         """The sender half of an implicit ack: whether the one message
         about to leave for *recipient* may carry this node's tree ack.
 
-        The message is the last result a delivery queued for the
-        computation — a query's ``query_data`` or an update's
-        ``query_result`` (:meth:`CoDBNode._finish_last_words
-        <repro.core.node.CoDBNode._finish_last_words>`).  It may carry
+        The message is the last result the node's open input sent for
+        the computation — a query's ``query_data`` or an update's
+        ``query_result`` — found by the input's one pass as it closes
+        (:meth:`CoDBNode._finish <repro.core.node.CoDBNode._finish>`).
+        It may carry
         the ack when this node is a non-root participant, *recipient*
         is its parent and that message is its whole deficit.  Then the
         message is taken off the deficit and the node disengages; the

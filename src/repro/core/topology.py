@@ -80,18 +80,19 @@ class TopologyDiscovery:
         """Begin discovery; returns the discovery id.  Drive the
         transport, then read :meth:`view`."""
         node = self.node
-        discovery_id = node.endpoint.ids.message_id()
-        self._seen.add(discovery_id)
-        self.views[discovery_id] = TopologyView(
-            discovery_id=discovery_id, initiator=node.name
-        )
-        self._absorb(discovery_id, self._local_view())
-        for remote in node.links.acquaintances():
-            node.endpoint.send(
-                remote,
-                "topology_request",
-                {"discovery_id": discovery_id, "initiator": node.name},
+        with node.input():
+            discovery_id = node.endpoint.ids.message_id()
+            self._seen.add(discovery_id)
+            self.views[discovery_id] = TopologyView(
+                discovery_id=discovery_id, initiator=node.name
             )
+            self._absorb(discovery_id, self._local_view())
+            for remote in node.links.acquaintances():
+                node.emit(
+                    remote,
+                    "topology_request",
+                    {"discovery_id": discovery_id, "initiator": node.name},
+                )
         return discovery_id
 
     def view(self, discovery_id: str) -> TopologyView:
@@ -120,13 +121,13 @@ class TopologyDiscovery:
             return
         self._seen.add(discovery_id)
         initiator = message.payload["initiator"]
-        self.node.endpoint.send(
+        self.node.emit(
             initiator, "topology_response",
             {"discovery_id": discovery_id, **self._local_view()},
         )
         for remote in self.node.links.acquaintances():
             if remote != message.sender:
-                self.node.endpoint.send(
+                self.node.emit(
                     remote,
                     "topology_request",
                     {"discovery_id": discovery_id, "initiator": initiator},

@@ -40,13 +40,14 @@ update id, i.e. per session):
 * Link closure, the paper's condition (a): an incoming link closes
   (in this session) when every relevant outgoing link of this session
   is closed (leaf links close right after their initial results).  The
-  closure rides the last ``query_result`` the delivery queued on that
-  link (``"closed": true``), or a ``query_result`` of no rows when
+  closure rides the last ``query_result`` the node's open input sent on
+  that link (``"closed": true``), or a ``query_result`` of no rows when
   there is none; it closes the matching outgoing link at the
   importer's session, cascading network-wide through acyclic
   dependencies.  When that result is the sender's whole deficit and
   goes to its parent, it carries the sender's tree ack as well
-  (``"fin": true``, :mod:`repro.core.termination`): a repeat update
+  (``"fin": true``, set as the input closes,
+  :mod:`repro.core.termination`): a repeat update
   that finds nothing new costs a request and a closing result per
   link, and the completion flood.
 * Cyclic dependencies cannot close by cascade.  They close via the
@@ -208,7 +209,7 @@ class UpdateEngine:
         node = self.node
         update_id = self.update_id
         report = node.stats.report_for(update_id)
-        message = node.endpoint.send(
+        node.emit(
             remote,
             "update_request",
             {"update_id": update_id, "origin": self.origin, "path": path},
@@ -216,7 +217,6 @@ class UpdateEngine:
         node.termination.note_sent(update_id, remote)
         if report is not None:
             report.messages_sent += 1
-            report.bytes_sent += message.size_bytes()
             if remote not in report.queried_acquaintances and any(
                 link.remote == remote for link in node.links.outgoing.values()
             ):
@@ -329,36 +329,37 @@ class UpdateEngine:
             )
 
     def _send_result(self, link: IncomingLink, payload: dict) -> None:
-        """One ``query_result`` to the link's importer.  Inside a
-        delivery it is the link's last result until another follows
-        it: the link's closure and this node's tree ack may still ride
-        it, so its bytes are counted when the delivery ends
-        (:meth:`UpdateManager.queue`)."""
+        """One ``query_result`` to the link's importer.  Until the
+        node's input closes it may still take the link's closure, and
+        this node's tree ack if it is the last result of the update
+        (:meth:`CoDBNode._finish <repro.core.node.CoDBNode._finish>`),
+        so its bytes are counted then."""
         node = self.node
         update_id = self.update_id
-        message = node.endpoint.send(link.remote, "query_result", payload)
+        node.emit(link.remote, "query_result", payload)
         node.termination.note_sent(update_id, link.remote)
         report = node.stats.report_for(update_id)
         if report is not None:
             report.messages_sent += 1
             if link.remote not in report.results_sent_to:
                 report.results_sent_to.append(link.remote)
-        if node.endpoint.delivering():
-            node.last_words[update_id] = message
-            node.updates.queue(message)
-        elif report is not None:
-            report.bytes_sent += message.size_bytes()
 
     def _send_closure(self, link: IncomingLink) -> None:
         """Tell the importer that *link* closed in this session: on the
-        last result this delivery queued on it (``"closed": true``), or
-        on a result of no rows when there is none.  The importer
-        applies it after ingesting the run it came with."""
-        node = self.node
-        if node.endpoint.delivering():
-            message = node.updates.queued.get((self.update_id, link.rule_id))
-            if message is not None:
-                node.endpoint.amend_queued(message, {"closed": True})
+        last result the node's open input sent on it (``"closed":
+        true``), or on a result of no rows when there is none.  Which
+        one is decided here, not as the input closes: a result of no
+        rows is one more message in this node's deficit.  The importer
+        applies the closure after ingesting the run it came with."""
+        for message in reversed(self.node.emitted):
+            payload = message.payload
+            if (
+                message.kind == "query_result"
+                and not message.message_id
+                and payload["rule_id"] == link.rule_id
+                and payload["update_id"] == self.update_id
+            ):
+                payload["closed"] = True
                 return
         self._send_result(
             link,
@@ -650,10 +651,6 @@ class UpdateManager:
         self.node = node
         self.sessions: dict[str, UpdateEngine] = {}
         self.completed_updates: set[str] = set()
-        #: (update id, rule id) -> the last ``query_result`` the open
-        #: delivery queued on that incoming link, not sized yet: the
-        #: link's closure may still ride it.
-        self.queued: dict[tuple[str, str], Message] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -835,27 +832,6 @@ class UpdateManager:
             session.close_outgoing_by_cascade(rule_id)
         session.cascade_closures()
 
-    def queue(self, message: Message) -> None:
-        """*message*, a ``query_result`` the open delivery just queued,
-        is now its link's last; the one it follows can no longer change
-        and is counted."""
-        key = (message.payload["update_id"], message.payload["rule_id"])
-        previous = self.queued.get(key)
-        self.queued[key] = message
-        if previous is not None:
-            self._count_bytes(previous)
-
-    def count_queued(self) -> None:
-        """The delivery ends: its last results are final, count them."""
-        queued, self.queued = self.queued, {}
-        for message in queued.values():
-            self._count_bytes(message)
-
-    def _count_bytes(self, message: Message) -> None:
-        report = self.node.stats.report_for(message.payload["update_id"])
-        if report is not None:
-            report.bytes_sent += message.size_bytes()
-
     def on_update_complete(self, message: Message) -> None:
         update_id = message.payload["update_id"]
         cause = message.payload.get("cause", "origin")
@@ -966,7 +942,7 @@ class UpdateManager:
         # finalize still-active sessions downstream (they arm instead).
         for remote in node.links.acquaintances():
             if remote != forwarded_from:
-                node.endpoint.send(
+                node.emit(
                     remote,
                     "update_complete",
                     {"update_id": update_id, "cause": cause},

@@ -9,7 +9,7 @@ data, and resource advertisement/discovery.  How they map here:
   kind;
 * a **pipe** is the endpoint's per-recipient connection: what one
   delivery makes a peer send to one recipient leaves as one burst
-  (:meth:`Endpoint.send`).  *Which* peers a node has pipes with is not
+  (:meth:`Endpoint.send_burst`).  *Which* peers a node has pipes with is not
   state of this package: §2-3 open a pipe exactly toward the peers a
   node shares coordination rules with and close it when no rule is
   left, so a node's acquaintances are computed from its rules

@@ -6,22 +6,26 @@ each incoming message to the handler registered for its kind —
 unknown kinds go to an optional default handler (and are counted, so
 protocol bugs surface in tests rather than vanish).
 
-The endpoint is also where *bursts* are made.  The transport handles
-each delivered burst inside :meth:`Endpoint.delivery`; while that
-scope is open, what the delivering thread sends is held in an outbox,
-one list per recipient, and leaves when the scope closes — each list
-as one :meth:`~repro.p2p.transport.Transport.send_burst`.  A relayed
-burst therefore stays a burst hop after hop, and where it begins and
-ends depends only on what was delivered, never on socket timing.
+The endpoint is also where *bursts* leave.  Its owner may give it an
+input scope (a :class:`~repro.core.node.CoDBNode` does: the node's
+input), which the transport enters around each delivered burst.  What
+the owner emits while that scope is open it keeps and finishes itself,
+then hands over through :meth:`Endpoint.send_burst`, one burst per
+recipient.  A relayed burst therefore stays a burst hop after hop, and
+where it begins and ends depends only on what was delivered, never on
+socket timing.  An endpoint without an owner sends each message at
+once.
 
 And it is where *runs* are cut.  A kind registered with
-:meth:`Endpoint.on_run` is handled a run at a time: inside a delivery,
-consecutive messages of that kind are buffered and handed over
+:meth:`Endpoint.on_run` is handled a run at a time: inside the owner's
+scope, consecutive messages of that kind are buffered and handed over
 together — at the first message of another kind, which is a barrier
 handled only after the run before it (even when that run's handler
-raises), and when the scope closes, before the outbox leaves.  Outside a delivery a message is a run of
-one.  A run is therefore at most what one delivery carried, and how a
-transport splits bursts changes only how many runs there are.
+raises), and at :meth:`Endpoint.end_run`, which the owner calls as its
+input closes, before it finishes what the input emitted.  Without a
+scope a message is a run of one.  A run is therefore at most what one
+delivery carried, and how a transport splits bursts changes only how
+many runs there are.
 
 Finally, a send never raises for its recipient.  A transport raises
 :class:`~repro.errors.UnknownPeerError` for a recipient that is not on
@@ -35,15 +39,14 @@ gone in exactly one way.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.errors import ProtocolError, UnknownPeerError
 from repro.p2p.ids import IdAuthority
 from repro.p2p.messages import Message
-from repro.p2p.transport import Transport
+from repro.p2p.transport import DeliveryScope, Transport
 
 Handler = Callable[[Message], None]
 RunHandler = Callable[[list[Message]], None]
@@ -65,6 +68,8 @@ class Endpoint:
         ids: IdAuthority,
         *,
         strict: bool = False,
+        scope: DeliveryScope | None = None,
+        heard: Handler | None = None,
     ) -> None:
         self.peer_id = peer_id
         self.transport = transport
@@ -82,18 +87,16 @@ class Endpoint:
         #: counters across processes.
         self._seen_ids: OrderedDict[tuple[str, str], None] = OrderedDict()
         self.duplicates_dropped = 0
-        #: recipient -> messages held back while a delivery is open.
-        self._outbox: dict[str, list[Message]] | None = None
-        #: The thread the open delivery runs on: the outbox is its.
-        self._outbox_thread = 0
-        #: The run the open delivery is collecting (the messages
+        #: The owner's input scope, entered around each delivered burst
+        #: (see module docstring); ``None``: no owner collects.
+        self.scope = scope
+        #: Told of each message that is not a duplicate, before it is
+        #: handled.
+        self.heard = heard
+        #: The run the open scope is collecting (the messages
         #: themselves, not copies of their payloads).
         self._run: list[Message] = []
-        #: Called when a delivery ends, before the outbox leaves: the
-        #: node's last word in the bursts (its summed acknowledgements,
-        #: or a queued message amended to carry one).
-        self.before_flush: Callable[[], None] | None = None
-        transport.register(peer_id, self._dispatch, self.delivery)
+        transport.register(peer_id, self._dispatch, scope)
 
     # -- handler registration ----------------------------------------------
 
@@ -127,16 +130,14 @@ class Endpoint:
             self._seen_ids[key] = None
             if len(self._seen_ids) > self.DEDUP_LIMIT:
                 self._seen_ids.popitem(last=False)
+        if self.heard is not None:
+            self.heard(message)
         run_handler = self._run_handlers.get(message.kind)
-        if (
-            self.delivering()
-            and self._run
-            and (run_handler is None or self._run[0].kind != message.kind)
-        ):
+        if self._run and (run_handler is None or self._run[0].kind != message.kind):
             # A barrier: the run before it goes first.  A run its handler
             # refuses does not take the barrier down with it.
             try:
-                self._end_run()
+                self.end_run()
             except Exception:
                 self._route(message, run_handler)
                 raise
@@ -145,7 +146,7 @@ class Endpoint:
     def _route(self, message: Message, run_handler: RunHandler | None) -> None:
         """Hand *message* to its handler, or to the run being collected."""
         if run_handler is not None:
-            if self.delivering():
+            if self.scope is not None:
                 self._run.append(message)
             else:
                 run_handler([message])
@@ -163,48 +164,36 @@ class Endpoint:
                 f"peer {self.peer_id!r} has no handler for {message.kind!r}"
             )
 
-    # -- bursts --------------------------------------------------------------
-
-    def delivering(self) -> bool:
-        """Whether the calling thread is inside :meth:`delivery`."""
-        return (
-            self._outbox is not None
-            and self._outbox_thread == threading.get_ident()
-        )
-
-    def delivery(self) -> "_Delivery":
-        """The scope of one delivered burst (see module docstring).
-
-        Only the delivering thread's sends are held: a driver thread
-        sending meanwhile goes straight out.  The flush runs even when
-        a handler raised — what it had sent by then was sent.
-        """
-        return _Delivery(self)
-
-    def _end_run(self) -> None:
+    def end_run(self) -> None:
         """Hand the buffered run to its handler.  The buffer is emptied
         first: the handler may itself drive a delivery."""
-        run, self._run = self._run, []
-        if run:
+        if self._run:
+            run, self._run = self._run, []
             self._run_handlers[run[0].kind](run)
 
-    def _flush(self) -> None:
-        try:
-            try:
-                self._end_run()
-            finally:
-                if self.before_flush is not None:
-                    self.before_flush()
-        finally:
-            outbox, self._outbox = self._outbox, None
-            for messages in outbox.values():
-                self._send_burst(messages)
+    # -- sending -------------------------------------------------------------
 
-    def _send_burst(self, messages: list[Message]) -> None:
-        """Hand one recipient's messages to the transport.  If the
-        recipient is not on the network, or the wire refuses, each
-        comes back as a bounce: this is the one place the transport's
-        :class:`~repro.errors.UnknownPeerError` is caught."""
+    def send(self, recipient: str, kind: str, payload: dict[str, Any]) -> Message:
+        """Build, stamp and send one message at once; returns it.
+
+        Never raises for the recipient: one that is not on the network
+        gets the message all the same, and it comes back to this peer
+        as an ``undeliverable``."""
+        message = Message(
+            kind=kind,
+            sender=self.peer_id,
+            recipient=recipient,
+            payload=payload,
+            message_id=self.ids.message_id(),
+        )
+        self.send_burst((message,))
+        return message
+
+    def send_burst(self, messages: Sequence[Message]) -> None:
+        """Hand one recipient's stamped messages to the transport, in
+        order.  If the recipient is not on the network, or the wire
+        refuses, each comes back as a bounce: this is the one place the
+        transport's :class:`~repro.errors.UnknownPeerError` is caught."""
         transport = self.transport
         try:
             if len(messages) == 1:
@@ -215,49 +204,6 @@ class Endpoint:
             for message in messages:
                 transport.bounce(message)
 
-    # -- sending -------------------------------------------------------------
-
-    def send(self, recipient: str, kind: str, payload: dict[str, Any]) -> Message:
-        """Build, stamp and send one message; returns it (for stats).
-
-        Never raises for the recipient: one that is not on the network
-        gets the message all the same, and it comes back to this peer
-        as an ``undeliverable`` — at once outside a delivery, when the
-        burst leaves inside one."""
-        message = Message(
-            kind=kind,
-            sender=self.peer_id,
-            recipient=recipient,
-            payload=payload,
-            message_id=self.ids.message_id(),
-        )
-        self.send_message(message)
-        return message
-
-    def send_message(self, message: Message) -> None:
-        """Send *message*, already stamped, as it is.  A bounced message
-        goes again this way, under its own id: should an earlier copy
-        have arrived after all, the receiver drops this one as a
-        duplicate."""
-        if not self.delivering():
-            self._send_burst([message])
-        elif message.recipient in self._outbox:
-            self._outbox[message.recipient].append(message)
-        else:
-            self._outbox[message.recipient] = [message]
-
-    def amend_queued(self, message: Message, fields: dict[str, Any]) -> None:
-        """Add *fields* to the payload of *message*, still held in this
-        delivery's outbox (same object, same id, same place in its
-        burst).  Nothing may have sized *message* yet: its bytes would
-        already be counted as the old payload's."""
-        queued = self._outbox.get(message.recipient, ()) if self.delivering() else ()
-        if not any(item is message for item in reversed(queued)):
-            raise ProtocolError(f"{message.kind} {message.message_id!r} is not queued")
-        if "_wire" in message.__dict__:
-            raise ProtocolError(f"{message.kind} {message.message_id!r} was sized")
-        message.payload.update(fields)
-
     def detach(self) -> None:
         self.transport.unregister(self.peer_id)
 
@@ -267,31 +213,7 @@ class Endpoint:
         (stale entries are harmless: the old incarnation's senders are
         exactly the peers the rejoin protocol resynchronises with)."""
         if not self.transport.is_registered(self.peer_id):
-            self.transport.register(self.peer_id, self._dispatch, self.delivery)
+            self.transport.register(self.peer_id, self._dispatch, self.scope)
 
     def now(self) -> float:
         return self.transport.now()
-
-
-class _Delivery:
-    """Context manager behind :meth:`Endpoint.delivery` (a class, not a
-    generator: one is entered for every delivered burst)."""
-
-    __slots__ = ("endpoint", "nested")
-
-    def __init__(self, endpoint: Endpoint) -> None:
-        self.endpoint = endpoint
-
-    def __enter__(self) -> None:
-        endpoint = self.endpoint
-        # A handler that drives the transport itself re-enters: the
-        # outer delivery keeps the outbox.
-        self.nested = endpoint.delivering()
-        if not self.nested:
-            # Owner first: whenever the outbox is open it names this thread.
-            endpoint._outbox_thread = threading.get_ident()
-            endpoint._outbox = {}
-
-    def __exit__(self, *exc_info: object) -> None:
-        if not self.nested:
-            self.endpoint._flush()

@@ -191,6 +191,13 @@ class Message:
         """Stable serialised size of the payload alone (cached)."""
         return self._payload_size
 
+    def stamp(self, message_id: str) -> None:
+        """Give a draft — built without an id — its id as its sender
+        finishes it.  Nothing may have sized it: its bytes hold the id."""
+        if "_wire" in self.__dict__:
+            raise ProtocolError(f"{self.kind} to {self.recipient} was sized as a draft")
+        object.__setattr__(self, "message_id", message_id)
+
     def to_wire(self) -> bytes:
         """Serialise for a byte transport (TCP); cached per message."""
         return self._wire

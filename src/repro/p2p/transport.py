@@ -9,8 +9,8 @@ Two implementations ship: the deterministic simulated network
   :class:`~repro.p2p.messages.Message`, one at a time per peer
   (actor-style serialisation, like coDB's DBM).  The messages of one
   delivered burst are handled inside one ``with scope():`` block —
-  that is how an :class:`~repro.p2p.endpoint.Endpoint` holds back what
-  the handlers send until the burst is done.
+  that is how a node makes the burst one input and holds back what
+  its handlers send until the burst is done.
 * ``send_burst(messages)`` — the unit of sending: everything one
   delivery makes a peer send to one recipient, in order.  Asynchronous
   and FIFO per (sender, recipient) pair (pipes preserve order; the

@@ -262,6 +262,27 @@ def test_bounces_toward_a_departed_peer_flood_the_cache_once():
     assert not root.termination._computations
 
 
+def test_a_write_off_notice_floods_the_cache_once():
+    """N2 writes N1 off and tells it.  N1 writes N2 off in turn, which
+    floods its answer cache; the resync that follows resets the
+    interest toward N2 but does not flood a second time."""
+    net = chain(4, 3, (1, 2))
+    install(net, Bounce(CLOSING, "N2", "N1", always=True))
+    importer = net.node("N1")
+    floods = []
+    bump_all = importer.cache.bump_all
+
+    def counting():
+        floods.append(importer.cache.epoch("item"))
+        bump_all()
+
+    importer.cache.bump_all = counting
+    net.global_update("N3")
+    assert net.node("N2").stats.peers_written_off == 1
+    assert len(floods) == 1
+    assert not importer.links.outgoing["r1"].registered
+
+
 def keys_read(function) -> set[str]:
     """The keys *function* reads from a dict named ``payload``."""
     keys = set()

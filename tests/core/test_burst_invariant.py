@@ -121,7 +121,7 @@ def run_to_quiescence(description, transport) -> CoDBNetwork:
         assert not node.admission.live, name
         assert node.termination.deficit(outcome.update_id) == 0, name
         assert not node.termination.is_engaged(outcome.update_id), name
-        assert not node._owed_acks, name
+        assert not node._inputs and not node.emitted, name
     return net
 
 

@@ -80,16 +80,17 @@ class TestDynamicTopology:
         assert net.node("S0").links.acquaintances() == []
 
     def record_sends(self, net):
-        """Wrap every node's ``Endpoint.send``; returns the log of
-        ``(sender, recipient, kind)`` it fills."""
+        """Wrap the transport's ``send_burst``, which every message a
+        node sends goes through; returns the log of ``(sender,
+        recipient, kind)`` it fills."""
         sent = []
-        for name, node in net.nodes.items():
+        send_burst = net.transport.send_burst
 
-            def send(recipient, kind, payload, _send=node.endpoint.send, _name=name):
-                sent.append((_name, recipient, kind))
-                return _send(recipient, kind, payload)
+        def recording(messages):
+            sent.extend((m.sender, m.recipient, m.kind) for m in messages)
+            return send_burst(messages)
 
-            node.endpoint.send = send
+        net.transport.send_burst = recording
         return sent
 
     def test_every_update_message_travels_between_acquaintances(self):

@@ -288,13 +288,14 @@ class TestFinishedQueriesAreReleased:
         )
         # A late request is not served again, only acknowledged.
         sent = messages(net)
-        n1.queries.on_query_request(
-            Message(
-                "query_request", "N0", "N1",
-                {"query_id": query_id, "origin": "N0", "label": ["N0"],
-                 "rule_ids": list(n1.links.incoming)},
+        with n1.input():
+            n1.queries.on_query_request(
+                Message(
+                    "query_request", "N0", "N1",
+                    {"query_id": query_id, "origin": "N0", "label": ["N0"],
+                     "rule_ids": list(n1.links.incoming)},
+                )
             )
-        )
         assert messages(net) == sent + 1
         assert n1.rows("item") == stored
         assert not n1.queries.participations

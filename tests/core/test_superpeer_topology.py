@@ -40,15 +40,15 @@ class TestRuleBroadcast:
     def test_update_after_rewire_floods_only_acquaintances(self, net):
         net.rewire("A:item(k) <- C:item(k)")
         requests = []
-        for name in "ABC":
-            endpoint = net.node(name).endpoint
+        send_burst = net.transport.send_burst
 
-            def send(recipient, kind, payload, _send=endpoint.send, _name=name):
-                if kind == "update_request":
-                    requests.append((_name, recipient))
-                return _send(recipient, kind, payload)
+        def recording(messages):
+            requests.extend(
+                (m.sender, m.recipient) for m in messages if m.kind == "update_request"
+            )
+            return send_burst(messages)
 
-            endpoint.send = send
+        net.transport.send_burst = recording
         net.global_update("A")
         assert requests == [("A", "C")]
         assert all(

@@ -1,7 +1,7 @@
 """Bursts: what one delivery makes a peer send to one recipient.
 
-The endpoint holds a delivery's sends in an outbox and hands each
-recipient's share to ``Transport.send_burst``; the simulator delivers
+A node holds what one input emits until the input closes and hands
+each recipient's share to ``Transport.send_burst``; the simulator delivers
 a burst as one event, TCP as one frame train (continuation bit in the
 length prefix) handled in one scope.  A transport may split a burst
 anywhere — these tests pin both the whole and the split behaviour, the
@@ -27,6 +27,7 @@ from repro.p2p.ids import IdAuthority
 from repro.p2p.inproc import InProcessNetwork
 from repro.p2p.messages import FRAME_BINARY, Message
 from repro.p2p.tcp import FRAME_CONTINUES, MAX_FRAME_BYTES, TcpNetwork
+from repro.relational.parser import parse_schema
 
 
 def msg(sender, recipient, n=0, kind="k"):
@@ -104,134 +105,167 @@ class TestSimulatorBursts:
         assert bounced[0].payload["payload"] == {"n": 1}
 
 
-class TestEndpointOutbox:
-    def pair(self, transport):
-        ids = IdAuthority()
-        return Endpoint("A", transport, ids), Endpoint("B", transport, ids)
+class TestNodeInput:
+    """What one input to a node emits is held until the input closes,
+    then leaves as one burst per recipient (``CoDBNode.input``)."""
 
-    def test_a_deliverys_sends_leave_as_one_burst_per_recipient(self):
+    def node(self, transport, name="A"):
+        return CoDBNode(name, parse_schema("item(k: int)"), transport, IdAuthority())
+
+    def bounces(self, transport):
+        """Record what *transport* bounces (the node retries it)."""
+        bounced = []
+        bounce = transport.bounce
+
+        def recording(message):
+            bounced.append(message)
+            bounce(message)
+
+        transport.bounce = recording
+        return bounced
+
+    def test_an_inputs_sends_leave_as_one_burst_per_recipient(self):
         net = InProcessNetwork()
-        a, _b = self.pair(net)
+        a = self.node(net)
         c = Recorder(net, "C")
         d = Recorder(net, "D")
 
         def relay(message):
             for n in range(3):
-                a.send("C", "k", {"n": n})
-            a.send("D", "k", {"n": 9})
+                a.emit("C", "k", {"n": n})
+            a.emit("D", "k", {"n": 9})
             assert net.pending() == 0  # nothing has left yet
 
-        a.on("go", relay)
+        a.endpoint.on("go", relay)
         net.send(msg("B", "A", kind="go"))
         net.step()
         assert net.pending() == 4
         net.run_until_idle()
         assert c.log == ["[", 0, 1, 2, "]"] and d.log == ["[", 9, "]"]
 
-    def test_sends_outside_a_delivery_go_straight_out(self):
+    def test_a_public_call_leaves_when_its_input_closes(self):
         net = InProcessNetwork()
-        a, _b = self.pair(net)
-        assert not a.delivering()
-        a.send("B", "k", {"n": 1})
+        a = self.node(net)
+        Recorder(net, "B")
+        with a.input():
+            a.emit("B", "k", {"n": 1})
+            assert net.pending() == 0
+        assert net.pending() == 1
+        with pytest.raises(ProtocolError):
+            a.emit("B", "k", {"n": 2})  # no input is open
+
+    def test_an_endpoint_without_an_owner_sends_at_once(self):
+        net = InProcessNetwork()
+        bare = Endpoint("E", net, IdAuthority())
+        Recorder(net, "B")
+        bare.send("B", "k", {"n": 1})
         assert net.pending() == 1
 
     def test_unknown_recipient_bounces_when_the_burst_leaves(self):
         net = InProcessNetwork()
-        a, _b = self.pair(net)
-        bounces = []
-        a.on("undeliverable", bounces.append)
+        a = self.node(net)
+        bounced = self.bounces(net)
 
         def handler(message):
-            a.send("ghost", "k", {"n": 0})  # held, like any send
-            a.send("ghost", "k", {"n": 1})
+            a.emit("ghost", "k", {"n": 0})  # held, like any send
+            a.emit("ghost", "k", {"n": 1})
+            assert not bounced
 
-        a.on("go", handler)
+        a.endpoint.on("go", handler)
         net.send(msg("B", "A", kind="go"))
-        net.run_until_idle()
-        assert [m.payload["payload"] for m in bounces] == [{"n": 0}, {"n": 1}]
-        assert all(m.payload["recipient"] == "ghost" for m in bounces)
+        net.step()
+        assert [m.payload for m in bounced] == [{"n": 0}, {"n": 1}]
+        assert all(m.recipient == "ghost" for m in bounced)
 
-    def test_recipient_gone_at_flush_bounces_every_message(self):
+    def test_recipient_gone_as_the_input_closes_bounces_every_message(self):
         net = InProcessNetwork()
-        a, b = self.pair(net)
-        bounces = []
-        a.on("undeliverable", bounces.append)
-        a.on_default(lambda m: None)  # B's departure notice
+        a = self.node(net)
+        b = Endpoint("B", net, a.endpoint.ids)
+        bounced = self.bounces(net)
 
         def handler(message):
-            a.send("B", "k", {"n": 0})
-            a.send("B", "k", {"n": 1})
-            b.detach()  # accepted at enqueue, gone before the flush
+            a.emit("B", "k", {"n": 0})
+            a.emit("B", "k", {"n": 1})
+            b.detach()  # emitted while B was there, gone before they leave
 
-        a.on("go", handler)
+        a.endpoint.on("go", handler)
         net.send(msg("C", "A", kind="go"))
-        net.run_until_idle()
-        assert [m.payload["payload"] for m in bounces] == [{"n": 0}, {"n": 1}]
-        assert all(m.payload["recipient"] == "B" for m in bounces)
+        net.step()
+        assert [m.payload for m in bounced] == [{"n": 0}, {"n": 1}]
+        assert all(m.recipient == "B" for m in bounced)
 
-    def test_the_flush_runs_even_when_a_handler_raises(self):
+    def test_an_input_leaves_even_when_a_handler_raises(self):
         net = InProcessNetwork()
-        a, b = self.pair(net)
+        a = self.node(net)
+        b = Endpoint("B", net, a.endpoint.ids)
         got = []
         b.on("k", got.append)
 
         def handler(message):
-            a.send("B", "k", {"n": 0})
+            a.emit("B", "k", {"n": 0})
             raise RuntimeError("boom")
 
-        a.on("go", handler)
+        a.endpoint.on("go", handler)
         net.send(msg("C", "A", kind="go"))
         with pytest.raises(RuntimeError):
             net.run_until_idle()
         net.run_until_idle()
         assert len(got) == 1
+        assert not a._inputs and not a.emitted
 
-    def test_the_outbox_belongs_to_the_delivering_thread(self, tcp_net):
-        a, b = self.pair(tcp_net)
+    def test_a_driver_input_waits_for_the_delivery_input(self, tcp_net):
+        """Inputs are serialised: a driver thread's call waits for the
+        input a delivery thread holds open, so what it sends cannot
+        overtake what that delivery emitted."""
+        a = self.node(tcp_net)
+        b = Endpoint("B", tcp_net, a.endpoint.ids)
         got = []
-        arrived = threading.Event()
-        entered, release = threading.Event(), threading.Event()
-
-        def collect(message):
-            got.append(message.payload["n"])
-            arrived.set()
+        entered, release, driven = threading.Event(), threading.Event(), threading.Event()
 
         def handler(message):
-            a.send("B", "k", {"n": "held"})
+            a.emit("B", "k", {"n": "held"})
             entered.set()
             assert release.wait(5.0)
 
-        b.on("k", collect)
-        a.on("go", handler)
+        def drive():
+            with a.input():
+                a.emit("B", "k", {"n": "driver"})
+            driven.set()
+
+        b.on("k", lambda m: got.append(m.payload["n"]))
+        a.endpoint.on("go", handler)
         tcp_net.send(msg("B", "A", kind="go"))
         assert entered.wait(5.0)
-        assert not a.delivering()  # true on A's delivery thread only
-        a.send("B", "k", {"n": "driver"})
-        assert arrived.wait(5.0)
-        assert got == ["driver"]  # overtook what the delivery still holds
+        driver = threading.Thread(target=drive)
+        driver.start()
+        assert not driven.wait(0.2)  # held off by the delivery's input
         release.set()
-        tcp_net.run_until_idle()
-        assert got == ["driver", "held"]
+        driver.join(5.0)
+        assert driven.is_set()
+        tcp_net.wait_for(lambda: len(got) == 2, 5.0)
+        assert got == ["held", "driver"]
 
-    def test_driver_sends_and_deliveries_interleave_without_loss(self, tcp_net):
-        """Stress: driver threads send through the endpoint while its
-        delivery thread keeps opening and flushing outboxes.  Every
-        message arrives exactly once, each sender's in its own order."""
-        a, b = self.pair(tcp_net)
+    def test_driver_inputs_and_deliveries_interleave_without_loss(self, tcp_net):
+        """Stress: driver threads send through node inputs while its
+        delivery thread keeps relaying.  Every message arrives exactly
+        once, each sender's in its own order."""
+        a = self.node(tcp_net)
+        b = Endpoint("B", tcp_net, a.endpoint.ids)
         got = []
         b.on("k", lambda m: got.append(tuple(m.payload["n"])))
 
         def relay(message):
             for i in range(3):
-                a.send("B", "k", {"n": ["held", message.payload["n"], i]})
+                a.emit("B", "k", {"n": ["held", message.payload["n"], i]})
 
-        a.on("go", relay)
+        a.endpoint.on("go", relay)
         drivers, per_driver, deliveries = 4, 60, 80
         expected = drivers * per_driver + 3 * deliveries
 
         def drive(index):
             for n in range(per_driver):
-                a.send("B", "k", {"n": ["driver", index, n]})
+                with a.input():
+                    a.emit("B", "k", {"n": ["driver", index, n]})
 
         threads = [threading.Thread(target=drive, args=(i,)) for i in range(drivers)]
         interval = sys.getswitchinterval()
@@ -260,11 +294,27 @@ class TestEndpointRuns:
     """A kind registered with ``on_run`` is handed over a run at a time:
     the consecutive messages of that kind in one delivery."""
 
+    def owned(self, transport, log):
+        """An endpoint whose owner scope hands the run over and logs
+        ``"flush"`` as each delivered burst's input closes."""
+
+        @contextmanager
+        def scope():
+            try:
+                yield
+            finally:
+                try:
+                    a.end_run()
+                finally:
+                    log.append("flush")
+
+        a = Endpoint("A", transport, IdAuthority(), scope=scope)
+        return a
+
     def endpoint(self, transport, log):
-        a = Endpoint("A", transport, IdAuthority())
+        a = self.owned(transport, log)
         a.on_run("r", lambda run: log.append([m.payload["n"] for m in run]))
         a.on("x", lambda m: log.append(m.payload["n"]))
-        a.before_flush = lambda: log.append("flush")
         return a
 
     def test_any_other_kind_is_a_barrier_and_the_run_ends_before_the_flush(self):
@@ -277,14 +327,13 @@ class TestEndpointRuns:
 
     def test_a_refused_run_does_not_take_its_barrier_down(self):
         net, log = InProcessNetwork(), []
-        a = Endpoint("A", net, IdAuthority())
+        a = self.owned(net, log)
 
         def refuse(run):
             raise ProtocolError("unreadable run")
 
         a.on_run("r", refuse)
         a.on("x", lambda m: log.append(m.payload["n"]))
-        a.before_flush = lambda: log.append("flush")
         net.send_burst([msg("B", "A", 0, "r"), msg("B", "A", 1, "x")])
         with pytest.raises(ProtocolError):  # the simulator still raises
             net.run_until_idle()
@@ -298,9 +347,10 @@ class TestEndpointRuns:
         net.run_until_idle()
         assert log == [[0], "flush", [1], "flush"]
 
-    def test_outside_a_delivery_a_message_is_a_run_of_one(self):
+    def test_without_an_owner_scope_a_message_is_a_run_of_one(self):
         log = []
-        a = self.endpoint(InProcessNetwork(), log)
+        a = Endpoint("A", InProcessNetwork(), IdAuthority())
+        a.on_run("r", lambda run: log.append([m.payload["n"] for m in run]))
         a._dispatch(msg("B", "A", 0, "r"))
         assert log == [[0]]
 

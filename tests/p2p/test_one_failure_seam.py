@@ -12,13 +12,20 @@ A bounce is handled in one place too: ``CoDBNode._on_undeliverable``
 sends the message again, whatever its kind, and once the peer's retry
 budget is spent writes the peer off through ``CoDBNode._on_peer_down``,
 the only caller of the engines' ``on_peer_down``.
+
+And a node's messages leave in one place: every input to a node
+collects what it emits and finishes it in one pass as it closes, so
+only ``CoDBNode._send`` hands messages to the endpoint, and nothing
+edits a message after it was queued.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.core
 from repro.p2p.endpoint import Endpoint
 from repro.p2p.ids import IdAuthority
@@ -127,3 +134,63 @@ class TestNoSecondFailurePath:
                     )
         assert callers
         assert set(callers) == {("node.py", "CoDBNode", "_on_peer_down")}
+
+
+#: What a node's core may not call on its endpoint: sending is the
+#: input's last step, in ``CoDBNode._send``.
+ENDPOINT_SENDS = {"send", "send_burst", "send_message", "_send_burst"}
+#: The end-of-delivery edits the one pass of an input replaced.
+GONE = {
+    "delivering", "amend_queued", "before_flush", "last_words",
+    "count_queued", "take_registrations", "_owed_acks",
+}
+
+
+def _functions(tree: ast.Module):
+    """``(class name or "", function)`` for every function of *tree*,
+    nested ones with their outermost function."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield top.name, item
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield "", top
+
+
+def _is_endpoint(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "endpoint") or (
+        isinstance(node, ast.Name) and node.id == "endpoint"
+    )
+
+
+class TestOneSendPath:
+    def test_only_the_node_send_method_hands_messages_to_the_endpoint(self):
+        callers = []
+        for path in core_modules():
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for owner, function in _functions(tree):
+                callers.extend(
+                    (path.name, owner, function.name)
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ENDPOINT_SENDS
+                    and _is_endpoint(node.func.value)
+                )
+        assert set(callers) == {("node.py", "CoDBNode", "_send")}
+
+    def test_the_end_of_delivery_edits_are_gone(self):
+        offenders = {}
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            found = GONE & _names(ast.parse(text))
+            found |= {
+                name for name in GONE - {"delivering"}
+                if re.search(rf"\b{name}\b", text)
+            }
+            if "delivering()" in text:
+                found.add("delivering()")
+            if found:
+                offenders[path.name] = found
+        assert offenders == {}
