@@ -24,11 +24,13 @@ the list (:meth:`CoDBNode._finish`):
 
 * a cache registration rides the next ``query_complete`` the input sent
   its peer, or leaves on its own (``invalidation`` ``op=register``);
-* a participant whose whole deficit is the last result it sent for a
-  computation lets that result carry its tree ack (``"fin"``, and
-  ``"partial"`` when its query participation is unclean,
-  :mod:`repro.core.termination`) — which can finish an update session
-  a failure touched, whose emissions join the list;
+* a participant the input left with no deficit disengages, and its
+  tree ack rides the last result the input sent its parent
+  (``"fin"``, with the count of results it covers, and ``"partial"``
+  when its query participation is unclean,
+  :mod:`repro.core.termination`), or leaves as a plain ``ack`` — which
+  can finish an update session a failure touched, whose emissions join
+  the list;
 * the acknowledgements the input owes leave summed, one per peer and
   computation, last;
 * every draft is stamped with its id, in order, and an update's
@@ -56,7 +58,7 @@ from repro.core.requests import AdmissionControl, RequestHandle
 from repro.core.rulefile import RuleFile
 from repro.core.rules import CoordinationRule
 from repro.core.statistics import NodeStatistics, UpdateReport
-from repro.core.termination import DiffusingComputation
+from repro.core.termination import DiffusingComputation, coverage, read_count
 from repro.core.topology import TopologyDiscovery
 from repro.core.update import UPDATE_KINDS, UpdateManager
 from repro.errors import ProtocolError, RuleError
@@ -161,9 +163,10 @@ class NodeConfig:
 class CoDBNode:
     """One coDB peer.  See module docstring."""
 
-    #: Retries a peer's bounced messages get, of any kind, before the
-    #: peer is written off (:meth:`_on_undeliverable`); any delivery
-    #: from the peer refills them.  Bounded so a dead link can never
+    #: Retries a peer's bounced messages of one computation get, of any
+    #: kind, before the peer is written off (:meth:`_on_undeliverable`);
+    #: any delivery from the peer refills them, and they go with the
+    #: computation when it ends here.  Bounded so a dead link can never
     #: livelock.
     RESEND_LIMIT = 5
 
@@ -189,11 +192,13 @@ class CoDBNode:
         #: Peers written off (:meth:`_on_peer_down`) and not heard from
         #: since; a message bounced toward one is not sent again.
         self._down_peers: set[str] = set()
-        #: peer -> retries its bounced messages used since its last
-        #: delivery here (past ``RESEND_LIMIT``: we wrote it off, and
-        #: tell it again at its first contact); empty while nothing
-        #: bounces.
-        self._resends: dict[str, int] = {}
+        #: peer -> computation id -> retries its bounced messages of
+        #: that computation used since its last delivery here (``""``
+        #: for messages of none); empty while nothing bounces.
+        self._resends: dict[str, dict[str, int]] = {}
+        #: Peers whose retry budget we spent: we wrote them off, and
+        #: tell them again at their first contact.
+        self._spent: set[str] = set()
         #: Serialises this node's DBM: over TCP, the delivery thread
         #: runs handlers while the driver thread calls the public API
         #: (start updates/queries, local inserts).  One reentrant lock
@@ -291,7 +296,10 @@ class CoDBNode:
         re-register from scratch, on both sides when it was our budget
         that wrote the peer off: its notice may have been lost, so a
         plain rejoin handshake resets the peer's side too."""
-        if self._resends and self._resends.pop(peer, 0) > self.RESEND_LIMIT:
+        if self._resends:
+            self._resends.pop(peer, None)
+        if peer in self._spent:
+            self._spent.discard(peer)
             self.emit(peer, "rejoin", self._rejoin_payload(ack=False))
         if peer in self._down_peers:
             self._down_peers.discard(peer)
@@ -329,28 +337,34 @@ class CoDBNode:
         return message
 
     def send_ack(
-        self, recipient: str, computation_id: str, count: int = 1
+        self, recipient: str, computation_id: str, count: int = 1, *, covers: int = 0
     ) -> None:
-        """Acknowledge *count* of *recipient*'s messages.  The debt is
-        only noted in the open input: everything it owes one peer for
-        one computation leaves as a single counted ``ack`` when it
-        closes (always safe in Dijkstra–Scholten, and it keeps the
+        """Acknowledge *count* of *recipient*'s messages; with *covers*,
+        one of them is this node's tree ack, covering that many results.
+        The debt is only noted in the open input: everything it owes one
+        peer for one computation leaves as a single counted ``ack`` when
+        it closes (always safe in Dijkstra–Scholten, and it keeps the
         number of acks a function of the bursts delivered)."""
-        self.emit(recipient, "ack", {"computation_id": computation_id, "count": count})
+        payload = {"computation_id": computation_id, "count": count}
+        if covers:
+            payload["covers"] = covers
+        self.emit(recipient, "ack", payload)
 
     def _finish(self) -> list[Message]:
         """The one pass over what the open input emitted (module
-        docstring); returns the list ready to leave.  A failure-touched
-        update session that a tree ack finishes may emit more; that is
-        taken in turn, so the acks still leave last."""
+        docstring); returns the list ready to leave.  A plain tree ack,
+        and what a failure-touched update session that a tree ack
+        finishes emits, are taken in turn, so the acks still leave
+        last."""
         batch, self.emitted = self.emitted, []
         finished: list[Message] = []
-        #: (peer, computation id) -> acks owed; peer -> {rule id: lease}.
-        acks: dict[tuple[str, str], int] = {}
+        #: (peer, computation id) -> [acks owed, results the tree ack
+        #: among them covers]; peer -> {rule id: lease}.
+        acks: dict[tuple[str, str], list[int]] = {}
         registrations: dict[str, dict[str, int]] = {}
-        while batch:
-            #: computation id -> the last result sent for it.
-            last: dict[str, Message] = {}
+        #: computation id -> the last covered result sent for it.
+        last: dict[str, Message] = {}
+        while True:
             for message in batch:
                 # A message with an id was sent before and bounced: it
                 # goes again as it was.
@@ -358,7 +372,9 @@ class CoDBNode:
                 if not message.message_id:
                     if kind == "ack":
                         key = (message.recipient, payload["computation_id"])
-                        acks[key] = acks.get(key, 0) + payload["count"]
+                        owed = acks.setdefault(key, [0, 0])
+                        owed[0] += payload["count"]
+                        owed[1] = payload.get("covers", owed[1])
                         continue
                     if kind == "invalidation" and payload.get("op") == "register":
                         owed = registrations.setdefault(message.recipient, {})
@@ -368,9 +384,9 @@ class CoDBNode:
                         carried = registrations.pop(message.recipient, None)
                         if carried:
                             payload["register"] = carried
-                    elif kind == "query_result":
+                    elif kind == "query_result" and "ack" not in payload:
                         last[payload["update_id"]] = message
-                    elif kind == "query_data":
+                    elif kind == "query_data" and "ack" not in payload:
                         last[payload["query_id"]] = message
                 finished.append(message)
             for remote, owed in registrations.items():
@@ -379,21 +395,32 @@ class CoDBNode:
                         "op": "register", "rule_id": rule_id, "lease": lease,
                     }))
             registrations.clear()
-            for computation_id, message in last.items():
-                if self.termination.finish_with(computation_id, message.recipient):
+            for computation_id, parent, covers in self.termination.disengage_quiet():
+                message = last.get(computation_id)
+                if message is not None and message.recipient == parent:
+                    # The tree ack rides the last covered result; its
+                    # count is left out when that result is all it covers.
                     message.payload["fin"] = True
+                    if covers != 1:
+                        message.payload["covers"] = covers
                     if self.queries.is_partial(computation_id):
                         message.payload["partial"] = True
-                    self.updates.maybe_finalize_after_failure(computation_id)
+                elif parent is not None:
+                    self.send_ack(parent, computation_id, covers=covers)
+                self.updates.maybe_finalize_after_failure(computation_id)
+            if not self.emitted:
+                break
             batch, self.emitted = self.emitted, []
-        for (recipient, computation_id), count in acks.items():
-            # ``count`` omitted means 1: a single ack is the frame it
-            # always was.  An unclean query participation says so on
-            # every ack it sends: the flag climbs the tree before the
-            # root completes.
+        for (recipient, computation_id), (count, covers) in acks.items():
+            # ``count`` omitted means 1 and ``covers`` 0: a single ack
+            # is the frame it always was.  An unclean query
+            # participation says so on every ack it sends: the flag
+            # climbs the tree before the root completes.
             payload: dict = {"computation_id": computation_id}
             if count > 1:
                 payload["count"] = count
+            if covers:
+                payload["covers"] = covers
             if self.queries.is_partial(computation_id):
                 payload["partial"] = True
             finished.append(Message("ack", self.name, recipient, payload))
@@ -420,24 +447,29 @@ class CoDBNode:
     def drop_unread(self, message: Message, computation_id: str) -> None:
         """Settle an engaging *message* dropped unread (its computation
         is over here, or never started): ack it so its sender's deficit
-        drains — unless it is a ``fin`` message, which is owed nothing:
-        it is its sender's tree ack, and drains the edge it closes."""
-        if message.payload.get("fin"):
-            self.termination.on_ack(computation_id, message.sender)
+        drains — unless it is a covered result, which is owed nothing:
+        it counts as processed toward its sender's tree ack, and a
+        ``fin`` one drains the edge it closes."""
+        covered, covers = coverage(message.payload)
+        if covered and message.kind in ("query_result", "query_data"):
+            self.termination.on_covered(computation_id, message.sender, covers)
         else:
             self.send_ack(message.sender, computation_id)
 
     def _on_ack(self, message: Message) -> None:
-        computation_id = message.payload["computation_id"]
-        if message.payload.get("partial"):
+        payload = message.payload
+        computation_id = payload["computation_id"]
+        count = read_count(payload, "count", 1)
+        covers = read_count(payload, "covers", 0)
+        if payload.get("partial"):
             self.queries.mark_partial(computation_id)
-        self.termination.on_ack(
-            computation_id, message.sender, int(message.payload.get("count", 1))
-        )
-        # An ack can be the event that disengages a failure-touched
-        # update session whose links are already closed — the last
-        # chance to self-finalize when the origin's completion flood
-        # cannot reach us (no-op for healthy sessions and queries).
+        self.termination.on_ack(computation_id, message.sender, count, covers)
+        # An ack can drain the deficit of a failure-touched update
+        # session that is disengaged and whose links are already closed
+        # — the last chance to self-finalize when the origin's
+        # completion flood cannot reach us (no-op for healthy sessions
+        # and queries; an engaged one the ack leaves quiet is finalized
+        # as the input closes, in ``_finish``).
         self.updates.maybe_finalize_after_failure(computation_id)
 
     def _on_root_complete(self, computation_id: str) -> None:
@@ -455,22 +487,30 @@ class CoDBNode:
         mean its recipient is gone (§1: the algorithm terminates "even
         if nodes and coordination rules appear or disappear during the
         computation").  Send it again under its own id, whatever its
-        kind, while the recipient's retry budget lasts; once it is
-        spent, write the peer off (:meth:`_on_peer_down`) and tell it,
-        so it writes us off in turn (:meth:`_on_rejoin`).  A bounce
-        toward a peer already written off writes its deficit off."""
+        kind, while the recipient's retry budget for the message's
+        computation lasts; once it is spent, write the peer off
+        (:meth:`_on_peer_down`) and tell it, so it writes us off in turn
+        (:meth:`_on_rejoin`).  A bounce toward a peer already written
+        off writes its deficit off."""
         bounced = message.payload
-        peer, kind = bounced["recipient"], bounced["kind"]
+        peer, kind, payload = bounced["recipient"], bounced["kind"], bounced["payload"]
         if peer not in self._down_peers:
-            spent = self._resends.get(peer, 0)
+            budgets = self._resends.setdefault(peer, {})
+            computation_id = (
+                payload.get("update_id")
+                or payload.get("query_id")
+                or payload.get("computation_id", "")
+            )
+            spent = budgets.get(computation_id, 0)
             if spent < self.RESEND_LIMIT:
-                self._resends[peer] = spent + 1
+                budgets[computation_id] = spent + 1
                 self.stats.messages_resent += 1
                 self.emitted.append(Message(
-                    kind, self.name, peer, bounced["payload"], bounced["message_id"]
+                    kind, self.name, peer, payload, bounced["message_id"]
                 ))
                 return
-            self._resends[peer] = spent + 1
+            self._resends.pop(peer)
+            self._spent.add(peer)
             self.stats.peers_written_off += 1
             log.warning("%s writes %s off: its %s bounced %d times",
                         self.name, peer, kind, spent + 1)
@@ -478,6 +518,12 @@ class CoDBNode:
                 peer, "rejoin", self._rejoin_payload(ack=False, written_off=True)
             )
         self._on_peer_down(peer)
+
+    def computation_over(self, computation_id: str) -> None:
+        """*computation_id* ended here: the retry budgets its bounces
+        used go with it."""
+        for budgets in self._resends.values():
+            budgets.pop(computation_id, None)
 
     def _on_peer_down(self, dead_peer: str) -> None:
         """Write *dead_peer* off: a failure detector reported it down,
@@ -1053,6 +1099,7 @@ class CoDBNode:
             # peer will bounce again and be re-recorded.
             self._down_peers.clear()
             self._resends.clear()
+            self._spent.clear()
             self.cache.bump_all()
             for link in self.links.outgoing.values():
                 link.registered = False
@@ -1093,6 +1140,7 @@ class CoDBNode:
         if payload.get("written_off"):
             self._on_peer_down(peer)
         self._resends.pop(peer, None)
+        self._spent.discard(peer)
         self._down_peers.discard(peer)
         self.cache_fault_fallback(peer, flood=not flooded)
         digests = payload.get("digests", {})
@@ -1134,7 +1182,9 @@ class CoDBNode:
         """
         with self.input():
             self.detached = True
-            self.termination.abandon_all()
+            for computation_id, parent, covers in self.termination.abandon_all():
+                if parent is not None:
+                    self.send_ack(parent, computation_id, covers=covers)
         self.endpoint.detach()
 
     def __repr__(self) -> str:
@@ -1170,7 +1220,7 @@ class _Input:
                 try:
                     node.endpoint.end_run()
                 finally:
-                    if node.emitted:
+                    if node.emitted or node.termination.quiet:
                         effects = node._finish()
                         if self.keep:
                             self.effects = effects

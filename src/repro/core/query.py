@@ -48,8 +48,8 @@ closes; the closure then leaves on a result of no rows.)
 Termination is again Dijkstra–Scholten, rooted at the querying node;
 when the root detects quiescence it evaluates the query locally and
 floods ``query_complete`` along the request tree for cleanup.  A
-participant whose whole deficit is the ``query_data`` its input just
-sent its parent lets that shipment carry its tree ack (``"fin": true``;
+``query_data`` a participant ships its parent is covered by the
+participant's tree ack, which rides the last of them (``"fin": true``;
 :mod:`repro.core.termination`), so a propagating miss down a chain
 whose tail alone has rows to ship sends no ``ack`` at all.  A
 participation that lost a shipment says so on every ack it sends, and
@@ -57,7 +57,7 @@ on a ``fin`` shipment (``"partial": true``, when unclean only); its
 parent's deferred ack leaves only after that ack drained its deficit,
 so the root knows before it completes.  A flood that ends the query
 early, while its sender still waits for an ack, says ``partial`` too:
-a ``fin`` shipment on its way may be dropped unread.
+a covered shipment on its way may be dropped unread.
 
 A locally inconsistent node serves no rows — so it forwards no
 request either — and relays nothing it imports (§1d, as for an
@@ -95,6 +95,7 @@ from repro.core.links import (
     frontier_rows,
     undelivered,
 )
+from repro.core.termination import coverage
 from repro.errors import ProtocolError
 from repro.p2p.messages import Message
 from repro.relational.conjunctive import ConjunctiveQuery
@@ -442,17 +443,15 @@ class QueryEngine:
         if not rows:
             return
         node = self.node
-        node.emit(
-            remote,
-            "query_data",
-            {
-                "query_id": participation.query_id,
-                "rule_id": rule_id,
-                "rows": [encode_row(row) for row in rows],
-                "path_len": path_len,
-            },
-        )
-        node.termination.note_sent(participation.query_id, remote)
+        payload = {
+            "query_id": participation.query_id,
+            "rule_id": rule_id,
+            "rows": [encode_row(row) for row in rows],
+            "path_len": path_len,
+        }
+        if not node.termination.note_result(participation.query_id, remote):
+            payload["ack"] = True
+        node.emit(remote, "query_data", payload)
 
     # ------------------------------------------------------------------
     # Data ingestion
@@ -470,10 +469,9 @@ class QueryEngine:
                 query_id, "query", message, self.on_query_data
             )
             return
-        # The sender's last word: it carries the sender's tree ack.
-        fin = bool(message.payload.get("fin"))
+        covered, covers = coverage(message.payload)
         tree = node.termination.on_engaging_message(
-            query_id, message.sender, fin=fin
+            query_id, message.sender, covered=covered
         )
         participation = self.participations.get(query_id)
         if participation is None:
@@ -565,11 +563,12 @@ class QueryEngine:
                 self._unsent(participation, serving, produced),
                 path_len=path_len + 1,
             )
-        if fin and message.payload.get("partial"):
-            # As on a partial ack: before it can complete the root.
+        if covers is not None and message.payload.get("partial"):
+            # A partial tree ack (``fin``), as on a partial ack: before
+            # it can complete the root.
             self.mark_partial(query_id)
         node.termination.after_processing(
-            query_id, message.sender, tree, fin=fin
+            query_id, message.sender, tree, covered=covered, covers=covers
         )
 
     # ------------------------------------------------------------------
@@ -580,9 +579,9 @@ class QueryEngine:
         """Whether *message* is late: its query already ended here
         (only around failures).  It is dropped, but acked as partial,
         so a sender still counting it neither waits nor takes it as
-        delivered.  A ``fin`` message is not acked: it is still its
-        sender's tree ack, which a failure flood that ended the query
-        here early may be waiting for (:meth:`_cleanup`)."""
+        delivered.  A covered ``query_data`` is not acked: it counts
+        toward its sender's tree ack, which a failure flood that ended
+        the query here early may be waiting for (:meth:`_cleanup`)."""
         query_id = message.payload["query_id"]
         if query_id not in self.finished:
             return False
@@ -607,8 +606,9 @@ class QueryEngine:
                 self.node.drop_unread(stray, query_id)
             return
         if message.payload.get("partial"):
-            # A flood that ended the query early: what we shipped last
-            # without an ack (``fin``) may be dropped unread upstream.
+            # A flood that ended the query early: what we shipped our
+            # parent, never acked (covered), may be dropped unread
+            # upstream.
             participation.clean = False
         self._cleanup(participation, forwarded_from=message.sender)
 
@@ -646,10 +646,11 @@ class QueryEngine:
         query_id = participation.query_id
         del self.participations[query_id]
         self.finished.add(query_id)
+        node.computation_over(query_id)
         # Still engaged only when a failure flood ends the query early:
         # some shipment is unacknowledged and may yet be dropped — and
-        # so may a ``fin`` shipment to us, settled at its sender: the
-        # flood tells the peers it reaches (``partial``).
+        # so may a covered shipment to us, never acked: the flood tells
+        # the peers it reaches (``partial``).
         engaged = node.termination.is_engaged(query_id)
         if not engaged:
             node.termination.forget(query_id)

@@ -9,7 +9,8 @@ which this module implements, decoupled from any particular protocol:
 
 * Every *engaging* message (update request, query result, query
   data, ...) is acknowledged by its receiver, explicitly or — for a
-  participant's last word — implicitly (below).
+  result a participant sends its parent — by the participant's tree
+  ack (below).
 * The first engaging message that reaches a disengaged node makes the
   sender that node's *parent*; the ack for it is deferred.
 * Every other engaging message is acknowledged once its local
@@ -25,21 +26,35 @@ which this module implements, decoupled from any particular protocol:
   Nothing is ever owed across inputs, so detection is exactly as
   prompt as with one ack per message.
 * A node's *deficit* counts its own sent-but-unacked messages.  When
-  an engaged node is passive (between messages) with deficit zero, it
-  acknowledges its parent and disengages (it may be re-engaged later).
-* **The last word carries the ack** (:meth:`finish_with`).  A
-  non-root participant whose whole deficit, as an input closes, is one
-  result that input sent its parent — a query's ``query_data``, an
-  update's ``query_result``, most often the one that closes its link —
-  marks that message ``"fin": true``, takes it off its deficit and
-  disengages: the parent's ack for the result and the child's tree ack
-  would only cancel out.  The receiver never acknowledges a ``fin``
-  message; once it is processed it counts as the sender's tree ack
-  (``after_processing(..., fin=True)``), and it engages a disengaged
-  receiver without making the sender its parent.  Dropped unread (its
-  computation is over at the receiver), it still drains the tree edge
-  it closes.  The rule covers a single message, so no transport can
-  split the result from its ack.
+  an engaged node is passive (an input closes) with deficit zero, it
+  acknowledges its parent — its *tree ack* — and disengages (it may be
+  re-engaged later).  The input's one pass decides it
+  (:meth:`disengage_quiet`), never a handler half-way through.
+* **The tree ack covers every result sent to the parent.**  A result
+  (a query's ``query_data``, an update's ``query_result``) that a
+  non-root participant sends its parent is *covered*: it stays out of
+  the sender's deficit and the parent never acks it.  Instead the
+  child's tree ack carries the cumulative number of covered results it
+  has sent that parent in this computation (``"covers": n``), and the
+  parent drains the tree edge only once it has processed that many
+  covered results from the child.  The parent's tree edge to the child
+  stays open while any covered result is in flight, so the parent
+  stays engaged, the root cannot complete, and whatever the result
+  triggers lands in the parent's own deficit.  The count is
+  cumulative, so a retry that lands behind the tree ack, or a later
+  re-engagement by the same parent, is simply waited for; and a
+  covered result is never acked, so no stale ack can drain a later
+  deficit.  Any other result — to a peer that is not the sender's
+  parent, in a DAG or a cycle — is in the deficit as before and says
+  so (``"ack": true``): its receiver acks it.
+* **The last word carries the tree ack.**  When the input that leaves
+  a participant quiet sent its parent a covered result, the last one
+  goes out ``"fin": true`` and is the tree ack; otherwise a plain
+  ``ack`` is.  A tree ack omits the count it already implies: a
+  ``fin`` that covers only itself, a plain ack that covers nothing —
+  so either is the frame it always was.  A covered result that is
+  dropped unread (its computation is over at the receiver) still
+  counts as processed, and a ``fin`` still drains the edge it closes.
 * The computation's *root* detects termination when it is passive
   with deficit zero: at that point no message is in flight anywhere
   and every node is disengaged — the paper's condition (b) holds
@@ -62,16 +77,44 @@ from collections.abc import Callable
 from repro.errors import ProtocolError
 
 
+def read_count(payload: dict, key: str, default: int) -> int:
+    """The counter *key* of a received *payload* (an ack's ``count``,
+    a tree ack's ``covers``): a non-negative ``int``, *default* when
+    absent.  Anything else is a :class:`ProtocolError`, raised before
+    any deficit moves."""
+    value = payload.get(key, default)
+    if type(value) is not int or value < 0:
+        raise ProtocolError(f"{key!r} must be a non-negative int, not {value!r}")
+    return value
+
+
+def coverage(payload: dict) -> tuple[bool, int | None]:
+    """How a received result stands to its sender's tree ack: whether
+    it is covered (it has no ``"ack"`` flag), and, when it carries the
+    tree ack (``"fin"``), how many results that covers (``"covers"``,
+    1 when left out)."""
+    covers = read_count(payload, "covers", 1) if payload.get("fin") else None
+    return "ack" not in payload, covers
+
+
 @dataclass
 class _ComputationState:
     engaged: bool = False
     is_root: bool = False
     parent: str | None = None
+    #: Sent messages not yet acknowledged; covered results are not in it.
     deficit: int = 0
     #: Outstanding (unacked) messages per recipient — the failure
     #: detector drains a dead peer's share without waiting forever.
     deficit_by_peer: dict[str, int] = field(default_factory=dict)
     completed: bool = False
+    #: Covered results sent to each peer while it was our parent.
+    covered_sent: dict[str, int] = field(default_factory=dict)
+    #: Covered results processed from each child.
+    covered_got: dict[str, int] = field(default_factory=dict)
+    #: Per child, the counts of its tree acks still waiting for their
+    #: covered results; each holds one unit of its deficit.
+    waiting: dict[str, list[int]] = field(default_factory=dict)
 
 
 class DiffusingComputation:
@@ -95,6 +138,9 @@ class DiffusingComputation:
         self._send_ack = send_ack
         self._on_root_complete = on_root_complete
         self._computations: dict[str, _ComputationState] = {}
+        #: Non-root computations an input left passive with deficit
+        #: zero, in order: :meth:`disengage_quiet` settles them.
+        self.quiet: dict[str, None] = {}
 
     def _state(self, computation_id: str) -> _ComputationState:
         return self._computations.setdefault(computation_id, _ComputationState())
@@ -114,12 +160,12 @@ class DiffusingComputation:
     # -- message hooks --------------------------------------------------------
 
     def on_engaging_message(
-        self, computation_id: str, sender: str, *, fin: bool = False
+        self, computation_id: str, sender: str, *, covered: bool = False
     ) -> bool:
         """Record receipt of an engaging message; returns ``True`` when
-        this message is the tree edge (ack deferred).  A *fin* message
-        may engage this node, but its sender, already disengaged, is
-        owed nothing: no parent is adopted.
+        this message is the tree edge (ack deferred).  A *covered*
+        result may engage this node, but its sender is owed no ack for
+        it: no parent is adopted.
 
         Call *before* processing the message; pair each call with one
         :meth:`after_processing`.
@@ -127,8 +173,9 @@ class DiffusingComputation:
         state = self._state(computation_id)
         if not state.engaged:
             state.engaged = True
-            state.parent = None if fin else sender
-            return True
+            if not covered:
+                state.parent = sender
+                return True
         return False
 
     def after_processing(
@@ -137,46 +184,31 @@ class DiffusingComputation:
         sender: str,
         was_tree_edge: bool,
         *,
-        fin: bool = False,
+        covered: bool = False,
+        covers: int | None = None,
     ) -> None:
-        """Ack non-tree messages; check the leave condition.  A *fin*
-        message is never acked: it is its sender's tree ack."""
-        if fin:
-            self.on_ack(computation_id, sender)
+        """Ack a message that is neither the tree edge nor covered;
+        count a covered one as processed — with *covers* (a ``fin``)
+        it is also its sender's tree ack; check the leave condition."""
+        if covered:
+            self.on_covered(computation_id, sender, covers)
         elif not was_tree_edge:
             self._send_ack(sender, computation_id)
         self.check_quiescence(computation_id)
 
-    def finish_with(self, computation_id: str, recipient: str) -> bool:
-        """The sender half of an implicit ack: whether the one message
-        about to leave for *recipient* may carry this node's tree ack.
-
-        The message is the last result the node's open input sent for
-        the computation — a query's ``query_data`` or an update's
-        ``query_result`` — found by the input's one pass as it closes
-        (:meth:`CoDBNode._finish <repro.core.node.CoDBNode._finish>`).
-        It may carry
-        the ack when this node is a non-root participant, *recipient*
-        is its parent and that message is its whole deficit.  Then the
-        message is taken off the deficit and the node disengages; the
-        caller marks the message ``fin``.  Call only while the message
-        has not left (its ack cannot have come back).
-        """
-        state = self._computations.get(computation_id)
-        if (
-            state is None
-            or not state.engaged
-            or state.is_root
-            or state.parent != recipient
-            or state.deficit != 1
-            or state.deficit_by_peer.get(recipient) != 1
-        ):
-            return False
-        state.deficit = 0
-        state.deficit_by_peer[recipient] = 0
-        state.engaged = False
-        state.parent = None
-        return True
+    def note_result(self, computation_id: str, recipient: str) -> bool:
+        """A result is about to leave for *recipient*: whether it is
+        covered by this node's tree ack — *recipient* is the parent of
+        this engaged participant.  A covered result is counted toward
+        the tree ack and stays out of the deficit; any other is noted
+        as sent, and the caller flags it so that it is acked."""
+        state = self._state(computation_id)
+        if state.engaged and state.parent == recipient:
+            sent = state.covered_sent
+            sent[recipient] = sent.get(recipient, 0) + 1
+            return True
+        self.note_sent(computation_id, recipient)
+        return False
 
     def note_sent(
         self, computation_id: str, recipient: str = "", count: int = 1
@@ -191,12 +223,52 @@ class DiffusingComputation:
             )
 
     def on_ack(
-        self, computation_id: str, sender: str = "", count: int = 1
+        self,
+        computation_id: str,
+        sender: str = "",
+        count: int = 1,
+        covers: int = 0,
     ) -> None:
-        """*sender* acknowledged *count* of our messages."""
+        """*sender* acknowledged *count* of our messages.  With
+        *covers*, one of them is its tree ack: that one drains only
+        once *covers* covered results from *sender* were processed."""
         state = self._computations.get(computation_id)
         if state is None:
             return  # late: the computation already ended here
+        if count and covers > state.covered_got.get(sender, 0):
+            state.waiting.setdefault(sender, []).append(covers)
+            count -= 1
+        self._drain(computation_id, state, sender, count)
+
+    def on_covered(
+        self, computation_id: str, sender: str, covers: int | None = None
+    ) -> None:
+        """A covered result from the child *sender* was processed, or
+        dropped unread; with *covers* it carried the child's tree ack
+        (``fin``).  Drains every tree ack of the child whose count is
+        now reached."""
+        state = self._computations.get(computation_id)
+        if state is None:
+            return
+        got = state.covered_got[sender] = state.covered_got.get(sender, 0) + 1
+        if covers is None:
+            waiting = state.waiting.get(sender)
+        else:
+            waiting = state.waiting.setdefault(sender, [])
+            waiting.append(covers)
+        if waiting:
+            reached = [count for count in waiting if count <= got]
+            if reached:
+                waiting[:] = [count for count in waiting if count > got]
+                self._drain(computation_id, state, sender, len(reached))
+
+    def _drain(
+        self,
+        computation_id: str,
+        state: _ComputationState,
+        sender: str,
+        count: int,
+    ) -> None:
         if sender:
             # Acks from a peer whose share was already written off (in
             # full or in part) are duplicates of that write-off: drain
@@ -216,7 +288,8 @@ class DiffusingComputation:
     # -- quiescence -----------------------------------------------------------
 
     def check_quiescence(self, computation_id: str) -> None:
-        """Leave the computation / detect termination when possible.
+        """Detect termination at the root when possible; note a passive
+        non-root participant with deficit zero as :attr:`quiet`.
 
         Safe to call at any passive moment (end of every handler), also
         for a computation already forgotten here: a ``fin`` message can
@@ -232,50 +305,64 @@ class DiffusingComputation:
                 state.engaged = False
                 self._on_root_complete(computation_id)
             return
-        # Interior node: collapse to parent and disengage.
+        self.quiet[computation_id] = None
+
+    def disengage_quiet(self) -> list[tuple[str, str | None, int]]:
+        """The input closes: every participant it left quiet, and still
+        quiet, disengages.  Returns the tree acks it owes, in order, as
+        ``(computation id, parent, covered results sent the parent)``;
+        the parent is ``None`` when none is owed."""
+        quiet, self.quiet = self.quiet, {}
+        owed = []
+        for computation_id in quiet:
+            state = self._computations.get(computation_id)
+            if state is not None and state.engaged and not state.deficit:
+                owed.append(self._leave(computation_id, state))
+        return owed
+
+    def _leave(
+        self, computation_id: str, state: _ComputationState
+    ) -> tuple[str, str | None, int]:
         parent = state.parent
         state.engaged = False
         state.parent = None
-        if parent is not None:
-            self._send_ack(parent, computation_id)
+        covers = state.covered_sent.get(parent, 0) if parent else 0
+        return computation_id, parent, covers
 
     # -- dynamic networks -------------------------------------------------------
 
     def on_peer_down(self, peer: str) -> None:
         """Failure-detector notification: *peer* left the network.
 
-        Two effects, across every computation: (1) the dead peer will
+        Three effects, across every computation: (1) the dead peer will
         never ack anything, so its outstanding share of our deficit is
-        written off; (2) if the dead peer was our parent, nobody needs
-        our deferred ack any more — adopt no one and disengage when
-        quiescent.
+        written off, its tree acks no longer wait and the covered
+        results counted with it start again from zero; (2) if the dead
+        peer was our parent, nobody needs our deferred ack any more —
+        adopt no one and disengage when quiescent.
         """
         for computation_id, state in list(self._computations.items()):
             owed = state.deficit_by_peer.pop(peer, 0)
             if owed:
                 state.deficit = max(0, state.deficit - owed)
+            state.waiting.pop(peer, None)
+            state.covered_got.pop(peer, None)
+            state.covered_sent.pop(peer, None)
             if state.parent == peer:
                 state.parent = None
             if owed or state.engaged:
                 self.check_quiescence(computation_id)
 
-    def abandon_all(self) -> list[str]:
-        """Release every engaged computation (graceful network leave).
-
-        Sends the deferred parent acks so upstream deficits drain, and
-        disengages; returns the abandoned computation ids.
-        """
-        abandoned = []
-        for computation_id, state in list(self._computations.items()):
-            if not state.engaged:
-                continue
-            parent = state.parent
-            state.engaged = False
-            state.parent = None
-            abandoned.append(computation_id)
-            if parent is not None:
-                self._send_ack(parent, computation_id)
-        return abandoned
+    def abandon_all(self) -> list[tuple[str, str | None, int]]:
+        """Release every engaged computation (graceful network leave):
+        disengage, and return the tree acks owed, as
+        :meth:`disengage_quiet` does, so upstream deficits drain."""
+        self.quiet = {}
+        return [
+            self._leave(computation_id, state)
+            for computation_id, state in self._computations.items()
+            if state.engaged
+        ]
 
     # -- introspection ----------------------------------------------------------
 
@@ -294,3 +381,4 @@ class DiffusingComputation:
     def forget(self, computation_id: str) -> None:
         """Drop bookkeeping for a finished computation."""
         self._computations.pop(computation_id, None)
+        self.quiet.pop(computation_id, None)

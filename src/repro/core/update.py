@@ -44,12 +44,13 @@ update id, i.e. per session):
   that link (``"closed": true``), or a ``query_result`` of no rows when
   there is none; it closes the matching outgoing link at the
   importer's session, cascading network-wide through acyclic
-  dependencies.  When that result is the sender's whole deficit and
-  goes to its parent, it carries the sender's tree ack as well
-  (``"fin": true``, set as the input closes,
-  :mod:`repro.core.termination`): a repeat update
-  that finds nothing new costs a request and a closing result per
-  link, and the completion flood.
+  dependencies.  A result a participant sends its parent is covered by
+  the participant's tree ack and never acked; the tree ack rides the
+  last of them (``"fin": true``, set as the input closes,
+  :mod:`repro.core.termination`), so an update from the head of a
+  chain sends no ``ack`` at all, and a repeat update that finds nothing
+  new costs a request and a closing result per link, and the
+  completion flood.
 * Cyclic dependencies cannot close by cascade.  They close via the
   paper's condition (b) — "all query results did not bring any new
   data" — detected exactly by the Dijkstra–Scholten machinery of
@@ -84,10 +85,12 @@ possible, though no transport reorders a pipe by itself.  The receiver
 tolerates it with no sequence numbers: results are ingested whatever
 the link's state, and their deltas re-fire dependent links closed by
 cascade as well as open ones, so the closed importers downstream
-ingest them the same way.  The retried message is still in its
-sender's deficit until acknowledged — or, when it carries its sender's
-tree ack (``fin``), its parent still waits for it — so the update
-cannot complete before it lands.  No other order matters: the
+ingest them the same way.  The retried message cannot be overtaken
+unnoticed: a result to a peer that is not the sender's parent is in
+the sender's deficit until acknowledged, and one to its parent is
+covered by the sender's tree ack, whose count of covered results the
+parent waits for even when the ``fin`` arrives first — so the update
+cannot complete before the retry lands.  No other order matters: the
 completion floods leave only after every message of the computation
 was acknowledged, acks are counts, and an invalidation or
 registration that arrives late only drops cached answers.
@@ -115,8 +118,8 @@ sender's Dijkstra–Scholten deficit open, so the computation waits for
 the queued participant instead of falsely quiescing) and replayed in
 global update-id seniority order as sessions finish.  A message that
 is dropped unread instead — its update is over here — is acked, unless
-it carries its sender's tree ack (``fin``): that one drains the tree
-edge it closes (:meth:`~repro.core.node.CoDBNode.drop_unread`).
+it is a covered result: that one counts as processed toward its
+sender's tree ack (:meth:`~repro.core.node.CoDBNode.drop_unread`).
 """
 
 from __future__ import annotations
@@ -135,6 +138,7 @@ from repro.core.links import (
     frontier_rows,
     undelivered,
 )
+from repro.core.termination import coverage
 from repro.errors import FixpointGuardError, ProtocolError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
@@ -329,15 +333,17 @@ class UpdateEngine:
             )
 
     def _send_result(self, link: IncomingLink, payload: dict) -> None:
-        """One ``query_result`` to the link's importer.  Until the
-        node's input closes it may still take the link's closure, and
-        this node's tree ack if it is the last result of the update
+        """One ``query_result`` to the link's importer, flagged to be
+        acked unless this node's tree ack covers it.  Until the node's
+        input closes it may still take the link's closure, and this
+        node's tree ack if it is the last covered result of the update
         (:meth:`CoDBNode._finish <repro.core.node.CoDBNode._finish>`),
         so its bytes are counted then."""
         node = self.node
         update_id = self.update_id
+        if not node.termination.note_result(update_id, link.remote):
+            payload["ack"] = True
         node.emit(link.remote, "query_result", payload)
-        node.termination.note_sent(update_id, link.remote)
         report = node.stats.report_for(update_id)
         if report is not None:
             report.messages_sent += 1
@@ -777,7 +783,7 @@ class UpdateManager:
 
         Dijkstra–Scholten still sees every message: each engages before
         the run is ingested, and each is processed — acked unless it was
-        the tree edge — once the run's sends are noted.
+        the tree edge or is covered — once the run's sends are noted.
         """
         for _key, run in groupby(messages, key=_run_key):
             self._on_run(list(run))
@@ -803,10 +809,10 @@ class UpdateManager:
         if not run:
             return
         termination = node.termination
-        fins = [bool(message.payload.get("fin")) for message in run]
+        coverages = [coverage(message.payload) for message in run]
         trees = [
-            termination.on_engaging_message(update_id, message.sender, fin=fin)
-            for message, fin in zip(run, fins)
+            termination.on_engaging_message(update_id, message.sender, covered=covered)
+            for message, (covered, _covers) in zip(run, coverages)
         ]
         session = self.sessions[update_id]
         session.ingest_results(run)
@@ -817,8 +823,10 @@ class UpdateManager:
         ]
         if closed:
             self.on_link_closed(session, closed)
-        for message, tree, fin in zip(run, trees, fins):
-            termination.after_processing(update_id, message.sender, tree, fin=fin)
+        for message, tree, (covered, covers) in zip(run, trees, coverages):
+            termination.after_processing(
+                update_id, message.sender, tree, covered=covered, covers=covers
+            )
         self.maybe_finalize_after_failure(update_id)
 
     def _replay_result(self, message: Message) -> None:
@@ -937,6 +945,7 @@ class UpdateManager:
         for stray in node.admission.drop(update_id):
             node.drop_unread(stray, update_id)
         node.termination.forget(update_id)
+        node.computation_over(update_id)
         # Flood the completion (non-engaging; dedup via completed_updates).
         # The cause travels with it: failure-triggered floods must not
         # finalize still-active sessions downstream (they arm instead).

@@ -95,12 +95,15 @@ KINDS = (
     "query_result",         # tuples flowing back along a link (§3);
                             # "closed": the link closed (§3) — the
                             # last result on it, or one of no rows;
-                            # "fin": the sender's tree ack rides on it
+                            # "ack": not to the sender's parent, so
+                            # acked; "fin": the sender's tree ack rides
+                            # on it, "covers" the results it covers
     "update_complete",      # origin's completion flood (condition (b))
-    "ack",                  # diffusing-computation acknowledgement
+    "ack",                  # diffusing-computation acknowledgement;
+                            # "count" acks, "covers": a tree ack's count
     "query_request",        # query-time answering request (§3)
     "query_data",           # query-time answering results (never empty);
-                            # "fin": the sender's tree ack rides on it
+                            # "ack", "fin", "covers" as on query_result
     "query_complete",       # query-time cleanup flood; may carry the
                             # sender's cache registrations ("register")
     "invalidation",         # CUP-style invalidation; a registration

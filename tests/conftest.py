@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, settings
 from repro import CoDBNetwork, Database, parse_facts, parse_schema
 
 #: ``HYPOTHESIS_PROFILE=deep`` runs the differentials randomized and at
-#: depth (a CI job of its own).  Their tier-1 settings stay pinned in
-#: their decorators; under ``deep`` those pins are replaced at
-#: collection, since explicit decorator settings outrank any profile.
+#: depth (a CI job of its own, ``pytest tests``): every test outside
+#: :data:`DEEP_FILES` is deselected, so this set is the one list of what
+#: the job runs.  Their tier-1 settings stay pinned in their
+#: decorators; under ``deep`` those pins are replaced at collection,
+#: since explicit decorator settings outrank any profile.
 settings.register_profile(
     "deep",
     max_examples=2000,
@@ -30,14 +32,19 @@ if DEEP:
     settings.load_profile("deep")
 
 
-def pytest_collection_modifyitems(items):
+def pytest_collection_modifyitems(config, items):
     if not DEEP:
         return
     deep = settings.get_profile("deep")
-    for item in items:
+    selected = [item for item in items if item.path.name in DEEP_FILES]
+    config.hook.pytest_deselected(
+        items=[item for item in items if item.path.name not in DEEP_FILES]
+    )
+    items[:] = selected
+    for item in selected:
         test = getattr(item, "function", None)
         pinned = getattr(test, "_hypothesis_internal_use_settings", None)
-        if item.path.name in DEEP_FILES and pinned is not None:
+        if pinned is not None:
             test._hypothesis_internal_use_settings = settings(
                 pinned, max_examples=deep.max_examples, derandomize=False
             )

@@ -42,16 +42,20 @@ SCHEMA = "item(k: int)\ntag(k: int, w)"
 
 class SplittingNetwork(InProcessNetwork):
     """Cuts every burst after each message with probability *cut*;
-    counts the messages that carry their sender's tree ack."""
+    counts the results covered by their sender's tree ack, and the
+    messages that carry it."""
 
     def __init__(self, seed: int, cut: float) -> None:
         super().__init__(seed)
         self.cut = cut
         self.cuts = random.Random(seed)
-        self.fins = 0
+        self.fins = self.covered = 0
 
     def send_burst(self, messages):
         self.fins += sum(1 for m in messages if m.payload.get("fin"))
+        self.covered += sum(
+            1 for m in messages if m.kind == "query_result" and "ack" not in m.payload
+        )
         start = 0
         for end in range(1, len(messages) + 1):
             if end == len(messages) or self.cuts.random() < self.cut:
@@ -161,10 +165,11 @@ def test_whole_split_and_single_deliveries_reach_the_centralised_fixpoint(
         for kind, count in runs["single"].transport.stats.by_kind.items()
         if kind in ("update_request", "query_result")
     )
-    # Alone, every message costs its own ack, or the one it closes the
-    # tree edge of carries it (``fin``) and costs none.
-    fins = runs["single"].transport.fins
-    assert acks["single"] + fins == engaging - fins
+    # Alone, every message costs its own ack, but a covered result
+    # costs none, and neither does the tree edge whose ack a ``fin``
+    # carries.
+    single = runs["single"].transport
+    assert acks["single"] + single.fins == engaging - single.covered
     assert acks["whole"] <= sum(
         count
         for kind, count in runs["whole"].transport.stats.by_kind.items()

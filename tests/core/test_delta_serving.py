@@ -158,13 +158,15 @@ class TestPersistentQueryTeachesOnCleanEnd:
         _, ablated_by_kind, ablated_size = repeat_cost(ABLATED)
         # An activation with nothing new to ship sends nothing: the
         # repeat costs its requests, their acks and the completion
-        # flood.  The ablation ships every row again; the tail's
-        # shipment is its whole deficit, so it carries its tree ack.
+        # flood.  The ablation ships every row again, each shipment
+        # covered by its sender's tree ack: the tail's carries it, and
+        # the two relays, with nothing new once the tail's rows come
+        # in, send it as a plain ack.
         assert by_kind == {
             "query_request": 3, "ack": 3, "query_data": 0, "query_complete": 3,
         }
         assert ablated_by_kind == {
-            "query_request": 3, "ack": 4, "query_data": 3, "query_complete": 3,
+            "query_request": 3, "ack": 2, "query_data": 3, "query_complete": 3,
         }
         assert size < ablated_size
         assert totals(net, "rows_suppressed") > 0

@@ -1,11 +1,13 @@
-"""A participant's last word carries its acknowledgement, soundly.
+"""A participant's tree ack covers its results to its parent, soundly.
 
-A non-root participant whose whole deficit, at the end of a delivery,
-is the one result it queued to its parent — a query's ``query_data``,
-an update's ``query_result`` (most often the one that closes its
-link) — marks that message ``fin`` and disengages; the parent never
-acks it and counts it as the tree ack (:mod:`repro.core.termination`).
-Taking an ack early is exactly what Dijkstra–Scholten cannot survive,
+A result a non-root participant sends its parent — a query's
+``query_data``, an update's ``query_result`` (most often the one that
+closes its link) — is never acked: the participant's tree ack carries
+how many it covers, and rides the last of them (``fin``) when the input
+that leaves the participant quiet sent one; the parent drains the tree
+edge only once it has processed that many
+(:mod:`repro.core.termination`).  Taking an ack early is exactly what
+Dijkstra–Scholten cannot survive,
 so Hypothesis draws chains, trees and ``random_graph`` digraphs (cycles
 included) of 2–6 peers, each importing ``item`` from its neighbours,
 and a program of writes and network reads at ``N0`` — cached or not,
@@ -30,15 +32,16 @@ between, some of them under ``MessageLoss`` on every update kind and
 update message in flight when its root completes, leave every peer —
 all are reachable from any origin — equal to the centralised chase and
 no termination state anywhere.  On a chain, a repeat update that finds
-nothing new sends no ``ack``.
+nothing new sends no ``ack``, and neither does a first update from the
+head that brings fresh rows, however they are cut into messages.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
-from repro import CoDBNetwork
+from repro import CoDBNetwork, NodeConfig
 from repro.baselines import CentralizedExchange
 from repro.core.node import CoDBNode
 from repro.core.update import UPDATE_KINDS
@@ -358,6 +361,9 @@ class UpdateRun:
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Losses across updates must not spend one retry budget: retried
+# ``update_complete``s draw no reply to refill it.
+@example((2, ["N0:item(k, v) <- N1:item(k, v)"], {0: [], 1: []}, 0.6, [("update", 0, True)] * 4))
 def test_every_update_completes_quiet_and_at_the_fixpoint(program):
     size, rules, data, loss, steps = program
     run = UpdateRun(size, rules, data, loss)
@@ -394,3 +400,27 @@ def test_a_repeat_update_with_nothing_new_sends_no_ack(size, data):
         "query_result": links,
         "update_complete": links,
     }
+
+
+@given(
+    size=st.integers(2, 6),
+    data=st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True),
+    batch=st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_chain_update_sends_no_ack(size, data, batch):
+    """A first update from the head of the chain, with fresh rows at
+    the tail: every result goes to its sender's parent, covered by the
+    sender's tree ack, which rides the last of them (``fin``)."""
+    net = CoDBNetwork(seed=11, with_superpeer=False, config=NodeConfig(batch_rows=batch))
+    for i in range(size):
+        rows = [(k, 0) for k in data] if i == size - 1 else []
+        net.add_node(f"N{i}", ITEM_SCHEMA, facts={"item": rows})
+    net.add_rules(chain(size))
+    net.start()
+    stats = net.transport.stats
+    before = dict(stats.by_kind)
+    assert net.global_update("N0").report.outcome == "complete"
+    net.run()
+    assert stats.by_kind.get("ack", 0) == before.get("ack", 0)
+    assert sorted(net.node("N0").rows("item")) == sorted((k, 0) for k in data)

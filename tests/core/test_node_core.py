@@ -69,15 +69,16 @@ def test_a_request_then_a_run_that_closes_the_link():
         ("update_request", "N2", {"update_id": UPDATE, "origin": "N0", "path": ["N0", "N1"]}),
     ]
     # N2, engaged by N0 already, answers with its rows cut in two, the
-    # last closing the link, and acknowledges the request.
+    # last closing the link — flagged to be acked, since N1 is not its
+    # parent — and acknowledges the request.
     second = node.react([
-        result([[1]]),
-        result([[2]], closed=True),
+        result([[1]], ack=True),
+        result([[2]], closed=True, ack=True),
         Message("ack", "N2", "N1", {"computation_id": UPDATE}, "m-ack"),
     ])
     # One result to N0 carries both rows, the closure of N1's own link
-    # and — N1's whole deficit — its tree ack; the two results from N2
-    # are acknowledged by one counted ack, last.
+    # and — N1 has no deficit left — its tree ack; the two results from
+    # N2 are acknowledged by one counted ack, last.
     assert sent(second) == [
         ("query_result", "N0", {
             "update_id": UPDATE, "rule_id": "r01", "rows": [[1], [2]],

@@ -7,19 +7,35 @@ from repro.errors import ProtocolError
 
 
 class Harness:
-    """Scripted message fabric for a handful of detector instances."""
+    """Scripted message fabric for a handful of detector instances.
+
+    Each ``after_processing`` or ``on_ack`` call is one input to its
+    node: as it returns, what it left quiet disengages and the tree ack
+    reaches the parent at once, as a node's input pass sends it."""
 
     def __init__(self, names):
         self.acks = []  # (sender, recipient, computation)
         self.completed = []
         self.detectors = {}
         for name in names:
-            self.detectors[name] = DiffusingComputation(
+            detector = DiffusingComputation(
                 send_ack=lambda to, cid, me=name: self._ack(me, to, cid),
                 on_root_complete=lambda cid, me=name: self.completed.append(
                     (me, cid)
                 ),
             )
+            self.detectors[name] = detector
+            for hook in ("after_processing", "on_ack"):
+                setattr(detector, hook, self._input(name, getattr(detector, hook)))
+
+    def _input(self, name, hook):
+        def call(*args, **kwargs):
+            hook(*args, **kwargs)
+            for cid, parent, _covers in self.detectors[name].disengage_quiet():
+                if parent is not None:
+                    self._ack(name, parent, cid)
+
+        return call
 
     def _ack(self, sender, recipient, cid):
         self.acks.append((sender, recipient, cid))

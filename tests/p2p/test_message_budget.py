@@ -4,10 +4,11 @@
 its message or byte counts differ between repetitions.  This is the
 same network — an 8-node copy chain, ``batch_rows=8``, 20 fresh rows
 at every non-origin node, one update from ``N0`` — checked in a second:
-the counts must not depend on the transport or on socket timing, the
-acknowledgements stay within their burst budget, and the paper's §4
-statistics are what they were before bursts existed (but for the
-closure that seven results carry).
+the counts must not depend on the transport or on socket timing, no
+``ack`` is sent (every result goes to its sender's parent and is
+covered by the sender's tree ack), and the paper's §4 statistics are
+what they were before bursts existed (but for the closure, the tree
+ack and its count that seven results carry).
 
 And the gateway's ``A <- B <- C`` chain: a repeat update that finds
 nothing new sends its requests, one closing result per link — each
@@ -83,25 +84,27 @@ def test_counts_do_not_depend_on_transport_or_timing(simulated):
 
 def test_acks_and_total_stay_within_the_burst_budget(simulated):
     by_kind = simulated["by_kind"]
-    # One ack per data burst (1 + 2 + ... + 7) and one per tree edge.
-    assert by_kind["ack"] <= 35
-    assert sum(by_kind.values()) <= 140
-    # Each closure rides the last result on its link.
+    # Each closure and each tree ack rides the last result on its link.
     assert by_kind == {
         "update_request": 7,
         "query_result": 84,
         "update_complete": 7,
-        "ack": 35,
     }
-    assert simulated["bytes_sent"] == 30051
+    assert sum(by_kind.values()) == 98
+    assert simulated["bytes_sent"] == 25519
 
 
 def test_section_4_statistics_are_unmoved(simulated):
     assert simulated["rules"] == 7
     assert simulated["result_msgs"] / simulated["rules"] == 12
-    # Seven results carry their link's closure (``"closed":true``).
-    assert simulated["volume"] == 14924 + 7 * len(',"closed":true')
-    assert round(simulated["volume"] / simulated["result_msgs"], 2) == 178.83
+    # Seven results carry their link's closure (``"closed":true``) and
+    # their sender's tree ack, with the count of the results it covers:
+    # 3 for the 20 rows of each node behind the link.
+    fins = sum(
+        len(f',"fin":true,"covers":{3 * hop}') for hop in range(1, 8)
+    )
+    assert simulated["volume"] == 14924 + 7 * len(',"closed":true') + fins
+    assert round(simulated["volume"] / simulated["result_msgs"], 2) == 180.71
     assert simulated["longest_path"] == 7
 
 
