@@ -23,13 +23,20 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: completion flood, then the invalidation cascade); a read around the
 #: rule cycles of a complete 3-graph (where a mutual import makes a
 #: registration leave on its own); and a one-shot bounce, retried under
-#: its own id.
+#: its own id.  Then the network query's own paths: a read around a
+#: 4-ring, where the label cut stops the request; a read posed while an
+#: update from the far end of a chain is still in flight, so the memory
+#: it may skip is unsettled; a one-shot bounce of a ``query_data``; two
+#: roots under an admission cap of one, so a participation is deferred
+#: and replayed; and an existential head read twice, so the second read
+#: finds its frontier rows fired.
 SCRIPT = """
 import hashlib
 from repro._util import stable_json
+from repro.core.network import CoDBNetwork
 from repro.core.node import NodeConfig
 from repro.p2p.faults import FaultInjector, FaultModel
-from repro.workloads.topologies import chain, complete, grid, random_graph
+from repro.workloads.topologies import chain, complete, grid, random_graph, ring
 
 QUERY = "q(k, v) <- item(k, v)"
 digest, sent = hashlib.sha256(), 0
@@ -47,9 +54,12 @@ class BounceOnce(FaultModel):
 
 
 def build(blueprint, config=None):
-    net = blueprint.build(
+    return record(blueprint.build(
         seed=1, tuples_per_node=8, config=config, with_superpeer=False
-    )
+    ))
+
+
+def record(net):
     send_burst = net.transport.send_burst
 
     def recording(messages, send_burst=send_burst):
@@ -96,6 +106,43 @@ net.transport.install_faults(
 )
 net.global_update("N0")
 net.run()
+
+net = build(ring(4))
+net.query("N0", QUERY, mode="network", cache=False)
+net.run()
+
+net = build(chain(4))
+net.node("N3").submit_update_id()
+for _ in range(4):
+    net.transport.step()
+net.node("N0").submit_query_id(QUERY, cache=False)
+net.run()
+
+net = build(chain(3))
+net.transport.install_faults(
+    FaultInjector(BounceOnce("query_data", "N2", "N1"), seed=1)
+)
+net.query("N0", QUERY, mode="network", cache=False)
+net.run()
+
+net = build(chain(3), NodeConfig(max_active_sessions=1))
+net.node("N0").submit_query_id(QUERY, cache=False)
+net.node("N1").submit_query_id(QUERY, cache=False)
+net.run()
+
+net = CoDBNetwork(
+    seed=1, with_superpeer=False, config=NodeConfig(resend_suppression=False)
+)
+net.add_node("C", "person(n: str)", facts="person('a'). person('b').")
+net.add_node("B", "emp(n: str, d)")
+net.add_node("A", "emp(n: str, d)")
+net.add_rule("B:emp(n, d) <- C:person(n)")
+net.add_rule("A:emp(n, d) <- B:emp(n, d)")
+net.start()
+record(net)
+for _ in range(2):
+    net.query("A", "q(n, d) <- emp(n, d)", mode="network", cache=False)
+    net.run()
 print(sent, digest.hexdigest())
 """
 
@@ -122,7 +169,7 @@ def test_two_hash_seeds_send_the_same_messages():
 #: What :data:`SCRIPT` prints: the count and digest of the stream it
 #: sends.  A change that moves a message on purpose re-pins it and says
 #: which messages moved and why.
-PINNED = "621 b2e491a89d1e092dc6cb9fd13bee1bde48f3c10cec2dc244c8a6cf04b3ca7c89"
+PINNED = "712 d6883acd2983b45b1a91a1033eda344e3580ab12eceeeba1bd70374bc9066ce8"
 
 
 def test_the_stream_is_pinned():
