@@ -22,12 +22,12 @@ Two layers of state, split since the DBM became multi-session:
   incoming side's ``pushed`` set plus store ``marks`` — what the link
   has delivered and how far into its body relations that reaches, so
   the next activation serves only the difference.
-* **Per update session** — activation state, closure cause, and the
+* **Per session** — activation state, closure cause, and the
   protocol's sent/received dedup sets (:class:`SessionLinkState`,
-  grouped per update in a :class:`LinkSession`).  Every concurrent
-  global update gets its own independent copy, so interleaved updates
-  cannot close each other's links or starve each other's semi-naive
-  dedup.
+  grouped per computation in a :class:`LinkSession`).  Every concurrent
+  global update and network query gets its own independent copy, so
+  interleaved computations cannot close each other's links or starve
+  each other's semi-naive dedup.
 
 The shared link objects also carry mirror ``state``/``closed_by``
 fields stamped by whichever session last changed them — diagnostics
@@ -122,17 +122,16 @@ class IncomingLink:
 
     rule: CoordinationRule
 
-    #: Row keys this node ever *delivered* over this link: taught
-    #: forward by an update session under resend suppression.  The
-    #: link's lifetime sent
-    #: memory, mirroring §3's "delete from Ri those tuples which have
-    #: been already sent" across updates — the importer's lifetime
-    #: ``fired`` set would drop a re-shipped row anyway, so a later
-    #: session skips it at the source (rows taught by a session that
-    #: ends in failure are rolled back; see
-    #: :meth:`LinkSession.close_incoming`).  A persistent network query
-    #: holds its shipments in its participation and merges them in only
-    #: when it ends cleanly.
+    #: Row keys this node ever *delivered* over this link, under
+    #: resend suppression: the link's lifetime sent memory, mirroring
+    #: §3's "delete from Ri those tuples which have been already sent"
+    #: across computations — the importer's lifetime ``fired`` set
+    #: would drop a re-shipped row anyway, so a later session skips it
+    #: at the source.  An update session teaches it as it ships (rows
+    #: taught by a session that ends in failure are rolled back; see
+    #: :meth:`LinkSession.close_incoming`); a network query's session
+    #: keeps what it shipped in its taught set and teaches it only when
+    #: it ends cleanly (:meth:`LinkSession.settle`).
     pushed: set = field(default_factory=set)
     #: The part of ``pushed`` taught by update sessions still in
     #: flight: their messages may not have arrived yet.  Another
@@ -173,13 +172,12 @@ class IncomingLink:
     #: cannot hold its registration upstream forever.  ``0`` = no lease
     #: (infinite, the pre-lease behaviour).
     lease_remaining: int = 0
-    #: Epoch vector of the body relations up to which a network query
-    #: last served this link in full: set at its activation, carried
-    #: across a re-fire that ships the query's own import, ``None``
-    #: until a query serves it.  A
-    #: registration that finds the epochs moved since raced a write
-    #: the importer's fill may lack, and is answered with an immediate
-    #: invalidation.
+    #: Epoch vector of the body relations up to which a network query's
+    #: session last served this link in full: set at its activation,
+    #: carried across a re-fire that ships the query's own import,
+    #: ``None`` until a query serves it.  A registration that finds the
+    #: epochs moved since raced a write the importer's fill may lack,
+    #: and is answered with an immediate invalidation.
     served_at: tuple | None = None
     #: Diagnostic mirrors (most recent session, see module docstring).
     state: str = INACTIVE
@@ -242,10 +240,10 @@ def undelivered(
 
     An update session (``settled_only=False``) skips everything in
     ``pushed`` and teaches it at once, its keys staying ``unsettled``
-    until the session ends.  A query
-    (``settled_only=True``) skips only settled keys and teaches
-    nothing yet: the query engine merges *taught* into ``pushed`` if
-    the query ends cleanly.
+    until the session ends.  A network query's session
+    (``settled_only=True``) skips only settled keys and teaches nothing
+    yet: *taught* joins ``pushed`` if the query ends cleanly
+    (:meth:`LinkSession.settle`).
     """
     pushed, unsettled = link.pushed, link.unsettled
     to_ship: list[Row] = []
@@ -377,13 +375,6 @@ class LinkTable:
             if relations & set(link.rule.mapping.body_relations())
         ]
 
-    def outgoing_writing_relations(self) -> dict[str, tuple[str, ...]]:
-        """rule_id -> head relations, for delta attribution."""
-        return {
-            rule_id: link.rule.mapping.head_relations()
-            for rule_id, link in self.outgoing.items()
-        }
-
     def __repr__(self) -> str:
         return (
             f"<LinkTable {self.node_name}: out={sorted(self.outgoing)} "
@@ -393,7 +384,7 @@ class LinkTable:
 
 @dataclass
 class SessionLinkState:
-    """One update session's volatile state for one link.
+    """One session's volatile state for one link.
 
     ``seen`` is the §3 dedup set at frontier-row granularity, held as
     row keys: *received* rows on an outgoing link ("we first remove
@@ -402,14 +393,17 @@ class SessionLinkState:
     already sent").  Each concurrent update owns an independent set, so
     one session's traffic never starves another's — a session always
     re-derives and re-ships everything its own data flow produces.
+    A network query's session uses the same state: ``seen``, ``OPEN``
+    on the links its requests named, and the taught set.
     """
 
     state: str = INACTIVE
     closed_by: str = ""
     longest_path: int = 0
     seen: set = field(default_factory=set)
-    #: Row keys THIS session newly added to the shared link's lifetime
-    #: ``pushed`` memory (resend suppression).  Kept separately so a
+    #: Row keys THIS session taught the shared link's lifetime
+    #: ``pushed`` memory (resend suppression; a query teaches them only
+    #: at a clean end).  Kept separately so a
     #: failure closure can forget exactly what this session taught:
     #: its messages may never have arrived, and a healed network's
     #: next update must re-ship them (over-resending is safe — the
@@ -422,7 +416,7 @@ class SessionLinkState:
 
 
 class LinkSession:
-    """Per-update view over a node's :class:`LinkTable`.
+    """Per-computation view over a node's :class:`LinkTable`.
 
     Topology (which links exist, who they serve, the dependency
     relation) is read through the bound table; activation state and
@@ -505,13 +499,17 @@ class LinkSession:
             link.forget_delivered(state.lifetime_new)
             state.lifetime_new.clear()
 
-    def settle(self) -> None:
+    def settle(self, *, teach: bool = False) -> None:
         """The session is over and every message it sent was
         acknowledged: what it taught (and did not roll back) is
-        delivered for good, and its activation marks stand."""
+        delivered for good — with *teach* it joins the send memory only
+        now (:func:`undelivered`'s ``settled_only``) — and its
+        activation marks stand."""
         for rule_id, state in self._incoming.items():
             link = self.table.incoming.get(rule_id)
             if link is not None:
+                if teach:
+                    link.pushed |= state.lifetime_new
                 link.settle(state.lifetime_new, state.activated_at)
 
     # -- paired topology/state views ----------------------------------------
@@ -542,6 +540,17 @@ class LinkSession:
         return [
             (link, self.incoming_state(link.rule_id))
             for link in self.table.incoming_dependent_on_relations(relations)
+        ]
+
+    def opened_incoming(self) -> list[tuple[IncomingLink, SessionLinkState]]:
+        """The open incoming links, in the order their states were
+        made — activation order for a session that makes one only when
+        it activates the link (a network query's)."""
+        return [
+            (link, state)
+            for rule_id, state in self._incoming.items()
+            if state.state == OPEN
+            and (link := self.table.incoming.get(rule_id)) is not None
         ]
 
     # -- closure conditions --------------------------------------------------

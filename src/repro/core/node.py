@@ -27,7 +27,7 @@ the list (:meth:`CoDBNode._finish`):
 * a participant the input left with no deficit disengages, and its
   tree ack rides the last result the input sent its parent
   (``"fin"``, with the count of results it covers, and ``"partial"``
-  when its query participation is unclean,
+  when its network-query session is unclean,
   :mod:`repro.core.termination`), or leaves as a plain ``ack`` — which
   can finish an update session a failure touched, whose emissions join
   the list;
@@ -106,8 +106,8 @@ class NodeConfig:
         unbounded (one message per evaluation).  Bounds the §4 "volume
         of the data in each message" at the cost of more messages.
     max_active_sessions:
-        Admission cap: the most sessions (global-update engines plus
-        network-query participations) this node runs at once; ``0``
+        Admission cap: the most sessions (global updates and network
+        queries alike) this node runs at once; ``0``
         means unbounded.  Excess requests wait in a FIFO admission
         queue drained in global id-seniority order — an update storm
         degrades into a pipeline instead of thrashing (see
@@ -384,10 +384,8 @@ class CoDBNode:
                         carried = registrations.pop(message.recipient, None)
                         if carried:
                             payload["register"] = carried
-                    elif kind == "query_result" and "ack" not in payload:
-                        last[payload["update_id"]] = message
-                    elif kind == "query_data" and "ack" not in payload:
-                        last[payload["query_id"]] = message
+                    elif kind in ("query_result", "query_data") and "ack" not in payload:
+                        last[payload.get("update_id") or payload["query_id"]] = message
                 finished.append(message)
             for remote, owed in registrations.items():
                 for rule_id, lease in owed.items():
@@ -403,7 +401,7 @@ class CoDBNode:
                     message.payload["fin"] = True
                     if covers != 1:
                         message.payload["covers"] = covers
-                    if self.queries.is_partial(computation_id):
+                    if self.updates.is_partial(computation_id):
                         message.payload["partial"] = True
                 elif parent is not None:
                     self.send_ack(parent, computation_id, covers=covers)
@@ -414,14 +412,14 @@ class CoDBNode:
         for (recipient, computation_id), (count, covers) in acks.items():
             # ``count`` omitted means 1 and ``covers`` 0: a single ack
             # is the frame it always was.  An unclean query
-            # participation says so on every ack it sends: the flag
+            # session says so on every ack it sends: the flag
             # climbs the tree before the root completes.
             payload: dict = {"computation_id": computation_id}
             if count > 1:
                 payload["count"] = count
             if covers:
                 payload["covers"] = covers
-            if self.queries.is_partial(computation_id):
+            if self.updates.is_partial(computation_id):
                 payload["partial"] = True
             finished.append(Message("ack", self.name, recipient, payload))
         message_id = self.endpoint.ids.message_id
@@ -462,7 +460,7 @@ class CoDBNode:
         count = read_count(payload, "count", 1)
         covers = read_count(payload, "covers", 0)
         if payload.get("partial"):
-            self.queries.mark_partial(computation_id)
+            self.updates.mark_partial(computation_id)
         self.termination.on_ack(computation_id, message.sender, count, covers)
         # An ack can drain the deficit of a failure-touched update
         # session that is disengaged and whose links are already closed
@@ -473,14 +471,10 @@ class CoDBNode:
         self.updates.maybe_finalize_after_failure(computation_id)
 
     def _on_root_complete(self, computation_id: str) -> None:
-        if computation_id.startswith("update"):
-            self.updates.root_complete(computation_id)
-        elif computation_id.startswith("query"):
+        if computation_id.startswith("query"):
             self.queries.root_complete(computation_id)
-        else:  # pragma: no cover - ids come from IdAuthority
-            raise ProtocolError(
-                f"unrecognised computation id {computation_id!r}"
-            )
+        else:
+            self.updates.root_complete(computation_id)
 
     def _on_undeliverable(self, message: Message) -> None:
         """A message we sent bounced: it did not arrive, which does not
@@ -537,7 +531,6 @@ class CoDBNode:
         # The sessions first: a root whose deficit the write-off drains
         # must already know it is partial, and name the peer.  Those
         # the drain leaves closed and disengaged finalize after it.
-        self.queries.on_peer_down(dead_peer)
         self.updates.on_peer_down(dead_peer)
         self.termination.on_peer_down(dead_peer)
         for update_id in list(self.updates.sessions):
@@ -710,7 +703,7 @@ class CoDBNode:
         if payload.get("op") == "register":
             self.apply_registration(
                 payload.get("rule_id", ""),
-                int(payload.get("lease", self.config.interest_lease_events)),
+                read_count(payload, "lease", self.config.interest_lease_events),
             )
             return
         schema = self.wrapper.schema
@@ -785,8 +778,8 @@ class CoDBNode:
             self._validate_rule(rule)
         with self.input():
             self.links = LinkTable(self.name, relevant)
-            # Live update sessions keep running across a rewire: rebind
-            # their link views to the new table (§4 dynamic topology).
+            # Live sessions keep running across a rewire: rebind their
+            # link views to the new table (§4 dynamic topology).
             self.updates.on_rules_changed()
             # A rule change can shift the derivable content of ANY
             # relation — flood the answer cache rather than reason
@@ -949,37 +942,6 @@ class CoDBNode:
         with self.input():
             self.stats.note_tenant_submission(tenant, "query")
             return self.queries.submit(query, cache=cache)
-
-    def submit_network_query(
-        self,
-        query: str | ConjunctiveQuery,
-        *,
-        cache: bool | None = None,
-    ) -> RequestHandle:
-        """Pose a network query as a session; returns its handle.
-
-        ``handle.result()`` drives the transport and returns the
-        answer rows once the diffusing computation quiesces.
-        """
-        transport = self.endpoint.transport
-        started_at = transport.now()
-        messages_before = transport.stats.messages_sent
-        bytes_before = transport.stats.bytes_sent
-        query_id = self.submit_query_id(query, cache=cache)
-        handle = RequestHandle(
-            request_id=query_id,
-            kind="query",
-            origin=self.name,
-            transport=transport,
-            is_done=lambda: self.queries.is_done(query_id),
-            assemble=lambda _handle: self.network_query_answer(query_id),
-            try_cancel=lambda: self.cancel_query(query_id),
-            started_at=started_at,
-            messages_before=messages_before,
-            bytes_before=bytes_before,
-        )
-        self._register_handle(handle)
-        return handle
 
     def network_query_answer(self, query_id: str) -> list[Row] | None:
         """The answer of a network query rooted here, or ``None`` while

@@ -24,7 +24,8 @@ Admission control
 style managed update-exchange sessions; CUP-style propagation control
 under storms): with
 ``NodeConfig.max_active_sessions = K`` a node keeps at most K live
-engines (update sessions + query participations).  Excess work queues:
+sessions (global updates and network queries alike, one registry:
+:class:`~repro.core.update.UpdateManager`).  Excess work queues:
 
 * locally submitted requests wait in the node's admission queue as
   *pending initiations* — the handle exists and is cancellable, the
@@ -497,6 +498,14 @@ class AdmissionControl:
             self._local_live.add(request_id)
         stats = self.node.stats
         stats.live_sessions_peak = max(stats.live_sessions_peak, len(self.live))
+
+    def initiate(self, request_id: str, kind: str, start: Callable[[], None]) -> None:
+        """A local initiation: *start* runs now if the cap allows, else
+        once the queue admits it (:meth:`defer_initiation`)."""
+        if self.try_enter(request_id, kind, initiation=True):
+            start()
+        else:
+            self.defer_initiation(request_id, kind, start)
 
     def defer_initiation(
         self, request_id: str, kind: str, start: Callable[[], None]

@@ -77,14 +77,15 @@ from collections.abc import Callable
 from repro.errors import ProtocolError
 
 
-def read_count(payload: dict, key: str, default: int) -> int:
-    """The counter *key* of a received *payload* (an ack's ``count``,
-    a tree ack's ``covers``): a non-negative ``int``, *default* when
-    absent.  Anything else is a :class:`ProtocolError`, raised before
-    any deficit moves."""
+def read_count(payload: dict, key: str, default: int, *, least: int = 0) -> int:
+    """The counter *key* of a received *payload* (an ack's ``count``, a
+    tree ack's ``covers``, a result's ``path_len``, a registration's
+    lease): an ``int`` (not a ``bool``) of at least *least*, *default*
+    when absent.  Anything else is a :class:`ProtocolError`, raised
+    before any state moves."""
     value = payload.get(key, default)
-    if type(value) is not int or value < 0:
-        raise ProtocolError(f"{key!r} must be a non-negative int, not {value!r}")
+    if type(value) is not int or value < least:
+        raise ProtocolError(f"{key!r} must be an int >= {least}, not {value!r}")
     return value
 
 

@@ -1,15 +1,20 @@
 """The global update algorithm (§3 of the paper, [Franconi et al., 2004]).
 
 The DBM "serves, in general, many requests concurrently" (§3): any
-number of global updates — one per origin — may propagate through the
-network at the same time.  Each node therefore runs one
-:class:`UpdateEngine` **session** per active update id, created lazily
-on first contact and garbage-collected on completion; the
-:class:`UpdateManager` is the registry that owns the sessions and
-dispatches the :data:`UPDATE_KINDS` messages to them.
+number of global updates and network queries may propagate through the
+network at the same time.  Each node runs one :class:`UpdateEngine`
+**session** per computation — a global update, or a network query in
+its query scope (:class:`repro.core.query.QuerySession`, which
+overrides only what differs) — created lazily on first contact and
+garbage-collected when the computation ends here.  Both computations
+go through the session's one serve path (:meth:`UpdateEngine.activate`),
+one ingest path (:meth:`UpdateEngine.ingest_results`), and the
+:class:`UpdateManager`'s one admission path and one finish
+(:meth:`UpdateManager.finalize`); the manager is the registry that
+owns the sessions.
 
-Protocol recap, with the paper's vocabulary (everything below is per
-update id, i.e. per session):
+Protocol recap for an update, with the paper's vocabulary (everything
+below is per update id, i.e. per session):
 
 * The origin node floods ``update_request`` messages to its
   acquaintances (the remotes of its coordination rules);
@@ -116,9 +121,9 @@ sessions run at once.  Local initiations queue as pending starts;
 remote session-creating messages are deferred un-acked (keeping the
 sender's Dijkstra–Scholten deficit open, so the computation waits for
 the queued participant instead of falsely quiescing) and replayed in
-global update-id seniority order as sessions finish.  A message that
-is dropped unread instead — its update is over here — is acked, unless
-it is a covered result: that one counts as processed toward its
+global id seniority order as sessions finish.  A message that is
+dropped unread instead — its computation is over here — is acked,
+unless it is a covered result: that one counts as processed toward its
 sender's tree ack (:meth:`~repro.core.node.CoDBNode.drop_unread`).
 """
 
@@ -138,7 +143,7 @@ from repro.core.links import (
     frontier_rows,
     undelivered,
 )
-from repro.core.termination import coverage
+from repro.core.termination import coverage, read_count
 from repro.errors import FixpointGuardError, ProtocolError
 from repro.p2p.messages import Message
 from repro.relational.containment import tuple_subsumed
@@ -179,22 +184,36 @@ def _credit_new_rows(
 def _run_key(message: Message) -> tuple:
     """What the messages of one ingested run share."""
     payload = message.payload
-    return payload["update_id"], int(payload.get("path_len", 1))
+    return payload["update_id"], read_count(payload, "path_len", 1, least=1)
 
 
 class UpdateEngine:
-    """One node's participation in ONE global update — a session.
+    """One node's part in ONE diffusing computation — a session.
 
-    Holds the per-update view of the node's links (activation states,
-    closure causes, sent/received dedup sets) and implements the §3
-    data flow.  All cross-session facilities — the store, the link
+    Holds the per-computation view of the node's links (activation
+    states, closure causes, sent/received dedup sets) and implements the
+    §3 data flow.  All cross-session facilities — the store, the link
     topology, the lifetime ``fired`` sets, termination bookkeeping and
     statistics — are reached through the owning node and are keyed (or
-    confluent) per update id.
+    confluent) per computation id.
+
+    This class is the global update's scope; a network query runs the
+    same session in its query scope (:class:`repro.core.query.QuerySession`),
+    which overrides what differs.
     """
+
+    #: Admission kind, result kind and the payload key of the id.
+    KIND, RESULT, KEY = "update", "query_result", "update_id"
+    #: An update may skip every key of the send memory: it carries
+    #: every session's rows onward anyway (:func:`undelivered`).
+    SETTLED_ONLY = False
+    #: Results are cut into ``batch_rows`` messages, and imported
+    #: null-carrying tuples may be dropped as subsumed.
+    BATCHED = SUBSUMES = True
 
     def __init__(self, node: "CoDBNode", update_id: str, origin: str) -> None:
         self.node = node
+        #: The computation's id (a network query's, in the query scope).
         self.update_id = update_id
         self.origin = origin
         self.links = LinkSession(node.links)
@@ -204,6 +223,16 @@ class UpdateEngine:
         #: link is closed and we are disengaged, we finalize locally
         #: (see :meth:`UpdateManager.maybe_finalize_after_failure`).
         self.peer_lost = False
+        #: No partial ack or ``fin`` came in while this ran (a query
+        #: fills no cache from an unclean root; an update stays clean).
+        self.clean = True
+
+    def begin(self) -> None:
+        """The session opens here: every outgoing link participates."""
+        node = self.node
+        self.links.open_all_outgoing()
+        node.wrapper.on_update_started()
+        node.stats.open_report(self.update_id, self.origin, node.endpoint.now())
 
     # ------------------------------------------------------------------
     # Outbound plumbing
@@ -240,23 +269,50 @@ class UpdateEngine:
             report.quarantined = True
         return True
 
-    def activate_links_for(self, requester: str) -> None:
-        """First request from *requester*: evaluate every incoming link
-        serving it — in full on first contact, over just the rows
-        inserted since the link's last clean activation after that —
-        then check immediate (leaf) closure."""
+    def on_request(self, message: Message, first_contact: bool) -> None:
+        """A request engaged this session.  On first contact the update
+        floods on to every acquaintance but the sender — and to the
+        sender too when we import from it: its incoming links toward us
+        only activate on our explicit request (this is what makes mutual
+        imports — cycles of length two — work).  Then the links serving
+        the sender activate, and immediate (leaf) closure is checked."""
+        node = self.node
+        sender = message.sender
+        if first_contact:
+            path = list(message.payload.get("path", ())) + [node.name]
+            for remote in node.links.acquaintances():
+                if remote != sender:
+                    self.send_request(remote, path)
+            if any(link.remote == sender for link in node.links.outgoing.values()):
+                self.send_request(sender, path)
+        self.activate(
+            self.links.incoming_for_target(sender),
+            node.config.resend_suppression,
+        )
+        self.cascade_closures()
+
+    def activate(self, links: list, suppressing: bool) -> list[IncomingLink]:
+        """Open every still inactive link of *links* (``(link, state)``
+        pairs) and serve it, unless the node is quarantined: evaluate
+        its body — in full on first contact, over just the rows
+        inserted since its last clean activation after that (under
+        *suppressing*, unless a session that may skip settled keys only
+        finds keys still unsettled) — and ship what the session has not
+        shipped yet.  Returns the links served."""
         node = self.node
         quarantined = self._quarantined()
-        suppressing = node.config.resend_suppression
-        for link, state in self.links.incoming_for_target(requester):
+        served = []
+        for link, state in links:
             if state.state != INACTIVE:
                 continue
             state.state = OPEN
-            link.state = OPEN  # diagnostic mirror
             if quarantined:
                 continue
             rows, activated_at, skipped = activation_rows(
-                node.wrapper, link, incremental=suppressing
+                node.wrapper,
+                link,
+                incremental=suppressing
+                and not (self.SETTLED_ONLY and link.unsettled),
             )
             node.stats.note_activation(incremental=skipped is not None)
             if suppressing:
@@ -264,7 +320,8 @@ class UpdateEngine:
             self._send_results(
                 link, self._unsent(link, state, rows, skipped or 0), path_len=1
             )
-        self.cascade_closures()
+            served.append(link)
+        return served
 
     def _unsent(
         self, link: IncomingLink, state, rows: dict[tuple, Row], skipped: int = 0
@@ -273,28 +330,35 @@ class UpdateEngine:
         ship over *link*, through two filters that share the keys.
 
         The session's sent-set — "we delete from Ri those tuples which
-        have been already sent" (§3) — which the rows join.  Then
-        teach-forward resend suppression: skip rows the link's
-        lifetime ``pushed`` memory says a previous update (or a
-        cleanly ended query) already delivered — the importer's
-        lifetime ``fired`` set would drop them anyway.  Rows we do ship are taught to the
-        memory, tagged in the session's ``lifetime_new`` so a failure
-        closure can forget them again (the healed network's next
-        update must re-ship).  *skipped* rows never left the store (they sit behind the link's
-        watermark) and count as suppressed all the same.
+        have been already sent" (§3) — which the rows join.  Then, on a
+        link activated under resend suppression, the link's lifetime
+        ``pushed`` memory: rows a previous computation delivered are
+        skipped — the importer's lifetime ``fired`` set would drop them
+        anyway.  Rows we do ship join the session's taught set
+        (``lifetime_new``, :func:`undelivered`).  *skipped* rows never
+        left the store (they sit behind the link's watermark) and count
+        as suppressed all the same.
         """
-        node = self.node
         seen = state.seen
         rows = {key: row for key, row in rows.items() if key not in seen}
         seen.update(rows)
-        if not node.config.resend_suppression:
+        # An update suppresses whenever the node does; a query only on
+        # the links it activated under suppression (``activated_at``).
+        if state.activated_at is None and (
+            self.SETTLED_ONLY or not self.node.config.resend_suppression
+        ):
             return list(rows.values())
-        to_ship, suppressed = undelivered(link, rows, state.lifetime_new)
+        to_ship, suppressed = undelivered(
+            link, rows, state.lifetime_new, settled_only=self.SETTLED_ONLY
+        )
         if suppressed or skipped:
-            report = node.stats.report_for(self.update_id)
-            if report is not None:
-                report.rows_suppressed += suppressed + skipped
+            self._note_suppressed(suppressed + skipped)
         return to_ship
+
+    def _note_suppressed(self, count: int) -> None:
+        report = self.node.stats.report_for(self.update_id)
+        if report is not None:
+            report.rows_suppressed += count
 
     def _send_results(
         self, link: IncomingLink, rows: list[Row], *, path_len: int
@@ -313,7 +377,7 @@ class UpdateEngine:
         """
         if not rows:
             return
-        batch_size = self.node.config.batch_rows
+        batch_size = self.node.config.batch_rows if self.BATCHED else 0
         if batch_size <= 0:
             batches: list[list[Row]] = [rows]
         else:
@@ -325,7 +389,7 @@ class UpdateEngine:
             self._send_result(
                 link,
                 {
-                    "update_id": self.update_id,
+                    self.KEY: self.update_id,
                     "rule_id": link.rule_id,
                     "rows": [encode_row(row) for row in batch],
                     "path_len": path_len,
@@ -333,18 +397,18 @@ class UpdateEngine:
             )
 
     def _send_result(self, link: IncomingLink, payload: dict) -> None:
-        """One ``query_result`` to the link's importer, flagged to be
-        acked unless this node's tree ack covers it.  Until the node's
-        input closes it may still take the link's closure, and this
-        node's tree ack if it is the last covered result of the update
+        """One result to the link's importer, flagged to be acked unless
+        this node's tree ack covers it.  Until the node's input closes
+        it may still take the link's closure, and this node's tree ack
+        if it is the last covered result of the computation
         (:meth:`CoDBNode._finish <repro.core.node.CoDBNode._finish>`),
         so its bytes are counted then."""
         node = self.node
-        update_id = self.update_id
-        if not node.termination.note_result(update_id, link.remote):
+        computation_id = self.update_id
+        if not node.termination.note_result(computation_id, link.remote):
             payload["ack"] = True
-        node.emit(link.remote, "query_result", payload)
-        report = node.stats.report_for(update_id)
+        node.emit(link.remote, self.RESULT, payload)
+        report = node.stats.report_for(computation_id)
         if report is not None:
             report.messages_sent += 1
             if link.remote not in report.results_sent_to:
@@ -382,10 +446,10 @@ class UpdateEngine:
     # ------------------------------------------------------------------
 
     def ingest_results(self, messages: list[Message]) -> None:
-        """Ingest one run of ``query_result`` messages as one T (§3).
+        """Ingest one run of result messages as one T (§3).
 
-        *messages* are consecutive results of this update with one path
-        length, out of one delivery (see
+        *messages* are consecutive results of this computation with one
+        path length, out of one delivery (see
         :meth:`UpdateManager.on_query_result`); ``[message]`` is a run
         of one.  The fix-point does not depend on how T was cut into
         messages, so the run pays once for what each message used to:
@@ -404,13 +468,13 @@ class UpdateEngine:
             rule_id = message.payload["rule_id"]
             if rule_id not in outgoing:
                 raise ProtocolError(
-                    f"{node.name}: query_result for unknown outgoing "
+                    f"{node.name}: {message.kind} for unknown outgoing "
                     f"rule {rule_id!r}"
                 )
             received.setdefault(rule_id, []).extend(
                 decode_rows(message.payload["rows"])
             )
-        path_len = int(messages[0].payload.get("path_len", 1))
+        path_len = read_count(messages[0].payload, "path_len", 1, least=1)
         report = node.stats.report_for(self.update_id)
 
         # Batch ingest: group the run's head facts per relation and
@@ -424,32 +488,18 @@ class UpdateEngine:
         batches: defaultdict[str, list[Row]] = defaultdict(list)
         #: relation -> [(rule, batch length once that rule's facts are in)]
         owners: dict[str, list[tuple[str, int]]] = {}
-        subsumption = node.config.subsumption_dedup
+        subsumption = self.SUBSUMES and node.config.subsumption_dedup
         view = node.wrapper._view() if subsumption else None
         shadows: dict[str, Relation] = {}
         for rule_id, rows in received.items():
             link = outgoing[rule_id]
             state = self.links.outgoing_state(rule_id)
-            state.longest_path = max(state.longest_path, path_len)
-            link.longest_path = max(link.longest_path, path_len)
-            # Two dedup layers, one key per row.  The session's
-            # received-set is multi-path protection within THIS update
-            # ("remove from T those tuples which are already in R" at
-            # frontier granularity); the shared link's lifetime
-            # fired-set spans updates and concurrent sessions, and is
-            # what keeps null minting idempotent: a frontier row
-            # instantiates the head at most once per link lifetime, no
-            # matter how many sessions deliver it.
-            seen, fired = state.seen, link.fired
-            to_fire = []
-            for key, row in zip(row_keys(rows), rows):
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key not in fired:
-                    fired.add(key)
-                    to_fire.append(row)
-            for relation, row in link.rule.head_facts(to_fire, node.nulls):
+            if report is not None:
+                state.longest_path = max(state.longest_path, path_len)
+                link.longest_path = max(link.longest_path, path_len)
+            for relation, row in link.rule.head_facts(
+                self._to_fire(link, state, rows), node.nulls
+            ):
                 if subsumption:
                     shadow = shadows.get(relation)
                     if shadow is None:
@@ -490,9 +540,36 @@ class UpdateEngine:
                 report.rule_traffic(rule_id).rows_new += count
             if report.rounds > node.config.fixpoint_guard:
                 raise FixpointGuardError(node.config.fixpoint_guard)
+        self._ingested(batches, deltas, path_len)
 
+    def _to_fire(self, link, state, rows: list[Row]) -> list[Row]:
+        """The received frontier *rows* that fire *link*'s head.  Two
+        dedup layers, one key per row.  The session's received-set is
+        multi-path protection within THIS computation ("remove from T
+        those tuples which are already in R" at frontier granularity);
+        the shared link's lifetime fired-set spans computations, and is
+        what keeps null minting idempotent: a frontier row instantiates
+        the head at most once per link lifetime, no matter how many
+        sessions deliver it."""
+        seen, fired = state.seen, link.fired
+        to_fire = []
+        for key, row in zip(row_keys(rows), rows):
+            if key in seen:
+                continue
+            seen.add(key)
+            if key not in fired:
+                fired.add(key)
+                to_fire.append(row)
+        return to_fire
+
+    def _ingested(
+        self, facts: dict[str, list[Row]], deltas: dict[str, list[Row]], path_len: int
+    ) -> None:
+        """A run stored *deltas* (new rows per relation) out of its head
+        *facts*: an update carries the new rows onward; rows another
+        session stored are that session's to carry."""
         if deltas:
-            node.bump_epochs(deltas)
+            self.node.bump_epochs(deltas)
             self._propagate_deltas(deltas, path_len)
 
     def _propagate_deltas(
@@ -582,6 +659,14 @@ class UpdateEngine:
             report.status = "closed"
             report.finished_at = self.node.endpoint.now()
 
+    def finish(self, forwarded_from: str | None, cause: str) -> None:
+        """The update is over here: close what is still open and settle
+        what the session taught — every message it sent was
+        acknowledged, or written off and rolled back."""
+        self.force_close_remaining()
+        self.links.settle()
+        self.node.wrapper.on_update_finished()
+
     # ------------------------------------------------------------------
     # Dynamic networks (§1: nodes may disappear mid-computation)
     # ------------------------------------------------------------------
@@ -645,31 +730,53 @@ class UpdateEngine:
 
 
 class UpdateManager:
-    """The session registry: one :class:`UpdateEngine` per active update.
+    """The session registry: one :class:`UpdateEngine` per computation
+    running here — a global update, or a network query in its query
+    scope.
 
-    Owns message dispatch for :data:`UPDATE_KINDS`, session creation on
-    first contact, the completed-update dedup set (stale flood tails
-    after completion are acked and dropped), and garbage collection of
-    finished sessions.
+    Owns session creation on first contact, the one admission path, the
+    tombstones of finished computations (a late message of one is
+    dropped unread), result ingestion and garbage collection of
+    finished sessions (:meth:`finalize`), and message dispatch for
+    :data:`UPDATE_KINDS`; the query engine hands its kinds in here.
     """
 
     def __init__(self, node: "CoDBNode") -> None:
         self.node = node
         self.sessions: dict[str, UpdateEngine] = {}
-        self.completed_updates: set[str] = set()
+        #: Ids of the computations finished here.
+        self.finished: set[str] = set()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def is_done(self, update_id: str) -> bool:
-        return update_id in self.completed_updates
+        return update_id in self.finished
 
     def active_ids(self) -> list[str]:
         return list(self.sessions)
 
-    def session(self, update_id: str) -> UpdateEngine | None:
-        return self.sessions.get(update_id)
+    def session(self, computation_id: str) -> UpdateEngine | None:
+        return self.sessions.get(computation_id)
+
+    def mark_partial(self, computation_id: str) -> None:
+        """A partial ack or tree ack came in: whatever a participant
+        below this one sent may not have arrived."""
+        session = self.sessions.get(computation_id)
+        if session is not None:
+            session.clean = False
+
+    def is_partial(self, computation_id: str) -> bool:
+        """Whether an ack for *computation_id* must say ``partial``: its
+        session here is unclean, or it is a query already finished — the
+        ack is then for a late message that was dropped, not ingested."""
+        session = self.sessions.get(computation_id)
+        if session is None:
+            return computation_id in self.finished and computation_id.startswith(
+                "query"
+            )
+        return not session.clean
 
     # ------------------------------------------------------------------
     # Initiation
@@ -689,12 +796,7 @@ class UpdateManager:
         """
         node = self.node
         update_id = node.endpoint.ids.update_id()
-        if node.admission.try_enter(update_id, "update", initiation=True):
-            self._start_root(update_id)
-        else:
-            node.admission.defer_initiation(
-                update_id, "update", lambda: self._start_root(update_id)
-            )
+        node.admission.initiate(update_id, "update", lambda: self._start_root(update_id))
         return update_id
 
     def cancel(self, update_id: str) -> bool:
@@ -704,76 +806,55 @@ class UpdateManager:
     def _start_root(self, update_id: str) -> None:
         node = self.node
         node.termination.start_root(update_id)
-        session = self._begin_session(update_id, origin=node.name)
+        session = self.open(UpdateEngine(node, update_id, node.name))
         for remote in node.links.acquaintances():
             session.send_request(remote, path=[node.name])
         node.termination.check_quiescence(update_id)
 
-    def _begin_session(self, update_id: str, origin: str) -> UpdateEngine:
-        node = self.node
-        session = UpdateEngine(node, update_id, origin)
-        self.sessions[update_id] = session
-        session.links.open_all_outgoing()
-        node.wrapper.on_update_started()
-        node.stats.open_report(update_id, origin, node.endpoint.now())
+    def open(self, session: UpdateEngine) -> UpdateEngine:
+        """Register *session* and begin it."""
+        self.sessions[session.update_id] = session
+        session.begin()
         return session
 
     # ------------------------------------------------------------------
-    # Handlers (wired by the node)
+    # Handlers (wired by the node; the query engine's delegate here)
     # ------------------------------------------------------------------
 
     def on_update_request(self, message: Message) -> None:
-        update_id = message.payload["update_id"]
-        if update_id in self.completed_updates:
-            # Stale flood tail after completion; nothing to do, but the
-            # sender still gets its ack so its deficit drains.
-            self.node.send_ack(message.sender, update_id)
+        self.on_request(message, UpdateEngine)
+
+    def on_request(self, message: Message, scope: type[UpdateEngine]) -> None:
+        """A request of a computation in *scope*: dropped unread once
+        the computation finished here, deferred un-acked while the
+        admission cap is reached (the sender's deficit keeps the
+        computation alive; it replays when a slot frees), else served —
+        by a session opened on first contact."""
+        node = self.node
+        computation_id = message.payload[scope.KEY]
+        if computation_id in self.finished:
+            node.drop_unread(message, computation_id)
             return
-        if update_id not in self.sessions and not self.node.admission.try_enter(
-            update_id, "update"
+        if computation_id not in self.sessions and not node.admission.try_enter(
+            computation_id, scope.KIND
         ):
-            # Admission cap reached: defer the session-creating message
-            # un-acked (the sender's deficit keeps the computation
-            # alive); it replays when a slot frees.
-            self.node.admission.defer_message(
-                update_id, "update", message, self._process_update_request
+            node.admission.defer_message(
+                computation_id,
+                scope.KIND,
+                message,
+                lambda deferred: self.on_request(deferred, scope),
             )
             return
-        self._process_update_request(message)
-
-    def _process_update_request(self, message: Message) -> None:
-        update_id = message.payload["update_id"]
-        node = self.node
-        tree = node.termination.on_engaging_message(update_id, message.sender)
-        session = self.sessions.get(update_id)
+        tree = node.termination.on_engaging_message(computation_id, message.sender)
+        session = self.sessions.get(computation_id)
         first_contact = session is None
         if first_contact:
-            origin = message.payload["origin"]
-            path = list(message.payload.get("path", ()))
-            session = self._begin_session(update_id, origin=origin)
-            forward_path = path + [node.name]
-            targets = [
-                remote
-                for remote in node.links.acquaintances()
-                if remote != message.sender
-            ]
-            # The flood proper excludes the sender, but if we *import*
-            # from the sender we must still request from it: its
-            # incoming links toward us only activate on our explicit
-            # request (this is what makes mutual imports — cycles of
-            # length two — work).
-            if any(
-                link.remote == message.sender
-                for link in node.links.outgoing.values()
-            ):
-                targets.append(message.sender)
-            for remote in targets:
-                session.send_request(remote, path=forward_path)
-        session.activate_links_for(message.sender)
-        node.termination.after_processing(update_id, message.sender, tree)
+            session = self.open(scope(node, computation_id, message.payload["origin"]))
+        session.on_request(message, first_contact)
+        node.termination.after_processing(computation_id, message.sender, tree)
         # A session a write-off touched may be over here now, and no
         # later message may come to re-check — finalize it while passive.
-        self.maybe_finalize_after_failure(update_id)
+        self.maybe_finalize_after_failure(computation_id)
 
     def on_query_result(self, messages: list[Message]) -> None:
         """The ``query_result`` messages of one delivery, in order (see
@@ -786,35 +867,41 @@ class UpdateManager:
         the tree edge or is covered — once the run's sends are noted.
         """
         for _key, run in groupby(messages, key=_run_key):
-            self._on_run(list(run))
+            self.on_run(list(run), UpdateEngine)
 
-    def _on_run(self, run: list[Message]) -> None:
+    def on_run(self, run: list[Message], scope: type[UpdateEngine]) -> None:
+        """Ingest one run of results of a computation in *scope*."""
         node = self.node
-        update_id = run[0].payload["update_id"]
+        computation_id = run[0].payload[scope.KEY]
         # Without a session the messages go one at a time: replaying a
         # deferred one may admit the session for the rest.
-        while run and update_id not in self.sessions:
+        while run and computation_id not in self.sessions:
             message, run = run[0], run[1:]
-            if node.admission.is_deferred(update_id):
+            if node.admission.is_deferred(computation_id):
                 # Session not admitted yet: queue the data behind the
                 # deferred request so replay preserves arrival order.
                 node.admission.defer_message(
-                    update_id, "update", message, self._replay_result
+                    computation_id,
+                    scope.KIND,
+                    message,
+                    lambda deferred: self.on_run([deferred], scope),
                 )
             else:
-                # Completed here (or arrived after a failure-finalize):
+                # Finished here (or arrived after a failure-finalize):
                 # the data flowed under another still-open session or
                 # is already stored.
-                node.drop_unread(message, update_id)
+                node.drop_unread(message, computation_id)
         if not run:
             return
         termination = node.termination
         coverages = [coverage(message.payload) for message in run]
         trees = [
-            termination.on_engaging_message(update_id, message.sender, covered=covered)
+            termination.on_engaging_message(
+                computation_id, message.sender, covered=covered
+            )
             for message, (covered, _covers) in zip(run, coverages)
         ]
-        session = self.sessions[update_id]
+        session = self.sessions[computation_id]
         session.ingest_results(run)
         closed = [
             message.payload["rule_id"]
@@ -824,13 +911,14 @@ class UpdateManager:
         if closed:
             self.on_link_closed(session, closed)
         for message, tree, (covered, covers) in zip(run, trees, coverages):
+            if covers is not None and message.payload.get("partial"):
+                # A partial tree ack (``fin``), as on a partial ack:
+                # before it can complete the root.
+                session.clean = False
             termination.after_processing(
-                update_id, message.sender, tree, covered=covered, covers=covers
+                computation_id, message.sender, tree, covered=covered, covers=covers
             )
-        self.maybe_finalize_after_failure(update_id)
-
-    def _replay_result(self, message: Message) -> None:
-        self.on_query_result([message])
+        self.maybe_finalize_after_failure(computation_id)
 
     def on_link_closed(self, session: UpdateEngine, rule_ids: list[str]) -> None:
         """Apply the closures a run carried (``"closed": true``), once
@@ -923,58 +1011,60 @@ class UpdateManager:
 
     def finalize(
         self,
-        update_id: str,
+        computation_id: str,
         forwarded_from: str | None,
         cause: str = "origin",
     ) -> None:
+        """The computation is over here: garbage-collect its session and
+        let it finish (:meth:`UpdateEngine.finish`), then free its
+        admission slot.  It may have completed while still queued
+        behind admission here (a failure cut us out of it): the queue
+        entry goes and its deferred messages are dropped unread, so
+        the senders' deficits drain — a query queued so has nothing
+        else to end.  An update floods ``update_complete`` to every
+        acquaintance (non-engaging; a repeat meets a tombstone), with
+        its cause: failure-triggered floods must not finalize
+        still-active sessions downstream (they arm instead)."""
         node = self.node
-        if update_id in self.completed_updates:
+        if computation_id in self.finished:
             return
-        self.completed_updates.add(update_id)
-        session = self.sessions.pop(update_id, None)  # GC the session
+        self.finished.add(computation_id)
+        session = self.sessions.pop(computation_id, None)
+        for stray in node.admission.drop(computation_id):
+            node.drop_unread(stray, computation_id)
+        query = computation_id.startswith("query")
         if session is not None:
-            session.force_close_remaining()
-            # Every message the session sent has been acknowledged (or
-            # written off and rolled back): what it taught is delivered.
-            session.links.settle()
-            node.wrapper.on_update_finished()
-        # The update may have completed globally while still queued
-        # behind admission here (a failure cut us out of it): drop the
-        # queue entry and ack its deferred messages so the senders'
-        # deficits drain.
-        for stray in node.admission.drop(update_id):
-            node.drop_unread(stray, update_id)
-        node.termination.forget(update_id)
-        node.computation_over(update_id)
-        # Flood the completion (non-engaging; dedup via completed_updates).
-        # The cause travels with it: failure-triggered floods must not
-        # finalize still-active sessions downstream (they arm instead).
-        for remote in node.links.acquaintances():
-            if remote != forwarded_from:
-                node.emit(
-                    remote,
-                    "update_complete",
-                    {"update_id": update_id, "cause": cause},
-                )
-        # Free this session's admission slot (drains the queue) and
-        # signal completion to any request handles / waiting drivers.
-        node.admission.release(update_id)
-        node.notify_request_complete("update", update_id)
+            session.finish(forwarded_from, cause)
+        elif query:
+            return
+        if not query:
+            node.termination.forget(computation_id)
+            node.computation_over(computation_id)
+            for remote in node.links.acquaintances():
+                if remote != forwarded_from:
+                    node.emit(
+                        remote,
+                        "update_complete",
+                        {"update_id": computation_id, "cause": cause},
+                    )
+        # Free the slot (drains the queue), then signal an update's
+        # completion to request handles and waiting drivers; a query's
+        # is signalled at its root, once the answer is in.
+        node.admission.release(computation_id)
+        if not query:
+            node.notify_request_complete("update", computation_id)
 
     # ------------------------------------------------------------------
     # Dynamic networks
     # ------------------------------------------------------------------
 
-    def on_peer_unreachable(self, update_id: str, dead_peer: str) -> None:
-        session = self.sessions.get(update_id)
-        if session is not None:
-            session.on_peer_unreachable(dead_peer)
-
     def on_peer_down(self, dead_peer: str) -> None:
-        """Failure-detector notification: close links toward *dead_peer*
-        in every active session (each may finalize itself)."""
-        for update_id in list(self.sessions):
-            self.on_peer_unreachable(update_id, dead_peer)
+        """Failure-detector notification: every session learns the peer
+        left (each may finalize itself)."""
+        for computation_id in list(self.sessions):
+            session = self.sessions.get(computation_id)
+            if session is not None:
+                session.on_peer_unreachable(dead_peer)
 
     def on_rules_changed(self) -> None:
         """Runtime rewire (§4): rebind every live session to the new

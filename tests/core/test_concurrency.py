@@ -92,8 +92,8 @@ class TestConcurrentUpdates:
         for name in "ABC":
             manager = net.node(name).updates
             assert manager.active_ids() == []
-            assert first in manager.completed_updates
-            assert second in manager.completed_updates
+            assert first in manager.finished
+            assert second in manager.finished
 
     def test_sequential_updates_fine(self):
         net = build_chain()

@@ -11,6 +11,7 @@ computation that did not end cleanly teaches nothing.
 import pytest
 
 from repro import CoDBNetwork, MediatorStore, NodeConfig, parse_schema
+from repro.core.query import QuerySession
 from repro.p2p.faults import FaultInjector, Partition
 from repro.runner.snapshot import snapshot_node
 
@@ -49,17 +50,42 @@ def totals(net, key):
 
 def participations(net, name):
     """Every query participation *name* starts from now on, kept here
-    after the engine releases it at its cleanup."""
-    engine = net.node(name).queries
+    after the registry releases its session at the end."""
+    registry = net.node(name).updates
     started = []
-    participate = engine._participate
+    open_session = registry.open
 
-    def recording(query_id, origin):
-        started.append(participate(query_id, origin))
-        return started[-1]
+    def recording(session):
+        if isinstance(session, QuerySession):
+            started.append(Participation(session))
+        return open_session(session)
 
-    engine._participate = recording
+    registry.open = recording
     return started
+
+
+class Participation:
+    """A query session's per-link memories, read when asked: what it
+    ``sent`` over each link it activated (the keys it taught, when it
+    served from the send memory) and where it was ``activated``."""
+
+    def __init__(self, session):
+        self.links = session.links
+
+    @property
+    def sent(self):
+        return {
+            link.rule_id: state.lifetime_new if state.activated_at else state.seen
+            for link, state in self.links.opened_incoming()
+        }
+
+    @property
+    def activated(self):
+        return {
+            link.rule_id: state.activated_at
+            for link, state in self.links.opened_incoming()
+            if state.activated_at
+        }
 
 
 def query_all(net, node="N0", **kwargs):

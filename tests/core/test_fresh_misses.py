@@ -260,9 +260,9 @@ class TestFinishedQueriesAreReleased:
         for name, node in net.nodes.items():
             assert not node.queries.roots, name
             assert not node.queries.answers, name
-            assert not node.queries.participations, name
+            assert not node.updates.sessions, name
             assert not [
-                query_id for query_id in node.queries.finished
+                query_id for query_id in node.updates.finished
                 if node.termination.is_engaged(query_id)
             ], name
 
@@ -280,7 +280,7 @@ class TestFinishedQueriesAreReleased:
         query_id = net.node("N0").submit_query_id(QUERY, cache=False)
         net.run()
         n1 = net.node("N1")
-        assert query_id in n1.queries.finished
+        assert query_id in n1.updates.finished
         stored = n1.rows("item")
         # A duplicate of the completion flood: nothing happens.
         n1.queries.on_query_complete(
@@ -298,7 +298,7 @@ class TestFinishedQueriesAreReleased:
             )
         assert messages(net) == sent + 1
         assert n1.rows("item") == stored
-        assert not n1.queries.participations
+        assert not n1.updates.sessions
 
 
 class TestCycleBudget:

@@ -142,7 +142,7 @@ class Run:
 
         def root_complete(query_id):
             self.assert_quiet(query_id)
-            self.completions.append((query_id, engine.participations[query_id].clean))
+            self.completions.append((query_id, node.updates.sessions[query_id].clean))
             complete(query_id)
 
         engine.root_complete = root_complete

@@ -166,6 +166,30 @@ class TestCyclesAndLabels:
         update_rows = sorted(update_net.query("N0", "q(x) <- r(x)"))
         assert query_rows == update_rows == [(0,), (1,), (2,)]
 
+    def test_the_label_cut_stops_a_request_that_comes_back(self):
+        # X reads a from Y, Y reads a from X's b, X reads b from Z.
+        # The request X -> Y comes back to X for b; X is in its label,
+        # so it is not forwarded to Z: Z's row reaches X only over the
+        # path X <- Y <- X <- Z, which is not simple.  The global
+        # update runs the full fix-point and brings it.
+        def build():
+            net = CoDBNetwork(seed=76)
+            net.add_node("X", "a(k: int). b(k: int)")
+            net.add_node("Y", "a(k: int)")
+            net.add_node("Z", "c(k: int)", facts="c(7)")
+            net.add_rule("X:a(k) <- Y:a(k)")
+            net.add_rule("Y:a(k) <- X:b(k)")
+            net.add_rule("X:b(k) <- Z:c(k)")
+            net.start()
+            return net
+
+        query_net = build()
+        assert query_net.query("X", "q(k) <- a(k)", mode="network", cache=False) == []
+        assert query_net.node("Z").stats.queries_answered == 0
+        update_net = build()
+        update_net.global_update("X")
+        assert update_net.query("X", "q(k) <- a(k)") == [(7,)]
+
 
 class TestQueryValidation:
     def test_query_against_missing_relation(self, chain_net):

@@ -248,7 +248,7 @@ class TestBouncedAck:
 class TestStrayAcks:
     def test_burst_for_a_completed_update_gets_one_counted_ack(self):
         fabric = Fabric()
-        fabric.node.updates.completed_updates.add("update-done")
+        fabric.node.updates.finished.add("update-done")
         fabric.from_b(
             result("update-done", 1),
             result("update-done", 2),
@@ -259,13 +259,13 @@ class TestStrayAcks:
 
     def test_a_fin_stray_is_not_acked(self):
         fabric = Fabric()
-        fabric.node.updates.completed_updates.add("update-done")
+        fabric.node.updates.finished.add("update-done")
         fabric.from_b(result("update-done", 1), closing("update-done", fin=True))
         assert fabric.acks() == [{"computation_id": "update-done"}]
 
     def test_single_stray_is_acked_bare(self):
         fabric = Fabric()
-        fabric.node.updates.completed_updates.add("update-done")
+        fabric.node.updates.finished.add("update-done")
         fabric.from_b(result("update-done", 1))
         assert fabric.acks() == [{"computation_id": "update-done"}]
 
@@ -427,7 +427,7 @@ class TestImplicitAcks:
         assert (again.message_id, again.payload) == (data.message_id, data.payload)
         assert fabric.acks() == []
         assert node.termination.deficit("query-x") == 1
-        assert not node.queries.is_partial("query-x")
+        assert not node.updates.is_partial("query-x")
 
 
 class TestMalformedCounts:
