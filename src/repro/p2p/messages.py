@@ -9,12 +9,18 @@ are identical across runs and transports.
 Two codecs share the wire.  Frames are self-describing by their first
 byte, so a receiver needs no per-connection decode state:
 
-* **stable JSON** (first byte ``{``) — the default and the
-  cross-version fallback.  ``to_wire``/``from_wire``.
+* **stable JSON** (first byte ``[``) — the default.  A frame is the
+  positional list ``[kind, message_id, recipient, sender, payload]``:
+  the envelope's field names never travel, and an object frame (first
+  byte ``{``) or a list of any other shape is refused.
+  ``to_wire``/``from_wire``.
 * **binary** (first byte :data:`FRAME_BINARY`) — a length-delimited
-  restricted-pickle frame, smaller and markedly faster to encode and
-  decode than JSON (the spine's ``p2p.probe.binary_over_json_*``
-  metrics measure both).
+  restricted-pickle frame.  It is *larger* than the positional JSON
+  frame for every protocol kind (a ``query_result`` of two rows is
+  228 B against 212 B, an ``invalidation`` 120 B against 100 B);
+  only the codec call alone is faster, and a sender still serialises
+  stable JSON to count the §4 volume (the spine's
+  ``p2p.probe.binary_over_json_*`` metrics measure both ratios).
   ``to_binary``/``from_binary``.  Decoding uses an
   :class:`pickle.Unpickler` whose ``find_class`` always raises, so a
   frame can only ever reconstruct plain data (dicts, lists, scalars —
@@ -44,7 +50,7 @@ from repro._util import stable_json
 from repro.errors import ProtocolError
 
 #: First byte of a binary (restricted-pickle) frame.  Stable-JSON
-#: frames start with ``{`` (0x7B); 0x01-0x03 can never open JSON.
+#: frames start with ``[`` (0x5B); 0x01-0x03 can never open JSON.
 FRAME_BINARY = b"\x01"
 #: First byte of a codec-negotiation offer (JSON body: {"codecs": [...]})
 FRAME_OFFER = b"\x02"
@@ -151,16 +157,13 @@ class Message:
 
     def _envelope(self) -> tuple[bytes, bytes]:
         """The stable-JSON frame is ``head + stable_json(payload) +
-        tail``: the envelope's keys in sorted order, ``payload`` third."""
+        tail``: the positional list ``[kind, message_id, recipient,
+        sender, payload]``, so no field's name travels."""
         head = (
-            f'{{"kind":{_quote(self.kind)},'
-            f'"message_id":{_quote(self.message_id)},"payload":'
+            f"[{_quote(self.kind)},{_quote(self.message_id)},"
+            f"{_quote(self.recipient)},{_quote(self.sender)},"
         )
-        tail = (
-            f',"recipient":{_quote(self.recipient)},'
-            f'"sender":{_quote(self.sender)}}}'
-        )
-        return head.encode("utf-8"), tail.encode("utf-8")
+        return head.encode("utf-8"), b"]"
 
     @cached_property
     def _wire(self) -> bytes:
@@ -176,7 +179,10 @@ class Message:
         return len(self._wire) - len(head) - len(tail)
 
     def _check_fields(self) -> None:
-        """A decoded frame must carry four strings and a dict."""
+        """A decoded frame must carry four strings and a dict, and be
+        one its receiver can size: the §4 statistics size what arrives.
+        A received JSON frame is sized from its own bytes; a binary one
+        has its stable-JSON form computed here, once."""
         if not (
             isinstance(self.kind, str)
             and isinstance(self.sender, str)
@@ -185,6 +191,12 @@ class Message:
             and isinstance(self.message_id, str)
         ):
             raise ProtocolError("message fields have wrong types")
+        try:
+            self._payload_size
+        except (ValueError, TypeError, RecursionError) as exc:
+            # A lone surrogate does not encode (UnicodeEncodeError is a
+            # ValueError); a binary payload may hold what JSON cannot.
+            raise ProtocolError(f"message cannot be sized: {exc}") from exc
 
     def size_bytes(self) -> int:
         """Stable serialised size of the full envelope (cached)."""
@@ -207,27 +219,31 @@ class Message:
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
+        """Decode a stable-JSON frame: exactly a list of five fields,
+        four strings and a payload dict.  Anything else — an object
+        frame, another length, a field of another type — is refused."""
         try:
             decoded = json.loads(data.decode("utf-8"))
-            message = cls(
-                kind=decoded["kind"],
-                sender=decoded["sender"],
-                recipient=decoded["recipient"],
-                payload=decoded["payload"],
-                message_id=decoded.get("message_id", ""),
-            )
-        except (
-            ValueError, KeyError, TypeError, UnicodeDecodeError, RecursionError
-        ) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             # RecursionError: a body nested deeper than the decoder
             # recurses (a frame of ``[``s) is malformed too.
             raise ProtocolError(f"malformed wire message: {exc}") from exc
-        message._check_fields()
+        if not isinstance(decoded, list) or len(decoded) != 5:
+            raise ProtocolError("a wire message is a list of five fields")
+        kind, message_id, recipient, sender, payload = decoded
+        message = cls(
+            kind=kind,
+            sender=sender,
+            recipient=recipient,
+            payload=payload,
+            message_id=message_id,
+        )
         # Seed the wire cache with the received bytes: every coDB
         # sender serialises with ``stable_json``, so the bytes ARE the
         # stable form — the receive path never re-serialises just to
         # count sizes.
         message.__dict__["_wire"] = data
+        message._check_fields()
         return message
 
     @cached_property
@@ -255,11 +271,10 @@ class Message:
             payload=payload,
             message_id=message_id,
         )
-        message._check_fields()
         # Mirror ``from_wire``: the received bytes seed the *binary*
-        # cache.  ``size_bytes`` still reports the stable-JSON volume
-        # (computed lazily if a statistics reader asks).
+        # cache.  ``size_bytes`` still reports the stable-JSON volume.
         message.__dict__["_binary"] = data
+        message._check_fields()
         return message
 
     @classmethod

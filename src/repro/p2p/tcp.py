@@ -39,20 +39,25 @@ each other by peer id only, never by host/port — "IP independent
 naming space" (§2).
 
 Frames are self-describing (:mod:`repro.p2p.messages`): stable JSON
-by default, or the binary restricted-pickle codec once a connection
-has negotiated it.  A ``TcpNetwork(wire_codec="binary")`` sender opens
-every new outbound connection with a codec *offer* frame; the
-receiving side answers with an *ack* naming the codec it accepts —
-binary only when it was constructed with ``wire_codec="binary"``
-itself, JSON otherwise — and the sender frames all subsequent
-messages on that connection accordingly.  The ack is the only bytes
+(the positional list ``[kind, message_id, recipient, sender,
+payload]``) by default, or the binary restricted-pickle codec once a
+connection has negotiated it.  Binary is no saving on this wire: its
+frame is larger than the positional JSON one for every protocol kind,
+and the §4 statistics serialise stable JSON anyway.  A
+``TcpNetwork(wire_codec="binary")`` sender opens every new outbound
+connection with a codec *offer* frame; the receiving side answers
+with an *ack* naming the codec it accepts — binary only when it was
+constructed with ``wire_codec="binary"`` itself, JSON otherwise — and
+the sender frames all subsequent messages on that connection
+accordingly.  The ack is the only bytes
 ever written back on these one-way sockets, and it happens strictly
 before any protocol message flows, so per-pair FIFO is unaffected.
 JSON remains the default and the fallback whenever negotiation cannot
-complete, so mixed-version and mixed-configuration deployments
-interoperate.  Whatever the codec, the §4 statistics count stable-JSON
-sizes (:meth:`~repro.p2p.messages.Message.size_bytes`); the actual
-framed byte count is tracked separately as ``stats.wire_bytes_sent``.
+complete, so mixed-configuration deployments interoperate (a peer that
+still sends the old object frame does not: its frames are refused).
+Whatever the codec, the §4 statistics count stable-JSON sizes
+(:meth:`~repro.p2p.messages.Message.size_bytes`); the actual framed
+byte count is tracked separately as ``stats.wire_bytes_sent``.
 
 Multi-process deployments (:mod:`repro.p2p.procs`) run one
 ``TcpNetwork`` per worker process, hosting that worker's single node.
@@ -314,9 +319,9 @@ class TcpNetwork(Transport):
 
     ``wire_codec`` selects the frame codec this transport *offers* on
     outbound connections and *accepts* on inbound ones: ``"json"``
-    (the default — no handshake, byte-identical behaviour to earlier
-    versions) or ``"binary"`` (negotiated per connection, falling back
-    to JSON against any peer that does not also offer binary).
+    (the default — no handshake) or ``"binary"`` (negotiated per
+    connection, falling back to JSON against any peer that does not
+    also offer binary).
     """
 
     def __init__(

@@ -5,9 +5,9 @@ node with.  Each worker hosts exactly one :class:`~repro.core.node.
 CoDBNode` — its own Python interpreter, its own GIL, its own store —
 behind its own :class:`~repro.p2p.tcp.TcpNetwork` listening socket.
 Inter-node protocol traffic flows worker-to-worker over TCP exactly as
-in the single-process deployment (the stable-JSON envelopes need no
-new serialisation); only *control* flows through the driver pipe, as
-:mod:`repro.runner.protocol` frames:
+in the single-process deployment (the positional stable-JSON frames
+need no new serialisation); only *control* flows through the driver
+pipe, as :mod:`repro.runner.protocol` frames:
 
 * the driver's command loop runs on the worker's main thread: build
   the node (``configure``), wire sibling ports (``connect``), load

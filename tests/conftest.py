@@ -26,6 +26,7 @@ DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
 DEEP_FILES = {
     "test_cached_reads_differential.py",
     "test_delta_serving_differential.py",
+    "test_frame_decoder.py",
     "test_implicit_acks.py",
 }
 if DEEP:

@@ -338,7 +338,7 @@ class TestCycleBudget:
         self.cycle(net, 700_000)  # warm-up: registrations settle
         for write in (712_345, 798_765, 754_321):
             sent, volume, per_read = self.cycle(net, write)
-            assert (sent, volume) == (16, 2662)
+            assert (sent, volume) == (16, 1846)
             assert per_read[1:] == [0, 0]
         cache = net.node("N0").cache
         assert cache.fresh_served == 2 * 4

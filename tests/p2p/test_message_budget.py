@@ -91,7 +91,7 @@ def test_acks_and_total_stay_within_the_burst_budget(simulated):
         "update_complete": 7,
     }
     assert sum(by_kind.values()) == 98
-    assert simulated["bytes_sent"] == 25519
+    assert simulated["bytes_sent"] == 20521
 
 
 def test_section_4_statistics_are_unmoved(simulated):
@@ -135,13 +135,13 @@ def test_a_repeat_update_on_the_gateway_chain_is_six_messages():
     assert [
         (m.kind, m.sender, m.recipient, m.size_bytes()) for m in sent
     ] == [
-        ("update_request", "A", "B", 156),
-        ("update_request", "B", "C", 160),
-        ("query_result", "C", "B", 178),
-        ("query_result", "B", "A", 178),
-        ("update_complete", "A", "B", 148),
-        ("update_complete", "B", "C", 148),
+        ("update_request", "A", "B", 105),
+        ("update_request", "B", "C", 109),
+        ("query_result", "C", "B", 127),
+        ("query_result", "B", "A", 127),
+        ("update_complete", "A", "B", 97),
+        ("update_complete", "B", "C", 97),
     ]
     for result in sent[2:4]:
         assert {key: result.payload[key] for key in closing} == closing
-    assert sum(m.size_bytes() for m in sent) == 968
+    assert sum(m.size_bytes() for m in sent) == 662

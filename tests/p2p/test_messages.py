@@ -109,7 +109,15 @@ class TestWireFormat:
         with pytest.raises(ProtocolError):
             Message.from_wire(b"not json at all")
         with pytest.raises(ProtocolError):
-            Message.from_wire(b'{"kind": "x"}')  # missing fields
+            Message.from_wire(b'["x","m","B","A"]')  # a field short
+        with pytest.raises(ProtocolError):
+            Message.from_wire(b'["x","m","B","A",{},"y"]')  # one too many
+        with pytest.raises(ProtocolError):
+            # The old object frame, every field present: refused.
+            Message.from_wire(
+                b'{"kind":"x","message_id":"m","payload":{},'
+                b'"recipient":"B","sender":"A"}'
+            )
         with pytest.raises(ProtocolError):
             Message.from_frame(b"[" * 100_000)  # nested past the decoder
 
@@ -192,7 +200,7 @@ JSON_VALUES = st.recursive(
 class TestStableEnvelope:
     """The frame is built as envelope head + payload + envelope tail, so
     the payload's size is known without serialising anything twice.
-    Both must agree with serialising the whole envelope at once."""
+    Both must agree with serialising the whole positional list at once."""
 
     @given(
         kind=st.sampled_from(KINDS) | st.text(),
@@ -207,13 +215,7 @@ class TestStableEnvelope:
     ):
         def whole(body):
             return stable_json(
-                {
-                    "kind": kind,
-                    "sender": sender,
-                    "recipient": recipient,
-                    "payload": body,
-                    "message_id": message_id,
-                }
+                [kind, message_id, recipient, sender, body]
             ).encode("utf-8")
 
         wire = whole(payload)
@@ -225,15 +227,19 @@ class TestStableEnvelope:
         assert received.payload_bytes() == payload_size
         assert received.to_wire() is wire
 
-    def test_a_frame_with_a_non_string_field_is_refused(self):
+    @pytest.mark.parametrize(
+        "position, wrong",
+        [(position, wrong) for position in range(4)
+         for wrong in (1, None, True, ["k"], {"k": 1})]
+        + [(4, wrong) for wrong in (1, None, True, ["k"], "k")],
+    )
+    def test_a_frame_with_a_non_string_field_is_refused(self, position, wrong):
+        # [kind, message_id, recipient, sender, payload]: four strings
+        # and a dict, nothing else in any position.
+        fields = ["k", "m", "B", "A", {}]
+        fields[position] = wrong
         with pytest.raises(ProtocolError):
-            Message.from_wire(
-                b'{"kind":1,"message_id":"m","payload":{},"recipient":"B","sender":"A"}'
-            )
-        with pytest.raises(ProtocolError):
-            Message.from_wire(
-                b'{"kind":"k","message_id":"m","payload":[],"recipient":"B","sender":"A"}'
-            )
+            Message.from_wire(stable_json(fields).encode("utf-8"))
 
 
 class TestIdAuthority:
@@ -297,13 +303,27 @@ class TestBinaryCodec:
         assert from_binary == from_json
         assert from_binary.size_bytes() == message.size_bytes()
         assert from_binary.payload_bytes() == message.payload_bytes()
-        # A binary frame is never the larger one.
-        assert len(message.to_binary()) <= len(message.to_wire())
+        # Without the envelope's key names the JSON frame is the
+        # smaller one for every kind.
+        assert len(message.to_binary()) > len(message.to_wire())
+
+    @pytest.mark.parametrize(
+        "kind, json_bytes, binary_bytes",
+        [
+            ("query_result", 212, 228),
+            ("update_complete", 82, 98),
+            ("invalidation", 100, 120),
+        ],
+    )
+    def test_the_binary_frame_is_the_larger_one(self, kind, json_bytes, binary_bytes):
+        message = Message(kind, "TN", "BZ", KIND_PAYLOADS[kind], "msg-ab12cd-0042")
+        assert len(message.to_wire()) == json_bytes
+        assert len(message.to_binary()) == binary_bytes
 
     def test_frames_are_self_describing(self):
         message = Message("k", "A", "B", {"x": 1})
         assert message.to_binary()[:1] == FRAME_BINARY
-        assert message.to_wire()[:1] == b"{"
+        assert message.to_wire()[:1] == b"["
 
     def test_marked_nulls_and_non_ascii_survive_binary(self):
         message = Message(
