@@ -238,14 +238,14 @@ class UpdateEngine:
     # Outbound plumbing
     # ------------------------------------------------------------------
 
-    def send_request(self, remote: str, path: list[str]) -> None:
+    def send_request(self, remote: str) -> None:
         node = self.node
         update_id = self.update_id
         report = node.stats.report_for(update_id)
         node.emit(
             remote,
             "update_request",
-            {"update_id": update_id, "origin": self.origin, "path": path},
+            {"update_id": update_id, "origin": self.origin},
         )
         node.termination.note_sent(update_id, remote)
         if report is not None:
@@ -279,12 +279,11 @@ class UpdateEngine:
         node = self.node
         sender = message.sender
         if first_contact:
-            path = list(message.payload.get("path", ())) + [node.name]
             for remote in node.links.acquaintances():
                 if remote != sender:
-                    self.send_request(remote, path)
+                    self.send_request(remote)
             if any(link.remote == sender for link in node.links.outgoing.values()):
-                self.send_request(sender, path)
+                self.send_request(sender)
         self.activate(
             self.links.incoming_for_target(sender),
             node.config.resend_suppression,
@@ -808,7 +807,7 @@ class UpdateManager:
         node.termination.start_root(update_id)
         session = self.open(UpdateEngine(node, update_id, node.name))
         for remote in node.links.acquaintances():
-            session.send_request(remote, path=[node.name])
+            session.send_request(remote)
         node.termination.check_quiescence(update_id)
 
     def open(self, session: UpdateEngine) -> UpdateEngine:

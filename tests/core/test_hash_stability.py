@@ -169,7 +169,7 @@ def test_two_hash_seeds_send_the_same_messages():
 #: What :data:`SCRIPT` prints: the count and digest of the stream it
 #: sends.  A change that moves a message on purpose re-pins it and says
 #: which messages moved and why.
-PINNED = "712 d6883acd2983b45b1a91a1033eda344e3580ab12eceeeba1bd70374bc9066ce8"
+PINNED = "712 11b52c1bffd41f50891fcb896e090cd63de0ed9c8f4081084496afd4cc3dc6c7"
 
 
 def test_the_stream_is_pinned():

@@ -61,12 +61,12 @@ def test_a_request_then_a_run_that_closes_the_link():
     node = core()
     request = Message(
         "update_request", "N0", "N1",
-        {"update_id": UPDATE, "origin": "N0", "path": ["N0"]}, "m-request",
+        {"update_id": UPDATE, "origin": "N0"}, "m-request",
     )
     first = node.react([request])
     # N1 passes the update on to N2; it has nothing of its own for N0.
     assert sent(first) == [
-        ("update_request", "N2", {"update_id": UPDATE, "origin": "N0", "path": ["N0", "N1"]}),
+        ("update_request", "N2", {"update_id": UPDATE, "origin": "N0"}),
     ]
     # N2, engaged by N0 already, answers with its rows cut in two, the
     # last closing the link — flagged to be acked, since N1 is not its
@@ -99,7 +99,7 @@ def test_the_same_inputs_give_the_same_effects():
         node = core()
         request = Message(
             "update_request", "N0", "N1",
-            {"update_id": UPDATE, "origin": "N0", "path": ["N0"]}, "m-request",
+            {"update_id": UPDATE, "origin": "N0"}, "m-request",
         )
         runs.append([
             (m.kind, m.recipient, m.message_id, m.payload)

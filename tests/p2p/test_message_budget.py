@@ -91,7 +91,7 @@ def test_acks_and_total_stay_within_the_burst_budget(simulated):
         "update_complete": 7,
     }
     assert sum(by_kind.values()) == 98
-    assert simulated["bytes_sent"] == 20521
+    assert simulated["bytes_sent"] == 20318
 
 
 def test_section_4_statistics_are_unmoved(simulated):
@@ -135,8 +135,8 @@ def test_a_repeat_update_on_the_gateway_chain_is_six_messages():
     assert [
         (m.kind, m.sender, m.recipient, m.size_bytes()) for m in sent
     ] == [
-        ("update_request", "A", "B", 105),
-        ("update_request", "B", "C", 109),
+        ("update_request", "A", "B", 92),
+        ("update_request", "B", "C", 92),
         ("query_result", "C", "B", 127),
         ("query_result", "B", "A", 127),
         ("update_complete", "A", "B", 97),
@@ -144,4 +144,4 @@ def test_a_repeat_update_on_the_gateway_chain_is_six_messages():
     ]
     for result in sent[2:4]:
         assert {key: result.payload[key] for key in closing} == closing
-    assert sum(m.size_bytes() for m in sent) == 662
+    assert sum(m.size_bytes() for m in sent) == 632

@@ -37,7 +37,6 @@ KIND_PAYLOADS = {
     "update_request": {
         "update_id": "update-ab12cd-0000",
         "origin": "TN",
-        "path": ["TN", "BZ"],
     },
     "query_result": {
         "update_id": "update-ab12cd-0000",
