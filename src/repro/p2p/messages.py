@@ -18,7 +18,7 @@ byte, so a receiver needs no per-connection decode state:
   restricted-pickle frame.  It is *larger* than the positional JSON
   frame for every protocol kind (a ``query_result`` of two rows is
   228 B against 212 B, an ``invalidation`` 120 B against 100 B);
-  only the codec call alone is faster, and a sender still serialises
+  only the codec call itself is faster, and a sender still serialises
   stable JSON to count the §4 volume (the spine's
   ``p2p.probe.binary_over_json_*`` metrics measure both ratios).
   ``to_binary``/``from_binary``.  Decoding uses an
@@ -224,9 +224,10 @@ class Message:
         frame, another length, a field of another type — is refused."""
         try:
             decoded = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-            # RecursionError: a body nested deeper than the decoder
-            # recurses (a frame of ``[``s) is malformed too.
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bytes that are not UTF-8; RecursionError
+            # a body nested deeper than the decoder recurses (a frame
+            # of ``[``s).
             raise ProtocolError(f"malformed wire message: {exc}") from exc
         if not isinstance(decoded, list) or len(decoded) != 5:
             raise ProtocolError("a wire message is a list of five fields")

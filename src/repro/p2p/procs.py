@@ -8,8 +8,8 @@ store — behind its own :class:`~repro.p2p.tcp.TcpNetwork` listening
 socket.  Inter-node protocol traffic flows worker-to-worker over TCP
 in the same positional stable-JSON frames as in one process;
 concurrent update sessions therefore evaluate their conjunctive
-queries on separate cores instead of timeslicing one GIL (the threaded runner's ~1.15× at 4 origins
-becomes real parallel speedup).
+queries on separate cores instead of timeslicing one GIL (the threaded
+runner's ~1.15× at 4 origins becomes real parallel speedup).
 
 Driver/worker protocol (see :mod:`repro.runner.protocol`)
 ---------------------------------------------------------

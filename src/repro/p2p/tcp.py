@@ -49,9 +49,9 @@ connection with a codec *offer* frame; the receiving side answers
 with an *ack* naming the codec it accepts — binary only when it was
 constructed with ``wire_codec="binary"`` itself, JSON otherwise — and
 the sender frames all subsequent messages on that connection
-accordingly.  The ack is the only bytes
-ever written back on these one-way sockets, and it happens strictly
-before any protocol message flows, so per-pair FIFO is unaffected.
+accordingly.  The ack is the only bytes ever written back on these
+one-way sockets, and it happens strictly before any protocol message
+flows, so per-pair FIFO is unaffected.
 JSON remains the default and the fallback whenever negotiation cannot
 complete, so mixed-configuration deployments interoperate (a peer that
 still sends the old object frame does not: its frames are refused).

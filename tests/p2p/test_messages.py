@@ -350,7 +350,7 @@ class TestBinaryCodec:
         decoded = Message.from_binary(data)
         assert decoded.to_binary() is data  # receive seeds the cache
 
-    def test_size_bytes_lazy_on_binary_receive(self):
+    def test_size_bytes_on_binary_receive_is_the_json_volume(self):
         # A binary-received message never saw its JSON form; the §4
         # stats still report the stable-JSON volume.
         original = Message("k", "A", "B", {"s": "Trento⟪è⟫"})
